@@ -1,0 +1,75 @@
+"""The one binary container behind every persisted artifact, and atomic writes.
+
+Layout: an 8-byte magic tag, the JSON header length as a little-endian u32,
+the sorted-key JSON header, then each array as raw `<f8` values in the
+order the header's "arrays" records list them. Each artifact type (encoder
+weights, fusion transform, classifier) has its own magic and builds its own
+header; the records only need a "shape" entry for the framing.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import struct
+
+import numpy as np
+
+from .errors import IntegrityError
+
+_PREFIX = 12  # magic + header length
+
+
+def pack(magic: bytes, header: dict, arrays: list[np.ndarray]) -> bytes:
+    """Container bytes for `header` followed by `arrays` in header order."""
+    hdr = json.dumps(header, sort_keys=True).encode()
+    parts = [magic, struct.pack("<I", len(hdr)), hdr]
+    parts += [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays]
+    return b"".join(parts)
+
+
+def unpack(blob: bytes, magic: bytes, kind: str) -> tuple[dict, list[np.ndarray]]:
+    """(header, arrays) from container bytes; IntegrityError on any framing fault."""
+    if blob[:len(magic)] != magic:
+        raise IntegrityError(f"bad {kind} magic bytes")
+    if len(blob) < _PREFIX:
+        raise IntegrityError(f"truncated {kind} file: no header length")
+    (hlen,) = struct.unpack_from("<I", blob, len(magic))
+    offset = _PREFIX + hlen
+    if len(blob) < offset:
+        raise IntegrityError(f"truncated {kind} file: header cut short")
+    try:
+        header = json.loads(blob[_PREFIX:offset].decode())
+        shapes = [tuple(int(n) for n in rec["shape"]) for rec in header["arrays"]]
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"unreadable {kind} header: {exc}") from exc
+    if any(n < 0 for shape in shapes for n in shape):
+        raise IntegrityError(f"negative array dimension in {kind} header")
+    arrays = []
+    for shape in shapes:
+        count = int(np.prod(shape))
+        if len(blob) < offset + 8 * count:
+            raise IntegrityError(f"truncated {kind} file: array data cut short")
+        arrays.append(np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+                      .reshape(shape).copy())
+        offset += 8 * count
+    if offset != len(blob):
+        raise IntegrityError(f"trailing bytes in {kind} file")
+    return header, arrays
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write via a temp file in the same directory, then rename into place.
+
+    A crash mid-write leaves the previous file (or none) and no temp file.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

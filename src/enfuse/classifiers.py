@@ -8,13 +8,11 @@ argmax ties break toward the lowest class index.
 
 from __future__ import annotations
 
-import io
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifact import pack, unpack, write_atomic
 from .errors import IntegrityError, InvalidArgumentError, InvalidDatasetError
 
 CLASSIFIER_MAGIC = b"ETSEFC1\x00"
@@ -459,36 +457,17 @@ def save_classifier(clf: TrainedClassifier, path) -> None:
         "arrays": [{"name": n, "shape": list(np.asarray(a).shape)}
                    for n, a in sorted(arrays.items())],
     }
-    buf = io.BytesIO()
-    buf.write(CLASSIFIER_MAGIC)
-    hdr = json.dumps(header, sort_keys=True).encode()
-    buf.write(struct.pack("<I", len(hdr)))
-    buf.write(hdr)
-    for name, arr in sorted(arrays.items()):
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    write_atomic(path, pack(CLASSIFIER_MAGIC, header,
+                            [a for _, a in sorted(arrays.items())]))
 
 
 def load_classifier(path) -> TrainedClassifier:
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:8] != CLASSIFIER_MAGIC:
-        raise IntegrityError("bad classifier magic bytes")
-    (hlen,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + hlen].decode())
+    header, values = unpack(blob, CLASSIFIER_MAGIC, "classifier")
     if header["kind"] not in KINDS:
         raise IntegrityError(f"unknown classifier kind {header['kind']!r}")
-    offset = 12 + hlen
-    arrays = {}
-    for rec in header["arrays"]:
-        shape = tuple(rec["shape"])
-        size = int(np.prod(shape)) * 8
-        arrays[rec["name"]] = np.frombuffer(
-            blob[offset:offset + size], dtype="<f8").reshape(shape).copy()
-        offset += size
-    if offset != len(blob):
-        raise IntegrityError("trailing bytes in classifier file")
+    arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
     trees = _unpack_trees(arrays)
     plain = {n: a for n, a in arrays.items() if not n.startswith("tree_")}
     return TrainedClassifier(header["kind"], header["n_classes"],

@@ -2,9 +2,11 @@
 
 Stages (pretrain -> finetune -> ensemble -> ablate / explain / oodtest) run
 against a single output tree `<out>/<task>/<stage>/` with one manifest at the
-root recording content hashes of everything each stage produced. Reruns with
-an unchanged config skip completed stages; any hash mismatch blocks the
-stages that depend on the damaged file.
+root recording content hashes of everything each stage produced; the manifest
+is the only integrity record. `STAGES` declares which stages each one needs
+and whether it runs again on every invocation, and `run_stage` applies it:
+reruns with an unchanged config skip completed stages, and any hash mismatch
+blocks the stages that depend on the damaged file.
 
 Exit codes: 0 success, 2 config error, 3 stage failure, 4 integrity failure.
 """
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifact import write_atomic
 from .classifiers import load_classifier, save_classifier
 from .data import AugmentConfig, SplitSpec, make_synthetic_task, stratified_split, write_pnm
 from .ensemble import (
@@ -43,11 +46,10 @@ from .explain import (
     shap_sampled,
     tsne_embed,
 )
-from .fusion import apply_transform, concat_features, load_transform, save_transform
+from .fusion import METHODS, apply_transform, concat_features, load_transform, save_transform
 from .nn import EncoderModel, accuracy
 from .pretrain import (
     BackboneSpec,
-    BaseModelRecord,
     ContrastiveConfig,
     build_backbone,
     extract_features,
@@ -55,10 +57,8 @@ from .pretrain import (
     finetune_intermediate_tl,
     finetune_target_ssl,
     finetune_target_tl,
-    load_record,
     pretrain_generic,
     pretrain_ssl,
-    save_record,
 )
 
 TOOL_VERSION = "0.1.0"
@@ -137,7 +137,11 @@ def _coerce(section: str, key: str, raw: str):
 
 
 def load_config(path: str | None) -> dict[str, dict[str, object]]:
-    """Flat key=value config with [section] headers; unknown keys rejected."""
+    """Flat key=value config with [section] headers and `#` comments.
+
+    Unknown sections or keys and unknown fusion methods are rejected here,
+    before any stage runs.
+    """
     config = {section: dict(values) for section, values in DEFAULTS.items()}
     if path is None:
         return config
@@ -147,8 +151,8 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        line = line.partition("#")[0].strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
@@ -164,6 +168,9 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
         if key not in DEFAULTS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         config[section][key] = _coerce(section, key, value.strip())
+    if config["fusion"]["method"] not in METHODS:
+        raise ConfigError(f"[fusion] method: {config['fusion']['method']!r} is not one of "
+                          f"{', '.join(METHODS)}")
     return config
 
 
@@ -194,8 +201,8 @@ def load_manifest(out: Path) -> dict:
 
 
 def save_manifest(out: Path, manifest: dict) -> None:
-    _manifest_path(out).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    write_atomic(_manifest_path(out), text.encode())
 
 
 def check_config_snapshot(manifest: dict, snapshot: dict) -> None:
@@ -227,9 +234,10 @@ def require_stage(out: Path, manifest: dict, stage: str) -> None:
 
 
 def record_stage(out: Path, manifest: dict, stage: str, files: list[Path]) -> None:
-    manifest["stages"][stage] = {
-        "files": {str(p.relative_to(out)): file_sha256(p) for p in sorted(files)},
-    }
+    """Add the files' hashes to the stage's manifest entry and save the manifest."""
+    record = manifest["stages"].setdefault(stage, {"files": {}})
+    record["files"].update(
+        {str(p.relative_to(out)): file_sha256(p) for p in sorted(files)})
     save_manifest(out, manifest)
 
 
@@ -268,32 +276,62 @@ def _spec(config: dict, variant: str) -> BackboneSpec:
     return BackboneSpec(variant, (size, size))
 
 
-def _save_base_model(model: EncoderModel, spec: BackboneSpec, method: str,
-                     stages: list[str], stage_dir: Path, name: str) -> list[Path]:
-    weights = stage_dir / f"{name}.weights"
-    model.save(weights)
-    record = BaseModelRecord(spec, method, stages=stages, weights_path=str(weights))
-    manifest_file = stage_dir / f"{name}.record"
-    save_record(record, manifest_file)
-    return [weights, manifest_file]
-
-
-def _load_base_model(stage_dir: Path, name: str) -> EncoderModel:
-    load_record(stage_dir / f"{name}.record")  # verifies the weights hash
-    return EncoderModel.load(stage_dir / f"{name}.weights")
+def _save_weights(model: EncoderModel, stage_dir: Path, name: str) -> Path:
+    path = stage_dir / f"{name}.weights"
+    model.save(path)
+    return path
 
 
 # ---------------------------------------------------------------------------
-# Stage commands
+# Stage table and runner
 # ---------------------------------------------------------------------------
 
-def cmd_pretrain(config: dict, seed: int, out: Path, manifest: dict) -> None:
-    if stage_complete(out, manifest, "pretrain"):
-        print("pretrain: up to date, skipping")
+# stage -> (stages that must be complete and intact first, runs again on every
+# invocation). The first listed stage is the one that must run before it; any
+# other is a stage whose files it also reads. Explain's list depends on --what.
+STAGES: dict[str, tuple[tuple[str, ...], bool]] = {
+    "pretrain": ((), False),
+    "finetune": (("pretrain",), False),
+    "ensemble": (("finetune",), False),
+    "ablate": (("ensemble", "finetune"), False),
+    "explain": ((), True),
+    "oodtest": (("finetune",), True),
+    "synth": ((), False),
+}
+EXPLAIN_REQUIRES = {
+    "gradcam": ("finetune",),
+    "shap": ("ensemble", "finetune"),
+    "tsne": ("ensemble", "finetune"),
+}
+
+
+def run_stage(stage: str, config: dict, seed: int, out: Path, manifest: dict,
+              *args, **kwargs) -> None:
+    """Require the stage's inputs, skip it if done, run cmd_<stage>, record its files.
+
+    `args` and `kwargs` go to the command after (config, seed, out, stage_dir);
+    for explain the first of them is the --what target.
+    """
+    requires, reruns = STAGES[stage]
+    if stage == "explain":
+        requires = EXPLAIN_REQUIRES[args[0]]
+    for needed in requires:
+        require_stage(out, manifest, needed)
+    if not reruns and stage_complete(out, manifest, stage):
+        print(f"{stage}: up to date, skipping")
         return
+    command = globals()[f"cmd_{stage}"]  # looked up per call, so wrappers apply
+    files = command(config, seed, out, _task_dir(out, config, stage), *args, **kwargs)
+    record_stage(out, manifest, stage, files)
+
+
+# ---------------------------------------------------------------------------
+# Stage commands: each does its work and returns the files it wrote
+# ---------------------------------------------------------------------------
+
+def cmd_pretrain(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
     generic, intermediate, _ = ladder_datasets(config, seed)
     pre = config["pretrain"]
-    stage_dir = _task_dir(out, config, "pretrain")
     files: list[Path] = []
     for i, variant in enumerate(VARIANTS):
         spec = _spec(config, variant)
@@ -303,8 +341,7 @@ def cmd_pretrain(config: dict, seed: int, out: Path, manifest: dict) -> None:
         model = finetune_intermediate_tl(model, intermediate, epochs=pre["epochs"],
                                          batch=pre["batch"], lr=pre["lr"],
                                          seed=seed + 20 + i)
-        files += _save_base_model(model, spec, "TL", ["generic", "intermediate"],
-                                  stage_dir, f"tl_{variant}")
+        files.append(_save_weights(model, stage_dir, f"tl_{variant}"))
         print(f"pretrain: tl_{variant} done")
     cfg = ContrastiveConfig(
         temperature=pre["temperature"], batch_pairs=pre["ssl_batch_pairs"],
@@ -314,58 +351,43 @@ def cmd_pretrain(config: dict, seed: int, out: Path, manifest: dict) -> None:
         model = pretrain_ssl(spec, intermediate, cfg, epochs=pre["ssl_epochs"],
                              lr=pre["ssl_lr"], seed=seed + 30 + i,
                              freeze_backbone=pre["ssl_freeze_backbone"])
-        files += _save_base_model(model, spec, "SSL", ["ssl-pretrain"],
-                                  stage_dir, f"ssl_{variant}")
+        files.append(_save_weights(model, stage_dir, f"ssl_{variant}"))
         print(f"pretrain: ssl_{variant} done")
-    record_stage(out, manifest, "pretrain", files)
+    return files
 
 
-def cmd_finetune(config: dict, seed: int, out: Path, manifest: dict) -> None:
-    require_stage(out, manifest, "pretrain")
-    if stage_complete(out, manifest, "finetune"):
-        print("finetune: up to date, skipping")
-        return
+def cmd_finetune(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
     train, test = target_split(config, seed)
     fin = config["finetune"]
     src_dir = _task_dir(out, config, "pretrain")
-    stage_dir = _task_dir(out, config, "finetune")
     files: list[Path] = []
     log_lines = []
     for i, name in enumerate(BASE_MODEL_NAMES):
-        method, variant = name.split("_")
-        model = _load_base_model(src_dir, name)
+        method = name.split("_")[0]
+        model = EncoderModel.load(src_dir / f"{name}.weights")
         tuner = finetune_target_tl if method == "tl" else finetune_target_ssl
         model = tuner(model, train, epochs=fin["epochs"], batch=fin["batch"],
                       lr=fin["lr"], seed=seed + 40 + i)
-        stages = model.meta.get("stages", []) or (
-            ["generic", "intermediate", "target"] if method == "tl"
-            else ["ssl-pretrain", "target"])
-        files += _save_base_model(model, _spec(config, variant), method.upper(),
-                                  stages, stage_dir, name)
+        files.append(_save_weights(model, stage_dir, name))
         acc = accuracy(model, test)
         log_lines.append(f"{name} {method.upper()} {acc:.4f}")
         print(f"finetune: {name} test accuracy {acc:.4f}")
     log = stage_dir / "accuracy.log"
     log.write_text("\n".join(log_lines) + "\n")
-    files.append(log)
-    record_stage(out, manifest, "finetune", files)
+    return files + [log]
 
 
 def _load_target_models(out: Path, config: dict) -> list[tuple[str, EncoderModel]]:
     stage_dir = _task_dir(out, config, "finetune")
-    return [(name, _load_base_model(stage_dir, name)) for name in BASE_MODEL_NAMES]
+    return [(name, EncoderModel.load(stage_dir / f"{name}.weights"))
+            for name in BASE_MODEL_NAMES]
 
 
-def cmd_ensemble(config: dict, seed: int, out: Path, manifest: dict) -> None:
-    require_stage(out, manifest, "finetune")
-    if stage_complete(out, manifest, "ensemble"):
-        print("ensemble: up to date, skipping")
-        return
+def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
     train, test = target_split(config, seed)
     models = _load_target_models(out, config)
     method = config["fusion"]["method"]
     k = config["fusion"]["k"] or None
-    stage_dir = _task_dir(out, config, "ensemble")
 
     ensemble = train_ensemble(models, train, method=method, seed=seed, k=k)
     cm, report = evaluate(ensemble, models, test)
@@ -400,7 +422,7 @@ def cmd_ensemble(config: dict, seed: int, out: Path, manifest: dict) -> None:
     files.append(comparison)
 
     print(f"ensemble: voted accuracy {report.accuracy:.4f} ({method})")
-    record_stage(out, manifest, "ensemble", files)
+    return files
 
 
 def _render_ablation_svg(table, path) -> None:
@@ -430,16 +452,11 @@ def _render_ablation_svg(table, path) -> None:
         f.write(_svg_document(width, height, body))
 
 
-def cmd_ablate(config: dict, seed: int, out: Path, manifest: dict) -> None:
-    require_stage(out, manifest, "ensemble")
-    if stage_complete(out, manifest, "ablate"):
-        print("ablate: up to date, skipping")
-        return
+def cmd_ablate(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
     train, test = target_split(config, seed)
     models = _load_target_models(out, config)
     table = ablate(models, train, test, method=config["fusion"]["method"],
                    seed=seed, k=config["fusion"]["k"] or None)
-    stage_dir = _task_dir(out, config, "ablate")
     csv_file = stage_dir / f"ablation_seed{seed}.csv"
     csv_file.write_text(ablation_csv(table))
     svg_file = stage_dir / f"ablation_seed{seed}.svg"
@@ -447,7 +464,7 @@ def cmd_ablate(config: dict, seed: int, out: Path, manifest: dict) -> None:
     for row in table.rows:
         print(f"ablate: without {row.excluded}: voted {row.voted_accuracy:.4f} "
               f"({row.delta_voted:+.4f})")
-    record_stage(out, manifest, "ablate", [csv_file, svg_file])
+    return [csv_file, svg_file]
 
 
 def _rebuild_ensemble(out: Path, config: dict, models) -> EnsembleModel:
@@ -459,15 +476,13 @@ def _rebuild_ensemble(out: Path, config: dict, models) -> EnsembleModel:
     return EnsembleModel(classifiers, transform, [n for n, _ in models], n_classes)
 
 
-def cmd_explain(config: dict, seed: int, out: Path, manifest: dict,
-                what: str, instance: int | None = None) -> None:
+def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
+                what: str, instance: int | None = None) -> list[Path]:
     train, test = target_split(config, seed)
     exp = config["explain"]
-    stage_dir = _task_dir(out, config, "explain")
     idx = exp["instance"] if instance is None else instance
     files: list[Path] = []
     if what == "gradcam":
-        require_stage(out, manifest, "finetune")
         if not 0 <= idx < len(test):
             raise InvalidArgumentError(f"instance {idx} out of range")
         image = test.images[idx]
@@ -478,7 +493,6 @@ def cmd_explain(config: dict, seed: int, out: Path, manifest: dict,
             render_saliency_ppm(sal, path, image=image)
             files.append(path)
     elif what == "shap":
-        require_stage(out, manifest, "ensemble")
         models = _load_target_models(out, config)
         ensemble = _rebuild_ensemble(out, config, models)
         train_parts = concat_features([extract_features(m, train) for _, m in models])
@@ -493,8 +507,7 @@ def cmd_explain(config: dict, seed: int, out: Path, manifest: dict,
         path = stage_dir / f"shap_i{idx}_seed{seed}.csv"
         path.write_text(shap_csv(explanation))
         files.append(path)
-    elif what == "tsne":
-        require_stage(out, manifest, "ensemble")
+    else:  # tsne
         models = _load_target_models(out, config)
         ensemble = _rebuild_ensemble(out, config, models)
         parts = concat_features([extract_features(m, test) for _, m in models])
@@ -504,20 +517,13 @@ def cmd_explain(config: dict, seed: int, out: Path, manifest: dict,
         path = stage_dir / f"tsne_seed{seed}.svg"
         render_embedding_svg(embedding, path, class_names=list(test.class_names))
         files.append(path)
-    else:
-        raise ConfigError(f"unknown explain target {what!r}")
-    manifest["stages"].setdefault("explain", {"files": {}})
-    record = manifest["stages"]["explain"]
-    record["files"].update(
-        {str(p.relative_to(out)): file_sha256(p) for p in sorted(files)})
-    save_manifest(out, manifest)
     for path in files:
         print(f"explain: wrote {path.relative_to(out)}")
+    return files
 
 
-def cmd_oodtest(config: dict, seed: int, out: Path, manifest: dict) -> None:
+def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
     """Frozen foreign extractors on a new task vs randomly initialized ones."""
-    require_stage(out, manifest, "finetune")
     ood = config["oodtest"]
     size = config["data"]["image_size"]
     dataset = make_synthetic_task(ood["kind"], ood["per_class"], (size, size),
@@ -548,7 +554,6 @@ def cmd_oodtest(config: dict, seed: int, out: Path, manifest: dict) -> None:
             raise IntegrityError(f"oodtest modified frozen weights {name}.weights")
 
     margin = results["pretrained"] - results["random"]
-    stage_dir = _task_dir(out, config, "oodtest")
     path = stage_dir / f"oodtest_seed{seed}.csv"
     path.write_text("extractors,accuracy\n"
                     f"pretrained,{results['pretrained']:.6f}\n"
@@ -556,17 +561,11 @@ def cmd_oodtest(config: dict, seed: int, out: Path, manifest: dict) -> None:
                     f"margin,{margin:.6f}\n")
     print(f"oodtest: pretrained {results['pretrained']:.4f} "
           f"vs random {results['random']:.4f} (margin {margin:+.4f})")
-    manifest["stages"].setdefault("oodtest", {"files": {}})
-    manifest["stages"]["oodtest"]["files"][str(path.relative_to(out))] = file_sha256(path)
-    save_manifest(out, manifest)
+    return [path]
 
 
-def cmd_synth(config: dict, seed: int, out: Path, manifest: dict) -> None:
+def cmd_synth(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
     """Write the synthetic ladder datasets to disk as PPM class directories."""
-    if stage_complete(out, manifest, "synth"):
-        print("synth: up to date, skipping")
-        return
-    stage_dir = _task_dir(out, config, "synth")
     files: list[Path] = []
     generic, intermediate, target = ladder_datasets(config, seed)
     for name, dataset in (("generic", generic), ("intermediate", intermediate),
@@ -579,7 +578,7 @@ def cmd_synth(config: dict, seed: int, out: Path, manifest: dict) -> None:
                 write_pnm(path, dataset.images[i])
                 files.append(path)
         print(f"synth: wrote {name} ({len(dataset)} images)")
-    record_stage(out, manifest, "synth", files)
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -621,21 +620,14 @@ def run(argv: list[str] | None = None) -> int:
         manifest = load_manifest(out)
         check_config_snapshot(manifest, config_snapshot(config, args.seed))
         save_manifest(out, manifest)
-        steps = {
-            "pretrain": lambda: cmd_pretrain(config, args.seed, out, manifest),
-            "finetune": lambda: cmd_finetune(config, args.seed, out, manifest),
-            "ensemble": lambda: cmd_ensemble(config, args.seed, out, manifest),
-            "ablate": lambda: cmd_ablate(config, args.seed, out, manifest),
-            "explain": lambda: cmd_explain(config, args.seed, out, manifest,
-                                           args.what, instance=args.instance),
-            "oodtest": lambda: cmd_oodtest(config, args.seed, out, manifest),
-            "synth": lambda: cmd_synth(config, args.seed, out, manifest),
-        }
         if args.command == "all":
             for stage in ("pretrain", "finetune", "ensemble", "ablate"):
-                steps[stage]()
+                run_stage(stage, config, args.seed, out, manifest)
+        elif args.command == "explain":
+            run_stage("explain", config, args.seed, out, manifest,
+                      args.what, instance=args.instance)
         else:
-            steps[args.command]()
+            run_stage(args.command, config, args.seed, out, manifest)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -278,14 +278,6 @@ def gray_to_3ch(dataset: LabeledImageSet) -> LabeledImageSet:
     return replace(dataset, images=np.repeat(dataset.images, 3, axis=3))
 
 
-def one_hot(label: int, n_classes: int) -> np.ndarray:
-    if not 0 <= label < n_classes:
-        raise InvalidArgumentError(f"label {label} out of range for {n_classes} classes")
-    vec = np.zeros(n_classes)
-    vec[label] = 1.0
-    return vec
-
-
 def one_hot_matrix(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) and (labels.min() < 0 or labels.max() >= n_classes):
@@ -329,55 +321,6 @@ def stratified_split(dataset: LabeledImageSet, spec: SplitSpec) -> tuple[Labeled
         train_idx.extend(members[perm[: takes[c]]])
         test_idx.extend(members[perm[takes[c]:]])
     return dataset.subset(np.sort(train_idx)), dataset.subset(np.sort(test_idx))
-
-
-def augment_balance(train: LabeledImageSet, cfg: AugmentConfig) -> LabeledImageSet:
-    """Grow every minority class to the size of the largest class.
-
-    Originals are kept untouched; synthetic samples are random transforms
-    of same-class originals, appended after the original block.
-    """
-    if len(train) == 0:
-        raise InvalidDatasetError("cannot augment an empty training set")
-    counts = train.class_counts()
-    target = int(counts.max())
-    rng = np.random.default_rng(cfg.seed)
-    extra_images, extra_labels = [], []
-    for c in range(train.n_classes):
-        deficit = target - int(counts[c])
-        if deficit <= 0:
-            continue
-        members = np.flatnonzero(train.labels == c)
-        for i in range(deficit):
-            src = train.images[members[i % len(members)]]
-            extra_images.append(random_transform(src, cfg, rng))
-            extra_labels.append(c)
-    if not extra_images:
-        return train
-    return LabeledImageSet(
-        np.concatenate([train.images, np.stack(extra_images)]),
-        np.concatenate([train.labels, np.array(extra_labels)]),
-        list(train.class_names),
-    )
-
-
-def augment_multiply(train: LabeledImageSet, factor: int, cfg: AugmentConfig) -> LabeledImageSet:
-    """Append (factor - 1) random transforms of every sample (factor >= 1)."""
-    if factor < 1:
-        raise InvalidArgumentError("factor must be >= 1")
-    rng = np.random.default_rng(cfg.seed)
-    extra_images, extra_labels = [], []
-    for _ in range(factor - 1):
-        for img, label in zip(train.images, train.labels):
-            extra_images.append(random_transform(img, cfg, rng))
-            extra_labels.append(label)
-    if not extra_images:
-        return train
-    return LabeledImageSet(
-        np.concatenate([train.images, np.stack(extra_images)]),
-        np.concatenate([train.labels, np.array(extra_labels)]),
-        list(train.class_names),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -311,8 +311,7 @@ def summary_text(report: MetricReport,
 
 
 def write_reports(out_dir, seed: int, cm: ConfusionMatrix, report: MetricReport,
-                  per_classifier: dict[str, MetricReport] | None = None,
-                  ablation: AblationTable | None = None) -> list[str]:
+                  per_classifier: dict[str, MetricReport] | None = None) -> list[str]:
     """Emit CSV and text reports; file names carry the run seed."""
     from pathlib import Path
 
@@ -323,7 +322,4 @@ def write_reports(out_dir, seed: int, cm: ConfusionMatrix, report: MetricReport,
     written.append(f"metrics_seed{seed}.csv")
     (out / f"summary_seed{seed}.txt").write_text(summary_text(report, per_classifier))
     written.append(f"summary_seed{seed}.txt")
-    if ablation is not None:
-        (out / f"ablation_seed{seed}.csv").write_text(ablation_csv(ablation))
-        written.append(f"ablation_seed{seed}.csv")
     return written

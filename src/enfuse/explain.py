@@ -365,14 +365,3 @@ def shap_csv(explanation: ShapExplanation,
     lines.append(f"model_output,{explanation.model_output:.10f}")
     return "\n".join(lines) + "\n"
 
-
-def render(artifact, path, **kwargs) -> None:
-    """Dispatch renderer: SaliencyMap -> PPM, Embedding2D / ConfusionMatrix -> SVG."""
-    if isinstance(artifact, SaliencyMap):
-        render_saliency_ppm(artifact, path, image=kwargs.get("image"))
-    elif isinstance(artifact, Embedding2D):
-        render_embedding_svg(artifact, path, class_names=kwargs.get("class_names"))
-    elif isinstance(artifact, ConfusionMatrix):
-        render_confusion_svg(artifact, path, class_names=kwargs.get("class_names"))
-    else:
-        raise InvalidArgumentError(f"no renderer for {type(artifact).__name__}")

@@ -8,15 +8,13 @@ test-time application never re-estimates anything.
 
 from __future__ import annotations
 
-import io
-import json
-import struct
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrityError, InvalidArgumentError
+from .artifact import pack, unpack, write_atomic
+from .errors import InvalidArgumentError
 from .features import FeatureMatrix
 from .linalg import eigh_symmetric, standardize, whiten
 
@@ -78,25 +76,6 @@ def concat_features(parts: list[FeatureMatrix], names: list[str] | None = None) 
     data = np.concatenate([p.data for p in parts], axis=1)
     matrix = FeatureMatrix(data, labels=first.labels, sample_ids=first.sample_ids.copy())
     return FusedFeatures(matrix, source_map)
-
-
-def elementwise_fuse(parts: list[FeatureMatrix], op: str = "add") -> FeatureMatrix:
-    """Element-wise addition or multiplication of same-shaped feature matrices.
-
-    Kept for experiments only; the production path uses concatenation.
-    """
-    if not parts:
-        raise InvalidArgumentError("no feature matrices to fuse")
-    shapes = {p.data.shape for p in parts}
-    if len(shapes) != 1:
-        raise InvalidArgumentError("element-wise fusion needs equal shapes")
-    if op == "add":
-        data = np.sum([p.data for p in parts], axis=0)
-    elif op == "mul":
-        data = np.prod([p.data for p in parts], axis=0)
-    else:
-        raise InvalidArgumentError(f"unknown element-wise op {op!r}")
-    return FeatureMatrix(data, labels=parts[0].labels, sample_ids=parts[0].sample_ids.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +196,7 @@ def apply_transform(t: FusionTransform, x: FeatureMatrix) -> FeatureMatrix:
                          sample_ids=x.sample_ids.copy())
 
 
-_METHODS = ("concat-only", "concat+pca", "concat+ica", "concat+lda")
+METHODS = ("concat-only", "concat+pca", "concat+ica", "concat+lda")
 
 
 def fuse_pipeline(parts: list[FeatureMatrix], method: str = "concat+ica",
@@ -228,7 +207,7 @@ def fuse_pipeline(parts: list[FeatureMatrix], method: str = "concat+ica",
     Default retained dimension is min(n_rows - 1, 128). The returned
     transform must be reused as-is on test features (no refitting).
     """
-    if method not in _METHODS:
+    if method not in METHODS:
         raise InvalidArgumentError(f"unknown fusion method {method!r}")
     fused = concat_features(parts, names=names)
     x = fused.matrix
@@ -248,7 +227,7 @@ def fuse_pipeline(parts: list[FeatureMatrix], method: str = "concat+ica",
 
 
 # ---------------------------------------------------------------------------
-# Persistence (kind-tagged container, same framing as model weights)
+# Persistence (the shared artifact container)
 # ---------------------------------------------------------------------------
 
 def save_transform(t: FusionTransform, path) -> None:
@@ -260,33 +239,15 @@ def save_transform(t: FusionTransform, path) -> None:
         "fingerprint": t.fit_fingerprint,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in sorted(arrays.items())],
     }
-    buf = io.BytesIO()
-    buf.write(TRANSFORM_MAGIC)
-    hdr = json.dumps(header, sort_keys=True).encode()
-    buf.write(struct.pack("<I", len(hdr)))
-    buf.write(hdr)
-    for name, arr in sorted(arrays.items()):
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    write_atomic(path, pack(TRANSFORM_MAGIC, header,
+                            [a for _, a in sorted(arrays.items())]))
 
 
 def load_transform(path) -> FusionTransform:
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:8] != TRANSFORM_MAGIC:
-        raise IntegrityError("bad transform magic bytes")
-    (hlen,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + hlen].decode())
-    offset = 12 + hlen
-    arrays = {}
-    for rec in header["arrays"]:
-        shape = tuple(rec["shape"])
-        size = int(np.prod(shape)) * 8
-        arrays[rec["name"]] = np.frombuffer(blob[offset:offset + size], dtype="<f8").reshape(shape).copy()
-        offset += size
-    if offset != len(blob):
-        raise IntegrityError("trailing bytes in transform file")
+    header, values = unpack(blob, TRANSFORM_MAGIC, "transform")
+    arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
     return FusionTransform(header["kind"], arrays["mean"], arrays["std"],
                            arrays["components"],
                            explained_variance_ratio=arrays.get("evr"),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 CONST_COLUMN_EPS = 1e-12
 SYMMETRY_TOL = 1e-9
@@ -47,19 +47,6 @@ def eigh_symmetric(a: np.ndarray) -> EigenDecomposition:
         if v[pivot, j] < 0:
             v[:, j] = -v[:, j]
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1]."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise InvalidArgumentError(f"length mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateInputError("cosine similarity undefined for zero-norm vector")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

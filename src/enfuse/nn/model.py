@@ -3,17 +3,14 @@
 The backbone ends in conv feature maps; its feature vector is the spatial
 mean of the final conv activation (dimension = channel count). Heads are
 layer stacks consuming those maps (a classification head or a contrastive
-projection head). Persistence uses a small versioned binary container.
+projection head). Persistence uses the shared artifact container (`enfuse.artifact`).
 """
 
 from __future__ import annotations
 
-import io
-import json
-import struct
-
 import numpy as np
 
+from ..artifact import pack, unpack, write_atomic
 from ..errors import IntegrityError, InvalidArgumentError, InvalidStateError
 from .layers import Conv2d, Dropout, Layer, Softmax, layer_from_descriptor
 
@@ -49,14 +46,6 @@ class EncoderModel:
         if not idx:
             raise InvalidStateError("model has no conv layer")
         return idx[-1]
-
-    def set_trainable(self, backbone_flags=None, head_flags=None):
-        if backbone_flags is not None:
-            for layer, flag in zip(self.backbone, backbone_flags):
-                layer.trainable = bool(flag)
-        if head_flags is not None:
-            for layer, flag in zip(self.head, head_flags):
-                layer.trainable = bool(flag)
 
     def freeze_backbone(self, upto: int | None = None):
         """Freeze backbone layers [0, upto); the whole backbone when upto is None."""
@@ -143,44 +132,25 @@ class EncoderModel:
                 for name, arr in sorted(layer.params.items())
             ],
         }
-        buf = io.BytesIO()
-        buf.write(MODEL_MAGIC)
-        hdr = json.dumps(header, sort_keys=True).encode()
-        buf.write(struct.pack("<I", len(hdr)))
-        buf.write(hdr)
-        for i, layer in enumerate(self.layers):
-            for name, arr in sorted(layer.params.items()):
-                buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        return buf.getvalue()
+        arrays = [arr for layer in self.layers for _, arr in sorted(layer.params.items())]
+        return pack(MODEL_MAGIC, header, arrays)
 
     def save(self, path):
-        with open(path, "wb") as f:
-            f.write(self.save_bytes())
+        write_atomic(path, self.save_bytes())
 
     @classmethod
     def load_bytes(cls, blob: bytes) -> "EncoderModel":
-        if blob[:8] != MODEL_MAGIC:
-            raise IntegrityError("bad model magic bytes")
-        (hlen,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12:12 + hlen].decode())
+        header, arrays = unpack(blob, MODEL_MAGIC, "model")
         backbone = [layer_from_descriptor(d) for d in header["backbone"]]
         head = [layer_from_descriptor(d) for d in header["head"]]
         model = cls(backbone, head, feature_dim=header["feature_dim"])
         model.meta = header.get("meta", {})
-        offset = 12 + hlen
         layers = model.layers
-        for rec in header["arrays"]:
-            layer = layers[rec["layer"]]
-            shape = tuple(rec["shape"])
-            size = int(np.prod(shape)) * 8
-            arr = np.frombuffer(blob[offset:offset + size], dtype="<f8").reshape(shape)
-            offset += size
-            name = rec["name"]
-            if name not in layer.params or layer.params[name].shape != shape:
+        for rec, arr in zip(header["arrays"], arrays):
+            layer, name = layers[rec["layer"]], rec["name"]
+            if name not in layer.params or layer.params[name].shape != arr.shape:
                 raise IntegrityError(f"shape chain mismatch at layer {rec['layer']}.{name}")
-            layer.params[name] = arr.copy()
-        if offset != len(blob):
-            raise IntegrityError("trailing bytes in model file")
+            layer.params[name] = arr
         for layer, flag in zip(model.layers, header["trainable"]):
             layer.trainable = flag
         model.zero_grads()

@@ -12,7 +12,6 @@ for architecturally diverse production encoders.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,22 +71,6 @@ class ContrastiveConfig:
             raise InvalidArgumentError("temperature must be positive")
         if self.batch_pairs < 2:
             raise InvalidArgumentError("batch_pairs must be >= 2")
-
-
-@dataclass
-class BaseModelRecord:
-    spec: BackboneSpec
-    method: str  # "TL" | "SSL"
-    stages: list[str] = field(default_factory=list)
-    weights_path: str = ""
-
-    def __post_init__(self):
-        if self.method not in ("TL", "SSL"):
-            raise InvalidArgumentError("method must be TL or SSL")
-
-    @property
-    def name(self) -> str:
-        return f"{self.method.lower()}_{self.spec.variant}"
 
 
 def build_backbone(spec: BackboneSpec, rng: np.random.Generator) -> list:
@@ -302,7 +285,7 @@ def extract_features(model: EncoderModel, dataset: LabeledImageSet,
 
 
 # ---------------------------------------------------------------------------
-# Record manifests
+# File hashing (the manifest's integrity check)
 # ---------------------------------------------------------------------------
 
 def file_sha256(path) -> str:
@@ -311,45 +294,3 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: f.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def save_record(record: BaseModelRecord, path) -> None:
-    # weights are referenced relative to the record file so the whole
-    # output tree stays relocatable (and byte-identical across roots)
-    weights_rel = os.path.relpath(record.weights_path, os.path.dirname(path) or ".")
-    lines = [
-        f"method={record.method}",
-        f"variant={record.spec.variant}",
-        f"input_size={record.spec.input_size[0]}x{record.spec.input_size[1]}",
-        f"in_channels={record.spec.in_channels}",
-        f"stages={','.join(record.stages)}",
-        f"weights={weights_rel}",
-        f"weights_sha256={file_sha256(record.weights_path)}",
-    ]
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_record(path) -> BaseModelRecord:
-    fields = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                fields[key] = value
-    h, w = fields["input_size"].split("x")
-    spec = BackboneSpec(fields["variant"], (int(h), int(w)), int(fields["in_channels"]))
-    weights = fields["weights"]
-    if not os.path.isabs(weights):
-        weights = os.path.join(os.path.dirname(os.fspath(path)) or ".", weights)
-    record = BaseModelRecord(spec, fields["method"],
-                             stages=[s for s in fields["stages"].split(",") if s],
-                             weights_path=weights)
-    from .errors import IntegrityError
-
-    if not os.path.exists(record.weights_path):
-        raise IntegrityError(f"missing weights file {record.weights_path}")
-    if file_sha256(record.weights_path) != fields["weights_sha256"]:
-        raise IntegrityError(f"hash mismatch for {record.weights_path}")
-    return record

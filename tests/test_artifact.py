@@ -1,0 +1,91 @@
+import os
+
+import numpy as np
+import pytest
+
+from enfuse import artifact
+from enfuse.classifiers import fit_gbt, load_classifier, save_classifier
+from enfuse.cli import save_manifest
+from enfuse.errors import IntegrityError
+from enfuse.features import FeatureMatrix
+from enfuse.fusion import fit_pca, load_transform, save_transform
+from enfuse.nn import Conv2d, Dense, EncoderModel, Flatten, GlobalAvgPool, MaxPool2d, ReLU
+
+
+def _model():
+    rng = np.random.default_rng(0)
+    return EncoderModel([Conv2d(3, 4, 3, rng=rng), ReLU(), MaxPool2d()],
+                        [GlobalAvgPool(), Flatten(), Dense(4, 2, rng=rng)])
+
+
+def _transform():
+    rng = np.random.default_rng(1)
+    return fit_pca(FeatureMatrix(rng.normal(size=(12, 5))), 3)
+
+
+def _classifier():
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(20, 3))
+    return fit_gbt(x, (x[:, 0] > 0).astype(int), rounds=3, max_depth=2)
+
+
+# kind -> (build an object, save it to a path, load it from a path)
+KINDS = {
+    "model": (_model, lambda m, p: m.save(p), EncoderModel.load),
+    "transform": (_transform, save_transform, load_transform),
+    "classifier": (_classifier, save_classifier, load_classifier),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_container_roundtrip_and_damage(kind, tmp_path):
+    build, save, load = KINDS[kind]
+    first, second, damaged = tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "c.bin"
+    save(build(), first)
+    save(load(first), second)
+    blob = first.read_bytes()
+    assert second.read_bytes() == blob
+
+    damage = {
+        "bad magic": b"NOTMAGIC" + blob[8:],
+        "no header length": blob[:10],
+        "header cut short": blob[:20],
+        "array data cut short": blob[:-8],
+        "trailing bytes": blob + b"\x00" * 8,
+    }
+    for what, bad in damage.items():
+        damaged.write_bytes(bad)
+        with pytest.raises(IntegrityError):
+            load(damaged)
+            pytest.fail(f"{kind}: {what} was accepted")
+
+
+def test_failed_manifest_write_keeps_previous(tmp_path, monkeypatch):
+    save_manifest(tmp_path, {"version": "0", "config": None, "stages": {}})
+    before = (tmp_path / "manifest.json").read_bytes()
+    real_open = open
+
+    class HalfWriter:
+        """A file whose write stores half the data, then fails."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(artifact, "open",
+                        lambda *a, **k: HalfWriter(real_open(*a, **k)), raising=False)
+    big = {"version": "0", "config": None,
+           "stages": {"pretrain": {"files": {f"f{i}": "0" * 64 for i in range(100)}}}}
+    with pytest.raises(OSError, match="disk full"):
+        save_manifest(tmp_path, big)
+    assert (tmp_path / "manifest.json").read_bytes() == before
+    assert os.listdir(tmp_path) == ["manifest.json"]

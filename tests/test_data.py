@@ -3,17 +3,13 @@ import pytest
 
 from enfuse import data
 from enfuse.data import (
-    AugmentConfig,
     LabeledImageSet,
     SplitSpec,
-    augment_balance,
-    augment_multiply,
     box_blur,
     gray_to_3ch,
     hflip,
     load_image_dir,
     make_synthetic_task,
-    one_hot,
     read_pnm,
     resize_bilinear,
     rotate,
@@ -91,13 +87,6 @@ class TestBasicOps:
         with pytest.warns(UserWarning):
             out = gray_to_3ch(ds)
         assert out is ds
-
-    def test_one_hot(self):
-        assert list(one_hot(2, 4)) == [0, 0, 1, 0]
-        assert list(one_hot(0, 1)) == [1]
-        assert one_hot(3, 7).sum() == 1
-        with pytest.raises(InvalidArgumentError):
-            one_hot(4, 4)
 
 
 class TestStratifiedSplit:
@@ -181,38 +170,6 @@ def _true_local_mean(img):
         for dx in range(3):
             out += padded[dy:dy + h, dx:dx + w]
     return out / 9.0
-
-
-class TestAugment:
-    def _imbalanced(self):
-        rng = np.random.default_rng(2)
-        images = rng.random((14, 8, 8, 3))
-        labels = np.array([0] * 10 + [1] * 4)
-        return LabeledImageSet(images, labels, ["big", "small"])
-
-    def test_balances_to_max(self):
-        ds = self._imbalanced()
-        out = augment_balance(ds, AugmentConfig(seed=1))
-        assert list(out.class_counts()) == [10, 10]
-        assert len(out) == 20
-
-    def test_originals_untouched(self):
-        ds = self._imbalanced()
-        out = augment_balance(ds, AugmentConfig(seed=1))
-        assert np.array_equal(out.images[:14], ds.images)
-        assert np.array_equal(out.labels[:14], ds.labels)
-
-    def test_balanced_noop(self):
-        rng = np.random.default_rng(3)
-        ds = LabeledImageSet(rng.random((8, 8, 8, 3)), np.array([0] * 4 + [1] * 4), ["a", "b"])
-        out = augment_balance(ds, AugmentConfig(seed=0))
-        assert out is ds
-
-    def test_multiply(self):
-        ds = self._imbalanced()
-        out = augment_multiply(ds, 2, AugmentConfig(seed=0))
-        assert len(out) == 28
-        assert list(out.class_counts()) == [20, 8]
 
 
 class TestSyntheticTask:

@@ -6,7 +6,6 @@ from enfuse.features import FeatureMatrix
 from enfuse.fusion import (
     apply_transform,
     concat_features,
-    elementwise_fuse,
     fit_ica,
     fit_lda,
     fit_pca,
@@ -41,11 +40,6 @@ class TestConcat:
     def test_row_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
             concat_features([fm(np.zeros((4, 2))), fm(np.zeros((5, 2)))])
-
-    def test_elementwise(self):
-        a, b = fm([[1.0, 2.0]] * 2), fm([[3.0, 4.0]] * 2)
-        assert np.array_equal(elementwise_fuse([a, b], "add").data, [[4, 6], [4, 6]])
-        assert np.array_equal(elementwise_fuse([a, b], "mul").data, [[3, 8], [3, 8]])
 
 
 class TestPca:

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from enfuse.errors import DegenerateInputError, InvalidArgumentError
-from enfuse.linalg import cosine_similarity, eigh_symmetric, standardize, whiten
+from enfuse.errors import InvalidArgumentError
+from enfuse.linalg import eigh_symmetric, standardize, whiten
 
 
 class TestEighSymmetric:
@@ -50,34 +48,6 @@ class TestEighSymmetric:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidArgumentError):
             eigh_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestCosineSimilarity:
-    def test_orthogonal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
-
-    def test_parallel(self):
-        assert cosine_similarity([1, 2], [2, 4]) == pytest.approx(1.0)
-
-    def test_hand_value(self):
-        assert cosine_similarity([1, 1], [1, 0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            cosine_similarity([0, 0], [1, 0])
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        u=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
-        v=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
-        alpha=st.floats(0.01, 100),
-    )
-    def test_symmetric_and_scale_invariant(self, u, v, alpha):
-        u, v = np.array(u), np.array(v)
-        if np.linalg.norm(u) < 1e-6 or np.linalg.norm(v) < 1e-6:
-            return
-        assert cosine_similarity(u, v) == pytest.approx(cosine_similarity(v, u), abs=1e-12)
-        assert cosine_similarity(alpha * u, v) == pytest.approx(cosine_similarity(u, v), abs=1e-12)
 
 
 class TestStandardize:

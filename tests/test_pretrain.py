@@ -2,21 +2,18 @@ import numpy as np
 import pytest
 
 from enfuse.data import AugmentConfig, SplitSpec, make_synthetic_task, stratified_split
-from enfuse.errors import IntegrityError, InvalidStateError
+from enfuse.errors import InvalidStateError
 from enfuse.nn import Dense, Dropout, Flatten, GlobalAvgPool, MaxPool2d, ReLU, Softmax, images_to_batch
 from enfuse.pretrain import (
     BackboneSpec,
-    BaseModelRecord,
     ContrastiveConfig,
     build_backbone,
     extract_features,
     finetune_intermediate_tl,
     finetune_target_ssl,
     finetune_target_tl,
-    load_record,
     pretrain_generic,
     pretrain_ssl,
-    save_record,
 )
 
 SIZE = (16, 16)
@@ -137,7 +134,6 @@ class TestContrastivePath:
 
     def test_views_more_similar_after_training(self, datasets):
         from enfuse.data import random_transform
-        from enfuse.linalg import cosine_similarity
 
         aug = AugmentConfig(blur_kernel=3, seed=3)
         cfg = ContrastiveConfig(batch_pairs=16, augment=aug)
@@ -151,7 +147,7 @@ class TestContrastivePath:
             for img in datasets["inter"].images[:12]:
                 views = np.stack([random_transform(img, aug, rng) for _ in range(2)])
                 z = model.forward(images_to_batch(views))
-                sims.append(cosine_similarity(z[0], z[1]))
+                sims.append(z[0] @ z[1] / (np.linalg.norm(z[0]) * np.linalg.norm(z[1])))
             return np.mean(sims)
 
         assert mean_pair_sim(after) > mean_pair_sim(before)
@@ -210,20 +206,3 @@ class TestExtractFeatures:
     def test_untrained_model_rejected(self, generic_model, datasets):
         with pytest.raises(InvalidStateError):
             extract_features(generic_model, datasets["target"])
-
-
-class TestRecords:
-    def test_roundtrip_and_hash_check(self, tl_model, tmp_path):
-        weights = tmp_path / "m.bin"
-        tl_model.save(weights)
-        record = BaseModelRecord(BackboneSpec("A", SIZE), "TL",
-                                 stages=["generic", "intermediate", "target"],
-                                 weights_path=str(weights))
-        manifest = tmp_path / "m.record"
-        save_record(record, manifest)
-        loaded = load_record(manifest)
-        assert loaded.method == "TL"
-        assert loaded.stages == ["generic", "intermediate", "target"]
-        weights.write_bytes(weights.read_bytes() + b"x")
-        with pytest.raises(IntegrityError):
-            load_record(manifest)

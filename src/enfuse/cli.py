@@ -30,7 +30,8 @@ from .ensemble import (
     ablate,
     ablation_csv,
     evaluate,
-    per_classifier_reports,
+    extract_parts,
+    fuse_parts,
     train_ensemble,
     write_reports,
 )
@@ -46,13 +47,13 @@ from .explain import (
     shap_sampled,
     tsne_embed,
 )
-from .fusion import METHODS, apply_transform, concat_features, load_transform, save_transform
+from .fusion import METHODS, load_transform, save_transform
+from .fusion import apply_transform  # noqa: F401  (bench span hook target)
 from .nn import EncoderModel, accuracy
 from .pretrain import (
     BackboneSpec,
     ContrastiveConfig,
     build_backbone,
-    extract_features,
     file_sha256,
     finetune_intermediate_tl,
     finetune_target_ssl,
@@ -60,6 +61,7 @@ from .pretrain import (
     pretrain_generic,
     pretrain_ssl,
 )
+from .pretrain import extract_features  # noqa: F401  (bench span hook target)
 
 TOOL_VERSION = "0.1.0"
 VARIANTS = ("A", "B", "C")
@@ -118,6 +120,32 @@ DEFAULTS: dict[str, dict[str, object]] = {
 }
 
 
+# The allowed interval of every numeric key in DEFAULTS, checked by load_config:
+# "[" and "]" include the end point, "(" and ")" exclude it.
+BOUNDS: dict[str, dict[str, str]] = {
+    "data": {"image_size": "[16, inf)",  # the deepest backbone pools four times
+             "generic_per_class": "[2, inf)", "intermediate_per_class": "[2, inf)",
+             "target_per_class": "[2, inf)", "generic_noise": "[0, inf)",
+             "intermediate_noise": "[0, inf)", "target_noise": "[0, inf)",
+             "target_param_shift": "[0, inf)", "split_fraction": "(0, 1)"},
+    "pretrain": {"epochs": "[1, inf)", "batch": "[1, inf)", "lr": "(0, inf)",
+                 "ssl_epochs": "[1, inf)", "ssl_batch_pairs": "[2, inf)",
+                 "ssl_lr": "(0, inf)", "temperature": "(0, inf)",
+                 "augment_blur_kernel": "[1, inf)"},
+    "finetune": {"epochs": "[1, inf)", "batch": "[1, inf)", "lr": "(0, inf)"},
+    "fusion": {"k": "[0, inf)"},
+    "explain": {"instance": "[0, inf)", "perplexity": "[1, inf)",
+                "tsne_iters": "[1, inf)", "shap_samples": "[1, inf)"},
+    "oodtest": {"per_class": "[2, inf)", "noise": "[0, inf)"},
+}
+
+
+def _within(value: float, bound: str) -> bool:
+    lo, hi = (float(end) for end in bound[1:-1].split(","))
+    return ((lo < value if bound[0] == "(" else lo <= value)
+            and (value < hi if bound[-1] == ")" else value <= hi))
+
+
 def _coerce(section: str, key: str, raw: str):
     default = DEFAULTS[section][key]
     if isinstance(default, bool):
@@ -139,15 +167,13 @@ def _coerce(section: str, key: str, raw: str):
 def load_config(path: str | None) -> dict[str, dict[str, object]]:
     """Flat key=value config with [section] headers and `#` comments.
 
-    Unknown sections or keys and unknown fusion methods are rejected here,
-    before any stage runs.
+    Unknown sections or keys, numeric values outside `BOUNDS` and unknown
+    fusion methods are rejected here, before any stage runs.
     """
     config = {section: dict(values) for section, values in DEFAULTS.items()}
-    if path is None:
-        return config
     section = None
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = [] if path is None else Path(path).read_text().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
@@ -168,6 +194,11 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
         if key not in DEFAULTS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         config[section][key] = _coerce(section, key, value.strip())
+    for section, bounds in BOUNDS.items():
+        for key, bound in bounds.items():
+            value = config[section][key]
+            if not _within(value, bound):
+                raise ConfigError(f"[{section}] {key}: {value!r} is outside {bound}")
     if config["fusion"]["method"] not in METHODS:
         raise ConfigError(f"[fusion] method: {config['fusion']['method']!r} is not one of "
                           f"{', '.join(METHODS)}")
@@ -266,9 +297,8 @@ def target_split(config: dict, seed: int):
 
 
 def _task_dir(out: Path, config: dict, stage: str) -> Path:
-    path = out / config["task"]["name"] / stage
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The stage's directory; a command creates it just before writing its files."""
+    return out / config["task"]["name"] / stage
 
 
 def _spec(config: dict, variant: str) -> BackboneSpec:
@@ -332,6 +362,7 @@ def run_stage(stage: str, config: dict, seed: int, out: Path, manifest: dict,
 def cmd_pretrain(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
     generic, intermediate, _ = ladder_datasets(config, seed)
     pre = config["pretrain"]
+    stage_dir.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []
     for i, variant in enumerate(VARIANTS):
         spec = _spec(config, variant)
@@ -360,6 +391,7 @@ def cmd_finetune(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     train, test = target_split(config, seed)
     fin = config["finetune"]
     src_dir = _task_dir(out, config, "pretrain")
+    stage_dir.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []
     log_lines = []
     for i, name in enumerate(BASE_MODEL_NAMES):
@@ -388,10 +420,11 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     models = _load_target_models(out, config)
     method = config["fusion"]["method"]
     k = config["fusion"]["k"] or None
+    n_classes = len(train.class_names)
+    train_parts, test_parts = extract_parts(models, train), extract_parts(models, test)
 
-    ensemble = train_ensemble(models, train, method=method, seed=seed, k=k)
-    cm, report = evaluate(ensemble, models, test)
-    per_clf = per_classifier_reports(ensemble, models, test)
+    ensemble = train_ensemble(train_parts, n_classes, method=method, seed=seed, k=k)
+    cm, report, per_clf = evaluate(ensemble, test_parts)
 
     files = [stage_dir / f for f in write_reports(stage_dir, seed, cm, report, per_clf)]
     confusion_svg = stage_dir / f"confusion_seed{seed}.svg"
@@ -408,8 +441,8 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
         files.append(path)
 
     # stage comparison: base-model heads vs fused vs transformed vs voted
-    concat_ensemble = train_ensemble(models, train, method="concat-only", seed=seed)
-    _, concat_report = evaluate(concat_ensemble, models, test)
+    concat_ensemble = train_ensemble(train_parts, n_classes, method="concat-only", seed=seed)
+    _, concat_report, _ = evaluate(concat_ensemble, test_parts)
     lines = ["stage,name,accuracy"]
     for name, model in models:
         lines.append(f"base,{name},{accuracy(model, test):.6f}")
@@ -455,8 +488,10 @@ def _render_ablation_svg(table, path) -> None:
 def cmd_ablate(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
     train, test = target_split(config, seed)
     models = _load_target_models(out, config)
-    table = ablate(models, train, test, method=config["fusion"]["method"],
+    table = ablate(extract_parts(models, train), extract_parts(models, test),
+                   len(train.class_names), method=config["fusion"]["method"],
                    seed=seed, k=config["fusion"]["k"] or None)
+    stage_dir.mkdir(parents=True, exist_ok=True)
     csv_file = stage_dir / f"ablation_seed{seed}.csv"
     csv_file.write_text(ablation_csv(table))
     svg_file = stage_dir / f"ablation_seed{seed}.svg"
@@ -481,10 +516,11 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
     train, test = target_split(config, seed)
     exp = config["explain"]
     idx = exp["instance"] if instance is None else instance
+    if what != "tsne" and not 0 <= idx < len(test):
+        raise InvalidArgumentError(f"instance {idx} out of range")
+    stage_dir.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []
     if what == "gradcam":
-        if not 0 <= idx < len(test):
-            raise InvalidArgumentError(f"instance {idx} out of range")
         image = test.images[idx]
         target_class = int(test.labels[idx])
         for name, model in _load_target_models(out, config):
@@ -495,12 +531,8 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
     elif what == "shap":
         models = _load_target_models(out, config)
         ensemble = _rebuild_ensemble(out, config, models)
-        train_parts = concat_features([extract_features(m, train) for _, m in models])
-        test_parts = concat_features([extract_features(m, test) for _, m in models])
-        fused_train = apply_transform(ensemble.transform, train_parts.matrix)
-        fused_test = apply_transform(ensemble.transform, test_parts.matrix)
-        if not 0 <= idx < len(fused_test.data):
-            raise InvalidArgumentError(f"instance {idx} out of range")
+        fused_train = fuse_parts(ensemble, extract_parts(models, train))
+        fused_test = fuse_parts(ensemble, extract_parts(models, test))
         background = select_background(fused_train, n=10)
         explanation = shap_sampled(ensemble, fused_test.data[idx], background,
                                    n_samples=exp["shap_samples"], seed=seed)
@@ -510,8 +542,7 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
     else:  # tsne
         models = _load_target_models(out, config)
         ensemble = _rebuild_ensemble(out, config, models)
-        parts = concat_features([extract_features(m, test) for _, m in models])
-        fused = apply_transform(ensemble.transform, parts.matrix)
+        fused = fuse_parts(ensemble, extract_parts(models, test))
         embedding = tsne_embed(fused, perplexity=exp["perplexity"],
                                iters=exp["tsne_iters"], seed=seed)
         path = stage_dir / f"tsne_seed{seed}.svg"
@@ -545,8 +576,9 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
 
     results = {}
     for label, models in (("pretrained", pretrained), ("random", random_models)):
-        ens = train_ensemble(models, train, method=method, seed=seed)
-        _, report = evaluate(ens, models, test)
+        ens = train_ensemble(extract_parts(models, train), len(train.class_names),
+                             method=method, seed=seed)
+        _, report, _ = evaluate(ens, extract_parts(models, test))
         results[label] = report.accuracy
     for name, digest in hashes_before.items():
         now = file_sha256(_task_dir(out, config, "finetune") / f"{name}.weights")
@@ -554,6 +586,7 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
             raise IntegrityError(f"oodtest modified frozen weights {name}.weights")
 
     margin = results["pretrained"] - results["random"]
+    stage_dir.mkdir(parents=True, exist_ok=True)
     path = stage_dir / f"oodtest_seed{seed}.csv"
     path.write_text("extractors,accuracy\n"
                     f"pretrained,{results['pretrained']:.6f}\n"
@@ -585,6 +618,27 @@ def cmd_synth(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _take_lock(lock: Path) -> bool:
+    """Create `lock` holding this process's pid; False if another run holds it.
+
+    A lock naming a dead process (a killed run's) is removed first. An empty
+    lock counts as held: its owner may not have written its pid yet."""
+    try:
+        os.kill(int(lock.read_text()), 0)  # signal 0 only checks that the pid exists
+    except ProcessLookupError:
+        print(f"removing stale lock {lock}", file=sys.stderr)
+        lock.unlink(missing_ok=True)
+    except (OSError, ValueError, OverflowError):
+        pass
+    try:
+        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    with os.fdopen(fd, "w") as f:
+        f.write(str(os.getpid()))
+    return True
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enfuse",
@@ -608,11 +662,8 @@ def run(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(fd)
-    except FileExistsError:
-        print(f"error: {lock} exists (concurrent run?); remove it if stale",
+    if not _take_lock(lock):
+        print(f"error: {lock} is held by another run; remove it only if no run uses {out}",
               file=sys.stderr)
         return 3
     try:

@@ -1,8 +1,9 @@
 """Stacking-style ensemble: five classifiers over fused features, majority vote.
 
-Feature extraction uses the fine-tuned base encoders, fusion reuses the
-train-fitted transform at test time, and the headline number is the voted
-accuracy. Also houses the confusion-matrix metrics and the
+The ensemble works on feature parts: an ordered mapping from base-model name
+to that model's features for one dataset, extracted once by `extract_parts`.
+Fusion reuses the train-fitted transform at test time, and the headline
+number is the voted accuracy. Also houses the confusion-matrix metrics and the
 leave-one-base-model-out ablation.
 """
 
@@ -17,7 +18,9 @@ import numpy as np
 from .classifiers import TrainedClassifier, fit_gbt, fit_gnb, fit_knn, fit_rf, fit_svm, predict
 from .data import LabeledImageSet
 from .errors import InvalidArgumentError
+from .features import FeatureMatrix
 from .fusion import FusionTransform, apply_transform, concat_features, fuse_pipeline
+from .nn import EncoderModel
 from .pretrain import extract_features
 
 CLASSIFIER_ORDER = ("SVM", "KNN", "GNB", "RF", "GBT")
@@ -99,63 +102,42 @@ class EnsembleModel:
     transform: FusionTransform
     base_names: list[str]
     n_classes: int
-    weights: np.ndarray = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.weights is None:
-            self.weights = np.ones(len(self.classifiers))
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if len(self.weights) != len(self.classifiers):
-            raise InvalidArgumentError("one vote weight per classifier")
-        if np.any(self.weights <= 0):
-            raise InvalidArgumentError("vote weights must be positive")
 
 
-def _as_pairs(base_models) -> list[tuple[str, object]]:
-    if isinstance(base_models, dict):
-        return list(base_models.items())
-    return list(base_models)
+def extract_parts(base_models: list[tuple[str, EncoderModel]],
+                  dataset: LabeledImageSet) -> dict[str, FeatureMatrix]:
+    """Each base model's features for a dataset, keyed by name in model order."""
+    return {name: extract_features(model, dataset) for name, model in base_models}
 
 
-def _extract_parts(base_models, dataset: LabeledImageSet):
-    """Accept encoder models or bare callables (dataset -> FeatureMatrix)."""
-    pairs = _as_pairs(base_models)
-    names = [name for name, _ in pairs]
-    parts = [model(dataset) if callable(model) else extract_features(model, dataset)
-             for _, model in pairs]
-    return names, parts
+def fuse_parts(model: EnsembleModel, parts: dict[str, FeatureMatrix]) -> FeatureMatrix:
+    """Concatenate parts and apply the ensemble's train-fitted transform."""
+    if list(parts) != model.base_names:
+        raise InvalidArgumentError("base models differ from the trained ensemble")
+    return apply_transform(model.transform, concat_features(list(parts.values())))
 
 
 def majority_vote(predictions: list[np.ndarray],
-                  weights: np.ndarray | None = None,
                   n_classes: int | None = None) -> np.ndarray:
-    """Weighted plurality vote per sample; ties go to the lowest class index."""
+    """Plurality vote per sample; ties go to the lowest class index."""
     if not predictions:
         raise InvalidArgumentError("no predictions to vote over")
     preds = np.stack([np.asarray(p, dtype=np.int64) for p in predictions])
-    if weights is None:
-        weights = np.ones(len(preds))
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) != len(preds):
-        raise InvalidArgumentError("one weight per voter")
     if n_classes is None:
         n_classes = int(preds.max()) + 1
     n = preds.shape[1]
     tally = np.zeros((n, n_classes))
-    for voter, weight in zip(preds, weights):
-        tally[np.arange(n), voter] += weight
+    for voter in preds:
+        tally[np.arange(n), voter] += 1.0
     return np.argmax(tally, axis=1)
 
 
-def train_ensemble(base_models, train_set: LabeledImageSet,
+def train_ensemble(parts: dict[str, FeatureMatrix], n_classes: int,
                    method: str = "concat+ica", seed: int = 0,
                    k: int | None = None) -> EnsembleModel:
-    """Extract, fuse, and fit the five classifiers on the training features."""
-    names, parts = _extract_parts(base_models, train_set)
-    fused, transform = fuse_pipeline(parts, method, k=k, names=names, seed=seed)
-    x, y = fused.matrix.data, fused.matrix.labels
-    n_classes = len(train_set.class_names)
+    """Fuse the training parts and fit the five classifiers on the result."""
+    fused, transform = fuse_pipeline(list(parts.values()), method, k=k, seed=seed)
+    x, y = fused.data, fused.labels
     classifiers = [
         fit_svm(x, y),
         fit_knn(x, y),
@@ -163,44 +145,28 @@ def train_ensemble(base_models, train_set: LabeledImageSet,
         fit_rf(x, y, seed=seed),
         fit_gbt(x, y),
     ]
-    return EnsembleModel(classifiers, transform, names, n_classes, seed=seed)
+    return EnsembleModel(classifiers, transform, list(parts), n_classes)
 
 
-def _transformed_features(model: EnsembleModel, base_models,
-                          dataset: LabeledImageSet):
-    names, parts = _extract_parts(base_models, dataset)
-    if names != model.base_names:
-        raise InvalidArgumentError("base models differ from the trained ensemble")
-    fused = concat_features(parts, names=names)
-    return apply_transform(model.transform, fused.matrix)
-
-
-def predict_ensemble(model: EnsembleModel, base_models,
-                     dataset: LabeledImageSet):
-    """Per-classifier predictions plus the voted labels for a dataset."""
-    features = _transformed_features(model, base_models, dataset)
+def predict_ensemble(model: EnsembleModel, parts: dict[str, FeatureMatrix]):
+    """Per-classifier predictions plus the voted labels for one dataset's parts."""
+    features = fuse_parts(model, parts)
     per_clf = [predict(clf, features.data) for clf in model.classifiers]
-    voted = majority_vote(per_clf, model.weights, model.n_classes)
-    return per_clf, voted
+    return per_clf, majority_vote(per_clf, model.n_classes)
 
 
-def evaluate(model: EnsembleModel, base_models,
-             test_set: LabeledImageSet) -> tuple[ConfusionMatrix, MetricReport]:
-    if len(test_set) == 0:
+def evaluate(model: EnsembleModel, parts: dict[str, FeatureMatrix]
+             ) -> tuple[ConfusionMatrix, MetricReport, dict[str, MetricReport]]:
+    """Voted confusion matrix and metrics, and per-classifier metrics, from one prediction."""
+    true = next(iter(parts.values())).labels
+    if len(true) == 0:
         raise InvalidArgumentError("empty evaluation set")
-    _, voted = predict_ensemble(model, base_models, test_set)
-    cm = confusion_from_labels(test_set.labels, voted, model.n_classes)
-    return cm, report_from_confusion(cm)
-
-
-def per_classifier_reports(model: EnsembleModel, base_models,
-                           test_set: LabeledImageSet) -> dict[str, MetricReport]:
-    per_clf, _ = predict_ensemble(model, base_models, test_set)
-    out = {}
-    for kind, preds in zip(CLASSIFIER_ORDER, per_clf):
-        cm = confusion_from_labels(test_set.labels, preds, model.n_classes)
-        out[kind] = report_from_confusion(cm)
-    return out
+    per_clf, voted = predict_ensemble(model, parts)
+    cm = confusion_from_labels(true, voted, model.n_classes)
+    per_classifier = {
+        kind: report_from_confusion(confusion_from_labels(true, preds, model.n_classes))
+        for kind, preds in zip(CLASSIFIER_ORDER, per_clf)}
+    return cm, report_from_confusion(cm), per_classifier
 
 
 # ---------------------------------------------------------------------------
@@ -222,33 +188,29 @@ class AblationTable:
     rows: list[AblationRow]
 
 
-def _accuracy_row(excluded, model, base_models, test_set, baseline=None):
-    per_clf, voted = predict_ensemble(model, base_models, test_set)
-    true = test_set.labels
-    clf_acc = {kind: float(np.mean(preds == true))
-               for kind, preds in zip(CLASSIFIER_ORDER, per_clf)}
-    voted_acc = float(np.mean(voted == true))
-    delta = 0.0 if baseline is None else voted_acc - baseline
-    return AblationRow(excluded, clf_acc,
-                       float(np.mean(list(clf_acc.values()))), voted_acc, delta)
-
-
-def ablate(base_models, train_set: LabeledImageSet, test_set: LabeledImageSet,
-           method: str = "concat+ica", seed: int = 0,
+def ablate(train_parts: dict[str, FeatureMatrix], test_parts: dict[str, FeatureMatrix],
+           n_classes: int, method: str = "concat+ica", seed: int = 0,
            k: int | None = None) -> AblationTable:
     """Retrain without each base model in turn and compare voted accuracy."""
-    pairs = _as_pairs(base_models)
-    if len(pairs) < 2:
+    if len(train_parts) < 2:
         raise InvalidArgumentError("ablation needs at least 2 base models")
-    full_model = train_ensemble(pairs, train_set, method, seed=seed, k=k)
-    full_row = _accuracy_row(None, full_model, pairs, test_set)
-    rows = []
-    for skip, _ in pairs:
-        remaining = [(name, m) for name, m in pairs if name != skip]
-        model = train_ensemble(remaining, train_set, method, seed=seed, k=k)
-        rows.append(_accuracy_row(skip, model, remaining, test_set,
-                                  baseline=full_row.voted_accuracy))
-    return AblationTable(full_row, rows)
+    true = next(iter(test_parts.values())).labels
+
+    def row(excluded: str | None, baseline: float | None = None) -> AblationRow:
+        def keep(parts):
+            return {name: part for name, part in parts.items() if name != excluded}
+
+        model = train_ensemble(keep(train_parts), n_classes, method, seed=seed, k=k)
+        per_clf, voted = predict_ensemble(model, keep(test_parts))
+        clf_acc = {kind: float(np.mean(preds == true))
+                   for kind, preds in zip(CLASSIFIER_ORDER, per_clf)}
+        voted_acc = float(np.mean(voted == true))
+        delta = 0.0 if baseline is None else voted_acc - baseline
+        return AblationRow(excluded, clf_acc,
+                           float(np.mean(list(clf_acc.values()))), voted_acc, delta)
+
+    full = row(None)
+    return AblationTable(full, [row(name, full.voted_accuracy) for name in train_parts])
 
 
 # ---------------------------------------------------------------------------

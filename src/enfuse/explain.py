@@ -189,6 +189,7 @@ class Embedding2D:
     coords: np.ndarray                 # (M, 2)
     labels: np.ndarray | None
     kl_divergence: float
+    perplexity: float                  # the value used; tsne_embed may lower it
     kl_log: list = field(default_factory=list)  # (iteration, KL) checkpoints
 
 
@@ -261,7 +262,7 @@ def tsne_embed(x: FeatureMatrix, perplexity: float = 30.0, iters: int = 1000,
         if (it + 1) % 50 == 0 or it == iters - 1:
             kl = float(np.sum(p * np.log(p / q)))
             kl_log.append((it + 1, kl))
-    return Embedding2D(y, x.labels, kl_log[-1][1], kl_log)
+    return Embedding2D(y, x.labels, kl_log[-1][1], perplexity, kl_log)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +319,8 @@ def render_embedding_svg(embedding: Embedding2D, path,
         body.append(f'<text x="{size - 100}" y="{yy + 4}" font-size="12" '
                     f'font-family="monospace">{name}</text>')
     body.append(f'<text x="8" y="{size - 8}" font-size="11" font-family="monospace">'
-                f'KL={embedding.kl_divergence:.4f}</text>')
+                f'KL={embedding.kl_divergence:.4f} '
+                f'perplexity={embedding.perplexity:.4f}</text>')
     with open(path, "w") as f:
         f.write(_svg_document(size, size, body))
 

@@ -9,7 +9,7 @@ test-time application never re-estimates anything.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,24 +42,16 @@ class FusionTransform:
         return self.components.shape[1]
 
 
-@dataclass
-class FusedFeatures:
-    matrix: FeatureMatrix
-    source_map: list[tuple[str, int, int]]  # (source name, col start, col end)
-    transform: FusionTransform | None = None
-
-
 def _fingerprint(x: np.ndarray) -> str:
     import hashlib
 
     return hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
-def concat_features(parts: list[FeatureMatrix], names: list[str] | None = None) -> FusedFeatures:
+def concat_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
     """Append feature matrices column-wise, verifying row alignment."""
     if not parts:
         raise InvalidArgumentError("no feature matrices to concatenate")
-    names = names or [f"part{i}" for i in range(len(parts))]
     first = parts[0]
     for part in parts[1:]:
         if part.n_rows != first.n_rows:
@@ -69,13 +61,8 @@ def concat_features(parts: list[FeatureMatrix], names: list[str] | None = None) 
         if first.labels is not None and part.labels is not None \
                 and not np.array_equal(part.labels, first.labels):
             raise InvalidArgumentError("label mismatch between feature matrices")
-    source_map, start = [], 0
-    for name, part in zip(names, parts):
-        source_map.append((name, start, start + part.n_cols))
-        start += part.n_cols
     data = np.concatenate([p.data for p in parts], axis=1)
-    matrix = FeatureMatrix(data, labels=first.labels, sample_ids=first.sample_ids.copy())
-    return FusedFeatures(matrix, source_map)
+    return FeatureMatrix(data, labels=first.labels, sample_ids=first.sample_ids.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +187,7 @@ METHODS = ("concat-only", "concat+pca", "concat+ica", "concat+lda")
 
 
 def fuse_pipeline(parts: list[FeatureMatrix], method: str = "concat+ica",
-                  k: int | None = None, names: list[str] | None = None,
-                  seed: int = 0) -> tuple[FusedFeatures, FusionTransform]:
+                  k: int | None = None, seed: int = 0) -> tuple[FeatureMatrix, FusionTransform]:
     """Concatenate parts and fit the chosen transform on the result.
 
     Default retained dimension is min(n_rows - 1, 128). The returned
@@ -209,8 +195,7 @@ def fuse_pipeline(parts: list[FeatureMatrix], method: str = "concat+ica",
     """
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown fusion method {method!r}")
-    fused = concat_features(parts, names=names)
-    x = fused.matrix
+    x = concat_features(parts)
     if k is None:
         k = min(x.n_rows - 1, DEFAULT_ICA_DIM, x.n_cols)
     if method == "concat-only":
@@ -221,9 +206,7 @@ def fuse_pipeline(parts: list[FeatureMatrix], method: str = "concat+ica",
         t = fit_ica(x, k, seed=seed)
     else:
         t = fit_lda(x, min(k, len(np.unique(x.labels)) - 1))
-    fused.transform = t
-    fused.matrix = apply_transform(t, x)
-    return fused, t
+    return apply_transform(t, x), t
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from enfuse.ensemble import (
     ablate,
     confusion_from_labels,
     evaluate,
+    extract_parts,
     report_from_confusion,
     train_ensemble,
 )
@@ -233,15 +234,19 @@ def test_criterion_8_end_to_end_benchmark(pipeline):
         name, _, acc = line.split()
         base_accs[name] = float(acc)
     base_mean = float(np.mean(list(base_accs.values())))
+    train_parts, test_parts = extract_parts(models, train), extract_parts(models, test)
 
-    def voted(model_subset):
-        ens = train_ensemble(model_subset, train, method=method, seed=SEED, k=k)
-        _, rep = evaluate(ens, model_subset, test)
+    def voted(prefix):
+        def keep(parts):
+            return {n: p for n, p in parts.items() if n.startswith(prefix)}
+        ens = train_ensemble(keep(train_parts), len(train.class_names),
+                             method=method, seed=SEED, k=k)
+        _, rep, _ = evaluate(ens, keep(test_parts))
         return rep.accuracy
 
-    combined = voted(models)
-    tl_only = voted([(n, m) for n, m in models if n.startswith("tl")])
-    ssl_only = voted([(n, m) for n, m in models if n.startswith("ssl")])
+    combined = voted(("tl", "ssl"))
+    tl_only = voted("tl")
+    ssl_only = voted("ssl")
 
     values = {"base_accuracies": base_accs, "base_mean": base_mean,
               "combined_voted": combined, "tl_only_voted": tl_only,
@@ -281,8 +286,9 @@ def test_criterion_9_ood_direction(pipeline):
             random_models.append((name, rnd))
         accs = {}
         for label, pool in (("pre", models), ("rnd", random_models)):
-            ens = train_ensemble(pool, train, method=method, seed=SEED, k=k)
-            _, rep = evaluate(ens, pool, test)
+            ens = train_ensemble(extract_parts(pool, train), len(train.class_names),
+                                 method=method, seed=SEED, k=k)
+            _, rep, _ = evaluate(ens, extract_parts(pool, test))
             accs[label] = rep.accuracy
         margins.append(accs["pre"] - accs["rnd"])
     mean_margin = float(np.mean(margins))
@@ -334,14 +340,16 @@ def test_criterion_12_ablation_consistency(pipeline):
     models = _load_target_models(out, config)
     method, k = config["fusion"]["method"], config["fusion"]["k"] or None
 
-    def noise_extractor(ds):
+    def noise_features(ds):
         rng = np.random.default_rng(31337 + 1000 * len(ds))
         return FeatureMatrix(rng.normal(size=(len(ds), 12)), labels=ds.labels)
 
-    pool = models + [("noise", noise_extractor)]
-    table = ablate(pool, train, test, method=method, seed=SEED, k=k)
-    full_model = train_ensemble(pool, train, method=method, seed=SEED, k=k)
-    _, full_report = evaluate(full_model, pool, test)
+    train_parts, test_parts = ({**extract_parts(models, ds), "noise": noise_features(ds)}
+                               for ds in (train, test))
+    n_classes = len(train.class_names)
+    table = ablate(train_parts, test_parts, n_classes, method=method, seed=SEED, k=k)
+    full_model = train_ensemble(train_parts, n_classes, method=method, seed=SEED, k=k)
+    _, full_report, _ = evaluate(full_model, test_parts)
     full_matches = table.full.voted_accuracy == full_report.accuracy
     noise_row = next(r for r in table.rows if r.excluded == "noise")
     report(12, full_matches and noise_row.delta_voted >= 0.0,

@@ -1,9 +1,12 @@
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from enfuse.cli import DEFAULTS, config_snapshot, load_config, run
+from enfuse.cli import BOUNDS, DEFAULTS, config_snapshot, load_config, run
 from enfuse.errors import ConfigError
 
 TINY_CONFIG = """\
@@ -53,6 +56,10 @@ class TestConfig:
     def test_defaults_when_no_file(self):
         config = load_config(None)
         assert config == DEFAULTS
+        numeric = {(section, key) for section, values in DEFAULTS.items()
+                   for key, value in values.items()
+                   if isinstance(value, (int, float)) and not isinstance(value, bool)}
+        assert numeric == {(section, key) for section in BOUNDS for key in BOUNDS[section]}
 
     def test_overrides_applied(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -164,6 +171,14 @@ class TestAuxCommands:
         _, argv = workdir
         assert run(["explain", "--what", "gradcam", "--instance", "999"] + argv) == 3
 
+    def test_failed_explain_creates_no_directory(self, workdir, tmp_path):
+        out, argv = workdir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy, ignore=shutil.ignore_patterns("explain"))
+        argv = argv[:argv.index("--out")] + ["--out", str(copy)]
+        assert run(["explain", "--what", "gradcam", "--instance", "999"] + argv) == 3
+        assert not (copy / "tiny" / "explain").exists()
+
     def test_oodtest(self, workdir):
         out, argv = workdir
         assert run(["oodtest"] + argv) == 0
@@ -187,9 +202,14 @@ class TestFailureModes:
         assert run(["pretrain", "--config", str(cfg),
                     "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
 
-    def test_bad_fusion_method_exits_before_any_stage(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "[fusion]\nmethod = concat+foo\n",
+        "[pretrain]\nepochs = -3\n",
+        "[pretrain]\ntemperature = 0\n",
+    ], ids=["fusion-method", "epochs", "temperature"])
+    def test_bad_config_exits_before_any_stage(self, tmp_path, text):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("[fusion]\nmethod = concat+foo\n")
+        cfg.write_text(text)
         out = tmp_path / "o"
         assert run(["all", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 2
         assert list(out.iterdir()) == []
@@ -209,6 +229,18 @@ class TestFailureModes:
             assert run(["ablate"] + argv) == 4
         finally:
             target.write_bytes(original)
+
+    def test_stale_lock_removed(self, workdir):
+        out, argv = workdir
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()  # reaped: its pid now names no process
+        lock = out / ".lock"
+        lock.write_text(str(child.pid))
+        try:
+            assert run(["ensemble"] + argv) == 0
+            assert not lock.exists()
+        finally:
+            lock.unlink(missing_ok=True)
 
     def test_lock_file_blocks(self, workdir):
         out, argv = workdir

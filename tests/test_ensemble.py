@@ -9,9 +9,9 @@ from enfuse.ensemble import (
     ablation_csv,
     confusion_from_labels,
     evaluate,
+    extract_parts,
     majority_vote,
     metrics_csv,
-    per_classifier_reports,
     predict_ensemble,
     report_from_confusion,
     train_ensemble,
@@ -23,21 +23,17 @@ from enfuse.features import FeatureMatrix
 SIZE = (16, 16)
 
 
-def projector(dim, seed):
-    """Deterministic stand-in extractor: seeded random projection of pixels."""
-    def extract(ds):
-        flat = ds.images.reshape(len(ds), -1)
-        proj = np.random.default_rng(seed).normal(size=(flat.shape[1], dim))
-        return FeatureMatrix(flat @ proj / np.sqrt(flat.shape[1]), labels=ds.labels)
-    return extract
+def projector(ds, dim, seed):
+    """Deterministic stand-in features: seeded random projection of pixels."""
+    flat = ds.images.reshape(len(ds), -1)
+    proj = np.random.default_rng(seed).normal(size=(flat.shape[1], dim))
+    return FeatureMatrix(flat @ proj / np.sqrt(flat.shape[1]), labels=ds.labels)
 
 
-def noise_extractor(dim, seed):
+def noise_features(ds, dim, seed):
     """Features independent of image content (keyed only by row count)."""
-    def extract(ds):
-        rng = np.random.default_rng(seed + 1000 * len(ds))
-        return FeatureMatrix(rng.normal(size=(len(ds), dim)), labels=ds.labels)
-    return extract
+    rng = np.random.default_rng(seed + 1000 * len(ds))
+    return FeatureMatrix(rng.normal(size=(len(ds), dim)), labels=ds.labels)
 
 
 @pytest.fixture(scope="module")
@@ -47,14 +43,15 @@ def splits():
 
 
 @pytest.fixture(scope="module")
-def extractors():
-    return [("p0", projector(12, 0)), ("p1", projector(12, 1)), ("p2", projector(12, 2))]
+def parts(splits):
+    """(train parts, test parts): three projections per split."""
+    return tuple({f"p{seed}": projector(ds, 12, seed) for seed in range(3)}
+                 for ds in splits)
 
 
 @pytest.fixture(scope="module")
-def trained(splits, extractors):
-    train, _ = splits
-    return train_ensemble(extractors, train, method="concat+pca", seed=0)
+def trained(parts):
+    return train_ensemble(parts[0], 3, method="concat+pca", seed=0)
 
 
 class TestMajorityVote:
@@ -65,10 +62,6 @@ class TestMajorityVote:
     def test_tie_goes_to_lowest_index(self):
         votes = [np.array([0]), np.array([0]), np.array([1]), np.array([1]), np.array([2])]
         assert majority_vote(votes)[0] == 0
-
-    def test_weighted(self):
-        votes = [np.array([1]), np.array([0]), np.array([0]), np.array([0]), np.array([0])]
-        assert majority_vote(votes, weights=[3, 1, 1, 1, 1])[0] == 0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
@@ -81,10 +74,6 @@ class TestMajorityVote:
     def test_single_voter_identity(self):
         v = np.array([2, 0, 1])
         assert np.array_equal(majority_vote([v]), v)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            majority_vote([np.array([0]), np.array([1])], weights=[1.0])
 
 
 class TestMetrics:
@@ -138,77 +127,70 @@ class TestMetrics:
 class TestTrainEvaluate:
     def test_fixed_classifier_order(self, trained):
         assert [c.kind for c in trained.classifiers] == list(CLASSIFIER_ORDER)
-        assert np.array_equal(trained.weights, np.ones(5))
 
-    def test_determinism(self, splits, extractors):
-        train, test = splits
-        a = train_ensemble(extractors, train, method="concat+pca", seed=3)
-        b = train_ensemble(extractors, train, method="concat+pca", seed=3)
-        _, va = predict_ensemble(a, extractors, test)
-        _, vb = predict_ensemble(b, extractors, test)
+    def test_determinism(self, parts):
+        train_parts, test_parts = parts
+        a = train_ensemble(train_parts, 3, method="concat+pca", seed=3)
+        b = train_ensemble(train_parts, 3, method="concat+pca", seed=3)
+        _, va = predict_ensemble(a, test_parts)
+        _, vb = predict_ensemble(b, test_parts)
         assert np.array_equal(va, vb)
 
-    def test_informative_features_learned(self, trained, splits, extractors):
-        _, test = splits
-        _, report = evaluate(trained, extractors, test)
+    def test_informative_features_learned(self, trained, parts):
+        _, report, _ = evaluate(trained, parts[1])
         assert report.accuracy >= 0.75
 
-    def test_transform_not_refit_at_test_time(self, trained, splits, extractors):
-        _, test = splits
+    def test_transform_not_refit_at_test_time(self, trained, parts):
         fp = trained.transform.fit_fingerprint
-        evaluate(trained, extractors, test)
+        evaluate(trained, parts[1])
         assert trained.transform.fit_fingerprint == fp
 
-    def test_per_classifier_reports(self, trained, splits, extractors):
-        _, test = splits
-        reports = per_classifier_reports(trained, extractors, test)
+    def test_per_classifier_reports(self, trained, parts):
+        _, _, reports = evaluate(trained, parts[1])
         assert set(reports) == set(CLASSIFIER_ORDER)
         assert all(0.0 <= r.accuracy <= 1.0 for r in reports.values())
 
-    def test_base_model_mismatch_rejected(self, trained, splits, extractors):
-        _, test = splits
-        renamed = [("other", extractors[0][1])] + extractors[1:]
+    def test_base_model_mismatch_rejected(self, trained, parts):
+        renamed = {("other" if name == "p0" else name): part
+                   for name, part in parts[1].items()}
         with pytest.raises(InvalidArgumentError):
-            evaluate(trained, renamed, test)
+            evaluate(trained, renamed)
 
 
 class TestAblate:
-    def test_row_per_base_model_and_full_consistency(self, splits, extractors):
-        train, test = splits
-        table = ablate(extractors, train, test, method="concat+pca", seed=0)
-        assert len(table.rows) == len(extractors)
-        assert {r.excluded for r in table.rows} == {n for n, _ in extractors}
-        model = train_ensemble(extractors, train, method="concat+pca", seed=0)
-        _, report = evaluate(model, extractors, test)
+    def test_row_per_base_model_and_full_consistency(self, parts):
+        train_parts, test_parts = parts
+        table = ablate(train_parts, test_parts, 3, method="concat+pca", seed=0)
+        assert len(table.rows) == len(train_parts)
+        assert {r.excluded for r in table.rows} == set(train_parts)
+        model = train_ensemble(train_parts, 3, method="concat+pca", seed=0)
+        _, report, _ = evaluate(model, test_parts)
         assert table.full.voted_accuracy == report.accuracy
 
-    def test_noise_model_exclusion_never_hurts(self, splits, extractors):
-        train, test = splits
-        with_noise = extractors + [("noise", noise_extractor(12, 99))]
-        table = ablate(with_noise, train, test, method="concat+pca", seed=0)
+    def test_noise_model_exclusion_never_hurts(self, splits, parts):
+        train_parts, test_parts = ({**split_parts, "noise": noise_features(ds, 12, 99)}
+                                   for split_parts, ds in zip(parts, splits))
+        table = ablate(train_parts, test_parts, 3, method="concat+pca", seed=0)
         noise_row = next(r for r in table.rows if r.excluded == "noise")
         assert noise_row.delta_voted >= 0.0
 
-    def test_too_few_models_rejected(self, splits, extractors):
-        train, test = splits
+    def test_too_few_models_rejected(self, parts):
+        train_parts, test_parts = ({"p0": split_parts["p0"]} for split_parts in parts)
         with pytest.raises(InvalidArgumentError):
-            ablate(extractors[:1], train, test)
+            ablate(train_parts, test_parts, 3)
 
 
 class TestReports:
-    def test_csv_and_text_emission(self, trained, splits, extractors, tmp_path):
-        _, test = splits
-        cm, report = evaluate(trained, extractors, test)
-        per_clf = per_classifier_reports(trained, extractors, test)
+    def test_csv_and_text_emission(self, trained, parts, tmp_path):
+        cm, report, per_clf = evaluate(trained, parts[1])
         files = write_reports(tmp_path, 7, cm, report, per_clf)
         assert files == ["metrics_seed7.csv", "summary_seed7.txt"]
         text = (tmp_path / "metrics_seed7.csv").read_text()
         assert f"accuracy,{report.accuracy:.6f}" in text
         assert "voted accuracy" in (tmp_path / "summary_seed7.txt").read_text()
 
-    def test_byte_identical_reports(self, trained, splits, extractors, tmp_path):
-        _, test = splits
-        cm, report = evaluate(trained, extractors, test)
+    def test_byte_identical_reports(self, trained, parts, tmp_path):
+        cm, report, _ = evaluate(trained, parts[1])
         blobs = []
         for run in ("a", "b"):
             out = tmp_path / run
@@ -216,11 +198,11 @@ class TestReports:
             blobs.append((out / "metrics_seed0.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_ablation_csv_shape(self, splits, extractors):
-        train, test = splits
-        table = ablate(extractors, train, test, method="concat+pca", seed=0)
+    def test_ablation_csv_shape(self, parts):
+        train_parts, test_parts = parts
+        table = ablate(train_parts, test_parts, 3, method="concat+pca", seed=0)
         lines = ablation_csv(table).strip().split("\n")
-        assert len(lines) == 1 + 1 + len(extractors)  # header, full row, exclusions
+        assert len(lines) == 1 + 1 + len(train_parts)  # header, full row, exclusions
         assert lines[1].startswith("(none)")
 
 
@@ -243,7 +225,8 @@ class TestWithEncoders:
         ssl = finetune_target_ssl(ssl, train, seed=5, **fast)
 
         models = [("tl_A", tl), ("ssl_B", ssl)]
-        ensemble = train_ensemble(models, train, method="concat+ica", seed=0)
-        _, report = evaluate(ensemble, models, test)
+        ensemble = train_ensemble(extract_parts(models, train), len(train.class_names),
+                                  method="concat+ica", seed=0)
+        _, report, _ = evaluate(ensemble, extract_parts(models, test))
         assert report.accuracy >= 0.5
         assert ensemble.transform.in_dim == tl.feature_dim + ssl.feature_dim

@@ -238,6 +238,16 @@ class TestTsne:
         with pytest.warns(UserWarning, match="perplexity"):
             tsne_embed(fm, perplexity=30, iters=20, seed=0)
 
+    def test_reduced_perplexity_recorded(self, tmp_path):
+        rng = np.random.default_rng(16)
+        fm = FeatureMatrix(rng.normal(size=(12, 5)))
+        with pytest.warns(UserWarning, match="perplexity"):
+            emb = tsne_embed(fm, perplexity=10, iters=20, seed=0)
+        assert emb.perplexity == pytest.approx(11 / 3)
+        out = tmp_path / "emb.svg"
+        render_embedding_svg(emb, out)
+        assert f"perplexity={11 / 3:.4f}" in out.read_text()
+
     def test_duplicate_rows_survive(self):
         rng = np.random.default_rng(12)
         base = rng.normal(size=(10, 3))
@@ -261,7 +271,7 @@ class TestRender:
 
     def test_svg_scatter_parses(self, tmp_path):
         rng = np.random.default_rng(14)
-        emb = Embedding2D(rng.normal(size=(30, 2)), rng.integers(0, 3, 30), 0.5)
+        emb = Embedding2D(rng.normal(size=(30, 2)), rng.integers(0, 3, 30), 0.5, 10.0)
         out = tmp_path / "emb.svg"
         render_embedding_svg(emb, out, class_names=["a", "b", "c"])
         root = ET.parse(out).getroot()
@@ -278,7 +288,7 @@ class TestRender:
 
     def test_byte_identical_rerender(self, tmp_path):
         rng = np.random.default_rng(15)
-        emb = Embedding2D(rng.normal(size=(10, 2)), np.zeros(10, dtype=int), 1.25)
+        emb = Embedding2D(rng.normal(size=(10, 2)), np.zeros(10, dtype=int), 1.25, 3.0)
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         render_embedding_svg(emb, a)
         render_embedding_svg(emb, b)

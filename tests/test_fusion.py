@@ -23,19 +23,13 @@ class TestConcat:
     def test_shapes(self):
         rng = np.random.default_rng(0)
         fused = concat_features([fm(rng.random((6, 3))), fm(rng.random((6, 5)))])
-        assert fused.matrix.data.shape == (6, 8)
+        assert fused.data.shape == (6, 8)
 
     def test_single_part_identity(self):
         rng = np.random.default_rng(1)
         x = rng.random((4, 3))
         fused = concat_features([fm(x)])
-        assert np.array_equal(fused.matrix.data, x)
-
-    def test_source_map_tiles(self):
-        rng = np.random.default_rng(2)
-        parts = [fm(rng.random((5, 3))), fm(rng.random((5, 5))), fm(rng.random((5, 2)))]
-        fused = concat_features(parts, names=["a", "b", "c"])
-        assert fused.source_map == [("a", 0, 3), ("b", 3, 8), ("c", 8, 10)]
+        assert np.array_equal(fused.data, x)
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -192,14 +186,14 @@ class TestApplyAndPipeline:
         labels = np.repeat([0, 1, 2], 10)
         parts = [fm(rng.normal(size=(30, 16)), labels=labels) for _ in range(6)]
         fused, t = fuse_pipeline(parts, "concat+ica")
-        assert fused.matrix.data.shape == (30, min(29, 128, 96))
+        assert fused.data.shape == (30, min(29, 128, 96))
         assert t.kind == "ICA"
 
     def test_concat_only(self):
         rng = np.random.default_rng(6)
         parts = [fm(rng.normal(size=(10, 4))), fm(rng.normal(size=(10, 6)))]
         fused, t = fuse_pipeline(parts, "concat-only")
-        assert fused.matrix.data.shape == (10, 10)
+        assert fused.data.shape == (10, 10)
         assert t.kind == "Identity"
 
     def test_no_test_time_refit(self):

@@ -17,6 +17,9 @@ from .errors import IntegrityError, InvalidArgumentError, InvalidDatasetError
 
 CLASSIFIER_MAGIC = b"ETSEFC1\x00"
 KINDS = ("SVM", "KNN", "GNB", "RF", "GBT")
+# KNN prediction holds a (query rows, training rows, dims) difference tensor of
+# at most this many float64 elements (2 MiB), so memory stays bounded
+KNN_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -30,16 +33,17 @@ class Tree:
     value: np.ndarray      # (n_nodes, width): class dist or 1-wide score
 
     def predict_value(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty((len(x), self.value.shape[1]))
-        for i, row in enumerate(x):
-            node = 0
-            while self.feature[node] >= 0:
-                if row[self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[i] = self.value[node]
-        return out
+        """Leaf value per row, walking all rows down the tree one level per step."""
+        node = np.zeros(len(x), dtype=np.int64)
+        rows = np.arange(len(x))
+        while len(rows):
+            feature = self.feature[node[rows]]
+            inner = feature >= 0
+            rows, feature = rows[inner], feature[inner]
+            at = node[rows]
+            node[rows] = np.where(x[rows, feature] <= self.threshold[at],
+                                  self.left[at], self.right[at])
+        return self.value[node]
 
 
 @dataclass
@@ -117,21 +121,24 @@ def fit_knn(x: np.ndarray, y: np.ndarray, k: int = 3) -> TrainedClassifier:
 
 
 def _knn_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
+    """Inverse-distance vote of the k nearest training rows, in neighbour-rank
+    order; a query equal to a training row takes that row's class outright."""
     train_x = clf.arrays["x"]
     train_y = clf.arrays["y"].astype(np.int64)
     k = clf.meta["k"]
     out = np.zeros((len(q), clf.n_classes))
-    for i, row in enumerate(q):
-        dist = np.linalg.norm(train_x - row, axis=1)
-        exact = np.flatnonzero(dist == 0.0)
-        if len(exact):
-            out[i, train_y[exact[0]]] = 1.0
-            continue
-        nearest = np.argsort(dist, kind="stable")[:k]
-        weights = 1.0 / (dist[nearest] + 1e-12)
-        for j, wgt in zip(nearest, weights):
-            out[i, train_y[j]] += wgt
-        out[i] /= out[i].sum()
+    step = max(1, KNN_BLOCK_ELEMENTS // train_x.size)
+    for start in range(0, len(q), step):
+        part = out[start:start + step]  # a view: writes land in out
+        dist = np.linalg.norm(train_x[None] - q[start:start + step, None], axis=2)
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        weights = 1.0 / (np.take_along_axis(dist, nearest, axis=1) + 1e-12)
+        np.add.at(part, (np.arange(len(part))[:, None], train_y[nearest]), weights)
+        part /= part.sum(axis=1, keepdims=True)
+        exact = dist == 0.0
+        hit = exact.any(axis=1)
+        part[hit] = 0.0
+        part[hit, train_y[np.argmax(exact[hit], axis=1)]] = 1.0
     return out
 
 
@@ -179,60 +186,66 @@ def _gnb_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
 # Shared tree builder
 # ---------------------------------------------------------------------------
 
+def _presorted(x, idx, features):
+    """Each candidate feature's values over idx, sorted: (order, values, valid cuts).
+
+    Row j belongs to features[j]. Cut i lies between sorted positions i and
+    i + 1 and is valid where their values differ.
+    """
+    vals = x.T[np.ix_(features, idx)]
+    order = np.argsort(vals, axis=1, kind="stable")
+    sv = np.take_along_axis(vals, order, axis=1)
+    return order, sv, sv[:, 1:] != sv[:, :-1]
+
+
+def _best_cut(features, sv, score):
+    """(feature, threshold, score) of the first feature whose lowest score beats
+    the best so far by 1e-15; feature None if no cut is valid."""
+    pos = np.argmin(score, axis=1)
+    lowest = score[np.arange(len(features)), pos]
+    best = (None, 0.0, np.inf)
+    for j, p in enumerate(pos):
+        if lowest[j] < best[2] - 1e-15:
+            best = (features[j], 0.5 * (sv[j, p] + sv[j, p + 1]), lowest[j])
+    return best
+
+
 def _gini_splitter(n_classes):
-    """Vectorized Gini split search over all candidate thresholds per feature."""
+    """Gini split search over every cut of every candidate feature at once."""
     def split(x, target, idx, features):
-        labels = target[idx]
-        onehot = np.zeros((len(idx), n_classes))
-        onehot[np.arange(len(idx)), labels] = 1.0
-        best = (None, 0.0, np.inf)
+        order, sv, valid = _presorted(x, idx, features)
         n = len(idx)
-        for f in features:
-            vals = x[idx, f]
-            order = np.argsort(vals, kind="stable")
-            sv = vals[order]
-            valid = sv[1:] != sv[:-1]
-            if not valid.any():
-                continue
-            left = np.cumsum(onehot[order], axis=0)[:-1]   # counts below each cut
-            right = left[-1] + onehot[order][-1] - left
-            nl = np.arange(1, n)
-            nr = n - nl
-            gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-            gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
-            score = np.where(valid, (nl * gini_l + nr * gini_r) / n, np.inf)
-            pos = int(np.argmin(score))
-            if score[pos] < best[2] - 1e-15:
-                best = (f, 0.5 * (sv[pos] + sv[pos + 1]), score[pos])
-        return best
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), target[idx]] = 1.0
+        hot = onehot[order]                             # (F, n, classes)
+        left = np.cumsum(hot, axis=1)[:, :-1]           # counts below each cut
+        right = left[:, -1:] + hot[:, -1:] - left
+        nl = np.arange(1, n)
+        nr = n - nl
+        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=2)
+        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=2)
+        score = np.where(valid, (nl * gini_l + nr * gini_r) / n, np.inf)
+        return _best_cut(features, sv, score)
     return split
 
 
 def _sse_splitter(x, target, idx, features):
-    """Vectorized squared-error split search on the residual column."""
-    resid = target[idx, 0]
-    best = (None, 0.0, np.inf)
-    n = len(idx)
-    for f in features:
-        vals = x[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        valid = sv[1:] != sv[:-1]
-        if not valid.any():
-            continue
-        r = resid[order]
-        s1 = np.cumsum(r)[:-1]
-        s2 = np.cumsum(r * r)[:-1]
-        nl = np.arange(1, n)
-        total1, total2 = r.sum(), (r * r).sum()
-        sse_l = s2 - s1 * s1 / nl
-        nr = n - nl
-        sse_r = (total2 - s2) - (total1 - s1) ** 2 / nr
-        score = np.where(valid, sse_l + sse_r, np.inf)
-        pos = int(np.argmin(score))
-        if score[pos] < best[2] - 1e-15:
-            best = (f, 0.5 * (sv[pos] + sv[pos + 1]), score[pos])
-    return best
+    """Squared-error split search on the residual column, all features at once."""
+    order, sv, valid = _presorted(x, idx, features)
+    r = target[idx, 0][order]                           # (F, n), one row per feature
+    rr = r * r
+    s1 = np.cumsum(r, axis=1)[:, :-1]
+    s2 = np.cumsum(rr, axis=1)[:, :-1]
+    # each total sums one contiguous row, in the order of a 1-D r.sum(): a
+    # column sum of the (n, F) transpose rounds differently and flips splits
+    total1 = r.sum(axis=1, keepdims=True)
+    total2 = rr.sum(axis=1, keepdims=True)
+    nl = np.arange(1, len(idx))
+    nr = len(idx) - nl
+    sse_l = s2 - s1 * s1 / nl
+    sse_r = (total2 - s2) - (total1 - s1) ** 2 / nr
+    score = np.where(valid, sse_l + sse_r, np.inf)
+    return _best_cut(features, sv, score)
 
 
 def _is_pure(target_subset: np.ndarray) -> bool:

@@ -23,7 +23,14 @@ import numpy as np
 
 from .artifact import write_atomic
 from .classifiers import load_classifier, save_classifier
-from .data import AugmentConfig, SplitSpec, make_synthetic_task, stratified_split, write_pnm
+from .data import (
+    TASK_MOTIFS,
+    AugmentConfig,
+    SplitSpec,
+    make_synthetic_task,
+    stratified_split,
+    write_pnm,
+)
 from .ensemble import (
     CLASSIFIER_ORDER,
     EnsembleModel,
@@ -167,8 +174,9 @@ def _coerce(section: str, key: str, raw: str):
 def load_config(path: str | None) -> dict[str, dict[str, object]]:
     """Flat key=value config with [section] headers and `#` comments.
 
-    Unknown sections or keys, numeric values outside `BOUNDS` and unknown
-    fusion methods are rejected here, before any stage runs.
+    Unknown sections or keys, numeric values outside `BOUNDS`, an even blur
+    kernel, and unknown fusion methods or OOD task kinds are rejected here,
+    before any stage runs.
     """
     config = {section: dict(values) for section, values in DEFAULTS.items()}
     section = None
@@ -199,9 +207,14 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
             value = config[section][key]
             if not _within(value, bound):
                 raise ConfigError(f"[{section}] {key}: {value!r} is outside {bound}")
-    if config["fusion"]["method"] not in METHODS:
-        raise ConfigError(f"[fusion] method: {config['fusion']['method']!r} is not one of "
-                          f"{', '.join(METHODS)}")
+    if config["pretrain"]["augment_blur_kernel"] % 2 == 0:
+        raise ConfigError(f"[pretrain] augment_blur_kernel: "
+                          f"{config['pretrain']['augment_blur_kernel']} is not odd")
+    for section, key, allowed in (("fusion", "method", METHODS),
+                                  ("oodtest", "kind", TASK_MOTIFS)):
+        if config[section][key] not in allowed:
+            raise ConfigError(f"[{section}] {key}: {config[section][key]!r} is not one of "
+                              f"{', '.join(allowed)}")
     return config
 
 
@@ -488,8 +501,8 @@ def _render_ablation_svg(table, path) -> None:
 def cmd_ablate(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
     train, test = target_split(config, seed)
     models = _load_target_models(out, config)
-    table = ablate(extract_parts(models, train), extract_parts(models, test),
-                   len(train.class_names), method=config["fusion"]["method"],
+    table = ablate(_rebuild_ensemble(out, config, models), extract_parts(models, train),
+                   extract_parts(models, test), method=config["fusion"]["method"],
                    seed=seed, k=config["fusion"]["k"] or None)
     stage_dir.mkdir(parents=True, exist_ok=True)
     csv_file = stage_dir / f"ablation_seed{seed}.csv"

@@ -334,7 +334,8 @@ _TINTS = {
     "cross": (0.7, 0.7, 1.0),
     "ring": (1.0, 1.0, 0.7),
 }
-_TASK_MOTIFS = {
+# The motifs of each task kind, in label order; `[oodtest] kind` must name a key.
+TASK_MOTIFS = {
     "generic": ("disk", "bar", "cross", "ring"),
     "shapes4": ("disk", "bar", "cross", "ring"),
     "shapes3": ("disk", "bar", "cross"),
@@ -380,11 +381,11 @@ def make_synthetic_task(kind: str, n_per_class: int, size: tuple[int, int],
     distribution-shifted variant of the same task (used to stand in for a
     change of domain).
     """
-    if kind not in _TASK_MOTIFS:
+    if kind not in TASK_MOTIFS:
         raise InvalidArgumentError(f"unknown task kind {kind!r}")
     if n_per_class < 1:
         raise InvalidArgumentError("n_per_class must be >= 1")
-    motifs = _TASK_MOTIFS[kind]
+    motifs = TASK_MOTIFS[kind]
     rng = np.random.default_rng(seed)
     images, labels = [], []
     for label, motif in enumerate(motifs):

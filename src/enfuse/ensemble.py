@@ -188,20 +188,21 @@ class AblationTable:
     rows: list[AblationRow]
 
 
-def ablate(train_parts: dict[str, FeatureMatrix], test_parts: dict[str, FeatureMatrix],
-           n_classes: int, method: str = "concat+ica", seed: int = 0,
-           k: int | None = None) -> AblationTable:
-    """Retrain without each base model in turn and compare voted accuracy."""
+def ablate(full: EnsembleModel, train_parts: dict[str, FeatureMatrix],
+           test_parts: dict[str, FeatureMatrix], method: str = "concat+ica",
+           seed: int = 0, k: int | None = None) -> AblationTable:
+    """Retrain without each base model in turn and compare voted accuracy.
+
+    The full row comes from `full`, the ensemble already fitted on all of
+    `train_parts` with the same method, seed and k.
+    """
     if len(train_parts) < 2:
         raise InvalidArgumentError("ablation needs at least 2 base models")
     true = next(iter(test_parts.values())).labels
 
-    def row(excluded: str | None, baseline: float | None = None) -> AblationRow:
-        def keep(parts):
-            return {name: part for name, part in parts.items() if name != excluded}
-
-        model = train_ensemble(keep(train_parts), n_classes, method, seed=seed, k=k)
-        per_clf, voted = predict_ensemble(model, keep(test_parts))
+    def row(model: EnsembleModel, parts: dict[str, FeatureMatrix], excluded: str | None,
+            baseline: float | None = None) -> AblationRow:
+        per_clf, voted = predict_ensemble(model, parts)
         clf_acc = {kind: float(np.mean(preds == true))
                    for kind, preds in zip(CLASSIFIER_ORDER, per_clf)}
         voted_acc = float(np.mean(voted == true))
@@ -209,8 +210,14 @@ def ablate(train_parts: dict[str, FeatureMatrix], test_parts: dict[str, FeatureM
         return AblationRow(excluded, clf_acc,
                            float(np.mean(list(clf_acc.values()))), voted_acc, delta)
 
-    full = row(None)
-    return AblationTable(full, [row(name, full.voted_accuracy) for name in train_parts])
+    full_row = row(full, test_parts, None)
+    rows = []
+    for excluded in train_parts:
+        train_kept, test_kept = ({name: part for name, part in parts.items() if name != excluded}
+                                 for parts in (train_parts, test_parts))
+        model = train_ensemble(train_kept, full.n_classes, method, seed=seed, k=k)
+        rows.append(row(model, test_kept, excluded, full_row.voted_accuracy))
+    return AblationTable(full_row, rows)
 
 
 # ---------------------------------------------------------------------------

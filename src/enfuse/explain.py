@@ -22,6 +22,9 @@ from .features import FeatureMatrix
 from .nn.model import EncoderModel
 
 SHAP_EXACT_MAX_FEATURES = 15
+# shap_sampled evaluates the coalitions of whole permutations in calls of at
+# most this many rows; the default 2048 samples over 16 features are 2,176 rows
+SHAP_BLOCK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +164,17 @@ def shap_sampled(model, instance: np.ndarray, background,
     bg_mean = _background_mean(background)
     rng = np.random.default_rng(seed)
     n_perms = max(1, n_samples // max(d, 1))
+    orders = np.array([rng.permutation(d) for _ in range(n_perms)])
+    ranks = np.argsort(orders, axis=1)
     contribs = np.zeros((n_perms, d))
-    for p in range(n_perms):
-        order = rng.permutation(d)
-        masks = np.zeros((d + 1, d), dtype=bool)
-        for step, feat in enumerate(order):
-            masks[step + 1] = masks[step]
-            masks[step + 1, feat] = True
-        vals = np.asarray(f(_coalition_matrix(masks, instance, bg_mean)))
-        contribs[p, order] = np.diff(vals)
+    per_call = max(1, SHAP_BLOCK_ROWS // (d + 1))
+    for start in range(0, n_perms, per_call):
+        block = slice(start, start + per_call)
+        # coalition s of a permutation holds the features it ranks below s
+        masks = ranks[block, None, :] < np.arange(d + 1)[:, None]
+        vals = np.asarray(f(_coalition_matrix(masks.reshape(-1, d), instance, bg_mean)))
+        np.put_along_axis(contribs[block], orders[block],
+                          np.diff(vals.reshape(len(masks), d + 1), axis=1), axis=1)
     phi = contribs.mean(axis=0)
     stderr = contribs.std(axis=0) / np.sqrt(n_perms)
     base = float(f(bg_mean[None])[0])

@@ -347,8 +347,8 @@ def test_criterion_12_ablation_consistency(pipeline):
     train_parts, test_parts = ({**extract_parts(models, ds), "noise": noise_features(ds)}
                                for ds in (train, test))
     n_classes = len(train.class_names)
-    table = ablate(train_parts, test_parts, n_classes, method=method, seed=SEED, k=k)
     full_model = train_ensemble(train_parts, n_classes, method=method, seed=SEED, k=k)
+    table = ablate(full_model, train_parts, test_parts, method=method, seed=SEED, k=k)
     _, full_report, _ = evaluate(full_model, test_parts)
     full_matches = table.full.voted_accuracy == full_report.accuracy
     noise_row = next(r for r in table.rows if r.excluded == "noise")

@@ -206,7 +206,9 @@ class TestFailureModes:
         "[fusion]\nmethod = concat+foo\n",
         "[pretrain]\nepochs = -3\n",
         "[pretrain]\ntemperature = 0\n",
-    ], ids=["fusion-method", "epochs", "temperature"])
+        "[pretrain]\naugment_blur_kernel = 4\n",
+        "[oodtest]\nkind = shapes9\n",
+    ], ids=["fusion-method", "epochs", "temperature", "blur-kernel-even", "oodtest-kind"])
     def test_bad_config_exits_before_any_stage(self, tmp_path, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

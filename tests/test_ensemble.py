@@ -158,26 +158,36 @@ class TestTrainEvaluate:
 
 
 class TestAblate:
-    def test_row_per_base_model_and_full_consistency(self, parts):
+    def test_row_per_base_model_and_full_consistency(self, trained, parts):
         train_parts, test_parts = parts
-        table = ablate(train_parts, test_parts, 3, method="concat+pca", seed=0)
+        table = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0)
         assert len(table.rows) == len(train_parts)
         assert {r.excluded for r in table.rows} == set(train_parts)
-        model = train_ensemble(train_parts, 3, method="concat+pca", seed=0)
-        _, report, _ = evaluate(model, test_parts)
+        _, report, _ = evaluate(trained, test_parts)
         assert table.full.voted_accuracy == report.accuracy
+
+    def test_exclusion_rows_refit_without_the_excluded_model(self, trained, parts):
+        train_parts, test_parts = parts
+        table = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0)
+        for row in table.rows:
+            kept = [{n: p for n, p in split.items() if n != row.excluded} for split in parts]
+            model = train_ensemble(kept[0], 3, method="concat+pca", seed=0)
+            _, report, _ = evaluate(model, kept[1])
+            assert row.voted_accuracy == report.accuracy
+            assert row.delta_voted == report.accuracy - table.full.voted_accuracy
 
     def test_noise_model_exclusion_never_hurts(self, splits, parts):
         train_parts, test_parts = ({**split_parts, "noise": noise_features(ds, 12, 99)}
                                    for split_parts, ds in zip(parts, splits))
-        table = ablate(train_parts, test_parts, 3, method="concat+pca", seed=0)
+        full = train_ensemble(train_parts, 3, method="concat+pca", seed=0)
+        table = ablate(full, train_parts, test_parts, method="concat+pca", seed=0)
         noise_row = next(r for r in table.rows if r.excluded == "noise")
         assert noise_row.delta_voted >= 0.0
 
-    def test_too_few_models_rejected(self, parts):
+    def test_too_few_models_rejected(self, trained, parts):
         train_parts, test_parts = ({"p0": split_parts["p0"]} for split_parts in parts)
         with pytest.raises(InvalidArgumentError):
-            ablate(train_parts, test_parts, 3)
+            ablate(trained, train_parts, test_parts)
 
 
 class TestReports:
@@ -198,9 +208,9 @@ class TestReports:
             blobs.append((out / "metrics_seed0.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_ablation_csv_shape(self, parts):
+    def test_ablation_csv_shape(self, trained, parts):
         train_parts, test_parts = parts
-        table = ablate(train_parts, test_parts, 3, method="concat+pca", seed=0)
+        table = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0)
         lines = ablation_csv(table).strip().split("\n")
         assert len(lines) == 1 + 1 + len(train_parts)  # header, full row, exclusions
         assert lines[1].startswith("(none)")

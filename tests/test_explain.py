@@ -172,6 +172,18 @@ class TestShapSampled:
         with pytest.raises(InvalidArgumentError):
             shap_sampled(lambda x: x[:, 0], np.zeros(2), np.zeros((1, 2)), n_samples=0)
 
+    def test_model_calls_do_not_grow_with_samples(self):
+        calls = {64: 0, 2048: 0}
+        rng = np.random.default_rng(10)
+        inst, bg = rng.normal(size=8), rng.normal(size=(4, 8))
+        for n_samples in calls:
+            def f(x):
+                calls[n_samples] += 1
+                return x.sum(axis=1)
+
+            shap_sampled(f, inst, bg, n_samples=n_samples, seed=0)
+        assert calls[64] == calls[2048]
+
 
 class TestSelectBackground:
     def test_near_median_and_deterministic(self):

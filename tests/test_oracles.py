@@ -1,0 +1,276 @@
+"""Bit-equality of the array-at-once tree, KNN and SHAP code with scalar oracles.
+
+The oracles are the per-row, per-feature and per-permutation loops the library
+used before it worked on whole arrays. They live only here; every comparison
+is exact (`np.array_equal`), because the vectorized code does the same float
+operations in the same order.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from enfuse import classifiers
+from enfuse.classifiers import Tree, fit_gbt, fit_knn, fit_rf, predict_proba
+from enfuse.explain import ShapExplanation, _background_mean, _coalition_matrix, shap_sampled
+
+# a few values, so that ties, duplicate rows and equal-to-threshold cases are common
+VALUES = (-2.0, -0.5, 0.0, 0.25, 1.0, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+# ---------------------------------------------------------------------------
+
+def predict_value_rows(tree: Tree, x: np.ndarray) -> np.ndarray:
+    out = np.empty((len(x), tree.value.shape[1]))
+    for i, row in enumerate(x):
+        node = 0
+        while tree.feature[node] >= 0:
+            if row[tree.feature[node]] <= tree.threshold[node]:
+                node = tree.left[node]
+            else:
+                node = tree.right[node]
+        out[i] = tree.value[node]
+    return out
+
+
+def gini_splitter_per_feature(n_classes):
+    def split(x, target, idx, features):
+        labels = target[idx]
+        onehot = np.zeros((len(idx), n_classes))
+        onehot[np.arange(len(idx)), labels] = 1.0
+        best = (None, 0.0, np.inf)
+        n = len(idx)
+        for f in features:
+            vals = x[idx, f]
+            order = np.argsort(vals, kind="stable")
+            sv = vals[order]
+            valid = sv[1:] != sv[:-1]
+            if not valid.any():
+                continue
+            left = np.cumsum(onehot[order], axis=0)[:-1]
+            right = left[-1] + onehot[order][-1] - left
+            nl = np.arange(1, n)
+            nr = n - nl
+            gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
+            gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+            score = np.where(valid, (nl * gini_l + nr * gini_r) / n, np.inf)
+            pos = int(np.argmin(score))
+            if score[pos] < best[2] - 1e-15:
+                best = (f, 0.5 * (sv[pos] + sv[pos + 1]), score[pos])
+        return best
+    return split
+
+
+def sse_splitter_per_feature(x, target, idx, features):
+    resid = target[idx, 0]
+    best = (None, 0.0, np.inf)
+    n = len(idx)
+    for f in features:
+        vals = x[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        valid = sv[1:] != sv[:-1]
+        if not valid.any():
+            continue
+        r = resid[order]
+        s1 = np.cumsum(r)[:-1]
+        s2 = np.cumsum(r * r)[:-1]
+        nl = np.arange(1, n)
+        total1, total2 = r.sum(), (r * r).sum()
+        sse_l = s2 - s1 * s1 / nl
+        nr = n - nl
+        sse_r = (total2 - s2) - (total1 - s1) ** 2 / nr
+        score = np.where(valid, sse_l + sse_r, np.inf)
+        pos = int(np.argmin(score))
+        if score[pos] < best[2] - 1e-15:
+            best = (f, 0.5 * (sv[pos] + sv[pos + 1]), score[pos])
+    return best
+
+
+def knn_proba_rows(clf, q: np.ndarray) -> np.ndarray:
+    train_x = clf.arrays["x"]
+    train_y = clf.arrays["y"].astype(np.int64)
+    out = np.zeros((len(q), clf.n_classes))
+    for i, row in enumerate(q):
+        dist = np.linalg.norm(train_x - row, axis=1)
+        exact = np.flatnonzero(dist == 0.0)
+        if len(exact):
+            out[i, train_y[exact[0]]] = 1.0
+            continue
+        nearest = np.argsort(dist, kind="stable")[:clf.meta["k"]]
+        weights = 1.0 / (dist[nearest] + 1e-12)
+        for j, wgt in zip(nearest, weights):
+            out[i, train_y[j]] += wgt
+        out[i] /= out[i].sum()
+    return out
+
+
+def shap_sampled_per_permutation(f, instance, background, n_samples, seed):
+    instance = np.asarray(instance, dtype=np.float64).ravel()
+    d = len(instance)
+    bg_mean = _background_mean(background)
+    rng = np.random.default_rng(seed)
+    n_perms = max(1, n_samples // max(d, 1))
+    contribs = np.zeros((n_perms, d))
+    for p in range(n_perms):
+        order = rng.permutation(d)
+        masks = np.zeros((d + 1, d), dtype=bool)
+        for step, feat in enumerate(order):
+            masks[step + 1] = masks[step]
+            masks[step + 1, feat] = True
+        vals = np.asarray(f(_coalition_matrix(masks, instance, bg_mean)))
+        contribs[p, order] = np.diff(vals)
+    phi = contribs.mean(axis=0)
+    stderr = contribs.std(axis=0) / np.sqrt(n_perms)
+    base = float(f(bg_mean[None])[0])
+    out = float(f(instance[None])[0])
+    residual = (out - base) - phi.sum()
+    mass = np.abs(phi).sum()
+    phi = phi + residual * (np.abs(phi) / mass if mass > 1e-12 else np.full(d, 1.0 / d))
+    return ShapExplanation(phi, base, out, stderr=stderr)
+
+
+def fit_with_oracles(fit, x, y, **kwargs):
+    """`fit` with the per-feature splitters and the per-row tree walk swapped in."""
+    with mock.patch.object(classifiers, "_gini_splitter", gini_splitter_per_feature), \
+            mock.patch.object(classifiers, "_sse_splitter", sse_splitter_per_feature), \
+            mock.patch.object(Tree, "predict_value", predict_value_rows):
+        return fit(x, y, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+@st.composite
+def labelled_data(draw, min_rows=2, max_rows=24):
+    """Rows from VALUES (many duplicates), an optional constant column, >= 2 classes."""
+    n = draw(st.integers(min_rows, max_rows))
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 4))
+    x = np.array(draw(st.lists(st.sampled_from(VALUES), min_size=n * d, max_size=n * d)),
+                 dtype=np.float64).reshape(n, d)
+    constant = draw(st.none() | st.integers(0, d - 1))
+    if constant is not None:
+        x[:, constant] = 0.5
+    y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), dtype=np.int64)
+    y[:2] = (0, 1)
+    return x, y
+
+
+def random_tree(rng: np.random.Generator, d: int, width: int, max_depth: int) -> Tree:
+    nodes = {"feature": [], "threshold": [], "left": [], "right": []}
+
+    def grow(depth):
+        node = len(nodes["feature"])
+        for column in nodes.values():
+            column.append(-1)
+        nodes["threshold"][node] = 0.0
+        if depth < max_depth and rng.random() < 0.7:
+            nodes["feature"][node] = int(rng.integers(d))
+            nodes["threshold"][node] = float(rng.choice(VALUES))
+            nodes["left"][node] = grow(depth + 1)
+            nodes["right"][node] = grow(depth + 1)
+        return node
+
+    grow(0)
+    n_nodes = len(nodes["feature"])
+    return Tree(np.array(nodes["feature"], dtype=np.int64),
+                np.array(nodes["threshold"], dtype=np.float64),
+                np.array(nodes["left"], dtype=np.int64),
+                np.array(nodes["right"], dtype=np.int64),
+                rng.normal(size=(n_nodes, width)))
+
+
+def assert_same_trees(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), width=st.integers(1, 3),
+       max_depth=st.integers(0, 6), n_rows=st.integers(0, 30))
+def test_predict_value_matches_row_walk(seed, d, width, max_depth, n_rows):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, d, width, max_depth)
+    x = rng.choice(np.array(VALUES + (np.nan,)), size=(n_rows, d))
+    assert np.array_equal(tree.predict_value(x), predict_value_rows(tree, x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 120), d=st.integers(1, 8),
+       discrete=st.booleans())
+def test_split_search_matches_per_feature_loop(seed, n, d, discrete):
+    rng = np.random.default_rng(seed)
+    x = rng.choice(np.array(VALUES), size=(n, d)) if discrete else rng.normal(size=(n, d))
+    idx = rng.integers(0, n, size=n)  # a bootstrap sample, with repeats
+    features = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+    labels = rng.integers(0, 3, size=n)
+    residual = np.stack([rng.normal(size=n), rng.random(n)], axis=1)
+    for split, oracle, target in (
+            (classifiers._gini_splitter(3), gini_splitter_per_feature(3), labels),
+            (classifiers._sse_splitter, sse_splitter_per_feature, residual)):
+        got = split(x, target, idx, features)
+        want = oracle(x, target, idx, features)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1:], want[1:])  # threshold and score, to the bit
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=labelled_data(min_rows=3), seed=st.integers(0, 1000))
+def test_fit_rf_trees_match_per_feature_search(data, seed):
+    x, y = data
+    got = fit_rf(x, y, n_trees=4, seed=seed)
+    want = fit_with_oracles(fit_rf, x, y, n_trees=4, seed=seed)
+    assert_same_trees(got.trees, want.trees)
+    assert np.array_equal(predict_proba(got, x), predict_proba(want, x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=labelled_data(), max_depth=st.integers(1, 10))
+def test_fit_gbt_trees_match_per_feature_search(data, max_depth):
+    x, y = data
+    got = fit_gbt(x, y, rounds=3, max_depth=max_depth)
+    want = fit_with_oracles(fit_gbt, x, y, rounds=3, max_depth=max_depth)
+    assert_same_trees(got.trees, want.trees)
+    assert got.meta["train_log_loss"] == want.meta["train_log_loss"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=labelled_data(min_rows=3),
+       queries=st.lists(st.lists(st.sampled_from(VALUES), min_size=5, max_size=5),
+                        max_size=12))
+def test_knn_proba_matches_row_loop(data, queries):
+    x, y = data
+    clf = fit_knn(x, y)
+    q = np.array(queries, dtype=np.float64).reshape(len(queries), 5)[:, :x.shape[1]]
+    q = np.concatenate([q, x[::2]])  # exact matches, some of them duplicated rows
+    assert np.array_equal(predict_proba(clf, q), knn_proba_rows(clf, q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 10),
+       n_samples=st.integers(1, 3000))
+def test_shap_sampled_matches_per_permutation_calls(seed, d, n_samples):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=d)
+
+    def f(z):  # row-independent: each output reads only its own row
+        return np.tanh((z * w).sum(axis=1)) + z[:, 0] * z[:, -1]
+
+    instance, background = rng.normal(size=d), rng.normal(size=(5, d))
+    got = shap_sampled(f, instance, background, n_samples=n_samples, seed=seed)
+    want = shap_sampled_per_permutation(f, instance, background, n_samples, seed)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.stderr, want.stderr)
+    assert (got.base_value, got.model_output) == (want.base_value, want.model_output)

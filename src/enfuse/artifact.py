@@ -1,4 +1,4 @@
-"""The one binary container behind every persisted artifact, and atomic writes.
+"""The one binary container behind every persisted artifact, and the one writer.
 
 Layout: an 8-byte magic tag, the JSON header length as a little-endian u32,
 the sorted-key JSON header, then each array as raw `<f8` values in the
@@ -61,9 +61,12 @@ def unpack(blob: bytes, magic: bytes, kind: str) -> tuple[dict, list[np.ndarray]
 def write_atomic(path, data: bytes) -> None:
     """Write via a temp file in the same directory, then rename into place.
 
-    A crash mid-write leaves the previous file (or none) and no temp file.
+    Every output file goes through here; missing parent directories are
+    created first. A crash mid-write leaves the previous file (or none) and
+    no temp file.
     """
     path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:

@@ -253,53 +253,43 @@ def _is_pure(target_subset: np.ndarray) -> bool:
     return bool(col.max() - col.min() <= 1e-12)
 
 
-def _grow_tree(x, target, idx, depth, rng, *, max_depth, min_split, n_feature_sub,
-               leaf_value, splitter, nodes):
-    node_id = len(nodes["feature"])
-    for key in nodes:
-        nodes[key].append(None)
-    leaf = leaf_value(target[idx])
-    splittable = (depth < max_depth and len(idx) >= min_split
-                  and not _is_pure(target[idx]))
-    chosen = (None, 0.0, np.inf)
-    if splittable:
-        d = x.shape[1]
-        if n_feature_sub is not None and n_feature_sub < d:
-            features = np.sort(rng.choice(d, size=n_feature_sub, replace=False))
-        else:
-            features = np.arange(d)
-        chosen = splitter(x, target, idx, features)
-    if chosen[0] is None:
-        nodes["feature"][node_id] = -1
-        nodes["threshold"][node_id] = 0.0
-        nodes["left"][node_id] = -1
-        nodes["right"][node_id] = -1
-        nodes["value"][node_id] = leaf
-        return node_id
-    f, thr, _ = chosen
-    mask = x[idx, f] <= thr
-    nodes["feature"][node_id] = f
-    nodes["threshold"][node_id] = thr
-    nodes["value"][node_id] = leaf
-    nodes["left"][node_id] = _grow_tree(x, target, idx[mask], depth + 1, rng,
-                                        max_depth=max_depth, min_split=min_split,
-                                        n_feature_sub=n_feature_sub,
-                                        leaf_value=leaf_value, splitter=splitter,
-                                        nodes=nodes)
-    nodes["right"][node_id] = _grow_tree(x, target, idx[~mask], depth + 1, rng,
-                                         max_depth=max_depth, min_split=min_split,
-                                         n_feature_sub=n_feature_sub,
-                                         leaf_value=leaf_value, splitter=splitter,
-                                         nodes=nodes)
-    return node_id
-
-
 def _build_tree(x, target, idx, rng, *, max_depth, min_split, n_feature_sub,
                 leaf_value, splitter) -> Tree:
+    """Grow one tree from the rows idx; nodes are numbered in preorder."""
     nodes = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
-    _grow_tree(x, target, idx, 0, rng, max_depth=max_depth, min_split=min_split,
-               n_feature_sub=n_feature_sub, leaf_value=leaf_value,
-               splitter=splitter, nodes=nodes)
+
+    def grow(idx, depth):
+        node_id = len(nodes["feature"])
+        for key in nodes:
+            nodes[key].append(None)
+        leaf = leaf_value(target[idx])
+        splittable = (depth < max_depth and len(idx) >= min_split
+                      and not _is_pure(target[idx]))
+        chosen = (None, 0.0, np.inf)
+        if splittable:
+            d = x.shape[1]
+            if n_feature_sub is not None and n_feature_sub < d:
+                features = np.sort(rng.choice(d, size=n_feature_sub, replace=False))
+            else:
+                features = np.arange(d)
+            chosen = splitter(x, target, idx, features)
+        if chosen[0] is None:
+            nodes["feature"][node_id] = -1
+            nodes["threshold"][node_id] = 0.0
+            nodes["left"][node_id] = -1
+            nodes["right"][node_id] = -1
+            nodes["value"][node_id] = leaf
+            return node_id
+        f, thr, _ = chosen
+        mask = x[idx, f] <= thr
+        nodes["feature"][node_id] = f
+        nodes["threshold"][node_id] = thr
+        nodes["value"][node_id] = leaf
+        nodes["left"][node_id] = grow(idx[mask], depth + 1)
+        nodes["right"][node_id] = grow(idx[~mask], depth + 1)
+        return node_id
+
+    grow(idx, 0)
     return Tree(np.asarray(nodes["feature"], dtype=np.int64),
                 np.asarray(nodes["threshold"], dtype=np.float64),
                 np.asarray(nodes["left"], dtype=np.int64),
@@ -338,7 +328,12 @@ def fit_rf(x: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int = 10
 
 
 def _rf_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
-    p = np.mean([t.predict_value(q) for t in clf.trees], axis=0)
+    # summed in tree order then divided, the same float operations as np.mean
+    # over the stacked outputs, without holding every tree's output at once
+    p = np.zeros((len(q), clf.n_classes))
+    for t in clf.trees:
+        p += t.predict_value(q)
+    p /= len(clf.trees)
     return p / p.sum(axis=1, keepdims=True)
 
 
@@ -362,7 +357,6 @@ def fit_gbt(x: np.ndarray, y: np.ndarray, eta: float = 0.9, max_depth: int = 10,
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
     scores = np.zeros((n, k))
-    rng = np.random.default_rng(0)  # unused: no feature subsampling in GBT
     all_idx = np.arange(n)
 
     def leaf_value(t):
@@ -378,7 +372,7 @@ def fit_gbt(x: np.ndarray, y: np.ndarray, eta: float = 0.9, max_depth: int = 10,
             residual = onehot[:, cls] - p[:, cls]
             hess = p[:, cls] * (1.0 - p[:, cls])
             target = np.stack([residual, hess], axis=1)
-            tree = _build_tree(x, target, all_idx, rng, max_depth=max_depth,
+            tree = _build_tree(x, target, all_idx, None, max_depth=max_depth,
                                min_split=min_split, n_feature_sub=None,
                                leaf_value=leaf_value, splitter=_sse_splitter)
             trees.append(tree)

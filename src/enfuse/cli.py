@@ -28,8 +28,8 @@ from .data import (
     AugmentConfig,
     SplitSpec,
     make_synthetic_task,
+    pnm_bytes,
     stratified_split,
-    write_pnm,
 )
 from .ensemble import (
     CLASSIFIER_ORDER,
@@ -39,13 +39,14 @@ from .ensemble import (
     evaluate,
     extract_parts,
     fuse_parts,
+    metrics_csv,
+    summary_text,
     train_ensemble,
-    write_reports,
 )
 from .errors import ConfigError, EnfuseError, IntegrityError, InvalidArgumentError
 from .explain import (
-    _svg_document,
     grad_cam,
+    render_ablation_svg,
     render_confusion_svg,
     render_embedding_svg,
     render_saliency_ppm,
@@ -297,20 +298,25 @@ def ladder_datasets(config: dict, seed: int):
     intermediate = make_synthetic_task("shapes3", data["intermediate_per_class"],
                                        size, data["intermediate_noise"],
                                        seed=seed + 102)
-    target = make_synthetic_task("shapes3", data["target_per_class"], size,
-                                 data["target_noise"], seed=seed + 103,
-                                 param_shift=data["target_param_shift"])
-    return generic, intermediate, target
+    return generic, intermediate, _target_task(config, seed)
+
+
+def _target_task(config: dict, seed: int):
+    """The target rung alone: each rung has its own seed, so it needs no other."""
+    data = config["data"]
+    size = (data["image_size"], data["image_size"])
+    return make_synthetic_task("shapes3", data["target_per_class"], size,
+                               data["target_noise"], seed=seed + 103,
+                               param_shift=data["target_param_shift"])
 
 
 def target_split(config: dict, seed: int):
-    _, _, target = ladder_datasets(config, seed)
-    return stratified_split(target, SplitSpec(config["data"]["split_fraction"],
-                                              seed=seed + 5))
+    return stratified_split(_target_task(config, seed),
+                            SplitSpec(config["data"]["split_fraction"], seed=seed + 5))
 
 
 def _task_dir(out: Path, config: dict, stage: str) -> Path:
-    """The stage's directory; a command creates it just before writing its files."""
+    """The stage's directory; `write_atomic` creates it with the stage's first file."""
     return out / config["task"]["name"] / stage
 
 
@@ -375,7 +381,6 @@ def run_stage(stage: str, config: dict, seed: int, out: Path, manifest: dict,
 def cmd_pretrain(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
     generic, intermediate, _ = ladder_datasets(config, seed)
     pre = config["pretrain"]
-    stage_dir.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []
     for i, variant in enumerate(VARIANTS):
         spec = _spec(config, variant)
@@ -404,7 +409,6 @@ def cmd_finetune(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     train, test = target_split(config, seed)
     fin = config["finetune"]
     src_dir = _task_dir(out, config, "pretrain")
-    stage_dir.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []
     log_lines = []
     for i, name in enumerate(BASE_MODEL_NAMES):
@@ -418,7 +422,7 @@ def cmd_finetune(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
         log_lines.append(f"{name} {method.upper()} {acc:.4f}")
         print(f"finetune: {name} test accuracy {acc:.4f}")
     log = stage_dir / "accuracy.log"
-    log.write_text("\n".join(log_lines) + "\n")
+    write_atomic(log, ("\n".join(log_lines) + "\n").encode())
     return files + [log]
 
 
@@ -439,15 +443,17 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     ensemble = train_ensemble(train_parts, n_classes, method=method, seed=seed, k=k)
     cm, report, per_clf = evaluate(ensemble, test_parts)
 
-    files = [stage_dir / f for f in write_reports(stage_dir, seed, cm, report, per_clf)]
-    confusion_svg = stage_dir / f"confusion_seed{seed}.svg"
-    render_confusion_svg(cm, confusion_svg, class_names=list(test.class_names))
-    files.append(confusion_svg)
+    reports = {
+        f"metrics_seed{seed}.csv": metrics_csv(cm, report),
+        f"summary_seed{seed}.txt": summary_text(report, per_clf),
+        f"confusion_seed{seed}.svg": render_confusion_svg(
+            cm, class_names=list(test.class_names)),
+    }
 
     # persist the fitted transform and classifiers
     transform_file = stage_dir / "transform.bin"
     save_transform(ensemble.transform, transform_file)
-    files.append(transform_file)
+    files = [transform_file]
     for kind, clf in zip(CLASSIFIER_ORDER, ensemble.classifiers):
         path = stage_dir / f"clf_{kind.lower()}.bin"
         save_classifier(clf, path)
@@ -463,39 +469,13 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     mean_clf = float(np.mean([r.accuracy for r in per_clf.values()]))
     lines.append(f"selected,{method},{mean_clf:.6f}")
     lines.append(f"voted,majority,{report.accuracy:.6f}")
-    comparison = stage_dir / f"comparison_seed{seed}.csv"
-    comparison.write_text("\n".join(lines) + "\n")
-    files.append(comparison)
+    reports[f"comparison_seed{seed}.csv"] = "\n".join(lines) + "\n"
+    for name, text in reports.items():
+        write_atomic(stage_dir / name, text.encode())
+        files.append(stage_dir / name)
 
     print(f"ensemble: voted accuracy {report.accuracy:.4f} ({method})")
     return files
-
-
-def _render_ablation_svg(table, path) -> None:
-    """Horizontal bars of voted-accuracy deltas per excluded base model."""
-    width, row_h, margin = 420, 26, 90
-    height = margin + row_h * len(table.rows) + 20
-    mid = (width + margin) // 2
-    scale = (width - margin - 40) / 2
-    body = [f'<rect width="{width}" height="{height}" fill="white"/>',
-            f'<line x1="{mid}" y1="{margin - 10}" x2="{mid}" '
-            f'y2="{height - 10}" stroke="black"/>',
-            f'<text x="{margin}" y="20" font-size="12" font-family="monospace">'
-            f'voted-accuracy delta when excluding a base model</text>']
-    peak = max(max(abs(r.delta_voted) for r in table.rows), 1e-9)
-    for i, row in enumerate(table.rows):
-        y = margin + i * row_h
-        length = abs(row.delta_voted) / peak * scale
-        x0 = mid - length if row.delta_voted < 0 else mid
-        color = "#d62728" if row.delta_voted < 0 else "#2ca02c"
-        body.append(f'<rect x="{x0:.1f}" y="{y}" width="{max(length, 0.5):.1f}" '
-                    f'height="{row_h - 8}" fill="{color}"/>')
-        body.append(f'<text x="8" y="{y + row_h - 12}" font-size="12" '
-                    f'font-family="monospace">{row.excluded}</text>')
-        body.append(f'<text x="{width - 70}" y="{y + row_h - 12}" font-size="11" '
-                    f'font-family="monospace">{row.delta_voted:+.4f}</text>')
-    with open(path, "w") as f:
-        f.write(_svg_document(width, height, body))
 
 
 def cmd_ablate(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
@@ -504,11 +484,10 @@ def cmd_ablate(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path
     table = ablate(_rebuild_ensemble(out, config, models), extract_parts(models, train),
                    extract_parts(models, test), method=config["fusion"]["method"],
                    seed=seed, k=config["fusion"]["k"] or None)
-    stage_dir.mkdir(parents=True, exist_ok=True)
     csv_file = stage_dir / f"ablation_seed{seed}.csv"
-    csv_file.write_text(ablation_csv(table))
+    write_atomic(csv_file, ablation_csv(table).encode())
     svg_file = stage_dir / f"ablation_seed{seed}.svg"
-    _render_ablation_svg(table, svg_file)
+    write_atomic(svg_file, render_ablation_svg(table).encode())
     for row in table.rows:
         print(f"ablate: without {row.excluded}: voted {row.voted_accuracy:.4f} "
               f"({row.delta_voted:+.4f})")
@@ -531,16 +510,14 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
     idx = exp["instance"] if instance is None else instance
     if what != "tsne" and not 0 <= idx < len(test):
         raise InvalidArgumentError(f"instance {idx} out of range")
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    files: list[Path] = []
+    outputs: dict[Path, bytes] = {}
     if what == "gradcam":
         image = test.images[idx]
         target_class = int(test.labels[idx])
         for name, model in _load_target_models(out, config):
             sal = grad_cam(model, image, target_class, source_model=name)
-            path = stage_dir / f"gradcam_{name}_i{idx}_seed{seed}.ppm"
-            render_saliency_ppm(sal, path, image=image)
-            files.append(path)
+            outputs[stage_dir / f"gradcam_{name}_i{idx}_seed{seed}.ppm"] = (
+                render_saliency_ppm(sal, image=image))
     elif what == "shap":
         models = _load_target_models(out, config)
         ensemble = _rebuild_ensemble(out, config, models)
@@ -549,21 +526,19 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
         background = select_background(fused_train, n=10)
         explanation = shap_sampled(ensemble, fused_test.data[idx], background,
                                    n_samples=exp["shap_samples"], seed=seed)
-        path = stage_dir / f"shap_i{idx}_seed{seed}.csv"
-        path.write_text(shap_csv(explanation))
-        files.append(path)
+        outputs[stage_dir / f"shap_i{idx}_seed{seed}.csv"] = shap_csv(explanation).encode()
     else:  # tsne
         models = _load_target_models(out, config)
         ensemble = _rebuild_ensemble(out, config, models)
         fused = fuse_parts(ensemble, extract_parts(models, test))
         embedding = tsne_embed(fused, perplexity=exp["perplexity"],
                                iters=exp["tsne_iters"], seed=seed)
-        path = stage_dir / f"tsne_seed{seed}.svg"
-        render_embedding_svg(embedding, path, class_names=list(test.class_names))
-        files.append(path)
-    for path in files:
+        outputs[stage_dir / f"tsne_seed{seed}.svg"] = render_embedding_svg(
+            embedding, class_names=list(test.class_names)).encode()
+    for path, data in outputs.items():
+        write_atomic(path, data)
         print(f"explain: wrote {path.relative_to(out)}")
-    return files
+    return list(outputs)
 
 
 def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
@@ -599,12 +574,11 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
             raise IntegrityError(f"oodtest modified frozen weights {name}.weights")
 
     margin = results["pretrained"] - results["random"]
-    stage_dir.mkdir(parents=True, exist_ok=True)
     path = stage_dir / f"oodtest_seed{seed}.csv"
-    path.write_text("extractors,accuracy\n"
-                    f"pretrained,{results['pretrained']:.6f}\n"
-                    f"random,{results['random']:.6f}\n"
-                    f"margin,{margin:.6f}\n")
+    write_atomic(path, ("extractors,accuracy\n"
+                        f"pretrained,{results['pretrained']:.6f}\n"
+                        f"random,{results['random']:.6f}\n"
+                        f"margin,{margin:.6f}\n").encode())
     print(f"oodtest: pretrained {results['pretrained']:.4f} "
           f"vs random {results['random']:.4f} (margin {margin:+.4f})")
     return [path]
@@ -617,11 +591,9 @@ def cmd_synth(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]
     for name, dataset in (("generic", generic), ("intermediate", intermediate),
                           ("target", target)):
         for cls, class_name in enumerate(dataset.class_names):
-            class_dir = stage_dir / name / class_name
-            class_dir.mkdir(parents=True, exist_ok=True)
             for i in np.flatnonzero(dataset.labels == cls):
-                path = class_dir / f"{i:04d}.ppm"
-                write_pnm(path, dataset.images[i])
+                path = stage_dir / name / class_name / f"{i:04d}.ppm"
+                write_atomic(path, pnm_bytes(dataset.images[i]))
                 files.append(path)
         print(f"synth: wrote {name} ({len(dataset)} images)")
     return files

@@ -1,7 +1,7 @@
 """Dataset ingestion, synthetic task generation, splitting, and augmentation.
 
 Images are float64 arrays of shape (H, W, C) with values in [0, 1] and
-C in {1, 3}. Only binary PGM (P5) and PPM (P6) files are read or written;
+C in {1, 3}. Only binary PGM (P5) and PPM (P6) files are read or encoded;
 anything else should be converted externally.
 """
 
@@ -125,8 +125,8 @@ def read_pnm(path: str | os.PathLike) -> np.ndarray:
     return arr.astype(np.float64) / maxval
 
 
-def write_pnm(path: str | os.PathLike, image: np.ndarray) -> None:
-    """Write an (H, W, 1) or (H, W, 3) float image in [0, 1] as binary PGM/PPM."""
+def pnm_bytes(image: np.ndarray) -> bytes:
+    """An (H, W, 1) or (H, W, 3) float image in [0, 1] as binary PGM/PPM bytes."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim == 2:
         image = image[:, :, None]
@@ -135,9 +135,7 @@ def write_pnm(path: str | os.PathLike, image: np.ndarray) -> None:
         raise InvalidArgumentError("image must have 1 or 3 channels")
     magic = b"P5" if c == 1 else b"P6"
     data = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(magic + b"\n%d %d\n255\n" % (w, h))
-        f.write(data.tobytes())
+    return magic + b"\n%d %d\n255\n" % (w, h) + data.tobytes()
 
 
 # ---------------------------------------------------------------------------

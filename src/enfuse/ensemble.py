@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import TrainedClassifier, fit_gbt, fit_gnb, fit_knn, fit_rf, fit_svm, predict
+from .classifiers import (KINDS, TrainedClassifier, fit_gbt, fit_gnb, fit_knn, fit_rf,
+                          fit_svm, predict)
 from .data import LabeledImageSet
 from .errors import InvalidArgumentError
 from .features import FeatureMatrix
@@ -23,7 +24,7 @@ from .fusion import FusionTransform, apply_transform, concat_features, fuse_pipe
 from .nn import EncoderModel
 from .pretrain import extract_features
 
-CLASSIFIER_ORDER = ("SVM", "KNN", "GNB", "RF", "GBT")
+CLASSIFIER_ORDER = KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +279,3 @@ def summary_text(report: MetricReport,
                 lines.append(f"    {kind:<4}: {per_classifier[kind].accuracy:.4f}")
     return "\n".join(lines) + "\n"
 
-
-def write_reports(out_dir, seed: int, cm: ConfusionMatrix, report: MetricReport,
-                  per_classifier: dict[str, MetricReport] | None = None) -> list[str]:
-    """Emit CSV and text reports; file names carry the run seed."""
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    (out / f"metrics_seed{seed}.csv").write_text(metrics_csv(cm, report))
-    written.append(f"metrics_seed{seed}.csv")
-    (out / f"summary_seed{seed}.txt").write_text(summary_text(report, per_classifier))
-    written.append(f"summary_seed{seed}.txt")
-    return written

@@ -2,8 +2,8 @@
 
 Grad-CAM explains the conv encoders at pixel level; SHAP explains the
 classifier stage over fused features; t-SNE visualizes the fused feature
-space. Renderers emit PPM heatmaps and standalone SVG figures, all
-byte-deterministic.
+space. Renderers return PPM heatmap bytes and standalone SVG text, all
+byte-deterministic; the caller writes them.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import TrainedClassifier, predict_proba
-from .data import resize_bilinear, write_pnm
-from .ensemble import ConfusionMatrix, EnsembleModel
+from .data import pnm_bytes, resize_bilinear
+from .ensemble import AblationTable, ConfusionMatrix, EnsembleModel
 from .errors import InvalidArgumentError, UnsupportedModelError
 from .features import FeatureMatrix
 from .nn.model import EncoderModel
@@ -278,8 +278,8 @@ PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-def render_saliency_ppm(saliency: SaliencyMap, path,
-                        image: np.ndarray | None = None) -> None:
+def render_saliency_ppm(saliency: SaliencyMap,
+                        image: np.ndarray | None = None) -> bytes:
     """P6 heatmap: red channel carries the saliency over a grayed-out image."""
     sal = saliency.values
     if image is None:
@@ -291,7 +291,7 @@ def render_saliency_ppm(saliency: SaliencyMap, path,
     out = np.stack([np.maximum(gray * 0.5, sal),
                     gray * 0.5 * (1.0 - sal),
                     gray * 0.5 * (1.0 - sal)], axis=2)
-    write_pnm(path, np.clip(out, 0.0, 1.0))
+    return pnm_bytes(np.clip(out, 0.0, 1.0))
 
 
 def _svg_document(width: int, height: int, body: list[str]) -> str:
@@ -301,8 +301,8 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head] + body + ["</svg>"]) + "\n"
 
 
-def render_embedding_svg(embedding: Embedding2D, path,
-                         class_names: list[str] | None = None) -> None:
+def render_embedding_svg(embedding: Embedding2D,
+                         class_names: list[str] | None = None) -> str:
     """Scatter plot with per-class colors and a legend."""
     size, margin = 400, 40
     coords = embedding.coords
@@ -326,12 +326,11 @@ def render_embedding_svg(embedding: Embedding2D, path,
     body.append(f'<text x="8" y="{size - 8}" font-size="11" font-family="monospace">'
                 f'KL={embedding.kl_divergence:.4f} '
                 f'perplexity={embedding.perplexity:.4f}</text>')
-    with open(path, "w") as f:
-        f.write(_svg_document(size, size, body))
+    return _svg_document(size, size, body)
 
 
-def render_confusion_svg(cm: ConfusionMatrix, path,
-                         class_names: list[str] | None = None) -> None:
+def render_confusion_svg(cm: ConfusionMatrix,
+                         class_names: list[str] | None = None) -> str:
     """Count grid shaded by cell magnitude."""
     k = cm.n_classes
     cell, margin = 48, 56
@@ -358,8 +357,33 @@ def render_confusion_svg(cm: ConfusionMatrix, path,
                     f'font-family="monospace">{name}</text>')
     body.append(f'<text x="{margin}" y="16" font-size="12" font-family="monospace">'
                 f'rows: true / cols: predicted</text>')
-    with open(path, "w") as f:
-        f.write(_svg_document(size, size, body))
+    return _svg_document(size, size, body)
+
+
+def render_ablation_svg(table: AblationTable) -> str:
+    """Horizontal bars of voted-accuracy deltas per excluded base model."""
+    width, row_h, margin = 420, 26, 90
+    height = margin + row_h * len(table.rows) + 20
+    mid = (width + margin) // 2
+    scale = (width - margin - 40) / 2
+    body = [f'<rect width="{width}" height="{height}" fill="white"/>',
+            f'<line x1="{mid}" y1="{margin - 10}" x2="{mid}" '
+            f'y2="{height - 10}" stroke="black"/>',
+            f'<text x="{margin}" y="20" font-size="12" font-family="monospace">'
+            f'voted-accuracy delta when excluding a base model</text>']
+    peak = max(max(abs(r.delta_voted) for r in table.rows), 1e-9)
+    for i, row in enumerate(table.rows):
+        y = margin + i * row_h
+        length = abs(row.delta_voted) / peak * scale
+        x0 = mid - length if row.delta_voted < 0 else mid
+        color = "#d62728" if row.delta_voted < 0 else "#2ca02c"
+        body.append(f'<rect x="{x0:.1f}" y="{y}" width="{max(length, 0.5):.1f}" '
+                    f'height="{row_h - 8}" fill="{color}"/>')
+        body.append(f'<text x="8" y="{y + row_h - 12}" font-size="12" '
+                    f'font-family="monospace">{row.excluded}</text>')
+        body.append(f'<text x="{width - 70}" y="{y + row_h - 12}" font-size="11" '
+                    f'font-family="monospace">{row.delta_voted:+.4f}</text>')
+    return _svg_document(width, height, body)
 
 
 def shap_csv(explanation: ShapExplanation,

@@ -1,7 +1,11 @@
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from enfuse import artifact
 from enfuse.classifiers import fit_gbt, load_classifier, save_classifier
@@ -89,3 +93,28 @@ def test_failed_manifest_write_keeps_previous(tmp_path, monkeypatch):
         save_manifest(tmp_path, big)
     assert (tmp_path / "manifest.json").read_bytes() == before
     assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+# float64 arrays of 0-3 dimensions, empty ones included, with the special values drawn often
+ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                    elements=st.floats() | st.sampled_from((-0.0, math.nan, math.inf, -math.inf)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(magic=st.binary(min_size=8, max_size=8),
+       fields=st.dictionaries(st.text(), JSON, max_size=5),
+       arrays=st.lists(ARRAYS, max_size=4))
+def test_pack_unpack_roundtrip_is_bit_exact(magic, fields, arrays):
+    """Any JSON header and any float64 arrays (empty shapes, NaN, +-inf, -0.0)."""
+    header = {**fields, "arrays": [{"shape": list(a.shape)} for a in arrays]}
+    blob = artifact.pack(magic, header, arrays)
+    got_header, got_arrays = artifact.unpack(blob, magic, "test")
+    assert got_header == header
+    assert [a.shape for a in got_arrays] == [a.shape for a in arrays]
+    assert [a.tobytes() for a in got_arrays] == [a.tobytes() for a in arrays]
+    assert artifact.pack(magic, got_header, got_arrays) == blob

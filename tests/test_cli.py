@@ -1,13 +1,18 @@
+import hashlib
 import json
+import math
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from enfuse import explain
 from enfuse.cli import BOUNDS, DEFAULTS, config_snapshot, load_config, run
-from enfuse.errors import ConfigError
+from enfuse.errors import ConfigError, EnfuseError
 
 TINY_CONFIG = """\
 [task]
@@ -50,6 +55,42 @@ def workdir(tmp_path_factory):
     argv = ["--config", str(cfg), "--seed", "11", "--out", str(out)]
     assert run(["all"] + argv) == 0
     return out, argv
+
+
+NUMERIC_KEYS = [(section, key) for section in BOUNDS for key in BOUNDS[section]]
+
+
+@st.composite
+def numeric_setting(draw, inside):
+    """(section, key, value) with value inside or outside the key's BOUNDS interval."""
+    section, key = draw(st.sampled_from(NUMERIC_KEYS))
+    bound = BOUNDS[section][key]
+    lo, hi = (float(end) for end in bound[1:-1].split(","))
+    open_lo, open_hi = bound[0] == "(", bound[-1] == ")"
+    if isinstance(DEFAULTS[section][key], int):
+        lo = math.floor(lo) + 1 if open_lo else math.ceil(lo)
+        hi = None if hi == math.inf else (math.ceil(hi) - 1 if open_hi else math.floor(hi))
+        if inside:
+            value = draw(st.integers(lo, hi))
+            if key == "augment_blur_kernel":  # must also be odd
+                value |= 1
+        else:
+            value = draw(st.integers(max_value=lo - 1)
+                         | (st.nothing() if hi is None else st.integers(min_value=hi + 1)))
+    else:
+        lo = math.nextafter(lo, math.inf) if open_lo else lo
+        hi = math.nextafter(hi, -math.inf) if open_hi else hi
+        if inside:
+            value = draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+        else:
+            value = draw(st.floats(max_value=math.nextafter(lo, -math.inf))
+                         | st.floats(min_value=math.nextafter(hi, math.inf)))
+    return section, key, value
+
+
+@pytest.fixture(scope="module")
+def cfg_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("prop") / "c.cfg"
 
 
 class TestConfig:
@@ -101,6 +142,21 @@ class TestConfig:
         config = load_config(str(cfg))
         assert config["fusion"] == {"method": "concat+ica", "k": 16}
         assert config["pretrain"]["temperature"] == 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(setting=numeric_setting(inside=True), comment=st.sampled_from(["", " # why", "#x"]))
+    def test_value_inside_bounds_parses(self, cfg_file, setting, comment):
+        section, key, value = setting
+        cfg_file.write_text(f"[{section}]\n{key} = {value!r}{comment}\n")
+        assert load_config(str(cfg_file))[section][key] == value
+
+    @settings(max_examples=150, deadline=None)
+    @given(setting=numeric_setting(inside=False), comment=st.sampled_from(["", " # why", "#x"]))
+    def test_value_outside_bounds_rejected(self, cfg_file, setting, comment):
+        section, key, value = setting
+        cfg_file.write_text(f"[{section}]\n{key} = {value!r}{comment}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(cfg_file))
 
     def test_snapshot_includes_seed(self):
         snap = config_snapshot(load_config(None), 5)
@@ -178,6 +234,20 @@ class TestAuxCommands:
         argv = argv[:argv.index("--out")] + ["--out", str(copy)]
         assert run(["explain", "--what", "gradcam", "--instance", "999"] + argv) == 3
         assert not (copy / "tiny" / "explain").exists()
+
+    def test_failed_rerun_keeps_recorded_file(self, workdir, monkeypatch):
+        out, argv = workdir
+        assert run(["explain", "--what", "tsne"] + argv) == 0
+        rel = "tiny/explain/tsne_seed11.svg"
+        recorded = json.loads((out / "manifest.json").read_text())["stages"]["explain"]["files"]
+
+        def fail(*args):
+            raise EnfuseError("rendering failed")
+
+        monkeypatch.setattr(explain, "_svg_document", fail)
+        assert run(["explain", "--what", "tsne"] + argv) == 3
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == recorded[rel]
+        assert list(out.rglob("*.tmp")) == []
 
     def test_oodtest(self, workdir):
         out, argv = workdir

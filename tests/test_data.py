@@ -10,11 +10,11 @@ from enfuse.data import (
     hflip,
     load_image_dir,
     make_synthetic_task,
+    pnm_bytes,
     read_pnm,
     resize_bilinear,
     rotate,
     stratified_split,
-    write_pnm,
     zoom,
 )
 from enfuse.errors import InvalidArgumentError, InvalidDatasetError
@@ -28,14 +28,14 @@ def image_dir(tmp_path):
         d.mkdir()
         for i in range(count):
             img = rng.random((8, 8, channels))
-            write_pnm(d / f"{i}.{'pgm' if channels == 1 else 'ppm'}", img)
+            (d / f"{i}.{'pgm' if channels == 1 else 'ppm'}").write_bytes(pnm_bytes(img))
     return tmp_path
 
 
 class TestPnmIO:
     def test_roundtrip_gray(self, tmp_path):
         img = np.linspace(0, 1, 64).reshape(8, 8, 1)
-        write_pnm(tmp_path / "x.pgm", img)
+        (tmp_path / "x.pgm").write_bytes(pnm_bytes(img))
         back = read_pnm(tmp_path / "x.pgm")
         assert back.shape == (8, 8, 1)
         assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-12
@@ -61,7 +61,7 @@ class TestLoadImageDir:
     def test_constant_upscale(self, tmp_path):
         d = tmp_path / "c"
         d.mkdir()
-        write_pnm(d / "x.pgm", np.full((8, 8, 1), 0.5))
+        (d / "x.pgm").write_bytes(pnm_bytes(np.full((8, 8, 1), 0.5)))
         ds = load_image_dir(tmp_path, (16, 16))
         assert np.allclose(ds.images, ds.images[0, 0, 0, 0])
 

@@ -14,8 +14,8 @@ from enfuse.ensemble import (
     metrics_csv,
     predict_ensemble,
     report_from_confusion,
+    summary_text,
     train_ensemble,
-    write_reports,
 )
 from enfuse.errors import InvalidArgumentError
 from enfuse.features import FeatureMatrix
@@ -191,22 +191,14 @@ class TestAblate:
 
 
 class TestReports:
-    def test_csv_and_text_emission(self, trained, parts, tmp_path):
+    def test_csv_and_text_emission(self, trained, parts):
         cm, report, per_clf = evaluate(trained, parts[1])
-        files = write_reports(tmp_path, 7, cm, report, per_clf)
-        assert files == ["metrics_seed7.csv", "summary_seed7.txt"]
-        text = (tmp_path / "metrics_seed7.csv").read_text()
-        assert f"accuracy,{report.accuracy:.6f}" in text
-        assert "voted accuracy" in (tmp_path / "summary_seed7.txt").read_text()
+        assert f"accuracy,{report.accuracy:.6f}" in metrics_csv(cm, report)
+        assert "voted accuracy" in summary_text(report, per_clf)
 
-    def test_byte_identical_reports(self, trained, parts, tmp_path):
-        cm, report, _ = evaluate(trained, parts[1])
-        blobs = []
-        for run in ("a", "b"):
-            out = tmp_path / run
-            write_reports(out, 0, cm, report)
-            blobs.append((out / "metrics_seed0.csv").read_bytes())
-        assert blobs[0] == blobs[1]
+    def test_byte_identical_reports(self, trained, parts):
+        first, second = (metrics_csv(*evaluate(trained, parts[1])[:2]) for _ in range(2))
+        assert first == second
 
     def test_ablation_csv_shape(self, trained, parts):
         train_parts, test_parts = parts

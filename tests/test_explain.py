@@ -250,15 +250,13 @@ class TestTsne:
         with pytest.warns(UserWarning, match="perplexity"):
             tsne_embed(fm, perplexity=30, iters=20, seed=0)
 
-    def test_reduced_perplexity_recorded(self, tmp_path):
+    def test_reduced_perplexity_recorded(self):
         rng = np.random.default_rng(16)
         fm = FeatureMatrix(rng.normal(size=(12, 5)))
         with pytest.warns(UserWarning, match="perplexity"):
             emb = tsne_embed(fm, perplexity=10, iters=20, seed=0)
         assert emb.perplexity == pytest.approx(11 / 3)
-        out = tmp_path / "emb.svg"
-        render_embedding_svg(emb, out)
-        assert f"perplexity={11 / 3:.4f}" in out.read_text()
+        assert f"perplexity={11 / 3:.4f}" in render_embedding_svg(emb)
 
     def test_duplicate_rows_survive(self):
         rng = np.random.default_rng(12)
@@ -274,37 +272,30 @@ class TestRender:
         image = np.random.default_rng(13).random((8, 8, 3))
         sal = grad_cam(model, image, 0)
         out = tmp_path / "sal.ppm"
-        render_saliency_ppm(sal, out, image=image)
+        out.write_bytes(render_saliency_ppm(sal, image=image))
         back = read_pnm(out)
         assert back.shape == (8, 8, 3)
         # red channel carries the saliency peak
         peak = np.unravel_index(np.argmax(sal.values), sal.values.shape)
         assert back[peak][0] == 1.0
 
-    def test_svg_scatter_parses(self, tmp_path):
+    def test_svg_scatter_parses(self):
         rng = np.random.default_rng(14)
         emb = Embedding2D(rng.normal(size=(30, 2)), rng.integers(0, 3, 30), 0.5, 10.0)
-        out = tmp_path / "emb.svg"
-        render_embedding_svg(emb, out, class_names=["a", "b", "c"])
-        root = ET.parse(out).getroot()
+        root = ET.fromstring(render_embedding_svg(emb, class_names=["a", "b", "c"]))
         assert root.tag.endswith("svg")
 
-    def test_confusion_svg_parses_and_has_counts(self, tmp_path):
+    def test_confusion_svg_parses_and_has_counts(self):
         cm = ConfusionMatrix(np.array([[5, 1], [2, 7]]))
-        out = tmp_path / "cm.svg"
-        render_confusion_svg(cm, out)
-        text = out.read_text()
+        text = render_confusion_svg(cm)
         ET.fromstring(text)
         for value in ("5", "1", "2", "7"):
             assert f">{value}</text>" in text
 
-    def test_byte_identical_rerender(self, tmp_path):
+    def test_byte_identical_rerender(self):
         rng = np.random.default_rng(15)
         emb = Embedding2D(rng.normal(size=(10, 2)), np.zeros(10, dtype=int), 1.25, 3.0)
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        render_embedding_svg(emb, a)
-        render_embedding_svg(emb, b)
-        assert a.read_bytes() == b.read_bytes()
+        assert render_embedding_svg(emb) == render_embedding_svg(emb)
 
     def test_shap_csv_rows(self):
         exp = shap_exact(lambda x: x[:, 0] + x[:, 1], np.array([1.0, 2.0]),

@@ -1,9 +1,10 @@
 """Bit-equality of the array-at-once tree, KNN and SHAP code with scalar oracles.
 
 The oracles are the per-row, per-feature and per-permutation loops the library
-used before it worked on whole arrays. They live only here; every comparison
-is exact (`np.array_equal`), because the vectorized code does the same float
-operations in the same order.
+used before it worked on whole arrays, and the forest average over one stacked
+array of every tree's output. They live only here; every comparison is exact
+(`np.array_equal`), because the library code does the same float operations in
+the same order.
 """
 
 from unittest import mock
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enfuse import classifiers
-from enfuse.classifiers import Tree, fit_gbt, fit_knn, fit_rf, predict_proba
+from enfuse.classifiers import TrainedClassifier, Tree, fit_gbt, fit_knn, fit_rf, predict_proba
 from enfuse.explain import ShapExplanation, _background_mean, _coalition_matrix, shap_sampled
 
 # a few values, so that ties, duplicate rows and equal-to-threshold cases are common
@@ -35,6 +36,11 @@ def predict_value_rows(tree: Tree, x: np.ndarray) -> np.ndarray:
                 node = tree.right[node]
         out[i] = tree.value[node]
     return out
+
+
+def rf_proba_stacked(clf, q: np.ndarray) -> np.ndarray:
+    p = np.mean([t.predict_value(q) for t in clf.trees], axis=0)
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def gini_splitter_per_feature(n_classes):
@@ -244,6 +250,20 @@ def test_fit_gbt_trees_match_per_feature_search(data, max_depth):
     want = fit_with_oracles(fit_gbt, x, y, rounds=3, max_depth=max_depth)
     assert_same_trees(got.trees, want.trees)
     assert got.meta["train_log_loss"] == want.meta["train_log_loss"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 119), k=st.integers(2, 4),
+       n_rows=st.integers(0, 2500))
+def test_rf_proba_matches_stacked_mean(seed, n_trees, k, n_rows):
+    rng = np.random.default_rng(seed)
+    trees = [random_tree(rng, 3, k, 4) for _ in range(n_trees)]
+    for tree in trees:  # class distributions, as fit_rf's leaves hold
+        tree.value = rng.random(tree.value.shape)
+        tree.value /= tree.value.sum(axis=1, keepdims=True)
+    clf = TrainedClassifier("RF", k, trees=trees)
+    q = rng.choice(np.array(VALUES), size=(n_rows, 3))
+    assert np.array_equal(predict_proba(clf, q), rf_proba_stacked(clf, q))
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,6 +30,7 @@ from .data import (
     make_synthetic_task,
     pnm_bytes,
     stratified_split,
+    stratified_train_counts,
 )
 from .ensemble import (
     CLASSIFIER_ORDER,
@@ -73,6 +74,7 @@ from .pretrain import extract_features  # noqa: F401  (bench span hook target)
 
 TOOL_VERSION = "0.1.0"
 VARIANTS = ("A", "B", "C")
+TARGET_KIND = "shapes3"  # the task kind of the target rung
 BASE_MODEL_NAMES = tuple(f"{m}_{v}" for m in ("tl", "ssl") for v in VARIANTS)
 
 # ---------------------------------------------------------------------------
@@ -176,8 +178,9 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
     """Flat key=value config with [section] headers and `#` comments.
 
     Unknown sections or keys, numeric values outside `BOUNDS`, an even blur
-    kernel, and unknown fusion methods or OOD task kinds are rejected here,
-    before any stage runs.
+    kernel, unknown fusion methods or OOD task kinds, and a `[fusion] k` the
+    target split has too few train rows for are rejected here, before any
+    stage runs.
     """
     config = {section: dict(values) for section, values in DEFAULTS.items()}
     section = None
@@ -216,7 +219,27 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
         if config[section][key] not in allowed:
             raise ConfigError(f"[{section}] {key}: {config[section][key]!r} is not one of "
                               f"{', '.join(allowed)}")
+    _check_fusion_k(config)
     return config
+
+
+def _check_fusion_k(config: dict) -> None:
+    """PCA and ICA keep k components of the target train split: k <= rows - 1.
+
+    The rows are counted as `stratified_split` draws them, without drawing
+    data. oodtest fits its ensembles with the automatic k, so its split
+    needs no check.
+    """
+    k = config["fusion"]["k"]
+    if k == 0 or config["fusion"]["method"] not in ("concat+pca", "concat+ica"):
+        return
+    data = config["data"]
+    counts = [data["target_per_class"]] * len(TASK_MOTIFS[TARGET_KIND])
+    rows = int(stratified_train_counts(counts, data["split_fraction"]).sum())
+    if k > rows - 1:
+        raise ConfigError(f"[fusion] k: {k} is more than the {rows} target train rows "
+                          f"less one; lower k, set it to 0 (automatic), or raise "
+                          f"[data] target_per_class")
 
 
 def config_snapshot(config: dict, seed: int) -> dict[str, str]:
@@ -290,7 +313,8 @@ def record_stage(out: Path, manifest: dict, stage: str, files: list[Path]) -> No
 # Datasets (the default synthetic ladder)
 # ---------------------------------------------------------------------------
 
-def ladder_datasets(config: dict, seed: int):
+def _source_tasks(config: dict, seed: int):
+    """The generic and intermediate rungs, the only data pretrain reads."""
     data = config["data"]
     size = (data["image_size"], data["image_size"])
     generic = make_synthetic_task("generic", data["generic_per_class"], size,
@@ -298,14 +322,14 @@ def ladder_datasets(config: dict, seed: int):
     intermediate = make_synthetic_task("shapes3", data["intermediate_per_class"],
                                        size, data["intermediate_noise"],
                                        seed=seed + 102)
-    return generic, intermediate, _target_task(config, seed)
+    return generic, intermediate
 
 
 def _target_task(config: dict, seed: int):
     """The target rung alone: each rung has its own seed, so it needs no other."""
     data = config["data"]
     size = (data["image_size"], data["image_size"])
-    return make_synthetic_task("shapes3", data["target_per_class"], size,
+    return make_synthetic_task(TARGET_KIND, data["target_per_class"], size,
                                data["target_noise"], seed=seed + 103,
                                param_shift=data["target_param_shift"])
 
@@ -379,7 +403,7 @@ def run_stage(stage: str, config: dict, seed: int, out: Path, manifest: dict,
 # ---------------------------------------------------------------------------
 
 def cmd_pretrain(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
-    generic, intermediate, _ = ladder_datasets(config, seed)
+    generic, intermediate = _source_tasks(config, seed)
     pre = config["pretrain"]
     files: list[Path] = []
     for i, variant in enumerate(VARIANTS):
@@ -587,7 +611,8 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
 def cmd_synth(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
     """Write the synthetic ladder datasets to disk as PPM class directories."""
     files: list[Path] = []
-    generic, intermediate, target = ladder_datasets(config, seed)
+    generic, intermediate = _source_tasks(config, seed)
+    target = _target_task(config, seed)
     for name, dataset in (("generic", generic), ("intermediate", intermediate),
                           ("target", target)):
         for cls, class_name in enumerate(dataset.class_names):

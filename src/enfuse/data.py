@@ -285,13 +285,30 @@ def one_hot_matrix(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
+def stratified_train_counts(counts, train_fraction: float) -> np.ndarray:
+    """Per-class train counts of a stratified split of classes of these sizes.
+
+    Per-class floor first, then one extra sample to the largest classes until
+    round(train_fraction * total) is met; no class gives up its last sample.
+    """
+    counts = np.asarray(counts)
+    takes = np.floor(train_fraction * counts).astype(int)
+    leftover = int(round(train_fraction * int(counts.sum()))) - int(takes.sum())
+    order = sorted(range(len(counts)), key=lambda c: (-counts[c], c))
+    for c in order:
+        if leftover <= 0:
+            break
+        if takes[c] < counts[c] - 1:
+            takes[c] += 1
+            leftover -= 1
+    return takes
+
+
 def stratified_split(dataset: LabeledImageSet, spec: SplitSpec) -> tuple[LabeledImageSet, LabeledImageSet]:
     """Deterministic train/test split.
 
-    Stratified mode keeps per-class train counts within one sample of
-    round(train_fraction * class size): per-class floor first, then one
-    extra sample to the largest classes until the overall rounded target
-    is met.
+    Stratified mode takes `stratified_train_counts` samples of each class,
+    each within one sample of round(train_fraction * class size).
     """
     rng = np.random.default_rng(spec.seed)
     n = len(dataset)
@@ -303,22 +320,16 @@ def stratified_split(dataset: LabeledImageSet, spec: SplitSpec) -> tuple[Labeled
     counts = dataset.class_counts()
     if np.any(counts < 2):
         raise InvalidDatasetError("stratified split needs at least 2 samples per class")
-    takes = np.floor(spec.train_fraction * counts).astype(int)
-    leftover = int(round(spec.train_fraction * n)) - int(takes.sum())
-    order = sorted(range(len(counts)), key=lambda c: (-counts[c], c))
-    for c in order:
-        if leftover <= 0:
-            break
-        if takes[c] < counts[c] - 1:
-            takes[c] += 1
-            leftover -= 1
+    takes = stratified_train_counts(counts, spec.train_fraction)
     train_idx, test_idx = [], []
     for c in range(dataset.n_classes):
         members = np.flatnonzero(dataset.labels == c)
         perm = rng.permutation(len(members))
         train_idx.extend(members[perm[: takes[c]]])
         test_idx.extend(members[perm[takes[c]:]])
-    return dataset.subset(np.sort(train_idx)), dataset.subset(np.sort(test_idx))
+    # an int dtype, so that an empty side indexes as an empty subset
+    return (dataset.subset(np.sort(np.asarray(train_idx, dtype=np.int64))),
+            dataset.subset(np.sort(np.asarray(test_idx, dtype=np.int64))))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 Each layer caches what its backward pass needs during forward; backward
 consumes the cache and accumulates parameter gradients into `self.grads`.
+A layer with parameters skips its input gradient when called with
+`input_grad=False` and returns None.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         raise NotImplementedError
 
     def zero_grads(self):
@@ -67,19 +69,22 @@ class Conv2d(Layer):
                 f"Conv2d expected (N,{self.in_ch},H,W), got {x.shape}")
         n, _, h, w = x.shape
         p = self.kernel // 2
-        x_pad = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        x_pad = np.zeros((n, self.in_ch, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        x_pad[:, :, p:p + h, p:p + w] = x
         cols = self._im2col(x_pad, h, w)
         out = cols @ self.params["w"] + self.params["b"]
         self._cache = (cols, x.shape)
         return out.transpose(0, 3, 1, 2)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         cols, x_shape = self._cache
         n, _, h, w = x_shape
         k, p = self.kernel, self.kernel // 2
         dflat = dout.transpose(0, 2, 3, 1)  # (N,H,W,out_ch)
         self.grads["w"] += np.tensordot(cols, dflat, axes=([0, 1, 2], [0, 1, 2]))
         self.grads["b"] += dflat.sum(axis=(0, 1, 2))
+        if not input_grad:
+            return None
         dcols = dflat @ self.params["w"].T  # (N,H,W,in_ch*k*k)
         dx_pad = np.zeros((n, self.in_ch, h + 2 * p, w + 2 * p))
         i = 0
@@ -110,10 +115,12 @@ class Dense(Layer):
         self._cache = x
         return x @ self.params["w"] + self.params["b"]
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         x = self._cache
         self.grads["w"] += x.T @ dout
         self.grads["b"] += dout.sum(axis=0)
+        if not input_grad:
+            return None
         return dout @ self.params["w"].T
 
     def descriptor(self):
@@ -130,24 +137,35 @@ class ReLU(Layer):
 
 
 class MaxPool2d(Layer):
-    """2x2 max pooling, stride 2; spatial dims must be even."""
+    """2x2 max pooling, stride 2; spatial dims must be even.
+
+    The four window positions are the strided quadrants of the input, in the
+    order (0,0), (0,1), (1,0), (1,1); backward routes each output gradient to
+    the first position holding the window's maximum.
+    """
+
+    QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def forward(self, x, training=False):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise InvalidArgumentError(f"MaxPool2d needs even spatial dims, got {h}x{w}")
-        windows = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        windows = windows.reshape(n, c, h // 2, w // 2, 4)
-        self._argmax = windows.argmax(axis=4)
+        quads = [x[:, :, dy::2, dx::2] for dy, dx in self.QUADRANTS]
+        # a C-ordered output whatever the input's layout: downstream reductions
+        # sum in memory order
+        out = np.empty((n, c, h // 2, w // 2), dtype=x.dtype)
+        np.maximum(quads[0], quads[1], out=out)
+        np.maximum(out, np.maximum(quads[2], quads[3]), out=out)
+        ne = [(q != out).view(np.uint8) for q in quads[:3]]
+        self._first = ne[0] * (1 + ne[1] * (1 + ne[2]))  # index of the first maximum
         self._shape = x.shape
-        return windows.max(axis=4)
+        return out
 
     def backward(self, dout):
-        n, c, h, w = self._shape
-        dwin = np.zeros((n, c, h // 2, w // 2, 4))
-        np.put_along_axis(dwin, self._argmax[..., None], dout[..., None], axis=4)
-        dwin = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return dwin.reshape(n, c, h, w)
+        grad = np.zeros(self._shape)
+        for i, (dy, dx) in enumerate(self.QUADRANTS):
+            grad[:, :, dy::2, dx::2] = np.where(self._first == i, dout, 0.0)
+        return grad
 
 
 class GlobalAvgPool(Layer):

@@ -77,16 +77,27 @@ class EncoderModel:
                 raise InvalidArgumentError(f"layer {i} ({type(layer).__name__}): {exc}") from exc
         return out
 
-    def backward(self, dout: np.ndarray, *, stop_at: int = 0) -> np.ndarray:
+    def backward(self, dout: np.ndarray, *, stop_at: int | None = None) -> np.ndarray | None:
         """Backprop through the stack used by the last forward call.
 
-        `stop_at` is an index into that stack; gradients are propagated down
-        to (and excluding) it, returning d(output)/d(activation at stop_at).
+        Without `stop_at`, only parameter gradients are computed: propagation
+        ends at the lowest trainable layer with parameters, which skips its
+        input gradient, and nothing is returned (nothing runs when no layer
+        is trainable). `stop_at` is an index into the stack; gradients are
+        propagated down to (and excluding) it, returning
+        d(output)/d(activation at stop_at).
         """
-        grad = dout
-        for layer in reversed(self._active_stack[stop_at:]):
-            grad = layer.backward(grad)
-        return grad
+        stack = self._active_stack
+        if stop_at is None:
+            lowest = next((i for i, l in enumerate(stack) if l.trainable and l.params), None)
+            if lowest is None:
+                return None
+            for layer in reversed(stack[lowest + 1:]):
+                dout = layer.backward(dout)
+            return stack[lowest].backward(dout, input_grad=False)
+        for layer in reversed(stack[stop_at:]):
+            dout = layer.backward(dout)
+        return dout
 
     def zero_grads(self):
         for layer in self.layers:

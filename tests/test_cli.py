@@ -7,11 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enfuse import explain
-from enfuse.cli import BOUNDS, DEFAULTS, config_snapshot, load_config, run
+from enfuse.cli import BOUNDS, DEFAULTS, config_snapshot, load_config, run, target_split
 from enfuse.errors import ConfigError, EnfuseError
 
 TINY_CONFIG = """\
@@ -147,8 +147,41 @@ class TestConfig:
     @given(setting=numeric_setting(inside=True), comment=st.sampled_from(["", " # why", "#x"]))
     def test_value_inside_bounds_parses(self, cfg_file, setting, comment):
         section, key, value = setting
-        cfg_file.write_text(f"[{section}]\n{key} = {value!r}{comment}\n")
+        # one key at a time: the cross-key check of [fusion] k against the
+        # target split's rows is switched off (k = 0, or a method without k)
+        k_off = "method = concat-only" if (section, key) == ("fusion", "k") else "k = 0"
+        cfg_file.write_text(f"[fusion]\n{k_off}\n[{section}]\n{key} = {value!r}{comment}\n")
         assert load_config(str(cfg_file))[section][key] == value
+
+    @settings(max_examples=60, deadline=None)
+    @given(per_class=st.integers(2, 25), fraction=st.floats(0.01, 0.99),
+           offset=st.integers(-3, 3), method=st.sampled_from(["concat+ica", "concat+pca"]))
+    def test_fusion_k_checked_against_the_actual_split(self, cfg_file, per_class,
+                                                      fraction, offset, method):
+        config = {section: dict(values) for section, values in DEFAULTS.items()}
+        config["data"].update(target_per_class=per_class, split_fraction=fraction)
+        rows = len(target_split(config, seed=0)[0])
+        k = rows - 1 + offset  # the largest k that fits, plus offset
+        assume(k >= 1)
+        cfg_file.write_text(f"[data]\ntarget_per_class = {per_class}\n"
+                            f"split_fraction = {fraction!r}\n"
+                            f"[fusion]\nmethod = {method}\nk = {k}\n")
+        if offset <= 0:
+            assert load_config(str(cfg_file))["fusion"]["k"] == k
+        else:
+            with pytest.raises(ConfigError, match=r"\[fusion\] k"):
+                load_config(str(cfg_file))
+
+    @pytest.mark.parametrize("text", [
+        "[data]\ntarget_per_class = 2\n[fusion]\nk = 0\n",
+        "[data]\ntarget_per_class = 2\n[fusion]\nmethod = concat-only\n",
+        "[data]\ntarget_per_class = 2\n[fusion]\nmethod = concat+lda\n",
+        "[oodtest]\nper_class = 2\n",  # oodtest always fits with the automatic k
+    ], ids=["k-automatic", "concat-only", "lda", "small-oodtest-split"])
+    def test_fusion_k_not_checked_where_unused(self, tmp_path, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        load_config(str(cfg))
 
     @settings(max_examples=150, deadline=None)
     @given(setting=numeric_setting(inside=False), comment=st.sampled_from(["", " # why", "#x"]))
@@ -278,7 +311,9 @@ class TestFailureModes:
         "[pretrain]\ntemperature = 0\n",
         "[pretrain]\naugment_blur_kernel = 4\n",
         "[oodtest]\nkind = shapes9\n",
-    ], ids=["fusion-method", "epochs", "temperature", "blur-kernel-even", "oodtest-kind"])
+        "[data]\ntarget_per_class = 6\n",  # 14 train rows for the default k = 16
+    ], ids=["fusion-method", "epochs", "temperature", "blur-kernel-even", "oodtest-kind",
+            "fusion-k-above-train-rows"])
     def test_bad_config_exits_before_any_stage(self, tmp_path, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

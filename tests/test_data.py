@@ -130,6 +130,12 @@ class TestStratifiedSplit:
         # every original row appears exactly once across the union
         assert sorted(map(tuple, seen)) == sorted(map(tuple, orig))
 
+    def test_empty_train_side(self):
+        ds = self._make([2, 2])
+        train, test = stratified_split(ds, SplitSpec(0.1, seed=0))
+        assert len(train) == 0 and train.images.shape == (0, 4, 4, 1)
+        assert list(test.class_counts()) == [2, 2]
+
     def test_small_class_rejected(self):
         ds = self._make([5, 1])
         with pytest.raises(InvalidDatasetError):

@@ -3,6 +3,7 @@ import pytest
 
 from enfuse.data import LabeledImageSet, make_synthetic_task
 from enfuse.errors import DegenerateInputError, InvalidArgumentError
+from enfuse.explain import grad_cam
 from enfuse.nn import (
     Conv2d,
     Dense,
@@ -21,6 +22,7 @@ from enfuse.nn import (
     plateau_schedule,
     train_supervised,
 )
+from enfuse.pretrain import BackboneSpec, build_backbone, make_classification_head
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -297,6 +299,71 @@ class TestTrainSupervised:
         model = self._model()
         with pytest.warns(UserWarning, match="clamping"):
             train_supervised(model, ds, epochs=1, batch=999, seed=0)
+
+
+# freeze_backbone(upto) on variant C (conv layers at 0, 3, 6 and 8, 11 backbone
+# layers, then GlobalAvgPool, Flatten, Dense), and the stack index of the lowest
+# trainable layer with parameters: none frozen, the first block, up to the last
+# conv, the whole backbone
+FREEZE_PATTERNS = [(0, 0), (3, 3), (8, 8), (11, 13)]
+
+
+def variant_c_model(upto):
+    rng = np.random.default_rng(5)
+    model = EncoderModel(build_backbone(BackboneSpec("C"), rng),
+                         make_classification_head(24, 3, rng))
+    model.freeze_backbone(upto=upto)
+    return model
+
+
+class TestParameterOnlyBackward:
+    def _forward(self, model):
+        rng = np.random.default_rng(6)
+        model.forward(rng.random((4, 3, 16, 16)), training=True, skip_final_softmax=True)
+        return rng.normal(size=(4, 3))
+
+    @pytest.mark.parametrize("upto,lowest", FREEZE_PATTERNS)
+    def test_trainable_grads_match_full_backward(self, upto, lowest):
+        model = variant_c_model(upto)
+        dout = self._forward(model)
+        model.zero_grads()
+        model.backward(dout, stop_at=0)  # every layer, down to the input
+        full = {k: v.copy() for k, v in model.named_grads(trainable_only=True).items()}
+        model.zero_grads()
+        assert model.backward(dout) is None
+        got = model.named_grads(trainable_only=True)
+        assert got.keys() == full.keys() and len(got) > 0
+        for key in full:
+            assert np.array_equal(got[key], full[key]), key
+
+    @pytest.mark.parametrize("upto,lowest", FREEZE_PATTERNS)
+    def test_no_layer_below_the_lowest_trainable_runs(self, upto, lowest):
+        model = variant_c_model(upto)
+        dout = self._forward(model)
+        calls = []
+        for i, layer in enumerate(model.layers):
+            def counted(grad, _i=i, _backward=layer.backward, **kwargs):
+                calls.append((_i, kwargs.get("input_grad", True)))
+                return _backward(grad, **kwargs)
+            layer.backward = counted
+        model.backward(dout)
+        top = len(model.layers) - 1  # the final Softmax is skipped
+        assert sorted(calls) == [(lowest, False)] + [(i, True) for i in range(lowest + 1, top)]
+
+    def test_nothing_runs_when_nothing_is_trainable(self):
+        model = variant_c_model(11)
+        for layer in model.layers:
+            layer.trainable = False
+            layer.backward = None  # calling it would raise
+        model.zero_grads()
+        assert model.backward(self._forward(model)) is None
+        assert all(not g.any() for g in model.named_grads().values())
+
+    @pytest.mark.parametrize("upto", [3, 8, 11])
+    def test_grad_cam_ignores_freezing(self, upto):
+        image = np.random.default_rng(7).random((16, 16, 3))
+        want = grad_cam(variant_c_model(0), image, 1).values
+        assert np.array_equal(grad_cam(variant_c_model(upto), image, 1).values, want)
 
 
 class TestModelPersistence:

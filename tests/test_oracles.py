@@ -1,8 +1,9 @@
-"""Bit-equality of the array-at-once tree, KNN and SHAP code with scalar oracles.
+"""Bit-equality of the array-at-once tree, KNN, SHAP and conv-layer code with oracles.
 
 The oracles are the per-row, per-feature and per-permutation loops the library
-used before it worked on whole arrays, and the forest average over one stacked
-array of every tree's output. They live only here; every comparison is exact
+used before it worked on whole arrays, the forest average over one stacked
+array of every tree's output, the reshape/argmax `MaxPool2d` and the `np.pad`
+form of `Conv2d`'s padding. They live only here; every comparison is exact
 (`np.array_equal`), because the library code does the same float operations in
 the same order.
 """
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from enfuse import classifiers
 from enfuse.classifiers import TrainedClassifier, Tree, fit_gbt, fit_knn, fit_rf, predict_proba
 from enfuse.explain import ShapExplanation, _background_mean, _coalition_matrix, shap_sampled
+from enfuse.nn import Conv2d, MaxPool2d
 
 # a few values, so that ties, duplicate rows and equal-to-threshold cases are common
 VALUES = (-2.0, -0.5, 0.0, 0.25, 1.0, 3.0)
@@ -294,3 +296,91 @@ def test_shap_sampled_matches_per_permutation_calls(seed, d, n_samples):
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.stderr, want.stderr)
     assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
+
+
+# ---------------------------------------------------------------------------
+# Conv layers
+# ---------------------------------------------------------------------------
+
+class ArgmaxMaxPool2d(MaxPool2d):
+    """2x2 pooling over a reshaped window axis, routing gradients by argmax."""
+
+    def forward(self, x, training=False):
+        n, c, h, w = x.shape
+        windows = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        windows = windows.reshape(n, c, h // 2, w // 2, 4)
+        self._argmax = windows.argmax(axis=4)
+        self._shape = x.shape
+        return windows.max(axis=4)
+
+    def backward(self, dout):
+        n, c, h, w = self._shape
+        dwin = np.zeros((n, c, h // 2, w // 2, 4))
+        np.put_along_axis(dwin, self._argmax[..., None], dout[..., None], axis=4)
+        dwin = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        return dwin.reshape(n, c, h, w)
+
+
+class PadConv2d(Conv2d):
+    """Conv2d whose forward zero-pads with `np.pad`."""
+
+    def forward(self, x, training=False):
+        n, _, h, w = x.shape
+        p = self.kernel // 2
+        cols = self._im2col(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), h, w)
+        self._cache = (cols, x.shape)
+        return (cols @ self.params["w"] + self.params["b"]).transpose(0, 3, 1, 2)
+
+
+def same_bits(a, b):
+    """Equal values and equal signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# post-ReLU activations: non-negative, with all-zero windows and repeated values common
+ACTIVATIONS = np.array([0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), c=st.integers(1, 4),
+       h=st.sampled_from((2, 4, 6, 8)), w=st.sampled_from((2, 4, 8)),
+       continuous=st.booleans())
+def test_maxpool_matches_argmax_oracle(seed, n, c, h, w, continuous):
+    rng = np.random.default_rng(seed)
+    if continuous:
+        x = np.maximum(rng.normal(size=(n, c, h, w)), 0.0)
+    else:
+        x = rng.choice(ACTIVATIONS, size=(n, c, h, w))
+    dout = rng.choice(np.array([-1.5, -0.0, 0.0, 0.25, 3.0]), size=(n, c, h // 2, w // 2))
+    channel_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    oracle = ArgmaxMaxPool2d()
+    want = oracle.forward(x)
+    want_dx = oracle.backward(dout)
+    for inp in (x, channel_last):
+        layer = MaxPool2d()
+        got = layer.forward(inp)
+        assert got.flags.c_contiguous
+        assert same_bits(got, want)
+        assert same_bits(layer.backward(dout), want_dx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), c_in=st.integers(1, 4),
+       c_out=st.integers(1, 5), kernel=st.sampled_from((1, 3, 5)),
+       h=st.integers(1, 9), w=st.integers(1, 9))
+def test_conv_matches_np_pad_oracle(seed, n, c_in, c_out, kernel, h, w):
+    rng = np.random.default_rng(seed)
+    x = rng.choice(np.array([-1.0, 0.0, 0.5, 2.0]), size=(n, c_in, h, w)) + rng.normal(
+        size=(n, c_in, h, w)) * rng.integers(0, 2)
+    dout = rng.normal(size=(n, c_out, h, w))
+    layer = Conv2d(c_in, c_out, kernel, rng=np.random.default_rng(seed))
+    oracle = PadConv2d(c_in, c_out, kernel, rng=np.random.default_rng(seed))
+    assert same_bits(layer.forward(x), oracle.forward(x))
+    assert same_bits(layer.backward(dout), oracle.backward(dout))
+    for name in ("w", "b"):
+        assert same_bits(layer.grads[name], oracle.grads[name])
+    # the parameter-only backward accumulates the same gradients again
+    assert layer.backward(dout, input_grad=False) is None
+    oracle.backward(dout)
+    for name in ("w", "b"):
+        assert same_bits(layer.grads[name], oracle.grads[name])

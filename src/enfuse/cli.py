@@ -177,10 +177,10 @@ def _coerce(section: str, key: str, raw: str):
 def load_config(path: str | None) -> dict[str, dict[str, object]]:
     """Flat key=value config with [section] headers and `#` comments.
 
-    Unknown sections or keys, numeric values outside `BOUNDS`, an even blur
-    kernel, unknown fusion methods or OOD task kinds, and a `[fusion] k` the
-    target split has too few train rows for are rejected here, before any
-    stage runs.
+    Unknown sections or keys, numeric values outside `BOUNDS`, a task name
+    that is not one directory name, an even blur kernel, unknown fusion
+    methods or OOD task kinds, and a `[fusion] k` that a fit of the ensemble
+    or of ablate could not keep are rejected here, before any stage runs.
     """
     config = {section: dict(values) for section, values in DEFAULTS.items()}
     section = None
@@ -211,6 +211,9 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
             value = config[section][key]
             if not _within(value, bound):
                 raise ConfigError(f"[{section}] {key}: {value!r} is outside {bound}")
+    name = config["task"]["name"]
+    if name in ("", ".", "..") or "/" in name:  # joined to --out as one directory
+        raise ConfigError(f"[task] name: {name!r} is not a single directory name")
     if config["pretrain"]["augment_blur_kernel"] % 2 == 0:
         raise ConfigError(f"[pretrain] augment_blur_kernel: "
                           f"{config['pretrain']['augment_blur_kernel']} is not odd")
@@ -224,11 +227,12 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
 
 
 def _check_fusion_k(config: dict) -> None:
-    """PCA and ICA keep k components of the target train split: k <= rows - 1.
+    """PCA and ICA keep k components: k <= min(rows - 1, columns) on every fit.
 
-    The rows are counted as `stratified_split` draws them, without drawing
-    data. oodtest fits its ensembles with the automatic k, so its split
-    needs no check.
+    The rows are the target train split's, counted as `stratified_split`
+    draws them, without drawing data. The narrowest fit is ablate's refit
+    without the widest encoder. oodtest fits its ensembles with the automatic
+    k, so its split needs no check.
     """
     k = config["fusion"]["k"]
     if k == 0 or config["fusion"]["method"] not in ("concat+pca", "concat+ica"):
@@ -236,10 +240,13 @@ def _check_fusion_k(config: dict) -> None:
     data = config["data"]
     counts = [data["target_per_class"]] * len(TASK_MOTIFS[TARGET_KIND])
     rows = int(stratified_train_counts(counts, data["split_fraction"]).sum())
-    if k > rows - 1:
+    widths = [BackboneSpec(name.split("_")[1]).feature_dim for name in BASE_MODEL_NAMES]
+    columns = sum(widths) - max(widths)
+    if k > min(rows - 1, columns):
         raise ConfigError(f"[fusion] k: {k} is more than the {rows} target train rows "
-                          f"less one; lower k, set it to 0 (automatic), or raise "
-                          f"[data] target_per_class")
+                          f"less one or the {columns} feature columns ablate keeps "
+                          f"without the widest encoder; lower k or set it to 0 "
+                          f"(automatic)")
 
 
 def config_snapshot(config: dict, seed: int) -> dict[str, str]:

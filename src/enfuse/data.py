@@ -1,14 +1,13 @@
-"""Dataset ingestion, synthetic task generation, splitting, and augmentation.
+"""Synthetic task generation, splitting, augmentation, and image encoding.
 
 Images are float64 arrays of shape (H, W, C) with values in [0, 1] and
-C in {1, 3}. Only binary PGM (P5) and PPM (P6) files are read or encoded;
-anything else should be converted externally.
+C in {1, 3}. Images are only encoded, as binary PGM (P5) or PPM (P6); no
+image file is ever read.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,77 +52,30 @@ class LabeledImageSet:
 class SplitSpec:
     train_fraction: float = 0.8
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidArgumentError("train_fraction must be in (0, 1)")
 
 
+# The ranges random_transform draws its rotation angle and zoom factor from.
+ROTATION_DEGREES = (-15.0, 15.0)
+ZOOM_RANGE = (0.8, 1.0)
+
+
 @dataclass(frozen=True)
 class AugmentConfig:
-    rotation_degrees: tuple[float, float] = (-15.0, 15.0)
-    zoom: tuple[float, float] = (0.8, 1.0)
-    hflip: bool = True
-    vflip: bool = True
     blur_kernel: int = 9
     seed: int = 0
 
     def __post_init__(self):
         if self.blur_kernel < 1 or self.blur_kernel % 2 == 0:
             raise InvalidArgumentError("blur_kernel must be odd and >= 1")
-        lo, hi = self.zoom
-        if not (0.0 < lo <= hi <= 2.0):
-            raise InvalidArgumentError("zoom bounds must lie in (0, 2]")
 
 
 # ---------------------------------------------------------------------------
-# PGM / PPM I/O (binary P5 / P6, maxval <= 255)
+# PGM / PPM encoding (binary P5 / P6, maxval 255)
 # ---------------------------------------------------------------------------
-
-def _read_pnm_header(f):
-    """Read magic, width, height, maxval, skipping whitespace and # comments."""
-    def token():
-        tok = b""
-        while True:
-            ch = f.read(1)
-            if ch == b"":
-                raise InvalidArgumentError("truncated PNM header")
-            if ch == b"#":
-                while ch not in (b"\n", b""):
-                    ch = f.read(1)
-                continue
-            if ch.isspace():
-                if tok:
-                    return tok
-                continue
-            tok += ch
-
-    magic = token()
-    width = int(token())
-    height = int(token())
-    maxval = int(token())
-    return magic, width, height, maxval
-
-
-def read_pnm(path: str | os.PathLike) -> np.ndarray:
-    """Read a binary PGM/PPM file into an (H, W, C) float array in [0, 1]."""
-    try:
-        with open(path, "rb") as f:
-            magic, w, h, maxval = _read_pnm_header(f)
-            if magic not in (b"P5", b"P6"):
-                raise InvalidArgumentError(f"unsupported PNM magic {magic!r}")
-            if maxval > 255:
-                raise InvalidArgumentError("only 8-bit PNM supported")
-            channels = 1 if magic == b"P5" else 3
-            raw = f.read(w * h * channels)
-            if len(raw) != w * h * channels:
-                raise InvalidArgumentError("truncated PNM pixel data")
-    except OSError as exc:
-        raise InvalidArgumentError(f"cannot read image {os.fspath(path)}: {exc}") from exc
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, channels)
-    return arr.astype(np.float64) / maxval
-
 
 def pnm_bytes(image: np.ndarray) -> bytes:
     """An (H, W, 1) or (H, W, 3) float image in [0, 1] as binary PGM/PPM bytes."""
@@ -218,12 +170,13 @@ def box_blur(image: np.ndarray, kernel: int) -> np.ndarray:
 
 
 def random_transform(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    """One random augmentation draw: rotation, zoom, optional flips, optional blur."""
-    out = rotate(image, rng.uniform(*cfg.rotation_degrees))
-    out = zoom(out, rng.uniform(*cfg.zoom))
-    if cfg.hflip and rng.random() < 0.5:
+    """One random augmentation draw: rotation, zoom, then a horizontal flip, a
+    vertical flip and a blur, each with probability 1/2."""
+    out = rotate(image, rng.uniform(*ROTATION_DEGREES))
+    out = zoom(out, rng.uniform(*ZOOM_RANGE))
+    if rng.random() < 0.5:
         out = hflip(out)
-    if cfg.vflip and rng.random() < 0.5:
+    if rng.random() < 0.5:
         out = vflip(out)
     if rng.random() < 0.5:
         out = box_blur(out, cfg.blur_kernel)
@@ -233,48 +186,6 @@ def random_transform(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Gener
 # ---------------------------------------------------------------------------
 # Dataset operations
 # ---------------------------------------------------------------------------
-
-def load_image_dir(path: str | os.PathLike, size: tuple[int, int]) -> LabeledImageSet:
-    """Load `<path>/<class_name>/*.pgm|*.ppm`, resizing everything to `size`.
-
-    Class names are the subdirectory names, sorted lexicographically. If the
-    directory mixes grayscale and color files, grayscale images are promoted
-    to three channels.
-    """
-    root = os.fspath(path)
-    class_names = sorted(
-        d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d))
-    )
-    if not class_names:
-        raise InvalidDatasetError(f"no class subdirectories under {root}")
-    images, labels = [], []
-    for label, name in enumerate(class_names):
-        class_dir = os.path.join(root, name)
-        files = sorted(
-            f for f in os.listdir(class_dir)
-            if f.lower().endswith((".pgm", ".ppm"))
-        )
-        if not files:
-            raise InvalidDatasetError(f"class directory {class_dir} holds no PGM/PPM files")
-        for fname in files:
-            img = read_pnm(os.path.join(class_dir, fname))
-            images.append(resize_bilinear(img, size))
-            labels.append(label)
-    channels = max(img.shape[2] for img in images)
-    if channels == 3:
-        images = [np.repeat(im, 3, axis=2) if im.shape[2] == 1 else im for im in images]
-    return LabeledImageSet(np.stack(images), np.array(labels), class_names)
-
-
-def gray_to_3ch(dataset: LabeledImageSet) -> LabeledImageSet:
-    """Replicate a single channel three times; no-op (with warning) on 3-channel input."""
-    if dataset.images.shape[3] == 3:
-        import warnings
-
-        warnings.warn("dataset already has 3 channels; gray_to_3ch is a no-op")
-        return dataset
-    return replace(dataset, images=np.repeat(dataset.images, 3, axis=3))
-
 
 def one_hot_matrix(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
@@ -305,18 +216,12 @@ def stratified_train_counts(counts, train_fraction: float) -> np.ndarray:
 
 
 def stratified_split(dataset: LabeledImageSet, spec: SplitSpec) -> tuple[LabeledImageSet, LabeledImageSet]:
-    """Deterministic train/test split.
+    """Deterministic stratified train/test split.
 
-    Stratified mode takes `stratified_train_counts` samples of each class,
-    each within one sample of round(train_fraction * class size).
+    Takes `stratified_train_counts` samples of each class, each within one
+    sample of round(train_fraction * class size).
     """
     rng = np.random.default_rng(spec.seed)
-    n = len(dataset)
-    if not spec.stratified:
-        perm = rng.permutation(n)
-        n_train = int(round(spec.train_fraction * n))
-        return dataset.subset(np.sort(perm[:n_train])), dataset.subset(np.sort(perm[n_train:]))
-
     counts = dataset.class_counts()
     if np.any(counts < 2):
         raise InvalidDatasetError("stratified split needs at least 2 samples per class")
@@ -336,7 +241,6 @@ def stratified_split(dataset: LabeledImageSet, spec: SplitSpec) -> tuple[Labeled
 # Synthetic tasks
 # ---------------------------------------------------------------------------
 
-_MOTIFS = ("disk", "bar", "cross", "ring")
 _TINTS = {
     "disk": (1.0, 0.7, 0.7),
     "bar": (0.7, 1.0, 0.7),

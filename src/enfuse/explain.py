@@ -117,8 +117,7 @@ def select_background(features: FeatureMatrix, n: int = 10) -> FeatureMatrix:
     dist = np.linalg.norm(features.data - median, axis=1)
     order = np.argsort(dist, kind="stable")[:n]
     return FeatureMatrix(features.data[order],
-                         labels=None if features.labels is None else features.labels[order],
-                         sample_ids=features.sample_ids[order])
+                         labels=None if features.labels is None else features.labels[order])
 
 
 def shap_exact(model, instance: np.ndarray, background) -> ShapExplanation:
@@ -278,16 +277,12 @@ PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-def render_saliency_ppm(saliency: SaliencyMap,
-                        image: np.ndarray | None = None) -> bytes:
+def render_saliency_ppm(saliency: SaliencyMap, image: np.ndarray) -> bytes:
     """P6 heatmap: red channel carries the saliency over a grayed-out image."""
     sal = saliency.values
-    if image is None:
-        gray = np.zeros_like(sal)
-    else:
-        gray = np.asarray(image, dtype=np.float64)
-        if gray.ndim == 3:
-            gray = gray.mean(axis=2)
+    gray = np.asarray(image, dtype=np.float64)
+    if gray.ndim == 3:
+        gray = gray.mean(axis=2)
     out = np.stack([np.maximum(gray * 0.5, sal),
                     gray * 0.5 * (1.0 - sal),
                     gray * 0.5 * (1.0 - sal)], axis=2)
@@ -386,12 +381,10 @@ def render_ablation_svg(table: AblationTable) -> str:
     return _svg_document(width, height, body)
 
 
-def shap_csv(explanation: ShapExplanation,
-             feature_names: list[str] | None = None) -> str:
+def shap_csv(explanation: ShapExplanation) -> str:
     lines = ["feature,phi"]
     for j, phi in enumerate(explanation.values):
-        name = feature_names[j] if feature_names else f"f{j}"
-        lines.append(f"{name},{phi:.10f}")
+        lines.append(f"f{j},{phi:.10f}")
     lines.append(f"base_value,{explanation.base_value:.10f}")
     lines.append(f"model_output,{explanation.model_output:.10f}")
     return "\n".join(lines) + "\n"

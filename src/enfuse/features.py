@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,15 +11,10 @@ from .errors import InvalidArgumentError
 
 @dataclass
 class FeatureMatrix:
-    """Dense M x D matrix with optional per-row labels and stable sample ids.
-
-    Sample ids let downstream fusion verify that matrices from different
-    extractors describe the same rows in the same order.
-    """
+    """Dense M x D matrix with optional per-row labels."""
 
     data: np.ndarray
     labels: np.ndarray | None = None
-    sample_ids: np.ndarray | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -29,12 +24,6 @@ class FeatureMatrix:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if len(self.labels) != len(self.data):
                 raise InvalidArgumentError("labels length mismatch")
-        if self.sample_ids is None:
-            self.sample_ids = np.arange(len(self.data))
-        else:
-            self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
-            if len(self.sample_ids) != len(self.data):
-                raise InvalidArgumentError("sample_ids length mismatch")
 
     @property
     def n_rows(self) -> int:

@@ -56,13 +56,11 @@ def concat_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
     for part in parts[1:]:
         if part.n_rows != first.n_rows:
             raise InvalidArgumentError("row-count mismatch between feature matrices")
-        if not np.array_equal(part.sample_ids, first.sample_ids):
-            raise InvalidArgumentError("sample-id mismatch between feature matrices")
         if first.labels is not None and part.labels is not None \
                 and not np.array_equal(part.labels, first.labels):
             raise InvalidArgumentError("label mismatch between feature matrices")
     data = np.concatenate([p.data for p in parts], axis=1)
-    return FeatureMatrix(data, labels=first.labels, sample_ids=first.sample_ids.copy())
+    return FeatureMatrix(data, labels=first.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +177,7 @@ def apply_transform(t: FusionTransform, x: FeatureMatrix) -> FeatureMatrix:
     if x.n_cols != t.in_dim:
         raise InvalidArgumentError(f"dim mismatch: transform takes {t.in_dim}, got {x.n_cols}")
     scaled = (x.data - t.mean) / t.std
-    return FeatureMatrix(scaled @ t.components, labels=x.labels,
-                         sample_ids=x.sample_ids.copy())
+    return FeatureMatrix(scaled @ t.components, labels=x.labels)
 
 
 METHODS = ("concat-only", "concat+pca", "concat+ica", "concat+lda")

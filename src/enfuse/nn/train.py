@@ -19,8 +19,7 @@ def images_to_batch(images: np.ndarray) -> np.ndarray:
 
 def train_supervised(model: EncoderModel, train_set: LabeledImageSet,
                      epochs: int = 50, batch: int = 64,
-                     opt: OptimizerState | None = None, seed: int = 0,
-                     use_plateau: bool = True) -> list[float]:
+                     opt: OptimizerState | None = None, seed: int = 0) -> list[float]:
     """Train backbone+head with cross-entropy; returns per-epoch mean losses.
 
     Shuffling and dropout are driven by `seed`, so identical inputs give
@@ -51,8 +50,7 @@ def train_supervised(model: EncoderModel, train_set: LabeledImageSet,
             seen += len(idx)
         epoch_loss = total / seen
         log.append(epoch_loss)
-        if use_plateau:
-            plateau_schedule(opt, epoch_loss)
+        plateau_schedule(opt, epoch_loss)
     return log
 
 

@@ -184,18 +184,16 @@ def finetune_target_tl(model: EncoderModel, d_tar_train: LabeledImageSet,
 # Contrastive path
 # ---------------------------------------------------------------------------
 
-def pretrain_ssl(spec: BackboneSpec, images: np.ndarray | LabeledImageSet,
+def pretrain_ssl(spec: BackboneSpec, dataset: LabeledImageSet,
                  cfg: ContrastiveConfig, epochs: int = 50, seed: int = 0,
                  freeze_backbone: bool = False, lr: float = 0.001) -> EncoderModel:
-    """Contrastive pre-training over two augmented views per image.
+    """Contrastive pre-training over two augmented views per image; labels are unused.
 
     `freeze_backbone` trains only the projection head (a literal reading of
     keeping the encoder frozen during pre-training); the default trains the
     whole stack, which is what makes the learned features useful.
     """
-    if isinstance(images, LabeledImageSet):
-        images = images.images
-    images = np.asarray(images, dtype=np.float64)
+    images = dataset.images
     if len(images) < 2:
         raise InvalidArgumentError("contrastive pre-training needs >= 2 images")
     rng = np.random.default_rng(seed)
@@ -255,32 +253,15 @@ def finetune_target_ssl(model: EncoderModel, d_tar_train: LabeledImageSet,
 # Feature extraction
 # ---------------------------------------------------------------------------
 
-def extract_features(model: EncoderModel, dataset: LabeledImageSet,
-                     tap: str = "backbone") -> FeatureMatrix:
-    """Per-image feature vectors at the requested tap point, labels carried through.
+def extract_features(model: EncoderModel, dataset: LabeledImageSet) -> FeatureMatrix:
+    """Per-image pooled final conv maps, labels carried through.
 
-    "backbone" taps the pooled final conv maps; "penultimate" taps the
-    activation entering the head's output layer. Dropout is off, so the
-    result is a pure function of (weights, images).
+    Dropout is off, so the result is a pure function of (weights, images).
     """
     if model.meta.get("stage") != "target":
         raise InvalidStateError("extract_features needs a target-stage model")
     x = images_to_batch(dataset.images)
-    if tap == "backbone":
-        rows = [model.features(x[s:s + 256]) for s in range(0, len(x), 256)]
-    elif tap == "penultimate":
-        dense_idx = [i for i, l in enumerate(model.head) if isinstance(l, Dense)]
-        if not dense_idx:
-            raise InvalidStateError("model head has no dense layers to tap")
-        cut = dense_idx[-1]
-        rows = []
-        for s in range(0, len(x), 256):
-            out = model.forward(x[s:s + 256], training=False, through_head=False)
-            for layer in model.head[:cut]:
-                out = layer.forward(out, training=False)
-            rows.append(out)
-    else:
-        raise InvalidArgumentError(f"unknown tap {tap!r}")
+    rows = [model.features(x[s:s + 256]) for s in range(0, len(x), 256)]
     return FeatureMatrix(np.concatenate(rows), labels=dataset.labels.copy())
 
 

@@ -312,8 +312,17 @@ class TestFailureModes:
         "[pretrain]\naugment_blur_kernel = 4\n",
         "[oodtest]\nkind = shapes9\n",
         "[data]\ntarget_per_class = 6\n",  # 14 train rows for the default k = 16
+        # 144 train rows, but ablate without a 24-wide encoder keeps 96 columns
+        "[data]\ntarget_per_class = 60\n[fusion]\nk = 100\n",
+        "[task]\nname =\n",
+        "[task]\nname = .\n",
+        "[task]\nname = ..\n",
+        "[task]\nname = ../escape\n",
+        "[task]\nname = /tmp/escape\n",
+        "[task]\nname = a/b\n",
     ], ids=["fusion-method", "epochs", "temperature", "blur-kernel-even", "oodtest-kind",
-            "fusion-k-above-train-rows"])
+            "fusion-k-above-train-rows", "fusion-k-above-ablate-columns", "task-empty",
+            "task-dot", "task-dotdot", "task-parent", "task-absolute", "task-nested"])
     def test_bad_config_exits_before_any_stage(self, tmp_path, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -6,87 +6,29 @@ from enfuse.data import (
     LabeledImageSet,
     SplitSpec,
     box_blur,
-    gray_to_3ch,
     hflip,
-    load_image_dir,
     make_synthetic_task,
     pnm_bytes,
-    read_pnm,
     resize_bilinear,
     rotate,
     stratified_split,
     zoom,
 )
-from enfuse.errors import InvalidArgumentError, InvalidDatasetError
-
-
-@pytest.fixture
-def image_dir(tmp_path):
-    rng = np.random.default_rng(0)
-    for cls, count, channels in (("a", 2, 1), ("b", 3, 3)):
-        d = tmp_path / cls
-        d.mkdir()
-        for i in range(count):
-            img = rng.random((8, 8, channels))
-            (d / f"{i}.{'pgm' if channels == 1 else 'ppm'}").write_bytes(pnm_bytes(img))
-    return tmp_path
+from enfuse.errors import InvalidDatasetError
 
 
 class TestPnmIO:
-    def test_roundtrip_gray(self, tmp_path):
+    def test_roundtrip_gray(self):
         img = np.linspace(0, 1, 64).reshape(8, 8, 1)
-        (tmp_path / "x.pgm").write_bytes(pnm_bytes(img))
-        back = read_pnm(tmp_path / "x.pgm")
-        assert back.shape == (8, 8, 1)
+        header, pixels = pnm_bytes(img).split(b"\n255\n", 1)
+        assert header == b"P5\n8 8"
+        back = np.frombuffer(pixels, dtype=np.uint8).reshape(8, 8, 1) / 255
         assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-12
 
-    def test_pixel_scaling(self, tmp_path):
-        path = tmp_path / "p.ppm"
-        path.write_bytes(b"P6\n1 1\n255\n" + bytes([128, 128, 128]))
-        assert np.allclose(read_pnm(path), 128 / 255)
-
-    def test_unreadable_file(self, tmp_path):
-        with pytest.raises(InvalidArgumentError, match="nope"):
-            read_pnm(tmp_path / "nope.pgm")
-
-
-class TestLoadImageDir:
-    def test_counts_and_labels(self, image_dir):
-        ds = load_image_dir(image_dir, (16, 16))
-        assert len(ds) == 5
-        assert ds.class_names == ["a", "b"]
-        assert list(ds.labels) == [0, 0, 1, 1, 1]
-        assert ds.images.shape == (5, 16, 16, 3)
-
-    def test_constant_upscale(self, tmp_path):
-        d = tmp_path / "c"
-        d.mkdir()
-        (d / "x.pgm").write_bytes(pnm_bytes(np.full((8, 8, 1), 0.5)))
-        ds = load_image_dir(tmp_path, (16, 16))
-        assert np.allclose(ds.images, ds.images[0, 0, 0, 0])
-
-    def test_empty_class_dir(self, tmp_path):
-        (tmp_path / "empty").mkdir()
-        with pytest.raises(InvalidDatasetError):
-            load_image_dir(tmp_path, (8, 8))
-
-
-class TestBasicOps:
-    def test_gray_to_3ch(self):
-        rng = np.random.default_rng(1)
-        imgs = rng.random((4, 5, 5, 1))
-        ds = LabeledImageSet(imgs, np.zeros(4, dtype=int), ["x"])
-        out = gray_to_3ch(ds)
-        assert out.images.shape == (4, 5, 5, 3)
-        for c in range(3):
-            assert np.array_equal(out.images[..., c], imgs[..., 0])
-        assert np.isclose(out.images.mean(), imgs.mean())
-
-    def test_gray_to_3ch_noop_warns(self):
-        ds = LabeledImageSet(np.zeros((1, 2, 2, 3)), [0], ["x"])
-        with pytest.warns(UserWarning):
-            out = gray_to_3ch(ds)
-        assert out is ds
+    def test_pixel_scaling(self):
+        header, pixels = pnm_bytes(np.full((1, 1, 3), 128 / 255)).split(b"\n255\n", 1)
+        assert header == b"P6\n1 1"
+        assert list(np.frombuffer(pixels, dtype=np.uint8)) == [128, 128, 128]
 
 
 class TestStratifiedSplit:

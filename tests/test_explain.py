@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from enfuse.classifiers import fit_gnb
-from enfuse.data import read_pnm
 from enfuse.ensemble import ConfusionMatrix
 from enfuse.errors import InvalidArgumentError
 from enfuse.explain import (
@@ -267,14 +266,13 @@ class TestTsne:
 
 
 class TestRender:
-    def test_saliency_ppm_dimensions(self, tmp_path):
+    def test_saliency_ppm_dimensions(self):
         model = tiny_conv_model(seed=6)
         image = np.random.default_rng(13).random((8, 8, 3))
         sal = grad_cam(model, image, 0)
-        out = tmp_path / "sal.ppm"
-        out.write_bytes(render_saliency_ppm(sal, image=image))
-        back = read_pnm(out)
-        assert back.shape == (8, 8, 3)
+        header, pixels = render_saliency_ppm(sal, image=image).split(b"\n255\n", 1)
+        assert header == b"P6\n8 8"
+        back = np.frombuffer(pixels, dtype=np.uint8).reshape(8, 8, 3) / 255
         # red channel carries the saliency peak
         peak = np.unravel_index(np.argmax(sal.values), sal.values.shape)
         assert back[peak][0] == 1.0

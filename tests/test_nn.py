@@ -19,6 +19,7 @@ from enfuse.nn import (
     cross_entropy_loss,
     images_to_batch,
     nt_xent_loss,
+    optim,
     plateau_schedule,
     train_supervised,
 )
@@ -207,15 +208,17 @@ class TestNtXent:
 
 
 class TestAdam:
-    def test_zero_grad_no_decay(self):
-        state = OptimizerState(weight_decay=0.0)
+    def test_zero_grad_no_decay(self, monkeypatch):
+        monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.0)
+        state = OptimizerState()
         p = {"x": np.array([1.0, -2.0])}
         before = p["x"].copy()
         adam_step(state, p, {"x": np.zeros(2)})
         assert np.array_equal(p["x"], before)
 
-    def test_first_step_magnitude(self):
-        state = OptimizerState(weight_decay=0.0, learning_rate=0.001)
+    def test_first_step_magnitude(self, monkeypatch):
+        monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.0)
+        state = OptimizerState(learning_rate=0.001)
         p = {"x": np.array([0.0])}
         adam_step(state, p, {"x": np.array([1.0])})
         assert p["x"][0] == pytest.approx(-0.001, rel=1e-6)

@@ -190,10 +190,6 @@ class TestExtractFeatures:
         assert np.array_equal(fm.data, fm2.data)
         assert np.array_equal(fm.labels, datasets["target"].labels)
 
-    def test_penultimate_tap(self, tl_model, datasets):
-        fm = extract_features(tl_model, datasets["target"], tap="penultimate")
-        assert fm.data.shape[1] == tl_model.head[-3].in_dim
-
     def test_class_separation(self, tl_model, datasets):
         fm = extract_features(tl_model, datasets["target"])
         x, y = fm.data, fm.labels

@@ -425,7 +425,7 @@ def cmd_pretrain(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
         print(f"pretrain: tl_{variant} done")
     cfg = ContrastiveConfig(
         temperature=pre["temperature"], batch_pairs=pre["ssl_batch_pairs"],
-        augment=AugmentConfig(blur_kernel=pre["augment_blur_kernel"], seed=seed))
+        augment=AugmentConfig(blur_kernel=pre["augment_blur_kernel"]))
     for i, variant in enumerate(VARIANTS):
         spec = _spec(config, variant)
         model = pretrain_ssl(spec, intermediate, cfg, epochs=pre["ssl_epochs"],

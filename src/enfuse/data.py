@@ -66,7 +66,6 @@ ZOOM_RANGE = (0.8, 1.0)
 @dataclass(frozen=True)
 class AugmentConfig:
     blur_kernel: int = 9
-    seed: int = 0
 
     def __post_init__(self):
         if self.blur_kernel < 1 or self.blur_kernel % 2 == 0:

@@ -49,12 +49,13 @@ def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int,
     li = model.last_conv_index()  # raises on conv-free models
     image = np.asarray(image, dtype=np.float64)
     batch = image.transpose(2, 0, 1)[None]  # HWC -> NCHW
-    logits = model.forward(batch, training=False, skip_final_softmax=True)
+    logits = model.forward(batch, keep_cache=True, skip_final_softmax=True)
     if logits.ndim != 2:
         raise UnsupportedModelError("grad_cam needs a classification head")
     if not 0 <= target_class < logits.shape[1]:
         raise InvalidArgumentError(f"target class {target_class} out of range")
-    # replay the prefix to recover the last conv layer's output activation
+    # replay the prefix to recover the last conv layer's output activation; the
+    # replay keeps no cache, and the backward below stops above the prefix
     act = batch
     for layer in model._active_stack[:li + 1]:
         act = layer.forward(act, training=False)

@@ -1,16 +1,18 @@
 """Minimal differentiable layer zoo, float64, NCHW layout.
 
-Each layer caches what its backward pass needs during forward; backward
-consumes the cache and accumulates parameter gradients into `self.grads`.
-A layer with parameters skips its input gradient when called with
-`input_grad=False` and returns None.
+A forward called with `keep_cache=True` caches what the backward pass needs;
+any other forward keeps nothing and drops the cache an earlier forward left,
+so inference holds no buffers. backward reads the cache, raising
+InvalidStateError when the last forward kept none, and accumulates parameter
+gradients into `self.grads`. A layer with parameters skips its input
+gradient when called with `input_grad=False` and returns None.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidArgumentError
+from ..errors import InvalidArgumentError, InvalidStateError
 
 
 class Layer:
@@ -20,12 +22,20 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.trainable = True
+        self._cache = None  # what backward needs, from a forward with keep_cache=True
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False,
+                keep_cache: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         raise NotImplementedError
+
+    def _cached(self):
+        if self._cache is None:
+            raise InvalidStateError(
+                f"{type(self).__name__}.backward needs a forward with keep_cache=True")
+        return self._cache
 
     def zero_grads(self):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -63,7 +73,7 @@ class Conv2d(Layer):
                     i += 1
         return cols
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, keep_cache=False):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise InvalidArgumentError(
                 f"Conv2d expected (N,{self.in_ch},H,W), got {x.shape}")
@@ -73,11 +83,11 @@ class Conv2d(Layer):
         x_pad[:, :, p:p + h, p:p + w] = x
         cols = self._im2col(x_pad, h, w)
         out = cols @ self.params["w"] + self.params["b"]
-        self._cache = (cols, x.shape)
+        self._cache = (cols, x.shape) if keep_cache else None
         return out.transpose(0, 3, 1, 2)
 
     def backward(self, dout, input_grad=True):
-        cols, x_shape = self._cache
+        cols, x_shape = self._cached()
         n, _, h, w = x_shape
         k, p = self.kernel, self.kernel // 2
         dflat = dout.transpose(0, 2, 3, 1)  # (N,H,W,out_ch)
@@ -109,14 +119,14 @@ class Dense(Layer):
         self.params = {"w": rng.normal(0.0, std, (in_dim, out_dim)), "b": np.zeros(out_dim)}
         self.zero_grads()
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, keep_cache=False):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise InvalidArgumentError(f"Dense expected (N,{self.in_dim}), got {x.shape}")
-        self._cache = x
+        self._cache = x if keep_cache else None
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, dout, input_grad=True):
-        x = self._cache
+        x = self._cached()
         self.grads["w"] += x.T @ dout
         self.grads["b"] += dout.sum(axis=0)
         if not input_grad:
@@ -128,12 +138,13 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x, training=False):
-        self._cache = x > 0
-        return np.where(self._cache, x, 0.0)
+    def forward(self, x, training=False, keep_cache=False):
+        positive = x > 0
+        self._cache = positive if keep_cache else None
+        return np.where(positive, x, 0.0)
 
     def backward(self, dout):
-        return np.where(self._cache, dout, 0.0)
+        return np.where(self._cached(), dout, 0.0)
 
 
 class MaxPool2d(Layer):
@@ -141,12 +152,13 @@ class MaxPool2d(Layer):
 
     The four window positions are the strided quadrants of the input, in the
     order (0,0), (0,1), (1,0), (1,1); backward routes each output gradient to
-    the first position holding the window's maximum.
+    the first position holding the window's maximum. That index is computed
+    only for a forward that keeps its cache.
     """
 
     QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, keep_cache=False):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise InvalidArgumentError(f"MaxPool2d needs even spatial dims, got {h}x{w}")
@@ -156,37 +168,40 @@ class MaxPool2d(Layer):
         out = np.empty((n, c, h // 2, w // 2), dtype=x.dtype)
         np.maximum(quads[0], quads[1], out=out)
         np.maximum(out, np.maximum(quads[2], quads[3]), out=out)
-        ne = [(q != out).view(np.uint8) for q in quads[:3]]
-        self._first = ne[0] * (1 + ne[1] * (1 + ne[2]))  # index of the first maximum
-        self._shape = x.shape
+        self._cache = None
+        if keep_cache:
+            ne = [(q != out).view(np.uint8) for q in quads[:3]]
+            first = ne[0] * (1 + ne[1] * (1 + ne[2]))  # index of the first maximum
+            self._cache = (first, x.shape)
         return out
 
     def backward(self, dout):
-        grad = np.zeros(self._shape)
+        first, x_shape = self._cached()
+        grad = np.zeros(x_shape)
         for i, (dy, dx) in enumerate(self.QUADRANTS):
-            grad[:, :, dy::2, dx::2] = np.where(self._first == i, dout, 0.0)
+            grad[:, :, dy::2, dx::2] = np.where(first == i, dout, 0.0)
         return grad
 
 
 class GlobalAvgPool(Layer):
     """(N, C, H, W) -> (N, C) spatial mean."""
 
-    def forward(self, x, training=False):
-        self._shape = x.shape
+    def forward(self, x, training=False, keep_cache=False):
+        self._cache = x.shape if keep_cache else None
         return x.mean(axis=(2, 3))
 
     def backward(self, dout):
-        n, c, h, w = self._shape
+        n, c, h, w = self._cached()
         return np.broadcast_to(dout[:, :, None, None], (n, c, h, w)) / (h * w)
 
 
 class Flatten(Layer):
-    def forward(self, x, training=False):
-        self._shape = x.shape
+    def forward(self, x, training=False, keep_cache=False):
+        self._cache = x.shape if keep_cache else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout):
-        return dout.reshape(self._shape)
+        return dout.reshape(self._cached())
 
 
 class Dropout(Layer):
@@ -204,32 +219,34 @@ class Dropout(Layer):
         self.seed = seed
         self._rng = np.random.default_rng(seed)
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, keep_cache=False):
         if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
+            mask, out = None, x
+        else:
+            keep = 1.0 - self.rate
+            mask = (self._rng.random(x.shape) < keep) / keep
+            out = x * mask
+        self._cache = (mask,) if keep_cache else None
+        return out
 
     def backward(self, dout):
-        if self._mask is None:
-            return dout
-        return dout * self._mask
+        (mask,) = self._cached()
+        return dout if mask is None else dout * mask
 
     def descriptor(self):
         return {"kind": "Dropout", "rate": self.rate}
 
 
 class Softmax(Layer):
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, keep_cache=False):
         shifted = x - x.max(axis=1, keepdims=True)
         e = np.exp(shifted)
-        self._out = e / e.sum(axis=1, keepdims=True)
-        return self._out
+        out = e / e.sum(axis=1, keepdims=True)
+        self._cache = out if keep_cache else None
+        return out
 
     def backward(self, dout):
-        p = self._out
+        p = self._cached()
         return p * (dout - (dout * p).sum(axis=1, keepdims=True))
 
 

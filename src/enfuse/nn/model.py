@@ -62,23 +62,28 @@ class EncoderModel:
 
     # -- forward / backward ------------------------------------------------
 
-    def forward(self, x: np.ndarray, training: bool = False, *,
+    def forward(self, x: np.ndarray, training: bool = False, *, keep_cache: bool = False,
                 through_head: bool = True, skip_final_softmax: bool = False) -> np.ndarray:
-        """Run the stack; caches stay in the layers for a subsequent backward."""
+        """Run the stack. With `keep_cache` each layer it runs keeps what
+        `backward` needs; otherwise (inference) no layer keeps anything.
+        Whatever an earlier forward kept is dropped first, in every layer."""
         out = np.asarray(x, dtype=np.float64)
         stack = self.layers if through_head else self.backbone
         if skip_final_softmax and stack and isinstance(stack[-1], Softmax):
             stack = stack[:-1]
         self._active_stack = stack
+        for layer in self.layers:
+            layer._cache = None
         for i, layer in enumerate(stack):
             try:
-                out = layer.forward(out, training=training)
+                out = layer.forward(out, training=training, keep_cache=keep_cache)
             except InvalidArgumentError as exc:
                 raise InvalidArgumentError(f"layer {i} ({type(layer).__name__}): {exc}") from exc
         return out
 
     def backward(self, dout: np.ndarray, *, stop_at: int | None = None) -> np.ndarray | None:
-        """Backprop through the stack used by the last forward call.
+        """Backprop through the stack used by the last forward call, which
+        must have kept its caches (else InvalidStateError).
 
         Without `stop_at`, only parameter gradients are computed: propagation
         ends at the lowest trainable layer with parameters, which skips its

@@ -41,7 +41,8 @@ def train_supervised(model: EncoderModel, train_set: LabeledImageSet,
         for start in range(0, n, batch):
             idx = perm[start:start + batch]
             model.zero_grads()
-            logits = model.forward(x_all[idx], training=True, skip_final_softmax=True)
+            logits = model.forward(x_all[idx], training=True, keep_cache=True,
+                                   skip_final_softmax=True)
             loss, dlogits = cross_entropy_loss(logits, y_all[idx])
             model.backward(dlogits)
             adam_step(opt, model.named_parameters(trainable_only=True),

@@ -218,7 +218,7 @@ def pretrain_ssl(spec: BackboneSpec, dataset: LabeledImageSet,
                 views.append(random_transform(images[i], cfg.augment, aug_rng))
                 views.append(random_transform(images[i], cfg.augment, aug_rng))
             x = images_to_batch(np.stack(views))
-            z = model.forward(x, training=True)
+            z = model.forward(x, training=True, keep_cache=True)
             loss, dz = nt_xent_loss(z, cfg.temperature)
             model.zero_grads()
             model.backward(dz)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enfuse.data import LabeledImageSet, make_synthetic_task
-from enfuse.errors import DegenerateInputError, InvalidArgumentError
+from enfuse.errors import DegenerateInputError, InvalidArgumentError, InvalidStateError
 from enfuse.explain import grad_cam
 from enfuse.nn import (
     Conv2d,
@@ -15,6 +15,7 @@ from enfuse.nn import (
     OptimizerState,
     ReLU,
     Softmax,
+    accuracy,
     adam_step,
     cross_entropy_loss,
     images_to_batch,
@@ -23,7 +24,12 @@ from enfuse.nn import (
     plateau_schedule,
     train_supervised,
 )
-from enfuse.pretrain import BackboneSpec, build_backbone, make_classification_head
+from enfuse.pretrain import (
+    BackboneSpec,
+    build_backbone,
+    extract_features,
+    make_classification_head,
+)
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -53,7 +59,7 @@ def check_layer_grads(layer, x, rtol=1e-4):
         return float((layer.forward(x, training=False) * r).sum())
 
     layer.zero_grads()
-    layer.forward(x, training=False)
+    layer.forward(x, training=False, keep_cache=True)
     dx = layer.backward(r)
 
     gx = numeric_grad(loss, x)
@@ -322,7 +328,8 @@ def variant_c_model(upto):
 class TestParameterOnlyBackward:
     def _forward(self, model):
         rng = np.random.default_rng(6)
-        model.forward(rng.random((4, 3, 16, 16)), training=True, skip_final_softmax=True)
+        model.forward(rng.random((4, 3, 16, 16)), training=True, keep_cache=True,
+                      skip_final_softmax=True)
         return rng.normal(size=(4, 3))
 
     @pytest.mark.parametrize("upto,lowest", FREEZE_PATTERNS)
@@ -367,6 +374,73 @@ class TestParameterOnlyBackward:
         image = np.random.default_rng(7).random((16, 16, 3))
         want = grad_cam(variant_c_model(0), image, 1).values
         assert np.array_equal(grad_cam(variant_c_model(upto), image, 1).values, want)
+
+
+def cached_layers(model):
+    return [i for i, layer in enumerate(model.layers) if layer._cache is not None]
+
+
+def trained_forward(model):
+    """A training forward that fills every layer's cache; returns its dout."""
+    rng = np.random.default_rng(8)
+    model.forward(rng.random((4, 3, 16, 16)), training=True, keep_cache=True)
+    assert cached_layers(model) == list(range(len(model.layers)))
+    return rng.normal(size=(4, 3))
+
+
+def target_set(n=5):
+    rng = np.random.default_rng(9)
+    return LabeledImageSet(rng.random((n, 16, 16, 3)), np.arange(n) % 3, ["a", "b", "c"])
+
+
+class TestForwardCaches:
+    INFERENCE = {
+        "features": lambda model: model.features(images_to_batch(target_set().images)),
+        "extract_features": lambda model: extract_features(model, target_set()),
+        "accuracy": lambda model: accuracy(model, target_set()),
+    }
+
+    @pytest.mark.parametrize("call", sorted(INFERENCE))
+    def test_inference_keeps_no_cache(self, call):
+        model = variant_c_model(0)
+        model.meta = {"stage": "target"}
+        trained_forward(model)
+        self.INFERENCE[call](model)
+        assert cached_layers(model) == []
+
+    @pytest.mark.parametrize("stop_at", [None, 0])
+    @pytest.mark.parametrize("filled_first", [False, True])
+    def test_backward_after_inference_raises(self, stop_at, filled_first):
+        model = variant_c_model(0)
+        dout = trained_forward(model) if filled_first else np.zeros((4, 3))
+        model.forward(np.random.default_rng(10).random((4, 3, 16, 16)))
+        with pytest.raises(InvalidStateError, match="keep_cache"):
+            model.backward(dout, stop_at=stop_at)
+
+    @pytest.mark.parametrize("layer,shape", [
+        (Conv2d(2, 3, 3), (2, 2, 4, 4)), (Dense(4, 3), (2, 4)), (ReLU(), (2, 4)),
+        (MaxPool2d(), (2, 2, 4, 4)), (GlobalAvgPool(), (2, 2, 4, 4)), (Flatten(), (2, 2, 4, 4)),
+        (Dropout(0.5), (2, 4)), (Softmax(), (2, 4))])
+    def test_layer_backward_needs_a_kept_cache(self, layer, shape):
+        x = np.random.default_rng(11).random(shape)
+        dout = layer.forward(x, training=True, keep_cache=True)
+        layer.backward(dout)
+        layer.forward(x, training=True)
+        assert layer._cache is None
+        with pytest.raises(InvalidStateError, match=type(layer).__name__):
+            layer.backward(dout)
+
+    def test_grad_cam_after_extraction_matches_fresh_load(self):
+        model = variant_c_model(0)
+        model.meta = {"stage": "target"}
+        trained_forward(model)
+        blob = model.save_bytes()
+        used = EncoderModel.load_bytes(blob)
+        extract_features(used, target_set())
+        image = target_set().images[2]
+        for cls in range(3):
+            want = grad_cam(EncoderModel.load_bytes(blob), image, cls).values
+            assert np.array_equal(grad_cam(used, image, cls).values, want)
 
 
 class TestModelPersistence:

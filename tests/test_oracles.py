@@ -358,7 +358,7 @@ def test_maxpool_matches_argmax_oracle(seed, n, c, h, w, continuous):
     want_dx = oracle.backward(dout)
     for inp in (x, channel_last):
         layer = MaxPool2d()
-        got = layer.forward(inp)
+        got = layer.forward(inp, keep_cache=True)
         assert got.flags.c_contiguous
         assert same_bits(got, want)
         assert same_bits(layer.backward(dout), want_dx)
@@ -375,7 +375,7 @@ def test_conv_matches_np_pad_oracle(seed, n, c_in, c_out, kernel, h, w):
     dout = rng.normal(size=(n, c_out, h, w))
     layer = Conv2d(c_in, c_out, kernel, rng=np.random.default_rng(seed))
     oracle = PadConv2d(c_in, c_out, kernel, rng=np.random.default_rng(seed))
-    assert same_bits(layer.forward(x), oracle.forward(x))
+    assert same_bits(layer.forward(x, keep_cache=True), oracle.forward(x))
     assert same_bits(layer.backward(dout), oracle.backward(dout))
     for name in ("w", "b"):
         assert same_bits(layer.grads[name], oracle.grads[name])

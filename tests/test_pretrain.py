@@ -46,7 +46,7 @@ def tl_model(generic_model, datasets):
 @pytest.fixture(scope="module")
 def ssl_model(datasets):
     cfg = ContrastiveConfig(temperature=0.5, batch_pairs=16,
-                            augment=AugmentConfig(blur_kernel=3, seed=0))
+                            augment=AugmentConfig(blur_kernel=3))
     model = pretrain_ssl(BackboneSpec("A", SIZE), datasets["inter"], cfg, epochs=8, seed=4, lr=0.01)
     return finetune_target_ssl(model, datasets["target"], seed=5, **FAST)
 
@@ -121,13 +121,13 @@ class TestTransferPath:
 
 class TestContrastivePath:
     def test_loss_decreases(self, datasets):
-        cfg = ContrastiveConfig(batch_pairs=16, augment=AugmentConfig(blur_kernel=3, seed=0))
+        cfg = ContrastiveConfig(batch_pairs=16, augment=AugmentConfig(blur_kernel=3))
         model = pretrain_ssl(BackboneSpec("B", SIZE), datasets["inter"], cfg, epochs=5, seed=6, lr=0.005)
         log = model.meta["train_log"]
         assert all(b < a for a, b in zip(log, log[1:]))
 
     def test_projection_dim_128(self, datasets):
-        cfg = ContrastiveConfig(batch_pairs=8, augment=AugmentConfig(blur_kernel=3, seed=0))
+        cfg = ContrastiveConfig(batch_pairs=8, augment=AugmentConfig(blur_kernel=3))
         model = pretrain_ssl(BackboneSpec("A", SIZE), datasets["inter"], cfg, epochs=1, seed=6)
         z = model.forward(images_to_batch(datasets["inter"].images[:4]))
         assert z.shape[1] == 128
@@ -135,7 +135,7 @@ class TestContrastivePath:
     def test_views_more_similar_after_training(self, datasets):
         from enfuse.data import random_transform
 
-        aug = AugmentConfig(blur_kernel=3, seed=3)
+        aug = AugmentConfig(blur_kernel=3)
         cfg = ContrastiveConfig(batch_pairs=16, augment=aug)
         spec = BackboneSpec("A", SIZE)
         before = pretrain_ssl(spec, datasets["inter"], cfg, epochs=0, seed=8)
@@ -166,7 +166,7 @@ class TestContrastivePath:
         assert accuracy(ssl_model, datasets["target"]) >= 0.95
 
     def test_freeze_flag_keeps_backbone_bits(self, datasets):
-        cfg = ContrastiveConfig(batch_pairs=8, augment=AugmentConfig(blur_kernel=3, seed=0))
+        cfg = ContrastiveConfig(batch_pairs=8, augment=AugmentConfig(blur_kernel=3))
         spec = BackboneSpec("A", SIZE)
         init = pretrain_ssl(spec, datasets["inter"], cfg, epochs=0, seed=11)
         trained = pretrain_ssl(spec, datasets["inter"], cfg, epochs=2, seed=11,

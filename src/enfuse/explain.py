@@ -19,6 +19,7 @@ from .data import pnm_bytes, resize_bilinear
 from .ensemble import AblationTable, ConfusionMatrix, EnsembleModel
 from .errors import InvalidArgumentError, UnsupportedModelError
 from .features import FeatureMatrix
+from .nn.layers import Softmax
 from .nn.model import EncoderModel
 
 SHAP_EXACT_MAX_FEATURES = 15
@@ -42,26 +43,30 @@ def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int,
              source_model: str = "") -> SaliencyMap:
     """Gradient-weighted activation map at the model's final conv layer.
 
-    Channel weights are the spatial average of d(class score)/d(activation);
-    the weighted sum is ReLU'd, bilinearly upsampled to the image size, and
+    One pass: the layers above the final conv, less a final softmax, keep
+    caches and backpropagate the class score to its activation. Channel
+    weights are the spatial average of d(class score)/d(activation); the
+    weighted sum is ReLU'd, bilinearly upsampled to the image size, and
     max-normalized (an all-zero map stays all-zero).
     """
     li = model.last_conv_index()  # raises on conv-free models
     image = np.asarray(image, dtype=np.float64)
-    batch = image.transpose(2, 0, 1)[None]  # HWC -> NCHW
-    logits = model.forward(batch, keep_cache=True, skip_final_softmax=True)
+    act = image.transpose(2, 0, 1)[None]  # HWC -> NCHW
+    for layer in model.layers[:li + 1]:
+        act = layer.forward(act)
+    above = model.layers[li + 1:]
+    above = above[:-1] if above and isinstance(above[-1], Softmax) else above
+    logits = act
+    for layer in above:
+        logits = layer.forward(logits, keep_cache=True)
     if logits.ndim != 2:
         raise UnsupportedModelError("grad_cam needs a classification head")
     if not 0 <= target_class < logits.shape[1]:
         raise InvalidArgumentError(f"target class {target_class} out of range")
-    # replay the prefix to recover the last conv layer's output activation; the
-    # replay keeps no cache, and the backward below stops above the prefix
-    act = batch
-    for layer in model._active_stack[:li + 1]:
-        act = layer.forward(act, training=False)
-    dout = np.zeros_like(logits)
-    dout[0, target_class] = 1.0
-    grad = model.backward(dout, stop_at=li + 1)  # d score / d activation
+    grad = np.zeros_like(logits)
+    grad[0, target_class] = 1.0
+    for layer in reversed(above):
+        grad = layer.backward(grad)  # ends as d score / d activation
     channel_w = grad[0].mean(axis=(1, 2))
     cam = np.maximum(np.tensordot(channel_w, act[0], axes=1), 0.0)
     upsampled = resize_bilinear(cam[:, :, None], image.shape[:2])[:, :, 0]

@@ -2,10 +2,12 @@
 
 A forward called with `keep_cache=True` caches what the backward pass needs;
 any other forward keeps nothing and drops the cache an earlier forward left,
-so inference holds no buffers. backward reads the cache, raising
-InvalidStateError when the last forward kept none, and accumulates parameter
-gradients into `self.grads`. A layer with parameters skips its input
-gradient when called with `input_grad=False` and returns None.
+so inference, and a layer that no backward will reach, hold no buffers
+(`EncoderModel.forward` asks only its trainable slice to keep them). backward
+reads the cache, raising InvalidStateError when the last forward kept none,
+and accumulates parameter gradients into `self.grads`. A layer with
+parameters skips its input gradient when called with `input_grad=False` and
+returns None.
 """
 
 from __future__ import annotations
@@ -212,11 +214,9 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise InvalidArgumentError("dropout rate must be in [0, 1)")
         self.rate = rate
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
 
     def reseed(self, seed: int):
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
 
     def forward(self, x, training=False, keep_cache=False):

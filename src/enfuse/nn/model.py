@@ -31,6 +31,7 @@ class EncoderModel:
             feature_dim = conv_channels[-1]
         self.feature_dim = feature_dim
         self.meta: dict = {}  # provenance: stage, method tag, training logs
+        self._backward_stack: list[Layer] | None = None  # set by forward(keep_cache=True)
 
     # -- structure ---------------------------------------------------------
 
@@ -48,10 +49,10 @@ class EncoderModel:
         return idx[-1]
 
     def freeze_backbone(self, upto: int | None = None):
-        """Freeze backbone layers [0, upto); the whole backbone when upto is None."""
+        """Freeze backbone layers [0, upto), the rest trainable; all when upto is None."""
         stop = len(self.backbone) if upto is None else upto
-        for layer in self.backbone[:stop]:
-            layer.trainable = False
+        for i, layer in enumerate(self.backbone):
+            layer.trainable = i >= stop
 
     def reseed_dropout(self, seed: int):
         i = 0
@@ -64,45 +65,39 @@ class EncoderModel:
 
     def forward(self, x: np.ndarray, training: bool = False, *, keep_cache: bool = False,
                 through_head: bool = True, skip_final_softmax: bool = False) -> np.ndarray:
-        """Run the stack. With `keep_cache` each layer it runs keeps what
-        `backward` needs; otherwise (inference) no layer keeps anything.
-        Whatever an earlier forward kept is dropped first, in every layer."""
+        """Run the stack. With `keep_cache`, the lowest trainable layer with
+        parameters and all above it keep what `backward` needs; no other layer
+        keeps anything, and what an earlier forward kept is dropped first."""
         out = np.asarray(x, dtype=np.float64)
         stack = self.layers if through_head else self.backbone
         if skip_final_softmax and stack and isinstance(stack[-1], Softmax):
             stack = stack[:-1]
-        self._active_stack = stack
+        lowest = next((i for i, l in enumerate(stack) if l.trainable and l.params), len(stack))
+        self._backward_stack = stack[lowest:] if keep_cache else None
         for layer in self.layers:
             layer._cache = None
         for i, layer in enumerate(stack):
             try:
-                out = layer.forward(out, training=training, keep_cache=keep_cache)
+                out = layer.forward(out, training=training, keep_cache=keep_cache and i >= lowest)
             except InvalidArgumentError as exc:
                 raise InvalidArgumentError(f"layer {i} ({type(layer).__name__}): {exc}") from exc
         return out
 
-    def backward(self, dout: np.ndarray, *, stop_at: int | None = None) -> np.ndarray | None:
-        """Backprop through the stack used by the last forward call, which
-        must have kept its caches (else InvalidStateError).
+    def backward(self, dout: np.ndarray) -> None:
+        """Accumulate parameter gradients for the last forward, which must
+        have kept its caches (else InvalidStateError).
 
-        Without `stop_at`, only parameter gradients are computed: propagation
-        ends at the lowest trainable layer with parameters, which skips its
-        input gradient, and nothing is returned (nothing runs when no layer
-        is trainable). `stop_at` is an index into the stack; gradients are
-        propagated down to (and excluding) it, returning
-        d(output)/d(activation at stop_at).
+        Runs top down through the layers that forward kept, ending at the
+        lowest trainable layer with parameters, which skips its input
+        gradient; nothing runs when no layer is trainable.
         """
-        stack = self._active_stack
-        if stop_at is None:
-            lowest = next((i for i, l in enumerate(stack) if l.trainable and l.params), None)
-            if lowest is None:
-                return None
-            for layer in reversed(stack[lowest + 1:]):
-                dout = layer.backward(dout)
-            return stack[lowest].backward(dout, input_grad=False)
-        for layer in reversed(stack[stop_at:]):
+        stack = self._backward_stack
+        if stack is None:
+            raise InvalidStateError("EncoderModel.backward needs a forward with keep_cache=True")
+        for layer in reversed(stack[1:]):
             dout = layer.backward(dout)
-        return dout
+        if stack:
+            stack[0].backward(dout, input_grad=False)
 
     def zero_grads(self):
         for layer in self.layers:

@@ -151,8 +151,6 @@ def finetune_intermediate_tl(model: EncoderModel, d_in: LabeledImageSet,
     if model.meta.get("stage") != "generic":
         raise InvalidStateError("intermediate fine-tuning needs a generic-stage model")
     rng = np.random.default_rng(seed)
-    for layer in model.backbone:
-        layer.trainable = True
     model.freeze_backbone(upto=_first_block_end(model.backbone))
     model.set_head(make_classification_head(model.feature_dim, d_in.n_classes, rng))
     log = train_supervised(model, d_in, epochs=epochs, batch=batch,
@@ -169,8 +167,6 @@ def finetune_target_tl(model: EncoderModel, d_tar_train: LabeledImageSet,
     if model.meta.get("stage") != "intermediate":
         raise InvalidStateError("target fine-tuning needs an intermediate-stage model")
     rng = np.random.default_rng(seed)
-    for layer in model.backbone:
-        layer.trainable = True
     model.freeze_backbone(upto=model.last_conv_index())
     model.set_head(make_classification_head(model.feature_dim, d_tar_train.n_classes, rng))
     log = train_supervised(model, d_tar_train, epochs=epochs, batch=batch,

@@ -22,6 +22,7 @@ from enfuse.explain import (
 )
 from enfuse.features import FeatureMatrix
 from enfuse.nn import Conv2d, Dense, EncoderModel, Flatten, GlobalAvgPool
+from enfuse.pretrain import BackboneSpec, build_backbone, make_classification_head
 
 
 def tiny_conv_model(seed=0, n_classes=2, channels=4, size=8):
@@ -71,6 +72,23 @@ class TestGradCam:
         shifted.head[-1].params["b"] += 7.5  # constant added to every class score
         after = grad_cam(shifted, image, 0).values
         assert np.allclose(before, after, atol=1e-12)
+
+    def test_each_conv_runs_once_per_image(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        model = EncoderModel(build_backbone(BackboneSpec("C"), rng),
+                             make_classification_head(24, 3, rng))
+        convs = [layer for layer in model.layers if isinstance(layer, Conv2d)]
+        calls = []
+        forward = Conv2d.forward
+
+        def counted(layer, x, training=False, keep_cache=False):
+            calls.append(layer)
+            return forward(layer, x, training, keep_cache)
+
+        monkeypatch.setattr(Conv2d, "forward", counted)
+        for cls, image in enumerate(rng.random((3, 16, 16, 3))):
+            grad_cam(model, image, cls)
+        assert calls == convs * 3
 
 
 class TestShapExact:

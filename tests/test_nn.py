@@ -316,35 +316,74 @@ class TestTrainSupervised:
 # conv, the whole backbone
 FREEZE_PATTERNS = [(0, 0), (3, 3), (8, 8), (11, 13)]
 
+# the same patterns on every variant (upto None freezes the whole backbone): A has
+# convs at 0 and 3 in 6 layers, so its first block ends at its last conv; B has
+# convs at 0, 2 and 5 in 8 layers, and its first block ends at its last conv too
+VARIANT_FREEZE_PATTERNS = [
+    ("A", 0, 0), ("A", 3, 3), ("A", None, 8),
+    ("B", 0, 0), ("B", 5, 5), ("B", None, 10),
+    ("C", 0, 0), ("C", 3, 3), ("C", 8, 8), ("C", None, 13),
+]
 
-def variant_c_model(upto):
+
+def variant_model(variant, upto):
+    spec = BackboneSpec(variant)
     rng = np.random.default_rng(5)
-    model = EncoderModel(build_backbone(BackboneSpec("C"), rng),
-                         make_classification_head(24, 3, rng))
+    model = EncoderModel(build_backbone(spec, rng),
+                         make_classification_head(spec.feature_dim, 3, rng))
     model.freeze_backbone(upto=upto)
     return model
+
+
+def variant_c_model(upto):
+    return variant_model("C", upto)
+
+
+def training_forward(model, x):
+    """The forward `train_supervised` runs, with the dropout masks fixed."""
+    model.reseed_dropout(0)
+    model.forward(x, training=True, keep_cache=True, skip_final_softmax=True)
+
+
+def full_layer_backward(model, x, dout):
+    """Oracle: every layer but the final Softmax forwards with a cache, and the
+    gradient runs through all of them down to the input."""
+    model.reseed_dropout(0)
+    stack = model.layers[:-1]
+    for layer in stack:
+        x = layer.forward(x, training=True, keep_cache=True)
+    for layer in reversed(stack):
+        dout = layer.backward(dout)
 
 
 class TestParameterOnlyBackward:
     def _forward(self, model):
         rng = np.random.default_rng(6)
-        model.forward(rng.random((4, 3, 16, 16)), training=True, keep_cache=True,
-                      skip_final_softmax=True)
+        training_forward(model, rng.random((4, 3, 16, 16)))
         return rng.normal(size=(4, 3))
 
     @pytest.mark.parametrize("upto,lowest", FREEZE_PATTERNS)
     def test_trainable_grads_match_full_backward(self, upto, lowest):
         model = variant_c_model(upto)
-        dout = self._forward(model)
+        rng = np.random.default_rng(6)
+        x, dout = rng.random((4, 3, 16, 16)), rng.normal(size=(4, 3))
         model.zero_grads()
-        model.backward(dout, stop_at=0)  # every layer, down to the input
+        full_layer_backward(model, x, dout)
         full = {k: v.copy() for k, v in model.named_grads(trainable_only=True).items()}
         model.zero_grads()
+        training_forward(model, x)
         assert model.backward(dout) is None
         got = model.named_grads(trainable_only=True)
         assert got.keys() == full.keys() and len(got) > 0
         for key in full:
             assert np.array_equal(got[key], full[key]), key
+
+    @pytest.mark.parametrize("variant,upto,lowest", VARIANT_FREEZE_PATTERNS)
+    def test_only_the_trainable_slice_keeps_a_cache(self, variant, upto, lowest):
+        model = variant_model(variant, upto)
+        self._forward(model)
+        top = len(model.layers) - 1  # the final Softmax is skipped
+        assert cached_layers(model) == list(range(lowest, top))
 
     @pytest.mark.parametrize("upto,lowest", FREEZE_PATTERNS)
     def test_no_layer_below_the_lowest_trainable_runs(self, upto, lowest):
@@ -408,14 +447,17 @@ class TestForwardCaches:
         self.INFERENCE[call](model)
         assert cached_layers(model) == []
 
-    @pytest.mark.parametrize("stop_at", [None, 0])
     @pytest.mark.parametrize("filled_first", [False, True])
-    def test_backward_after_inference_raises(self, stop_at, filled_first):
+    def test_backward_after_inference_raises(self, filled_first):
         model = variant_c_model(0)
         dout = trained_forward(model) if filled_first else np.zeros((4, 3))
         model.forward(np.random.default_rng(10).random((4, 3, 16, 16)))
         with pytest.raises(InvalidStateError, match="keep_cache"):
-            model.backward(dout, stop_at=stop_at)
+            model.backward(dout)
+
+    def test_backward_before_any_forward_raises(self):
+        with pytest.raises(InvalidStateError, match="keep_cache"):
+            variant_c_model(0).backward(np.zeros((4, 3)))
 
     @pytest.mark.parametrize("layer,shape", [
         (Conv2d(2, 3, 3), (2, 2, 4, 4)), (Dense(4, 3), (2, 4)), (ReLU(), (2, 4)),

@@ -1,9 +1,10 @@
-"""Bit-equality of the array-at-once tree, KNN, SHAP and conv-layer code with oracles.
+"""Bit-equality of the array-at-once tree, KNN, SHAP, conv-layer and Grad-CAM code with oracles.
 
 The oracles are the per-row, per-feature and per-permutation loops the library
 used before it worked on whole arrays, the forest average over one stacked
-array of every tree's output, the reshape/argmax `MaxPool2d` and the `np.pad`
-form of `Conv2d`'s padding. They live only here; every comparison is exact
+array of every tree's output, the reshape/argmax `MaxPool2d`, the `np.pad`
+form of `Conv2d`'s padding and the two-pass Grad-CAM that replayed the forward
+for the last conv activation. They live only here; every comparison is exact
 (`np.array_equal`), because the library code does the same float operations in
 the same order.
 """
@@ -16,8 +17,21 @@ from hypothesis import strategies as st
 
 from enfuse import classifiers
 from enfuse.classifiers import TrainedClassifier, Tree, fit_gbt, fit_knn, fit_rf, predict_proba
-from enfuse.explain import ShapExplanation, _background_mean, _coalition_matrix, shap_sampled
-from enfuse.nn import Conv2d, MaxPool2d
+from enfuse.data import resize_bilinear
+from enfuse.explain import (
+    ShapExplanation,
+    _background_mean,
+    _coalition_matrix,
+    grad_cam,
+    shap_sampled,
+)
+from enfuse.nn import Conv2d, EncoderModel, MaxPool2d, Softmax
+from enfuse.pretrain import (
+    BackboneSpec,
+    build_backbone,
+    make_classification_head,
+    make_ssl_classification_head,
+)
 
 # a few values, so that ties, duplicate rows and equal-to-threshold cases are common
 VALUES = (-2.0, -0.5, 0.0, 0.25, 1.0, 3.0)
@@ -384,3 +398,47 @@ def test_conv_matches_np_pad_oracle(seed, n, c_in, c_out, kernel, h, w):
     oracle.backward(dout)
     for name in ("w", "b"):
         assert same_bits(layer.grads[name], oracle.grads[name])
+
+
+# ---------------------------------------------------------------------------
+# Grad-CAM
+# ---------------------------------------------------------------------------
+
+def grad_cam_two_pass(model, image, target_class):
+    """Grad-CAM from a cached forward of the whole stack less its final Softmax,
+    a replay through the last conv for its activation, and a backward from the
+    class score down to just above that conv."""
+    li = model.last_conv_index()
+    image = np.asarray(image, dtype=np.float64)
+    batch = image.transpose(2, 0, 1)[None]
+    stack = model.layers
+    if isinstance(stack[-1], Softmax):
+        stack = stack[:-1]
+    logits = batch
+    for layer in stack:
+        logits = layer.forward(logits, keep_cache=True)
+    act = batch
+    for layer in stack[:li + 1]:
+        act = layer.forward(act)
+    grad = np.zeros_like(logits)
+    grad[0, target_class] = 1.0
+    for layer in reversed(stack[li + 1:]):
+        grad = layer.backward(grad)
+    channel_w = grad[0].mean(axis=(1, 2))
+    cam = np.maximum(np.tensordot(channel_w, act[0], axes=1), 0.0)
+    upsampled = np.maximum(resize_bilinear(cam[:, :, None], image.shape[:2])[:, :, 0], 0.0)
+    peak = upsampled.max()
+    return upsampled / peak if peak > 0 else upsampled
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from("ABC"),
+       ssl_head=st.booleans(), target_class=st.integers(0, 2))
+def test_grad_cam_matches_two_pass_oracle(seed, variant, ssl_head, target_class):
+    rng = np.random.default_rng(seed)
+    spec = BackboneSpec(variant)
+    make_head = make_ssl_classification_head if ssl_head else make_classification_head
+    model = EncoderModel(build_backbone(spec, rng), make_head(spec.feature_dim, 3, rng))
+    image = rng.random((16, 16, 3))
+    got = grad_cam(model, image, target_class).values
+    assert same_bits(got, grad_cam_two_pass(model, image, target_class))

@@ -25,8 +25,6 @@ from .artifact import write_atomic
 from .classifiers import load_classifier, save_classifier
 from .data import (
     TASK_MOTIFS,
-    AugmentConfig,
-    SplitSpec,
     make_synthetic_task,
     pnm_bytes,
     stratified_split,
@@ -58,15 +56,16 @@ from .explain import (
 )
 from .fusion import METHODS, load_transform, save_transform
 from .fusion import apply_transform  # noqa: F401  (bench span hook target)
-from .nn import EncoderModel, accuracy
+from .nn import EncoderModel, MaxPool2d, accuracy
 from .pretrain import (
-    BackboneSpec,
-    ContrastiveConfig,
     build_backbone,
     file_sha256,
     finetune_intermediate_tl,
     finetune_target_ssl,
     finetune_target_tl,
+    make_classification_head,
+    make_projection_head,
+    make_ssl_classification_head,
     pretrain_generic,
     pretrain_ssl,
 )
@@ -133,7 +132,7 @@ DEFAULTS: dict[str, dict[str, object]] = {
 # The allowed interval of every numeric key in DEFAULTS, checked by load_config:
 # "[" and "]" include the end point, "(" and ")" exclude it.
 BOUNDS: dict[str, dict[str, str]] = {
-    "data": {"image_size": "[16, inf)",  # the deepest backbone pools four times
+    "data": {"image_size": "[16, inf)",  # and the pooling factor's multiple: _check_image_size
              "generic_per_class": "[2, inf)", "intermediate_per_class": "[2, inf)",
              "target_per_class": "[2, inf)", "generic_noise": "[0, inf)",
              "intermediate_noise": "[0, inf)", "target_noise": "[0, inf)",
@@ -179,8 +178,10 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
 
     Unknown sections or keys, numeric values outside `BOUNDS`, a task name
     that is not one directory name, an even blur kernel, unknown fusion
-    methods or OOD task kinds, and a `[fusion] k` that a fit of the ensemble
-    or of ablate could not keep are rejected here, before any stage runs.
+    methods or OOD task kinds, an image size that a stack cannot pool, a
+    train split with a class of fewer than 2 rows, and a `[fusion] k` that a
+    fit of the ensemble or of ablate could not keep are rejected here, before
+    any stage runs.
     """
     config = {section: dict(values) for section, values in DEFAULTS.items()}
     section = None
@@ -222,25 +223,68 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
         if config[section][key] not in allowed:
             raise ConfigError(f"[{section}] {key}: {config[section][key]!r} is not one of "
                               f"{', '.join(allowed)}")
-    _check_fusion_k(config)
+    rng = np.random.default_rng(0)
+    encoders = {variant: EncoderModel(build_backbone(variant, rng)) for variant in VARIANTS}
+    _check_image_size(config, encoders)
+    _check_split_sizes(config)
+    _check_fusion_k(config, encoders)
     return config
 
 
-def _check_fusion_k(config: dict) -> None:
+def _check_image_size(config: dict, encoders: dict[str, EncoderModel]) -> None:
+    """Every MaxPool2d halves the maps and needs even sides, so the image
+    side must divide by 2 ** (the most pools on any stack pretrain builds).
+
+    The SSL stacks put a head that opens with a pool on the backbone.
+    """
+    rng = np.random.default_rng(0)
+    heads = [make_classification_head(4, 2, rng), make_projection_head(4, rng),
+             make_ssl_classification_head(4, 2, rng)]
+
+    def pools(layers):
+        return sum(isinstance(layer, MaxPool2d) for layer in layers)
+
+    factor = 2 ** (max(pools(m.backbone) for m in encoders.values()) + max(map(pools, heads)))
+    size = config["data"]["image_size"]
+    if size % factor:
+        raise ConfigError(f"[data] image_size: {size} is not a multiple of {factor}, "
+                          f"which the deepest stack's pooling needs")
+
+
+def _train_counts(config: dict, per_class: int, kind: str) -> np.ndarray:
+    """Per-class rows of the train split of a `kind` task with `per_class`
+    images a class, counted as `stratified_split` draws them."""
+    counts = [per_class] * len(TASK_MOTIFS[kind])
+    return stratified_train_counts(counts, config["data"]["split_fraction"])
+
+
+def _check_split_sizes(config: dict) -> None:
+    """Every class of the target and oodtest train splits keeps >= 2 rows.
+
+    GNB needs 2 rows a class; KNN and RF, 3 in all, which 2 classes of 2 give.
+    """
+    for section, key, kind in (("data", "target_per_class", TARGET_KIND),
+                               ("oodtest", "per_class", config["oodtest"]["kind"])):
+        per_class = config[section][key]
+        smallest = int(_train_counts(config, per_class, kind).min())
+        if smallest < 2:
+            raise ConfigError(f"[{section}] {key}: {per_class} per class at split_fraction "
+                              f"{config['data']['split_fraction']!r} leaves a class "
+                              f"{smallest} train row(s); the classifiers need 2")
+
+
+def _check_fusion_k(config: dict, encoders: dict[str, EncoderModel]) -> None:
     """PCA and ICA keep k components: k <= min(rows - 1, columns) on every fit.
 
-    The rows are the target train split's, counted as `stratified_split`
-    draws them, without drawing data. The narrowest fit is ablate's refit
-    without the widest encoder. oodtest fits its ensembles with the automatic
-    k, so its split needs no check.
+    The rows are the target train split's. The narrowest fit is ablate's
+    refit without the widest encoder. oodtest fits its ensembles with the
+    automatic k, so only its split size is checked, by `_check_split_sizes`.
     """
     k = config["fusion"]["k"]
     if k == 0 or config["fusion"]["method"] not in ("concat+pca", "concat+ica"):
         return
-    data = config["data"]
-    counts = [data["target_per_class"]] * len(TASK_MOTIFS[TARGET_KIND])
-    rows = int(stratified_train_counts(counts, data["split_fraction"]).sum())
-    widths = [BackboneSpec(name.split("_")[1]).feature_dim for name in BASE_MODEL_NAMES]
+    rows = int(_train_counts(config, config["data"]["target_per_class"], TARGET_KIND).sum())
+    widths = [encoders[name.split("_")[1]].feature_dim for name in BASE_MODEL_NAMES]
     columns = sum(widths) - max(widths)
     if k > min(rows - 1, columns):
         raise ConfigError(f"[fusion] k: {k} is more than the {rows} target train rows "
@@ -342,18 +386,13 @@ def _target_task(config: dict, seed: int):
 
 
 def target_split(config: dict, seed: int):
-    return stratified_split(_target_task(config, seed),
-                            SplitSpec(config["data"]["split_fraction"], seed=seed + 5))
+    return stratified_split(_target_task(config, seed), config["data"]["split_fraction"],
+                            seed + 5)
 
 
 def _task_dir(out: Path, config: dict, stage: str) -> Path:
     """The stage's directory; `write_atomic` creates it with the stage's first file."""
     return out / config["task"]["name"] / stage
-
-
-def _spec(config: dict, variant: str) -> BackboneSpec:
-    size = config["data"]["image_size"]
-    return BackboneSpec(variant, (size, size))
 
 
 def _save_weights(model: EncoderModel, stage_dir: Path, name: str) -> Path:
@@ -414,8 +453,7 @@ def cmd_pretrain(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     pre = config["pretrain"]
     files: list[Path] = []
     for i, variant in enumerate(VARIANTS):
-        spec = _spec(config, variant)
-        model = pretrain_generic(spec, generic, epochs=pre["epochs"],
+        model = pretrain_generic(variant, generic, epochs=pre["epochs"],
                                  batch=pre["batch"], lr=pre["lr"],
                                  seed=seed + 10 + i)
         model = finetune_intermediate_tl(model, intermediate, epochs=pre["epochs"],
@@ -423,13 +461,11 @@ def cmd_pretrain(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
                                          seed=seed + 20 + i)
         files.append(_save_weights(model, stage_dir, f"tl_{variant}"))
         print(f"pretrain: tl_{variant} done")
-    cfg = ContrastiveConfig(
-        temperature=pre["temperature"], batch_pairs=pre["ssl_batch_pairs"],
-        augment=AugmentConfig(blur_kernel=pre["augment_blur_kernel"]))
     for i, variant in enumerate(VARIANTS):
-        spec = _spec(config, variant)
-        model = pretrain_ssl(spec, intermediate, cfg, epochs=pre["ssl_epochs"],
-                             lr=pre["ssl_lr"], seed=seed + 30 + i,
+        model = pretrain_ssl(variant, intermediate, temperature=pre["temperature"],
+                             batch_pairs=pre["ssl_batch_pairs"],
+                             blur_kernel=pre["augment_blur_kernel"],
+                             epochs=pre["ssl_epochs"], lr=pre["ssl_lr"], seed=seed + 30 + i,
                              freeze_backbone=pre["ssl_freeze_backbone"])
         files.append(_save_weights(model, stage_dir, f"ssl_{variant}"))
         print(f"pretrain: ssl_{variant} done")
@@ -546,7 +582,7 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
         image = test.images[idx]
         target_class = int(test.labels[idx])
         for name, model in _load_target_models(out, config):
-            sal = grad_cam(model, image, target_class, source_model=name)
+            sal = grad_cam(model, image, target_class)
             outputs[stage_dir / f"gradcam_{name}_i{idx}_seed{seed}.ppm"] = (
                 render_saliency_ppm(sal, image=image))
     elif what == "shap":
@@ -578,8 +614,7 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
     size = config["data"]["image_size"]
     dataset = make_synthetic_task(ood["kind"], ood["per_class"], (size, size),
                                   ood["noise"], seed=seed + 777)
-    train, test = stratified_split(dataset, SplitSpec(
-        config["data"]["split_fraction"], seed=seed + 6))
+    train, test = stratified_split(dataset, config["data"]["split_fraction"], seed + 6)
     method = config["fusion"]["method"]
     pretrained = _load_target_models(out, config)
     hashes_before = {name: file_sha256(_task_dir(out, config, "finetune") / f"{name}.weights")
@@ -589,7 +624,7 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
     for i, name in enumerate(BASE_MODEL_NAMES):
         variant = name.split("_")[1]
         rng = np.random.default_rng(seed + 900 + i)
-        model = EncoderModel(build_backbone(_spec(config, variant), rng))
+        model = EncoderModel(build_backbone(variant, rng))
         model.meta["stage"] = "target"  # untrained baseline extractor
         random_models.append((name, model))
 

@@ -48,28 +48,9 @@ class LabeledImageSet:
         return LabeledImageSet(self.images[idx], self.labels[idx], list(self.class_names))
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise InvalidArgumentError("train_fraction must be in (0, 1)")
-
-
 # The ranges random_transform draws its rotation angle and zoom factor from.
 ROTATION_DEGREES = (-15.0, 15.0)
 ZOOM_RANGE = (0.8, 1.0)
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    blur_kernel: int = 9
-
-    def __post_init__(self):
-        if self.blur_kernel < 1 or self.blur_kernel % 2 == 0:
-            raise InvalidArgumentError("blur_kernel must be odd and >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +149,9 @@ def box_blur(image: np.ndarray, kernel: int) -> np.ndarray:
     return out / (kernel * kernel)
 
 
-def random_transform(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
+def random_transform(image: np.ndarray, blur_kernel: int, rng: np.random.Generator) -> np.ndarray:
     """One random augmentation draw: rotation, zoom, then a horizontal flip, a
-    vertical flip and a blur, each with probability 1/2."""
+    vertical flip and a `blur_kernel` box blur, each with probability 1/2."""
     out = rotate(image, rng.uniform(*ROTATION_DEGREES))
     out = zoom(out, rng.uniform(*ZOOM_RANGE))
     if rng.random() < 0.5:
@@ -178,7 +159,7 @@ def random_transform(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Gener
     if rng.random() < 0.5:
         out = vflip(out)
     if rng.random() < 0.5:
-        out = box_blur(out, cfg.blur_kernel)
+        out = box_blur(out, blur_kernel)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -214,17 +195,20 @@ def stratified_train_counts(counts, train_fraction: float) -> np.ndarray:
     return takes
 
 
-def stratified_split(dataset: LabeledImageSet, spec: SplitSpec) -> tuple[LabeledImageSet, LabeledImageSet]:
-    """Deterministic stratified train/test split.
+def stratified_split(dataset: LabeledImageSet, train_fraction: float,
+                     seed: int) -> tuple[LabeledImageSet, LabeledImageSet]:
+    """Deterministic stratified train/test split, shuffled by `seed`.
 
     Takes `stratified_train_counts` samples of each class, each within one
     sample of round(train_fraction * class size).
     """
-    rng = np.random.default_rng(spec.seed)
+    if not 0.0 < train_fraction < 1.0:
+        raise InvalidArgumentError("train_fraction must be in (0, 1)")
+    rng = np.random.default_rng(seed)
     counts = dataset.class_counts()
     if np.any(counts < 2):
         raise InvalidDatasetError("stratified split needs at least 2 samples per class")
-    takes = stratified_train_counts(counts, spec.train_fraction)
+    takes = stratified_train_counts(counts, train_fraction)
     train_idx, test_idx = [], []
     for c in range(dataset.n_classes):
         members = np.flatnonzero(dataset.labels == c)

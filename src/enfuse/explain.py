@@ -35,12 +35,10 @@ SHAP_BLOCK_ROWS = 4096
 @dataclass
 class SaliencyMap:
     values: np.ndarray  # (H, W) in [0, 1]
-    source_model: str
     target_class: int
 
 
-def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int,
-             source_model: str = "") -> SaliencyMap:
+def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int) -> SaliencyMap:
     """Gradient-weighted activation map at the model's final conv layer.
 
     One pass: the layers above the final conv, less a final softmax, keep
@@ -74,7 +72,7 @@ def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int,
     peak = upsampled.max()
     if peak > 0:
         upsampled = upsampled / peak
-    return SaliencyMap(upsampled, source_model, target_class)
+    return SaliencyMap(upsampled, target_class)
 
 
 # ---------------------------------------------------------------------------

@@ -18,18 +18,13 @@ MODEL_MAGIC = b"ETSEFM1\x00"
 
 
 class EncoderModel:
-    def __init__(self, backbone: list[Layer], head: list[Layer] | None = None,
-                 feature_dim: int | None = None):
-        if not backbone:
-            raise InvalidArgumentError("backbone may not be empty")
+    def __init__(self, backbone: list[Layer], head: list[Layer] | None = None):
+        conv_channels = [l.out_ch for l in backbone if isinstance(l, Conv2d)]
+        if not conv_channels:
+            raise InvalidArgumentError("backbone has no conv layers")
         self.backbone = backbone
         self.head = head or []
-        conv_channels = [l.out_ch for l in backbone if isinstance(l, Conv2d)]
-        if feature_dim is None:
-            if not conv_channels:
-                raise InvalidArgumentError("backbone has no conv layers")
-            feature_dim = conv_channels[-1]
-        self.feature_dim = feature_dim
+        self.feature_dim = conv_channels[-1]  # the width of the feature vector
         self.meta: dict = {}  # provenance: stage, method tag, training logs
         self._backward_stack: list[Layer] | None = None  # set by forward(keep_cache=True)
 
@@ -154,7 +149,10 @@ class EncoderModel:
         header, arrays = unpack(blob, MODEL_MAGIC, "model")
         backbone = [layer_from_descriptor(d) for d in header["backbone"]]
         head = [layer_from_descriptor(d) for d in header["head"]]
-        model = cls(backbone, head, feature_dim=header["feature_dim"])
+        model = cls(backbone, head)
+        if header["feature_dim"] != model.feature_dim:
+            raise IntegrityError(f"feature_dim {header['feature_dim']} does not match "
+                                 f"the last conv's {model.feature_dim} channels")
         model.meta = header.get("meta", {})
         layers = model.layers
         for rec, arr in zip(header["arrays"], arrays):

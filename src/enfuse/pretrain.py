@@ -12,11 +12,10 @@ for architecturally diverse production encoders.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AugmentConfig, LabeledImageSet, random_transform
+from .data import LabeledImageSet, random_transform
 from .errors import InvalidArgumentError, InvalidStateError
 from .features import FeatureMatrix
 from .nn import (
@@ -40,52 +39,21 @@ LATENT_DIM = 128
 SSL_LR_DECAY_EPOCH = 40  # unconditional halving point during contrastive pre-training
 
 
-@dataclass(frozen=True)
-class BackboneSpec:
-    variant: str  # "A" | "B" | "C"
-    input_size: tuple[int, int] = (16, 16)
-    in_channels: int = 3
-
-    def __post_init__(self):
-        if self.variant not in ("A", "B", "C"):
-            raise InvalidArgumentError(f"unknown backbone variant {self.variant!r}")
-        h, w = self.input_size
-        pools = {"A": 2, "B": 2, "C": 3}[self.variant]
-        if h % (2 ** pools) or w % (2 ** pools):
-            raise InvalidArgumentError(
-                f"input size {self.input_size} not divisible by the pooling factor")
-
-    @property
-    def feature_dim(self) -> int:
-        return {"A": 16, "B": 20, "C": 24}[self.variant]
-
-
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    temperature: float = 0.5
-    batch_pairs: int = 64
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise InvalidArgumentError("temperature must be positive")
-        if self.batch_pairs < 2:
-            raise InvalidArgumentError("batch_pairs must be >= 2")
-
-
-def build_backbone(spec: BackboneSpec, rng: np.random.Generator) -> list:
-    c = spec.in_channels
-    if spec.variant == "A":
-        return [Conv2d(c, 8, 3, rng=rng), ReLU(), MaxPool2d(),
+def build_backbone(variant: str, rng: np.random.Generator) -> list:
+    """The conv stack of backbone variant A, B or C over 3-channel images."""
+    if variant == "A":
+        return [Conv2d(3, 8, 3, rng=rng), ReLU(), MaxPool2d(),
                 Conv2d(8, 16, 3, rng=rng), ReLU(), MaxPool2d()]
-    if spec.variant == "B":
-        return [Conv2d(c, 8, 3, rng=rng), ReLU(),
+    if variant == "B":
+        return [Conv2d(3, 8, 3, rng=rng), ReLU(),
                 Conv2d(8, 12, 3, rng=rng), ReLU(), MaxPool2d(),
                 Conv2d(12, 20, 3, rng=rng), ReLU(), MaxPool2d()]
-    return [Conv2d(c, 6, 5, rng=rng), ReLU(), MaxPool2d(),
-            Conv2d(6, 12, 3, rng=rng), ReLU(), MaxPool2d(),
-            Conv2d(12, 16, 3, rng=rng), ReLU(),
-            Conv2d(16, 24, 3, rng=rng), ReLU(), MaxPool2d()]
+    if variant == "C":
+        return [Conv2d(3, 6, 5, rng=rng), ReLU(), MaxPool2d(),
+                Conv2d(6, 12, 3, rng=rng), ReLU(), MaxPool2d(),
+                Conv2d(12, 16, 3, rng=rng), ReLU(),
+                Conv2d(16, 24, 3, rng=rng), ReLU(), MaxPool2d()]
+    raise InvalidArgumentError(f"unknown backbone variant {variant!r}")
 
 
 def make_classification_head(d_f: int, n_classes: int, rng: np.random.Generator) -> list:
@@ -127,20 +95,20 @@ def _first_block_end(backbone) -> int:
 # Transfer-learning path
 # ---------------------------------------------------------------------------
 
-def pretrain_generic(spec: BackboneSpec, generic_set: LabeledImageSet,
+def pretrain_generic(variant: str, generic_set: LabeledImageSet,
                      epochs: int = 50, batch: int = 64, seed: int = 0,
                      lr: float = 0.001) -> EncoderModel:
     """Supervised pre-training on the generic source task; head is discarded."""
     if generic_set.n_classes < 2:
         raise InvalidArgumentError("generic pre-training needs >= 2 classes")
     rng = np.random.default_rng(seed)
-    model = EncoderModel(build_backbone(spec, rng),
-                         make_classification_head(spec.feature_dim, generic_set.n_classes, rng))
+    model = EncoderModel(build_backbone(variant, rng))
+    model.set_head(make_classification_head(model.feature_dim, generic_set.n_classes, rng))
     log = train_supervised(model, generic_set, epochs=epochs, batch=batch,
                            opt=OptimizerState(learning_rate=lr),
                            seed=int(rng.integers(2**31)))
     model.set_head(None)
-    model.meta = {"variant": spec.variant, "stage": "generic", "train_log": log}
+    model.meta = {"variant": variant, "stage": "generic", "train_log": log}
     return model
 
 
@@ -180,10 +148,13 @@ def finetune_target_tl(model: EncoderModel, d_tar_train: LabeledImageSet,
 # Contrastive path
 # ---------------------------------------------------------------------------
 
-def pretrain_ssl(spec: BackboneSpec, dataset: LabeledImageSet,
-                 cfg: ContrastiveConfig, epochs: int = 50, seed: int = 0,
+def pretrain_ssl(variant: str, dataset: LabeledImageSet, *, temperature: float,
+                 batch_pairs: int, blur_kernel: int, epochs: int = 50, seed: int = 0,
                  freeze_backbone: bool = False, lr: float = 0.001) -> EncoderModel:
     """Contrastive pre-training over two augmented views per image; labels are unused.
+
+    Each step takes up to `batch_pairs` images and scores their views with
+    the pair loss at `temperature`; `blur_kernel` is the augmentation's blur.
 
     `freeze_backbone` trains only the projection head (a literal reading of
     keeping the encoder frozen during pre-training); the default trains the
@@ -192,15 +163,17 @@ def pretrain_ssl(spec: BackboneSpec, dataset: LabeledImageSet,
     images = dataset.images
     if len(images) < 2:
         raise InvalidArgumentError("contrastive pre-training needs >= 2 images")
+    if batch_pairs < 2:
+        raise InvalidArgumentError("batch_pairs must be >= 2")
     rng = np.random.default_rng(seed)
-    model = EncoderModel(build_backbone(spec, rng),
-                         make_projection_head(spec.feature_dim, rng))
+    model = EncoderModel(build_backbone(variant, rng))
+    model.set_head(make_projection_head(model.feature_dim, rng))
     if freeze_backbone:
         model.freeze_backbone()
     opt = OptimizerState(learning_rate=lr)
     aug_rng = np.random.default_rng(int(rng.integers(2**31)))
     n = len(images)
-    pairs = min(cfg.batch_pairs, n)
+    pairs = min(batch_pairs, n)
     log = []
     for epoch in range(epochs):
         perm = rng.permutation(n)
@@ -211,11 +184,11 @@ def pretrain_ssl(spec: BackboneSpec, dataset: LabeledImageSet,
                 continue
             views = []
             for i in idx:
-                views.append(random_transform(images[i], cfg.augment, aug_rng))
-                views.append(random_transform(images[i], cfg.augment, aug_rng))
+                views.append(random_transform(images[i], blur_kernel, aug_rng))
+                views.append(random_transform(images[i], blur_kernel, aug_rng))
             x = images_to_batch(np.stack(views))
             z = model.forward(x, training=True, keep_cache=True)
-            loss, dz = nt_xent_loss(z, cfg.temperature)
+            loss, dz = nt_xent_loss(z, temperature)
             model.zero_grads()
             model.backward(dz)
             adam_step(opt, model.named_parameters(trainable_only=True),
@@ -225,7 +198,7 @@ def pretrain_ssl(spec: BackboneSpec, dataset: LabeledImageSet,
         log.append(total / seen)
         if epoch + 1 == SSL_LR_DECAY_EPOCH:
             opt.learning_rate *= 0.5
-    model.meta = {"variant": spec.variant, "stage": "ssl-pretrain", "train_log": log}
+    model.meta = {"variant": variant, "stage": "ssl-pretrain", "train_log": log}
     return model
 
 

@@ -18,7 +18,7 @@ from test_nn import check_layer_grads, numeric_grad
 
 from enfuse.classifiers import fit_gnb, fit_knn, predict
 from enfuse.cli import _load_target_models, load_config, run, target_split
-from enfuse.data import make_synthetic_task, stratified_split, SplitSpec
+from enfuse.data import make_synthetic_task, stratified_split
 from enfuse.ensemble import (
     ablate,
     confusion_from_labels,
@@ -40,7 +40,7 @@ from enfuse.nn import (
     cross_entropy_loss,
     nt_xent_loss,
 )
-from enfuse.pretrain import BackboneSpec, build_backbone
+from enfuse.pretrain import build_backbone
 
 GOLDEN_FILE = Path(__file__).parent / "golden_benchmark_seed42.json"
 SEED = 42
@@ -276,12 +276,12 @@ def test_criterion_9_ood_direction(pipeline):
     for s in range(3):
         dataset = make_synthetic_task("shapes4", 60, (size, size), 0.6,
                                       seed=2000 + s)
-        train, test = stratified_split(dataset, SplitSpec(0.2, seed=s))
+        train, test = stratified_split(dataset, 0.2, seed=s)
         random_models = []
         for i, (name, _) in enumerate(models):
             variant = name.split("_")[1]
             rng = np.random.default_rng(9000 + 10 * s + i)
-            rnd = EncoderModel(build_backbone(BackboneSpec(variant, (size, size)), rng))
+            rnd = EncoderModel(build_backbone(variant, rng))
             rnd.meta["stage"] = "target"  # untrained baseline extractor
             random_models.append((name, rnd))
         accs = {}

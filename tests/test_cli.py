@@ -6,13 +6,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enfuse import explain
 from enfuse.cli import BOUNDS, DEFAULTS, config_snapshot, load_config, run, target_split
-from enfuse.errors import ConfigError, EnfuseError
+from enfuse.data import TASK_MOTIFS, make_synthetic_task, stratified_split
+from enfuse.ensemble import evaluate, train_ensemble
+from enfuse.errors import ConfigError, EnfuseError, InvalidArgumentError
+from enfuse.features import FeatureMatrix
+from enfuse.nn import EncoderModel
+from enfuse.pretrain import (
+    build_backbone,
+    make_classification_head,
+    make_projection_head,
+    make_ssl_classification_head,
+)
 
 TINY_CONFIG = """\
 [task]
@@ -74,6 +85,10 @@ def numeric_setting(draw, inside):
             value = draw(st.integers(lo, hi))
             if key == "augment_blur_kernel":  # must also be odd
                 value |= 1
+            elif key == "image_size":  # must also be a multiple of 16
+                value -= value % 16
+            elif key in ("target_per_class", "per_class"):  # 2 a class leave 1 train row
+                value = max(value, 3)
         else:
             value = draw(st.integers(max_value=lo - 1)
                          | (st.nothing() if hi is None else st.integers(min_value=hi + 1)))
@@ -82,6 +97,8 @@ def numeric_setting(draw, inside):
         hi = math.nextafter(hi, -math.inf) if open_hi else hi
         if inside:
             value = draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+            if key == "split_fraction":  # the default 20 a class keep 2 train rows
+                value = max(value, 0.1)
         else:
             value = draw(st.floats(max_value=math.nextafter(lo, -math.inf))
                          | st.floats(min_value=math.nextafter(hi, math.inf)))
@@ -91,6 +108,26 @@ def numeric_setting(draw, inside):
 @pytest.fixture(scope="module")
 def cfg_file(tmp_path_factory):
     return tmp_path_factory.mktemp("prop") / "c.cfg"
+
+
+def with_data(**data):
+    config = {section: dict(values) for section, values in DEFAULTS.items()}
+    config["data"].update(data)
+    return config
+
+
+def oodtest_split(config, seed=0):
+    """The oodtest stage's split, drawn as cmd_oodtest draws it."""
+    ood, size = config["oodtest"], config["data"]["image_size"]
+    dataset = make_synthetic_task(ood["kind"], ood["per_class"], (size, size),
+                                  ood["noise"], seed=seed + 777)
+    return stratified_split(dataset, config["data"]["split_fraction"], seed + 6)
+
+
+def smallest_train_class(config) -> int:
+    """The fewest rows of one class in the target or the oodtest train split."""
+    return min(int(split[0].class_counts().min())
+               for split in (target_split(config, seed=0), oodtest_split(config)))
 
 
 class TestConfig:
@@ -158,25 +195,27 @@ class TestConfig:
            offset=st.integers(-3, 3), method=st.sampled_from(["concat+ica", "concat+pca"]))
     def test_fusion_k_checked_against_the_actual_split(self, cfg_file, per_class,
                                                       fraction, offset, method):
-        config = {section: dict(values) for section, values in DEFAULTS.items()}
-        config["data"].update(target_per_class=per_class, split_fraction=fraction)
+        config = with_data(target_per_class=per_class, split_fraction=fraction)
         rows = len(target_split(config, seed=0)[0])
         k = rows - 1 + offset  # the largest k that fits, plus offset
         assume(k >= 1)
         cfg_file.write_text(f"[data]\ntarget_per_class = {per_class}\n"
                             f"split_fraction = {fraction!r}\n"
                             f"[fusion]\nmethod = {method}\nk = {k}\n")
-        if offset <= 0:
+        if smallest_train_class(config) < 2:  # checked before k
+            with pytest.raises(ConfigError, match="per_class"):
+                load_config(str(cfg_file))
+        elif offset <= 0:
             assert load_config(str(cfg_file))["fusion"]["k"] == k
         else:
             with pytest.raises(ConfigError, match=r"\[fusion\] k"):
                 load_config(str(cfg_file))
 
-    @pytest.mark.parametrize("text", [
-        "[data]\ntarget_per_class = 2\n[fusion]\nk = 0\n",
-        "[data]\ntarget_per_class = 2\n[fusion]\nmethod = concat-only\n",
-        "[data]\ntarget_per_class = 2\n[fusion]\nmethod = concat+lda\n",
-        "[oodtest]\nper_class = 2\n",  # oodtest always fits with the automatic k
+    @pytest.mark.parametrize("text", [  # 3 a class: the smallest split sizes accepted
+        "[data]\ntarget_per_class = 3\n[fusion]\nk = 0\n",
+        "[data]\ntarget_per_class = 3\n[fusion]\nmethod = concat-only\n",
+        "[data]\ntarget_per_class = 3\n[fusion]\nmethod = concat+lda\n",
+        "[oodtest]\nper_class = 3\n",  # oodtest always fits with the automatic k
     ], ids=["k-automatic", "concat-only", "lda", "small-oodtest-split"])
     def test_fusion_k_not_checked_where_unused(self, tmp_path, text):
         cfg = tmp_path / "c.cfg"
@@ -190,6 +229,58 @@ class TestConfig:
         cfg_file.write_text(f"[{section}]\n{key} = {value!r}{comment}\n")
         with pytest.raises(ConfigError, match=key):
             load_config(str(cfg_file))
+
+    @settings(max_examples=20, deadline=None)
+    @given(size=st.sampled_from(range(16, 65, 4)))
+    def test_image_size_accepted_exactly_when_every_stack_runs(self, cfg_file, size):
+        cfg_file.write_text(f"[data]\nimage_size = {size}\n")
+        zeros = np.zeros((1, 3, size, size))
+        runs = True
+        for variant in "ABC":
+            rng = np.random.default_rng(0)
+            backbone = EncoderModel(build_backbone(variant, rng))
+            d_f = backbone.feature_dim
+            for head in (make_classification_head(d_f, 3, rng), make_projection_head(d_f, rng),
+                         make_ssl_classification_head(d_f, 3, rng)):
+                try:
+                    EncoderModel(backbone.backbone, head).forward(zeros)
+                except InvalidArgumentError:
+                    runs = False
+        assert runs == (size % 16 == 0)
+        if runs:
+            assert load_config(str(cfg_file))["data"]["image_size"] == size
+        else:
+            with pytest.raises(ConfigError, match="image_size"):
+                load_config(str(cfg_file))
+
+    @settings(max_examples=60, deadline=None)
+    @given(target=st.integers(2, 12), ood=st.integers(2, 12),
+           fraction=st.floats(0.05, 0.95), kind=st.sampled_from(sorted(TASK_MOTIFS)))
+    def test_split_sizes_accepted_exactly_when_every_train_class_keeps_two_rows(
+            self, cfg_file, target, ood, fraction, kind):
+        config = with_data(target_per_class=target, split_fraction=fraction)
+        config["oodtest"].update(per_class=ood, kind=kind)
+        cfg_file.write_text(f"[data]\ntarget_per_class = {target}\n"
+                            f"split_fraction = {fraction!r}\n[fusion]\nk = 0\n"
+                            f"[oodtest]\nper_class = {ood}\nkind = {kind}\n")
+        if smallest_train_class(config) >= 2:
+            load_config(str(cfg_file))
+        else:
+            with pytest.raises(ConfigError, match="per_class"):
+                load_config(str(cfg_file))
+
+    @pytest.mark.parametrize("method", ["concat+ica", "concat+pca", "concat+lda", "concat-only"])
+    def test_smallest_accepted_splits_fit_an_ensemble(self, tmp_path, method):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[data]\ntarget_per_class = 3\n[oodtest]\nper_class = 3\n"
+                       f"[fusion]\nmethod = {method}\nk = 0\n")
+        config = load_config(str(cfg))
+        rng = np.random.default_rng(0)
+        for train, test in (target_split(config, seed=0), oodtest_split(config)):
+            parts = [{name: FeatureMatrix(rng.normal(size=(len(split), width)), split.labels)
+                      for name, width in (("a", 16), ("b", 24))} for split in (train, test)]
+            ensemble = train_ensemble(parts[0], train.n_classes, method=method, seed=0)
+            evaluate(ensemble, parts[1])
 
     def test_snapshot_includes_seed(self):
         snap = config_snapshot(load_config(None), 5)
@@ -320,9 +411,17 @@ class TestFailureModes:
         "[task]\nname = ../escape\n",
         "[task]\nname = /tmp/escape\n",
         "[task]\nname = a/b\n",
+        "[data]\nimage_size = 20\n",  # variant C and an SSL head pool four times
+        "[data]\nimage_size = 24\n",
+        # a class of the train split keeps 1 row; GNB needs 2
+        "[data]\ntarget_per_class = 2\n[fusion]\nk = 0\n",
+        "[data]\ntarget_per_class = 10\nsplit_fraction = 0.1\n[fusion]\nk = 0\n",
+        "[oodtest]\nper_class = 2\n",
     ], ids=["fusion-method", "epochs", "temperature", "blur-kernel-even", "oodtest-kind",
             "fusion-k-above-train-rows", "fusion-k-above-ablate-columns", "task-empty",
-            "task-dot", "task-dotdot", "task-parent", "task-absolute", "task-nested"])
+            "task-dot", "task-dotdot", "task-parent", "task-absolute", "task-nested",
+            "image-size-20", "image-size-24", "target-split-2-per-class",
+            "target-split-fraction-0.1", "oodtest-split-2-per-class"])
     def test_bad_config_exits_before_any_stage(self, tmp_path, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

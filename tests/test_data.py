@@ -4,7 +4,6 @@ import pytest
 from enfuse import data
 from enfuse.data import (
     LabeledImageSet,
-    SplitSpec,
     box_blur,
     hflip,
     make_synthetic_task,
@@ -14,7 +13,7 @@ from enfuse.data import (
     stratified_split,
     zoom,
 )
-from enfuse.errors import InvalidDatasetError
+from enfuse.errors import InvalidArgumentError, InvalidDatasetError
 
 
 class TestPnmIO:
@@ -42,20 +41,20 @@ class TestStratifiedSplit:
 
     def test_exact_8_2(self):
         ds = self._make([5, 5])
-        train, test = stratified_split(ds, SplitSpec(0.8, seed=1))
+        train, test = stratified_split(ds, 0.8, seed=1)
         assert list(train.class_counts()) == [4, 4]
         assert list(test.class_counts()) == [1, 1]
 
     def test_deterministic(self):
         ds = self._make([10, 6])
-        a1, b1 = stratified_split(ds, SplitSpec(0.8, seed=5))
-        a2, b2 = stratified_split(ds, SplitSpec(0.8, seed=5))
+        a1, b1 = stratified_split(ds, 0.8, seed=5)
+        a2, b2 = stratified_split(ds, 0.8, seed=5)
         assert np.array_equal(a1.images, a2.images)
         assert np.array_equal(b1.labels, b2.labels)
 
     def test_60_40(self):
         ds = self._make([60, 40])
-        train, test = stratified_split(ds, SplitSpec(0.8, seed=3))
+        train, test = stratified_split(ds, 0.8, seed=3)
         counts = train.class_counts()
         assert abs(counts[0] - 48) <= 1 and abs(counts[1] - 32) <= 1
         assert len(train) + len(test) == 100
@@ -66,7 +65,7 @@ class TestStratifiedSplit:
         ds = LabeledImageSet(images, rng.integers(0, 3, 30), ["a", "b", "c"])
         if np.any(ds.class_counts() < 2):
             pytest.skip("degenerate draw")
-        train, test = stratified_split(ds, SplitSpec(0.8, seed=0))
+        train, test = stratified_split(ds, 0.8, seed=0)
         seen = np.concatenate([train.images, test.images]).reshape(len(ds), -1)
         orig = images.reshape(len(ds), -1)
         # every original row appears exactly once across the union
@@ -74,14 +73,19 @@ class TestStratifiedSplit:
 
     def test_empty_train_side(self):
         ds = self._make([2, 2])
-        train, test = stratified_split(ds, SplitSpec(0.1, seed=0))
+        train, test = stratified_split(ds, 0.1, seed=0)
         assert len(train) == 0 and train.images.shape == (0, 4, 4, 1)
         assert list(test.class_counts()) == [2, 2]
 
     def test_small_class_rejected(self):
         ds = self._make([5, 1])
         with pytest.raises(InvalidDatasetError):
-            stratified_split(ds, SplitSpec(0.8, seed=0))
+            stratified_split(ds, 0.8, seed=0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(InvalidArgumentError, match="train_fraction"):
+            stratified_split(self._make([5, 5]), fraction, seed=0)
 
 
 class TestTransforms:

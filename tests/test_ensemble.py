@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enfuse.data import SplitSpec, make_synthetic_task, stratified_split
+from enfuse.data import make_synthetic_task, stratified_split
 from enfuse.ensemble import (
     CLASSIFIER_ORDER,
     ConfusionMatrix,
@@ -39,7 +39,7 @@ def noise_features(ds, dim, seed):
 @pytest.fixture(scope="module")
 def splits():
     data = make_synthetic_task("shapes3", 20, SIZE, 0.05, seed=50)
-    return stratified_split(data, SplitSpec(0.8, seed=0))
+    return stratified_split(data, 0.8, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -211,19 +211,18 @@ class TestReports:
 class TestWithEncoders:
     def test_end_to_end_with_real_base_models(self, splits):
         from enfuse.pretrain import (
-            BackboneSpec, finetune_target_ssl, finetune_intermediate_tl,
-            finetune_target_tl, pretrain_generic, pretrain_ssl, ContrastiveConfig,
+            finetune_target_ssl, finetune_intermediate_tl,
+            finetune_target_tl, pretrain_generic, pretrain_ssl,
         )
-        from enfuse.data import AugmentConfig
 
         train, test = splits
         fast = dict(epochs=25, batch=8, lr=0.01)
         generic = make_synthetic_task("generic", 12, SIZE, 0.0, seed=60)
-        tl = pretrain_generic(BackboneSpec("A", SIZE), generic, seed=1, **fast)
+        tl = pretrain_generic("A", generic, seed=1, **fast)
         tl = finetune_intermediate_tl(tl, train, seed=2, **fast)
         tl = finetune_target_tl(tl, train, seed=3, **fast)
-        cfg = ContrastiveConfig(batch_pairs=16, augment=AugmentConfig(blur_kernel=3))
-        ssl = pretrain_ssl(BackboneSpec("B", SIZE), train, cfg, epochs=6, seed=4, lr=0.01)
+        ssl = pretrain_ssl("B", train, temperature=0.5, batch_pairs=16, blur_kernel=3,
+                           epochs=6, seed=4, lr=0.01)
         ssl = finetune_target_ssl(ssl, train, seed=5, **fast)
 
         models = [("tl_A", tl), ("ssl_B", ssl)]

@@ -22,7 +22,7 @@ from enfuse.explain import (
 )
 from enfuse.features import FeatureMatrix
 from enfuse.nn import Conv2d, Dense, EncoderModel, Flatten, GlobalAvgPool
-from enfuse.pretrain import BackboneSpec, build_backbone, make_classification_head
+from enfuse.pretrain import build_backbone, make_classification_head
 
 
 def tiny_conv_model(seed=0, n_classes=2, channels=4, size=8):
@@ -75,7 +75,7 @@ class TestGradCam:
 
     def test_each_conv_runs_once_per_image(self, monkeypatch):
         rng = np.random.default_rng(6)
-        model = EncoderModel(build_backbone(BackboneSpec("C"), rng),
+        model = EncoderModel(build_backbone("C", rng),
                              make_classification_head(24, 3, rng))
         convs = [layer for layer in model.layers if isinstance(layer, Conv2d)]
         calls = []

@@ -25,7 +25,6 @@ from enfuse.nn import (
     train_supervised,
 )
 from enfuse.pretrain import (
-    BackboneSpec,
     build_backbone,
     extract_features,
     make_classification_head,
@@ -327,10 +326,9 @@ VARIANT_FREEZE_PATTERNS = [
 
 
 def variant_model(variant, upto):
-    spec = BackboneSpec(variant)
     rng = np.random.default_rng(5)
-    model = EncoderModel(build_backbone(spec, rng),
-                         make_classification_head(spec.feature_dim, 3, rng))
+    model = EncoderModel(build_backbone(variant, rng))
+    model.set_head(make_classification_head(model.feature_dim, 3, rng))
     model.freeze_backbone(upto=upto)
     return model
 
@@ -498,6 +496,18 @@ class TestModelPersistence:
         x = rng.normal(size=(2, 3, 8, 8))
         assert np.array_equal(model.forward(x), loaded.forward(x))
         assert loaded.backbone[0].trainable is False
+
+    def test_feature_dim_must_match_last_conv(self):
+        from enfuse.artifact import pack, unpack
+        from enfuse.errors import IntegrityError
+        from enfuse.nn.model import MODEL_MAGIC
+        rng = np.random.default_rng(31)
+        blob = EncoderModel([Conv2d(3, 4, 3, rng=rng), ReLU()]).save_bytes()
+        header, arrays = unpack(blob, MODEL_MAGIC, "model")
+        assert header["feature_dim"] == 4
+        header["feature_dim"] = 5
+        with pytest.raises(IntegrityError, match="feature_dim"):
+            EncoderModel.load_bytes(pack(MODEL_MAGIC, header, arrays))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.bin"

@@ -27,7 +27,6 @@ from enfuse.explain import (
 )
 from enfuse.nn import Conv2d, EncoderModel, MaxPool2d, Softmax
 from enfuse.pretrain import (
-    BackboneSpec,
     build_backbone,
     make_classification_head,
     make_ssl_classification_head,
@@ -436,9 +435,9 @@ def grad_cam_two_pass(model, image, target_class):
        ssl_head=st.booleans(), target_class=st.integers(0, 2))
 def test_grad_cam_matches_two_pass_oracle(seed, variant, ssl_head, target_class):
     rng = np.random.default_rng(seed)
-    spec = BackboneSpec(variant)
     make_head = make_ssl_classification_head if ssl_head else make_classification_head
-    model = EncoderModel(build_backbone(spec, rng), make_head(spec.feature_dim, 3, rng))
+    model = EncoderModel(build_backbone(variant, rng))
+    model.set_head(make_head(model.feature_dim, 3, rng))
     image = rng.random((16, 16, 3))
     got = grad_cam(model, image, target_class).values
     assert same_bits(got, grad_cam_two_pass(model, image, target_class))

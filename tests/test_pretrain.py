@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from enfuse.data import AugmentConfig, SplitSpec, make_synthetic_task, stratified_split
-from enfuse.errors import InvalidStateError
+from enfuse.data import make_synthetic_task, stratified_split
+from enfuse.errors import InvalidArgumentError, InvalidStateError
 from enfuse.nn import Dense, Dropout, Flatten, GlobalAvgPool, MaxPool2d, ReLU, Softmax, images_to_batch
+from enfuse.nn import EncoderModel
 from enfuse.pretrain import (
-    BackboneSpec,
-    ContrastiveConfig,
     build_backbone,
     extract_features,
     finetune_intermediate_tl,
@@ -18,6 +17,7 @@ from enfuse.pretrain import (
 
 SIZE = (16, 16)
 FAST = dict(epochs=30, batch=8, lr=0.01)
+SSL = dict(temperature=0.5, blur_kernel=3)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ def datasets():
 
 @pytest.fixture(scope="module")
 def generic_model(datasets):
-    return pretrain_generic(BackboneSpec("A", SIZE), datasets["generic"], seed=1, **FAST)
+    return pretrain_generic("A", datasets["generic"], seed=1, **FAST)
 
 
 @pytest.fixture(scope="module")
@@ -45,21 +45,24 @@ def tl_model(generic_model, datasets):
 
 @pytest.fixture(scope="module")
 def ssl_model(datasets):
-    cfg = ContrastiveConfig(temperature=0.5, batch_pairs=16,
-                            augment=AugmentConfig(blur_kernel=3))
-    model = pretrain_ssl(BackboneSpec("A", SIZE), datasets["inter"], cfg, epochs=8, seed=4, lr=0.01)
+    model = pretrain_ssl("A", datasets["inter"], batch_pairs=16, **SSL, epochs=8, seed=4, lr=0.01)
     return finetune_target_ssl(model, datasets["target"], seed=5, **FAST)
 
 
-class TestBackboneSpecs:
+class TestBackbones:
     def test_variants_differ_in_depth(self):
         rng = np.random.default_rng(0)
-        lengths = {v: len(build_backbone(BackboneSpec(v, SIZE), rng)) for v in "ABC"}
+        lengths = {v: len(build_backbone(v, rng)) for v in "ABC"}
         assert len(set(lengths.values())) == 3
 
     def test_feature_dims(self):
-        assert BackboneSpec("A").feature_dim == 16
-        assert BackboneSpec("C").feature_dim == 24
+        rng = np.random.default_rng(0)
+        assert EncoderModel(build_backbone("A", rng)).feature_dim == 16
+        assert EncoderModel(build_backbone("C", rng)).feature_dim == 24
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="'D'"):
+            build_backbone("D", np.random.default_rng(0))
 
 
 class TestPretrainGeneric:
@@ -69,9 +72,8 @@ class TestPretrainGeneric:
         assert generic_model.meta["train_log"][-1] < generic_model.meta["train_log"][0]
 
     def test_seed_determinism(self, datasets):
-        spec = BackboneSpec("A", SIZE)
-        a = pretrain_generic(spec, datasets["generic"], epochs=2, batch=8, seed=9)
-        b = pretrain_generic(spec, datasets["generic"], epochs=2, batch=8, seed=9)
+        a = pretrain_generic("A", datasets["generic"], epochs=2, batch=8, seed=9)
+        b = pretrain_generic("A", datasets["generic"], epochs=2, batch=8, seed=9)
         for k, v in a.named_parameters().items():
             assert np.array_equal(v, b.named_parameters()[k])
 
@@ -92,7 +94,7 @@ class TestTransferPath:
         from enfuse.nn import accuracy
 
         model = copy.deepcopy(generic_model)
-        train, test = stratified_split(datasets["inter"], SplitSpec(0.8, seed=7))
+        train, test = stratified_split(datasets["inter"], 0.8, seed=7)
         finetune_intermediate_tl(model, train, seed=2, **FAST)
         assert accuracy(model, test) >= 0.9
 
@@ -113,39 +115,39 @@ class TestTransferPath:
         assert accuracy(tl_model, datasets["target"]) == 1.0
 
     def test_provenance_enforced(self, datasets):
-        spec = BackboneSpec("A", SIZE)
-        model = pretrain_generic(spec, datasets["generic"], epochs=1, batch=32, seed=0)
+        model = pretrain_generic("A", datasets["generic"], epochs=1, batch=32, seed=0)
         with pytest.raises(InvalidStateError):
             finetune_target_tl(model, datasets["target"], epochs=1, batch=32, seed=0)
 
 
 class TestContrastivePath:
     def test_loss_decreases(self, datasets):
-        cfg = ContrastiveConfig(batch_pairs=16, augment=AugmentConfig(blur_kernel=3))
-        model = pretrain_ssl(BackboneSpec("B", SIZE), datasets["inter"], cfg, epochs=5, seed=6, lr=0.005)
+        model = pretrain_ssl("B", datasets["inter"], batch_pairs=16, **SSL, epochs=5, seed=6,
+                             lr=0.005)
         log = model.meta["train_log"]
         assert all(b < a for a, b in zip(log, log[1:]))
 
+    def test_single_pair_batch_rejected(self, datasets):
+        with pytest.raises(InvalidArgumentError, match="batch_pairs"):
+            pretrain_ssl("A", datasets["inter"], batch_pairs=1, **SSL, epochs=1)
+
     def test_projection_dim_128(self, datasets):
-        cfg = ContrastiveConfig(batch_pairs=8, augment=AugmentConfig(blur_kernel=3))
-        model = pretrain_ssl(BackboneSpec("A", SIZE), datasets["inter"], cfg, epochs=1, seed=6)
+        model = pretrain_ssl("A", datasets["inter"], batch_pairs=8, **SSL, epochs=1, seed=6)
         z = model.forward(images_to_batch(datasets["inter"].images[:4]))
         assert z.shape[1] == 128
 
     def test_views_more_similar_after_training(self, datasets):
         from enfuse.data import random_transform
 
-        aug = AugmentConfig(blur_kernel=3)
-        cfg = ContrastiveConfig(batch_pairs=16, augment=aug)
-        spec = BackboneSpec("A", SIZE)
-        before = pretrain_ssl(spec, datasets["inter"], cfg, epochs=0, seed=8)
-        after = pretrain_ssl(spec, datasets["inter"], cfg, epochs=8, seed=8, lr=0.01)
+        before = pretrain_ssl("A", datasets["inter"], batch_pairs=16, **SSL, epochs=0, seed=8)
+        after = pretrain_ssl("A", datasets["inter"], batch_pairs=16, **SSL, epochs=8, seed=8,
+                             lr=0.01)
 
         def mean_pair_sim(model):
             rng = np.random.default_rng(0)
             sims = []
             for img in datasets["inter"].images[:12]:
-                views = np.stack([random_transform(img, aug, rng) for _ in range(2)])
+                views = np.stack([random_transform(img, 3, rng) for _ in range(2)])
                 z = model.forward(images_to_batch(views))
                 sims.append(z[0] @ z[1] / (np.linalg.norm(z[0]) * np.linalg.norm(z[1])))
             return np.mean(sims)
@@ -166,10 +168,8 @@ class TestContrastivePath:
         assert accuracy(ssl_model, datasets["target"]) >= 0.95
 
     def test_freeze_flag_keeps_backbone_bits(self, datasets):
-        cfg = ContrastiveConfig(batch_pairs=8, augment=AugmentConfig(blur_kernel=3))
-        spec = BackboneSpec("A", SIZE)
-        init = pretrain_ssl(spec, datasets["inter"], cfg, epochs=0, seed=11)
-        trained = pretrain_ssl(spec, datasets["inter"], cfg, epochs=2, seed=11,
+        init = pretrain_ssl("A", datasets["inter"], batch_pairs=8, **SSL, epochs=0, seed=11)
+        trained = pretrain_ssl("A", datasets["inter"], batch_pairs=8, **SSL, epochs=2, seed=11,
                                freeze_backbone=True)
         for (ka, va), (kb, vb) in zip(
                 sorted((k, v) for k, v in init.named_parameters().items() if int(k.split(".")[0]) < len(init.backbone)),

@@ -14,6 +14,8 @@ Exit codes: 0 success, 2 config error, 3 stage failure, 4 integrity failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import os
 import sys
@@ -130,22 +132,24 @@ DEFAULTS: dict[str, dict[str, object]] = {
 
 
 # The allowed interval of every numeric key in DEFAULTS, checked by load_config:
-# "[" and "]" include the end point, "(" and ")" exclude it.
+# "[" and "]" include the end point, "(" and ")" exclude it. Every count and
+# size has a finite top, so the split checks after it count in NumPy integers
+# without overflow.
 BOUNDS: dict[str, dict[str, str]] = {
-    "data": {"image_size": "[16, inf)",  # and the pooling factor's multiple: _check_image_size
-             "generic_per_class": "[2, inf)", "intermediate_per_class": "[2, inf)",
-             "target_per_class": "[2, inf)", "generic_noise": "[0, inf)",
+    "data": {"image_size": "[16, 1024]",  # and the pooling factor's multiple: _check_image_size
+             "generic_per_class": "[2, 100000]", "intermediate_per_class": "[2, 100000]",
+             "target_per_class": "[2, 100000]", "generic_noise": "[0, inf)",
              "intermediate_noise": "[0, inf)", "target_noise": "[0, inf)",
              "target_param_shift": "[0, inf)", "split_fraction": "(0, 1)"},
-    "pretrain": {"epochs": "[1, inf)", "batch": "[1, inf)", "lr": "(0, inf)",
-                 "ssl_epochs": "[1, inf)", "ssl_batch_pairs": "[2, inf)",
+    "pretrain": {"epochs": "[1, 100000]", "batch": "[1, 100000]", "lr": "(0, inf)",
+                 "ssl_epochs": "[1, 100000]", "ssl_batch_pairs": "[2, 100000]",
                  "ssl_lr": "(0, inf)", "temperature": "(0, inf)",
-                 "augment_blur_kernel": "[1, inf)"},
-    "finetune": {"epochs": "[1, inf)", "batch": "[1, inf)", "lr": "(0, inf)"},
-    "fusion": {"k": "[0, inf)"},
+                 "augment_blur_kernel": "[1, 1023]"},  # no wider than the largest image
+    "finetune": {"epochs": "[1, 100000]", "batch": "[1, 100000]", "lr": "(0, inf)"},
+    "fusion": {"k": "[0, 100000]"},
     "explain": {"instance": "[0, inf)", "perplexity": "[1, inf)",
-                "tsne_iters": "[1, inf)", "shap_samples": "[1, inf)"},
-    "oodtest": {"per_class": "[2, inf)", "noise": "[0, inf)"},
+                "tsne_iters": "[1, 100000]", "shap_samples": "[1, 100000]"},
+    "oodtest": {"per_class": "[2, 100000]", "noise": "[0, inf)"},
 }
 
 
@@ -670,6 +674,50 @@ def cmd_synth(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that NumPy's wheel
+    bundles (`numpy.libs/` on Linux, `numpy/.dylibs/` on macOS), or None."""
+    numpy_dir = Path(np.__file__).parent
+    for path in sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"),
+                        *numpy_dir.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))  # already loaded by NumPy: the same handle
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with BLAS on one thread; restore the caller's count after.
+
+    Every matrix here is small (batches of 8, 16x16 maps, at most 128
+    features), so a second thread gains nothing, and after each threaded call
+    its idle worker spins, burning a core. Without a bundled OpenBLAS this
+    does nothing.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _take_lock(lock: Path) -> bool:
     """Create `lock` holding this process's pid; False if another run holds it.
 
@@ -710,40 +758,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lock = out / ".lock"
-    if not _take_lock(lock):
-        print(f"error: {lock} is held by another run; remove it only if no run uses {out}",
-              file=sys.stderr)
-        return 3
-    try:
-        config = load_config(args.config)
-        manifest = load_manifest(out)
-        check_config_snapshot(manifest, config_snapshot(config, args.seed))
-        save_manifest(out, manifest)
-        if args.command == "all":
-            for stage in ("pretrain", "finetune", "ensemble", "ablate"):
-                run_stage(stage, config, args.seed, out, manifest)
-        elif args.command == "explain":
-            run_stage("explain", config, args.seed, out, manifest,
-                      args.what, instance=args.instance)
-        else:
-            run_stage(args.command, config, args.seed, out, manifest)
-        return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except IntegrityError as exc:
-        print(f"integrity error: {exc}", file=sys.stderr)
-        return 4
-    except EnfuseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    finally:
-        if lock.exists():
-            lock.unlink()
+    with _one_blas_thread():
+        args = build_parser().parse_args(argv)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        lock = out / ".lock"
+        if not _take_lock(lock):
+            print(f"error: {lock} is held by another run; remove it only if no run uses {out}",
+                  file=sys.stderr)
+            return 3
+        try:
+            config = load_config(args.config)
+            manifest = load_manifest(out)
+            check_config_snapshot(manifest, config_snapshot(config, args.seed))
+            save_manifest(out, manifest)
+            if args.command == "all":
+                for stage in ("pretrain", "finetune", "ensemble", "ablate"):
+                    run_stage(stage, config, args.seed, out, manifest)
+            elif args.command == "explain":
+                run_stage("explain", config, args.seed, out, manifest,
+                          args.what, instance=args.instance)
+            else:
+                run_stage(args.command, config, args.seed, out, manifest)
+            return 0
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except IntegrityError as exc:
+            print(f"integrity error: {exc}", file=sys.stderr)
+            return 4
+        except EnfuseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        finally:
+            if lock.exists():
+                lock.unlink()
 
 
 def main() -> None:

@@ -32,14 +32,9 @@ SHAP_BLOCK_ROWS = 4096
 # Grad-CAM
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SaliencyMap:
-    values: np.ndarray  # (H, W) in [0, 1]
-    target_class: int
-
-
-def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int) -> SaliencyMap:
-    """Gradient-weighted activation map at the model's final conv layer.
+def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int) -> np.ndarray:
+    """Gradient-weighted activation map at the model's final conv layer, (H, W)
+    in [0, 1].
 
     One pass: the layers above the final conv, less a final softmax, keep
     caches and backpropagate the class score to its activation. Channel
@@ -72,7 +67,7 @@ def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int) -> Salie
     peak = upsampled.max()
     if peak > 0:
         upsampled = upsampled / peak
-    return SaliencyMap(upsampled, target_class)
+    return upsampled
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +276,8 @@ PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-def render_saliency_ppm(saliency: SaliencyMap, image: np.ndarray) -> bytes:
-    """P6 heatmap: red channel carries the saliency over a grayed-out image."""
-    sal = saliency.values
+def render_saliency_ppm(sal: np.ndarray, image: np.ndarray) -> bytes:
+    """P6 heatmap: red channel carries the (H, W) saliency over a grayed-out image."""
     gray = np.asarray(image, dtype=np.float64)
     if gray.ndim == 3:
         gray = gray.mean(axis=2)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from enfuse import explain
+from enfuse import cli, explain
 from enfuse.cli import BOUNDS, DEFAULTS, config_snapshot, load_config, run, target_split
 from enfuse.data import TASK_MOTIFS, make_synthetic_task, stratified_split
 from enfuse.ensemble import evaluate, train_ensemble
@@ -417,11 +417,15 @@ class TestFailureModes:
         "[data]\ntarget_per_class = 2\n[fusion]\nk = 0\n",
         "[data]\ntarget_per_class = 10\nsplit_fraction = 0.1\n[fusion]\nk = 0\n",
         "[oodtest]\nper_class = 2\n",
+        # past the finite top of BOUNDS; the split checks would overflow on them
+        f"[data]\ntarget_per_class = {2**64}\n",
+        f"[oodtest]\nper_class = {2**68}\n",
     ], ids=["fusion-method", "epochs", "temperature", "blur-kernel-even", "oodtest-kind",
             "fusion-k-above-train-rows", "fusion-k-above-ablate-columns", "task-empty",
             "task-dot", "task-dotdot", "task-parent", "task-absolute", "task-nested",
             "image-size-20", "image-size-24", "target-split-2-per-class",
-            "target-split-fraction-0.1", "oodtest-split-2-per-class"])
+            "target-split-fraction-0.1", "oodtest-split-2-per-class",
+            "target-per-class-2**64", "oodtest-per-class-2**68"])
     def test_bad_config_exits_before_any_stage(self, tmp_path, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -466,3 +470,62 @@ class TestFailureModes:
         finally:
             if lock.exists():
                 lock.unlink()
+
+
+@pytest.fixture
+def blas():
+    """The getter of NumPy's OpenBLAS thread count; the count is 2 during the
+    test and restored after it."""
+    found = cli._openblas_threads()
+    if found is None:
+        pytest.skip("NumPy here bundles no OpenBLAS that ctypes finds")
+    get, set_ = found
+    original = get()
+    set_(2)
+    yield get
+    set_(original)
+
+
+class TestBlasThreads:
+    def synth_argv(self, tmp_path):
+        return ["synth", "--out", str(tmp_path / "o"), "--seed", "1"]
+
+    def record_threads(self, monkeypatch, get):
+        """Wrap cmd_synth to record the thread count the stage runs with."""
+        seen = []
+        original = cli.cmd_synth
+
+        def wrapped(*args, **kwargs):
+            seen.append(get())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cmd_synth", wrapped)
+        return seen
+
+    def test_stage_runs_on_one_thread_and_count_restored(self, blas, monkeypatch, tmp_path):
+        seen = self.record_threads(monkeypatch, blas)
+        assert run(self.synth_argv(tmp_path)) == 0
+        assert seen == [1]
+        assert blas() == 2
+
+    def test_count_restored_after_config_error(self, blas, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[bogus]\nx=1\n")
+        assert run(self.synth_argv(tmp_path) + ["--config", str(cfg)]) == 2
+        assert blas() == 2
+
+    def test_count_restored_after_exception(self, blas, monkeypatch, tmp_path):
+        def crash(*args, **kwargs):
+            raise RuntimeError("stage crashed")
+
+        monkeypatch.setattr(cli, "cmd_synth", crash)
+        with pytest.raises(RuntimeError, match="stage crashed"):
+            run(self.synth_argv(tmp_path))
+        assert blas() == 2
+
+    def test_no_op_without_a_library(self, blas, monkeypatch, tmp_path):
+        seen = self.record_threads(monkeypatch, blas)
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        assert run(self.synth_argv(tmp_path)) == 0
+        assert seen == [2]
+        assert blas() == 2

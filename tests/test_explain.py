@@ -38,15 +38,15 @@ class TestGradCam:
         image = np.zeros((8, 8, 3))
         image[:4, :4] = 1.0  # bright top-left quadrant
         sal = grad_cam(model, image, target_class=0)
-        peak = np.unravel_index(np.argmax(sal.values), sal.values.shape)
+        peak = np.unravel_index(np.argmax(sal), sal.shape)
         assert peak[0] < 4 and peak[1] < 4
 
     def test_values_in_unit_interval(self):
         model = tiny_conv_model(seed=2)
         image = np.random.default_rng(0).random((8, 8, 3))
         sal = grad_cam(model, image, target_class=1)
-        assert np.all(sal.values >= 0) and np.all(sal.values <= 1)
-        assert sal.values.max() == pytest.approx(1.0)
+        assert np.all(sal >= 0) and np.all(sal <= 1)
+        assert sal.max() == pytest.approx(1.0)
 
     def test_zero_gradient_stays_zero(self):
         model = tiny_conv_model(seed=3)
@@ -55,22 +55,22 @@ class TestGradCam:
         dense.params["b"][1] = 0.0
         image = np.random.default_rng(1).random((8, 8, 3))
         sal = grad_cam(model, image, target_class=1)
-        assert np.all(sal.values == 0.0)
+        assert np.all(sal == 0.0)
 
     def test_shape_matches_image(self):
         model = tiny_conv_model(seed=4)
         sal = grad_cam(model, np.random.default_rng(2).random((8, 8, 3)), 0)
-        assert sal.values.shape == (8, 8)
+        assert sal.shape == (8, 8)
 
     def test_score_shift_invariance(self):
         import copy
 
         model = tiny_conv_model(seed=5)
         image = np.random.default_rng(3).random((8, 8, 3))
-        before = grad_cam(model, image, 0).values
+        before = grad_cam(model, image, 0)
         shifted = copy.deepcopy(model)
         shifted.head[-1].params["b"] += 7.5  # constant added to every class score
-        after = grad_cam(shifted, image, 0).values
+        after = grad_cam(shifted, image, 0)
         assert np.allclose(before, after, atol=1e-12)
 
     def test_each_conv_runs_once_per_image(self, monkeypatch):
@@ -292,7 +292,7 @@ class TestRender:
         assert header == b"P6\n8 8"
         back = np.frombuffer(pixels, dtype=np.uint8).reshape(8, 8, 3) / 255
         # red channel carries the saliency peak
-        peak = np.unravel_index(np.argmax(sal.values), sal.values.shape)
+        peak = np.unravel_index(np.argmax(sal), sal.shape)
         assert back[peak][0] == 1.0
 
     def test_svg_scatter_parses(self):

@@ -439,5 +439,5 @@ def test_grad_cam_matches_two_pass_oracle(seed, variant, ssl_head, target_class)
     model = EncoderModel(build_backbone(variant, rng))
     model.set_head(make_head(model.feature_dim, 3, rng))
     image = rng.random((16, 16, 3))
-    got = grad_cam(model, image, target_class).values
+    got = grad_cam(model, image, target_class)
     assert same_bits(got, grad_cam_two_pass(model, image, target_class))

@@ -1,14 +1,18 @@
 """Command-line pipeline driver.
 
-Stages (pretrain -> finetune -> ensemble -> ablate / explain / oodtest) run
-against a single output tree `<out>/<task>/<stage>/` with one manifest at the
-root recording content hashes of everything each stage produced; the manifest
-is the only integrity record. `STAGES` declares which stages each one needs
-and whether it runs again on every invocation, and `run_stage` applies it:
-reruns with an unchanged config skip completed stages, and any hash mismatch
-blocks the stages that depend on the damaged file.
+Stages (pretrain -> finetune -> ensemble -> ablate / explain / oodtest) write
+to `<out>/<task>/<stage>/`. The root manifest, the only integrity record, holds
+each stage's inputs (the seed, each config value it read, a digest of the
+`files` map of each stage it requires) and each of its files' hash. The one
+rule, which `run_stage` applies: a stage is current when its recorded inputs
+still hold and its files hash-match. A current stage is skipped; any other
+reruns, replaces its record and deletes the files only the old record listed.
+Explain runs on every call and adds to its record while its inputs hold.
 
-Exit codes: 0 success, 2 config error, 3 stage failure, 4 integrity failure.
+Exit codes: 0 success, 2 config error, 3 stage failure or a required stage
+missing or stale ("run it first"), 4 integrity failure (a damaged file of a
+stage whose inputs hold, or a manifest that is unreadable or lists a path
+outside `--out`).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import hashlib
 import json
 import os
 import sys
@@ -105,7 +110,6 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "ssl_batch_pairs": 16,
         "ssl_lr": 0.01,
         "temperature": 0.5,
-        "ssl_freeze_backbone": False,
         "augment_blur_kernel": 3,
     },
     "finetune": {
@@ -160,21 +164,11 @@ def _within(value: float, bound: str) -> bool:
 
 
 def _coerce(section: str, key: str, raw: str):
-    default = DEFAULTS[section][key]
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
+    """`raw` as the type of the key's default: int, float or str."""
     try:
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
+        return type(DEFAULTS[section][key])(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
-    return raw
 
 
 def load_config(path: str | None) -> dict[str, dict[str, object]]:
@@ -297,14 +291,6 @@ def _check_fusion_k(config: dict, encoders: dict[str, EncoderModel]) -> None:
                           f"(automatic)")
 
 
-def config_snapshot(config: dict, seed: int) -> dict[str, str]:
-    flat = {"seed": str(seed)}
-    for section in sorted(config):
-        for key in sorted(config[section]):
-            flat[f"{section}.{key}"] = str(config[section][key])
-    return flat
-
-
 # ---------------------------------------------------------------------------
 # Manifest
 # ---------------------------------------------------------------------------
@@ -314,13 +300,17 @@ def _manifest_path(out: Path) -> Path:
 
 
 def load_manifest(out: Path) -> dict:
+    """The manifest's stage records; any other entry an older version wrote is dropped."""
     path = _manifest_path(out)
-    if not path.exists():
-        return {"version": TOOL_VERSION, "config": None, "stages": {}}
     try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        stages = json.loads(path.read_text())["stages"] if path.exists() else {}
+        outside = [rel for record in stages.values() for rel in record["files"]
+                   if Path(rel).is_absolute() or ".." in Path(rel).parts]
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise IntegrityError(f"unreadable manifest {path}: {exc}") from exc
+    if outside:  # a rerun deletes the files its old record listed
+        raise IntegrityError(f"manifest {path} lists {outside[0]}, outside {out}")
+    return {"version": TOOL_VERSION, "stages": stages}
 
 
 def save_manifest(out: Path, manifest: dict) -> None:
@@ -328,21 +318,33 @@ def save_manifest(out: Path, manifest: dict) -> None:
     write_atomic(_manifest_path(out), text.encode())
 
 
-def check_config_snapshot(manifest: dict, snapshot: dict) -> None:
-    if manifest["config"] is None:
-        manifest["config"] = snapshot
-    elif manifest["config"] != snapshot:
-        raise ConfigError(
-            "output directory was produced with a different config/seed; "
-            "use a fresh --out or the original settings")
+def _files_digest(manifest: dict, stage: str) -> str:
+    """sha256 of the stage's `files` map: it changes when a listed path or hash does."""
+    files = json.dumps(manifest["stages"][stage]["files"], sort_keys=True)
+    return hashlib.sha256(files.encode()).hexdigest()
 
 
-def stage_complete(out: Path, manifest: dict, stage: str) -> bool:
-    """True when the stage ran before and all its files still hash-match."""
-    record = manifest["stages"].get(stage)
-    if record is None:
+def _inputs_hold(manifest: dict, stage: str, config: dict, seed: int) -> bool:
+    """True when the stage's record has inputs and each still holds: the seed,
+    every config value the stage read, and the `files` map of every stage it
+    required, whose own inputs must hold in turn. No file is hashed."""
+    inputs = manifest["stages"].get(stage, {}).get("inputs")
+    if inputs is None:  # never run, or recorded by a version without inputs
         return False
-    for rel, digest in sorted(record["files"].items()):
+    flat = {f"{section}.{key}": value
+            for section, values in config.items() for key, value in values.items()}
+    return (inputs["seed"] == seed and inputs["config"].items() <= flat.items()
+            and all(_inputs_hold(manifest, needed, config, seed)
+                    and _files_digest(manifest, needed) == digest
+                    for needed, digest in inputs["stages"].items()))
+
+
+def stage_complete(out: Path, manifest: dict, stage: str, config: dict, seed: int) -> bool:
+    """True when the stage's recorded inputs hold and its files hash-match; a
+    damaged file of a stage whose inputs hold is an integrity error."""
+    if not _inputs_hold(manifest, stage, config, seed):
+        return False
+    for rel, digest in sorted(manifest["stages"][stage]["files"].items()):
         path = out / rel
         if not path.exists():
             raise IntegrityError(f"stage {stage}: missing output file {rel}")
@@ -351,17 +353,23 @@ def stage_complete(out: Path, manifest: dict, stage: str) -> bool:
     return True
 
 
-def require_stage(out: Path, manifest: dict, stage: str) -> None:
-    if not stage_complete(out, manifest, stage):
-        raise EnfuseError(f"stage '{stage}' has not completed; run it first")
-
-
-def record_stage(out: Path, manifest: dict, stage: str, files: list[Path]) -> None:
-    """Add the files' hashes to the stage's manifest entry and save the manifest."""
-    record = manifest["stages"].setdefault(stage, {"files": {}})
-    record["files"].update(
-        {str(p.relative_to(out)): file_sha256(p) for p in sorted(files)})
+def record_stage(out: Path, manifest: dict, stage: str, inputs: dict, files: list[Path],
+                 extend: bool = False) -> None:
+    """Save the stage's inputs and file hashes, added to its old record with `extend`;
+    else replacing it, then deleting the files (and emptied directories) only it listed."""
+    old = manifest["stages"].get(stage, {"files": {}})
+    record = {"inputs": inputs,
+              "files": {str(p.relative_to(out)): file_sha256(p) for p in sorted(files)}}
+    if extend:
+        for key in ("config", "stages"):
+            inputs[key] = {**old["inputs"][key], **inputs[key]}
+        record["files"] = {**old["files"], **record["files"]}
+    manifest["stages"][stage] = record
     save_manifest(out, manifest)
+    for rel in sorted(old["files"].keys() - record["files"].keys()):
+        (out / rel).unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # stops at a non-empty one; out holds the manifest
+            os.removedirs((out / rel).parent)
 
 
 # ---------------------------------------------------------------------------
@@ -409,17 +417,16 @@ def _save_weights(model: EncoderModel, stage_dir: Path, name: str) -> Path:
 # Stage table and runner
 # ---------------------------------------------------------------------------
 
-# stage -> (stages that must be complete and intact first, runs again on every
-# invocation). The first listed stage is the one that must run before it; any
-# other is a stage whose files it also reads. Explain's list depends on --what.
-STAGES: dict[str, tuple[tuple[str, ...], bool]] = {
-    "pretrain": ((), False),
-    "finetune": (("pretrain",), False),
-    "ensemble": (("finetune",), False),
-    "ablate": (("ensemble", "finetune"), False),
-    "explain": ((), True),
-    "oodtest": (("finetune",), True),
-    "synth": ((), False),
+# stage -> the stages that must be current first: the one that must run before it,
+# then any other whose files it also reads. Explain's list depends on --what.
+STAGES: dict[str, tuple[str, ...]] = {
+    "pretrain": (),
+    "finetune": ("pretrain",),
+    "ensemble": ("finetune",),
+    "ablate": ("ensemble", "finetune"),
+    "explain": (),
+    "oodtest": ("finetune",),
+    "synth": (),
 }
 EXPLAIN_REQUIRES = {
     "gradcam": ("finetune",),
@@ -428,24 +435,41 @@ EXPLAIN_REQUIRES = {
 }
 
 
+class _Reads(dict):
+    """A config section that notes in `reads` each value a stage command reads by `[]`."""
+
+    def __init__(self, section: str, values: dict, reads: dict):
+        super().__init__(values)
+        self.section, self.reads = section, reads
+
+    def __getitem__(self, key):
+        self.reads[f"{self.section}.{key}"] = value = super().__getitem__(key)
+        return value
+
+
 def run_stage(stage: str, config: dict, seed: int, out: Path, manifest: dict,
               *args, **kwargs) -> None:
-    """Require the stage's inputs, skip it if done, run cmd_<stage>, record its files.
+    """Require the stage's inputs, skip it if current, run cmd_<stage>, record it.
 
     `args` and `kwargs` go to the command after (config, seed, out, stage_dir);
-    for explain the first of them is the --what target.
+    for explain, whose target they pick, the first of them is --what.
     """
-    requires, reruns = STAGES[stage]
-    if stage == "explain":
-        requires = EXPLAIN_REQUIRES[args[0]]
+    requires = EXPLAIN_REQUIRES[args[0]] if stage == "explain" else STAGES[stage]
     for needed in requires:
-        require_stage(out, manifest, needed)
-    if not reruns and stage_complete(out, manifest, stage):
+        if not stage_complete(out, manifest, needed, config, seed):
+            raise EnfuseError(f"stage '{needed}' has not run with this config and seed; "
+                              f"run it first")
+    extend = stage == "explain" and _inputs_hold(manifest, stage, config, seed)
+    if stage != "explain" and stage_complete(out, manifest, stage, config, seed):
         print(f"{stage}: up to date, skipping")
         return
+    reads: dict[str, object] = {}
+    tracked = {section: _Reads(section, values, reads) for section, values in config.items()}
     command = globals()[f"cmd_{stage}"]  # looked up per call, so wrappers apply
-    files = command(config, seed, out, _task_dir(out, config, stage), *args, **kwargs)
-    record_stage(out, manifest, stage, files)
+    files = command(tracked, seed, out, _task_dir(out, tracked, stage), *args, **kwargs)
+    inputs = {"seed": seed, "config": reads,
+              "stages": {needed: _files_digest(manifest, needed) for needed in requires}}
+    record_stage(out, manifest, stage, inputs, files, extend)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +493,7 @@ def cmd_pretrain(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
         model = pretrain_ssl(variant, intermediate, temperature=pre["temperature"],
                              batch_pairs=pre["ssl_batch_pairs"],
                              blur_kernel=pre["augment_blur_kernel"],
-                             epochs=pre["ssl_epochs"], lr=pre["ssl_lr"], seed=seed + 30 + i,
-                             freeze_backbone=pre["ssl_freeze_backbone"])
+                             epochs=pre["ssl_epochs"], lr=pre["ssl_lr"], seed=seed + 30 + i)
         files.append(_save_weights(model, stage_dir, f"ssl_{variant}"))
         print(f"pretrain: ssl_{variant} done")
     return files
@@ -770,8 +793,6 @@ def run(argv: list[str] | None = None) -> int:
         try:
             config = load_config(args.config)
             manifest = load_manifest(out)
-            check_config_snapshot(manifest, config_snapshot(config, args.seed))
-            save_manifest(out, manifest)
             if args.command == "all":
                 for stage in ("pretrain", "finetune", "ensemble", "ablate"):
                     run_stage(stage, config, args.seed, out, manifest)

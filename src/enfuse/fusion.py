@@ -31,7 +31,6 @@ class FusionTransform:
     std: np.ndarray
     components: np.ndarray  # (D_in, k)
     explained_variance_ratio: np.ndarray | None = None
-    fit_fingerprint: str = ""
 
     @property
     def in_dim(self) -> int:
@@ -40,12 +39,6 @@ class FusionTransform:
     @property
     def out_dim(self) -> int:
         return self.components.shape[1]
-
-
-def _fingerprint(x: np.ndarray) -> str:
-    import hashlib
-
-    return hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
 def concat_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
@@ -70,8 +63,7 @@ def concat_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
 def fit_identity(x: FeatureMatrix) -> FusionTransform:
     """Standardization-only transform (the concat-only path)."""
     _, mean, std = standardize(x.data)
-    return FusionTransform("Identity", mean, std, np.eye(x.n_cols),
-                           fit_fingerprint=_fingerprint(x.data))
+    return FusionTransform("Identity", mean, std, np.eye(x.n_cols))
 
 
 def fit_pca(x: FeatureMatrix, k: int) -> FusionTransform:
@@ -84,8 +76,7 @@ def fit_pca(x: FeatureMatrix, k: int) -> FusionTransform:
     eigvals = np.maximum(dec.eigenvalues, 0.0)
     ratios = eigvals[:k] / eigvals.sum() if eigvals.sum() > 0 else np.zeros(k)
     return FusionTransform("PCA", mean, std, dec.eigenvectors[:, :k].copy(),
-                           explained_variance_ratio=ratios,
-                           fit_fingerprint=_fingerprint(x.data))
+                           explained_variance_ratio=ratios)
 
 
 def fit_ica(x: FeatureMatrix, k: int, max_iter: int = 500, tol: float = 1e-6,
@@ -132,8 +123,7 @@ def fit_ica(x: FeatureMatrix, k: int, max_iter: int = 500, tol: float = 1e-6,
             warnings.warn(f"ICA component {comp} did not converge in {max_iter} iterations")
         unmix[comp] = w
     components = (unmix @ wh).T  # (d, k): standardized data @ components = sources
-    t = FusionTransform("ICA", mean, std, components,
-                        fit_fingerprint=_fingerprint(x.data))
+    t = FusionTransform("ICA", mean, std, components)
     t.unmixing = unmix  # rows unit-norm in whitened space
     return t
 
@@ -169,8 +159,7 @@ def fit_lda(x: FeatureMatrix, k: int, gamma_scale: float = 1e-6) -> FusionTransf
     m = inv_sqrt @ s_b @ inv_sqrt
     dec = eigh_symmetric((m + m.T) / 2)
     components = inv_sqrt @ dec.eigenvectors[:, :k]
-    return FusionTransform("LDA", mean, std, components,
-                           fit_fingerprint=_fingerprint(x.data))
+    return FusionTransform("LDA", mean, std, components)
 
 
 def apply_transform(t: FusionTransform, x: FeatureMatrix) -> FeatureMatrix:
@@ -216,7 +205,6 @@ def save_transform(t: FusionTransform, path) -> None:
         arrays["evr"] = np.asarray(t.explained_variance_ratio)
     header = {
         "kind": t.kind,
-        "fingerprint": t.fit_fingerprint,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in sorted(arrays.items())],
     }
     write_atomic(path, pack(TRANSFORM_MAGIC, header,
@@ -230,5 +218,4 @@ def load_transform(path) -> FusionTransform:
     arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
     return FusionTransform(header["kind"], arrays["mean"], arrays["std"],
                            arrays["components"],
-                           explained_variance_ratio=arrays.get("evr"),
-                           fit_fingerprint=header["fingerprint"])
+                           explained_variance_ratio=arrays.get("evr"))

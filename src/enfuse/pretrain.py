@@ -36,7 +36,6 @@ from .nn import (
 )
 
 LATENT_DIM = 128
-SSL_LR_DECAY_EPOCH = 40  # unconditional halving point during contrastive pre-training
 
 
 def build_backbone(variant: str, rng: np.random.Generator) -> list:
@@ -150,15 +149,11 @@ def finetune_target_tl(model: EncoderModel, d_tar_train: LabeledImageSet,
 
 def pretrain_ssl(variant: str, dataset: LabeledImageSet, *, temperature: float,
                  batch_pairs: int, blur_kernel: int, epochs: int = 50, seed: int = 0,
-                 freeze_backbone: bool = False, lr: float = 0.001) -> EncoderModel:
+                 lr: float = 0.001) -> EncoderModel:
     """Contrastive pre-training over two augmented views per image; labels are unused.
 
     Each step takes up to `batch_pairs` images and scores their views with
     the pair loss at `temperature`; `blur_kernel` is the augmentation's blur.
-
-    `freeze_backbone` trains only the projection head (a literal reading of
-    keeping the encoder frozen during pre-training); the default trains the
-    whole stack, which is what makes the learned features useful.
     """
     images = dataset.images
     if len(images) < 2:
@@ -168,14 +163,12 @@ def pretrain_ssl(variant: str, dataset: LabeledImageSet, *, temperature: float,
     rng = np.random.default_rng(seed)
     model = EncoderModel(build_backbone(variant, rng))
     model.set_head(make_projection_head(model.feature_dim, rng))
-    if freeze_backbone:
-        model.freeze_backbone()
     opt = OptimizerState(learning_rate=lr)
     aug_rng = np.random.default_rng(int(rng.integers(2**31)))
     n = len(images)
     pairs = min(batch_pairs, n)
     log = []
-    for epoch in range(epochs):
+    for _ in range(epochs):
         perm = rng.permutation(n)
         total, seen = 0.0, 0
         for start in range(0, n, pairs):
@@ -196,8 +189,6 @@ def pretrain_ssl(variant: str, dataset: LabeledImageSet, *, temperature: float,
             total += loss * len(idx)
             seen += len(idx)
         log.append(total / seen)
-        if epoch + 1 == SSL_LR_DECAY_EPOCH:
-            opt.learning_rate *= 0.5
     model.meta = {"variant": variant, "stage": "ssl-pretrain", "train_log": log}
     return model
 

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enfuse import cli, explain
-from enfuse.cli import BOUNDS, DEFAULTS, config_snapshot, load_config, run, target_split
+from enfuse.cli import BOUNDS, DEFAULTS, load_config, run, target_split
 from enfuse.data import TASK_MOTIFS, make_synthetic_task, stratified_split
 from enfuse.ensemble import evaluate, train_ensemble
 from enfuse.errors import ConfigError, EnfuseError, InvalidArgumentError
@@ -58,14 +58,34 @@ shap_samples = 64
 
 
 @pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
+def tiny_all(tmp_path_factory):
+    """An `enfuse all` tree of the tiny config at seed 11; tests copy it, never change it."""
     root = tmp_path_factory.mktemp("cli")
     cfg = root / "tiny.cfg"
     cfg.write_text(TINY_CONFIG)
     out = root / "out"
-    argv = ["--config", str(cfg), "--seed", "11", "--out", str(out)]
-    assert run(["all"] + argv) == 0
-    return out, argv
+    assert run(["all", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
+    return out, cfg
+
+
+@pytest.fixture(scope="module")
+def workdir(tiny_all):
+    """A copy of the tiny tree that the tests below add stages to."""
+    pristine, cfg = tiny_all
+    out = pristine.parent / "work"
+    shutil.copytree(pristine, out)
+    return out, ["--config", str(cfg), "--seed", "11", "--out", str(out)]
+
+
+def tree_bytes(root: Path) -> dict[str, bytes | None]:
+    """Each file's bytes and each directory (None) under root, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def skipped_stages(stdout: str) -> set[str]:
+    return {line.split(":")[0] for line in stdout.splitlines()
+            if line.endswith(": up to date, skipping")}
 
 
 NUMERIC_KEYS = [(section, key) for section in BOUNDS for key in BOUNDS[section]]
@@ -135,16 +155,15 @@ class TestConfig:
         config = load_config(None)
         assert config == DEFAULTS
         numeric = {(section, key) for section, values in DEFAULTS.items()
-                   for key, value in values.items()
-                   if isinstance(value, (int, float)) and not isinstance(value, bool)}
+                   for key, value in values.items() if isinstance(value, (int, float))}
         assert numeric == {(section, key) for section in BOUNDS for key in BOUNDS[section]}
 
     def test_overrides_applied(self, tmp_path):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("[pretrain]\nepochs = 3\nssl_freeze_backbone = true\n")
+        cfg.write_text("[pretrain]\nepochs = 3\nssl_lr = 0.5\n")
         config = load_config(str(cfg))
         assert config["pretrain"]["epochs"] == 3
-        assert config["pretrain"]["ssl_freeze_backbone"] is True
+        assert config["pretrain"]["ssl_lr"] == 0.5
         assert config["finetune"] == DEFAULTS["finetune"]
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -282,11 +301,6 @@ class TestConfig:
             ensemble = train_ensemble(parts[0], train.n_classes, method=method, seed=0)
             evaluate(ensemble, parts[1])
 
-    def test_snapshot_includes_seed(self):
-        snap = config_snapshot(load_config(None), 5)
-        assert snap["seed"] == "5"
-        assert snap["fusion.method"] == "concat+ica"
-
 
 class TestPipelineOutputs:
     def test_pretrain_files(self, workdir):
@@ -373,11 +387,34 @@ class TestAuxCommands:
         assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == recorded[rel]
         assert list(out.rglob("*.tmp")) == []
 
+    def test_explain_record_grows_until_an_input_changes(self, tiny_all, tmp_path):
+        pristine, cfg = tiny_all
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        argv = ["--config", str(cfg), "--seed", "11", "--out", str(out)]
+        assert run(["explain", "--what", "shap"] + argv) == 0
+        assert run(["explain", "--what", "gradcam"] + argv) == 0
+        explain_dir = out / "tiny" / "explain"
+        assert len(list(explain_dir.iterdir())) == 1 + 6
+        edited = tmp_path / "edited.cfg"
+        edited.write_text(TINY_CONFIG.replace("shap_samples = 64", "shap_samples = 32"))
+        argv[1] = str(edited)
+        assert run(["explain", "--what", "gradcam"] + argv) == 0
+        assert sorted(p.name for p in explain_dir.iterdir()) == sorted(
+            f"gradcam_{name}_i0_seed11.ppm" for name in cli.BASE_MODEL_NAMES)
+
     def test_oodtest(self, workdir):
         out, argv = workdir
         assert run(["oodtest"] + argv) == 0
         text = (out / "tiny" / "oodtest" / "oodtest_seed11.csv").read_text()
         assert "pretrained," in text and "random," in text and "margin," in text
+
+    def test_second_oodtest_skips(self, workdir, capsys):
+        _, argv = workdir
+        assert run(["oodtest"] + argv) == 0
+        capsys.readouterr()
+        assert run(["oodtest"] + argv) == 0
+        assert skipped_stages(capsys.readouterr().out) == {"oodtest"}
 
     def test_synth_writes_images(self, workdir):
         out, argv = workdir
@@ -433,11 +470,28 @@ class TestFailureModes:
         assert run(["all", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 2
         assert list(out.iterdir()) == []
 
-    def test_changed_seed_rejected(self, workdir, tmp_path):
+    def test_changed_seed_rejected(self, workdir, capsys):
         out, argv = workdir
         cfg_idx = argv.index("--seed")
         changed = argv[:cfg_idx] + ["--seed", "99"] + argv[cfg_idx + 2:]
-        assert run(["ensemble"] + changed) == 2
+        before = (out / "manifest.json").read_bytes()
+        capsys.readouterr()
+        assert run(["ensemble"] + changed) == 3
+        assert "'finetune'" in capsys.readouterr().err
+        assert (out / "manifest.json").read_bytes() == before
+
+    def test_stage_after_a_stale_stage_rejected(self, workdir, tmp_path, capsys):
+        """finetune reads no [pretrain] key, but it reads pretrain's files."""
+        out, argv = workdir
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY_CONFIG.replace("ssl_epochs = 2", "ssl_epochs = 1"))
+        changed = argv[:]
+        changed[argv.index("--config") + 1] = str(cfg)
+        before = (out / "manifest.json").read_bytes()
+        capsys.readouterr()
+        assert run(["ensemble"] + changed) == 3
+        assert "'finetune'" in capsys.readouterr().err
+        assert (out / "manifest.json").read_bytes() == before
 
     def test_corruption_detected(self, workdir):
         out, argv = workdir
@@ -448,6 +502,16 @@ class TestFailureModes:
             assert run(["ablate"] + argv) == 4
         finally:
             target.write_bytes(original)
+
+    @pytest.mark.parametrize("listed", ["../victim", "{root}/victim"])
+    def test_manifest_listing_a_file_outside_out_rejected(self, tmp_path, listed):
+        victim, out = tmp_path / "victim", tmp_path / "out"
+        victim.write_text("keep")
+        out.mkdir()
+        rel = listed.format(root=tmp_path)
+        (out / "manifest.json").write_text(json.dumps({"stages": {"synth": {"files": {rel: ""}}}}))
+        assert run(["synth", "--out", str(out), "--seed", "1"]) == 4
+        assert victim.read_text() == "keep"
 
     def test_stale_lock_removed(self, workdir):
         out, argv = workdir
@@ -470,6 +534,63 @@ class TestFailureModes:
         finally:
             if lock.exists():
                 lock.unlink()
+
+
+class TestIncremental:
+    """An `all` after an edit reruns exactly the stages whose recorded inputs
+    changed, and leaves the tree a fresh `all` with the edit would write."""
+
+    @pytest.mark.parametrize("edit, seed, skipped", [
+        (("method = concat+pca", "method = concat-only"), "11", {"pretrain", "finetune"}),
+        (("target_per_class = 10", "target_per_class = 6"), "11", {"pretrain"}),
+        (("epochs = 8", "epochs = 2"), "11", {"pretrain"}),  # [finetune] epochs
+        (("ssl_epochs = 2", "ssl_epochs = 1"), "11", set()),
+        (None, "12", set()),
+    ], ids=["fusion-method", "target-per-class", "finetune-epochs", "ssl-epochs", "seed"])
+    def test_incremental_all_equals_fresh(self, tiny_all, tmp_path, capsys, edit, seed,
+                                          skipped):
+        pristine, _ = tiny_all
+        text = TINY_CONFIG
+        if edit is not None:
+            assert text.count(edit[0]) == 1
+            text = text.replace(*edit)
+        cfg = tmp_path / "edited.cfg"
+        cfg.write_text(text)
+        incremental, fresh = tmp_path / "incremental", tmp_path / "fresh"
+        shutil.copytree(pristine, incremental)
+        argv = ["all", "--config", str(cfg), "--seed", seed, "--out"]
+        capsys.readouterr()
+        assert run(argv + [str(incremental)]) == 0
+        assert skipped_stages(capsys.readouterr().out) == skipped
+        assert run(argv + [str(fresh)]) == 0
+        assert tree_bytes(incremental) == tree_bytes(fresh)
+
+    def test_rerun_deletes_what_only_the_old_record_listed(self, tmp_path):
+        """Under a new task name, synth writes a new directory; the old one goes."""
+        cfg, renamed = tmp_path / "tiny.cfg", tmp_path / "renamed.cfg"
+        cfg.write_text(TINY_CONFIG)
+        renamed.write_text(TINY_CONFIG.replace("name = tiny", "name = renamed"))
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["synth", "--config", str(renamed), "--out", str(out)]) == 0
+        assert run(["synth", "--config", str(renamed), "--out", str(fresh)]) == 0
+        assert tree_bytes(out) == tree_bytes(fresh)
+
+    def test_manifest_without_inputs_reruns_every_stage(self, tiny_all, tmp_path, capsys):
+        """A manifest in the older format, with a whole-config snapshot and
+        records of files only, counts as recording no stage."""
+        pristine, cfg = tiny_all
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        older = {"version": manifest["version"], "config": {"seed": "11"},
+                 "stages": {stage: {"files": record["files"]}
+                            for stage, record in manifest["stages"].items()}}
+        (out / "manifest.json").write_text(json.dumps(older))
+        capsys.readouterr()
+        assert run(["all", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
+        assert skipped_stages(capsys.readouterr().out) == set()
+        assert tree_bytes(out) == tree_bytes(pristine)
 
 
 @pytest.fixture

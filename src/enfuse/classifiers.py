@@ -20,6 +20,14 @@ KINDS = ("SVM", "KNN", "GNB", "RF", "GBT")
 # KNN prediction holds a (query rows, training rows, dims) difference tensor of
 # at most this many float64 elements (2 MiB), so memory stays bounded
 KNN_BLOCK_ELEMENTS = 1 << 18
+SVM_C = 1.0             # hinge weight against the L2 term
+SVM_TOL = 1e-3          # stop when the objective changes by less
+KNN_K = 3
+GNB_VAR_SMOOTHING = 1e-9  # variance floor, as a fraction of the widest feature's
+RF_MAX_DEPTH = 10
+RF_MIN_SPLIT = 3        # fewest rows a node needs to split
+GBT_ETA = 0.9           # learning rate on each round's leaf scores
+GBT_MIN_SPLIT = 2
 
 
 @dataclass
@@ -55,6 +63,12 @@ class TrainedClassifier:
     meta: dict = field(default_factory=dict)
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by each row's max."""
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
+
+
 def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -69,13 +83,12 @@ def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
 # Linear SVM (one-vs-rest hinge + L2, full-batch subgradient descent)
 # ---------------------------------------------------------------------------
 
-def fit_svm(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 1e-3,
-            max_iter: int = 10000) -> TrainedClassifier:
+def fit_svm(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
     """One-vs-rest linear SVM trained by deterministic subgradient descent.
 
     Objective per class: 0.5 ||w||^2 + C * mean(hinge). Iterations stop when
-    the objective change drops below tol. Probabilities are a softmax over
-    the per-class margins (the simplest monotone calibration).
+    the objective change drops below SVM_TOL, or after 10,000. Probabilities
+    are a softmax over the per-class margins (the simplest monotone calibration).
     """
     x, y, k = _check_xy(x, y)
     if k < 2 or len(np.unique(y)) < 2:
@@ -89,35 +102,35 @@ def fit_svm(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 1e-3,
         wc = np.zeros(d)
         bc = 0.0
         prev_obj = np.inf
-        for it in range(max_iter):
+        for it in range(10000):
             margins = sign * (x @ wc + bc)
             viol = margins < 1.0
-            obj = 0.5 * wc @ wc + c * np.maximum(0.0, 1.0 - margins).mean()
-            if abs(prev_obj - obj) < tol:
+            obj = 0.5 * wc @ wc + SVM_C * np.maximum(0.0, 1.0 - margins).mean()
+            if abs(prev_obj - obj) < SVM_TOL:
                 break
             prev_obj = obj
             lr = 1.0 / (1.0 + it)
-            grad_w = wc - c * (sign[viol] @ x[viol]) / n
-            grad_b = -c * sign[viol].sum() / n
+            grad_w = wc - SVM_C * (sign[viol] @ x[viol]) / n
+            grad_b = -SVM_C * sign[viol].sum() / n
             wc -= lr * grad_w
             bc -= lr * grad_b
         iters_used.append(it)
         w[cls], b[cls] = wc, bc
     return TrainedClassifier("SVM", k, arrays={"w": w, "b": b},
-                             meta={"c": c, "tol": tol, "iters": iters_used})
+                             meta={"c": SVM_C, "tol": SVM_TOL, "iters": iters_used})
 
 
 # ---------------------------------------------------------------------------
 # K-nearest neighbours (k=3, inverse-distance weights, brute force)
 # ---------------------------------------------------------------------------
 
-def fit_knn(x: np.ndarray, y: np.ndarray, k: int = 3) -> TrainedClassifier:
+def fit_knn(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
     x, y, n_classes = _check_xy(x, y)
-    if len(x) < k:
-        raise InvalidDatasetError(f"KNN needs at least k={k} training points")
+    if len(x) < KNN_K:
+        raise InvalidDatasetError(f"KNN needs at least k={KNN_K} training points")
     return TrainedClassifier("KNN", n_classes,
                              arrays={"x": x.copy(), "y": y.astype(np.float64)},
-                             meta={"k": k})
+                             meta={"k": KNN_K})
 
 
 def _knn_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
@@ -146,7 +159,7 @@ def _knn_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
 # Gaussian naive Bayes
 # ---------------------------------------------------------------------------
 
-def fit_gnb(x: np.ndarray, y: np.ndarray, var_smoothing: float = 1e-9) -> TrainedClassifier:
+def fit_gnb(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
     x, y, k = _check_xy(x, y)
     classes = np.unique(y)
     for cls in classes:
@@ -155,7 +168,7 @@ def fit_gnb(x: np.ndarray, y: np.ndarray, var_smoothing: float = 1e-9) -> Traine
     theta = np.zeros((k, x.shape[1]))
     var = np.full((k, x.shape[1]), np.inf)
     priors = np.zeros(k)
-    floor = var_smoothing * x.var(axis=0).max()
+    floor = GNB_VAR_SMOOTHING * x.var(axis=0).max()
     for cls in classes:
         rows = x[y == cls]
         theta[cls] = rows.mean(axis=0)
@@ -163,7 +176,7 @@ def fit_gnb(x: np.ndarray, y: np.ndarray, var_smoothing: float = 1e-9) -> Traine
         priors[cls] = len(rows) / len(x)
     return TrainedClassifier("GNB", k,
                              arrays={"theta": theta, "var": var, "priors": priors},
-                             meta={"var_smoothing": var_smoothing})
+                             meta={"var_smoothing": GNB_VAR_SMOOTHING})
 
 
 def _gnb_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
@@ -177,9 +190,7 @@ def _gnb_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
         diff = q - theta[cls]
         log_post[:, cls] = log_prior[cls] - 0.5 * np.sum(
             np.log(2 * np.pi * var[cls]) + diff * diff / var[cls], axis=1)
-    log_post -= log_post.max(axis=1, keepdims=True)
-    p = np.exp(log_post)
-    return p / p.sum(axis=1, keepdims=True)
+    return _softmax(log_post)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +312,7 @@ def _build_tree(x, target, idx, rng, *, max_depth, min_split, n_feature_sub,
 # Random forest
 # ---------------------------------------------------------------------------
 
-def fit_rf(x: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int = 10,
-           min_split: int = 3, seed: int = 0) -> TrainedClassifier:
+def fit_rf(x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0) -> TrainedClassifier:
     """Bagged Gini trees with per-split feature subsampling of ceil(sqrt(D))."""
     x, y, k = _check_xy(x, y)
     if len(x) < 3:
@@ -319,12 +329,12 @@ def fit_rf(x: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int = 10
     for child in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(child)
         idx = rng.integers(0, n, size=n)
-        trees.append(_build_tree(x, y, idx, rng, max_depth=max_depth,
-                                 min_split=min_split, n_feature_sub=n_sub,
+        trees.append(_build_tree(x, y, idx, rng, max_depth=RF_MAX_DEPTH,
+                                 min_split=RF_MIN_SPLIT, n_feature_sub=n_sub,
                                  leaf_value=leaf_value, splitter=splitter))
     return TrainedClassifier("RF", k, trees=trees,
-                             meta={"n_trees": n_trees, "max_depth": max_depth,
-                                   "min_split": min_split, "seed": seed})
+                             meta={"n_trees": n_trees, "max_depth": RF_MAX_DEPTH,
+                                   "min_split": RF_MIN_SPLIT, "seed": seed})
 
 
 def _rf_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
@@ -341,14 +351,14 @@ def _rf_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
 # Gradient-boosted trees (softmax cross-entropy, Newton leaf values)
 # ---------------------------------------------------------------------------
 
-def fit_gbt(x: np.ndarray, y: np.ndarray, eta: float = 0.9, max_depth: int = 10,
-            rounds: int = 50, min_split: int = 2) -> TrainedClassifier:
+def fit_gbt(x: np.ndarray, y: np.ndarray, max_depth: int = 10,
+            rounds: int = 50) -> TrainedClassifier:
     """Boosting with one regression tree per class per round.
 
     Trees fit the negative softmax cross-entropy gradient (the residual
     one-hot minus probability); leaf scores use the Newton step
     sum(residual) / sum(hessian). predict_proba is the softmax of the
-    eta-scaled summed leaf scores.
+    GBT_ETA-scaled summed leaf scores.
     """
     x, y, k = _check_xy(x, y)
     if len(np.unique(y)) < 2:
@@ -366,23 +376,21 @@ def fit_gbt(x: np.ndarray, y: np.ndarray, eta: float = 0.9, max_depth: int = 10,
     trees: list[Tree] = []
     loss_log = []
     for _ in range(rounds):
-        p = np.exp(scores - scores.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
+        p = _softmax(scores)
         for cls in range(k):
             residual = onehot[:, cls] - p[:, cls]
             hess = p[:, cls] * (1.0 - p[:, cls])
             target = np.stack([residual, hess], axis=1)
             tree = _build_tree(x, target, all_idx, None, max_depth=max_depth,
-                               min_split=min_split, n_feature_sub=None,
+                               min_split=GBT_MIN_SPLIT, n_feature_sub=None,
                                leaf_value=leaf_value, splitter=_sse_splitter)
             trees.append(tree)
-            scores[:, cls] += eta * tree.predict_value(x)[:, 0]
-        p = np.exp(scores - scores.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
+            scores[:, cls] += GBT_ETA * tree.predict_value(x)[:, 0]
+        p = _softmax(scores)
         loss_log.append(float(-np.log(p[np.arange(n), y] + 1e-300).mean()))
     return TrainedClassifier("GBT", k, trees=trees,
-                             meta={"eta": eta, "max_depth": max_depth,
-                                   "rounds": rounds, "min_split": min_split,
+                             meta={"eta": GBT_ETA, "max_depth": max_depth,
+                                   "rounds": rounds, "min_split": GBT_MIN_SPLIT,
                                    "train_log_loss": loss_log})
 
 
@@ -391,9 +399,7 @@ def _gbt_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
     scores = np.zeros((len(q), k))
     for i, tree in enumerate(clf.trees):
         scores[:, i % k] += eta * tree.predict_value(q)[:, 0]
-    scores -= scores.max(axis=1, keepdims=True)
-    p = np.exp(scores)
-    return p / p.sum(axis=1, keepdims=True)
+    return _softmax(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +409,7 @@ def _gbt_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
 def predict_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
     q = np.atleast_2d(np.asarray(q, dtype=np.float64))
     if clf.kind == "SVM":
-        margins = q @ clf.arrays["w"].T + clf.arrays["b"]
-        margins -= margins.max(axis=1, keepdims=True)
-        p = np.exp(margins)
-        return p / p.sum(axis=1, keepdims=True)
+        return _softmax(q @ clf.arrays["w"].T + clf.arrays["b"])
     if clf.kind == "KNN":
         return _knn_proba(clf, q)
     if clf.kind == "GNB":

@@ -6,13 +6,15 @@ each stage's inputs (the seed, each config value it read, a digest of the
 `files` map of each stage it requires) and each of its files' hash. The one
 rule, which `run_stage` applies: a stage is current when its recorded inputs
 still hold and its files hash-match. A current stage is skipped; any other
-reruns, replaces its record and deletes the files only the old record listed.
-Explain runs on every call and adds to its record while its inputs hold.
+reruns and replaces its record, and drops, in the same manifest write, every
+other record whose inputs no longer hold; the files only the replaced or
+dropped records listed are then deleted. Explain runs on every call and adds
+to its record while its inputs hold.
 
 Exit codes: 0 success, 2 config error, 3 stage failure or a required stage
-missing or stale ("run it first"), 4 integrity failure (a damaged file of a
-stage whose inputs hold, or a manifest that is unreadable or lists a path
-outside `--out`).
+missing or stale ("run it first", from the most upstream stage of its chain
+that must rerun), 4 integrity failure (a damaged file of a stage whose inputs
+hold, or a manifest that is unreadable or lists a path outside `--out`).
 """
 
 from __future__ import annotations
@@ -122,7 +124,6 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "k": 16,  # retained components; 0 = automatic (min(rows - 1, 128, cols))
     },
     "explain": {
-        "instance": 0,
         "perplexity": 10.0,
         "tsne_iters": 500,
         "shap_samples": 2048,
@@ -151,7 +152,7 @@ BOUNDS: dict[str, dict[str, str]] = {
                  "augment_blur_kernel": "[1, 1023]"},  # no wider than the largest image
     "finetune": {"epochs": "[1, 100000]", "batch": "[1, 100000]", "lr": "(0, inf)"},
     "fusion": {"k": "[0, 100000]"},
-    "explain": {"instance": "[0, inf)", "perplexity": "[1, inf)",
+    "explain": {"perplexity": "[1, inf)",
                 "tsne_iters": "[1, 100000]", "shap_samples": "[1, 100000]"},
     "oodtest": {"per_class": "[2, 100000]", "noise": "[0, inf)"},
 }
@@ -295,13 +296,12 @@ def _check_fusion_k(config: dict, encoders: dict[str, EncoderModel]) -> None:
 # Manifest
 # ---------------------------------------------------------------------------
 
-def _manifest_path(out: Path) -> Path:
-    return out / "manifest.json"
+MANIFEST = "manifest.json"  # in --out
 
 
 def load_manifest(out: Path) -> dict:
     """The manifest's stage records; any other entry an older version wrote is dropped."""
-    path = _manifest_path(out)
+    path = out / MANIFEST
     try:
         stages = json.loads(path.read_text())["stages"] if path.exists() else {}
         outside = [rel for record in stages.values() for rel in record["files"]
@@ -315,7 +315,7 @@ def load_manifest(out: Path) -> dict:
 
 def save_manifest(out: Path, manifest: dict) -> None:
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    write_atomic(_manifest_path(out), text.encode())
+    write_atomic(out / MANIFEST, text.encode())
 
 
 def _files_digest(manifest: dict, stage: str) -> str:
@@ -353,20 +353,25 @@ def stage_complete(out: Path, manifest: dict, stage: str, config: dict, seed: in
     return True
 
 
-def record_stage(out: Path, manifest: dict, stage: str, inputs: dict, files: list[Path],
-                 extend: bool = False) -> None:
-    """Save the stage's inputs and file hashes, added to its old record with `extend`;
-    else replacing it, then deleting the files (and emptied directories) only it listed."""
-    old = manifest["stages"].get(stage, {"files": {}})
+def record_stage(out: Path, manifest: dict, config: dict, stage: str, inputs: dict,
+                 files: list[Path], extend: bool) -> None:
+    """Save the stage's inputs and file hashes, added to its old record with
+    `extend`, else replacing it, and drop every other record whose inputs no
+    longer hold; then delete the files (and emptied directories) that only the
+    replaced or dropped records listed."""
+    listed = set().union(*(r["files"] for r in manifest["stages"].values()))
     record = {"inputs": inputs,
               "files": {str(p.relative_to(out)): file_sha256(p) for p in sorted(files)}}
     if extend:
+        old = manifest["stages"][stage]
         for key in ("config", "stages"):
             inputs[key] = {**old["inputs"][key], **inputs[key]}
         record["files"] = {**old["files"], **record["files"]}
     manifest["stages"][stage] = record
+    manifest["stages"] = {name: kept for name, kept in manifest["stages"].items()
+                          if name == stage or _inputs_hold(manifest, name, config, inputs["seed"])}
     save_manifest(out, manifest)
-    for rel in sorted(old["files"].keys() - record["files"].keys()):
+    for rel in sorted(listed.difference(*(r["files"] for r in manifest["stages"].values()))):
         (out / rel).unlink(missing_ok=True)
         with contextlib.suppress(OSError):  # stops at a non-empty one; out holds the manifest
             os.removedirs((out / rel).parent)
@@ -457,8 +462,12 @@ def run_stage(stage: str, config: dict, seed: int, out: Path, manifest: dict,
     requires = EXPLAIN_REQUIRES[args[0]] if stage == "explain" else STAGES[stage]
     for needed in requires:
         if not stage_complete(out, manifest, needed, config, seed):
+            chain = [needed]  # and the stages before it, each one's first requirement
+            while STAGES[chain[-1]]:
+                chain.append(STAGES[chain[-1]][0])
+            start = next(s for s in reversed(chain) if not _inputs_hold(manifest, s, config, seed))
             raise EnfuseError(f"stage '{needed}' has not run with this config and seed; "
-                              f"run it first")
+                              "run it first" + (f", from '{start}' on" if start != needed else ""))
     extend = stage == "explain" and _inputs_hold(manifest, stage, config, seed)
     if stage != "explain" and stage_complete(out, manifest, stage, config, seed):
         print(f"{stage}: up to date, skipping")
@@ -469,7 +478,7 @@ def run_stage(stage: str, config: dict, seed: int, out: Path, manifest: dict,
     files = command(tracked, seed, out, _task_dir(out, tracked, stage), *args, **kwargs)
     inputs = {"seed": seed, "config": reads,
               "stages": {needed: _files_digest(manifest, needed) for needed in requires}}
-    record_stage(out, manifest, stage, inputs, files, extend)
+    record_stage(out, manifest, config, stage, inputs, files, extend)
 
 
 # ---------------------------------------------------------------------------
@@ -593,34 +602,32 @@ def _rebuild_ensemble(out: Path, config: dict, models) -> EnsembleModel:
     transform = load_transform(stage_dir / "transform.bin")
     classifiers = [load_classifier(stage_dir / f"clf_{kind.lower()}.bin")
                    for kind in CLASSIFIER_ORDER]
-    n_classes = classifiers[0].n_classes
-    return EnsembleModel(classifiers, transform, [n for n, _ in models], n_classes)
+    return EnsembleModel(classifiers, transform, [n for n, _ in models], classifiers[0].n_classes)
 
 
 def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
-                what: str, instance: int | None = None) -> list[Path]:
+                what: str, instance: int) -> list[Path]:
     train, test = target_split(config, seed)
     exp = config["explain"]
-    idx = exp["instance"] if instance is None else instance
-    if what != "tsne" and not 0 <= idx < len(test):
-        raise InvalidArgumentError(f"instance {idx} out of range")
+    if what != "tsne" and not 0 <= instance < len(test):
+        raise InvalidArgumentError(f"instance {instance} out of range")
     outputs: dict[Path, bytes] = {}
     if what == "gradcam":
-        image = test.images[idx]
-        target_class = int(test.labels[idx])
+        image = test.images[instance]
+        target_class = int(test.labels[instance])
         for name, model in _load_target_models(out, config):
             sal = grad_cam(model, image, target_class)
-            outputs[stage_dir / f"gradcam_{name}_i{idx}_seed{seed}.ppm"] = (
-                render_saliency_ppm(sal, image=image))
+            outputs[stage_dir / f"gradcam_{name}_i{instance}_seed{seed}.ppm"] = (
+                render_saliency_ppm(sal, image))
     elif what == "shap":
         models = _load_target_models(out, config)
         ensemble = _rebuild_ensemble(out, config, models)
         fused_train = fuse_parts(ensemble, extract_parts(models, train))
         fused_test = fuse_parts(ensemble, extract_parts(models, test))
-        background = select_background(fused_train, n=10)
-        explanation = shap_sampled(ensemble, fused_test.data[idx], background,
+        background = select_background(fused_train)
+        explanation = shap_sampled(ensemble, fused_test.data[instance], background,
                                    n_samples=exp["shap_samples"], seed=seed)
-        outputs[stage_dir / f"shap_i{idx}_seed{seed}.csv"] = shap_csv(explanation).encode()
+        outputs[stage_dir / f"shap_i{instance}_seed{seed}.csv"] = shap_csv(explanation).encode()
     else:  # tsne
         models = _load_target_models(out, config)
         ensemble = _rebuild_ensemble(out, config, models)
@@ -775,8 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--what", default="gradcam",
                         choices=["gradcam", "shap", "tsne"],
                         help="explain subcommand target")
-    parser.add_argument("--instance", type=int, default=None,
-                        help="test-set index for explain")
+    parser.add_argument("--instance", type=int, default=0,
+                        help="test-set index for explain (default 0)")
     return parser
 
 
@@ -798,7 +805,7 @@ def run(argv: list[str] | None = None) -> int:
                     run_stage(stage, config, args.seed, out, manifest)
             elif args.command == "explain":
                 run_stage("explain", config, args.seed, out, manifest,
-                          args.what, instance=args.instance)
+                          args.what, args.instance)
             else:
                 run_stage(args.command, config, args.seed, out, manifest)
             return 0

@@ -118,14 +118,11 @@ def fuse_parts(model: EnsembleModel, parts: dict[str, FeatureMatrix]) -> Feature
     return apply_transform(model.transform, concat_features(list(parts.values())))
 
 
-def majority_vote(predictions: list[np.ndarray],
-                  n_classes: int | None = None) -> np.ndarray:
+def majority_vote(predictions: list[np.ndarray], n_classes: int) -> np.ndarray:
     """Plurality vote per sample; ties go to the lowest class index."""
     if not predictions:
         raise InvalidArgumentError("no predictions to vote over")
     preds = np.stack([np.asarray(p, dtype=np.int64) for p in predictions])
-    if n_classes is None:
-        n_classes = int(preds.max()) + 1
     n = preds.shape[1]
     tally = np.zeros((n, n_classes))
     for voter in preds:
@@ -263,19 +260,16 @@ def ablation_csv(table: AblationTable) -> str:
     return buf.getvalue()
 
 
-def summary_text(report: MetricReport,
-                 per_classifier: dict[str, MetricReport] | None = None) -> str:
+def summary_text(report: MetricReport, per_classifier: dict[str, MetricReport]) -> str:
     lines = [
         "ensemble evaluation",
         f"  voted accuracy : {report.accuracy:.4f}",
         f"  macro precision: {report.macro_precision:.4f}",
         f"  macro recall   : {report.macro_recall:.4f}",
         f"  macro F1       : {report.macro_f1:.4f}",
+        "  per-classifier accuracy:",
     ]
-    if per_classifier:
-        lines.append("  per-classifier accuracy:")
-        for kind in CLASSIFIER_ORDER:
-            if kind in per_classifier:
-                lines.append(f"    {kind:<4}: {per_classifier[kind].accuracy:.4f}")
+    for kind in CLASSIFIER_ORDER:
+        lines.append(f"    {kind:<4}: {per_classifier[kind].accuracy:.4f}")
     return "\n".join(lines) + "\n"
 

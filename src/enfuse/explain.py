@@ -26,6 +26,7 @@ SHAP_EXACT_MAX_FEATURES = 15
 # shap_sampled evaluates the coalitions of whole permutations in calls of at
 # most this many rows; the default 2048 samples over 16 features are 2,176 rows
 SHAP_BLOCK_ROWS = 4096
+SHAP_BACKGROUND_ROWS = 10  # training rows whose mean stands in for a missing feature
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +111,11 @@ def _background_mean(background) -> np.ndarray:
     return np.atleast_2d(data).mean(axis=0)
 
 
-def select_background(features: FeatureMatrix, n: int = 10) -> FeatureMatrix:
-    """The n training rows closest to the feature-wise median (deterministic)."""
+def select_background(features: FeatureMatrix) -> FeatureMatrix:
+    """The SHAP_BACKGROUND_ROWS rows closest to the feature-wise median (deterministic)."""
     median = np.median(features.data, axis=0)
     dist = np.linalg.norm(features.data - median, axis=1)
-    order = np.argsort(dist, kind="stable")[:n]
+    order = np.argsort(dist, kind="stable")[:SHAP_BACKGROUND_ROWS]
     return FeatureMatrix(features.data[order],
                          labels=None if features.labels is None else features.labels[order])
 
@@ -196,21 +197,20 @@ class Embedding2D:
     kl_log: list = field(default_factory=list)  # (iteration, KL) checkpoints
 
 
-def _conditional_p(dist_sq: np.ndarray, perplexity: float, steps: int = 50,
-                   tol: float = 1e-4) -> np.ndarray:
-    """Per-row binary search for the bandwidth hitting the target perplexity."""
+def _conditional_p(dist_sq: np.ndarray, perplexity: float) -> np.ndarray:
+    """Per-row binary search (50 steps, tolerance 1e-4) for the target perplexity."""
     n = dist_sq.shape[0]
     p = np.zeros((n, n))
     target_entropy = np.log(perplexity)
     for i in range(n):
         d = np.delete(dist_sq[i], i)
         beta, lo, hi = 1.0, 0.0, np.inf
-        for _ in range(steps):
+        for _ in range(50):
             expd = np.exp(-(d - d.min()) * beta)
             total = expd.sum()
             row = expd / total
             entropy = -np.sum(row * np.log(np.maximum(row, 1e-300)))
-            if abs(np.exp(entropy) - perplexity) < tol:
+            if abs(np.exp(entropy) - perplexity) < 1e-4:
                 break
             if entropy > target_entropy:  # too flat: increase beta
                 lo = beta
@@ -223,8 +223,8 @@ def _conditional_p(dist_sq: np.ndarray, perplexity: float, steps: int = 50,
 
 
 def tsne_embed(x: FeatureMatrix, perplexity: float = 30.0, iters: int = 1000,
-               seed: int = 0, learning_rate: float = 200.0) -> Embedding2D:
-    """Exact-pairwise symmetric t-SNE with early exaggeration and momentum."""
+               seed: int = 0) -> Embedding2D:
+    """Exact-pairwise symmetric t-SNE, learning rate 200, early exaggeration, momentum."""
     data = x.data
     n = len(data)
     if n < 4:
@@ -259,7 +259,7 @@ def tsne_embed(x: FeatureMatrix, perplexity: float = 30.0, iters: int = 1000,
         momentum = 0.5 if it < momentum_switch else 0.8
         same_dir = np.sign(grad) == np.sign(velocity)
         gains = np.maximum(np.where(same_dir, gains * 0.8, gains + 0.2), 0.01)
-        velocity = momentum * velocity - learning_rate * gains * grad
+        velocity = momentum * velocity - 200.0 * gains * grad
         y = y + velocity
         y = y - y.mean(axis=0)
         if (it + 1) % 50 == 0 or it == iters - 1:
@@ -294,8 +294,7 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head] + body + ["</svg>"]) + "\n"
 
 
-def render_embedding_svg(embedding: Embedding2D,
-                         class_names: list[str] | None = None) -> str:
+def render_embedding_svg(embedding: Embedding2D, class_names: list[str]) -> str:
     """Scatter plot with per-class colors and a legend."""
     size, margin = 400, 40
     coords = embedding.coords
@@ -311,7 +310,7 @@ def render_embedding_svg(embedding: Embedding2D,
                     f'fill="{color}" fill-opacity="0.8"/>')
     for rank, cls in enumerate(np.unique(labels)):
         color = PALETTE[int(cls) % len(PALETTE)]
-        name = (class_names[int(cls)] if class_names else f"class {int(cls)}")
+        name = class_names[int(cls)]
         yy = 16 + 16 * rank
         body.append(f'<circle cx="{size - 110}" cy="{yy}" r="4" fill="{color}"/>')
         body.append(f'<text x="{size - 100}" y="{yy + 4}" font-size="12" '
@@ -322,8 +321,7 @@ def render_embedding_svg(embedding: Embedding2D,
     return _svg_document(size, size, body)
 
 
-def render_confusion_svg(cm: ConfusionMatrix,
-                         class_names: list[str] | None = None) -> str:
+def render_confusion_svg(cm: ConfusionMatrix, class_names: list[str]) -> str:
     """Count grid shaded by cell magnitude."""
     k = cm.n_classes
     cell, margin = 48, 56
@@ -341,7 +339,7 @@ def render_confusion_svg(cm: ConfusionMatrix,
                         f'font-size="14" text-anchor="middle" '
                         f'font-family="monospace">{count}</text>')
     for idx in range(k):
-        name = class_names[idx] if class_names else str(idx)
+        name = class_names[idx]
         body.append(f'<text x="{margin + idx * cell + cell // 2}" y="{margin - 8}" '
                     f'font-size="12" text-anchor="middle" '
                     f'font-family="monospace">{name}</text>')

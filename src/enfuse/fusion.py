@@ -20,6 +20,7 @@ from .linalg import eigh_symmetric, standardize, whiten
 
 TRANSFORM_MAGIC = b"ETSEFT1\x00"
 DEFAULT_ICA_DIM = 128
+ICA_MAX_ITER = 500  # fixed-point iterations per component
 
 
 @dataclass
@@ -79,12 +80,11 @@ def fit_pca(x: FeatureMatrix, k: int) -> FusionTransform:
                            explained_variance_ratio=ratios)
 
 
-def fit_ica(x: FeatureMatrix, k: int, max_iter: int = 500, tol: float = 1e-6,
-            seed: int = 0) -> FusionTransform:
+def fit_ica(x: FeatureMatrix, k: int, seed: int = 0) -> FusionTransform:
     """FastICA by deflation with the log-cosh (tanh) nonlinearity.
 
     Components are extracted one by one in whitened space with Gram-Schmidt
-    decorrelation; non-convergence of a component is a warning, not an error.
+    decorrelation until |w_new . w| is within 1e-6 of 1; not converging is a warning.
     """
     scaled, mean, std = standardize(x.data)
     n, d = scaled.shape
@@ -101,7 +101,7 @@ def fit_ica(x: FeatureMatrix, k: int, max_iter: int = 500, tol: float = 1e-6,
         w = rng.normal(size=k)
         w /= np.linalg.norm(w)
         converged = False
-        for _ in range(max_iter):
+        for _ in range(ICA_MAX_ITER):
             wx = xw @ w
             g = np.tanh(wx)
             g_prime = 1.0 - g * g
@@ -114,13 +114,13 @@ def fit_ica(x: FeatureMatrix, k: int, max_iter: int = 500, tol: float = 1e-6,
                 w_new -= unmix[:comp].T @ (unmix[:comp] @ w_new)
                 norm = np.linalg.norm(w_new)
             w_new /= norm
-            if abs(abs(np.dot(w_new, w)) - 1.0) < tol:
+            if abs(abs(np.dot(w_new, w)) - 1.0) < 1e-6:
                 w = w_new
                 converged = True
                 break
             w = w_new
         if not converged:
-            warnings.warn(f"ICA component {comp} did not converge in {max_iter} iterations")
+            warnings.warn(f"ICA component {comp} did not converge in {ICA_MAX_ITER} iterations")
         unmix[comp] = w
     components = (unmix @ wh).T  # (d, k): standardized data @ components = sources
     t = FusionTransform("ICA", mean, std, components)
@@ -128,8 +128,8 @@ def fit_ica(x: FeatureMatrix, k: int, max_iter: int = 500, tol: float = 1e-6,
     return t
 
 
-def fit_lda(x: FeatureMatrix, k: int, gamma_scale: float = 1e-6) -> FusionTransform:
-    """Fisher discriminant directions from the between/within scatter matrices."""
+def fit_lda(x: FeatureMatrix, k: int) -> FusionTransform:
+    """Fisher directions from the between/within scatter; within gets a 1e-6 ridge."""
     if x.labels is None:
         raise InvalidArgumentError("LDA needs labelled features")
     scaled, mean, std = standardize(x.data)
@@ -151,7 +151,7 @@ def fit_lda(x: FeatureMatrix, k: int, gamma_scale: float = 1e-6) -> FusionTransf
         s_w += centered.T @ centered
         diff = (mu - overall)[:, None]
         s_b += n_c * (diff @ diff.T)
-    gamma = gamma_scale * np.trace(s_w) / d
+    gamma = 1e-6 * np.trace(s_w) / d
     s_w += gamma * np.eye(d)
     # symmetric reformulation of the generalized eigenproblem
     dec_w = eigh_symmetric(s_w)

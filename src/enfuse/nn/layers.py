@@ -209,12 +209,12 @@ class Flatten(Layer):
 class Dropout(Layer):
     """Inverted dropout; identity in inference mode."""
 
-    def __init__(self, rate: float, seed: int = 0):
+    def __init__(self, rate: float):
         super().__init__()
         if not 0.0 <= rate < 1.0:
             raise InvalidArgumentError("dropout rate must be in [0, 1)")
         self.rate = rate
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(0)  # train_supervised reseeds it
 
     def reseed(self, seed: int):
         self._rng = np.random.default_rng(seed)

@@ -11,21 +11,22 @@ from .losses import cross_entropy_loss
 from .model import EncoderModel
 from .optim import OptimizerState, adam_step, plateau_schedule
 
+INFERENCE_BATCH = 256  # images per forward pass when nothing is trained
+
 
 def images_to_batch(images: np.ndarray) -> np.ndarray:
     """(N, H, W, C) dataset layout -> (N, C, H, W) network layout."""
     return np.ascontiguousarray(images.transpose(0, 3, 1, 2))
 
 
-def train_supervised(model: EncoderModel, train_set: LabeledImageSet,
-                     epochs: int = 50, batch: int = 64,
-                     opt: OptimizerState | None = None, seed: int = 0) -> list[float]:
-    """Train backbone+head with cross-entropy; returns per-epoch mean losses.
+def train_supervised(model: EncoderModel, train_set: LabeledImageSet, lr: float,
+                     epochs: int = 50, batch: int = 64, seed: int = 0) -> list[float]:
+    """Train backbone+head with cross-entropy at rate `lr`; returns per-epoch mean losses.
 
     Shuffling and dropout are driven by `seed`, so identical inputs give
     bit-identical final parameters.
     """
-    opt = opt or OptimizerState()
+    opt = OptimizerState(learning_rate=lr)
     rng = np.random.default_rng(seed)
     model.reseed_dropout(int(rng.integers(2**31)))
     n = len(train_set)
@@ -55,11 +56,12 @@ def train_supervised(model: EncoderModel, train_set: LabeledImageSet,
     return log
 
 
-def accuracy(model: EncoderModel, dataset: LabeledImageSet, batch: int = 256) -> float:
+def accuracy(model: EncoderModel, dataset: LabeledImageSet) -> float:
     """Fraction of samples whose head prediction matches the label."""
     x_all = images_to_batch(dataset.images)
     correct = 0
-    for start in range(0, len(dataset), batch):
-        probs = model.forward(x_all[start:start + batch], training=False)
-        correct += int((probs.argmax(axis=1) == dataset.labels[start:start + batch]).sum())
+    for start in range(0, len(dataset), INFERENCE_BATCH):
+        probs = model.forward(x_all[start:start + INFERENCE_BATCH], training=False)
+        correct += int((probs.argmax(axis=1)
+                        == dataset.labels[start:start + INFERENCE_BATCH]).sum())
     return correct / len(dataset)

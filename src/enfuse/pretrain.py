@@ -19,6 +19,7 @@ from .data import LabeledImageSet, random_transform
 from .errors import InvalidArgumentError, InvalidStateError
 from .features import FeatureMatrix
 from .nn import (
+    INFERENCE_BATCH,
     Conv2d,
     Dense,
     Dropout,
@@ -65,10 +66,10 @@ def make_classification_head(d_f: int, n_classes: int, rng: np.random.Generator)
             Dropout(0.3), Softmax()]
 
 
-def make_projection_head(d_f: int, rng: np.random.Generator, latent: int = LATENT_DIM) -> list:
+def make_projection_head(d_f: int, rng: np.random.Generator) -> list:
     """Contrastive projection head: pooled features through two dense layers."""
     h1 = max(d_f // 2, 4)
-    out = Dense(h1, latent, rng=rng)
+    out = Dense(h1, LATENT_DIM, rng=rng)
     out.params["b"] += 0.01  # keep projections off the exact zero vector
     return [MaxPool2d(), GlobalAvgPool(), Flatten(),
             Dense(d_f, h1, rng=rng), ReLU(), out]
@@ -83,11 +84,8 @@ def make_ssl_classification_head(d_f: int, n_classes: int, rng: np.random.Genera
 
 
 def _first_block_end(backbone) -> int:
-    """Index one past the first conv block (first MaxPool, or first ReLU)."""
-    for i, layer in enumerate(backbone):
-        if isinstance(layer, MaxPool2d):
-            return i + 1
-    return 2
+    """Index one past the first conv block: its MaxPool2d, which every variant has."""
+    return next(i + 1 for i, layer in enumerate(backbone) if isinstance(layer, MaxPool2d))
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +101,7 @@ def pretrain_generic(variant: str, generic_set: LabeledImageSet,
     rng = np.random.default_rng(seed)
     model = EncoderModel(build_backbone(variant, rng))
     model.set_head(make_classification_head(model.feature_dim, generic_set.n_classes, rng))
-    log = train_supervised(model, generic_set, epochs=epochs, batch=batch,
-                           opt=OptimizerState(learning_rate=lr),
+    log = train_supervised(model, generic_set, lr, epochs=epochs, batch=batch,
                            seed=int(rng.integers(2**31)))
     model.set_head(None)
     model.meta = {"variant": variant, "stage": "generic", "train_log": log}
@@ -120,8 +117,7 @@ def finetune_intermediate_tl(model: EncoderModel, d_in: LabeledImageSet,
     rng = np.random.default_rng(seed)
     model.freeze_backbone(upto=_first_block_end(model.backbone))
     model.set_head(make_classification_head(model.feature_dim, d_in.n_classes, rng))
-    log = train_supervised(model, d_in, epochs=epochs, batch=batch,
-                           opt=OptimizerState(learning_rate=lr),
+    log = train_supervised(model, d_in, lr, epochs=epochs, batch=batch,
                            seed=int(rng.integers(2**31)))
     model.meta = dict(model.meta, stage="intermediate", train_log=log)
     return model
@@ -136,8 +132,7 @@ def finetune_target_tl(model: EncoderModel, d_tar_train: LabeledImageSet,
     rng = np.random.default_rng(seed)
     model.freeze_backbone(upto=model.last_conv_index())
     model.set_head(make_classification_head(model.feature_dim, d_tar_train.n_classes, rng))
-    log = train_supervised(model, d_tar_train, epochs=epochs, batch=batch,
-                           opt=OptimizerState(learning_rate=lr),
+    log = train_supervised(model, d_tar_train, lr, epochs=epochs, batch=batch,
                            seed=int(rng.integers(2**31)))
     model.meta = dict(model.meta, stage="target", method="TL", train_log=log)
     return model
@@ -202,8 +197,7 @@ def finetune_target_ssl(model: EncoderModel, d_tar_train: LabeledImageSet,
     rng = np.random.default_rng(seed)
     model.freeze_backbone()
     model.set_head(make_ssl_classification_head(model.feature_dim, d_tar_train.n_classes, rng))
-    log = train_supervised(model, d_tar_train, epochs=epochs, batch=batch,
-                           opt=OptimizerState(learning_rate=lr),
+    log = train_supervised(model, d_tar_train, lr, epochs=epochs, batch=batch,
                            seed=int(rng.integers(2**31)))
     model.meta = dict(model.meta, stage="target", method="SSL", train_log=log)
     return model
@@ -221,7 +215,8 @@ def extract_features(model: EncoderModel, dataset: LabeledImageSet) -> FeatureMa
     if model.meta.get("stage") != "target":
         raise InvalidStateError("extract_features needs a target-stage model")
     x = images_to_batch(dataset.images)
-    rows = [model.features(x[s:s + 256]) for s in range(0, len(x), 256)]
+    rows = [model.features(x[s:s + INFERENCE_BATCH])
+            for s in range(0, len(x), INFERENCE_BATCH)]
     return FeatureMatrix(np.concatenate(rows), labels=dataset.labels.copy())
 
 

@@ -477,7 +477,9 @@ class TestFailureModes:
         before = (out / "manifest.json").read_bytes()
         capsys.readouterr()
         assert run(["ensemble"] + changed) == 3
-        assert "'finetune'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'finetune'" in err
+        assert "'pretrain'" in err  # the seed is an input of the whole chain
         assert (out / "manifest.json").read_bytes() == before
 
     def test_stage_after_a_stale_stage_rejected(self, workdir, tmp_path, capsys):
@@ -490,7 +492,9 @@ class TestFailureModes:
         before = (out / "manifest.json").read_bytes()
         capsys.readouterr()
         assert run(["ensemble"] + changed) == 3
-        assert "'finetune'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'finetune'" in err
+        assert "'pretrain'" in err  # the stage whose config value changed
         assert (out / "manifest.json").read_bytes() == before
 
     def test_corruption_detected(self, workdir):
@@ -540,16 +544,20 @@ class TestIncremental:
     """An `all` after an edit reruns exactly the stages whose recorded inputs
     changed, and leaves the tree a fresh `all` with the edit would write."""
 
-    @pytest.mark.parametrize("edit, seed, skipped", [
-        (("method = concat+pca", "method = concat-only"), "11", {"pretrain", "finetune"}),
-        (("target_per_class = 10", "target_per_class = 6"), "11", {"pretrain"}),
-        (("epochs = 8", "epochs = 2"), "11", {"pretrain"}),  # [finetune] epochs
-        (("ssl_epochs = 2", "ssl_epochs = 1"), "11", set()),
-        (None, "12", set()),
-    ], ids=["fusion-method", "target-per-class", "finetune-epochs", "ssl-epochs", "seed"])
+    @pytest.mark.parametrize("edit, seed, skipped, first", [
+        (("method = concat+pca", "method = concat-only"), "11", {"pretrain", "finetune"}, []),
+        (("target_per_class = 10", "target_per_class = 6"), "11", {"pretrain"}, []),
+        (("epochs = 8", "epochs = 2"), "11", {"pretrain"}, []),  # [finetune] epochs
+        (("ssl_epochs = 2", "ssl_epochs = 1"), "11", set(), []),
+        (None, "12", set(), []),
+        # all runs neither oodtest nor explain, yet their stale records and files go
+        (("name = tiny", "name = renamed"), "11", set(),
+         [["oodtest"], ["explain", "--what", "tsne"]]),
+    ], ids=["fusion-method", "target-per-class", "finetune-epochs", "ssl-epochs", "seed",
+            "task-name-after-oodtest-and-explain"])
     def test_incremental_all_equals_fresh(self, tiny_all, tmp_path, capsys, edit, seed,
-                                          skipped):
-        pristine, _ = tiny_all
+                                          skipped, first):
+        pristine, pristine_cfg = tiny_all
         text = TINY_CONFIG
         if edit is not None:
             assert text.count(edit[0]) == 1
@@ -558,6 +566,9 @@ class TestIncremental:
         cfg.write_text(text)
         incremental, fresh = tmp_path / "incremental", tmp_path / "fresh"
         shutil.copytree(pristine, incremental)
+        for command in first:  # with the config and seed of the pristine tree
+            assert run(command + ["--config", str(pristine_cfg), "--seed", "11",
+                                  "--out", str(incremental)]) == 0
         argv = ["all", "--config", str(cfg), "--seed", seed, "--out"]
         capsys.readouterr()
         assert run(argv + [str(incremental)]) == 0

@@ -57,23 +57,23 @@ def trained(parts):
 class TestMajorityVote:
     def test_plain_majority(self):
         votes = [np.array([0]), np.array([0]), np.array([0]), np.array([1]), np.array([1])]
-        assert majority_vote(votes)[0] == 0
+        assert majority_vote(votes, 2)[0] == 0
 
     def test_tie_goes_to_lowest_index(self):
         votes = [np.array([0]), np.array([0]), np.array([1]), np.array([1]), np.array([2])]
-        assert majority_vote(votes)[0] == 0
+        assert majority_vote(votes, 3)[0] == 0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         votes = [rng.integers(0, 3, 20) for _ in range(5)]
-        base = majority_vote(votes)
+        base = majority_vote(votes, 3)
         for perm_seed in range(5):
             order = np.random.default_rng(perm_seed).permutation(5)
-            assert np.array_equal(majority_vote([votes[i] for i in order]), base)
+            assert np.array_equal(majority_vote([votes[i] for i in order], 3), base)
 
     def test_single_voter_identity(self):
         v = np.array([2, 0, 1])
-        assert np.array_equal(majority_vote([v]), v)
+        assert np.array_equal(majority_vote([v], 3), v)
 
 
 class TestMetrics:

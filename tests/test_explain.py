@@ -206,13 +206,13 @@ class TestSelectBackground:
     def test_near_median_and_deterministic(self):
         rng = np.random.default_rng(10)
         fm = FeatureMatrix(rng.normal(size=(50, 4)))
-        bg = select_background(fm, n=10)
+        bg = select_background(fm)
         assert bg.data.shape == (10, 4)
         median = np.median(fm.data, axis=0)
         chosen = np.linalg.norm(bg.data - median, axis=1).max()
         others = np.linalg.norm(fm.data - median, axis=1)
         assert chosen <= np.sort(others)[9] + 1e-12
-        again = select_background(fm, n=10)
+        again = select_background(fm)
         assert np.array_equal(bg.data, again.data)
 
 
@@ -273,7 +273,7 @@ class TestTsne:
         with pytest.warns(UserWarning, match="perplexity"):
             emb = tsne_embed(fm, perplexity=10, iters=20, seed=0)
         assert emb.perplexity == pytest.approx(11 / 3)
-        assert f"perplexity={11 / 3:.4f}" in render_embedding_svg(emb)
+        assert f"perplexity={11 / 3:.4f}" in render_embedding_svg(emb, ["class 0"])
 
     def test_duplicate_rows_survive(self):
         rng = np.random.default_rng(12)
@@ -303,7 +303,7 @@ class TestRender:
 
     def test_confusion_svg_parses_and_has_counts(self):
         cm = ConfusionMatrix(np.array([[5, 1], [2, 7]]))
-        text = render_confusion_svg(cm)
+        text = render_confusion_svg(cm, ["a", "b"])
         ET.fromstring(text)
         for value in ("5", "1", "2", "7"):
             assert f">{value}</text>" in text
@@ -311,7 +311,7 @@ class TestRender:
     def test_byte_identical_rerender(self):
         rng = np.random.default_rng(15)
         emb = Embedding2D(rng.normal(size=(10, 2)), np.zeros(10, dtype=int), 1.25, 3.0)
-        assert render_embedding_svg(emb) == render_embedding_svg(emb)
+        assert render_embedding_svg(emb, ["a"]) == render_embedding_svg(emb, ["a"])
 
     def test_shap_csv_rows(self):
         exp = shap_exact(lambda x: x[:, 0] + x[:, 1], np.array([1.0, 2.0]),

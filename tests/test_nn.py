@@ -102,7 +102,8 @@ class TestLayerForward:
     def test_dropout_training_unbiased(self):
         rng = np.random.default_rng(3)
         x = np.ones((200, 50))
-        layer = Dropout(0.3, seed=9)
+        layer = Dropout(0.3)
+        layer.reseed(9)
         out = layer.forward(x, training=True)
         assert abs(out.mean() - 1.0) < 0.02
 
@@ -271,7 +272,7 @@ class TestTrainSupervised:
     def test_linearly_separable_converges(self):
         ds = make_synthetic_task("binary", 12, (8, 8), 0.0, seed=5)
         model = self._model()
-        train_supervised(model, ds, epochs=30, batch=16, seed=1)
+        train_supervised(model, ds, lr=0.001, epochs=30, batch=16, seed=1)
         probs = model.forward(images_to_batch(ds.images), training=False)
         assert (probs.argmax(axis=1) == ds.labels).mean() == 1.0
 
@@ -279,7 +280,7 @@ class TestTrainSupervised:
         ds = make_synthetic_task("binary", 4, (8, 8), 0.0, seed=5)
         model = self._model()
         before = {k: v.copy() for k, v in model.named_parameters().items()}
-        log = train_supervised(model, ds, epochs=0, batch=8, seed=1)
+        log = train_supervised(model, ds, lr=0.001, epochs=0, batch=8, seed=1)
         assert log == []
         for k, v in model.named_parameters().items():
             assert np.array_equal(before[k], v)
@@ -289,7 +290,7 @@ class TestTrainSupervised:
         runs = []
         for _ in range(2):
             model = self._model(seed=3)
-            train_supervised(model, ds, epochs=5, batch=8, seed=7)
+            train_supervised(model, ds, lr=0.001, epochs=5, batch=8, seed=7)
             runs.append({k: v.copy() for k, v in model.named_parameters().items()})
         for k in runs[0]:
             assert np.array_equal(runs[0][k], runs[1][k])
@@ -299,14 +300,14 @@ class TestTrainSupervised:
         model = self._model(seed=3)
         model.freeze_backbone(upto=3)
         frozen_before = [model.backbone[i].params["w"].copy() for i in (0,)]
-        train_supervised(model, ds, epochs=3, batch=8, seed=7)
+        train_supervised(model, ds, lr=0.001, epochs=3, batch=8, seed=7)
         assert np.array_equal(model.backbone[0].params["w"], frozen_before[0])
 
     def test_batch_clamp_warns(self):
         ds = make_synthetic_task("binary", 2, (8, 8), 0.0, seed=5)
         model = self._model()
         with pytest.warns(UserWarning, match="clamping"):
-            train_supervised(model, ds, epochs=1, batch=999, seed=0)
+            train_supervised(model, ds, lr=0.001, epochs=1, batch=999, seed=0)
 
 
 # freeze_backbone(upto) on variant C (conv layers at 0, 3, 6 and 8, 11 backbone

@@ -1,10 +1,14 @@
-"""No library code that only tests call.
+"""No library code that only tests call, and no default that only tests change.
 
 Every top-level function, class and constant in `src/enfuse` must be
 referenced somewhere in `src/` or `perfbench/` outside its own definition.
 A package `__init__` re-export does not count as a reference, since it only
 makes a name importable; `cmd_<stage>` functions are reached through
 `cli.STAGES`, which `run_stage` looks them up by.
+
+Every defaulted parameter of a function or method in `src/enfuse` must be
+passed, by keyword or by position, by some call in `src/` or `perfbench/`;
+a value nothing else passes is a constant.
 """
 
 import ast
@@ -74,3 +78,78 @@ def _unreached() -> list[str]:
 def test_every_library_name_is_reached_outside_tests():
     unreached = _unreached()
     assert not unreached, "referenced only by tests: " + ", ".join(unreached)
+
+
+# Defaulted parameters that no call in src/ or perfbench/ passes by name, each
+# with the reason it stays; an entry without a parameter covers all of them.
+UNPASSED_ALLOWED = {
+    "finetune_target_tl": "cmd_finetune calls it through the local name `tuner`",
+    "finetune_target_ssl": "cmd_finetune calls it through the local name `tuner`",
+    "EncoderModel.__init__ head": "EncoderModel.load_bytes calls it as `cls(backbone, head)`",
+    "fit_rf n_trees": "tests shrink the forest so the tree oracles stay fast",
+    "fit_gbt rounds": "tests shrink the boosting so the tree oracles stay fast",
+    "fit_gbt max_depth": "tests shrink the trees so the oracles reach the depth limit",
+}
+
+
+def _defaulted_parameters(node: ast.AST, owner: str | None = None):
+    """(function label, call name, call position or None, parameter) of each
+    defaulted parameter; a method's position skips self, and `__init__` is
+    called by its class's name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defaulted_parameters(child, child.name)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            label = f"{owner}.{child.name}" if owner else child.name
+            called = owner if child.name == "__init__" else child.name
+            args = child.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if owner and not any(getattr(d, "id", None) == "staticmethod"
+                                          for d in child.decorator_list) else 0
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield label, called, i - skip, arg.arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield label, called, None, arg.arg
+            yield from _defaulted_parameters(child)
+        else:
+            yield from _defaulted_parameters(child, owner)
+
+
+def _calls(tree: ast.Module):
+    """(called name, positional count, keyword names) of each call of a plain
+    or attribute name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is not None:
+                positional = len([a for a in node.args if not isinstance(a, ast.Starred)])
+                yield name, positional, {k.arg for k in node.keywords if k.arg}
+
+
+def _unpassed() -> list[str]:
+    sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: _parse(path) for path in sources}
+    calls: dict[str, list[tuple[int, set[str]]]] = {}
+    for tree in trees.values():
+        for name, positional, keywords in _calls(tree):
+            calls.setdefault(name, []).append((positional, keywords))
+    unpassed = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(PACKAGE):
+            continue
+        for label, called, position, param in _defaulted_parameters(tree):
+            if label in UNPASSED_ALLOWED or f"{label} {param}" in UNPASSED_ALLOWED:
+                continue
+            if not any(param in keywords or (position is not None and position < positional)
+                       for positional, keywords in calls.get(called, ())):
+                unpassed.append(f"{path.relative_to(ROOT)}: {label} {param}")
+    return unpassed
+
+
+def test_every_default_is_passed_outside_tests():
+    """A default that no call in src/ or perfbench/ overrides is a constant."""
+    unpassed = _unpassed()
+    assert not unpassed, "defaults no call passes: " + ", ".join(unpassed)

@@ -4,6 +4,13 @@ Each learner exposes a fit_* constructor returning a TrainedClassifier and
 shares predict / predict_proba dispatch. All of them are deterministic given
 (data, seed, hyperparameters): probability rows are valid distributions and
 argmax ties break toward the lowest class index.
+
+The random forest and the boosted trees share one tree builder, which grows
+many trees together and runs one batched split search per step over a node
+from each of them: a forest's trees in lockstep, one node per tree in each
+tree's preorder, and a boosting round's class trees a whole level at a time.
+The trees equal, bit for bit, those of growing each tree alone, one node at a
+time.
 """
 
 from __future__ import annotations
@@ -194,118 +201,238 @@ def _gnb_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Shared tree builder
+# Shared tree builder: many trees grown together
 # ---------------------------------------------------------------------------
 
-def _presorted(x, idx, features):
-    """Each candidate feature's values over idx, sorted: (order, values, valid cuts).
+def _row_sums(a: np.ndarray, n_rows: np.ndarray) -> np.ndarray:
+    """a[i, ..., :n_rows[i]] summed over the last axis, node by node.
 
-    Row j belongs to features[j]. Cut i lies between sorted positions i and
-    i + 1 and is valid where their values differ.
+    Each sum covers one node's values alone, so it rounds as a 1-D sum over
+    them does: NumPy sums pairwise in blocks of 8, so a sum over the padded
+    row rounds differently once a node has 8 or more rows. `a` must be
+    C-ordered: where another axis has a smaller stride than the summed one,
+    NumPy adds along the summed axis in sequence instead.
     """
-    vals = x.T[np.ix_(features, idx)]
-    order = np.argsort(vals, axis=1, kind="stable")
-    sv = np.take_along_axis(vals, order, axis=1)
-    return order, sv, sv[:, 1:] != sv[:, :-1]
+    out = np.empty(a.shape[:-1])
+    for i, n in enumerate(n_rows.tolist()):
+        out[i] = a[i, ..., :n].sum(axis=-1)
+    return out
 
 
-def _best_cut(features, sv, score):
-    """(feature, threshold, score) of the first feature whose lowest score beats
-    the best so far by 1e-15; feature None if no cut is valid."""
-    pos = np.argmin(score, axis=1)
-    lowest = score[np.arange(len(features)), pos]
-    best = (None, 0.0, np.inf)
-    for j, p in enumerate(pos):
-        if lowest[j] < best[2] - 1e-15:
-            best = (features[j], 0.5 * (sv[j, p] + sv[j, p + 1]), lowest[j])
-    return best
+class _Gini:
+    """Gini impurity of class labels; a node's value is its class distribution."""
+
+    def __init__(self, y: np.ndarray, n_classes: int):
+        self.labels = np.append(y, n_classes)  # the padding row is in no class
+        self.n_classes = n_classes
+
+    def _counts(self, rows):
+        return np.stack([np.count_nonzero(self.labels[rows] == c, axis=1)
+                         for c in range(self.n_classes)], axis=1).astype(np.float64)
+
+    def leaves(self, rows, n_rows):
+        """(value, is pure) of each node; row list i is rows[i, :n_rows[i]]."""
+        counts = self._counts(rows)
+        return counts / counts.sum(axis=1, keepdims=True), np.count_nonzero(counts, axis=1) == 1
+
+    def scores(self, rows, n_rows, srows):
+        """Score of each (node, feature, cut) over the feature's sorted rows."""
+        n = n_rows[:, None, None]
+        labels = self.labels[srows]
+        counts = self._counts(rows)
+        nl = np.arange(1, srows.shape[2])
+        nr = np.maximum(n - nl, 1)  # cuts past a node's rows are masked
+        # each side's sum of squared class shares, added class by class as
+        # np.sum over the class axis adds them
+        for c in range(self.n_classes):
+            left = np.cumsum(labels == c, axis=2)[:, :, :-1]  # rows of class c below each cut
+            share_l = (left / nl) ** 2
+            share_r = ((counts[:, c, None, None] - left) / nr) ** 2
+            sum_l = share_l if c == 0 else sum_l + share_l
+            sum_r = share_r if c == 0 else sum_r + share_r
+        return (nl * (1.0 - sum_l) + nr * (1.0 - sum_r)) / n
 
 
-def _gini_splitter(n_classes):
-    """Gini split search over every cut of every candidate feature at once."""
-    def split(x, target, idx, features):
-        order, sv, valid = _presorted(x, idx, features)
-        n = len(idx)
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), target[idx]] = 1.0
-        hot = onehot[order]                             # (F, n, classes)
-        left = np.cumsum(hot, axis=1)[:, :-1]           # counts below each cut
-        right = left[:, -1:] + hot[:, -1:] - left
-        nl = np.arange(1, n)
-        nr = n - nl
-        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=2)
-        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=2)
-        score = np.where(valid, (nl * gini_l + nr * gini_r) / n, np.inf)
-        return _best_cut(features, sv, score)
-    return split
+class _SquaredError:
+    """Squared error of the residual; a node's value is the Newton step
+    sum(residual) / sum(hessian). `leaves` and `scores` as `_Gini`'s."""
+
+    def __init__(self, residual: np.ndarray, hessian: np.ndarray):
+        self.residual = np.append(residual, 0.0)  # the padding row's are 0
+        self.square = self.residual * self.residual
+        self.hessian = np.append(hessian, 0.0)
+
+    def leaves(self, rows, n_rows):
+        resid = self.residual[rows]
+        grad, hess = _row_sums(np.stack([resid, self.hessian[rows]], axis=1), n_rows).T
+        real = np.arange(rows.shape[1]) < n_rows[:, None]
+        spread = (np.where(real, resid, -np.inf).max(axis=1)
+                  - np.where(real, resid, np.inf).min(axis=1))
+        return (grad / (hess + 1e-16))[:, None], spread <= 1e-12
+
+    def scores(self, rows, n_rows, srows):
+        r = np.stack([self.residual[srows], self.square[srows]], axis=1)
+        s1, s2 = np.cumsum(r, axis=3)[..., :-1].swapaxes(0, 1)
+        total1, total2 = _row_sums(r, n_rows)[..., None].swapaxes(0, 1)
+        nl = np.arange(1, srows.shape[2])
+        nr = np.maximum(n_rows[:, None, None] - nl, 1)
+        sse_l = s2 - s1 * s1 / nl
+        sse_r = (total2 - s2) - (total1 - s1) ** 2 / nr
+        return sse_l + sse_r
 
 
-def _sse_splitter(x, target, idx, features):
-    """Squared-error split search on the residual column, all features at once."""
-    order, sv, valid = _presorted(x, idx, features)
-    r = target[idx, 0][order]                           # (F, n), one row per feature
-    rr = r * r
-    s1 = np.cumsum(r, axis=1)[:, :-1]
-    s2 = np.cumsum(rr, axis=1)[:, :-1]
-    # each total sums one contiguous row, in the order of a 1-D r.sum(): a
-    # column sum of the (n, F) transpose rounds differently and flips splits
-    total1 = r.sum(axis=1, keepdims=True)
-    total2 = rr.sum(axis=1, keepdims=True)
-    nl = np.arange(1, len(idx))
-    nr = len(idx) - nl
-    sse_l = s2 - s1 * s1 / nl
-    sse_r = (total2 - s2) - (total1 - s1) ** 2 / nr
-    score = np.where(valid, sse_l + sse_r, np.inf)
-    return _best_cut(features, sv, score)
+def _best_cuts(features: np.ndarray, sv: np.ndarray, score: np.ndarray):
+    """(feature, threshold, score) per node of the first candidate feature
+    whose lowest score beats the best so far by 1e-15; feature -1 and
+    threshold 0 where no cut is valid.
+
+    The argmin over features is that feature unless an earlier one lies
+    within 1e-15 of the minimum; only such nodes rerun the scan feature by
+    feature.
+    """
+    lowest = score.min(axis=2)
+    j = lowest.argmin(axis=1)
+    close = (~(lowest.min(axis=1, keepdims=True) < lowest - 1e-15)
+             & (np.arange(lowest.shape[1]) < j[:, None]))
+    for b in np.flatnonzero(close.any(axis=1)):
+        best = np.inf
+        for f, value in enumerate(lowest[b]):
+            if value < best - 1e-15:
+                best, j[b] = value, f
+    nodes = np.arange(len(score))
+    p = score[nodes, j].argmin(axis=1)
+    low = lowest[nodes, j]
+    found = low < np.inf
+    return (np.where(found, features[nodes, j], -1),
+            np.where(found, 0.5 * (sv[nodes, j, p] + sv[nodes, j, p + 1]), 0.0), low)
 
 
-def _is_pure(target_subset: np.ndarray) -> bool:
-    col = target_subset[:, 0] if target_subset.ndim == 2 else target_subset
-    return bool(col.max() - col.min() <= 1e-12)
+def _split_search(xt, rows, n_rows, features, criterion):
+    """(feature, threshold, score) of each node's best cut, one batched search.
+
+    xt is x transposed with a last column of +inf, the padding row: row list
+    i is rows[i, :n_rows[i]], padded with that column's index, so padding
+    sorts last; cuts past a node's own rows are masked. features[i] are node
+    i's candidate features, ascending.
+    """
+    order = xt[features[:, :, None], rows[:, None, :]].argsort(axis=2, kind="stable")
+    srows = rows[np.arange(len(rows))[:, None, None], order]
+    sv = xt[features[:, :, None], srows]
+    valid = ((sv[:, :, 1:] != sv[:, :, :-1])
+             & (np.arange(sv.shape[2] - 1) < n_rows[:, None, None] - 1))
+    return _best_cuts(features, sv, np.where(valid, criterion.scores(rows, n_rows, srows),
+                                             np.inf))
 
 
-def _build_tree(x, target, idx, rng, *, max_depth, min_split, n_feature_sub,
-                leaf_value, splitter) -> Tree:
-    """Grow one tree from the rows idx; nodes are numbered in preorder."""
-    nodes = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+def _padded(parts: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, n_rows): the row lists as one matrix padded with `pad`, and their lengths."""
+    n_rows = np.array([len(part) for part in parts])
+    rows = np.full((len(parts), n_rows.max()), pad)
+    rows[np.arange(rows.shape[1]) < n_rows[:, None]] = np.concatenate(parts)
+    return rows, n_rows
 
-    def grow(idx, depth):
-        node_id = len(nodes["feature"])
-        for key in nodes:
-            nodes[key].append(None)
-        leaf = leaf_value(target[idx])
-        splittable = (depth < max_depth and len(idx) >= min_split
-                      and not _is_pure(target[idx]))
-        chosen = (None, 0.0, np.inf)
-        if splittable:
-            d = x.shape[1]
-            if n_feature_sub is not None and n_feature_sub < d:
-                features = np.sort(rng.choice(d, size=n_feature_sub, replace=False))
-            else:
-                features = np.arange(d)
-            chosen = splitter(x, target, idx, features)
-        if chosen[0] is None:
-            nodes["feature"][node_id] = -1
-            nodes["threshold"][node_id] = 0.0
-            nodes["left"][node_id] = -1
-            nodes["right"][node_id] = -1
-            nodes["value"][node_id] = leaf
-            return node_id
-        f, thr, _ = chosen
-        mask = x[idx, f] <= thr
-        nodes["feature"][node_id] = f
-        nodes["threshold"][node_id] = thr
-        nodes["value"][node_id] = leaf
-        nodes["left"][node_id] = grow(idx[mask], depth + 1)
-        nodes["right"][node_id] = grow(idx[~mask], depth + 1)
-        return node_id
 
-    grow(idx, 0)
-    return Tree(np.asarray(nodes["feature"], dtype=np.int64),
-                np.asarray(nodes["threshold"], dtype=np.float64),
-                np.asarray(nodes["left"], dtype=np.int64),
-                np.asarray(nodes["right"], dtype=np.int64),
-                np.stack([np.atleast_1d(v) for v in nodes["value"]]))
+def _grow_trees(x, roots, criterion, *, max_depth, min_split, rngs,
+                n_feature_sub) -> list[Tree]:
+    """Grow one tree from each root's row list, all together; each tree's
+    nodes are numbered in preorder.
+
+    A node gets its value, and is tested for purity, when it is made. It
+    splits at the cut the criterion scores lowest (ties go to the first
+    feature and cut) unless it is at `max_depth`, has fewer than `min_split`
+    rows or is pure. Each step takes splittable nodes from many trees into
+    one `_split_search`. With `rngs`, one generator per tree, each node
+    searched draws `n_feature_sub` candidate features from its tree's
+    generator when that is fewer than all, and a step takes one node per tree
+    in that tree's preorder, so each generator makes the draws of a recursive
+    one-node-at-a-time build in the same order. Without `rngs`, every feature
+    is a candidate and a step takes every splittable node of every tree: a
+    whole level. Either way the trees are the recursive build's, bit for bit.
+    """
+    n, d = x.shape
+    xt = np.concatenate([x, np.full((1, d), np.inf)]).T.copy()  # column n is the padding row
+    # nodes are numbered by slot, in the order they are made, roots first
+    pending = [[] for _ in roots]  # per tree, the splittable nodes: (rows, depth, slot)
+    values = []      # per batch of new nodes, their values
+    cuts = []        # per step, (slots, feature, threshold) of the nodes searched
+    left_child = []  # (slot, its left child's slot); the right child's slot follows
+    n_made = 0
+
+    def make(parts, trees, depth):
+        """Record new nodes and queue the splittable ones, each tree's last
+        made on top; returns the first new slot."""
+        nonlocal n_made
+        rows, n_rows = _padded(parts, n)
+        value, pure = criterion.leaves(rows, n_rows)
+        values.append(value)
+        first, n_made = n_made, n_made + len(parts)
+        splittable = ((depth < max_depth) & (n_rows >= min_split) & ~pure).tolist()
+        for i in reversed(range(len(parts))):
+            if splittable[i]:
+                pending[trees[i]].append((parts[i], depth[i], first + i))
+        return first
+
+    make(list(roots), range(len(roots)), np.zeros(len(roots), dtype=np.int64))
+    while any(pending):
+        if rngs is None:
+            batch = [(t, node) for t, stack in enumerate(pending) for node in stack]
+            for stack in pending:
+                stack.clear()
+        else:
+            batch = [(t, stack.pop()) for t, stack in enumerate(pending) if stack]
+        rows, n_rows = _padded([node[0] for _, node in batch], n)
+        if rngs is not None and n_feature_sub < d:
+            features = np.sort([rngs[t].choice(d, size=n_feature_sub, replace=False)
+                                for t, _ in batch], axis=1)
+        else:
+            features = np.broadcast_to(np.arange(d), (len(batch), d))
+        feature, threshold, _ = _split_search(xt, rows, n_rows, features, criterion)
+        cuts.append(([node[2] for _, node in batch], feature, threshold))
+        inner = np.flatnonzero(feature >= 0)
+        if not len(inner):
+            continue
+        go_left = xt[feature[inner, None], rows[inner]] <= threshold[inner, None]
+        parted = rows[inner[:, None], (~go_left).argsort(axis=1, kind="stable")]
+        parts, trees, depth, parents = [], [], [], []
+        for i, part, cut, end in zip(inner.tolist(), parted, go_left.sum(axis=1).tolist(),
+                                     n_rows[inner].tolist()):
+            t, (_, level, slot) = batch[i]
+            parts += (part[:cut], part[cut:end])  # the padding (+inf) went right
+            trees += (t, t)
+            depth += (level + 1, level + 1)
+            parents.append(slot)
+        first = make(parts, trees, np.array(depth))
+        left_child += [(slot, first + 2 * k) for k, slot in enumerate(parents)]
+    return _preorder_trees(np.concatenate(values), cuts, left_child, len(roots))
+
+
+def _preorder_trees(values, cuts, left_child, n_trees) -> list[Tree]:
+    """Gather the nodes, by slot, into trees numbered in preorder; roots are
+    slots 0 .. n_trees - 1."""
+    n_slots = len(values)
+    feature = np.full(n_slots, -1)
+    threshold = np.zeros(n_slots)
+    for slots, f, thr in cuts:
+        feature[slots], threshold[slots] = f, thr
+    left = [-1] * n_slots
+    for slot, child in left_child:
+        left[slot] = child
+    order, pre, bounds = [], [0] * n_slots, [0]
+    for root in range(n_trees):
+        stack = [root]
+        while stack:
+            slot = stack.pop()
+            pre[slot] = len(order) - bounds[-1]
+            order.append(slot)
+            if left[slot] >= 0:
+                stack += (left[slot] + 1, left[slot])
+        bounds.append(len(order))
+    pre = np.array(pre)
+    left = np.array(left)[order]
+    inner = left >= 0
+    columns = (feature[order], threshold[order], np.where(inner, pre[left], -1),
+               np.where(inner, pre[left + 1], -1), values[order])
+    return [Tree(*(column[a:b] for column in columns)) for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -313,25 +440,19 @@ def _build_tree(x, target, idx, rng, *, max_depth, min_split, n_feature_sub,
 # ---------------------------------------------------------------------------
 
 def fit_rf(x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0) -> TrainedClassifier:
-    """Bagged Gini trees with per-split feature subsampling of ceil(sqrt(D))."""
+    """Bagged Gini trees with per-split feature subsampling of ceil(sqrt(D)),
+    grown together in lockstep, each from its own generator."""
     x, y, k = _check_xy(x, y)
     if len(x) < 3:
         raise InvalidDatasetError("RF needs at least 3 samples")
+    if n_trees < 1:
+        raise InvalidArgumentError("RF needs at least one tree")
     n, d = x.shape
-    n_sub = int(np.ceil(np.sqrt(d)))
-
-    def leaf_value(labels):
-        counts = np.bincount(labels, minlength=k).astype(np.float64)
-        return counts / counts.sum()
-
-    splitter = _gini_splitter(k)
-    trees = []
-    for child in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, n, size=n)
-        trees.append(_build_tree(x, y, idx, rng, max_depth=RF_MAX_DEPTH,
-                                 min_split=RF_MIN_SPLIT, n_feature_sub=n_sub,
-                                 leaf_value=leaf_value, splitter=splitter))
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_trees)]
+    bootstraps = [rng.integers(0, n, size=n) for rng in rngs]
+    trees = _grow_trees(x, bootstraps, _Gini(y, k), max_depth=RF_MAX_DEPTH,
+                        min_split=RF_MIN_SPLIT, rngs=rngs,
+                        n_feature_sub=int(np.ceil(np.sqrt(d))))
     return TrainedClassifier("RF", k, trees=trees,
                              meta={"n_trees": n_trees, "max_depth": RF_MAX_DEPTH,
                                    "min_split": RF_MIN_SPLIT, "seed": seed})
@@ -353,7 +474,8 @@ def _rf_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
 
 def fit_gbt(x: np.ndarray, y: np.ndarray, max_depth: int = 10,
             rounds: int = 50) -> TrainedClassifier:
-    """Boosting with one regression tree per class per round.
+    """Boosting with one regression tree per class per round; a round's class
+    trees grow together.
 
     Trees fit the negative softmax cross-entropy gradient (the residual
     one-hot minus probability); leaf scores use the Newton step
@@ -367,23 +489,21 @@ def fit_gbt(x: np.ndarray, y: np.ndarray, max_depth: int = 10,
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
     scores = np.zeros((n, k))
-    all_idx = np.arange(n)
-
-    def leaf_value(t):
-        grad, hess = t[:, 0].sum(), t[:, 1].sum()
-        return np.array([grad / (hess + 1e-16)])
+    # the round's k class trees grow together, tree c on rows c*n .. c*n + n - 1
+    # of k stacked copies of x, so each reads its own class's target
+    stacked = np.tile(x, (k, 1))
+    roots = [np.arange(cls * n, cls * n + n) for cls in range(k)]
 
     trees: list[Tree] = []
     loss_log = []
     for _ in range(rounds):
         p = _softmax(scores)
-        for cls in range(k):
-            residual = onehot[:, cls] - p[:, cls]
-            hess = p[:, cls] * (1.0 - p[:, cls])
-            target = np.stack([residual, hess], axis=1)
-            tree = _build_tree(x, target, all_idx, None, max_depth=max_depth,
-                               min_split=GBT_MIN_SPLIT, n_feature_sub=None,
-                               leaf_value=leaf_value, splitter=_sse_splitter)
+        residual = onehot - p
+        hess = p * (1.0 - p)
+        grown = _grow_trees(stacked, roots, _SquaredError(residual.T.ravel(), hess.T.ravel()),
+                            max_depth=max_depth, min_split=GBT_MIN_SPLIT, rngs=None,
+                            n_feature_sub=None)
+        for cls, tree in enumerate(grown):
             trees.append(tree)
             scores[:, cls] += GBT_ETA * tree.predict_value(x)[:, 0]
         p = _softmax(scores)

@@ -7,9 +7,10 @@ each stage's inputs (the seed, each config value it read, a digest of the
 rule, which `run_stage` applies: a stage is current when its recorded inputs
 still hold and its files hash-match. A current stage is skipped; any other
 reruns and replaces its record, and drops, in the same manifest write, every
-other record whose inputs no longer hold; the files only the replaced or
-dropped records listed are then deleted. Explain runs on every call and adds
-to its record while its inputs hold.
+record downstream of it (requiring it directly or through other records) whose
+inputs no longer hold; the files only the replaced or dropped records listed
+are then deleted. Explain runs on every call and adds to its record while its
+inputs hold.
 
 Exit codes: 0 success, 2 config error, 3 stage failure or a required stage
 missing or stale ("run it first", from the most upstream stage of its chain
@@ -353,12 +354,26 @@ def stage_complete(out: Path, manifest: dict, stage: str, config: dict, seed: in
     return True
 
 
+def _downstream(manifest: dict, stage: str) -> set[str]:
+    """The records that require the stage, directly or through other records'
+    `inputs["stages"]`."""
+    found: set[str] = set()
+    new = {stage}
+    while new:
+        new = {name for name, record in manifest["stages"].items() if name not in found
+               and new & record.get("inputs", {}).get("stages", {}).keys()}
+        found |= new
+    return found
+
+
 def record_stage(out: Path, manifest: dict, config: dict, stage: str, inputs: dict,
                  files: list[Path], extend: bool) -> None:
     """Save the stage's inputs and file hashes, added to its old record with
-    `extend`, else replacing it, and drop every other record whose inputs no
-    longer hold; then delete the files (and emptied directories) that only the
-    replaced or dropped records listed."""
+    `extend`, else replacing it, and drop every record downstream of it whose
+    inputs no longer hold; then delete the files (and emptied directories) that
+    only the replaced or dropped records listed. A stale record in no chain
+    with the stage, such as the other stages' after `synth --seed 12`, stays:
+    it is current again for its own seed and config."""
     listed = set().union(*(r["files"] for r in manifest["stages"].values()))
     record = {"inputs": inputs,
               "files": {str(p.relative_to(out)): file_sha256(p) for p in sorted(files)}}
@@ -368,8 +383,10 @@ def record_stage(out: Path, manifest: dict, config: dict, stage: str, inputs: di
             inputs[key] = {**old["inputs"][key], **inputs[key]}
         record["files"] = {**old["files"], **record["files"]}
     manifest["stages"][stage] = record
+    downstream = _downstream(manifest, stage)
     manifest["stages"] = {name: kept for name, kept in manifest["stages"].items()
-                          if name == stage or _inputs_hold(manifest, name, config, inputs["seed"])}
+                          if name not in downstream
+                          or _inputs_hold(manifest, name, config, inputs["seed"])}
     save_manifest(out, manifest)
     for rel in sorted(listed.difference(*(r["files"] for r in manifest["stages"].values()))):
         (out / rel).unlink(missing_ok=True)
@@ -651,8 +668,10 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
     train, test = stratified_split(dataset, config["data"]["split_fraction"], seed + 6)
     method = config["fusion"]["method"]
     pretrained = _load_target_models(out, config)
-    hashes_before = {name: file_sha256(_task_dir(out, config, "finetune") / f"{name}.weights")
-                     for name in BASE_MODEL_NAMES}
+    # run_stage has just hashed the finetune files against this record
+    weights = {name: _task_dir(out, config, "finetune") / f"{name}.weights"
+               for name in BASE_MODEL_NAMES}
+    recorded = load_manifest(out)["stages"]["finetune"]["files"]
 
     random_models = []
     for i, name in enumerate(BASE_MODEL_NAMES):
@@ -668,9 +687,8 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
                              method=method, seed=seed)
         _, report, _ = evaluate(ens, extract_parts(models, test))
         results[label] = report.accuracy
-    for name, digest in hashes_before.items():
-        now = file_sha256(_task_dir(out, config, "finetune") / f"{name}.weights")
-        if now != digest:
+    for name, path in weights.items():
+        if file_sha256(path) != recorded[str(path.relative_to(out))]:
             raise IntegrityError(f"oodtest modified frozen weights {name}.weights")
 
     margin = results["pretrained"] - results["random"]

@@ -12,7 +12,7 @@ from enfuse.classifiers import (
     predict_proba,
     save_classifier,
 )
-from enfuse.errors import InvalidDatasetError
+from enfuse.errors import InvalidArgumentError, InvalidDatasetError
 from enfuse.linalg import standardize
 
 
@@ -149,6 +149,12 @@ class TestRf:
         a = fit_rf(x, y, n_trees=5, seed=3)
         b = fit_rf(x, y, n_trees=5, seed=4)
         assert not np.array_equal(predict_proba(a, x), predict_proba(b, x))
+
+    def test_no_trees_rejected(self):
+        """An empty forest has no vote to average."""
+        x, y = blobs([(-1, 0), (1, 0)], seed=6)
+        with pytest.raises(InvalidArgumentError):
+            fit_rf(x, y, n_trees=0)
 
 
 class TestGbt:

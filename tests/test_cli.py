@@ -416,6 +416,47 @@ class TestAuxCommands:
         assert run(["oodtest"] + argv) == 0
         assert skipped_stages(capsys.readouterr().out) == {"oodtest"}
 
+    def test_oodtest_hashes_each_frozen_weight_once(self, tiny_all, tmp_path, monkeypatch):
+        """The digests before the fits come from the finetune record, which
+        run_stage has just checked; only the check after the fits hashes."""
+        pristine, cfg = tiny_all
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        hashed, inside = [], [False]
+        real_hash, real_oodtest = cli.file_sha256, cli.cmd_oodtest
+
+        def counting_hash(path):
+            if inside[0] and Path(path).parent.name == "finetune":
+                hashed.append(Path(path).name)
+            return real_hash(path)
+
+        def oodtest(*args, **kwargs):
+            inside[0] = True
+            try:
+                return real_oodtest(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(cli, "file_sha256", counting_hash)
+        monkeypatch.setattr(cli, "cmd_oodtest", oodtest)
+        assert run(["oodtest", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
+        assert sorted(hashed) == sorted(f"{name}.weights" for name in cli.BASE_MODEL_NAMES)
+
+    def test_oodtest_weights_changed_during_the_fits_exit_4(self, tiny_all, tmp_path,
+                                                             monkeypatch):
+        pristine, cfg = tiny_all
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        real_train = cli.train_ensemble
+
+        def tampering_train(*args, **kwargs):
+            weights = out / "tiny" / "finetune" / f"{cli.BASE_MODEL_NAMES[-1]}.weights"
+            weights.write_bytes(weights.read_bytes() + b"\0")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_ensemble", tampering_train)
+        assert run(["oodtest", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 4
+
     def test_synth_writes_images(self, workdir):
         out, argv = workdir
         assert run(["synth"] + argv) == 0
@@ -575,6 +616,23 @@ class TestIncremental:
         assert skipped_stages(capsys.readouterr().out) == skipped
         assert run(argv + [str(fresh)]) == 0
         assert tree_bytes(incremental) == tree_bytes(fresh)
+
+    def test_stage_in_no_chain_keeps_the_other_records(self, tiny_all, tmp_path, capsys):
+        """synth requires no stage and no stage requires it: at a new seed it
+        drops nothing, and the seed-11 stages stay current."""
+        pristine, cfg = tiny_all
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        before = set(json.loads((out / "manifest.json").read_text())["stages"])
+        weights = sorted(out.rglob("*.weights"))
+        assert len(weights) == 12
+        assert run(["synth", "--config", str(cfg), "--seed", "12", "--out", str(out)]) == 0
+        assert set(json.loads((out / "manifest.json").read_text())["stages"]) == before | {
+            "synth"}
+        assert all(path.exists() for path in weights)
+        capsys.readouterr()
+        assert run(["all", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
+        assert skipped_stages(capsys.readouterr().out) == before
 
     def test_rerun_deletes_what_only_the_old_record_listed(self, tmp_path):
         """Under a new task name, synth writes a new directory; the old one goes."""

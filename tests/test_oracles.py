@@ -1,22 +1,33 @@
 """Bit-equality of the array-at-once tree, KNN, SHAP, conv-layer and Grad-CAM code with oracles.
 
 The oracles are the per-row, per-feature and per-permutation loops the library
-used before it worked on whole arrays, the forest average over one stacked
-array of every tree's output, the reshape/argmax `MaxPool2d`, the `np.pad`
-form of `Conv2d`'s padding and the two-pass Grad-CAM that replayed the forward
-for the last conv activation. They live only here; every comparison is exact
-(`np.array_equal`), because the library code does the same float operations in
-the same order.
+used before it worked on whole arrays, the recursive tree builder that grew
+one node at a time before the forest grew its trees together, the forest
+average over one stacked array of every tree's output, the reshape/argmax
+`MaxPool2d`, the `np.pad` form of `Conv2d`'s padding and the two-pass Grad-CAM
+that replayed the forward for the last conv activation. They live only here;
+every comparison is exact (`np.array_equal`), because the library code does
+the same float operations in the same order.
 """
-
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enfuse import classifiers
-from enfuse.classifiers import TrainedClassifier, Tree, fit_gbt, fit_knn, fit_rf, predict_proba
+from enfuse.classifiers import (
+    GBT_ETA,
+    GBT_MIN_SPLIT,
+    RF_MAX_DEPTH,
+    RF_MIN_SPLIT,
+    TrainedClassifier,
+    Tree,
+    _softmax,
+    fit_gbt,
+    fit_knn,
+    fit_rf,
+    predict_proba,
+)
 from enfuse.data import resize_bilinear
 from enfuse.explain import (
     ShapExplanation,
@@ -155,12 +166,93 @@ def shap_sampled_per_permutation(f, instance, background, n_samples, seed):
     return ShapExplanation(phi, base, out, stderr=stderr)
 
 
-def fit_with_oracles(fit, x, y, **kwargs):
-    """`fit` with the per-feature splitters and the per-row tree walk swapped in."""
-    with mock.patch.object(classifiers, "_gini_splitter", gini_splitter_per_feature), \
-            mock.patch.object(classifiers, "_sse_splitter", sse_splitter_per_feature), \
-            mock.patch.object(Tree, "predict_value", predict_value_rows):
-        return fit(x, y, **kwargs)
+def build_tree_recursive(x, target, idx, rng, *, max_depth, min_split, n_feature_sub,
+                         leaf_value, splitter) -> Tree:
+    """One tree grown from the rows idx one node at a time, in preorder."""
+    nodes = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+
+    def is_pure(subset):
+        col = subset[:, 0] if subset.ndim == 2 else subset
+        return bool(col.max() - col.min() <= 1e-12)
+
+    def grow(idx, depth):
+        node_id = len(nodes["feature"])
+        for key in nodes:
+            nodes[key].append(None)
+        nodes["value"][node_id] = leaf_value(target[idx])
+        chosen = (None, 0.0, np.inf)
+        if depth < max_depth and len(idx) >= min_split and not is_pure(target[idx]):
+            d = x.shape[1]
+            if n_feature_sub is not None and n_feature_sub < d:
+                features = np.sort(rng.choice(d, size=n_feature_sub, replace=False))
+            else:
+                features = np.arange(d)
+            chosen = splitter(x, target, idx, features)
+        if chosen[0] is None:
+            nodes["feature"][node_id], nodes["threshold"][node_id] = -1, 0.0
+            nodes["left"][node_id] = nodes["right"][node_id] = -1
+            return node_id
+        f, thr, _ = chosen
+        mask = x[idx, f] <= thr
+        nodes["feature"][node_id], nodes["threshold"][node_id] = f, thr
+        nodes["left"][node_id] = grow(idx[mask], depth + 1)
+        nodes["right"][node_id] = grow(idx[~mask], depth + 1)
+        return node_id
+
+    grow(idx, 0)
+    return Tree(np.asarray(nodes["feature"], dtype=np.int64),
+                np.asarray(nodes["threshold"], dtype=np.float64),
+                np.asarray(nodes["left"], dtype=np.int64),
+                np.asarray(nodes["right"], dtype=np.int64),
+                np.stack([np.atleast_1d(v) for v in nodes["value"]]))
+
+
+def fit_rf_reference(x, y, n_trees, seed) -> TrainedClassifier:
+    """`fit_rf` as a loop over trees, each grown recursively with the per-feature search."""
+    n, d = x.shape
+    k = int(y.max()) + 1
+
+    def leaf_value(labels):
+        counts = np.bincount(labels, minlength=k).astype(np.float64)
+        return counts / counts.sum()
+
+    trees = []
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        idx = rng.integers(0, n, size=n)
+        trees.append(build_tree_recursive(
+            x, y, idx, rng, max_depth=RF_MAX_DEPTH, min_split=RF_MIN_SPLIT,
+            n_feature_sub=int(np.ceil(np.sqrt(d))), leaf_value=leaf_value,
+            splitter=gini_splitter_per_feature(k)))
+    return TrainedClassifier("RF", k, trees=trees)
+
+
+def fit_gbt_reference(x, y, max_depth, rounds) -> tuple[list[Tree], list[float]]:
+    """`fit_gbt`'s trees and log-loss, one class tree at a time, each grown
+    recursively with the per-feature search and walked row by row."""
+    n = len(x)
+    k = int(y.max()) + 1
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), y] = 1.0
+    scores = np.zeros((n, k))
+
+    def leaf_value(t):
+        return np.array([t[:, 0].sum() / (t[:, 1].sum() + 1e-16)])
+
+    trees, loss_log = [], []
+    for _ in range(rounds):
+        p = _softmax(scores)
+        for cls in range(k):
+            target = np.stack([onehot[:, cls] - p[:, cls], p[:, cls] * (1.0 - p[:, cls])],
+                              axis=1)
+            tree = build_tree_recursive(x, target, np.arange(n), None, max_depth=max_depth,
+                                        min_split=GBT_MIN_SPLIT, n_feature_sub=None,
+                                        leaf_value=leaf_value, splitter=sse_splitter_per_feature)
+            trees.append(tree)
+            scores[:, cls] += GBT_ETA * predict_value_rows(tree, x)[:, 0]
+        p = _softmax(scores)
+        loss_log.append(float(-np.log(p[np.arange(n), y] + 1e-300).mean()))
+    return trees, loss_log
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +321,46 @@ def test_predict_value_matches_row_walk(seed, d, width, max_depth, n_rows):
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 120), d=st.integers(1, 8),
-       discrete=st.booleans())
-def test_split_search_matches_per_feature_loop(seed, n, d, discrete):
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), n_nodes=st.integers(0, 5),
+       discrete=st.booleans(), constant=st.booleans())
+def test_split_search_matches_per_feature_loop(seed, d, n_nodes, discrete, constant):
+    """One batched search over nodes of mixed row counts equals the per-feature
+    loop on each node alone: bootstrap repeats, ties and constant columns, a
+    node of 8 or more rows (the pairwise-sum path), a node whose only valid cut
+    is at its last real row, and candidate sets from one feature up to all."""
     rng = np.random.default_rng(seed)
+    n = 60
     x = rng.choice(np.array(VALUES), size=(n, d)) if discrete else rng.normal(size=(n, d))
-    idx = rng.integers(0, n, size=n)  # a bootstrap sample, with repeats
-    features = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
-    labels = rng.integers(0, 3, size=n)
-    residual = np.stack([rng.normal(size=n), rng.random(n)], axis=1)
-    for split, oracle, target in (
-            (classifiers._gini_splitter(3), gini_splitter_per_feature(3), labels),
-            (classifiers._sse_splitter, sse_splitter_per_feature, residual)):
-        got = split(x, target, idx, features)
-        want = oracle(x, target, idx, features)
-        assert got[0] == want[0]
-        assert np.array_equal(got[1:], want[1:])  # threshold and score, to the bit
+    if constant:
+        x[:, rng.integers(d)] = 0.5
+    # rows n .. n + m - 1 are 0 in every feature and row n + m is 1: the node of
+    # just these rows has one valid cut per feature, below its last sorted row
+    m = int(rng.integers(1, 12))
+    x = np.vstack([x, np.zeros((m, d)), np.ones((1, d))])
+    parts = [rng.integers(0, n, size=int(rng.integers(max(8, m + 2), n + 1))),  # bootstrap
+             rng.permutation(np.arange(n, n + m + 1))]
+    parts += [rng.integers(0, n, size=int(rng.integers(2, n + 1))) for _ in range(n_nodes)]
+    n_sub = int(rng.integers(1, d + 1))  # n_sub == d: every feature is a candidate
+    features = np.sort([rng.choice(d, size=n_sub, replace=False) for _ in parts], axis=1)
+    labels = rng.integers(0, 3, size=len(x))
+    target = np.stack([rng.normal(size=len(x)), rng.random(len(x))], axis=1)
+    xt = np.concatenate([x, np.full((1, d), np.inf)]).T.copy()
+    rows, n_rows = classifiers._padded(parts, len(x))
+    for criterion, oracle, oracle_target in (
+            (classifiers._Gini(labels, 3), gini_splitter_per_feature(3), labels),
+            (classifiers._SquaredError(target[:, 0], target[:, 1]), sse_splitter_per_feature,
+             target)):
+        got = classifiers._split_search(xt, rows, n_rows, features, criterion)
+        for i, idx in enumerate(parts):
+            want = oracle(x, oracle_target, idx, features[i])
+            if want[0] is None:
+                assert got[0][i] == -1
+            else:
+                assert got[0][i] == want[0]
+                # threshold and score, to the bit
+                assert np.array_equal([got[1][i], got[2][i]], want[1:])
+        # the special node cuts between its zeros and its one
+        assert got[1][1] == 0.5
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,7 +368,7 @@ def test_split_search_matches_per_feature_loop(seed, n, d, discrete):
 def test_fit_rf_trees_match_per_feature_search(data, seed):
     x, y = data
     got = fit_rf(x, y, n_trees=4, seed=seed)
-    want = fit_with_oracles(fit_rf, x, y, n_trees=4, seed=seed)
+    want = fit_rf_reference(x, y, n_trees=4, seed=seed)
     assert_same_trees(got.trees, want.trees)
     assert np.array_equal(predict_proba(got, x), predict_proba(want, x))
 
@@ -262,9 +378,26 @@ def test_fit_rf_trees_match_per_feature_search(data, seed):
 def test_fit_gbt_trees_match_per_feature_search(data, max_depth):
     x, y = data
     got = fit_gbt(x, y, rounds=3, max_depth=max_depth)
-    want = fit_with_oracles(fit_gbt, x, y, rounds=3, max_depth=max_depth)
-    assert_same_trees(got.trees, want.trees)
-    assert got.meta["train_log_loss"] == want.meta["train_log_loss"]
+    want_trees, want_loss = fit_gbt_reference(x, y, rounds=3, max_depth=max_depth)
+    assert_same_trees(got.trees, want_trees)
+    assert got.meta["train_log_loss"] == want_loss
+
+
+def test_trees_finishing_at_different_steps_match_reference():
+    """Trees that run out of nodes to split at different steps, on data of the
+    default task's size: 48 rows, 16 features, 3 classes."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(48, 16))
+    y = np.repeat(np.arange(3), 16)
+    x[:, 0] += y  # one informative feature, so some trees are shallow and some deep
+    rf = fit_rf(x, y, n_trees=12, seed=3)
+    assert len({len(t.feature) for t in rf.trees}) > 3
+    assert_same_trees(rf.trees, fit_rf_reference(x, y, n_trees=12, seed=3).trees)
+    gbt = fit_gbt(x, y, rounds=4, max_depth=10)
+    assert len({len(t.feature) for t in gbt.trees[:3]}) > 1  # one round's class trees
+    want_trees, want_loss = fit_gbt_reference(x, y, rounds=4, max_depth=10)
+    assert_same_trees(gbt.trees, want_trees)
+    assert gbt.meta["train_log_loss"] == want_loss
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..artifact import pack, unpack, write_atomic
 from ..errors import IntegrityError, InvalidArgumentError, InvalidStateError
-from .layers import Conv2d, Dropout, Layer, Softmax, layer_from_descriptor
+from .layers import Conv2d, Dropout, Layer, layer_from_descriptor
 
 MODEL_MAGIC = b"ETSEFM1\x00"
 
@@ -26,7 +26,7 @@ class EncoderModel:
         self.head = head or []
         self.feature_dim = conv_channels[-1]  # the width of the feature vector
         self.meta: dict = {}  # provenance: stage, method tag, training logs
-        self._backward_stack: list[Layer] | None = None  # set by forward(keep_cache=True)
+        self._backward_stack: list[Layer] | None = None  # set by forward_layers(keep_cache=True)
 
     # -- structure ---------------------------------------------------------
 
@@ -58,15 +58,21 @@ class EncoderModel:
 
     # -- forward / backward ------------------------------------------------
 
-    def forward(self, x: np.ndarray, training: bool = False, *, keep_cache: bool = False,
-                through_head: bool = True, skip_final_softmax: bool = False) -> np.ndarray:
-        """Run the stack. With `keep_cache`, the lowest trainable layer with
-        parameters and all above it keep what `backward` needs; no other layer
+    def forward(self, x: np.ndarray, training: bool = False, *,
+                keep_cache: bool = False) -> np.ndarray:
+        """Run every layer, backbone then head, on x (see `forward_layers`)."""
+        return self.forward_layers(x, 0, len(self.layers), training=training,
+                                   keep_cache=keep_cache)
+
+    def forward_layers(self, x: np.ndarray, start: int, stop: int, *, training: bool,
+                       keep_cache: bool) -> np.ndarray:
+        """Run layers [start, stop) of `layers` on x, the input of layer `start`.
+
+        With `keep_cache`, the lowest trainable layer with parameters in that
+        range and all above it keep what `backward` needs; no other layer
         keeps anything, and what an earlier forward kept is dropped first."""
         out = np.asarray(x, dtype=np.float64)
-        stack = self.layers if through_head else self.backbone
-        if skip_final_softmax and stack and isinstance(stack[-1], Softmax):
-            stack = stack[:-1]
+        stack = self.layers[start:stop]
         lowest = next((i for i, l in enumerate(stack) if l.trainable and l.params), len(stack))
         self._backward_stack = stack[lowest:] if keep_cache else None
         for layer in self.layers:
@@ -75,7 +81,8 @@ class EncoderModel:
             try:
                 out = layer.forward(out, training=training, keep_cache=keep_cache and i >= lowest)
             except InvalidArgumentError as exc:
-                raise InvalidArgumentError(f"layer {i} ({type(layer).__name__}): {exc}") from exc
+                raise InvalidArgumentError(
+                    f"layer {start + i} ({type(layer).__name__}): {exc}") from exc
         return out
 
     def backward(self, dout: np.ndarray) -> None:
@@ -118,7 +125,8 @@ class EncoderModel:
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """Backbone feature vectors: spatial mean of the final conv maps."""
-        maps = self.forward(x, training=False, through_head=False)
+        maps = self.forward_layers(x, 0, len(self.backbone), training=False,
+                                   keep_cache=False)
         if maps.ndim != 4:
             raise InvalidStateError("backbone did not produce conv maps")
         return maps.mean(axis=(2, 3))

@@ -1,4 +1,15 @@
-"""Supervised training loop: mini-batch Adam with the plateau schedule."""
+"""Supervised training loop: mini-batch Adam with the plateau schedule.
+
+Training runs only what trains. The frozen prefix, every layer below the
+lowest trainable layer with parameters (or below an earlier Dropout, whose
+masks must be drawn at every step), runs once per training call, in
+inference mode over the whole training set; each step runs the layers above
+it on the prefix outputs of its batch. The result is bit for bit that of
+running the whole stack at every step, because every prefix layer (im2col
+Conv2d, ReLU, MaxPool2d, GlobalAvgPool, Flatten) computes each image on its
+own: a forward over a set equals the concatenation of its forwards over any
+split of that set into batches.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +18,7 @@ import warnings
 import numpy as np
 
 from ..data import LabeledImageSet, one_hot_matrix
+from .layers import Dropout, Layer, Softmax
 from .losses import cross_entropy_loss
 from .model import EncoderModel
 from .optim import OptimizerState, adam_step, plateau_schedule
@@ -19,12 +31,24 @@ def images_to_batch(images: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(images.transpose(0, 3, 1, 2))
 
 
+def frozen_prefix_end(layers: list[Layer]) -> int:
+    """Index of the first layer a training step must run: the lowest trainable
+    layer with parameters, or an earlier Dropout, whose masks are drawn anew
+    at every step."""
+    return next((i for i, layer in enumerate(layers)
+                 if isinstance(layer, Dropout) or (layer.trainable and layer.params)),
+                len(layers))
+
+
 def train_supervised(model: EncoderModel, train_set: LabeledImageSet, lr: float,
                      epochs: int = 50, batch: int = 64, seed: int = 0) -> list[float]:
     """Train backbone+head with cross-entropy at rate `lr`; returns per-epoch mean losses.
 
-    Shuffling and dropout are driven by `seed`, so identical inputs give
-    bit-identical final parameters.
+    The frozen prefix (see the module docstring) runs once, in batches of
+    `INFERENCE_BATCH` images and keeping no caches; every step then runs the
+    layers above it, up to the logits below a final Softmax, keeping caches
+    for the backward. Shuffling and dropout are driven by `seed`, so
+    identical inputs give bit-identical final parameters.
     """
     opt = OptimizerState(learning_rate=lr)
     rng = np.random.default_rng(seed)
@@ -33,7 +57,15 @@ def train_supervised(model: EncoderModel, train_set: LabeledImageSet, lr: float,
     if batch > n:
         warnings.warn(f"batch size {batch} larger than dataset ({n}); clamping")
         batch = n
+    layers = model.layers
+    stop = len(layers) - 1 if isinstance(layers[-1], Softmax) else len(layers)  # to the logits
+    first = frozen_prefix_end(layers[:stop])
     x_all = images_to_batch(train_set.images)
+    if first:  # from here on, x_all holds the frozen prefix's outputs
+        x_all = np.concatenate([
+            model.forward_layers(x_all[s:s + INFERENCE_BATCH], 0, first, training=False,
+                                 keep_cache=False)
+            for s in range(0, n, INFERENCE_BATCH)])
     y_all = one_hot_matrix(train_set.labels, train_set.n_classes)
     log: list[float] = []
     for _ in range(epochs):
@@ -42,8 +74,8 @@ def train_supervised(model: EncoderModel, train_set: LabeledImageSet, lr: float,
         for start in range(0, n, batch):
             idx = perm[start:start + batch]
             model.zero_grads()
-            logits = model.forward(x_all[idx], training=True, keep_cache=True,
-                                   skip_final_softmax=True)
+            logits = model.forward_layers(x_all[idx], first, stop, training=True,
+                                          keep_cache=True)
             loss, dlogits = cross_entropy_loss(logits, y_all[idx])
             model.backward(dlogits)
             adam_step(opt, model.named_parameters(trainable_only=True),

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from enfuse.data import LabeledImageSet, make_synthetic_task
+from enfuse.cli import _one_blas_thread
+from enfuse.data import LabeledImageSet, make_synthetic_task, one_hot_matrix
 from enfuse.errors import DegenerateInputError, InvalidArgumentError, InvalidStateError
 from enfuse.explain import grad_cam
 from enfuse.nn import (
+    INFERENCE_BATCH,
     Conv2d,
     Dense,
     Dropout,
@@ -24,10 +26,13 @@ from enfuse.nn import (
     plateau_schedule,
     train_supervised,
 )
+from enfuse.nn import train as train_module
 from enfuse.pretrain import (
     build_backbone,
     extract_features,
+    finetune_target_ssl,
     make_classification_head,
+    make_ssl_classification_head,
 )
 
 
@@ -339,9 +344,10 @@ def variant_c_model(upto):
 
 
 def training_forward(model, x):
-    """The forward `train_supervised` runs, with the dropout masks fixed."""
+    """A training forward over every layer but the final Softmax (the loss
+    takes the logits), with the dropout masks fixed."""
     model.reseed_dropout(0)
-    model.forward(x, training=True, keep_cache=True, skip_final_softmax=True)
+    model.forward_layers(x, 0, len(model.layers) - 1, training=True, keep_cache=True)
 
 
 def full_layer_backward(model, x, dout):
@@ -482,6 +488,153 @@ class TestForwardCaches:
         for cls in range(3):
             want = grad_cam(EncoderModel.load_bytes(blob), image, cls)
             assert np.array_equal(grad_cam(used, image, cls), want)
+
+
+def reference_train(model, train_set, lr, epochs, batch, seed):
+    """Reference training loop: every step runs the whole stack but a final
+    Softmax, frozen layers included."""
+    opt = OptimizerState(learning_rate=lr)
+    rng = np.random.default_rng(seed)
+    model.reseed_dropout(int(rng.integers(2**31)))
+    n = len(train_set)
+    batch = min(batch, n)
+    x_all = images_to_batch(train_set.images)
+    y_all = one_hot_matrix(train_set.labels, train_set.n_classes)
+    stop = len(model.layers) - isinstance(model.layers[-1], Softmax)
+    log = []
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        total, seen = 0.0, 0
+        for start in range(0, n, batch):
+            idx = perm[start:start + batch]
+            model.zero_grads()
+            logits = model.forward_layers(x_all[idx], 0, stop, training=True, keep_cache=True)
+            loss, dlogits = cross_entropy_loss(logits, y_all[idx])
+            model.backward(dlogits)
+            adam_step(opt, model.named_parameters(trainable_only=True),
+                      model.named_grads(trainable_only=True))
+            total += loss * len(idx)
+            seen += len(idx)
+        log.append(total / seen)
+        plateau_schedule(opt, total / seen)
+    return log
+
+
+def ssl_target_model(variant):
+    """A contrastive encoder's target model: the whole backbone frozen under
+    the SSL classification head."""
+    rng = np.random.default_rng(5)
+    model = EncoderModel(build_backbone(variant, rng))
+    model.set_head(make_ssl_classification_head(model.feature_dim, 3, rng))
+    model.freeze_backbone()
+    return model
+
+
+def dropout_prefix_model():
+    """A frozen conv block with a Dropout inside it, below a trainable conv."""
+    rng = np.random.default_rng(5)
+    backbone = [Conv2d(3, 4, 3, rng=rng), ReLU(), Dropout(0.4), MaxPool2d(),
+                Conv2d(4, 6, 3, rng=rng), ReLU(), MaxPool2d()]
+    model = EncoderModel(backbone, make_head(6, 3, rng))
+    model.freeze_backbone(upto=4)
+    return model
+
+
+# each model builder with the index of the first layer a training step runs
+PREFIX_CASES = {
+    "nothing frozen": (lambda: variant_c_model(0), 0),
+    "first block frozen": (lambda: variant_c_model(3), 3),
+    "up to the last conv frozen": (lambda: variant_c_model(8), 8),
+    "ssl head over a frozen backbone": (lambda: ssl_target_model("C"), 14),
+    "dropout in the frozen block": (dropout_prefix_model, 2),
+}
+
+
+def params_of(model):
+    return {k: v.copy() for k, v in model.named_parameters().items()}
+
+
+class TestFrozenPrefix:
+    """`train_supervised` runs the frozen prefix once per call, bit for bit as
+    the whole-stack step loop trains."""
+
+    @pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+    def test_prefix_ends_at_the_first_layer_a_step_runs(self, case):
+        build, start = PREFIX_CASES[case]
+        model = build()
+        assert train_module.frozen_prefix_end(model.layers[:-1]) == start
+
+    @pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+    @pytest.mark.parametrize("n,batch", [(13, 5), (11, 4)])
+    def test_matches_the_whole_stack_step_loop(self, case, n, batch):
+        """Same parameters and loss log, to the bit; the last batch is short."""
+        build = PREFIX_CASES[case][0]
+        ds = target_set(n)
+        with _one_blas_thread():
+            want_model = build()
+            want_log = reference_train(want_model, ds, 0.01, 3, batch, 7)
+            got_model = build()
+            got_log = train_supervised(got_model, ds, 0.01, epochs=3, batch=batch, seed=7)
+        assert got_log == want_log
+        want = params_of(want_model)
+        got = params_of(got_model)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_dropout_in_the_prefix_draws_at_every_step(self):
+        model = dropout_prefix_model()
+        dropout = model.backbone[2]
+        draws = []
+        forward = dropout.forward
+
+        def counted(x, training=False, keep_cache=False):
+            draws.append(training)
+            return forward(x, training=training, keep_cache=keep_cache)
+
+        dropout.forward = counted
+        train_supervised(model, target_set(13), 0.01, epochs=3, batch=5, seed=7)
+        assert draws == [True] * (3 * 3)  # ceil(13 / 5) steps in each of 3 epochs
+
+    @pytest.mark.parametrize("chunk", [INFERENCE_BATCH, 4])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_frozen_convs_run_once_per_call(self, monkeypatch, chunk, epochs):
+        monkeypatch.setattr(train_module, "INFERENCE_BATCH", chunk)
+        model = EncoderModel(build_backbone("C", np.random.default_rng(5)))
+        model.meta = {"stage": "ssl-pretrain"}
+        rows = {}
+        for i, layer in enumerate(model.backbone):
+            if isinstance(layer, Conv2d):
+                def counted(x, _i=i, _forward=layer.forward, **kwargs):
+                    rows.setdefault(_i, []).append(len(x))
+                    return _forward(x, **kwargs)
+                layer.forward = counted
+        ds = target_set(13)
+        finetune_target_ssl(model, ds, epochs=epochs, batch=5, seed=3)
+        calls = -(-len(ds) // chunk)
+        assert sorted(rows) == [0, 3, 6, 8]
+        for sizes in rows.values():
+            assert len(sizes) == calls and sum(sizes) == len(ds)
+            assert max(sizes) <= chunk
+
+
+@pytest.mark.parametrize("variant", ["A", "B", "C"])
+def test_backbone_forward_is_row_independent(variant):
+    """A backbone forward over a set equals the concatenation of its forwards
+    over any split of the set into batches, to the bit: the property that lets
+    training run a frozen prefix once."""
+    model = variant_model(variant, None)
+    x = images_to_batch(target_set(37).images)
+    rng = np.random.default_rng(12)
+    stop = len(model.backbone)
+    with _one_blas_thread():
+        whole = model.forward_layers(x, 0, stop, training=False, keep_cache=False)
+        splits = [np.arange(1, 37), [8, 16, 24, 32], [5, 6, 30]] + [
+            np.sort(rng.choice(np.arange(1, 37), size=k, replace=False)) for k in (2, 7, 13)]
+        for cuts in splits:
+            parts = [model.forward_layers(part, 0, stop, training=False, keep_cache=False)
+                     for part in np.split(x, cuts)]
+            assert np.array_equal(np.concatenate(parts), whole), list(cuts)
 
 
 class TestModelPersistence:

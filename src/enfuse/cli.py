@@ -47,8 +47,10 @@ from .ensemble import (
     ablation_csv,
     evaluate,
     extract_parts,
+    fit_arm,
     fuse_parts,
     metrics_csv,
+    scores,
     summary_text,
     train_ensemble,
 )
@@ -561,11 +563,11 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     train_parts, test_parts = extract_parts(models, train), extract_parts(models, test)
 
     ensemble = train_ensemble(train_parts, n_classes, method=method, seed=seed, k=k)
-    cm, report, per_clf = evaluate(ensemble, test_parts)
+    cm, report, accuracies = evaluate(ensemble, test_parts)
 
     reports = {
         f"metrics_seed{seed}.csv": metrics_csv(cm, report),
-        f"summary_seed{seed}.txt": summary_text(report, per_clf),
+        f"summary_seed{seed}.txt": summary_text(report, accuracies),
         f"confusion_seed{seed}.svg": render_confusion_svg(
             cm, class_names=list(test.class_names)),
     }
@@ -580,13 +582,13 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
         files.append(path)
 
     # stage comparison: base-model heads vs fused vs transformed vs voted
-    concat_ensemble = train_ensemble(train_parts, n_classes, method="concat-only", seed=seed)
-    _, concat_report, _ = evaluate(concat_ensemble, test_parts)
+    concat_only = scores(test.labels, *fit_arm(train_parts, test_parts, list(train_parts),
+                                                n_classes, "concat-only", seed, None))
     lines = ["stage,name,accuracy"]
     for name, model in models:
         lines.append(f"base,{name},{accuracy(model, test):.6f}")
-    lines.append(f"fused,concat-only,{concat_report.accuracy:.6f}")
-    mean_clf = float(np.mean([r.accuracy for r in per_clf.values()]))
+    lines.append(f"fused,concat-only,{concat_only['voted']:.6f}")
+    mean_clf = float(np.mean([accuracies[kind] for kind in CLASSIFIER_ORDER]))
     lines.append(f"selected,{method},{mean_clf:.6f}")
     lines.append(f"voted,majority,{report.accuracy:.6f}")
     reports[f"comparison_seed{seed}.csv"] = "\n".join(lines) + "\n"
@@ -601,16 +603,17 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
 def cmd_ablate(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
     train, test = target_split(config, seed)
     models = _load_target_models(out, config)
-    table = ablate(_rebuild_ensemble(out, config, models), extract_parts(models, train),
-                   extract_parts(models, test), method=config["fusion"]["method"],
-                   seed=seed, k=config["fusion"]["k"] or None)
+    arms = ablate(_rebuild_ensemble(out, config, models), extract_parts(models, train),
+                  extract_parts(models, test), method=config["fusion"]["method"],
+                  seed=seed, k=config["fusion"]["k"] or None)
     csv_file = stage_dir / f"ablation_seed{seed}.csv"
-    write_atomic(csv_file, ablation_csv(table).encode())
+    write_atomic(csv_file, ablation_csv(arms).encode())
     svg_file = stage_dir / f"ablation_seed{seed}.svg"
-    write_atomic(svg_file, render_ablation_svg(table).encode())
-    for row in table.rows:
-        print(f"ablate: without {row.excluded}: voted {row.voted_accuracy:.4f} "
-              f"({row.delta_voted:+.4f})")
+    write_atomic(svg_file, render_ablation_svg(arms).encode())
+    (_, full), *rows = arms.items()
+    for excluded, accuracies in rows:
+        print(f"ablate: without {excluded}: voted {accuracies['voted']:.4f} "
+              f"({accuracies['voted'] - full['voted']:+.4f})")
     return [csv_file, svg_file]
 
 
@@ -683,10 +686,9 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
 
     results = {}
     for label, models in (("pretrained", pretrained), ("random", random_models)):
-        ens = train_ensemble(extract_parts(models, train), len(train.class_names),
-                             method=method, seed=seed)
-        _, report, _ = evaluate(ens, extract_parts(models, test))
-        results[label] = report.accuracy
+        arm = fit_arm(extract_parts(models, train), extract_parts(models, test),
+                      list(BASE_MODEL_NAMES), len(train.class_names), method, seed, None)
+        results[label] = scores(test.labels, *arm)["voted"]
     for name, path in weights.items():
         if file_sha256(path) != recorded[str(path.relative_to(out))]:
             raise IntegrityError(f"oodtest modified frozen weights {name}.weights")

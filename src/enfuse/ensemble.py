@@ -3,8 +3,10 @@
 The ensemble works on feature parts: an ordered mapping from base-model name
 to that model's features for one dataset, extracted once by `extract_parts`.
 Fusion reuses the train-fitted transform at test time, and the headline
-number is the voted accuracy. Also houses the confusion-matrix metrics and the
-leave-one-base-model-out ablation.
+number is the voted accuracy. An arm is one ensemble fitted on some of the
+parts: `fit_arm` fits and predicts it, and `scores` turns its predictions into
+accuracies. Also houses the confusion-matrix metrics and the
+leave-one-base-model-out ablation, whose refits are arms.
 """
 
 from __future__ import annotations
@@ -68,8 +70,7 @@ def confusion_from_labels(true: np.ndarray, pred: np.ndarray,
     if len(true) != len(pred):
         raise InvalidArgumentError("label array length mismatch")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(true, pred):
-        counts[t, p] += 1
+    np.add.at(counts, (true, pred), 1)
     return ConfusionMatrix(counts)
 
 
@@ -153,69 +154,55 @@ def predict_ensemble(model: EnsembleModel, parts: dict[str, FeatureMatrix]):
     return per_clf, majority_vote(per_clf, model.n_classes)
 
 
+def fit_arm(train_parts: dict[str, FeatureMatrix], test_parts: dict[str, FeatureMatrix],
+            names: list[str], n_classes: int, method: str, seed: int, k: int | None):
+    """Fit an ensemble on the named base models' train parts, in `names` order,
+    and predict their test parts: (per-classifier predictions, voted labels)."""
+    model = train_ensemble({name: train_parts[name] for name in names}, n_classes,
+                           method, seed=seed, k=k)
+    return predict_ensemble(model, {name: test_parts[name] for name in names})
+
+
+def scores(true: np.ndarray, per_clf: list[np.ndarray], voted: np.ndarray) -> dict[str, float]:
+    """Accuracy of each classifier, in `CLASSIFIER_ORDER`, then of the vote."""
+    accuracies = {kind: float(np.mean(preds == true))
+                  for kind, preds in zip(CLASSIFIER_ORDER, per_clf)}
+    accuracies["voted"] = float(np.mean(voted == true))
+    return accuracies
+
+
 def evaluate(model: EnsembleModel, parts: dict[str, FeatureMatrix]
-             ) -> tuple[ConfusionMatrix, MetricReport, dict[str, MetricReport]]:
-    """Voted confusion matrix and metrics, and per-classifier metrics, from one prediction."""
+             ) -> tuple[ConfusionMatrix, MetricReport, dict[str, float]]:
+    """Voted confusion matrix and metrics, and the `scores`, from one prediction."""
     true = next(iter(parts.values())).labels
     if len(true) == 0:
         raise InvalidArgumentError("empty evaluation set")
     per_clf, voted = predict_ensemble(model, parts)
     cm = confusion_from_labels(true, voted, model.n_classes)
-    per_classifier = {
-        kind: report_from_confusion(confusion_from_labels(true, preds, model.n_classes))
-        for kind, preds in zip(CLASSIFIER_ORDER, per_clf)}
-    return cm, report_from_confusion(cm), per_classifier
+    return cm, report_from_confusion(cm), scores(true, per_clf, voted)
 
 
 # ---------------------------------------------------------------------------
 # Ablation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AblationRow:
-    excluded: str | None  # None = full ensemble
-    classifier_accuracy: dict[str, float]
-    mean_classifier_accuracy: float
-    voted_accuracy: float
-    delta_voted: float  # voted accuracy minus the full ensemble's
-
-
-@dataclass
-class AblationTable:
-    full: AblationRow
-    rows: list[AblationRow]
-
-
 def ablate(full: EnsembleModel, train_parts: dict[str, FeatureMatrix],
            test_parts: dict[str, FeatureMatrix], method: str = "concat+ica",
-           seed: int = 0, k: int | None = None) -> AblationTable:
-    """Retrain without each base model in turn and compare voted accuracy.
+           seed: int = 0, k: int | None = None) -> dict[str | None, dict[str, float]]:
+    """The `scores` of each arm, keyed by the base model it leaves out.
 
-    The full row comes from `full`, the ensemble already fitted on all of
-    `train_parts` with the same method, seed and k.
+    The full arm comes first, under None, from `full`: the ensemble already
+    fitted on all of `train_parts` with the same method, seed and k.
     """
     if len(train_parts) < 2:
         raise InvalidArgumentError("ablation needs at least 2 base models")
     true = next(iter(test_parts.values())).labels
-
-    def row(model: EnsembleModel, parts: dict[str, FeatureMatrix], excluded: str | None,
-            baseline: float | None = None) -> AblationRow:
-        per_clf, voted = predict_ensemble(model, parts)
-        clf_acc = {kind: float(np.mean(preds == true))
-                   for kind, preds in zip(CLASSIFIER_ORDER, per_clf)}
-        voted_acc = float(np.mean(voted == true))
-        delta = 0.0 if baseline is None else voted_acc - baseline
-        return AblationRow(excluded, clf_acc,
-                           float(np.mean(list(clf_acc.values()))), voted_acc, delta)
-
-    full_row = row(full, test_parts, None)
-    rows = []
+    arms = {None: scores(true, *predict_ensemble(full, test_parts))}
     for excluded in train_parts:
-        train_kept, test_kept = ({name: part for name, part in parts.items() if name != excluded}
-                                 for parts in (train_parts, test_parts))
-        model = train_ensemble(train_kept, full.n_classes, method, seed=seed, k=k)
-        rows.append(row(model, test_kept, excluded, full_row.voted_accuracy))
-    return AblationTable(full_row, rows)
+        kept = [name for name in train_parts if name != excluded]
+        arms[excluded] = scores(true, *fit_arm(train_parts, test_parts, kept,
+                                               full.n_classes, method, seed, k))
+    return arms
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +229,22 @@ def metrics_csv(cm: ConfusionMatrix, report: MetricReport) -> str:
     return buf.getvalue()
 
 
-def ablation_csv(table: AblationTable) -> str:
+def ablation_csv(arms: dict[str | None, dict[str, float]]) -> str:
+    """One row per `ablate` arm; delta_voted is against the full (first) arm."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["excluded"] + list(CLASSIFIER_ORDER)
                     + ["mean_classifier", "voted", "delta_voted"])
-
-    def emit(row: AblationRow):
-        writer.writerow([row.excluded or "(none)"]
-                        + [f"{row.classifier_accuracy[k]:.6f}" for k in CLASSIFIER_ORDER]
-                        + [f"{row.mean_classifier_accuracy:.6f}",
-                           f"{row.voted_accuracy:.6f}", f"{row.delta_voted:+.6f}"])
-
-    emit(table.full)
-    for row in table.rows:
-        emit(row)
+    full_voted = next(iter(arms.values()))["voted"]
+    for excluded, accuracies in arms.items():
+        per_clf = [accuracies[kind] for kind in CLASSIFIER_ORDER]
+        writer.writerow([excluded or "(none)"] + [f"{acc:.6f}" for acc in per_clf]
+                        + [f"{float(np.mean(per_clf)):.6f}", f"{accuracies['voted']:.6f}",
+                           f"{accuracies['voted'] - full_voted:+.6f}"])
     return buf.getvalue()
 
 
-def summary_text(report: MetricReport, per_classifier: dict[str, MetricReport]) -> str:
+def summary_text(report: MetricReport, accuracies: dict[str, float]) -> str:
     lines = [
         "ensemble evaluation",
         f"  voted accuracy : {report.accuracy:.4f}",
@@ -270,6 +254,5 @@ def summary_text(report: MetricReport, per_classifier: dict[str, MetricReport]) 
         "  per-classifier accuracy:",
     ]
     for kind in CLASSIFIER_ORDER:
-        lines.append(f"    {kind:<4}: {per_classifier[kind].accuracy:.4f}")
+        lines.append(f"    {kind:<4}: {accuracies[kind]:.4f}")
     return "\n".join(lines) + "\n"
-

@@ -16,7 +16,7 @@ import numpy as np
 
 from .classifiers import TrainedClassifier, predict_proba
 from .data import pnm_bytes, resize_bilinear
-from .ensemble import AblationTable, ConfusionMatrix, EnsembleModel
+from .ensemble import ConfusionMatrix, EnsembleModel
 from .errors import InvalidArgumentError, UnsupportedModelError
 from .features import FeatureMatrix
 from .nn.layers import Softmax
@@ -351,10 +351,12 @@ def render_confusion_svg(cm: ConfusionMatrix, class_names: list[str]) -> str:
     return _svg_document(size, size, body)
 
 
-def render_ablation_svg(table: AblationTable) -> str:
-    """Horizontal bars of voted-accuracy deltas per excluded base model."""
+def render_ablation_svg(arms: dict[str | None, dict[str, float]]) -> str:
+    """Bars of voted-accuracy deltas per excluded base model, from `ablate`'s arms."""
+    (_, full), *rows = arms.items()
+    deltas = [(excluded, accuracies["voted"] - full["voted"]) for excluded, accuracies in rows]
     width, row_h, margin = 420, 26, 90
-    height = margin + row_h * len(table.rows) + 20
+    height = margin + row_h * len(deltas) + 20
     mid = (width + margin) // 2
     scale = (width - margin - 40) / 2
     body = [f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -362,18 +364,18 @@ def render_ablation_svg(table: AblationTable) -> str:
             f'y2="{height - 10}" stroke="black"/>',
             f'<text x="{margin}" y="20" font-size="12" font-family="monospace">'
             f'voted-accuracy delta when excluding a base model</text>']
-    peak = max(max(abs(r.delta_voted) for r in table.rows), 1e-9)
-    for i, row in enumerate(table.rows):
+    peak = max(max(abs(delta) for _, delta in deltas), 1e-9)
+    for i, (excluded, delta) in enumerate(deltas):
         y = margin + i * row_h
-        length = abs(row.delta_voted) / peak * scale
-        x0 = mid - length if row.delta_voted < 0 else mid
-        color = "#d62728" if row.delta_voted < 0 else "#2ca02c"
+        length = abs(delta) / peak * scale
+        x0 = mid - length if delta < 0 else mid
+        color = "#d62728" if delta < 0 else "#2ca02c"
         body.append(f'<rect x="{x0:.1f}" y="{y}" width="{max(length, 0.5):.1f}" '
                     f'height="{row_h - 8}" fill="{color}"/>')
         body.append(f'<text x="8" y="{y + row_h - 12}" font-size="12" '
-                    f'font-family="monospace">{row.excluded}</text>')
+                    f'font-family="monospace">{excluded}</text>')
         body.append(f'<text x="{width - 70}" y="{y + row_h - 12}" font-size="11" '
-                    f'font-family="monospace">{row.delta_voted:+.4f}</text>')
+                    f'font-family="monospace">{delta:+.4f}</text>')
     return _svg_document(width, height, body)
 
 

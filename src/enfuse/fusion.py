@@ -176,7 +176,7 @@ def fuse_pipeline(parts: list[FeatureMatrix], method: str = "concat+ica",
                   k: int | None = None, seed: int = 0) -> tuple[FeatureMatrix, FusionTransform]:
     """Concatenate parts and fit the chosen transform on the result.
 
-    Default retained dimension is min(n_rows - 1, 128). The returned
+    Default retained dimension is min(n_rows - 1, 128, n_cols). The returned
     transform must be reused as-is on test features (no refitting).
     """
     if method not in METHODS:

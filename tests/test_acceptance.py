@@ -24,7 +24,9 @@ from enfuse.ensemble import (
     confusion_from_labels,
     evaluate,
     extract_parts,
+    fit_arm,
     report_from_confusion,
+    scores,
     train_ensemble,
 )
 from enfuse.explain import _conditional_p, shap_exact, shap_sampled, tsne_embed
@@ -237,12 +239,9 @@ def test_criterion_8_end_to_end_benchmark(pipeline):
     train_parts, test_parts = extract_parts(models, train), extract_parts(models, test)
 
     def voted(prefix):
-        def keep(parts):
-            return {n: p for n, p in parts.items() if n.startswith(prefix)}
-        ens = train_ensemble(keep(train_parts), len(train.class_names),
-                             method=method, seed=SEED, k=k)
-        _, rep, _ = evaluate(ens, keep(test_parts))
-        return rep.accuracy
+        names = [n for n in train_parts if n.startswith(prefix)]
+        arm = fit_arm(train_parts, test_parts, names, len(train.class_names), method, SEED, k)
+        return scores(test.labels, *arm)["voted"]
 
     combined = voted(("tl", "ssl"))
     tl_only = voted("tl")
@@ -286,10 +285,9 @@ def test_criterion_9_ood_direction(pipeline):
             random_models.append((name, rnd))
         accs = {}
         for label, pool in (("pre", models), ("rnd", random_models)):
-            ens = train_ensemble(extract_parts(pool, train), len(train.class_names),
-                                 method=method, seed=SEED, k=k)
-            _, rep, _ = evaluate(ens, extract_parts(pool, test))
-            accs[label] = rep.accuracy
+            arm = fit_arm(extract_parts(pool, train), extract_parts(pool, test),
+                          [name for name, _ in pool], len(train.class_names), method, SEED, k)
+            accs[label] = scores(test.labels, *arm)["voted"]
         margins.append(accs["pre"] - accs["rnd"])
     mean_margin = float(np.mean(margins))
     report(9, mean_margin >= 0.05,
@@ -348,10 +346,10 @@ def test_criterion_12_ablation_consistency(pipeline):
                                for ds in (train, test))
     n_classes = len(train.class_names)
     full_model = train_ensemble(train_parts, n_classes, method=method, seed=SEED, k=k)
-    table = ablate(full_model, train_parts, test_parts, method=method, seed=SEED, k=k)
+    arms = ablate(full_model, train_parts, test_parts, method=method, seed=SEED, k=k)
     _, full_report, _ = evaluate(full_model, test_parts)
-    full_matches = table.full.voted_accuracy == full_report.accuracy
-    noise_row = next(r for r in table.rows if r.excluded == "noise")
-    report(12, full_matches and noise_row.delta_voted >= 0.0,
-           f"full row equals evaluate() ({table.full.voted_accuracy:.3f}); "
-           f"noise exclusion delta {noise_row.delta_voted:+.3f}")
+    full_matches = arms[None]["voted"] == full_report.accuracy
+    noise_delta = arms["noise"]["voted"] - arms[None]["voted"]
+    report(12, full_matches and noise_delta >= 0.0,
+           f"full row equals evaluate() ({arms[None]['voted']:.3f}); "
+           f"noise exclusion delta {noise_delta:+.3f}")

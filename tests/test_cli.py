@@ -447,14 +447,14 @@ class TestAuxCommands:
         pristine, cfg = tiny_all
         out = tmp_path / "out"
         shutil.copytree(pristine, out)
-        real_train = cli.train_ensemble
+        real_fit = cli.fit_arm
 
-        def tampering_train(*args, **kwargs):
+        def tampering_fit(*args, **kwargs):
             weights = out / "tiny" / "finetune" / f"{cli.BASE_MODEL_NAMES[-1]}.weights"
             weights.write_bytes(weights.read_bytes() + b"\0")
-            return real_train(*args, **kwargs)
+            return real_fit(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "train_ensemble", tampering_train)
+        monkeypatch.setattr(cli, "fit_arm", tampering_fit)
         assert run(["oodtest", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 4
 
     def test_synth_writes_images(self, workdir):

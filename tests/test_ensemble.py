@@ -148,9 +148,10 @@ class TestTrainEvaluate:
             assert np.array_equal(before, after)
 
     def test_per_classifier_reports(self, trained, parts):
-        _, _, reports = evaluate(trained, parts[1])
-        assert set(reports) == set(CLASSIFIER_ORDER)
-        assert all(0.0 <= r.accuracy <= 1.0 for r in reports.values())
+        _, report, accuracies = evaluate(trained, parts[1])
+        assert list(accuracies) == [*CLASSIFIER_ORDER, "voted"]
+        assert all(0.0 <= acc <= 1.0 for acc in accuracies.values())
+        assert accuracies["voted"] == report.accuracy
 
     def test_base_model_mismatch_rejected(self, trained, parts):
         renamed = {("other" if name == "p0" else name): part
@@ -162,29 +163,29 @@ class TestTrainEvaluate:
 class TestAblate:
     def test_row_per_base_model_and_full_consistency(self, trained, parts):
         train_parts, test_parts = parts
-        table = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0)
-        assert len(table.rows) == len(train_parts)
-        assert {r.excluded for r in table.rows} == set(train_parts)
+        arms = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0)
+        assert list(arms) == [None, *train_parts]
         _, report, _ = evaluate(trained, test_parts)
-        assert table.full.voted_accuracy == report.accuracy
+        assert arms[None]["voted"] == report.accuracy
 
     def test_exclusion_rows_refit_without_the_excluded_model(self, trained, parts):
         train_parts, test_parts = parts
-        table = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0)
-        for row in table.rows:
-            kept = [{n: p for n, p in split.items() if n != row.excluded} for split in parts]
+        arms = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0)
+        csv_rows = dict(line.split(",", 1) for line in ablation_csv(arms).split("\n")[2:-1])
+        for excluded in train_parts:
+            kept = [{n: p for n, p in split.items() if n != excluded} for split in parts]
             model = train_ensemble(kept[0], 3, method="concat+pca", seed=0)
             _, report, _ = evaluate(model, kept[1])
-            assert row.voted_accuracy == report.accuracy
-            assert row.delta_voted == report.accuracy - table.full.voted_accuracy
+            assert arms[excluded]["voted"] == report.accuracy
+            delta = csv_rows[excluded].rsplit(",", 1)[1]
+            assert delta == f"{report.accuracy - arms[None]['voted']:+.6f}"
 
     def test_noise_model_exclusion_never_hurts(self, splits, parts):
         train_parts, test_parts = ({**split_parts, "noise": noise_features(ds, 12, 99)}
                                    for split_parts, ds in zip(parts, splits))
         full = train_ensemble(train_parts, 3, method="concat+pca", seed=0)
-        table = ablate(full, train_parts, test_parts, method="concat+pca", seed=0)
-        noise_row = next(r for r in table.rows if r.excluded == "noise")
-        assert noise_row.delta_voted >= 0.0
+        arms = ablate(full, train_parts, test_parts, method="concat+pca", seed=0)
+        assert arms["noise"]["voted"] - arms[None]["voted"] >= 0.0
 
     def test_too_few_models_rejected(self, trained, parts):
         train_parts, test_parts = ({"p0": split_parts["p0"]} for split_parts in parts)
@@ -204,8 +205,8 @@ class TestReports:
 
     def test_ablation_csv_shape(self, trained, parts):
         train_parts, test_parts = parts
-        table = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0)
-        lines = ablation_csv(table).strip().split("\n")
+        arms = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0)
+        lines = ablation_csv(arms).strip().split("\n")
         assert len(lines) == 1 + 1 + len(train_parts)  # header, full row, exclusions
         assert lines[1].startswith("(none)")
 

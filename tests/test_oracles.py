@@ -4,15 +4,25 @@ The oracles are the per-row, per-feature and per-permutation loops the library
 used before it worked on whole arrays, the recursive tree builder that grew
 one node at a time before the forest grew its trees together, the forest
 average over one stacked array of every tree's output, the reshape/argmax
-`MaxPool2d`, the `np.pad` form of `Conv2d`'s padding and the two-pass Grad-CAM
-that replayed the forward for the last conv activation. They live only here;
-every comparison is exact (`np.array_equal`), because the library code does
-the same float operations in the same order.
+`MaxPool2d`, the `np.pad` form of `Conv2d`'s padding, the two-pass Grad-CAM
+that replayed the forward for the last conv activation, and the ablation that
+kept one row object per arm, with its delta, before every arm went through
+`fit_arm`. They live only here; every comparison is exact (`np.array_equal`,
+or equal text), because the library code does the same float operations in
+the same order.
 """
 
+import csv
+import io
+import itertools
+from dataclasses import dataclass
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from test_ensemble import SIZE, noise_features, projector
 
 from enfuse import classifiers
 from enfuse.classifiers import (
@@ -28,14 +38,26 @@ from enfuse.classifiers import (
     fit_rf,
     predict_proba,
 )
-from enfuse.data import resize_bilinear
+from enfuse.data import make_synthetic_task, resize_bilinear, stratified_split
+from enfuse.ensemble import (
+    CLASSIFIER_ORDER,
+    EnsembleModel,
+    ablate,
+    ablation_csv,
+    fit_arm,
+    predict_ensemble,
+    train_ensemble,
+)
 from enfuse.explain import (
     ShapExplanation,
     _background_mean,
     _coalition_matrix,
+    _svg_document,
     grad_cam,
+    render_ablation_svg,
     shap_sampled,
 )
+from enfuse.fusion import METHODS
 from enfuse.nn import Conv2d, EncoderModel, MaxPool2d, Softmax
 from enfuse.pretrain import (
     build_backbone,
@@ -574,3 +596,104 @@ def test_grad_cam_matches_two_pass_oracle(seed, variant, ssl_head, target_class)
     image = rng.random((16, 16, 3))
     got = grad_cam(model, image, target_class)
     assert same_bits(got, grad_cam_two_pass(model, image, target_class))
+
+
+@dataclass
+class AblationRow:
+    excluded: str | None  # None = full ensemble
+    classifier_accuracy: dict[str, float]
+    mean_classifier_accuracy: float
+    voted_accuracy: float
+    delta_voted: float  # voted accuracy minus the full ensemble's
+
+
+def ablate_rows(full: EnsembleModel, train_parts, test_parts, method, seed, k):
+    """(full row, exclusion rows), each exclusion refitted by hand."""
+    true = next(iter(test_parts.values())).labels
+
+    def row(model, parts, excluded, baseline=None):
+        per_clf, voted = predict_ensemble(model, parts)
+        clf_acc = {kind: float(np.mean(preds == true))
+                   for kind, preds in zip(CLASSIFIER_ORDER, per_clf)}
+        voted_acc = float(np.mean(voted == true))
+        delta = 0.0 if baseline is None else voted_acc - baseline
+        return AblationRow(excluded, clf_acc,
+                           float(np.mean(list(clf_acc.values()))), voted_acc, delta)
+
+    full_row = row(full, test_parts, None)
+    rows = []
+    for excluded in train_parts:
+        train_kept, test_kept = ({name: part for name, part in parts.items() if name != excluded}
+                                 for parts in (train_parts, test_parts))
+        model = train_ensemble(train_kept, full.n_classes, method, seed=seed, k=k)
+        rows.append(row(model, test_kept, excluded, full_row.voted_accuracy))
+    return full_row, rows
+
+
+def ablation_csv_rows(full_row: AblationRow, rows: list[AblationRow]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["excluded"] + list(CLASSIFIER_ORDER)
+                    + ["mean_classifier", "voted", "delta_voted"])
+    for row in [full_row, *rows]:
+        writer.writerow([row.excluded or "(none)"]
+                        + [f"{row.classifier_accuracy[k]:.6f}" for k in CLASSIFIER_ORDER]
+                        + [f"{row.mean_classifier_accuracy:.6f}",
+                           f"{row.voted_accuracy:.6f}", f"{row.delta_voted:+.6f}"])
+    return buf.getvalue()
+
+
+def ablation_svg_rows(rows: list[AblationRow]) -> str:
+    width, row_h, margin = 420, 26, 90
+    height = margin + row_h * len(rows) + 20
+    mid = (width + margin) // 2
+    scale = (width - margin - 40) / 2
+    body = [f'<rect width="{width}" height="{height}" fill="white"/>',
+            f'<line x1="{mid}" y1="{margin - 10}" x2="{mid}" '
+            f'y2="{height - 10}" stroke="black"/>',
+            f'<text x="{margin}" y="20" font-size="12" font-family="monospace">'
+            f'voted-accuracy delta when excluding a base model</text>']
+    peak = max(max(abs(r.delta_voted) for r in rows), 1e-9)
+    for i, row in enumerate(rows):
+        y = margin + i * row_h
+        length = abs(row.delta_voted) / peak * scale
+        x0 = mid - length if row.delta_voted < 0 else mid
+        color = "#d62728" if row.delta_voted < 0 else "#2ca02c"
+        body.append(f'<rect x="{x0:.1f}" y="{y}" width="{max(length, 0.5):.1f}" '
+                    f'height="{row_h - 8}" fill="{color}"/>')
+        body.append(f'<text x="8" y="{y + row_h - 12}" font-size="12" '
+                    f'font-family="monospace">{row.excluded}</text>')
+        body.append(f'<text x="{width - 70}" y="{y + row_h - 12}" font-size="11" '
+                    f'font-family="monospace">{row.delta_voted:+.4f}</text>')
+    return _svg_document(width, height, body)
+
+
+# every fusion method with the automatic and a fixed k, on 2, 3 and 4 parts in turn
+ABLATION_CASES = [(method, k, 2 + i % 3)
+                  for i, (method, k) in enumerate(itertools.product(METHODS, (None, 3)))]
+
+
+@pytest.fixture(scope="module")
+def noisy_splits():
+    """A noisy task, so that leaving a part out moves the voted accuracy."""
+    return stratified_split(make_synthetic_task("shapes3", 20, SIZE, 0.3, seed=50), 0.8, seed=0)
+
+
+@pytest.mark.parametrize("method,k,n_parts", ABLATION_CASES,
+                         ids=[f"{m}-k{k}-{n}parts" for m, k, n in ABLATION_CASES])
+def test_ablation_reports_match_row_oracle(noisy_splits, method, k, n_parts):
+    train_parts, test_parts = (
+        {**{f"p{seed}": projector(ds, 12, seed) for seed in range(n_parts - 1)},
+         "noise": noise_features(ds, 12, 99)} for ds in noisy_splits)
+    full = train_ensemble(train_parts, 3, method, seed=0, k=k)
+    arms = ablate(full, train_parts, test_parts, method, seed=0, k=k)
+    full_row, rows = ablate_rows(full, train_parts, test_parts, method, 0, k)
+    assert ablation_csv(arms) == ablation_csv_rows(full_row, rows)
+    assert render_ablation_svg(arms) == ablation_svg_rows(rows)
+
+    kept = [name for name in train_parts if name != "p0"]
+    per_clf, voted = fit_arm(train_parts, test_parts, kept, 3, method, 0, k)
+    model = train_ensemble({n: train_parts[n] for n in kept}, 3, method, seed=0, k=k)
+    want_per_clf, want_voted = predict_ensemble(model, {n: test_parts[n] for n in kept})
+    assert all(np.array_equal(got, want) for got, want in zip(per_clf, want_per_clf, strict=True))
+    assert np.array_equal(voted, want_voted)

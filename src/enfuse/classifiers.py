@@ -333,9 +333,12 @@ def _padded(parts: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grow_trees(x, roots, criterion, *, max_depth, min_split, rngs,
-                n_feature_sub) -> list[Tree]:
+                n_feature_sub) -> tuple[list[Tree], np.ndarray]:
     """Grow one tree from each root's row list, all together; each tree's
-    nodes are numbered in preorder.
+    nodes are numbered in preorder. Also returns, for each row of x, the
+    value of the last node made that holds it: the row's leaf in its tree,
+    where no two roots list the row (GBT's stacked copies), so the row is
+    routed there by its tree as `Tree.predict_value` routes it.
 
     A node gets its value, and is tested for purity, when it is made. It
     splits at the cut the criterion scores lowest (ties go to the first
@@ -356,6 +359,7 @@ def _grow_trees(x, roots, criterion, *, max_depth, min_split, rngs,
     values = []      # per batch of new nodes, their values
     cuts = []        # per step, (slots, feature, threshold) of the nodes searched
     left_child = []  # (slot, its left child's slot); the right child's slot follows
+    reached = np.zeros(n, dtype=np.int64)  # per row of x, the last slot made that holds it
     n_made = 0
 
     def make(parts, trees, depth):
@@ -366,6 +370,7 @@ def _grow_trees(x, roots, criterion, *, max_depth, min_split, rngs,
         value, pure = criterion.leaves(rows, n_rows)
         values.append(value)
         first, n_made = n_made, n_made + len(parts)
+        reached[np.concatenate(parts)] = np.repeat(np.arange(first, n_made), n_rows)
         splittable = ((depth < max_depth) & (n_rows >= min_split) & ~pure).tolist()
         for i in reversed(range(len(parts))):
             if splittable[i]:
@@ -403,7 +408,8 @@ def _grow_trees(x, roots, criterion, *, max_depth, min_split, rngs,
             parents.append(slot)
         first = make(parts, trees, np.array(depth))
         left_child += [(slot, first + 2 * k) for k, slot in enumerate(parents)]
-    return _preorder_trees(np.concatenate(values), cuts, left_child, len(roots))
+    values = np.concatenate(values)
+    return _preorder_trees(values, cuts, left_child, len(roots)), values[reached]
 
 
 def _preorder_trees(values, cuts, left_child, n_trees) -> list[Tree]:
@@ -450,9 +456,9 @@ def fit_rf(x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0) -> T
     n, d = x.shape
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_trees)]
     bootstraps = [rng.integers(0, n, size=n) for rng in rngs]
-    trees = _grow_trees(x, bootstraps, _Gini(y, k), max_depth=RF_MAX_DEPTH,
-                        min_split=RF_MIN_SPLIT, rngs=rngs,
-                        n_feature_sub=int(np.ceil(np.sqrt(d))))
+    trees, _ = _grow_trees(x, bootstraps, _Gini(y, k), max_depth=RF_MAX_DEPTH,
+                           min_split=RF_MIN_SPLIT, rngs=rngs,
+                           n_feature_sub=int(np.ceil(np.sqrt(d))))
     return TrainedClassifier("RF", k, trees=trees,
                              meta={"n_trees": n_trees, "max_depth": RF_MAX_DEPTH,
                                    "min_split": RF_MIN_SPLIT, "seed": seed})
@@ -500,12 +506,12 @@ def fit_gbt(x: np.ndarray, y: np.ndarray, max_depth: int = 10,
         p = _softmax(scores)
         residual = onehot - p
         hess = p * (1.0 - p)
-        grown = _grow_trees(stacked, roots, _SquaredError(residual.T.ravel(), hess.T.ravel()),
-                            max_depth=max_depth, min_split=GBT_MIN_SPLIT, rngs=None,
-                            n_feature_sub=None)
-        for cls, tree in enumerate(grown):
-            trees.append(tree)
-            scores[:, cls] += GBT_ETA * tree.predict_value(x)[:, 0]
+        grown, leaf_value = _grow_trees(
+            stacked, roots, _SquaredError(residual.T.ravel(), hess.T.ravel()),
+            max_depth=max_depth, min_split=GBT_MIN_SPLIT, rngs=None, n_feature_sub=None)
+        trees += grown
+        # row cls*n + i of the stack is row i in class tree cls
+        scores += GBT_ETA * leaf_value[:, 0].reshape(k, n).T
         p = _softmax(scores)
         loss_log.append(float(-np.log(p[np.arange(n), y] + 1e-300).mean()))
     return TrainedClassifier("GBT", k, trees=trees,

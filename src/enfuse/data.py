@@ -1,8 +1,10 @@
 """Synthetic task generation, splitting, augmentation, and image encoding.
 
 Images are float64 arrays of shape (H, W, C) with values in [0, 1] and
-C in {1, 3}. Images are only encoded, as binary PGM (P5) or PPM (P6); no
-image file is ever read.
+C in {1, 3}. Augmentation works on (N, H, W, C) stacks: each image gets its
+own angle, zoom factor and coin flips, and each step runs over the whole
+stack. Images are only encoded, as binary PGM (P5) or PPM (P6); no image
+file is ever read.
 """
 
 from __future__ import annotations
@@ -71,12 +73,13 @@ def pnm_bytes(image: np.ndarray) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Geometry: bilinear sampling with edge clamp
+# Geometry: bilinear sampling with edge clamp, over (N, H, W, C) stacks
 # ---------------------------------------------------------------------------
 
-def _sample_bilinear(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Sample image at fractional (ys, xs) grids; coordinates clamp to edges."""
-    h, w, _ = image.shape
+def _sample_bilinear(images: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Sample each image of a stack at its own fractional (ys, xs) grid, both
+    (N, H', W'); coordinates clamp to edges."""
+    n, h, w, _ = images.shape
     ys = np.clip(ys, 0.0, h - 1.0)
     xs = np.clip(xs, 0.0, w - 1.0)
     y0 = np.floor(ys).astype(int)
@@ -85,8 +88,9 @@ def _sample_bilinear(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.nd
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[..., None]
     fx = (xs - x0)[..., None]
-    top = image[y0, x0] * (1 - fx) + image[y0, x1] * fx
-    bot = image[y1, x0] * (1 - fx) + image[y1, x1] * fx
+    i = np.arange(n)[:, None, None]
+    top = images[i, y0, x0] * (1 - fx) + images[i, y0, x1] * fx
+    bot = images[i, y1, x0] * (1 - fx) + images[i, y1, x1] * fx
     return top * (1 - fy) + bot * fy
 
 
@@ -99,67 +103,86 @@ def resize_bilinear(image: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     ys = (np.arange(new_h) + 0.5) * h / new_h - 0.5
     xs = (np.arange(new_w) + 0.5) * w / new_w - 0.5
     grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-    return _sample_bilinear(image, grid_y, grid_x)
+    return _sample_bilinear(image[None], grid_y[None], grid_x[None])[0]
 
 
-def rotate(image: np.ndarray, degrees: float) -> np.ndarray:
-    """Rotate about the image center; out-of-range samples clamp to the edge."""
-    h, w, _ = image.shape
-    theta = np.deg2rad(degrees)
+def _centred_grid(images: np.ndarray):
+    """(cy, cx, dy, dx): a stack's image centre and each pixel's (1, H, W)
+    offset from it."""
+    _, h, w, _ = images.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     grid_y, grid_x = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
-    dy, dx = grid_y - cy, grid_x - cx
+    return cy, cx, (grid_y - cy)[None], (grid_x - cx)[None]
+
+
+def rotate(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Rotate each image about its centre by its own angle; out-of-range
+    samples clamp to the edge."""
+    theta = np.deg2rad(degrees)[:, None, None]
+    cy, cx, dy, dx = _centred_grid(images)
     # inverse rotation of output coordinates
     src_y = cy + np.cos(theta) * dy - np.sin(theta) * dx
     src_x = cx + np.sin(theta) * dy + np.cos(theta) * dx
-    return _sample_bilinear(image, src_y, src_x)
+    return _sample_bilinear(images, src_y, src_x)
 
 
-def zoom(image: np.ndarray, factor: float) -> np.ndarray:
-    """Scale about the center; factor < 1 magnifies the central region."""
-    h, w, _ = image.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    grid_y, grid_x = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
-    src_y = cy + (grid_y - cy) * factor
-    src_x = cx + (grid_x - cx) * factor
-    return _sample_bilinear(image, src_y, src_x)
+def zoom(images: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Scale each image about its centre by its own factor; a factor < 1
+    magnifies the central region."""
+    factors = factors[:, None, None]
+    cy, cx, dy, dx = _centred_grid(images)
+    return _sample_bilinear(images, cy + dy * factors, cx + dx * factors)
 
 
-def hflip(image: np.ndarray) -> np.ndarray:
-    return image[:, ::-1].copy()
+def hflip(images: np.ndarray) -> np.ndarray:
+    """Each image mirrored left to right, as a view."""
+    return images[:, :, ::-1]
 
 
-def vflip(image: np.ndarray) -> np.ndarray:
-    return image[::-1].copy()
+def vflip(images: np.ndarray) -> np.ndarray:
+    """Each image mirrored top to bottom, as a view."""
+    return images[:, ::-1]
 
 
-def box_blur(image: np.ndarray, kernel: int) -> np.ndarray:
+def box_blur(images: np.ndarray, kernel: int) -> np.ndarray:
     """Normalized box blur with edge-clamp padding; kernel must be odd."""
     if kernel < 1 or kernel % 2 == 0:
         raise InvalidArgumentError("kernel must be odd and >= 1")
     if kernel == 1:
-        return image.copy()
+        return images.copy()
     r = kernel // 2
-    padded = np.pad(image, ((r, r), (r, r), (0, 0)), mode="edge")
-    h, w, _ = image.shape
-    out = np.zeros_like(image)
+    padded = np.pad(images, ((0, 0), (r, r), (r, r), (0, 0)), mode="edge")
+    _, h, w, _ = images.shape
+    out = np.zeros_like(images)
     for dy in range(kernel):
         for dx in range(kernel):
-            out += padded[dy:dy + h, dx:dx + w]
+            out += padded[:, dy:dy + h, dx:dx + w]
     return out / (kernel * kernel)
 
 
-def random_transform(image: np.ndarray, blur_kernel: int, rng: np.random.Generator) -> np.ndarray:
-    """One random augmentation draw: rotation, zoom, then a horizontal flip, a
-    vertical flip and a `blur_kernel` box blur, each with probability 1/2."""
-    out = rotate(image, rng.uniform(*ROTATION_DEGREES))
-    out = zoom(out, rng.uniform(*ZOOM_RANGE))
-    if rng.random() < 0.5:
-        out = hflip(out)
-    if rng.random() < 0.5:
-        out = vflip(out)
-    if rng.random() < 0.5:
-        out = box_blur(out, blur_kernel)
+# the draws of one augmentation, in order: angle, zoom factor, then the
+# hflip, vflip and blur coins (uniform on [0, 1), the generator's random())
+_DRAW_LOW = np.array([ROTATION_DEGREES[0], ZOOM_RANGE[0], 0.0, 0.0, 0.0])
+_DRAW_HIGH = np.array([ROTATION_DEGREES[1], ZOOM_RANGE[1], 1.0, 1.0, 1.0])
+
+
+def random_transform(images: np.ndarray, blur_kernel: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """One random augmentation draw per image of an (N, H, W, C) stack:
+    rotation, zoom, then a horizontal flip, a vertical flip and a
+    `blur_kernel` box blur, each with probability 1/2.
+
+    The generator makes each image's five draws in image order, so the
+    stack gets the views, and leaves the generator in the state, of one
+    call per image in turn.
+    """
+    draws = rng.uniform(_DRAW_LOW, _DRAW_HIGH, size=(len(images), 5))
+    out = zoom(rotate(images, draws[:, 0]), draws[:, 1])
+    for op, coin in ((hflip, 2), (vflip, 3)):
+        chosen = draws[:, coin] < 0.5
+        out[chosen] = op(out[chosen])
+    chosen = draws[:, 4] < 0.5
+    out[chosen] = box_blur(out[chosen], blur_kernel)
     return np.clip(out, 0.0, 1.0)
 
 

@@ -8,6 +8,12 @@ reads the cache, raising InvalidStateError when the last forward kept none,
 and accumulates parameter gradients into `self.grads`. A layer with
 parameters skips its input gradient when called with `input_grad=False` and
 returns None.
+
+`Conv2d` unrolls its input into patch rows (im2col) with one gather: a flat
+index into one padded image, in (channel, ky, kx) column order, built once
+per input size and kept on the layer. Its input gradient folds the patch
+gradients back (col2im) one (ky, kx) offset at a time over all channels, so
+each input pixel sums its patches from 0.0 in (ky, kx) order.
 """
 
 from __future__ import annotations
@@ -62,18 +68,20 @@ class Conv2d(Layer):
             "b": np.zeros(out_ch),
         }
         self.zero_grads()
+        self._patch_index: dict[tuple[int, int], np.ndarray] = {}  # by (h, w), for _im2col
 
     def _im2col(self, x_pad, h, w):
-        n = x_pad.shape[0]
+        """(N, H, W, in_ch * k * k) patches of the padded input: one gather."""
         k = self.kernel
-        cols = np.empty((n, h, w, self.in_ch * k * k))
-        i = 0
-        for c in range(self.in_ch):
-            for ky in range(k):
-                for kx in range(k):
-                    cols[:, :, :, i] = x_pad[:, c, ky:ky + h, kx:kx + w]
-                    i += 1
-        return cols
+        hp, wp = h + k - 1, w + k - 1
+        idx = self._patch_index.get((h, w))
+        if idx is None:
+            # flat offsets into one padded image, columns in (c, ky, kx) order
+            column = (np.arange(self.in_ch)[:, None, None] * (hp * wp)
+                      + np.arange(k)[None, :, None] * wp + np.arange(k)).ravel()
+            pixel = np.arange(h)[:, None] * wp + np.arange(w)
+            idx = self._patch_index[(h, w)] = pixel[:, :, None] + column
+        return np.take(x_pad.reshape(len(x_pad), self.in_ch * hp * wp), idx, axis=1)
 
     def forward(self, x, training=False, keep_cache=False):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
@@ -98,13 +106,12 @@ class Conv2d(Layer):
         if not input_grad:
             return None
         dcols = dflat @ self.params["w"].T  # (N,H,W,in_ch*k*k)
+        dpatch = dcols.reshape(n, h, w, self.in_ch, k, k).transpose(0, 3, 4, 5, 1, 2)
         dx_pad = np.zeros((n, self.in_ch, h + 2 * p, w + 2 * p))
-        i = 0
-        for c in range(self.in_ch):
-            for ky in range(k):
-                for kx in range(k):
-                    dx_pad[:, c, ky:ky + h, kx:kx + w] += dcols[:, :, :, i]
-                    i += 1
+        # each input pixel sums its patches from 0.0 in (ky, kx) order
+        for ky in range(k):
+            for kx in range(k):
+                dx_pad[:, :, ky:ky + h, kx:kx + w] += dpatch[:, :, ky, kx]
         return dx_pad[:, :, p:p + h, p:p + w]
 
     def descriptor(self):

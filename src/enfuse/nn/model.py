@@ -102,8 +102,13 @@ class EncoderModel:
             stack[0].backward(dout, input_grad=False)
 
     def zero_grads(self):
+        """Zero the trainable layers' gradients in place. Backward never
+        writes a frozen layer's gradients and the optimizer reads only
+        trainable ones, so the rest are left as they are."""
         for layer in self.layers:
-            layer.zero_grads()
+            if layer.trainable:
+                for grad in layer.grads.values():
+                    grad.fill(0.0)
 
     def named_parameters(self, trainable_only: bool = False):
         out = {}
@@ -170,7 +175,6 @@ class EncoderModel:
             layer.params[name] = arr
         for layer, flag in zip(model.layers, header["trainable"]):
             layer.trainable = flag
-        model.zero_grads()
         return model
 
     @classmethod

@@ -5,10 +5,13 @@ lowest trainable layer with parameters (or below an earlier Dropout, whose
 masks must be drawn at every step), runs once per training call, in
 inference mode over the whole training set; each step runs the layers above
 it on the prefix outputs of its batch. The result is bit for bit that of
-running the whole stack at every step, because every prefix layer (im2col
-Conv2d, ReLU, MaxPool2d, GlobalAvgPool, Flatten) computes each image on its
-own: a forward over a set equals the concatenation of its forwards over any
-split of that set into batches.
+running the whole stack at every step, because every prefix layer (Conv2d,
+ReLU, MaxPool2d, GlobalAvgPool, Flatten) computes each image on its own: a
+forward over a set equals the concatenation of its forwards over any split
+of that set into batches. Conv2d's im2col gathers each image's patch rows
+from that image alone, by the same per-image index whatever the batch, and
+each output pixel is its own patch row times the weights; the other layers
+are elementwise, or reduce within one image.
 """
 
 from __future__ import annotations

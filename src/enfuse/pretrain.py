@@ -170,11 +170,8 @@ def pretrain_ssl(variant: str, dataset: LabeledImageSet, *, temperature: float,
             idx = perm[start:start + pairs]
             if len(idx) < 2:
                 continue
-            views = []
-            for i in idx:
-                views.append(random_transform(images[i], blur_kernel, aug_rng))
-                views.append(random_transform(images[i], blur_kernel, aug_rng))
-            x = images_to_batch(np.stack(views))
+            # two fresh views of each image, side by side
+            x = images_to_batch(random_transform(images[np.repeat(idx, 2)], blur_kernel, aug_rng))
             z = model.forward(x, training=True, keep_cache=True)
             loss, dz = nt_xent_loss(z, temperature)
             model.zero_grads()

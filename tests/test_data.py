@@ -11,6 +11,7 @@ from enfuse.data import (
     resize_bilinear,
     rotate,
     stratified_split,
+    vflip,
     zoom,
 )
 from enfuse.errors import InvalidArgumentError, InvalidDatasetError
@@ -91,19 +92,20 @@ class TestStratifiedSplit:
 class TestTransforms:
     def test_flip_involution(self):
         rng = np.random.default_rng(4)
-        img = rng.random((7, 5, 3))
-        assert np.array_equal(hflip(hflip(img)), img)
+        imgs = rng.random((2, 7, 5, 3))
+        assert np.array_equal(hflip(hflip(imgs)), imgs)
+        assert np.array_equal(vflip(vflip(imgs)), imgs)
 
     def test_identity_transforms(self):
         rng = np.random.default_rng(4)
-        img = rng.random((9, 9, 3))
-        assert np.max(np.abs(rotate(img, 0.0) - img)) < 1e-6
-        assert np.max(np.abs(zoom(img, 1.0) - img)) < 1e-6
+        imgs = rng.random((2, 9, 9, 3))
+        assert np.max(np.abs(rotate(imgs, np.zeros(2)) - imgs)) < 1e-6
+        assert np.max(np.abs(zoom(imgs, np.ones(2)) - imgs)) < 1e-6
 
     def test_blur_preserves_interior_mean(self):
         rng = np.random.default_rng(6)
         img = rng.random((32, 32, 1))
-        blurred = box_blur(img, 3)
+        blurred = box_blur(img[None], 3)[0]
         # interior away from the clamped border: each output is a true local mean
         inner = slice(4, 28)
         assert abs(blurred[inner, inner].mean() - _true_local_mean(img)[inner, inner].mean()) < 1e-6

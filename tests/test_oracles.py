@@ -4,10 +4,12 @@ The oracles are the per-row, per-feature and per-permutation loops the library
 used before it worked on whole arrays, the recursive tree builder that grew
 one node at a time before the forest grew its trees together, the forest
 average over one stacked array of every tree's output, the reshape/argmax
-`MaxPool2d`, the `np.pad` form of `Conv2d`'s padding, the two-pass Grad-CAM
-that replayed the forward for the last conv activation, and the ablation that
-kept one row object per arm, with its delta, before every arm went through
-`fit_arm`. They live only here; every comparison is exact (`np.array_equal`,
+`MaxPool2d`, the `np.pad` form of `Conv2d`'s padding, `Conv2d`'s im2col and
+col2im as one slice copy per (channel, ky, kx), the augmentation that
+transformed one image per call, the two-pass Grad-CAM that replayed the
+forward for the last conv activation, and the ablation that kept one row
+object per arm, with its delta, before every arm went through `fit_arm`.
+They live only here; every comparison is exact (`np.array_equal`,
 or equal text), because the library code does the same float operations in
 the same order.
 """
@@ -38,7 +40,14 @@ from enfuse.classifiers import (
     fit_rf,
     predict_proba,
 )
-from enfuse.data import make_synthetic_task, resize_bilinear, stratified_split
+from enfuse.data import (
+    ROTATION_DEGREES,
+    ZOOM_RANGE,
+    make_synthetic_task,
+    random_transform,
+    resize_bilinear,
+    stratified_split,
+)
 from enfuse.ensemble import (
     CLASSIFIER_ORDER,
     EnsembleModel,
@@ -500,6 +509,39 @@ class PadConv2d(Conv2d):
         return (cols @ self.params["w"] + self.params["b"]).transpose(0, 3, 1, 2)
 
 
+class LoopConv2d(Conv2d):
+    """Conv2d whose im2col and col2im copy one (channel, ky, kx) slice at a time."""
+
+    def _im2col(self, x_pad, h, w):
+        n, k = x_pad.shape[0], self.kernel
+        cols = np.empty((n, h, w, self.in_ch * k * k))
+        i = 0
+        for c in range(self.in_ch):
+            for ky in range(k):
+                for kx in range(k):
+                    cols[:, :, :, i] = x_pad[:, c, ky:ky + h, kx:kx + w]
+                    i += 1
+        return cols
+
+    def backward(self, dout, input_grad=True):
+        cols, (n, _, h, w) = self._cached()
+        k, p = self.kernel, self.kernel // 2
+        dflat = dout.transpose(0, 2, 3, 1)
+        self.grads["w"] += np.tensordot(cols, dflat, axes=([0, 1, 2], [0, 1, 2]))
+        self.grads["b"] += dflat.sum(axis=(0, 1, 2))
+        if not input_grad:
+            return None
+        dcols = dflat @ self.params["w"].T
+        dx_pad = np.zeros((n, self.in_ch, h + 2 * p, w + 2 * p))
+        i = 0
+        for c in range(self.in_ch):
+            for ky in range(k):
+                for kx in range(k):
+                    dx_pad[:, c, ky:ky + h, kx:kx + w] += dcols[:, :, :, i]
+                    i += 1
+        return dx_pad[:, :, p:p + h, p:p + w]
+
+
 def same_bits(a, b):
     """Equal values and equal signs of zero."""
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
@@ -552,6 +594,90 @@ def test_conv_matches_np_pad_oracle(seed, n, c_in, c_out, kernel, h, w):
     oracle.backward(dout)
     for name in ("w", "b"):
         assert same_bits(layer.grads[name], oracle.grads[name])
+
+
+# signed zeros among them, so that a sum that starts from 0.0 shows its order
+SIGNED = np.array([-1.5, -0.0, 0.0, 0.5, 2.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), c_in=st.integers(1, 16),
+       c_out=st.integers(1, 6), kernel=st.sampled_from((1, 3, 5)),
+       h=st.integers(1, 9), w=st.integers(1, 9), continuous=st.booleans())
+def test_conv_matches_per_slice_loop_oracle(seed, n, c_in, c_out, kernel, h, w, continuous):
+    rng = np.random.default_rng(seed)
+    x = rng.choice(SIGNED, size=(n, c_in, h, w))
+    dout = rng.choice(SIGNED, size=(n, c_out, h, w))
+    if continuous:
+        x, dout = x + rng.normal(size=x.shape), dout * rng.normal(size=dout.shape)
+    layer = Conv2d(c_in, c_out, kernel, rng=np.random.default_rng(seed))
+    oracle = LoopConv2d(c_in, c_out, kernel, rng=np.random.default_rng(seed))
+    for _ in range(2):  # the second pass reads the cached patch index
+        assert same_bits(layer.forward(x, keep_cache=True), oracle.forward(x, keep_cache=True))
+        assert same_bits(layer.backward(dout), oracle.backward(dout))
+        for name in ("w", "b"):
+            assert same_bits(layer.grads[name], oracle.grads[name])
+
+
+# ---------------------------------------------------------------------------
+# Augmentation
+# ---------------------------------------------------------------------------
+
+def sample_bilinear_one(image, ys, xs):
+    h, w, _ = image.shape
+    ys = np.clip(ys, 0.0, h - 1.0)
+    xs = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[..., None]
+    fx = (xs - x0)[..., None]
+    top = image[y0, x0] * (1 - fx) + image[y0, x1] * fx
+    bot = image[y1, x0] * (1 - fx) + image[y1, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def random_transform_one(image, blur_kernel, rng):
+    """One image's augmentation: rotate, zoom, h-flip, v-flip, blur, clip,
+    each step on its own, the draws made as the steps need them."""
+    h, w, _ = image.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    grid_y, grid_x = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
+                                 indexing="ij")
+    theta = np.deg2rad(rng.uniform(*ROTATION_DEGREES))
+    dy, dx = grid_y - cy, grid_x - cx
+    out = sample_bilinear_one(image, cy + np.cos(theta) * dy - np.sin(theta) * dx,
+                              cx + np.sin(theta) * dy + np.cos(theta) * dx)
+    factor = rng.uniform(*ZOOM_RANGE)
+    out = sample_bilinear_one(out, cy + (grid_y - cy) * factor, cx + (grid_x - cx) * factor)
+    if rng.random() < 0.5:
+        out = out[:, ::-1].copy()
+    if rng.random() < 0.5:
+        out = out[::-1].copy()
+    if rng.random() < 0.5 and blur_kernel > 1:
+        r = blur_kernel // 2
+        padded = np.pad(out, ((r, r), (r, r), (0, 0)), mode="edge")
+        blurred = np.zeros_like(out)
+        for oy in range(blur_kernel):
+            for ox in range(blur_kernel):
+                blurred += padded[oy:oy + h, ox:ox + w]
+        out = blurred / (blur_kernel * blur_kernel)
+    return np.clip(out, 0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 8), h=st.integers(1, 12),
+       w=st.integers(1, 12), channels=st.sampled_from((1, 3)),
+       blur_kernel=st.sampled_from((1, 3, 5)))
+def test_random_transform_matches_per_image_oracle(seed, n, h, w, channels, blur_kernel):
+    images = np.random.default_rng(seed).random((n, h, w, channels))
+    rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = random_transform(images, blur_kernel, rng)
+    want = np.stack([random_transform_one(img, blur_kernel, oracle_rng) for img in images]
+                    ) if n else np.empty_like(images)
+    assert same_bits(got, want)
+    assert rng.random() == oracle_rng.random()
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ class TestContrastivePath:
             rng = np.random.default_rng(0)
             sims = []
             for img in datasets["inter"].images[:12]:
-                views = np.stack([random_transform(img, 3, rng) for _ in range(2)])
+                views = random_transform(np.stack([img, img]), 3, rng)
                 z = model.forward(images_to_batch(views))
                 sims.append(z[0] @ z[1] / (np.linalg.norm(z[0]) * np.linalg.norm(z[1])))
             return np.mean(sims)

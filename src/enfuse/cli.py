@@ -56,6 +56,7 @@ from .ensemble import (
 )
 from .errors import ConfigError, EnfuseError, IntegrityError, InvalidArgumentError
 from .explain import (
+    TSNE_MIN_ROWS,
     grad_cam,
     render_ablation_svg,
     render_confusion_svg,
@@ -261,9 +262,11 @@ def _train_counts(config: dict, per_class: int, kind: str) -> np.ndarray:
 
 
 def _check_split_sizes(config: dict) -> None:
-    """Every class of the target and oodtest train splits keeps >= 2 rows.
+    """Every class of the target and oodtest train splits keeps >= 2 rows,
+    and the target test split keeps `TSNE_MIN_ROWS`.
 
     GNB needs 2 rows a class; KNN and RF, 3 in all, which 2 classes of 2 give.
+    `explain --what tsne` embeds the target test split.
     """
     for section, key, kind in (("data", "target_per_class", TARGET_KIND),
                                ("oodtest", "per_class", config["oodtest"]["kind"])):
@@ -273,6 +276,13 @@ def _check_split_sizes(config: dict) -> None:
             raise ConfigError(f"[{section}] {key}: {per_class} per class at split_fraction "
                               f"{config['data']['split_fraction']!r} leaves a class "
                               f"{smallest} train row(s); the classifiers need 2")
+    per_class = config["data"]["target_per_class"]
+    train = _train_counts(config, per_class, TARGET_KIND)
+    test_rows = per_class * len(train) - int(train.sum())
+    if test_rows < TSNE_MIN_ROWS:
+        raise ConfigError(f"[data] target_per_class: {per_class} per class at split_fraction "
+                          f"{config['data']['split_fraction']!r} leaves {test_rows} "
+                          f"target test row(s); explain --what tsne needs {TSNE_MIN_ROWS}")
 
 
 def _check_fusion_k(config: dict, encoders: dict[str, EncoderModel]) -> None:

@@ -222,13 +222,16 @@ def _conditional_p(dist_sq: np.ndarray, perplexity: float) -> np.ndarray:
     return p
 
 
+TSNE_MIN_ROWS = 4  # the fewest rows t-SNE embeds
+
+
 def tsne_embed(x: FeatureMatrix, perplexity: float = 30.0, iters: int = 1000,
                seed: int = 0) -> Embedding2D:
     """Exact-pairwise symmetric t-SNE, learning rate 200, early exaggeration, momentum."""
     data = x.data
     n = len(data)
-    if n < 4:
-        raise InvalidArgumentError("t-SNE needs at least 4 rows")
+    if n < TSNE_MIN_ROWS:
+        raise InvalidArgumentError(f"t-SNE needs at least {TSNE_MIN_ROWS} rows")
     if n < 3 * perplexity:
         perplexity = max(1.0, (n - 1) / 3.0)
         warnings.warn(f"perplexity reduced to {perplexity:.1f} for {n} rows")

@@ -12,8 +12,10 @@ returns None.
 `Conv2d` unrolls its input into patch rows (im2col) with one gather: a flat
 index into one padded image, in (channel, ky, kx) column order, built once
 per input size and kept on the layer. Its input gradient folds the patch
-gradients back (col2im) one (ky, kx) offset at a time over all channels, so
-each input pixel sums its patches from 0.0 in (ky, kx) order.
+gradients back (col2im) with one `np.bincount` per image over that index
+reversed, weighted by the image's patch gradients reversed: read backwards,
+the patches that cover a pixel come in (ky, kx) order, so each input pixel
+sums its patches from 0.0 in (ky, kx) order.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from ..errors import InvalidArgumentError, InvalidStateError
 
 
 class Layer:
-    """Base layer: stateless by default, trainable flag checked by the optimizer."""
+    """Base layer: stateless by default; `EncoderModel.flat_trainable` reads the trainable flag."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -98,20 +100,20 @@ class Conv2d(Layer):
 
     def backward(self, dout, input_grad=True):
         cols, x_shape = self._cached()
-        n, _, h, w = x_shape
-        k, p = self.kernel, self.kernel // 2
+        n, c, h, w = x_shape
+        p = self.kernel // 2
         dflat = dout.transpose(0, 2, 3, 1)  # (N,H,W,out_ch)
-        self.grads["w"] += np.tensordot(cols, dflat, axes=([0, 1, 2], [0, 1, 2]))
+        self.grads["w"] += cols.reshape(-1, cols.shape[-1]).T @ dflat.reshape(-1, self.out_ch)
         self.grads["b"] += dflat.sum(axis=(0, 1, 2))
         if not input_grad:
             return None
-        dcols = dflat @ self.params["w"].T  # (N,H,W,in_ch*k*k)
-        dpatch = dcols.reshape(n, h, w, self.in_ch, k, k).transpose(0, 3, 4, 5, 1, 2)
-        dx_pad = np.zeros((n, self.in_ch, h + 2 * p, w + 2 * p))
-        # each input pixel sums its patches from 0.0 in (ky, kx) order
-        for ky in range(k):
-            for kx in range(k):
-                dx_pad[:, :, ky:ky + h, kx:kx + w] += dpatch[:, :, ky, kx]
+        dcols = (dflat @ self.params["w"].T).reshape(n, -1)  # each image's patch rows, flat
+        # copied per call, not kept: a second index per layer raises peak memory
+        bins = self._patch_index[(h, w)].ravel()[::-1].copy()
+        hp, wp = h + 2 * p, w + 2 * p
+        dx_pad = np.empty((n, c, hp, wp))
+        for i in range(n):
+            dx_pad[i] = np.bincount(bins, dcols[i, ::-1], c * hp * wp).reshape(c, hp, wp)
         return dx_pad[:, :, p:p + h, p:p + w]
 
     def descriptor(self):
@@ -162,7 +164,9 @@ class MaxPool2d(Layer):
     The four window positions are the strided quadrants of the input, in the
     order (0,0), (0,1), (1,0), (1,1); backward routes each output gradient to
     the first position holding the window's maximum. That index is computed
-    only for a forward that keeps its cache.
+    only for a forward that keeps its cache. Backward writes every output
+    gradient into a zero input gradient in one scatter: at its window's
+    top-left corner plus the flat offset (0, 1, w or w + 1) of that position.
     """
 
     QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -186,10 +190,13 @@ class MaxPool2d(Layer):
 
     def backward(self, dout):
         first, x_shape = self._cached()
-        grad = np.zeros(x_shape)
-        for i, (dy, dx) in enumerate(self.QUADRANTS):
-            grad[:, :, dy::2, dx::2] = np.where(first == i, dout, 0.0)
-        return grad
+        n, c, h, w = x_shape
+        # flat index into the input of each window's top-left corner
+        rows = np.arange(n * c * h // 2)[:, None] * (2 * w)
+        corners = (rows + np.arange(0, w, 2)).ravel()
+        grad = np.zeros(n * c * h * w)
+        grad[corners + np.array([0, 1, w, w + 1])[first.ravel()]] = dout.ravel()
+        return grad.reshape(x_shape)
 
 
 class GlobalAvgPool(Layer):

@@ -101,32 +101,30 @@ class EncoderModel:
         if stack:
             stack[0].backward(dout, input_grad=False)
 
-    def zero_grads(self):
-        """Zero the trainable layers' gradients in place. Backward never
-        writes a frozen layer's gradients and the optimizer reads only
-        trainable ones, so the rest are left as they are."""
-        for layer in self.layers:
-            if layer.trainable:
-                for grad in layer.grads.values():
-                    grad.fill(0.0)
+    def named_parameters(self):
+        return {f"{i}.{name}": arr for i, layer in enumerate(self.layers)
+                for name, arr in layer.params.items()}
 
-    def named_parameters(self, trainable_only: bool = False):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if trainable_only and not layer.trainable:
-                continue
-            for name, arr in layer.params.items():
-                out[f"{i}.{name}"] = arr
-        return out
+    def flat_trainable(self) -> tuple[np.ndarray, np.ndarray]:
+        """Make the trainable layers' params and grads views of two flat
+        buffers, in layer order, and return the buffers (params, grads).
 
-    def named_grads(self, trainable_only: bool = False):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if trainable_only and not layer.trainable:
-                continue
-            for name, arr in layer.grads.items():
-                out[f"{i}.{name}"] = arr
-        return out
+        The params' values are copied in and the grads start at 0.0, so one
+        `fill` zeroes every gradient a backward accumulates into and one
+        `adam_step` updates every trainable parameter. Frozen layers keep
+        their arrays."""
+        named = [(layer.params, layer.grads, name) for layer in self.layers
+                 if layer.trainable for name in layer.params]
+        size = sum(params[name].size for params, _, name in named)
+        flat_params, flat_grads = np.empty(size), np.zeros(size)
+        start = 0
+        for params, grads, name in named:
+            shape, stop = params[name].shape, start + params[name].size
+            flat_params[start:stop] = params[name].ravel()
+            params[name] = flat_params[start:stop].reshape(shape)
+            grads[name] = flat_grads[start:stop].reshape(shape)
+            start = stop
+        return flat_params, flat_grads
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """Backbone feature vectors: spatial mean of the final conv maps."""

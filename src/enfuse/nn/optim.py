@@ -1,8 +1,15 @@
-"""Adam with decoupled weight decay plus a reduce-on-plateau schedule."""
+"""Adam with decoupled weight decay plus a reduce-on-plateau schedule.
+
+A training call steps all its trainable parameters at once: they and their
+gradients are views of two flat buffers (`EncoderModel.flat_trainable`), so
+one step is a handful of whole-array operations. Each element is updated
+exactly as a per-parameter loop would update it, as every operation is
+elementwise.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,38 +28,34 @@ MIN_IMPROVE = 1e-6
 class OptimizerState:
     learning_rate: float = 0.001
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    # first and second moments, one per flat parameter; the first step makes them
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     # plateau tracking
     best_loss: float = float("inf")
     since_improve: int = 0
 
 
-def adam_step(state: OptimizerState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray]) -> None:
-    """One in-place Adam update over a flat name -> array mapping.
+def adam_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One in-place Adam update of the flat parameters by their flat gradients.
 
     Weight decay is decoupled: applied directly to the parameter before the
-    moment-based step. Frozen parameters are simply not passed in.
+    moment-based step. Frozen parameters are simply not in the buffers.
     """
     state.step += 1
     t = state.step
-    for name, p in params.items():
-        g = grads[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        if WEIGHT_DECAY:
-            p -= state.learning_rate * WEIGHT_DECAY * p
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1 - BETA1) * g
-        v *= BETA2
-        v += (1 - BETA2) * g * g
-        mhat = m / (1 - BETA1 ** t)
-        vhat = v / (1 - BETA2 ** t)
-        p -= state.learning_rate * mhat / (np.sqrt(vhat) + EPS)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+    if WEIGHT_DECAY:
+        params -= state.learning_rate * WEIGHT_DECAY * params
+    m, v = state.m, state.v
+    m *= BETA1
+    m += (1 - BETA1) * grads
+    v *= BETA2
+    v += (1 - BETA2) * grads * grads
+    mhat = m / (1 - BETA1 ** t)
+    vhat = v / (1 - BETA2 ** t)
+    params -= state.learning_rate * mhat / (np.sqrt(vhat) + EPS)
 
 
 def plateau_schedule(state: OptimizerState, epoch_loss: float) -> None:

@@ -50,8 +50,9 @@ def train_supervised(model: EncoderModel, train_set: LabeledImageSet, lr: float,
     The frozen prefix (see the module docstring) runs once, in batches of
     `INFERENCE_BATCH` images and keeping no caches; every step then runs the
     layers above it, up to the logits below a final Softmax, keeping caches
-    for the backward. Shuffling and dropout are driven by `seed`, so
-    identical inputs give bit-identical final parameters.
+    for the backward, and updates the trainable parameters in one flat Adam
+    step (`EncoderModel.flat_trainable`). Shuffling and dropout are driven by
+    `seed`, so identical inputs give bit-identical final parameters.
     """
     opt = OptimizerState(learning_rate=lr)
     rng = np.random.default_rng(seed)
@@ -70,19 +71,19 @@ def train_supervised(model: EncoderModel, train_set: LabeledImageSet, lr: float,
                                  keep_cache=False)
             for s in range(0, n, INFERENCE_BATCH)])
     y_all = one_hot_matrix(train_set.labels, train_set.n_classes)
+    params, grads = model.flat_trainable()
     log: list[float] = []
     for _ in range(epochs):
         perm = rng.permutation(n)
         total, seen = 0.0, 0
         for start in range(0, n, batch):
             idx = perm[start:start + batch]
-            model.zero_grads()
+            grads.fill(0.0)
             logits = model.forward_layers(x_all[idx], first, stop, training=True,
                                           keep_cache=True)
             loss, dlogits = cross_entropy_loss(logits, y_all[idx])
             model.backward(dlogits)
-            adam_step(opt, model.named_parameters(trainable_only=True),
-                      model.named_grads(trainable_only=True))
+            adam_step(opt, params, grads)
             total += loss * len(idx)
             seen += len(idx)
         epoch_loss = total / seen

@@ -159,6 +159,7 @@ def pretrain_ssl(variant: str, dataset: LabeledImageSet, *, temperature: float,
     model = EncoderModel(build_backbone(variant, rng))
     model.set_head(make_projection_head(model.feature_dim, rng))
     opt = OptimizerState(learning_rate=lr)
+    params, grads = model.flat_trainable()
     aug_rng = np.random.default_rng(int(rng.integers(2**31)))
     n = len(images)
     pairs = min(batch_pairs, n)
@@ -174,10 +175,9 @@ def pretrain_ssl(variant: str, dataset: LabeledImageSet, *, temperature: float,
             x = images_to_batch(random_transform(images[np.repeat(idx, 2)], blur_kernel, aug_rng))
             z = model.forward(x, training=True, keep_cache=True)
             loss, dz = nt_xent_loss(z, temperature)
-            model.zero_grads()
+            grads.fill(0.0)
             model.backward(dz)
-            adam_step(opt, model.named_parameters(trainable_only=True),
-                      model.named_grads(trainable_only=True))
+            adam_step(opt, params, grads)
             total += loss * len(idx)
             seen += len(idx)
         log.append(total / seen)

@@ -16,6 +16,7 @@ from enfuse.cli import BOUNDS, DEFAULTS, load_config, run, target_split
 from enfuse.data import TASK_MOTIFS, make_synthetic_task, stratified_split
 from enfuse.ensemble import evaluate, train_ensemble
 from enfuse.errors import ConfigError, EnfuseError, InvalidArgumentError
+from enfuse.explain import TSNE_MIN_ROWS
 from enfuse.features import FeatureMatrix
 from enfuse.nn import EncoderModel
 from enfuse.pretrain import (
@@ -107,7 +108,9 @@ def numeric_setting(draw, inside):
                 value |= 1
             elif key == "image_size":  # must also be a multiple of 16
                 value -= value % 16
-            elif key in ("target_per_class", "per_class"):  # 2 a class leave 1 train row
+            elif key == "target_per_class":  # 5 a class leave 3 test rows; t-SNE needs 4
+                value = max(value, 6)
+            elif key == "per_class":  # 2 a class leave 1 train row
                 value = max(value, 3)
         else:
             value = draw(st.integers(max_value=lo - 1)
@@ -118,7 +121,7 @@ def numeric_setting(draw, inside):
         if inside:
             value = draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
             if key == "split_fraction":  # the default 20 a class keep 2 train rows
-                value = max(value, 0.1)
+                value = min(max(value, 0.1), 0.9)  # and 4 test rows
         else:
             value = draw(st.floats(max_value=math.nextafter(lo, -math.inf))
                          | st.floats(min_value=math.nextafter(hi, math.inf)))
@@ -148,6 +151,13 @@ def smallest_train_class(config) -> int:
     """The fewest rows of one class in the target or the oodtest train split."""
     return min(int(split[0].class_counts().min())
                for split in (target_split(config, seed=0), oodtest_split(config)))
+
+
+def splits_fit(config) -> bool:
+    """Every train class keeps the classifiers' 2 rows and the target test
+    split keeps the rows `explain --what tsne` embeds."""
+    return (smallest_train_class(config) >= 2
+            and len(target_split(config, seed=0)[1]) >= TSNE_MIN_ROWS)
 
 
 class TestConfig:
@@ -221,7 +231,7 @@ class TestConfig:
         cfg_file.write_text(f"[data]\ntarget_per_class = {per_class}\n"
                             f"split_fraction = {fraction!r}\n"
                             f"[fusion]\nmethod = {method}\nk = {k}\n")
-        if smallest_train_class(config) < 2:  # checked before k
+        if not splits_fit(config):  # checked before k
             with pytest.raises(ConfigError, match="per_class"):
                 load_config(str(cfg_file))
         elif offset <= 0:
@@ -230,10 +240,10 @@ class TestConfig:
             with pytest.raises(ConfigError, match=r"\[fusion\] k"):
                 load_config(str(cfg_file))
 
-    @pytest.mark.parametrize("text", [  # 3 a class: the smallest split sizes accepted
-        "[data]\ntarget_per_class = 3\n[fusion]\nk = 0\n",
-        "[data]\ntarget_per_class = 3\n[fusion]\nmethod = concat-only\n",
-        "[data]\ntarget_per_class = 3\n[fusion]\nmethod = concat+lda\n",
+    @pytest.mark.parametrize("text", [  # the smallest split sizes accepted
+        "[data]\ntarget_per_class = 6\n[fusion]\nk = 0\n",
+        "[data]\ntarget_per_class = 6\n[fusion]\nmethod = concat-only\n",
+        "[data]\ntarget_per_class = 6\n[fusion]\nmethod = concat+lda\n",
         "[oodtest]\nper_class = 3\n",  # oodtest always fits with the automatic k
     ], ids=["k-automatic", "concat-only", "lda", "small-oodtest-split"])
     def test_fusion_k_not_checked_where_unused(self, tmp_path, text):
@@ -275,14 +285,14 @@ class TestConfig:
     @settings(max_examples=60, deadline=None)
     @given(target=st.integers(2, 12), ood=st.integers(2, 12),
            fraction=st.floats(0.05, 0.95), kind=st.sampled_from(sorted(TASK_MOTIFS)))
-    def test_split_sizes_accepted_exactly_when_every_train_class_keeps_two_rows(
+    def test_split_sizes_accepted_exactly_when_the_classifiers_and_tsne_fit(
             self, cfg_file, target, ood, fraction, kind):
         config = with_data(target_per_class=target, split_fraction=fraction)
         config["oodtest"].update(per_class=ood, kind=kind)
         cfg_file.write_text(f"[data]\ntarget_per_class = {target}\n"
                             f"split_fraction = {fraction!r}\n[fusion]\nk = 0\n"
                             f"[oodtest]\nper_class = {ood}\nkind = {kind}\n")
-        if smallest_train_class(config) >= 2:
+        if splits_fit(config):
             load_config(str(cfg_file))
         else:
             with pytest.raises(ConfigError, match="per_class"):
@@ -291,7 +301,7 @@ class TestConfig:
     @pytest.mark.parametrize("method", ["concat+ica", "concat+pca", "concat+lda", "concat-only"])
     def test_smallest_accepted_splits_fit_an_ensemble(self, tmp_path, method):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"[data]\ntarget_per_class = 3\n[oodtest]\nper_class = 3\n"
+        cfg.write_text(f"[data]\ntarget_per_class = 6\n[oodtest]\nper_class = 3\n"
                        f"[fusion]\nmethod = {method}\nk = 0\n")
         config = load_config(str(cfg))
         rng = np.random.default_rng(0)
@@ -360,6 +370,13 @@ class TestAuxCommands:
         assert shap_lines.count("\n") == 1 + 8 + 2  # header, k rows, base+output
         assert run(["explain", "--what", "tsne"] + argv) == 0
         assert (out / "tiny" / "explain" / "tsne_seed11.svg").exists()
+
+    def test_tsne_runs_on_the_smallest_accepted_target_split(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(TINY_CONFIG.replace("target_per_class = 10", "target_per_class = 6"))
+        argv = ["--config", str(cfg), "--seed", "11", "--out", str(tmp_path / "out")]
+        assert run(["all"] + argv) == 0
+        assert run(["explain", "--what", "tsne"] + argv) == 0
 
     def test_explain_instance_out_of_range(self, workdir):
         _, argv = workdir
@@ -495,6 +512,8 @@ class TestFailureModes:
         "[data]\ntarget_per_class = 2\n[fusion]\nk = 0\n",
         "[data]\ntarget_per_class = 10\nsplit_fraction = 0.1\n[fusion]\nk = 0\n",
         "[oodtest]\nper_class = 2\n",
+        # 3 a class leave 3 target test rows; explain --what tsne needs 4
+        "[data]\ntarget_per_class = 3\n[fusion]\nk = 0\n",
         # past the finite top of BOUNDS; the split checks would overflow on them
         f"[data]\ntarget_per_class = {2**64}\n",
         f"[oodtest]\nper_class = {2**68}\n",
@@ -503,6 +522,7 @@ class TestFailureModes:
             "task-dot", "task-dotdot", "task-parent", "task-absolute", "task-nested",
             "image-size-20", "image-size-24", "target-split-2-per-class",
             "target-split-fraction-0.1", "oodtest-split-2-per-class",
+            "target-test-split-3-rows",
             "target-per-class-2**64", "oodtest-per-class-2**68"])
     def test_bad_config_exits_before_any_stage(self, tmp_path, text):
         cfg = tmp_path / "bad.cfg"

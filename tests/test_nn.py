@@ -222,27 +222,34 @@ class TestAdam:
     def test_zero_grad_no_decay(self, monkeypatch):
         monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.0)
         state = OptimizerState()
-        p = {"x": np.array([1.0, -2.0])}
-        before = p["x"].copy()
-        adam_step(state, p, {"x": np.zeros(2)})
-        assert np.array_equal(p["x"], before)
+        p = np.array([1.0, -2.0])
+        before = p.copy()
+        adam_step(state, p, np.zeros(2))
+        assert np.array_equal(p, before)
 
     def test_first_step_magnitude(self, monkeypatch):
         monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.0)
         state = OptimizerState(learning_rate=0.001)
-        p = {"x": np.array([0.0])}
-        adam_step(state, p, {"x": np.array([1.0])})
-        assert p["x"][0] == pytest.approx(-0.001, rel=1e-6)
+        p = np.array([0.0])
+        adam_step(state, p, np.array([1.0]))
+        assert p[0] == pytest.approx(-0.001, rel=1e-6)
 
     def test_frozen_param_untouched(self):
-        model = EncoderModel([Conv2d(1, 2, 3)], [])
-        model.backbone[0].trainable = False
+        model = EncoderModel([Conv2d(1, 2, 3), Conv2d(2, 2, 3)], [])
+        frozen = model.backbone[0]
+        frozen.trainable = False
+        arrays = dict(frozen.params)
         before = {k: v.copy() for k, v in model.named_parameters().items()}
-        adam_step(OptimizerState(), model.named_parameters(trainable_only=True),
-                  model.named_grads(trainable_only=True))
+        params, grads = model.flat_trainable()
+        assert params.size == sum(p.size for p in model.backbone[1].params.values())
+        grads.fill(1.0)
+        adam_step(OptimizerState(), params, grads)
         after = model.named_parameters()
-        for k in before:
-            assert np.array_equal(before[k], after[k])
+        for name, arr in arrays.items():
+            assert frozen.params[name] is arr
+            assert np.array_equal(before[f"0.{name}"], after[f"0.{name}"])
+        for name in ("w", "b"):
+            assert not np.array_equal(before[f"1.{name}"], after[f"1.{name}"])
 
 
 class TestPlateau:
@@ -350,6 +357,16 @@ def training_forward(model, x):
     model.forward_layers(x, 0, len(model.layers) - 1, training=True, keep_cache=True)
 
 
+def trainable_grads(model):
+    return {f"{i}.{name}": grad for i, layer in enumerate(model.layers) if layer.trainable
+            for name, grad in layer.grads.items()}
+
+
+def zero_trainable_grads(model):
+    for grad in trainable_grads(model).values():
+        grad.fill(0.0)
+
+
 def full_layer_backward(model, x, dout):
     """Oracle: every layer but the final Softmax forwards with a cache, and the
     gradient runs through all of them down to the input."""
@@ -372,13 +389,13 @@ class TestParameterOnlyBackward:
         model = variant_c_model(upto)
         rng = np.random.default_rng(6)
         x, dout = rng.random((4, 3, 16, 16)), rng.normal(size=(4, 3))
-        model.zero_grads()
+        zero_trainable_grads(model)
         full_layer_backward(model, x, dout)
-        full = {k: v.copy() for k, v in model.named_grads(trainable_only=True).items()}
-        model.zero_grads()
+        full = {k: v.copy() for k, v in trainable_grads(model).items()}
+        zero_trainable_grads(model)
         training_forward(model, x)
         assert model.backward(dout) is None
-        got = model.named_grads(trainable_only=True)
+        got = trainable_grads(model)
         assert got.keys() == full.keys() and len(got) > 0
         for key in full:
             assert np.array_equal(got[key], full[key]), key
@@ -409,9 +426,8 @@ class TestParameterOnlyBackward:
         for layer in model.layers:
             layer.trainable = False
             layer.backward = None  # calling it would raise
-        model.zero_grads()
         assert model.backward(self._forward(model)) is None
-        assert all(not g.any() for g in model.named_grads().values())
+        assert all(not g.any() for layer in model.layers for g in layer.grads.values())
 
     @pytest.mark.parametrize("upto", [3, 8, 11])
     def test_grad_cam_ignores_freezing(self, upto):
@@ -494,6 +510,7 @@ def reference_train(model, train_set, lr, epochs, batch, seed):
     """Reference training loop: every step runs the whole stack but a final
     Softmax, frozen layers included."""
     opt = OptimizerState(learning_rate=lr)
+    params, grads = model.flat_trainable()
     rng = np.random.default_rng(seed)
     model.reseed_dropout(int(rng.integers(2**31)))
     n = len(train_set)
@@ -507,12 +524,11 @@ def reference_train(model, train_set, lr, epochs, batch, seed):
         total, seen = 0.0, 0
         for start in range(0, n, batch):
             idx = perm[start:start + batch]
-            model.zero_grads()
+            grads.fill(0.0)
             logits = model.forward_layers(x_all[idx], 0, stop, training=True, keep_cache=True)
             loss, dlogits = cross_entropy_loss(logits, y_all[idx])
             model.backward(dlogits)
-            adam_step(opt, model.named_parameters(trainable_only=True),
-                      model.named_grads(trainable_only=True))
+            adam_step(opt, params, grads)
             total += loss * len(idx)
             seen += len(idx)
         log.append(total / seen)

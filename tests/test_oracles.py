@@ -5,8 +5,9 @@ used before it worked on whole arrays, the recursive tree builder that grew
 one node at a time before the forest grew its trees together, the forest
 average over one stacked array of every tree's output, the reshape/argmax
 `MaxPool2d`, the `np.pad` form of `Conv2d`'s padding, `Conv2d`'s im2col and
-col2im as one slice copy per (channel, ky, kx), the augmentation that
-transformed one image per call, the two-pass Grad-CAM that replayed the
+col2im as one slice copy per (channel, ky, kx), the Adam step that looped
+over a name -> array mapping, the augmentation that transformed one image
+per call, the two-pass Grad-CAM that replayed the
 forward for the last conv activation, and the ablation that kept one row
 object per arm, with its delta, before every arm went through `fit_arm`.
 They live only here; every comparison is exact (`np.array_equal`,
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_ensemble import SIZE, noise_features, projector
@@ -67,7 +68,7 @@ from enfuse.explain import (
     shap_sampled,
 )
 from enfuse.fusion import METHODS
-from enfuse.nn import Conv2d, EncoderModel, MaxPool2d, Softmax
+from enfuse.nn import Conv2d, EncoderModel, MaxPool2d, OptimizerState, Softmax, adam_step, optim
 from enfuse.pretrain import (
     build_backbone,
     make_classification_head,
@@ -555,6 +556,13 @@ ACTIVATIONS = np.array([0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 2.0])
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), c=st.integers(1, 4),
        h=st.sampled_from((2, 4, 6, 8)), w=st.sampled_from((2, 4, 8)),
        continuous=st.booleans())
+# the pools training runs, on batches of 8, 26 (13 contrastive pairs) and 32
+# views; tied windows are common when the values are not continuous
+@example(seed=1, n=8, c=8, h=16, w=16, continuous=False)
+@example(seed=2, n=26, c=6, h=16, w=16, continuous=False)
+@example(seed=3, n=32, c=12, h=8, w=8, continuous=False)
+@example(seed=4, n=8, c=24, h=4, w=4, continuous=False)
+@example(seed=5, n=32, c=8, h=16, w=16, continuous=True)
 def test_maxpool_matches_argmax_oracle(seed, n, c, h, w, continuous):
     rng = np.random.default_rng(seed)
     if continuous:
@@ -604,6 +612,14 @@ SIGNED = np.array([-1.5, -0.0, 0.0, 0.5, 2.0])
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), c_in=st.integers(1, 16),
        c_out=st.integers(1, 6), kernel=st.sampled_from((1, 3, 5)),
        h=st.integers(1, 9), w=st.integers(1, 9), continuous=st.booleans())
+# the convs training runs: 16x16 inputs with k3 and k5 on batches of 8, 26
+# (13 contrastive pairs) and 32 views, and variant C's 4x4 convs at 24 channels
+@example(seed=1, n=8, c_in=3, c_out=8, kernel=3, h=16, w=16, continuous=False)
+@example(seed=2, n=26, c_in=3, c_out=6, kernel=5, h=16, w=16, continuous=False)
+@example(seed=3, n=32, c_in=8, c_out=12, kernel=3, h=16, w=16, continuous=False)
+@example(seed=4, n=32, c_in=3, c_out=6, kernel=5, h=16, w=16, continuous=True)
+@example(seed=5, n=8, c_in=16, c_out=24, kernel=3, h=4, w=4, continuous=False)
+@example(seed=6, n=8, c_in=24, c_out=6, kernel=3, h=4, w=4, continuous=True)
 def test_conv_matches_per_slice_loop_oracle(seed, n, c_in, c_out, kernel, h, w, continuous):
     rng = np.random.default_rng(seed)
     x = rng.choice(SIGNED, size=(n, c_in, h, w))
@@ -617,6 +633,64 @@ def test_conv_matches_per_slice_loop_oracle(seed, n, c_in, c_out, kernel, h, w, 
         assert same_bits(layer.backward(dout), oracle.backward(dout))
         for name in ("w", "b"):
             assert same_bits(layer.grads[name], oracle.grads[name])
+
+
+def per_parameter_adam_step(state, params, grads):
+    """Adam over a name -> array mapping, one parameter at a time; `state`
+    holds the step count, the rate and the moments by name."""
+    state["step"] += 1
+    t, lr = state["step"], state["lr"]
+    for name, p in params.items():
+        g = grads[name]
+        if name not in state["m"]:
+            state["m"][name] = np.zeros_like(p)
+            state["v"][name] = np.zeros_like(p)
+        p -= lr * optim.WEIGHT_DECAY * p
+        m, v = state["m"][name], state["v"][name]
+        m *= optim.BETA1
+        m += (1 - optim.BETA1) * g
+        v *= optim.BETA2
+        v += (1 - optim.BETA2) * g * g
+        mhat = m / (1 - optim.BETA1 ** t)
+        vhat = v / (1 - optim.BETA2 ** t)
+        p -= lr * mhat / (np.sqrt(vhat) + optim.EPS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from("ABC"),
+       upto=st.sampled_from((0, 3, None)), steps=st.integers(3, 6),
+       lr=st.sampled_from((0.001, 0.02)))
+def test_flat_adam_matches_per_parameter_oracle(seed, variant, upto, steps, lr):
+    """Over several steps with weight decay, the flat step gives the oracle's
+    parameters and moments, to the bit, and leaves frozen layers alone."""
+    assert optim.WEIGHT_DECAY > 0
+    rng = np.random.default_rng(seed)
+    model = EncoderModel(build_backbone(variant, rng))
+    model.set_head(make_classification_head(model.feature_dim, 3, rng))
+    model.freeze_backbone(upto=upto)
+    trainable = {f"{i}.{name}": (layer, name) for i, layer in enumerate(model.layers)
+                 if layer.trainable for name in layer.params}
+    frozen = [(layer, name, arr, arr.copy()) for layer in model.layers
+              if not layer.trainable for name, arr in layer.params.items()]
+    want = {key: layer.params[name].copy() for key, (layer, name) in trainable.items()}
+    oracle = {"step": 0, "lr": lr, "m": {}, "v": {}}
+    state = OptimizerState(learning_rate=lr)
+    params, grads = model.flat_trainable()
+    for _ in range(steps):
+        grads.fill(0.0)
+        for layer, name in trainable.values():  # a backward accumulates into the views
+            g = layer.grads[name]
+            g += rng.choice(SIGNED, size=g.shape) * rng.normal(size=g.shape)
+        per_parameter_adam_step(oracle, want, {key: layer.grads[name].copy()
+                                               for key, (layer, name) in trainable.items()})
+        adam_step(state, params, grads)
+    for key, (layer, name) in trainable.items():
+        assert np.shares_memory(layer.params[name], params)
+        assert same_bits(layer.params[name], want[key]), key
+    for got, moments in ((state.m, oracle["m"]), (state.v, oracle["v"])):
+        assert same_bits(got, np.concatenate([moments[key].ravel() for key in trainable]))
+    for layer, name, arr, before in frozen:
+        assert layer.params[name] is arr and same_bits(arr, before), name
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ from each of them: a forest's trees in lockstep, one node per tree in each
 tree's preorder, and a boosting round's class trees a whole level at a time.
 The trees equal, bit for bit, those of growing each tree alone, one node at a
 time.
+
+A forest is one flat node table (`TREE_COLUMNS`), the arrays its file
+stores, built once when it is fitted or checked once when it is loaded. It
+predicts in one walk: every (tree, query row) pair goes down together, one
+level per step, in blocks of bounded size, and each block's leaf values are
+added in tree order from 0.0, as a loop over the trees adds them.
 """
 
 from __future__ import annotations
@@ -35,38 +41,27 @@ RF_MAX_DEPTH = 10
 RF_MIN_SPLIT = 3        # fewest rows a node needs to split
 GBT_ETA = 0.9           # learning rate on each round's leaf scores
 GBT_MIN_SPLIT = 2
-
-
-@dataclass
-class Tree:
-    """Flat decision/regression tree: node i is a leaf iff feature[i] < 0."""
-
-    feature: np.ndarray    # (n_nodes,) int64, -1 for leaves
-    threshold: np.ndarray  # (n_nodes,) float64
-    left: np.ndarray       # (n_nodes,) int64 child index, -1 for leaves
-    right: np.ndarray
-    value: np.ndarray      # (n_nodes, width): class dist or 1-wide score
-
-    def predict_value(self, x: np.ndarray) -> np.ndarray:
-        """Leaf value per row, walking all rows down the tree one level per step."""
-        node = np.zeros(len(x), dtype=np.int64)
-        rows = np.arange(len(x))
-        while len(rows):
-            feature = self.feature[node[rows]]
-            inner = feature >= 0
-            rows, feature = rows[inner], feature[inner]
-            at = node[rows]
-            node[rows] = np.where(x[rows, feature] <= self.threshold[at],
-                                  self.left[at], self.right[at])
-        return self.value[node]
+# A forest walk holds a few arrays of one entry per (tree, query row) pair; it
+# walks at most this many pairs at once (256 KiB per int64 array)
+FOREST_BLOCK_PAIRS = 1 << 15
+# A forest's flat node table, trees in order, each tree's nodes in preorder:
+# tree t is nodes tree_offsets[t] .. tree_offsets[t + 1] - 1, a node is a leaf
+# iff its feature is negative, and a child is numbered from its tree's first
+# node (-1 at leaves). tree_value holds one row per node: the class shares (RF)
+# or the one leaf score (GBT).
+TREE_COLUMNS = ("tree_offsets", "tree_feature", "tree_threshold", "tree_left",
+                "tree_right", "tree_value")
+_INDEX_COLUMNS = ("tree_offsets", "tree_feature", "tree_left", "tree_right")
 
 
 @dataclass
 class TrainedClassifier:
+    """A fitted classifier; RF and GBT hold their forest in `arrays` as the
+    node table `TREE_COLUMNS` names."""
+
     kind: str
     n_classes: int
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    trees: list[Tree] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
 
@@ -333,12 +328,12 @@ def _padded(parts: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grow_trees(x, roots, criterion, *, max_depth, min_split, rngs,
-                n_feature_sub) -> tuple[list[Tree], np.ndarray]:
-    """Grow one tree from each root's row list, all together; each tree's
-    nodes are numbered in preorder. Also returns, for each row of x, the
+                n_feature_sub) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Grow one tree from each root's row list, all together, and return
+    their node table (`TREE_COLUMNS`). Also returns, for each row of x, the
     value of the last node made that holds it: the row's leaf in its tree,
     where no two roots list the row (GBT's stacked copies), so the row is
-    routed there by its tree as `Tree.predict_value` routes it.
+    routed there by its tree as `_leaf_blocks` routes it.
 
     A node gets its value, and is tested for purity, when it is made. It
     splits at the cut the criterion scores lowest (ties go to the first
@@ -409,12 +404,12 @@ def _grow_trees(x, roots, criterion, *, max_depth, min_split, rngs,
         first = make(parts, trees, np.array(depth))
         left_child += [(slot, first + 2 * k) for k, slot in enumerate(parents)]
     values = np.concatenate(values)
-    return _preorder_trees(values, cuts, left_child, len(roots)), values[reached]
+    return _preorder_table(values, cuts, left_child, len(roots)), values[reached]
 
 
-def _preorder_trees(values, cuts, left_child, n_trees) -> list[Tree]:
-    """Gather the nodes, by slot, into trees numbered in preorder; roots are
-    slots 0 .. n_trees - 1."""
+def _preorder_table(values, cuts, left_child, n_trees) -> dict[str, np.ndarray]:
+    """Gather the nodes, by slot, into the node table of trees numbered in
+    preorder; roots are slots 0 .. n_trees - 1."""
     n_slots = len(values)
     feature = np.full(n_slots, -1)
     threshold = np.zeros(n_slots)
@@ -436,9 +431,68 @@ def _preorder_trees(values, cuts, left_child, n_trees) -> list[Tree]:
     pre = np.array(pre)
     left = np.array(left)[order]
     inner = left >= 0
-    columns = (feature[order], threshold[order], np.where(inner, pre[left], -1),
-               np.where(inner, pre[left + 1], -1), values[order])
-    return [Tree(*(column[a:b] for column in columns)) for a, b in zip(bounds, bounds[1:])]
+    return dict(zip(TREE_COLUMNS, (np.array(bounds), feature[order], threshold[order],
+                                   np.where(inner, pre[left], -1),
+                                   np.where(inner, pre[left + 1], -1), values[order])))
+
+
+def _join_tables(tables: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """One node table of the tables' trees, in order."""
+    starts = np.cumsum([0] + [t["tree_offsets"][-1] for t in tables[:-1]])
+    joined = {name: np.concatenate([t[name] for t in tables]) for name in TREE_COLUMNS[1:]}
+    joined["tree_offsets"] = np.concatenate(
+        [[0]] + [t["tree_offsets"][1:] + start for t, start in zip(tables, starts)])
+    return joined
+
+
+def _leaf_blocks(table: dict[str, np.ndarray], q: np.ndarray):
+    """Per block of query rows, yield (start, values): values[t, i] is the
+    leaf value tree t gives row start + i.
+
+    Every (tree, row) pair of a block walks down together, one level per
+    step: a pair at an inner node goes left iff its row's value is
+    `<= threshold` (so NaN goes right), and a pair at a leaf stays there.
+    Pairs at their leaves leave the walk once they are a quarter of those
+    still in it. A block has at most FOREST_BLOCK_PAIRS pairs; as a tree's
+    leaf for one row reads no other row, blocking changes no value.
+    """
+    offsets, feature, left, right = (table[name] for name in _INDEX_COLUMNS)
+    threshold, value = table["tree_threshold"], table["tree_value"]
+    n_trees = len(offsets) - 1
+    leaf = feature < 0
+    # per node, its (right, left) child by node number, and a leaf is its own
+    # child, so a `<=` test's outcome picks the column
+    first = np.repeat(offsets[:-1], np.diff(offsets))  # each node's tree's root
+    own = np.arange(len(feature))
+    children = np.stack([np.where(leaf, own, first + right),
+                         np.where(leaf, own, first + left)], axis=1)
+    split = np.where(leaf, 0, feature)
+    step = max(1, FOREST_BLOCK_PAIRS // n_trees)
+    for start in range(0, len(q), step):
+        block = q[start:start + step]
+        node = np.repeat(offsets[:-1], len(block))  # pairs at their roots, trees major
+        row = np.tile(np.arange(len(block)), n_trees)
+        walking = None  # once pairs leave the walk, node is reached[walking]
+        while True:
+            done = leaf[node]
+            n_done = np.count_nonzero(done)
+            if n_done == len(node):
+                break
+            if 4 * n_done > len(node):
+                keep = np.flatnonzero(~done)
+                if walking is None:
+                    reached, walking = node.copy(), keep
+                else:
+                    reached[walking] = node
+                    walking = walking[keep]
+                node, row = node[keep], row[keep]
+            go_left = block[row, split[node]] <= threshold[node]
+            node = children[node, go_left.view(np.uint8)]
+        if walking is None:
+            reached = node
+        else:
+            reached[walking] = node
+        yield start, value[reached].reshape(n_trees, len(block), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -456,21 +510,23 @@ def fit_rf(x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0) -> T
     n, d = x.shape
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_trees)]
     bootstraps = [rng.integers(0, n, size=n) for rng in rngs]
-    trees, _ = _grow_trees(x, bootstraps, _Gini(y, k), max_depth=RF_MAX_DEPTH,
+    table, _ = _grow_trees(x, bootstraps, _Gini(y, k), max_depth=RF_MAX_DEPTH,
                            min_split=RF_MIN_SPLIT, rngs=rngs,
                            n_feature_sub=int(np.ceil(np.sqrt(d))))
-    return TrainedClassifier("RF", k, trees=trees,
+    return TrainedClassifier("RF", k, arrays=table,
                              meta={"n_trees": n_trees, "max_depth": RF_MAX_DEPTH,
                                    "min_split": RF_MIN_SPLIT, "seed": seed})
 
 
 def _rf_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
-    # summed in tree order then divided, the same float operations as np.mean
-    # over the stacked outputs, without holding every tree's output at once
+    # summed in tree order from 0.0, then divided: the float operations of
+    # np.mean over the stacked outputs, without holding every tree's at once
     p = np.zeros((len(q), clf.n_classes))
-    for t in clf.trees:
-        p += t.predict_value(q)
-    p /= len(clf.trees)
+    for start, values in _leaf_blocks(clf.arrays, q):
+        part = p[start:start + values.shape[1]]  # a view: adds land in p
+        for value in values:
+            part += value
+    p /= len(clf.arrays["tree_offsets"]) - 1
     return p / p.sum(axis=1, keepdims=True)
 
 
@@ -491,6 +547,8 @@ def fit_gbt(x: np.ndarray, y: np.ndarray, max_depth: int = 10,
     x, y, k = _check_xy(x, y)
     if len(np.unique(y)) < 2:
         raise InvalidDatasetError("GBT needs at least 2 classes")
+    if rounds < 1:
+        raise InvalidArgumentError("GBT needs at least one round")
     n = len(x)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
@@ -500,31 +558,35 @@ def fit_gbt(x: np.ndarray, y: np.ndarray, max_depth: int = 10,
     stacked = np.tile(x, (k, 1))
     roots = [np.arange(cls * n, cls * n + n) for cls in range(k)]
 
-    trees: list[Tree] = []
+    tables = []
     loss_log = []
     for _ in range(rounds):
         p = _softmax(scores)
         residual = onehot - p
         hess = p * (1.0 - p)
-        grown, leaf_value = _grow_trees(
+        table, leaf_value = _grow_trees(
             stacked, roots, _SquaredError(residual.T.ravel(), hess.T.ravel()),
             max_depth=max_depth, min_split=GBT_MIN_SPLIT, rngs=None, n_feature_sub=None)
-        trees += grown
+        tables.append(table)
         # row cls*n + i of the stack is row i in class tree cls
         scores += GBT_ETA * leaf_value[:, 0].reshape(k, n).T
         p = _softmax(scores)
         loss_log.append(float(-np.log(p[np.arange(n), y] + 1e-300).mean()))
-    return TrainedClassifier("GBT", k, trees=trees,
+    return TrainedClassifier("GBT", k, arrays=_join_tables(tables),
                              meta={"eta": GBT_ETA, "max_depth": max_depth,
                                    "rounds": rounds, "min_split": GBT_MIN_SPLIT,
                                    "train_log_loss": loss_log})
 
 
 def _gbt_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
+    # tree i scores class i % k: each class adds its trees' scaled leaf
+    # scores in round order, from 0.0
     k, eta = clf.n_classes, clf.meta["eta"]
     scores = np.zeros((len(q), k))
-    for i, tree in enumerate(clf.trees):
-        scores[:, i % k] += eta * tree.predict_value(q)[:, 0]
+    for start, values in _leaf_blocks(clf.arrays, q):
+        part = scores[start:start + values.shape[1]]
+        for round_scores in (eta * values[:, :, 0]).reshape(-1, k, values.shape[1]):
+            part += round_scores.T
     return _softmax(scores)
 
 
@@ -555,37 +617,47 @@ def predict(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _pack_trees(trees: list[Tree]) -> dict[str, np.ndarray]:
-    if not trees:
-        return {}
-    offsets = np.cumsum([0] + [len(t.feature) for t in trees])
-    return {
-        "tree_offsets": offsets.astype(np.float64),
-        "tree_feature": np.concatenate([t.feature for t in trees]).astype(np.float64),
-        "tree_threshold": np.concatenate([t.threshold for t in trees]),
-        "tree_left": np.concatenate([t.left for t in trees]).astype(np.float64),
-        "tree_right": np.concatenate([t.right for t in trees]).astype(np.float64),
-        "tree_value": np.concatenate([t.value for t in trees]),
-    }
+def _forest_table(arrays: dict[str, np.ndarray], kind: str,
+                  n_classes: int) -> dict[str, np.ndarray]:
+    """A loaded forest's arrays with its index columns as int64.
 
-
-def _unpack_trees(arrays: dict[str, np.ndarray]) -> list[Tree]:
-    if "tree_offsets" not in arrays:
-        return []
-    offsets = arrays["tree_offsets"].astype(np.int64)
-    trees = []
-    for a, b in zip(offsets[:-1], offsets[1:]):
-        trees.append(Tree(arrays["tree_feature"][a:b].astype(np.int64),
-                          arrays["tree_threshold"][a:b].copy(),
-                          arrays["tree_left"][a:b].astype(np.int64),
-                          arrays["tree_right"][a:b].astype(np.int64),
-                          arrays["tree_value"][a:b].copy()))
-    return trees
+    IntegrityError unless every walk stays in its own tree and ends: at
+    least one tree (for GBT, a whole number of rounds), offsets that rise
+    from 0 to the node count, columns one row per node, and inner nodes
+    whose children lie after them in their own tree, leaves with none.
+    """
+    missing = [name for name in TREE_COLUMNS if name not in arrays]
+    if missing:
+        raise IntegrityError(f"{kind} classifier file has no {missing[0]}")
+    table = dict(arrays)
+    for name in _INDEX_COLUMNS:
+        with np.errstate(invalid="ignore"):
+            table[name] = arrays[name].astype(np.int64)
+        if arrays[name].ndim != 1 or not np.array_equal(table[name], arrays[name]):
+            raise IntegrityError(f"{name} must be a vector of whole numbers")
+    offsets, feature, left, right = (table[name] for name in _INDEX_COLUMNS)
+    n_nodes, n_trees = len(feature), len(offsets) - 1
+    width = n_classes if kind == "RF" else 1
+    if (table["tree_threshold"].shape != (n_nodes,) or len(left) != n_nodes
+            or len(right) != n_nodes or table["tree_value"].shape != (n_nodes, width)):
+        raise IntegrityError(f"tree columns must hold one row per node, values {width} wide")
+    sizes = np.diff(offsets)
+    if n_trees < 1 or offsets[0] != 0 or offsets[-1] != n_nodes or np.any(sizes < 1):
+        raise IntegrityError("tree_offsets must rise from 0 to the node count")
+    if kind == "GBT" and (n_classes < 1 or n_trees % n_classes):
+        raise IntegrityError(f"GBT has {n_trees} trees, not one per class per round")
+    local = np.arange(n_nodes) - np.repeat(offsets[:-1], sizes)  # each node's place in its tree
+    size = np.repeat(sizes, sizes)
+    inner = feature >= 0
+    if np.any(inner & ((left <= local) | (left >= size) | (right <= local) | (right >= size))):
+        raise IntegrityError("a tree node's child lies outside its tree or not after it")
+    if np.any(~inner & ((left != -1) | (right != -1))):
+        raise IntegrityError("a tree leaf has a child")
+    return table
 
 
 def save_classifier(clf: TrainedClassifier, path) -> None:
-    arrays = dict(clf.arrays)
-    arrays.update(_pack_trees(clf.trees))
+    arrays = clf.arrays  # a forest's index columns are written as float64, as all arrays are
     header = {
         "kind": clf.kind,
         "n_classes": clf.n_classes,
@@ -604,7 +676,7 @@ def load_classifier(path) -> TrainedClassifier:
     if header["kind"] not in KINDS:
         raise IntegrityError(f"unknown classifier kind {header['kind']!r}")
     arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
-    trees = _unpack_trees(arrays)
-    plain = {n: a for n, a in arrays.items() if not n.startswith("tree_")}
-    return TrainedClassifier(header["kind"], header["n_classes"],
-                             arrays=plain, trees=trees, meta=header["meta"])
+    if header["kind"] in ("RF", "GBT"):
+        arrays = _forest_table(arrays, header["kind"], header["n_classes"])
+    return TrainedClassifier(header["kind"], header["n_classes"], arrays=arrays,
+                             meta=header["meta"])

@@ -1,10 +1,12 @@
 """Synthetic task generation, splitting, augmentation, and image encoding.
 
 Images are float64 arrays of shape (H, W, C) with values in [0, 1] and
-C in {1, 3}. Augmentation works on (N, H, W, C) stacks: each image gets its
-own angle, zoom factor and coin flips, and each step runs over the whole
-stack. Images are only encoded, as binary PGM (P5) or PPM (P6); no image
-file is ever read.
+C in {1, 3}. A synthetic task draws each motif's images as one stack: one
+loop over the images makes the random draws, in the order of drawing one
+image at a time, and the masks, tint, noise and clip run over the stack.
+Augmentation works on (N, H, W, C) stacks: each image gets its own angle,
+zoom factor and coin flips, and each step runs over the whole stack. Images
+are only encoded, as binary PGM (P5) or PPM (P6); no image file is ever read.
 """
 
 from __future__ import annotations
@@ -262,16 +264,30 @@ TASK_MOTIFS = {
 }
 
 
-def _draw_motif(motif: str, size: tuple[int, int], rng: np.random.Generator,
-                param_shift: float) -> np.ndarray:
+def _draw_motif(motif: str, n: int, size: tuple[int, int], rng: np.random.Generator,
+                noise_std: float, param_shift: float) -> np.ndarray:
+    """n images of one motif, (n, H, W, 3), each at its own centre.
+
+    Image by image, the generator draws the centre's row offset, its column
+    offset, then (when noise_std > 0) the image's noise; the masks, tint,
+    noise sum and clip then run over the whole stack.
+    """
     h, w = size
+    shifts = np.empty((n, 2))
+    noise = np.empty((n, h, w, 3)) if noise_std > 0 else None
+    for i in range(n):
+        shifts[i, 0] = rng.uniform(-0.06, 0.06)
+        shifts[i, 1] = rng.uniform(-0.06, 0.06)
+        if noise is not None:
+            noise[i] = rng.normal(0.0, noise_std, (h, w, 3))
+    cy = (h / 2.0 + shifts[:, 0] * h)[:, None, None]
+    cx = (w / 2.0 + shifts[:, 1] * w)[:, None, None]
     yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
     scale = min(h, w)
-    cy = h / 2.0 + rng.uniform(-0.06, 0.06) * h
-    cx = w / 2.0 + rng.uniform(-0.06, 0.06) * w
     r_base = (0.28 + param_shift) * scale
     thick = (0.10 + 0.5 * param_shift) * scale
-    dist = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
+    if motif in ("disk", "ring"):
+        dist = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
     if motif == "disk":
         mask = dist <= r_base
     elif motif == "bar":
@@ -285,11 +301,11 @@ def _draw_motif(motif: str, size: tuple[int, int], rng: np.random.Generator,
         mask = (dist <= r_base) & (dist >= r_base - thick)
     else:
         raise InvalidArgumentError(f"unknown motif {motif!r}")
-    canvas = np.full((h, w), 0.15 + param_shift * 0.3)
-    fg = 0.85 - param_shift * 0.2
-    img = np.where(mask, fg, canvas)
-    tint = np.array(_TINTS[motif])
-    return img[:, :, None] * tint[None, None, :]
+    img = np.where(mask, 0.85 - param_shift * 0.2, 0.15 + param_shift * 0.3)
+    images = img[..., None] * np.array(_TINTS[motif])
+    if noise is not None:
+        images = images + noise
+    return np.clip(images, 0.0, 1.0)
 
 
 def make_synthetic_task(kind: str, n_per_class: int, size: tuple[int, int],
@@ -306,12 +322,7 @@ def make_synthetic_task(kind: str, n_per_class: int, size: tuple[int, int],
         raise InvalidArgumentError("n_per_class must be >= 1")
     motifs = TASK_MOTIFS[kind]
     rng = np.random.default_rng(seed)
-    images, labels = [], []
-    for label, motif in enumerate(motifs):
-        for _ in range(n_per_class):
-            img = _draw_motif(motif, size, rng, param_shift)
-            if noise_std > 0:
-                img = img + rng.normal(0.0, noise_std, img.shape)
-            images.append(np.clip(img, 0.0, 1.0))
-            labels.append(label)
-    return LabeledImageSet(np.stack(images), np.array(labels), list(motifs))
+    # label-major, so each motif's images make their draws in turn
+    images = np.concatenate([_draw_motif(motif, n_per_class, size, rng, noise_std, param_shift)
+                             for motif in motifs])
+    return LabeledImageSet(images, np.repeat(np.arange(len(motifs)), n_per_class), list(motifs))

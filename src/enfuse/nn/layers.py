@@ -54,19 +54,28 @@ class Layer:
         return {"kind": type(self).__name__}
 
 
-class Conv2d(Layer):
-    """k x k convolution, stride 1, same padding."""
+def _he_weights(shape: tuple[int, int], rng: np.random.Generator | None,
+                draw: bool) -> np.ndarray:
+    """He-normal weights of this (fan_in, fan_out) shape from rng (a fresh
+    default_rng(0) when None); unset, with no draw, when not `draw`."""
+    if not draw:
+        return np.empty(shape)
+    rng = rng or np.random.default_rng(0)
+    return rng.normal(0.0, np.sqrt(2.0 / shape[0]), shape)
 
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator | None = None):
+
+class Conv2d(Layer):
+    """k x k convolution, stride 1, same padding. With draw=False the
+    weights are left unset, for a loader to fill."""
+
+    def __init__(self, in_ch: int, out_ch: int, kernel: int,
+                 rng: np.random.Generator | None = None, *, draw: bool = True):
         super().__init__()
         if kernel % 2 == 0:
             raise InvalidArgumentError("same-padding conv needs an odd kernel")
         self.in_ch, self.out_ch, self.kernel = in_ch, out_ch, kernel
-        rng = rng or np.random.default_rng(0)
-        fan_in = in_ch * kernel * kernel
-        std = np.sqrt(2.0 / fan_in)
         self.params = {
-            "w": rng.normal(0.0, std, (fan_in, out_ch)),
+            "w": _he_weights((in_ch * kernel * kernel, out_ch), rng, draw),
             "b": np.zeros(out_ch),
         }
         self.zero_grads()
@@ -122,12 +131,13 @@ class Conv2d(Layer):
 
 
 class Dense(Layer):
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
+    """Fully connected layer; draw=False as for Conv2d."""
+
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None, *,
+                 draw: bool = True):
         super().__init__()
         self.in_dim, self.out_dim = in_dim, out_dim
-        rng = rng or np.random.default_rng(0)
-        std = np.sqrt(2.0 / in_dim)
-        self.params = {"w": rng.normal(0.0, std, (in_dim, out_dim)), "b": np.zeros(out_dim)}
+        self.params = {"w": _he_weights((in_dim, out_dim), rng, draw), "b": np.zeros(out_dim)}
         self.zero_grads()
 
     def forward(self, x, training=False, keep_cache=False):
@@ -264,9 +274,10 @@ class Softmax(Layer):
         return p * (dout - (dout * p).sum(axis=1, keepdims=True))
 
 
+# layers as a loader builds them: weights unset, for the file's to replace
 _LAYER_KINDS = {
-    "Conv2d": lambda d: Conv2d(d["in_ch"], d["out_ch"], d["kernel"]),
-    "Dense": lambda d: Dense(d["in_dim"], d["out_dim"]),
+    "Conv2d": lambda d: Conv2d(d["in_ch"], d["out_ch"], d["kernel"], draw=False),
+    "Dense": lambda d: Dense(d["in_dim"], d["out_dim"], draw=False),
     "ReLU": lambda d: ReLU(),
     "MaxPool2d": lambda d: MaxPool2d(),
     "GlobalAvgPool": lambda d: GlobalAvgPool(),

@@ -166,11 +166,16 @@ class EncoderModel:
                                  f"the last conv's {model.feature_dim} channels")
         model.meta = header.get("meta", {})
         layers = model.layers
+        loaded = set()
         for rec, arr in zip(header["arrays"], arrays):
             layer, name = layers[rec["layer"]], rec["name"]
             if name not in layer.params or layer.params[name].shape != arr.shape:
                 raise IntegrityError(f"shape chain mismatch at layer {rec['layer']}.{name}")
             layer.params[name] = arr
+            loaded.add((rec["layer"], name))
+        # the layers were built with unset weights: every one must come from the file
+        if len(loaded) != sum(len(layer.params) for layer in layers):
+            raise IntegrityError("model file lacks a layer's weights")
         for layer, flag in zip(model.layers, header["trainable"]):
             layer.trainable = flag
         return model

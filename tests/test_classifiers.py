@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from enfuse.artifact import pack, unpack
 from enfuse.classifiers import (
+    CLASSIFIER_MAGIC,
     fit_gbt,
     fit_gnb,
     fit_knn,
@@ -12,7 +14,7 @@ from enfuse.classifiers import (
     predict_proba,
     save_classifier,
 )
-from enfuse.errors import InvalidArgumentError, InvalidDatasetError
+from enfuse.errors import IntegrityError, InvalidArgumentError, InvalidDatasetError
 from enfuse.linalg import standardize
 
 
@@ -129,7 +131,7 @@ class TestRf:
         x = np.random.default_rng(0).normal(size=(10, 2))
         y = np.zeros(10, dtype=int)
         clf = fit_rf(x, y, n_trees=10, seed=0)
-        assert all(len(t.feature) == 1 for t in clf.trees)
+        assert np.array_equal(np.diff(clf.arrays["tree_offsets"]), np.ones(10))
         assert np.array_equal(predict_proba(clf, x[:3]), np.ones((3, 1)))
 
     def test_xor_pattern(self):
@@ -173,10 +175,16 @@ class TestGbt:
         x = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
         y = np.array([0, 0, 0, 1, 1, 1])
         clf = fit_gbt(x, y, rounds=1)
-        root_feature = clf.trees[0].feature[0]
-        root_threshold = clf.trees[0].threshold[0]
+        root_feature = clf.arrays["tree_feature"][0]  # the first tree's root
+        root_threshold = clf.arrays["tree_threshold"][0]
         assert root_feature == 0
         assert root_threshold == 2.5
+
+    def test_no_rounds_rejected(self):
+        """A model with no trees has no scores to boost."""
+        x, y = blobs([(-1, 0), (1, 0)], seed=9)
+        with pytest.raises(InvalidArgumentError):
+            fit_gbt(x, y, rounds=0)
 
     def test_consistent_dataset_memorized(self):
         rng = np.random.default_rng(10)
@@ -223,3 +231,96 @@ class TestSharedContracts:
             back = load_classifier(path)
             assert back.kind == kind
             assert np.array_equal(predict_proba(back, q), predict_proba(clf, q))
+
+
+class TestForestFiles:
+    """A forest file loads only if every walk stays in its own tree and ends."""
+
+    @pytest.fixture(scope="class", params=["RF", "GBT"])
+    def saved(self, request, tmp_path_factory):
+        x, y = blobs([(-2, 0), (2, 0), (0, 3)], n=8, spread=1.5, seed=14)
+        clf = (fit_rf(x, y, n_trees=4, seed=1) if request.param == "RF"
+               else fit_gbt(x, y, rounds=2))
+        path = tmp_path_factory.mktemp("forest") / "clf.bin"
+        save_classifier(clf, path)
+        return clf, path
+
+    @staticmethod
+    def columns(path):
+        header, values = unpack(path.read_bytes(), CLASSIFIER_MAGIC, "classifier")
+        return header, {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
+
+    @staticmethod
+    def repacked(header, arrays, out):
+        header = dict(header, arrays=[{"name": n, "shape": list(a.shape)}
+                                      for n, a in sorted(arrays.items())])
+        out.write_bytes(pack(CLASSIFIER_MAGIC, header, [a for _, a in sorted(arrays.items())]))
+        return out
+
+    def test_roundtrip_keeps_bytes_and_table(self, saved, tmp_path):
+        clf, path = saved
+        back = load_classifier(path)
+        for name in ("tree_offsets", "tree_feature", "tree_left", "tree_right"):
+            assert back.arrays[name].dtype == np.int64
+        for name, arr in clf.arrays.items():
+            assert np.array_equal(back.arrays[name], arr), name
+        save_classifier(back, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    @staticmethod
+    def fault(arrays, name):
+        """(column, index, value) of an edit that breaks one rule."""
+        offsets, feature = arrays["tree_offsets"], arrays["tree_feature"]
+        size0 = int(offsets[1])
+        assert size0 >= 3 and feature[0] >= 0  # the first tree's root splits
+        leaf = int(np.flatnonzero(feature < 0)[0])
+        below = int(np.flatnonzero(feature[1:size0] >= 0)[0]) + 1  # an inner node under the root
+        return {
+            "offsets-start-past-0": ("tree_offsets", 0, 1.0),
+            "offsets-repeat": ("tree_offsets", 1, offsets[2]),
+            "offsets-fall": ("tree_offsets", 1, offsets[2] + 1),
+            "offsets-end-early": ("tree_offsets", -1, offsets[-1] - 1),
+            "offsets-end-late": ("tree_offsets", -1, offsets[-1] + 1),
+            "child-in-next-tree": ("tree_right", 0, size0),
+            "child-before-tree": ("tree_left", 0, -1),
+            "child-is-the-node": ("tree_left", 0, 0),
+            "child-above-the-node": ("tree_right", below, 0),
+            "leaf-with-left-child": ("tree_left", leaf, leaf + 1),
+            "leaf-with-right-child": ("tree_right", leaf, 0),
+            "fractional-child": ("tree_left", 0, 1.5),
+            "fractional-feature": ("tree_feature", 0, 0.5),
+        }[name]
+
+    @pytest.mark.parametrize("fault", [
+        "offsets-start-past-0", "offsets-repeat", "offsets-fall", "offsets-end-early",
+        "offsets-end-late", "child-in-next-tree", "child-before-tree", "child-is-the-node",
+        "child-above-the-node", "leaf-with-left-child", "leaf-with-right-child",
+        "fractional-child", "fractional-feature"])
+    def test_fault_rejected(self, saved, tmp_path, fault):
+        _, path = saved
+        header, arrays = self.columns(path)
+        load_classifier(self.repacked(header, arrays, tmp_path / "ok.bin"))
+        column, i, value = self.fault(arrays, fault)
+        arrays[column][i] = value
+        with pytest.raises(IntegrityError):
+            load_classifier(self.repacked(header, arrays, tmp_path / "bad.bin"))
+
+    def test_missing_column_and_empty_forest_rejected(self, saved, tmp_path):
+        clf, path = saved
+        header, arrays = self.columns(path)
+        for drop in ("tree_offsets", "tree_value"):
+            kept = {k: a for k, a in arrays.items() if k != drop}
+            with pytest.raises(IntegrityError, match=drop):
+                load_classifier(self.repacked(header, kept, tmp_path / "bad.bin"))
+        empty = {k: a[:0] for k, a in arrays.items()}
+        empty["tree_offsets"] = np.zeros(1)
+        with pytest.raises(IntegrityError):
+            load_classifier(self.repacked(header, empty, tmp_path / "bad.bin"))
+        if clf.kind == "GBT":  # one class tree short of a round
+            k = clf.n_classes
+            cut = int(arrays["tree_offsets"][-2])
+            short = {n: a[:cut] for n, a in arrays.items() if n != "tree_offsets"}
+            short["tree_offsets"] = arrays["tree_offsets"][:-1]
+            assert (len(short["tree_offsets"]) - 1) % k
+            with pytest.raises(IntegrityError, match="round"):
+                load_classifier(self.repacked(header, short, tmp_path / "bad.bin"))

@@ -679,6 +679,20 @@ class TestModelPersistence:
         with pytest.raises(IntegrityError, match="feature_dim"):
             EncoderModel.load_bytes(pack(MODEL_MAGIC, header, arrays))
 
+    def test_every_weight_must_be_in_the_file(self):
+        """Loaded layers start with unset weights, so a file that lacks one
+        is rejected rather than loaded with whatever the array held."""
+        from enfuse.artifact import pack, unpack
+        from enfuse.errors import IntegrityError
+        from enfuse.nn.model import MODEL_MAGIC
+        rng = np.random.default_rng(31)
+        blob = EncoderModel([Conv2d(3, 4, 3, rng=rng), ReLU()], make_head(4, 3, rng)).save_bytes()
+        header, arrays = unpack(blob, MODEL_MAGIC, "model")
+        for drop in range(len(arrays)):
+            kept = dict(header, arrays=header["arrays"][:drop] + header["arrays"][drop + 1:])
+            with pytest.raises(IntegrityError, match="lacks"):
+                EncoderModel.load_bytes(pack(MODEL_MAGIC, kept, arrays[:drop] + arrays[drop + 1:]))
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)

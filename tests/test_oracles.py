@@ -1,9 +1,11 @@
-"""Bit-equality of the array-at-once tree, KNN, SHAP, conv-layer and Grad-CAM code with oracles.
+"""Bit-equality of the array-at-once tree, KNN, SHAP, conv-layer, task and Grad-CAM code with oracles.
 
 The oracles are the per-row, per-feature and per-permutation loops the library
 used before it worked on whole arrays, the recursive tree builder that grew
-one node at a time before the forest grew its trees together, the forest
-average over one stacked array of every tree's output, the reshape/argmax
+one node at a time before the forest grew its trees together, the per-tree
+walk and sum a forest predicted with before all its trees walked together,
+the forest average over one stacked array of every tree's output, the
+synthetic task drawn one image at a time, the reshape/argmax
 `MaxPool2d`, the `np.pad` form of `Conv2d`'s padding, `Conv2d`'s im2col and
 col2im as one slice copy per (channel, ky, kx), the Adam step that looped
 over a name -> array mapping, the augmentation that transformed one image
@@ -19,6 +21,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +37,6 @@ from enfuse.classifiers import (
     RF_MAX_DEPTH,
     RF_MIN_SPLIT,
     TrainedClassifier,
-    Tree,
     _softmax,
     fit_gbt,
     fit_knn,
@@ -43,7 +45,10 @@ from enfuse.classifiers import (
 )
 from enfuse.data import (
     ROTATION_DEGREES,
+    TASK_MOTIFS,
     ZOOM_RANGE,
+    _draw_motif,
+    _TINTS,
     make_synthetic_task,
     random_transform,
     resize_bilinear,
@@ -83,6 +88,49 @@ VALUES = (-2.0, -0.5, 0.0, 0.25, 1.0, 3.0)
 # Oracles
 # ---------------------------------------------------------------------------
 
+@dataclass
+class Tree:
+    """One tree of a forest's node table: node i is a leaf iff feature[i] < 0,
+    children numbered from the tree's root."""
+
+    feature: np.ndarray    # (n_nodes,) int64, -1 for leaves
+    threshold: np.ndarray  # (n_nodes,) float64
+    left: np.ndarray       # (n_nodes,) int64 child index, -1 for leaves
+    right: np.ndarray
+    value: np.ndarray      # (n_nodes, width): class dist or 1-wide score
+
+    def predict_value(self, x: np.ndarray) -> np.ndarray:
+        """Leaf value per row, walking all rows down this tree one level per step."""
+        node = np.zeros(len(x), dtype=np.int64)
+        rows = np.arange(len(x))
+        while len(rows):
+            feature = self.feature[node[rows]]
+            inner = feature >= 0
+            rows, feature = rows[inner], feature[inner]
+            at = node[rows]
+            node[rows] = np.where(x[rows, feature] <= self.threshold[at],
+                                  self.left[at], self.right[at])
+        return self.value[node]
+
+
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
+def trees_of(clf: TrainedClassifier) -> list[Tree]:
+    """The trees of a forest's node table, one by one."""
+    offsets = clf.arrays["tree_offsets"]
+    return [Tree(*(clf.arrays[f"tree_{name}"][a:b] for name in TREE_FIELDS))
+            for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+def forest(kind: str, n_classes: int, trees: list[Tree], meta=None) -> TrainedClassifier:
+    """A classifier whose node table holds these trees in order."""
+    arrays = {f"tree_{name}": np.concatenate([getattr(t, name) for t in trees])
+              for name in TREE_FIELDS}
+    arrays["tree_offsets"] = np.cumsum([0] + [len(t.feature) for t in trees])
+    return TrainedClassifier(kind, n_classes, arrays=arrays, meta=meta or {})
+
+
 def predict_value_rows(tree: Tree, x: np.ndarray) -> np.ndarray:
     out = np.empty((len(x), tree.value.shape[1]))
     for i, row in enumerate(x):
@@ -97,8 +145,27 @@ def predict_value_rows(tree: Tree, x: np.ndarray) -> np.ndarray:
 
 
 def rf_proba_stacked(clf, q: np.ndarray) -> np.ndarray:
-    p = np.mean([t.predict_value(q) for t in clf.trees], axis=0)
+    p = np.mean([t.predict_value(q) for t in trees_of(clf)], axis=0)
     return p / p.sum(axis=1, keepdims=True)
+
+
+def rf_proba_per_tree(clf, q: np.ndarray) -> np.ndarray:
+    """The forest's average as a sum over trees, one tree's walk at a time."""
+    trees = trees_of(clf)
+    p = np.zeros((len(q), clf.n_classes))
+    for t in trees:
+        p += t.predict_value(q)
+    p /= len(trees)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def gbt_proba_per_tree(clf, q: np.ndarray) -> np.ndarray:
+    """Boosted scores as a sum over trees, one tree's walk at a time."""
+    k, eta = clf.n_classes, clf.meta["eta"]
+    scores = np.zeros((len(q), k))
+    for i, tree in enumerate(trees_of(clf)):
+        scores[:, i % k] += eta * tree.predict_value(q)[:, 0]
+    return _softmax(scores)
 
 
 def gini_splitter_per_feature(n_classes):
@@ -256,7 +323,7 @@ def fit_rf_reference(x, y, n_trees, seed) -> TrainedClassifier:
             x, y, idx, rng, max_depth=RF_MAX_DEPTH, min_split=RF_MIN_SPLIT,
             n_feature_sub=int(np.ceil(np.sqrt(d))), leaf_value=leaf_value,
             splitter=gini_splitter_per_feature(k)))
-    return TrainedClassifier("RF", k, trees=trees)
+    return forest("RF", k, trees)
 
 
 def fit_gbt_reference(x, y, max_depth, rounds) -> tuple[list[Tree], list[float]]:
@@ -331,10 +398,14 @@ def random_tree(rng: np.random.Generator, d: int, width: int, max_depth: int) ->
                 rng.normal(size=(n_nodes, width)))
 
 
-def assert_same_trees(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        for name in ("feature", "threshold", "left", "right", "value"):
+def assert_same_trees(got: TrainedClassifier, want: list[Tree]):
+    """The forest's node table holds exactly these trees, in order."""
+    for name in ("tree_offsets", "tree_feature", "tree_left", "tree_right"):
+        assert got.arrays[name].dtype == np.int64, name
+    got_trees = trees_of(got)
+    assert len(got_trees) == len(want)
+    for a, b in zip(got_trees, want):
+        for name in TREE_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -344,12 +415,35 @@ def assert_same_trees(got, want):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), width=st.integers(1, 3),
-       max_depth=st.integers(0, 6), n_rows=st.integers(0, 30))
-def test_predict_value_matches_row_walk(seed, d, width, max_depth, n_rows):
+       max_depth=st.integers(0, 6), n_trees=st.integers(1, 6), n_rows=st.integers(0, 30),
+       block_pairs=st.integers(1, 40))
+# rows on both sides of a block boundary at the library's own block size
+@example(seed=1, d=3, width=2, max_depth=6, n_trees=6,
+         n_rows=classifiers.FOREST_BLOCK_PAIRS // 6 + 1,
+         block_pairs=classifiers.FOREST_BLOCK_PAIRS)
+@example(seed=2, d=2, width=1, max_depth=5, n_trees=5,
+         n_rows=classifiers.FOREST_BLOCK_PAIRS // 5 - 1,
+         block_pairs=classifiers.FOREST_BLOCK_PAIRS)
+def test_predict_value_matches_row_walk(seed, d, width, max_depth, n_trees, n_rows,
+                                        block_pairs):
+    """Every tree's leaf value for every row, as the forest walk gives them
+    block by block, equals the walk of one row down one tree: ties at the
+    threshold go left and NaN goes right."""
     rng = np.random.default_rng(seed)
-    tree = random_tree(rng, d, width, max_depth)
+    trees = [random_tree(rng, d, width, max_depth) for _ in range(n_trees)]
     x = rng.choice(np.array(VALUES + (np.nan,)), size=(n_rows, d))
-    assert np.array_equal(tree.predict_value(x), predict_value_rows(tree, x))
+    want = [predict_value_rows(tree, x) for tree in trees]
+    for tree, rows in zip(trees, want):
+        assert np.array_equal(tree.predict_value(x), rows)
+    with mock.patch.object(classifiers, "FOREST_BLOCK_PAIRS", block_pairs):
+        blocks = list(classifiers._leaf_blocks(forest("RF", width, trees).arrays, x))
+    step = max(1, block_pairs // n_trees)
+    assert [start for start, _ in blocks] == list(range(0, n_rows, step))
+    assert all(values.shape == (n_trees, min(step, n_rows - start), width)
+               for start, values in blocks)
+    got = (np.concatenate([values for _, values in blocks], axis=1) if blocks
+           else np.empty((n_trees, 0, width)))
+    assert np.array_equal(got, np.stack(want))
 
 
 @settings(max_examples=100, deadline=None)
@@ -401,7 +495,7 @@ def test_fit_rf_trees_match_per_feature_search(data, seed):
     x, y = data
     got = fit_rf(x, y, n_trees=4, seed=seed)
     want = fit_rf_reference(x, y, n_trees=4, seed=seed)
-    assert_same_trees(got.trees, want.trees)
+    assert_same_trees(got, trees_of(want))
     assert np.array_equal(predict_proba(got, x), predict_proba(want, x))
 
 
@@ -411,7 +505,7 @@ def test_fit_gbt_trees_match_per_feature_search(data, max_depth):
     x, y = data
     got = fit_gbt(x, y, rounds=3, max_depth=max_depth)
     want_trees, want_loss = fit_gbt_reference(x, y, rounds=3, max_depth=max_depth)
-    assert_same_trees(got.trees, want_trees)
+    assert_same_trees(got, want_trees)
     assert got.meta["train_log_loss"] == want_loss
 
 
@@ -423,27 +517,49 @@ def test_trees_finishing_at_different_steps_match_reference():
     y = np.repeat(np.arange(3), 16)
     x[:, 0] += y  # one informative feature, so some trees are shallow and some deep
     rf = fit_rf(x, y, n_trees=12, seed=3)
-    assert len({len(t.feature) for t in rf.trees}) > 3
-    assert_same_trees(rf.trees, fit_rf_reference(x, y, n_trees=12, seed=3).trees)
+    assert len(set(np.diff(rf.arrays["tree_offsets"]).tolist())) > 3
+    assert_same_trees(rf, trees_of(fit_rf_reference(x, y, n_trees=12, seed=3)))
     gbt = fit_gbt(x, y, rounds=4, max_depth=10)
-    assert len({len(t.feature) for t in gbt.trees[:3]}) > 1  # one round's class trees
+    assert len(set(np.diff(gbt.arrays["tree_offsets"][:4]).tolist())) > 1  # one round's class trees
     want_trees, want_loss = fit_gbt_reference(x, y, rounds=4, max_depth=10)
-    assert_same_trees(gbt.trees, want_trees)
+    assert_same_trees(gbt, want_trees)
     assert gbt.meta["train_log_loss"] == want_loss
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 119), k=st.integers(2, 4),
-       n_rows=st.integers(0, 2500))
-def test_rf_proba_matches_stacked_mean(seed, n_trees, k, n_rows):
+       n_rows=st.integers(0, 2500), signed_zero=st.booleans())
+def test_rf_proba_matches_stacked_mean(seed, n_trees, k, n_rows, signed_zero):
+    """Class shares, and with `signed_zero` a last class of -0.0 in every
+    leaf: a sum from 0.0 gives it +0.0, and one from the first tree -0.0."""
     rng = np.random.default_rng(seed)
     trees = [random_tree(rng, 3, k, 4) for _ in range(n_trees)]
     for tree in trees:  # class distributions, as fit_rf's leaves hold
         tree.value = rng.random(tree.value.shape)
+        if signed_zero:
+            tree.value[:, -1] = -0.0
         tree.value /= tree.value.sum(axis=1, keepdims=True)
-    clf = TrainedClassifier("RF", k, trees=trees)
-    q = rng.choice(np.array(VALUES), size=(n_rows, 3))
-    assert np.array_equal(predict_proba(clf, q), rf_proba_stacked(clf, q))
+    clf = forest("RF", k, trees)
+    q = rng.choice(np.array(VALUES + (np.nan,)), size=(n_rows, 3))
+    got = predict_proba(clf, q)
+    assert same_bits(got, rf_proba_stacked(clf, q))
+    assert same_bits(got, rf_proba_per_tree(clf, q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 40), k=st.integers(2, 4),
+       n_rows=st.integers(0, 2500), signed_zero=st.booleans())
+def test_gbt_proba_matches_per_tree_sum(seed, rounds, k, n_rows, signed_zero):
+    """Random class trees of 1-wide scores, -0.0 among them when
+    `signed_zero`, so a class's sum that does not start from 0.0 shows."""
+    rng = np.random.default_rng(seed)
+    trees = [random_tree(rng, 3, 1, 5) for _ in range(rounds * k)]
+    if signed_zero:
+        for tree in trees:
+            tree.value[rng.random(tree.value.shape) < 0.5] = -0.0
+    clf = forest("GBT", k, trees, meta={"eta": GBT_ETA})
+    q = rng.choice(np.array(VALUES + (np.nan,)), size=(n_rows, 3))
+    assert same_bits(predict_proba(clf, q), gbt_proba_per_tree(clf, q))
 
 
 @settings(max_examples=60, deadline=None)
@@ -752,6 +868,72 @@ def test_random_transform_matches_per_image_oracle(seed, n, h, w, channels, blur
                     ) if n else np.empty_like(images)
     assert same_bits(got, want)
     assert rng.random() == oracle_rng.random()
+
+
+# ---------------------------------------------------------------------------
+# Synthetic tasks
+# ---------------------------------------------------------------------------
+
+def draw_motif_one(motif, size, rng, param_shift):
+    """One motif image, its centre drawn from rng, its mask built on its own grid."""
+    h, w = size
+    yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
+    scale = min(h, w)
+    cy = h / 2.0 + rng.uniform(-0.06, 0.06) * h
+    cx = w / 2.0 + rng.uniform(-0.06, 0.06) * w
+    r_base = (0.28 + param_shift) * scale
+    thick = (0.10 + 0.5 * param_shift) * scale
+    dist = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
+    if motif == "disk":
+        mask = dist <= r_base
+    elif motif == "bar":
+        mask = (np.abs(yy - cy) <= thick) & (np.abs(xx - cx) <= r_base * 1.3)
+    elif motif == "cross":
+        arm = r_base * 1.15
+        mask = ((np.abs(yy - cy) <= thick * 0.8) & (np.abs(xx - cx) <= arm)) | (
+            (np.abs(xx - cx) <= thick * 0.8) & (np.abs(yy - cy) <= arm)
+        )
+    else:
+        mask = (dist <= r_base) & (dist >= r_base - thick)
+    canvas = np.full((h, w), 0.15 + param_shift * 0.3)
+    fg = 0.85 - param_shift * 0.2
+    img = np.where(mask, fg, canvas)
+    tint = np.array(_TINTS[motif])
+    return img[:, :, None] * tint[None, None, :]
+
+
+def task_per_image(kind, n_per_class, size, noise_std, rng, param_shift):
+    """(images, labels) of a task drawn one image at a time: its centre, then its noise."""
+    images, labels = [], []
+    for label, motif in enumerate(TASK_MOTIFS[kind]):
+        for _ in range(n_per_class):
+            img = draw_motif_one(motif, size, rng, param_shift)
+            if noise_std > 0:
+                img = img + rng.normal(0.0, noise_std, img.shape)
+            images.append(np.clip(img, 0.0, 1.0))
+            labels.append(label)
+    return np.stack(images), np.array(labels)
+
+
+@pytest.mark.parametrize("kind", sorted(TASK_MOTIFS))
+@pytest.mark.parametrize("noise_std", (0.0, 0.6))
+@pytest.mark.parametrize("param_shift", (0.0, 0.15))
+def test_synthetic_task_matches_per_image_oracle(kind, noise_std, param_shift):
+    for size, n_per_class in (((16, 24), 1), ((16, 24), 3), ((24, 16), 2)):
+        got = make_synthetic_task(kind, n_per_class, size, noise_std, seed=11,
+                                  param_shift=param_shift)
+        images, labels = task_per_image(kind, n_per_class, size, noise_std,
+                                        np.random.default_rng(11), param_shift)
+        assert same_bits(got.images, images)
+        assert np.array_equal(got.labels, labels)
+        assert got.class_names == list(TASK_MOTIFS[kind])
+        # the motif stacks leave the generator where the image loop does
+        rng, oracle_rng = np.random.default_rng(12), np.random.default_rng(12)
+        stacks = [_draw_motif(motif, n_per_class, size, rng, noise_std, param_shift)
+                  for motif in TASK_MOTIFS[kind]]
+        want, _ = task_per_image(kind, n_per_class, size, noise_std, oracle_rng, param_shift)
+        assert same_bits(np.concatenate(stacks), want)
+        assert rng.random() == oracle_rng.random()
 
 
 # ---------------------------------------------------------------------------

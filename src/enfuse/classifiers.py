@@ -52,6 +52,9 @@ FOREST_BLOCK_PAIRS = 1 << 15
 TREE_COLUMNS = ("tree_offsets", "tree_feature", "tree_threshold", "tree_left",
                 "tree_right", "tree_value")
 _INDEX_COLUMNS = ("tree_offsets", "tree_feature", "tree_left", "tree_right")
+# the arrays each kind predicts with, which its file must hold
+_ARRAYS = {"SVM": ("w", "b"), "KNN": ("x", "y"), "GNB": ("theta", "var", "priors"),
+           "RF": TREE_COLUMNS, "GBT": TREE_COLUMNS}
 
 
 @dataclass
@@ -499,7 +502,7 @@ def _leaf_blocks(table: dict[str, np.ndarray], q: np.ndarray):
 # Random forest
 # ---------------------------------------------------------------------------
 
-def fit_rf(x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0) -> TrainedClassifier:
+def fit_rf(x: np.ndarray, y: np.ndarray, n_trees: int = 100, *, seed: int) -> TrainedClassifier:
     """Bagged Gini trees with per-split feature subsampling of ceil(sqrt(D)),
     grown together in lockstep, each from its own generator."""
     x, y, k = _check_xy(x, y)
@@ -626,9 +629,6 @@ def _forest_table(arrays: dict[str, np.ndarray], kind: str,
     from 0 to the node count, columns one row per node, and inner nodes
     whose children lie after them in their own tree, leaves with none.
     """
-    missing = [name for name in TREE_COLUMNS if name not in arrays]
-    if missing:
-        raise IntegrityError(f"{kind} classifier file has no {missing[0]}")
     table = dict(arrays)
     for name in _INDEX_COLUMNS:
         with np.errstate(invalid="ignore"):
@@ -670,13 +670,22 @@ def save_classifier(clf: TrainedClassifier, path) -> None:
 
 
 def load_classifier(path) -> TrainedClassifier:
+    """The saved classifier; IntegrityError for a header without its kind,
+    class count or meta, an unknown kind, a file without an array its kind
+    predicts with, or a forest table `_forest_table` rejects."""
     with open(path, "rb") as f:
         blob = f.read()
     header, values = unpack(blob, CLASSIFIER_MAGIC, "classifier")
-    if header["kind"] not in KINDS:
-        raise IntegrityError(f"unknown classifier kind {header['kind']!r}")
-    arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
-    if header["kind"] in ("RF", "GBT"):
-        arrays = _forest_table(arrays, header["kind"], header["n_classes"])
-    return TrainedClassifier(header["kind"], header["n_classes"], arrays=arrays,
-                             meta=header["meta"])
+    try:
+        kind, n_classes, meta = header["kind"], header["n_classes"], header["meta"]
+        arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
+    except (KeyError, TypeError) as exc:
+        raise IntegrityError(f"unreadable classifier header: {exc!r}") from exc
+    if kind not in KINDS:
+        raise IntegrityError(f"unknown classifier kind {kind!r}")
+    missing = [name for name in _ARRAYS[kind] if name not in arrays]
+    if missing:
+        raise IntegrityError(f"{kind} classifier file has no {missing[0]}")
+    if kind in ("RF", "GBT"):
+        arrays = _forest_table(arrays, kind, n_classes)
+    return TrainedClassifier(kind, n_classes, arrays=arrays, meta=meta)

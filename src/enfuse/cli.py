@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifact import write_atomic
-from .classifiers import load_classifier, save_classifier
+from .classifiers import KINDS, load_classifier, save_classifier
 from .data import (
     TASK_MOTIFS,
     make_synthetic_task,
@@ -41,7 +41,6 @@ from .data import (
     stratified_train_counts,
 )
 from .ensemble import (
-    CLASSIFIER_ORDER,
     EnsembleModel,
     ablate,
     ablation_csv,
@@ -93,72 +92,56 @@ BASE_MODEL_NAMES = tuple(f"{m}_{v}" for m in ("tl", "ssl") for v in VARIANTS)
 # Configuration
 # ---------------------------------------------------------------------------
 
-DEFAULTS: dict[str, dict[str, object]] = {
+# Every setting: section -> key -> (default, allowed). `allowed` is an
+# interval for a number, "[" and "]" including the end point, "(" and ")"
+# excluding it; a tuple of choices for a string; None for any string.
+# `load_config` checks every value against it. Every count and size has a
+# finite top, so the split checks after it count in NumPy integers without
+# overflow.
+SETTINGS: dict[str, dict[str, tuple[object, str | tuple[str, ...] | None]]] = {
     "task": {
-        "name": "synthetic-ladder",
+        "name": ("synthetic-ladder", None),  # one directory name: load_config checks it
     },
     "data": {
-        "image_size": 16,
-        "generic_per_class": 12,
-        "intermediate_per_class": 15,
-        "target_per_class": 20,
-        "generic_noise": 0.0,
-        "intermediate_noise": 0.03,
-        "target_noise": 0.02,
-        "target_param_shift": 0.04,
-        "split_fraction": 0.8,
+        "image_size": (16, "[16, 1024]"),  # and the pooling factor's multiple: _check_image_size
+        "generic_per_class": (12, "[2, 100000]"),
+        "intermediate_per_class": (15, "[2, 100000]"),
+        "target_per_class": (20, "[2, 100000]"),
+        "generic_noise": (0.0, "[0, inf)"),
+        "intermediate_noise": (0.03, "[0, inf)"),
+        "target_noise": (0.02, "[0, inf)"),
+        "target_param_shift": (0.04, "[0, inf)"),
+        "split_fraction": (0.8, "(0, 1)"),
     },
     "pretrain": {
-        "epochs": 30,
-        "batch": 8,
-        "lr": 0.01,
-        "ssl_epochs": 8,
-        "ssl_batch_pairs": 16,
-        "ssl_lr": 0.01,
-        "temperature": 0.5,
-        "augment_blur_kernel": 3,
+        "epochs": (30, "[1, 100000]"),
+        "batch": (8, "[1, 100000]"),
+        "lr": (0.01, "(0, inf)"),
+        "ssl_epochs": (8, "[1, 100000]"),
+        "ssl_batch_pairs": (16, "[2, 100000]"),
+        "ssl_lr": (0.01, "(0, inf)"),
+        "temperature": (0.5, "(0, inf)"),
+        "augment_blur_kernel": (3, "[1, 1023]"),  # odd, and no wider than the largest image
     },
     "finetune": {
-        "epochs": 30,
-        "batch": 8,
-        "lr": 0.01,
+        "epochs": (30, "[1, 100000]"),
+        "batch": (8, "[1, 100000]"),
+        "lr": (0.01, "(0, inf)"),
     },
     "fusion": {
-        "method": "concat+ica",
-        "k": 16,  # retained components; 0 = automatic (min(rows - 1, 128, cols))
+        "method": ("concat+ica", METHODS),
+        "k": (16, "[0, 100000]"),  # retained components; 0 = automatic (min(rows - 1, 128, cols))
     },
     "explain": {
-        "perplexity": 10.0,
-        "tsne_iters": 500,
-        "shap_samples": 2048,
+        "perplexity": (10.0, "[1, inf)"),
+        "tsne_iters": (500, "[1, 100000]"),
+        "shap_samples": (2048, "[1, 100000]"),
     },
     "oodtest": {
-        "kind": "binary",
-        "per_class": 20,
-        "noise": 0.05,
+        "kind": ("binary", tuple(TASK_MOTIFS)),
+        "per_class": (20, "[2, 100000]"),
+        "noise": (0.05, "[0, inf)"),
     },
-}
-
-
-# The allowed interval of every numeric key in DEFAULTS, checked by load_config:
-# "[" and "]" include the end point, "(" and ")" exclude it. Every count and
-# size has a finite top, so the split checks after it count in NumPy integers
-# without overflow.
-BOUNDS: dict[str, dict[str, str]] = {
-    "data": {"image_size": "[16, 1024]",  # and the pooling factor's multiple: _check_image_size
-             "generic_per_class": "[2, 100000]", "intermediate_per_class": "[2, 100000]",
-             "target_per_class": "[2, 100000]", "generic_noise": "[0, inf)",
-             "intermediate_noise": "[0, inf)", "target_noise": "[0, inf)",
-             "target_param_shift": "[0, inf)", "split_fraction": "(0, 1)"},
-    "pretrain": {"epochs": "[1, 100000]", "batch": "[1, 100000]", "lr": "(0, inf)",
-                 "ssl_epochs": "[1, 100000]", "ssl_batch_pairs": "[2, 100000]",
-                 "ssl_lr": "(0, inf)", "temperature": "(0, inf)",
-                 "augment_blur_kernel": "[1, 1023]"},  # no wider than the largest image
-    "finetune": {"epochs": "[1, 100000]", "batch": "[1, 100000]", "lr": "(0, inf)"},
-    "fusion": {"k": "[0, 100000]"},
-    "explain": {"perplexity": "[1, inf)",
-                "tsne_iters": "[1, 100000]", "shap_samples": "[1, 100000]"},
-    "oodtest": {"per_class": "[2, 100000]", "noise": "[0, inf)"},
 }
 
 
@@ -171,7 +154,7 @@ def _within(value: float, bound: str) -> bool:
 def _coerce(section: str, key: str, raw: str):
     """`raw` as the type of the key's default: int, float or str."""
     try:
-        return type(DEFAULTS[section][key])(raw)
+        return type(SETTINGS[section][key][0])(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
@@ -179,14 +162,16 @@ def _coerce(section: str, key: str, raw: str):
 def load_config(path: str | None) -> dict[str, dict[str, object]]:
     """Flat key=value config with [section] headers and `#` comments.
 
-    Unknown sections or keys, numeric values outside `BOUNDS`, a task name
-    that is not one directory name, an even blur kernel, unknown fusion
-    methods or OOD task kinds, an image size that a stack cannot pool, a
-    train split with a class of fewer than 2 rows, and a `[fusion] k` that a
-    fit of the ensemble or of ablate could not keep are rejected here, before
-    any stage runs.
+    Unknown sections or keys, values that `SETTINGS` does not allow (a
+    number outside its interval, a fusion method or OOD task kind not among
+    its choices), a task name that is not one directory name, an even blur
+    kernel, an image size that a stack cannot pool, a train split with a
+    class of fewer than 2 rows, and a `[fusion] k` that a fit of the
+    ensemble or of ablate could not keep are rejected here, before any
+    stage runs.
     """
-    config = {section: dict(values) for section, values in DEFAULTS.items()}
+    config = {section: {key: default for key, (default, _) in keys.items()}
+              for section, keys in SETTINGS.items()}
     section = None
     try:
         lines = [] if path is None else Path(path).read_text().splitlines()
@@ -198,7 +183,7 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in DEFAULTS:
+            if section not in SETTINGS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         key, sep, value = line.partition("=")
@@ -207,25 +192,23 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key = key.strip()
-        if key not in DEFAULTS[section]:
+        if key not in SETTINGS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         config[section][key] = _coerce(section, key, value.strip())
-    for section, bounds in BOUNDS.items():
-        for key, bound in bounds.items():
+    for section, keys in SETTINGS.items():
+        for key, (_, allowed) in keys.items():
             value = config[section][key]
-            if not _within(value, bound):
-                raise ConfigError(f"[{section}] {key}: {value!r} is outside {bound}")
+            if isinstance(allowed, str) and not _within(value, allowed):
+                raise ConfigError(f"[{section}] {key}: {value!r} is outside {allowed}")
+            if isinstance(allowed, tuple) and value not in allowed:
+                raise ConfigError(f"[{section}] {key}: {value!r} is not one of "
+                                  f"{', '.join(allowed)}")
     name = config["task"]["name"]
     if name in ("", ".", "..") or "/" in name:  # joined to --out as one directory
         raise ConfigError(f"[task] name: {name!r} is not a single directory name")
     if config["pretrain"]["augment_blur_kernel"] % 2 == 0:
         raise ConfigError(f"[pretrain] augment_blur_kernel: "
                           f"{config['pretrain']['augment_blur_kernel']} is not odd")
-    for section, key, allowed in (("fusion", "method", METHODS),
-                                  ("oodtest", "kind", TASK_MOTIFS)):
-        if config[section][key] not in allowed:
-            raise ConfigError(f"[{section}] {key}: {config[section][key]!r} is not one of "
-                              f"{', '.join(allowed)}")
     rng = np.random.default_rng(0)
     encoders = {variant: EncoderModel(build_backbone(variant, rng)) for variant in VARIANTS}
     _check_image_size(config, encoders)
@@ -568,7 +551,7 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     train, test = target_split(config, seed)
     models = _load_target_models(out, config)
     method = config["fusion"]["method"]
-    k = config["fusion"]["k"] or None
+    k = config["fusion"]["k"]
     n_classes = len(train.class_names)
     train_parts, test_parts = extract_parts(models, train), extract_parts(models, test)
 
@@ -586,19 +569,19 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     transform_file = stage_dir / "transform.bin"
     save_transform(ensemble.transform, transform_file)
     files = [transform_file]
-    for kind, clf in zip(CLASSIFIER_ORDER, ensemble.classifiers):
+    for kind, clf in zip(KINDS, ensemble.classifiers):
         path = stage_dir / f"clf_{kind.lower()}.bin"
         save_classifier(clf, path)
         files.append(path)
 
     # stage comparison: base-model heads vs fused vs transformed vs voted
     concat_only = scores(test.labels, *fit_arm(train_parts, test_parts, list(train_parts),
-                                                n_classes, "concat-only", seed, None))
+                                                n_classes, "concat-only", seed, 0))
     lines = ["stage,name,accuracy"]
     for name, model in models:
         lines.append(f"base,{name},{accuracy(model, test):.6f}")
     lines.append(f"fused,concat-only,{concat_only['voted']:.6f}")
-    mean_clf = float(np.mean([accuracies[kind] for kind in CLASSIFIER_ORDER]))
+    mean_clf = float(np.mean([accuracies[kind] for kind in KINDS]))
     lines.append(f"selected,{method},{mean_clf:.6f}")
     lines.append(f"voted,majority,{report.accuracy:.6f}")
     reports[f"comparison_seed{seed}.csv"] = "\n".join(lines) + "\n"
@@ -615,7 +598,7 @@ def cmd_ablate(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path
     models = _load_target_models(out, config)
     arms = ablate(_rebuild_ensemble(out, config, models), extract_parts(models, train),
                   extract_parts(models, test), method=config["fusion"]["method"],
-                  seed=seed, k=config["fusion"]["k"] or None)
+                  seed=seed, k=config["fusion"]["k"])
     csv_file = stage_dir / f"ablation_seed{seed}.csv"
     write_atomic(csv_file, ablation_csv(arms).encode())
     svg_file = stage_dir / f"ablation_seed{seed}.svg"
@@ -631,7 +614,7 @@ def _rebuild_ensemble(out: Path, config: dict, models) -> EnsembleModel:
     stage_dir = _task_dir(out, config, "ensemble")
     transform = load_transform(stage_dir / "transform.bin")
     classifiers = [load_classifier(stage_dir / f"clf_{kind.lower()}.bin")
-                   for kind in CLASSIFIER_ORDER]
+                   for kind in KINDS]
     return EnsembleModel(classifiers, transform, [n for n, _ in models], classifiers[0].n_classes)
 
 
@@ -697,7 +680,7 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
     results = {}
     for label, models in (("pretrained", pretrained), ("random", random_models)):
         arm = fit_arm(extract_parts(models, train), extract_parts(models, test),
-                      list(BASE_MODEL_NAMES), len(train.class_names), method, seed, None)
+                      list(BASE_MODEL_NAMES), len(train.class_names), method, seed, 0)
         results[label] = scores(test.labels, *arm)["voted"]
     for name, path in weights.items():
         if file_sha256(path) != recorded[str(path.relative_to(out))]:

@@ -26,8 +26,6 @@ from .fusion import FusionTransform, apply_transform, concat_features, fuse_pipe
 from .nn import EncoderModel
 from .pretrain import extract_features
 
-CLASSIFIER_ORDER = KINDS
-
 
 # ---------------------------------------------------------------------------
 # Metrics
@@ -131,11 +129,11 @@ def majority_vote(predictions: list[np.ndarray], n_classes: int) -> np.ndarray:
     return np.argmax(tally, axis=1)
 
 
-def train_ensemble(parts: dict[str, FeatureMatrix], n_classes: int,
-                   method: str = "concat+ica", seed: int = 0,
-                   k: int | None = None) -> EnsembleModel:
-    """Fuse the training parts and fit the five classifiers on the result."""
-    fused, transform = fuse_pipeline(list(parts.values()), method, k=k, seed=seed)
+def train_ensemble(parts: dict[str, FeatureMatrix], n_classes: int, *, method: str,
+                   seed: int, k: int) -> EnsembleModel:
+    """Fuse the training parts (`fuse_pipeline`: k = 0 is automatic) and fit
+    the five classifiers on the result."""
+    fused, transform = fuse_pipeline(list(parts.values()), method=method, k=k, seed=seed)
     x, y = fused.data, fused.labels
     classifiers = [
         fit_svm(x, y),
@@ -155,18 +153,18 @@ def predict_ensemble(model: EnsembleModel, parts: dict[str, FeatureMatrix]):
 
 
 def fit_arm(train_parts: dict[str, FeatureMatrix], test_parts: dict[str, FeatureMatrix],
-            names: list[str], n_classes: int, method: str, seed: int, k: int | None):
+            names: list[str], n_classes: int, method: str, seed: int, k: int):
     """Fit an ensemble on the named base models' train parts, in `names` order,
     and predict their test parts: (per-classifier predictions, voted labels)."""
     model = train_ensemble({name: train_parts[name] for name in names}, n_classes,
-                           method, seed=seed, k=k)
+                           method=method, seed=seed, k=k)
     return predict_ensemble(model, {name: test_parts[name] for name in names})
 
 
 def scores(true: np.ndarray, per_clf: list[np.ndarray], voted: np.ndarray) -> dict[str, float]:
-    """Accuracy of each classifier, in `CLASSIFIER_ORDER`, then of the vote."""
+    """Accuracy of each classifier, in `KINDS` order, then of the vote."""
     accuracies = {kind: float(np.mean(preds == true))
-                  for kind, preds in zip(CLASSIFIER_ORDER, per_clf)}
+                  for kind, preds in zip(KINDS, per_clf)}
     accuracies["voted"] = float(np.mean(voted == true))
     return accuracies
 
@@ -187,8 +185,8 @@ def evaluate(model: EnsembleModel, parts: dict[str, FeatureMatrix]
 # ---------------------------------------------------------------------------
 
 def ablate(full: EnsembleModel, train_parts: dict[str, FeatureMatrix],
-           test_parts: dict[str, FeatureMatrix], method: str = "concat+ica",
-           seed: int = 0, k: int | None = None) -> dict[str | None, dict[str, float]]:
+           test_parts: dict[str, FeatureMatrix], *, method: str, seed: int,
+           k: int) -> dict[str | None, dict[str, float]]:
     """The `scores` of each arm, keyed by the base model it leaves out.
 
     The full arm comes first, under None, from `full`: the ensemble already
@@ -233,11 +231,11 @@ def ablation_csv(arms: dict[str | None, dict[str, float]]) -> str:
     """One row per `ablate` arm; delta_voted is against the full (first) arm."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["excluded"] + list(CLASSIFIER_ORDER)
+    writer.writerow(["excluded"] + list(KINDS)
                     + ["mean_classifier", "voted", "delta_voted"])
     full_voted = next(iter(arms.values()))["voted"]
     for excluded, accuracies in arms.items():
-        per_clf = [accuracies[kind] for kind in CLASSIFIER_ORDER]
+        per_clf = [accuracies[kind] for kind in KINDS]
         writer.writerow([excluded or "(none)"] + [f"{acc:.6f}" for acc in per_clf]
                         + [f"{float(np.mean(per_clf)):.6f}", f"{accuracies['voted']:.6f}",
                            f"{accuracies['voted'] - full_voted:+.6f}"])
@@ -253,6 +251,6 @@ def summary_text(report: MetricReport, accuracies: dict[str, float]) -> str:
         f"  macro F1       : {report.macro_f1:.4f}",
         "  per-classifier accuracy:",
     ]
-    for kind in CLASSIFIER_ORDER:
+    for kind in KINDS:
         lines.append(f"    {kind:<4}: {accuracies[kind]:.4f}")
     return "\n".join(lines) + "\n"

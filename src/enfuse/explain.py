@@ -24,7 +24,7 @@ from .nn.model import EncoderModel
 
 SHAP_EXACT_MAX_FEATURES = 15
 # shap_sampled evaluates the coalitions of whole permutations in calls of at
-# most this many rows; the default 2048 samples over 16 features are 2,176 rows
+# most this many rows; `[explain] shap_samples = 2048` over 16 features are 2,176 rows
 SHAP_BLOCK_ROWS = 4096
 SHAP_BACKGROUND_ROWS = 10  # training rows whose mean stands in for a missing feature
 
@@ -148,8 +148,8 @@ def shap_exact(model, instance: np.ndarray, background) -> ShapExplanation:
     return ShapExplanation(phi, float(vals[0]), float(vals[-1]))
 
 
-def shap_sampled(model, instance: np.ndarray, background,
-                 n_samples: int = 2048, seed: int = 0) -> ShapExplanation:
+def shap_sampled(model, instance: np.ndarray, background, *, n_samples: int,
+                 seed: int) -> ShapExplanation:
     """Permutation-sampling Shapley estimate with exact local accuracy.
 
     The estimation residual is redistributed proportionally to |phi| so
@@ -225,8 +225,8 @@ def _conditional_p(dist_sq: np.ndarray, perplexity: float) -> np.ndarray:
 TSNE_MIN_ROWS = 4  # the fewest rows t-SNE embeds
 
 
-def tsne_embed(x: FeatureMatrix, perplexity: float = 30.0, iters: int = 1000,
-               seed: int = 0) -> Embedding2D:
+def tsne_embed(x: FeatureMatrix, *, perplexity: float, iters: int,
+               seed: int) -> Embedding2D:
     """Exact-pairwise symmetric t-SNE, learning rate 200, early exaggeration, momentum."""
     data = x.data
     n = len(data)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifact import pack, unpack, write_atomic
-from .errors import InvalidArgumentError
+from .errors import IntegrityError, InvalidArgumentError
 from .features import FeatureMatrix
 from .linalg import eigh_symmetric, standardize, whiten
 
@@ -80,7 +80,7 @@ def fit_pca(x: FeatureMatrix, k: int) -> FusionTransform:
                            explained_variance_ratio=ratios)
 
 
-def fit_ica(x: FeatureMatrix, k: int, seed: int = 0) -> FusionTransform:
+def fit_ica(x: FeatureMatrix, k: int, *, seed: int) -> FusionTransform:
     """FastICA by deflation with the log-cosh (tanh) nonlinearity.
 
     Components are extracted one by one in whitened space with Gram-Schmidt
@@ -172,17 +172,17 @@ def apply_transform(t: FusionTransform, x: FeatureMatrix) -> FeatureMatrix:
 METHODS = ("concat-only", "concat+pca", "concat+ica", "concat+lda")
 
 
-def fuse_pipeline(parts: list[FeatureMatrix], method: str = "concat+ica",
-                  k: int | None = None, seed: int = 0) -> tuple[FeatureMatrix, FusionTransform]:
+def fuse_pipeline(parts: list[FeatureMatrix], *, method: str, k: int,
+                  seed: int) -> tuple[FeatureMatrix, FusionTransform]:
     """Concatenate parts and fit the chosen transform on the result.
 
-    Default retained dimension is min(n_rows - 1, 128, n_cols). The returned
+    k = 0 retains the automatic min(n_rows - 1, 128, n_cols). The returned
     transform must be reused as-is on test features (no refitting).
     """
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown fusion method {method!r}")
     x = concat_features(parts)
-    if k is None:
+    if k == 0:
         k = min(x.n_rows - 1, DEFAULT_ICA_DIM, x.n_cols)
     if method == "concat-only":
         t = fit_identity(x)
@@ -212,10 +212,15 @@ def save_transform(t: FusionTransform, path) -> None:
 
 
 def load_transform(path) -> FusionTransform:
+    """The saved transform; IntegrityError for a file without its kind or
+    one of its arrays."""
     with open(path, "rb") as f:
         blob = f.read()
     header, values = unpack(blob, TRANSFORM_MAGIC, "transform")
-    arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
-    return FusionTransform(header["kind"], arrays["mean"], arrays["std"],
-                           arrays["components"],
-                           explained_variance_ratio=arrays.get("evr"))
+    try:
+        arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
+        return FusionTransform(header["kind"], arrays["mean"], arrays["std"],
+                               arrays["components"],
+                               explained_variance_ratio=arrays.get("evr"))
+    except (KeyError, TypeError) as exc:
+        raise IntegrityError(f"unreadable transform file: {exc!r}") from exc

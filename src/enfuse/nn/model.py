@@ -157,26 +157,37 @@ class EncoderModel:
 
     @classmethod
     def load_bytes(cls, blob: bytes) -> "EncoderModel":
+        """The model a `save_bytes` blob holds; IntegrityError for any fault
+        in the file, framing or header."""
         header, arrays = unpack(blob, MODEL_MAGIC, "model")
-        backbone = [layer_from_descriptor(d) for d in header["backbone"]]
-        head = [layer_from_descriptor(d) for d in header["head"]]
-        model = cls(backbone, head)
-        if header["feature_dim"] != model.feature_dim:
-            raise IntegrityError(f"feature_dim {header['feature_dim']} does not match "
+        try:
+            model = cls([layer_from_descriptor(d) for d in header["backbone"]],
+                        [layer_from_descriptor(d) for d in header["head"]])
+            feature_dim, trainable = header["feature_dim"], header["trainable"]
+            records = [(rec["layer"], rec["name"]) for rec in header["arrays"]]
+        except (KeyError, TypeError, ValueError, AttributeError, InvalidArgumentError) as exc:
+            raise IntegrityError(f"unreadable model header: {exc!r}") from exc
+        if feature_dim != model.feature_dim:
+            raise IntegrityError(f"feature_dim {feature_dim} does not match "
                                  f"the last conv's {model.feature_dim} channels")
         model.meta = header.get("meta", {})
         layers = model.layers
+        n_layers = len(layers)
         loaded = set()
-        for rec, arr in zip(header["arrays"], arrays):
-            layer, name = layers[rec["layer"]], rec["name"]
-            if name not in layer.params or layer.params[name].shape != arr.shape:
-                raise IntegrityError(f"shape chain mismatch at layer {rec['layer']}.{name}")
-            layer.params[name] = arr
-            loaded.add((rec["layer"], name))
+        for (i, name), arr in zip(records, arrays):
+            if type(i) is not int or not 0 <= i < n_layers or type(name) is not str:
+                raise IntegrityError(f"array record ({i!r}, {name!r}) names no layer parameter")
+            if name not in layers[i].params or layers[i].params[name].shape != arr.shape:
+                raise IntegrityError(f"shape chain mismatch at layer {i}.{name}")
+            layers[i].params[name] = arr
+            loaded.add((i, name))
         # the layers were built with unset weights: every one must come from the file
         if len(loaded) != sum(len(layer.params) for layer in layers):
             raise IntegrityError("model file lacks a layer's weights")
-        for layer, flag in zip(model.layers, header["trainable"]):
+        if (not isinstance(trainable, list) or len(trainable) != n_layers
+                or not set(map(type, trainable)) <= {bool}):
+            raise IntegrityError(f"trainable must hold one bool per layer ({n_layers})")
+        for layer, flag in zip(layers, trainable):
             layer.trainable = flag
         return model
 

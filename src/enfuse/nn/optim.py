@@ -26,7 +26,7 @@ MIN_IMPROVE = 1e-6
 
 @dataclass
 class OptimizerState:
-    learning_rate: float = 0.001
+    learning_rate: float
     step: int = 0
     # first and second moments, one per flat parameter; the first step makes them
     m: np.ndarray | None = None

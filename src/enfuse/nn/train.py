@@ -43,8 +43,8 @@ def frozen_prefix_end(layers: list[Layer]) -> int:
                 len(layers))
 
 
-def train_supervised(model: EncoderModel, train_set: LabeledImageSet, lr: float,
-                     epochs: int = 50, batch: int = 64, seed: int = 0) -> list[float]:
+def train_supervised(model: EncoderModel, train_set: LabeledImageSet, lr: float, *,
+                     epochs: int, batch: int, seed: int) -> list[float]:
     """Train backbone+head with cross-entropy at rate `lr`; returns per-epoch mean losses.
 
     The frozen prefix (see the module docstring) runs once, in batches of

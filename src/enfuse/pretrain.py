@@ -92,9 +92,8 @@ def _first_block_end(backbone) -> int:
 # Transfer-learning path
 # ---------------------------------------------------------------------------
 
-def pretrain_generic(variant: str, generic_set: LabeledImageSet,
-                     epochs: int = 50, batch: int = 64, seed: int = 0,
-                     lr: float = 0.001) -> EncoderModel:
+def pretrain_generic(variant: str, generic_set: LabeledImageSet, *, epochs: int,
+                     batch: int, seed: int, lr: float) -> EncoderModel:
     """Supervised pre-training on the generic source task; head is discarded."""
     if generic_set.n_classes < 2:
         raise InvalidArgumentError("generic pre-training needs >= 2 classes")
@@ -108,9 +107,8 @@ def pretrain_generic(variant: str, generic_set: LabeledImageSet,
     return model
 
 
-def finetune_intermediate_tl(model: EncoderModel, d_in: LabeledImageSet,
-                             epochs: int = 50, batch: int = 64, seed: int = 0,
-                             lr: float = 0.001) -> EncoderModel:
+def finetune_intermediate_tl(model: EncoderModel, d_in: LabeledImageSet, *,
+                             epochs: int, batch: int, seed: int, lr: float) -> EncoderModel:
     """Retrain on the intermediate source task with the first conv block frozen."""
     if model.meta.get("stage") != "generic":
         raise InvalidStateError("intermediate fine-tuning needs a generic-stage model")
@@ -123,9 +121,8 @@ def finetune_intermediate_tl(model: EncoderModel, d_in: LabeledImageSet,
     return model
 
 
-def finetune_target_tl(model: EncoderModel, d_tar_train: LabeledImageSet,
-                       epochs: int = 50, batch: int = 64, seed: int = 0,
-                       lr: float = 0.001) -> EncoderModel:
+def finetune_target_tl(model: EncoderModel, d_tar_train: LabeledImageSet, *,
+                       epochs: int, batch: int, seed: int, lr: float) -> EncoderModel:
     """Target fine-tuning: only the final conv block and a fresh head train."""
     if model.meta.get("stage") != "intermediate":
         raise InvalidStateError("target fine-tuning needs an intermediate-stage model")
@@ -143,8 +140,8 @@ def finetune_target_tl(model: EncoderModel, d_tar_train: LabeledImageSet,
 # ---------------------------------------------------------------------------
 
 def pretrain_ssl(variant: str, dataset: LabeledImageSet, *, temperature: float,
-                 batch_pairs: int, blur_kernel: int, epochs: int = 50, seed: int = 0,
-                 lr: float = 0.001) -> EncoderModel:
+                 batch_pairs: int, blur_kernel: int, epochs: int, seed: int,
+                 lr: float) -> EncoderModel:
     """Contrastive pre-training over two augmented views per image; labels are unused.
 
     Each step takes up to `batch_pairs` images and scores their views with
@@ -185,9 +182,8 @@ def pretrain_ssl(variant: str, dataset: LabeledImageSet, *, temperature: float,
     return model
 
 
-def finetune_target_ssl(model: EncoderModel, d_tar_train: LabeledImageSet,
-                        epochs: int = 50, batch: int = 64, seed: int = 0,
-                        lr: float = 0.001) -> EncoderModel:
+def finetune_target_ssl(model: EncoderModel, d_tar_train: LabeledImageSet, *,
+                        epochs: int, batch: int, seed: int, lr: float) -> EncoderModel:
     """Swap the projection head for a classification head; backbone stays frozen."""
     if model.meta.get("stage") != "ssl-pretrain":
         raise InvalidStateError("target fine-tuning needs a contrastively pre-trained model")

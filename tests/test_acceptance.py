@@ -228,7 +228,7 @@ def test_criterion_8_end_to_end_benchmark(pipeline):
     out, config = pipeline
     train, test = target_split(config, SEED)
     models = _load_target_models(out, config)
-    method, k = config["fusion"]["method"], config["fusion"]["k"] or None
+    method, k = config["fusion"]["method"], config["fusion"]["k"]
 
     base_accs = {}
     log = (out / config["task"]["name"] / "finetune" / "accuracy.log").read_text()
@@ -336,7 +336,7 @@ def test_criterion_12_ablation_consistency(pipeline):
     out, config = pipeline
     train, test = target_split(config, SEED)
     models = _load_target_models(out, config)
-    method, k = config["fusion"]["method"], config["fusion"]["k"] or None
+    method, k = config["fusion"]["method"], config["fusion"]["k"]
 
     def noise_features(ds):
         rng = np.random.default_rng(31337 + 1000 * len(ds))

@@ -156,7 +156,7 @@ class TestRf:
         """An empty forest has no vote to average."""
         x, y = blobs([(-1, 0), (1, 0)], seed=6)
         with pytest.raises(InvalidArgumentError):
-            fit_rf(x, y, n_trees=0)
+            fit_rf(x, y, n_trees=0, seed=0)
 
 
 class TestGbt:
@@ -231,6 +231,27 @@ class TestSharedContracts:
             back = load_classifier(path)
             assert back.kind == kind
             assert np.array_equal(predict_proba(back, q), predict_proba(clf, q))
+
+    # a saved classifier of the named kind, less these header fields or arrays
+    FILE_FAULTS = {"SVM-no-kind": ("kind",), "GNB-no-n_classes": ("n_classes",),
+                   "KNN-no-meta": ("meta",), "SVM-no-arrays": ("w", "b"),
+                   "KNN-no-y": ("y",), "GNB-no-var": ("var",)}
+
+    @pytest.mark.parametrize("fault", sorted(FILE_FAULTS))
+    def test_malformed_file_rejected(self, fitted, tmp_path, fault):
+        """A header without a field, or a file without an array its kind
+        predicts with, is an integrity error at load, not a KeyError at load
+        or at predict."""
+        path = tmp_path / "clf.bin"
+        save_classifier(fitted[2][fault.split("-")[0]], path)
+        header, values = unpack(path.read_bytes(), CLASSIFIER_MAGIC, "classifier")
+        drop = self.FILE_FAULTS[fault]
+        keep = [i for i, rec in enumerate(header["arrays"]) if rec["name"] not in drop]
+        header = {n: x for n, x in header.items() if n not in drop}
+        header["arrays"] = [header["arrays"][i] for i in keep]
+        path.write_bytes(pack(CLASSIFIER_MAGIC, header, [values[i] for i in keep]))
+        with pytest.raises(IntegrityError):
+            load_classifier(path)
 
 
 class TestForestFiles:

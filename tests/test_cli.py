@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enfuse import cli, explain
-from enfuse.cli import BOUNDS, DEFAULTS, load_config, run, target_split
+from enfuse.cli import SETTINGS, load_config, run, target_split
 from enfuse.data import TASK_MOTIFS, make_synthetic_task, stratified_split
 from enfuse.ensemble import evaluate, train_ensemble
 from enfuse.errors import ConfigError, EnfuseError, InvalidArgumentError
@@ -89,17 +89,21 @@ def skipped_stages(stdout: str) -> set[str]:
             if line.endswith(": up to date, skipping")}
 
 
-NUMERIC_KEYS = [(section, key) for section in BOUNDS for key in BOUNDS[section]]
+DEFAULTS = {section: {key: default for key, (default, _) in keys.items()}
+            for section, keys in SETTINGS.items()}
+# the keys whose allowed values are an interval
+NUMERIC_KEYS = [(section, key) for section, keys in SETTINGS.items()
+                for key, (_, allowed) in keys.items() if isinstance(allowed, str)]
 
 
 @st.composite
 def numeric_setting(draw, inside):
-    """(section, key, value) with value inside or outside the key's BOUNDS interval."""
+    """(section, key, value) with value inside or outside the key's interval."""
     section, key = draw(st.sampled_from(NUMERIC_KEYS))
-    bound = BOUNDS[section][key]
+    default, bound = SETTINGS[section][key]
     lo, hi = (float(end) for end in bound[1:-1].split(","))
     open_lo, open_hi = bound[0] == "(", bound[-1] == ")"
-    if isinstance(DEFAULTS[section][key], int):
+    if isinstance(default, int):
         lo = math.floor(lo) + 1 if open_lo else math.ceil(lo)
         hi = None if hi == math.inf else (math.ceil(hi) - 1 if open_hi else math.floor(hi))
         if inside:
@@ -166,7 +170,7 @@ class TestConfig:
         assert config == DEFAULTS
         numeric = {(section, key) for section, values in DEFAULTS.items()
                    for key, value in values.items() if isinstance(value, (int, float))}
-        assert numeric == {(section, key) for section in BOUNDS for key in BOUNDS[section]}
+        assert numeric == set(NUMERIC_KEYS)
 
     def test_overrides_applied(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -308,7 +312,7 @@ class TestConfig:
         for train, test in (target_split(config, seed=0), oodtest_split(config)):
             parts = [{name: FeatureMatrix(rng.normal(size=(len(split), width)), split.labels)
                       for name, width in (("a", 16), ("b", 24))} for split in (train, test)]
-            ensemble = train_ensemble(parts[0], train.n_classes, method=method, seed=0)
+            ensemble = train_ensemble(parts[0], train.n_classes, method=method, seed=0, k=0)
             evaluate(ensemble, parts[1])
 
 
@@ -514,7 +518,7 @@ class TestFailureModes:
         "[oodtest]\nper_class = 2\n",
         # 3 a class leave 3 target test rows; explain --what tsne needs 4
         "[data]\ntarget_per_class = 3\n[fusion]\nk = 0\n",
-        # past the finite top of BOUNDS; the split checks would overflow on them
+        # past the finite top of their intervals; the split checks would overflow on them
         f"[data]\ntarget_per_class = {2**64}\n",
         f"[oodtest]\nper_class = {2**68}\n",
     ], ids=["fusion-method", "epochs", "temperature", "blur-kernel-even", "oodtest-kind",

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from enfuse.classifiers import KINDS
 from enfuse.data import make_synthetic_task, stratified_split
 from enfuse.ensemble import (
-    CLASSIFIER_ORDER,
     ConfusionMatrix,
     ablate,
     ablation_csv,
@@ -51,7 +51,7 @@ def parts(splits):
 
 @pytest.fixture(scope="module")
 def trained(parts):
-    return train_ensemble(parts[0], 3, method="concat+pca", seed=0)
+    return train_ensemble(parts[0], 3, method="concat+pca", seed=0, k=0)
 
 
 class TestMajorityVote:
@@ -126,12 +126,12 @@ class TestMetrics:
 
 class TestTrainEvaluate:
     def test_fixed_classifier_order(self, trained):
-        assert [c.kind for c in trained.classifiers] == list(CLASSIFIER_ORDER)
+        assert [c.kind for c in trained.classifiers] == list(KINDS)
 
     def test_determinism(self, parts):
         train_parts, test_parts = parts
-        a = train_ensemble(train_parts, 3, method="concat+pca", seed=3)
-        b = train_ensemble(train_parts, 3, method="concat+pca", seed=3)
+        a = train_ensemble(train_parts, 3, method="concat+pca", seed=3, k=0)
+        b = train_ensemble(train_parts, 3, method="concat+pca", seed=3, k=0)
         _, va = predict_ensemble(a, test_parts)
         _, vb = predict_ensemble(b, test_parts)
         assert np.array_equal(va, vb)
@@ -149,7 +149,7 @@ class TestTrainEvaluate:
 
     def test_per_classifier_reports(self, trained, parts):
         _, report, accuracies = evaluate(trained, parts[1])
-        assert list(accuracies) == [*CLASSIFIER_ORDER, "voted"]
+        assert list(accuracies) == [*KINDS, "voted"]
         assert all(0.0 <= acc <= 1.0 for acc in accuracies.values())
         assert accuracies["voted"] == report.accuracy
 
@@ -163,18 +163,18 @@ class TestTrainEvaluate:
 class TestAblate:
     def test_row_per_base_model_and_full_consistency(self, trained, parts):
         train_parts, test_parts = parts
-        arms = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0)
+        arms = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0, k=0)
         assert list(arms) == [None, *train_parts]
         _, report, _ = evaluate(trained, test_parts)
         assert arms[None]["voted"] == report.accuracy
 
     def test_exclusion_rows_refit_without_the_excluded_model(self, trained, parts):
         train_parts, test_parts = parts
-        arms = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0)
+        arms = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0, k=0)
         csv_rows = dict(line.split(",", 1) for line in ablation_csv(arms).split("\n")[2:-1])
         for excluded in train_parts:
             kept = [{n: p for n, p in split.items() if n != excluded} for split in parts]
-            model = train_ensemble(kept[0], 3, method="concat+pca", seed=0)
+            model = train_ensemble(kept[0], 3, method="concat+pca", seed=0, k=0)
             _, report, _ = evaluate(model, kept[1])
             assert arms[excluded]["voted"] == report.accuracy
             delta = csv_rows[excluded].rsplit(",", 1)[1]
@@ -183,14 +183,14 @@ class TestAblate:
     def test_noise_model_exclusion_never_hurts(self, splits, parts):
         train_parts, test_parts = ({**split_parts, "noise": noise_features(ds, 12, 99)}
                                    for split_parts, ds in zip(parts, splits))
-        full = train_ensemble(train_parts, 3, method="concat+pca", seed=0)
-        arms = ablate(full, train_parts, test_parts, method="concat+pca", seed=0)
+        full = train_ensemble(train_parts, 3, method="concat+pca", seed=0, k=0)
+        arms = ablate(full, train_parts, test_parts, method="concat+pca", seed=0, k=0)
         assert arms["noise"]["voted"] - arms[None]["voted"] >= 0.0
 
     def test_too_few_models_rejected(self, trained, parts):
         train_parts, test_parts = ({"p0": split_parts["p0"]} for split_parts in parts)
         with pytest.raises(InvalidArgumentError):
-            ablate(trained, train_parts, test_parts)
+            ablate(trained, train_parts, test_parts, method="concat+pca", seed=0, k=0)
 
 
 class TestReports:
@@ -205,7 +205,7 @@ class TestReports:
 
     def test_ablation_csv_shape(self, trained, parts):
         train_parts, test_parts = parts
-        arms = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0)
+        arms = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0, k=0)
         lines = ablation_csv(arms).strip().split("\n")
         assert len(lines) == 1 + 1 + len(train_parts)  # header, full row, exclusions
         assert lines[1].startswith("(none)")
@@ -230,7 +230,7 @@ class TestWithEncoders:
 
         models = [("tl_A", tl), ("ssl_B", ssl)]
         ensemble = train_ensemble(extract_parts(models, train), len(train.class_names),
-                                  method="concat+ica", seed=0)
+                                  method="concat+ica", seed=0, k=0)
         _, report, _ = evaluate(ensemble, extract_parts(models, test))
         assert report.accuracy >= 0.5
         assert ensemble.transform.in_dim == tl.feature_dim + ssl.feature_dim

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from enfuse.errors import InvalidArgumentError
+from enfuse.artifact import pack, unpack
+from enfuse.errors import IntegrityError, InvalidArgumentError
 from enfuse.features import FeatureMatrix
 from enfuse.fusion import (
+    TRANSFORM_MAGIC,
     apply_transform,
     concat_features,
     fit_ica,
@@ -185,14 +187,14 @@ class TestApplyAndPipeline:
         rng = np.random.default_rng(5)
         labels = np.repeat([0, 1, 2], 10)
         parts = [fm(rng.normal(size=(30, 16)), labels=labels) for _ in range(6)]
-        fused, t = fuse_pipeline(parts, "concat+ica")
+        fused, t = fuse_pipeline(parts, method="concat+ica", k=0, seed=0)
         assert fused.data.shape == (30, min(29, 128, 96))
         assert t.kind == "ICA"
 
     def test_concat_only(self):
         rng = np.random.default_rng(6)
         parts = [fm(rng.normal(size=(10, 4))), fm(rng.normal(size=(10, 6)))]
-        fused, t = fuse_pipeline(parts, "concat-only")
+        fused, t = fuse_pipeline(parts, method="concat-only", k=0, seed=0)
         assert fused.data.shape == (10, 10)
         assert t.kind == "Identity"
 
@@ -217,3 +219,17 @@ class TestApplyAndPipeline:
         assert back.kind == "PCA"
         assert np.array_equal(back.components, t.components)
         assert np.array_equal(apply_transform(back, x).data, apply_transform(t, x).data)
+
+    @pytest.mark.parametrize("drop", ["kind", "mean"])
+    def test_malformed_file_rejected(self, tmp_path, drop):
+        """A header without the kind, or a file without an array the
+        transform applies, is an integrity error, not a KeyError."""
+        path = tmp_path / "t.bin"
+        save_transform(fit_pca(fm(np.random.default_rng(8).normal(size=(20, 5))), 3), path)
+        header, values = unpack(path.read_bytes(), TRANSFORM_MAGIC, "transform")
+        keep = [i for i, rec in enumerate(header["arrays"]) if rec["name"] != drop]
+        header = {n: x for n, x in header.items() if n != drop}
+        header["arrays"] = [header["arrays"][i] for i in keep]
+        path.write_bytes(pack(TRANSFORM_MAGIC, header, [values[i] for i in keep]))
+        with pytest.raises(IntegrityError):
+            load_transform(path)

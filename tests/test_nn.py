@@ -221,7 +221,7 @@ class TestNtXent:
 class TestAdam:
     def test_zero_grad_no_decay(self, monkeypatch):
         monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.0)
-        state = OptimizerState()
+        state = OptimizerState(learning_rate=0.001)
         p = np.array([1.0, -2.0])
         before = p.copy()
         adam_step(state, p, np.zeros(2))
@@ -243,7 +243,7 @@ class TestAdam:
         params, grads = model.flat_trainable()
         assert params.size == sum(p.size for p in model.backbone[1].params.values())
         grads.fill(1.0)
-        adam_step(OptimizerState(), params, grads)
+        adam_step(OptimizerState(learning_rate=0.001), params, grads)
         after = model.named_parameters()
         for name, arr in arrays.items():
             assert frozen.params[name] is arr
@@ -626,7 +626,7 @@ class TestFrozenPrefix:
                     return _forward(x, **kwargs)
                 layer.forward = counted
         ds = target_set(13)
-        finetune_target_ssl(model, ds, epochs=epochs, batch=5, seed=3)
+        finetune_target_ssl(model, ds, epochs=epochs, batch=5, seed=3, lr=0.001)
         calls = -(-len(ds) // chunk)
         assert sorted(rows) == [0, 3, 6, 8]
         for sizes in rows.values():
@@ -692,6 +692,31 @@ class TestModelPersistence:
             kept = dict(header, arrays=header["arrays"][:drop] + header["arrays"][drop + 1:])
             with pytest.raises(IntegrityError, match="lacks"):
                 EncoderModel.load_bytes(pack(MODEL_MAGIC, kept, arrays[:drop] + arrays[drop + 1:]))
+
+    # each edits a saved model's header so that the file no longer describes a model
+    HEADER_FAULTS = {
+        "no-backbone": lambda h: h.pop("backbone"),
+        "conv-without-in_ch": lambda h: h["backbone"][0].pop("in_ch"),
+        "layer-99": lambda h: h["arrays"][0].update(layer=99),
+        # layer 0 counted from the end, which a Python index would wrap round to
+        "layer-negative": lambda h: h["arrays"][0].update(
+            layer=-len(h["backbone"]) - len(h["head"])),
+        "trainable-empty": lambda h: h.update(trainable=[]),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(HEADER_FAULTS))
+    def test_malformed_header_rejected(self, fault):
+        """A malformed header is an integrity error, not a KeyError or an
+        IndexError, and never loads."""
+        from enfuse.artifact import pack, unpack
+        from enfuse.errors import IntegrityError
+        from enfuse.nn.model import MODEL_MAGIC
+        rng = np.random.default_rng(31)
+        blob = EncoderModel([Conv2d(3, 4, 3, rng=rng), ReLU()], make_head(4, 3, rng)).save_bytes()
+        header, arrays = unpack(blob, MODEL_MAGIC, "model")
+        self.HEADER_FAULTS[fault](header)
+        with pytest.raises(IntegrityError):
+            EncoderModel.load_bytes(pack(MODEL_MAGIC, header, arrays))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.bin"

@@ -1,4 +1,4 @@
-"""No library code that only tests call, and no default that only tests change.
+"""No library code that only tests call, and no default that only tests use.
 
 Every top-level function, class and constant in `src/enfuse` must be
 referenced somewhere in `src/` or `perfbench/` outside its own definition.
@@ -7,8 +7,10 @@ makes a name importable; `cmd_<stage>` functions are reached through
 `cli.STAGES`, which `run_stage` looks them up by.
 
 Every defaulted parameter of a function or method in `src/enfuse` must be
-passed, by keyword or by position, by some call in `src/` or `perfbench/`;
-a value nothing else passes is a constant.
+passed, by keyword or by position, by some call in `src/` or `perfbench/`
+(a value nothing else passes is a constant) and left out by another (a
+default every such call overrides is one only tests use). So a parameter
+keeps a default only when two product callers need different values.
 """
 
 import ast
@@ -81,10 +83,8 @@ def test_every_library_name_is_reached_outside_tests():
 
 
 # Defaulted parameters that no call in src/ or perfbench/ passes by name, each
-# with the reason it stays; an entry without a parameter covers all of them.
+# with the reason it stays.
 UNPASSED_ALLOWED = {
-    "finetune_target_tl": "cmd_finetune calls it through the local name `tuner`",
-    "finetune_target_ssl": "cmd_finetune calls it through the local name `tuner`",
     "EncoderModel.__init__ head": "EncoderModel.load_bytes calls it as `cls(backbone, head)`",
     "fit_rf n_trees": "tests shrink the forest so the tree oracles stay fast",
     "fit_gbt rounds": "tests shrink the boosting so the tree oracles stay fast",
@@ -129,27 +129,36 @@ def _calls(tree: ast.Module):
                 yield name, positional, {k.arg for k in node.keywords if k.arg}
 
 
-def _unpassed() -> list[str]:
+def _default_uses() -> list[tuple[str, Path, list[bool]]]:
+    """("function parameter", its file, whether each call of the function's
+    name in src/ or perfbench/ passes it) of each defaulted parameter."""
     sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     trees = {path: _parse(path) for path in sources}
     calls: dict[str, list[tuple[int, set[str]]]] = {}
     for tree in trees.values():
         for name, positional, keywords in _calls(tree):
             calls.setdefault(name, []).append((positional, keywords))
-    unpassed = []
+    uses = []
     for path, tree in trees.items():
         if not path.is_relative_to(PACKAGE):
             continue
         for label, called, position, param in _defaulted_parameters(tree):
-            if label in UNPASSED_ALLOWED or f"{label} {param}" in UNPASSED_ALLOWED:
-                continue
-            if not any(param in keywords or (position is not None and position < positional)
-                       for positional, keywords in calls.get(called, ())):
-                unpassed.append(f"{path.relative_to(ROOT)}: {label} {param}")
-    return unpassed
+            passed = [param in keywords or (position is not None and position < positional)
+                      for positional, keywords in calls.get(called, ())]
+            uses.append((f"{label} {param}", path.relative_to(ROOT), passed))
+    return uses
 
 
 def test_every_default_is_passed_outside_tests():
     """A default that no call in src/ or perfbench/ overrides is a constant."""
-    unpassed = _unpassed()
+    unpassed = [f"{path}: {name}" for name, path, passed in _default_uses()
+                if not any(passed) and name not in UNPASSED_ALLOWED]
     assert not unpassed, "defaults no call passes: " + ", ".join(unpassed)
+
+
+def test_every_default_is_used_outside_tests():
+    """A default that every call in src/ or perfbench/ overrides serves only
+    the tests; the parameter should be required."""
+    overridden = [f"{path}: {name}" for name, path, passed in _default_uses()
+                  if passed and all(passed)]
+    assert not overridden, "defaults every call overrides: " + ", ".join(overridden)

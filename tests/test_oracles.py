@@ -34,6 +34,7 @@ from enfuse import classifiers
 from enfuse.classifiers import (
     GBT_ETA,
     GBT_MIN_SPLIT,
+    KINDS,
     RF_MAX_DEPTH,
     RF_MIN_SPLIT,
     TrainedClassifier,
@@ -55,7 +56,6 @@ from enfuse.data import (
     stratified_split,
 )
 from enfuse.ensemble import (
-    CLASSIFIER_ORDER,
     EnsembleModel,
     ablate,
     ablation_csv,
@@ -996,7 +996,7 @@ def ablate_rows(full: EnsembleModel, train_parts, test_parts, method, seed, k):
     def row(model, parts, excluded, baseline=None):
         per_clf, voted = predict_ensemble(model, parts)
         clf_acc = {kind: float(np.mean(preds == true))
-                   for kind, preds in zip(CLASSIFIER_ORDER, per_clf)}
+                   for kind, preds in zip(KINDS, per_clf)}
         voted_acc = float(np.mean(voted == true))
         delta = 0.0 if baseline is None else voted_acc - baseline
         return AblationRow(excluded, clf_acc,
@@ -1007,7 +1007,7 @@ def ablate_rows(full: EnsembleModel, train_parts, test_parts, method, seed, k):
     for excluded in train_parts:
         train_kept, test_kept = ({name: part for name, part in parts.items() if name != excluded}
                                  for parts in (train_parts, test_parts))
-        model = train_ensemble(train_kept, full.n_classes, method, seed=seed, k=k)
+        model = train_ensemble(train_kept, full.n_classes, method=method, seed=seed, k=k)
         rows.append(row(model, test_kept, excluded, full_row.voted_accuracy))
     return full_row, rows
 
@@ -1015,11 +1015,11 @@ def ablate_rows(full: EnsembleModel, train_parts, test_parts, method, seed, k):
 def ablation_csv_rows(full_row: AblationRow, rows: list[AblationRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["excluded"] + list(CLASSIFIER_ORDER)
+    writer.writerow(["excluded"] + list(KINDS)
                     + ["mean_classifier", "voted", "delta_voted"])
     for row in [full_row, *rows]:
         writer.writerow([row.excluded or "(none)"]
-                        + [f"{row.classifier_accuracy[k]:.6f}" for k in CLASSIFIER_ORDER]
+                        + [f"{row.classifier_accuracy[k]:.6f}" for k in KINDS]
                         + [f"{row.mean_classifier_accuracy:.6f}",
                            f"{row.voted_accuracy:.6f}", f"{row.delta_voted:+.6f}"])
     return buf.getvalue()
@@ -1052,7 +1052,7 @@ def ablation_svg_rows(rows: list[AblationRow]) -> str:
 
 # every fusion method with the automatic and a fixed k, on 2, 3 and 4 parts in turn
 ABLATION_CASES = [(method, k, 2 + i % 3)
-                  for i, (method, k) in enumerate(itertools.product(METHODS, (None, 3)))]
+                  for i, (method, k) in enumerate(itertools.product(METHODS, (0, 3)))]
 
 
 @pytest.fixture(scope="module")
@@ -1067,15 +1067,15 @@ def test_ablation_reports_match_row_oracle(noisy_splits, method, k, n_parts):
     train_parts, test_parts = (
         {**{f"p{seed}": projector(ds, 12, seed) for seed in range(n_parts - 1)},
          "noise": noise_features(ds, 12, 99)} for ds in noisy_splits)
-    full = train_ensemble(train_parts, 3, method, seed=0, k=k)
-    arms = ablate(full, train_parts, test_parts, method, seed=0, k=k)
+    full = train_ensemble(train_parts, 3, method=method, seed=0, k=k)
+    arms = ablate(full, train_parts, test_parts, method=method, seed=0, k=k)
     full_row, rows = ablate_rows(full, train_parts, test_parts, method, 0, k)
     assert ablation_csv(arms) == ablation_csv_rows(full_row, rows)
     assert render_ablation_svg(arms) == ablation_svg_rows(rows)
 
     kept = [name for name in train_parts if name != "p0"]
     per_clf, voted = fit_arm(train_parts, test_parts, kept, 3, method, 0, k)
-    model = train_ensemble({n: train_parts[n] for n in kept}, 3, method, seed=0, k=k)
+    model = train_ensemble({n: train_parts[n] for n in kept}, 3, method=method, seed=0, k=k)
     want_per_clf, want_voted = predict_ensemble(model, {n: test_parts[n] for n in kept})
     assert all(np.array_equal(got, want) for got, want in zip(per_clf, want_per_clf, strict=True))
     assert np.array_equal(voted, want_voted)

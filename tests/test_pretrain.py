@@ -72,8 +72,8 @@ class TestPretrainGeneric:
         assert generic_model.meta["train_log"][-1] < generic_model.meta["train_log"][0]
 
     def test_seed_determinism(self, datasets):
-        a = pretrain_generic("A", datasets["generic"], epochs=2, batch=8, seed=9)
-        b = pretrain_generic("A", datasets["generic"], epochs=2, batch=8, seed=9)
+        a = pretrain_generic("A", datasets["generic"], epochs=2, batch=8, seed=9, lr=0.001)
+        b = pretrain_generic("A", datasets["generic"], epochs=2, batch=8, seed=9, lr=0.001)
         for k, v in a.named_parameters().items():
             assert np.array_equal(v, b.named_parameters()[k])
 
@@ -84,7 +84,8 @@ class TestTransferPath:
 
         model = copy.deepcopy(generic_model)
         frozen = model.backbone[0].params["w"].copy()
-        finetune_intermediate_tl(model, datasets["inter"], epochs=3, batch=32, seed=2)
+        finetune_intermediate_tl(model, datasets["inter"], epochs=3, batch=32, seed=2,
+                                 lr=0.001)
         assert np.array_equal(model.backbone[0].params["w"], frozen)
         assert model.meta["stage"] == "intermediate"
 
@@ -115,9 +116,9 @@ class TestTransferPath:
         assert accuracy(tl_model, datasets["target"]) == 1.0
 
     def test_provenance_enforced(self, datasets):
-        model = pretrain_generic("A", datasets["generic"], epochs=1, batch=32, seed=0)
+        model = pretrain_generic("A", datasets["generic"], epochs=1, batch=32, seed=0, lr=0.001)
         with pytest.raises(InvalidStateError):
-            finetune_target_tl(model, datasets["target"], epochs=1, batch=32, seed=0)
+            finetune_target_tl(model, datasets["target"], epochs=1, batch=32, seed=0, lr=0.001)
 
 
 class TestContrastivePath:
@@ -129,17 +130,20 @@ class TestContrastivePath:
 
     def test_single_pair_batch_rejected(self, datasets):
         with pytest.raises(InvalidArgumentError, match="batch_pairs"):
-            pretrain_ssl("A", datasets["inter"], batch_pairs=1, **SSL, epochs=1)
+            pretrain_ssl("A", datasets["inter"], batch_pairs=1, **SSL, epochs=1, seed=0,
+                         lr=0.001)
 
     def test_projection_dim_128(self, datasets):
-        model = pretrain_ssl("A", datasets["inter"], batch_pairs=8, **SSL, epochs=1, seed=6)
+        model = pretrain_ssl("A", datasets["inter"], batch_pairs=8, **SSL, epochs=1, seed=6,
+                             lr=0.001)
         z = model.forward(images_to_batch(datasets["inter"].images[:4]))
         assert z.shape[1] == 128
 
     def test_views_more_similar_after_training(self, datasets):
         from enfuse.data import random_transform
 
-        before = pretrain_ssl("A", datasets["inter"], batch_pairs=16, **SSL, epochs=0, seed=8)
+        before = pretrain_ssl("A", datasets["inter"], batch_pairs=16, **SSL, epochs=0, seed=8,
+                              lr=0.001)
         after = pretrain_ssl("A", datasets["inter"], batch_pairs=16, **SSL, epochs=8, seed=8,
                              lr=0.01)
 

@@ -52,9 +52,15 @@ FOREST_BLOCK_PAIRS = 1 << 15
 TREE_COLUMNS = ("tree_offsets", "tree_feature", "tree_threshold", "tree_left",
                 "tree_right", "tree_value")
 _INDEX_COLUMNS = ("tree_offsets", "tree_feature", "tree_left", "tree_right")
-# the arrays each kind predicts with, which its file must hold
-_ARRAYS = {"SVM": ("w", "b"), "KNN": ("x", "y"), "GNB": ("theta", "var", "priors"),
-           "RF": TREE_COLUMNS, "GBT": TREE_COLUMNS}
+# the arrays each kind predicts with, which its file must hold, by shape: one
+# character per axis, each a size that every array naming it shares; "k" is
+# the class count and "1" is 1 (m nodes, t tree offsets, n training rows, d
+# features)
+_FOREST = {"tree_offsets": "t", "tree_feature": "m", "tree_threshold": "m",
+           "tree_left": "m", "tree_right": "m"}
+_SHAPES = {"SVM": {"w": "kd", "b": "k"}, "KNN": {"x": "nd", "y": "n"},
+           "GNB": {"theta": "kd", "var": "kd", "priors": "k"},
+           "RF": {**_FOREST, "tree_value": "mk"}, "GBT": {**_FOREST, "tree_value": "m1"}}
 
 
 @dataclass
@@ -143,13 +149,12 @@ def _knn_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
     order; a query equal to a training row takes that row's class outright."""
     train_x = clf.arrays["x"]
     train_y = clf.arrays["y"].astype(np.int64)
-    k = clf.meta["k"]
     out = np.zeros((len(q), clf.n_classes))
     step = max(1, KNN_BLOCK_ELEMENTS // train_x.size)
     for start in range(0, len(q), step):
         part = out[start:start + step]  # a view: writes land in out
         dist = np.linalg.norm(train_x[None] - q[start:start + step, None], axis=2)
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :KNN_K]
         weights = 1.0 / (np.take_along_axis(dist, nearest, axis=1) + 1e-12)
         np.add.at(part, (np.arange(len(part))[:, None], train_y[nearest]), weights)
         part /= part.sum(axis=1, keepdims=True)
@@ -584,11 +589,11 @@ def fit_gbt(x: np.ndarray, y: np.ndarray, max_depth: int = 10,
 def _gbt_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
     # tree i scores class i % k: each class adds its trees' scaled leaf
     # scores in round order, from 0.0
-    k, eta = clf.n_classes, clf.meta["eta"]
+    k = clf.n_classes
     scores = np.zeros((len(q), k))
     for start, values in _leaf_blocks(clf.arrays, q):
         part = scores[start:start + values.shape[1]]
-        for round_scores in (eta * values[:, :, 0]).reshape(-1, k, values.shape[1]):
+        for round_scores in (GBT_ETA * values[:, :, 0]).reshape(-1, k, values.shape[1]):
             part += round_scores.T
     return _softmax(scores)
 
@@ -622,29 +627,26 @@ def predict(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
 
 def _forest_table(arrays: dict[str, np.ndarray], kind: str,
                   n_classes: int) -> dict[str, np.ndarray]:
-    """A loaded forest's arrays with its index columns as int64.
+    """A loaded forest's arrays, shaped as `_SHAPES` says, with its index
+    columns as int64.
 
     IntegrityError unless every walk stays in its own tree and ends: at
     least one tree (for GBT, a whole number of rounds), offsets that rise
-    from 0 to the node count, columns one row per node, and inner nodes
-    whose children lie after them in their own tree, leaves with none.
+    from 0 to the node count, and inner nodes whose children lie after them
+    in their own tree, leaves with none.
     """
     table = dict(arrays)
     for name in _INDEX_COLUMNS:
         with np.errstate(invalid="ignore"):
             table[name] = arrays[name].astype(np.int64)
-        if arrays[name].ndim != 1 or not np.array_equal(table[name], arrays[name]):
-            raise IntegrityError(f"{name} must be a vector of whole numbers")
+        if not np.array_equal(table[name], arrays[name]):
+            raise IntegrityError(f"{name} must hold whole numbers")
     offsets, feature, left, right = (table[name] for name in _INDEX_COLUMNS)
     n_nodes, n_trees = len(feature), len(offsets) - 1
-    width = n_classes if kind == "RF" else 1
-    if (table["tree_threshold"].shape != (n_nodes,) or len(left) != n_nodes
-            or len(right) != n_nodes or table["tree_value"].shape != (n_nodes, width)):
-        raise IntegrityError(f"tree columns must hold one row per node, values {width} wide")
     sizes = np.diff(offsets)
     if n_trees < 1 or offsets[0] != 0 or offsets[-1] != n_nodes or np.any(sizes < 1):
         raise IntegrityError("tree_offsets must rise from 0 to the node count")
-    if kind == "GBT" and (n_classes < 1 or n_trees % n_classes):
+    if kind == "GBT" and n_trees % n_classes:
         raise IntegrityError(f"GBT has {n_trees} trees, not one per class per round")
     local = np.arange(n_nodes) - np.repeat(offsets[:-1], sizes)  # each node's place in its tree
     size = np.repeat(sizes, sizes)
@@ -671,8 +673,10 @@ def save_classifier(clf: TrainedClassifier, path) -> None:
 
 def load_classifier(path) -> TrainedClassifier:
     """The saved classifier; IntegrityError for a header without its kind,
-    class count or meta, an unknown kind, a file without an array its kind
-    predicts with, or a forest table `_forest_table` rejects."""
+    class count or meta, an unknown kind, a class count below 1, a file
+    without an array its kind predicts with or with one shaped otherwise
+    than `_SHAPES` says, KNN labels that are not classes, or a forest table
+    `_forest_table` rejects."""
     with open(path, "rb") as f:
         blob = f.read()
     header, values = unpack(blob, CLASSIFIER_MAGIC, "classifier")
@@ -683,9 +687,18 @@ def load_classifier(path) -> TrainedClassifier:
         raise IntegrityError(f"unreadable classifier header: {exc!r}") from exc
     if kind not in KINDS:
         raise IntegrityError(f"unknown classifier kind {kind!r}")
-    missing = [name for name in _ARRAYS[kind] if name not in arrays]
-    if missing:
-        raise IntegrityError(f"{kind} classifier file has no {missing[0]}")
+    if not isinstance(n_classes, int) or n_classes < 1:
+        raise IntegrityError(f"class count {n_classes!r} is not a whole number above 0")
+    sizes = {"k": n_classes, "1": 1}
+    for name, shape in _SHAPES[kind].items():
+        if name not in arrays:
+            raise IntegrityError(f"{kind} classifier file has no {name}")
+        got = arrays[name].shape
+        if len(got) != len(shape) or any(sizes.setdefault(s, n) != n for s, n in zip(shape, got)):
+            want = tuple(sizes.get(s, s) for s in shape)
+            raise IntegrityError(f"{kind} {name} has shape {got}, not {want}")
+    if kind == "KNN" and not np.isin(arrays["y"], np.arange(n_classes)).all():
+        raise IntegrityError(f"KNN labels must be whole numbers below {n_classes}")
     if kind in ("RF", "GBT"):
         arrays = _forest_table(arrays, kind, n_classes)
     return TrainedClassifier(kind, n_classes, arrays=arrays, meta=meta)

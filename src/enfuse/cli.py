@@ -56,6 +56,7 @@ from .ensemble import (
 from .errors import ConfigError, EnfuseError, IntegrityError, InvalidArgumentError
 from .explain import (
     TSNE_MIN_ROWS,
+    ensemble_output,
     grad_cam,
     render_ablation_svg,
     render_confusion_svg,
@@ -556,13 +557,13 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     train_parts, test_parts = extract_parts(models, train), extract_parts(models, test)
 
     ensemble = train_ensemble(train_parts, n_classes, method=method, seed=seed, k=k)
-    cm, report, accuracies = evaluate(ensemble, test_parts)
+    counts, report, accuracies = evaluate(ensemble, test_parts)
 
     reports = {
-        f"metrics_seed{seed}.csv": metrics_csv(cm, report),
+        f"metrics_seed{seed}.csv": metrics_csv(counts, report),
         f"summary_seed{seed}.txt": summary_text(report, accuracies),
         f"confusion_seed{seed}.svg": render_confusion_svg(
-            cm, class_names=list(test.class_names)),
+            counts, class_names=list(test.class_names)),
     }
 
     # persist the fitted transform and classifiers
@@ -637,8 +638,9 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
         ensemble = _rebuild_ensemble(out, config, models)
         fused_train = fuse_parts(ensemble, extract_parts(models, train))
         fused_test = fuse_parts(ensemble, extract_parts(models, test))
-        background = select_background(fused_train)
-        explanation = shap_sampled(ensemble, fused_test.data[instance], background,
+        row = fused_test.data[instance]
+        explanation = shap_sampled(ensemble_output(ensemble, row), row,
+                                   select_background(fused_train),
                                    n_samples=exp["shap_samples"], seed=seed)
         outputs[stage_dir / f"shap_i{instance}_seed{seed}.csv"] = shap_csv(explanation).encode()
     else:  # tsne

@@ -32,29 +32,6 @@ from .pretrain import extract_features
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ConfusionMatrix:
-    """Row = true class, column = predicted class."""
-
-    counts: np.ndarray
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def class_counts(self, cls: int) -> tuple[int, int, int, int]:
-        """(TP, TN, FP, FN) for one class."""
-        tp = int(self.counts[cls, cls])
-        fn = int(self.counts[cls].sum()) - tp
-        fp = int(self.counts[:, cls].sum()) - tp
-        tn = self.total - tp - fn - fp
-        return tp, tn, fp, fn
-
-
-@dataclass
 class MetricReport:
     accuracy: float
     macro_precision: float
@@ -64,25 +41,30 @@ class MetricReport:
 
 
 def confusion_from_labels(true: np.ndarray, pred: np.ndarray,
-                          n_classes: int) -> ConfusionMatrix:
+                          n_classes: int) -> np.ndarray:
+    """The (k, k) int64 counts: row = true class, column = predicted class."""
     if len(true) != len(pred):
         raise InvalidArgumentError("label array length mismatch")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (true, pred), 1)
-    return ConfusionMatrix(counts)
+    return counts
 
 
-def report_from_confusion(cm: ConfusionMatrix) -> MetricReport:
+def report_from_confusion(counts: np.ndarray) -> MetricReport:
+    total = int(counts.sum())
     per_class = []
-    for cls in range(cm.n_classes):
-        tp, tn, fp, fn = cm.class_counts(cls)
+    for cls in range(len(counts)):
+        tp = int(counts[cls, cls])
+        fn = int(counts[cls].sum()) - tp
+        fp = int(counts[:, cls].sum()) - tp
+        tn = total - tp - fn - fp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = (2 * precision * recall / (precision + recall)
               if precision + recall else 0.0)
         per_class.append({"class": cls, "tp": tp, "tn": tn, "fp": fp, "fn": fn,
                           "precision": precision, "recall": recall, "f1": f1})
-    accuracy = float(np.trace(cm.counts)) / cm.total if cm.total else 0.0
+    accuracy = float(np.trace(counts)) / total if total else 0.0
     return MetricReport(
         accuracy=accuracy,
         macro_precision=float(np.mean([c["precision"] for c in per_class])),
@@ -170,14 +152,14 @@ def scores(true: np.ndarray, per_clf: list[np.ndarray], voted: np.ndarray) -> di
 
 
 def evaluate(model: EnsembleModel, parts: dict[str, FeatureMatrix]
-             ) -> tuple[ConfusionMatrix, MetricReport, dict[str, float]]:
-    """Voted confusion matrix and metrics, and the `scores`, from one prediction."""
+             ) -> tuple[np.ndarray, MetricReport, dict[str, float]]:
+    """Voted confusion counts and metrics, and the `scores`, from one prediction."""
     true = next(iter(parts.values())).labels
     if len(true) == 0:
         raise InvalidArgumentError("empty evaluation set")
     per_clf, voted = predict_ensemble(model, parts)
-    cm = confusion_from_labels(true, voted, model.n_classes)
-    return cm, report_from_confusion(cm), scores(true, per_clf, voted)
+    counts = confusion_from_labels(true, voted, model.n_classes)
+    return counts, report_from_confusion(counts), scores(true, per_clf, voted)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +189,7 @@ def ablate(full: EnsembleModel, train_parts: dict[str, FeatureMatrix],
 # Report emission
 # ---------------------------------------------------------------------------
 
-def metrics_csv(cm: ConfusionMatrix, report: MetricReport) -> str:
+def metrics_csv(counts: np.ndarray, report: MetricReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["class", "tp", "tn", "fp", "fn", "precision", "recall", "f1"])
@@ -221,9 +203,9 @@ def metrics_csv(cm: ConfusionMatrix, report: MetricReport) -> str:
     writer.writerow(["macro_recall", f"{report.macro_recall:.6f}"])
     writer.writerow(["macro_f1", f"{report.macro_f1:.6f}"])
     writer.writerow([])
-    writer.writerow(["confusion"] + [f"pred_{c}" for c in range(cm.n_classes)])
-    for cls in range(cm.n_classes):
-        writer.writerow([f"true_{cls}"] + list(cm.counts[cls]))
+    writer.writerow(["confusion"] + [f"pred_{c}" for c in range(len(counts))])
+    for cls in range(len(counts)):
+        writer.writerow([f"true_{cls}"] + list(counts[cls]))
     return buf.getvalue()
 
 

@@ -8,21 +8,19 @@ byte-deterministic; the caller writes them.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import TrainedClassifier, predict_proba
+from .classifiers import predict_proba
 from .data import pnm_bytes, resize_bilinear
-from .ensemble import ConfusionMatrix, EnsembleModel
+from .ensemble import EnsembleModel
 from .errors import InvalidArgumentError, UnsupportedModelError
 from .features import FeatureMatrix
 from .nn.layers import Softmax
 from .nn.model import EncoderModel
 
-SHAP_EXACT_MAX_FEATURES = 15
 # shap_sampled evaluates the coalitions of whole permutations in calls of at
 # most this many rows; `[explain] shap_samples = 2048` over 16 features are 2,176 rows
 SHAP_BLOCK_ROWS = 4096
@@ -80,87 +78,39 @@ class ShapExplanation:
     values: np.ndarray      # (D,) per-feature attribution
     base_value: float       # model output on the all-background instance
     model_output: float     # model output on the full instance
-    stderr: np.ndarray | None = None  # sampled mode only
+    stderr: np.ndarray      # (D,) standard error of each permutation mean
 
 
-def _scalar_model(model, instance: np.ndarray):
-    """Reduce a classifier to f: (n, D) -> (n,) scalar outputs.
-
-    The explained quantity is the predicted probability of the class the
-    model assigns to the full instance. Bare callables are passed through.
-    """
-    if isinstance(model, TrainedClassifier):
-        cls = int(np.argmax(predict_proba(model, instance[None])[0]))
-        return lambda x: predict_proba(model, x)[:, cls]
-    if isinstance(model, EnsembleModel):
-        def mean_proba(x):
-            return np.mean([predict_proba(c, x) for c in model.classifiers], axis=0)
-        cls = int(np.argmax(mean_proba(instance[None])[0]))
-        return lambda x: mean_proba(x)[:, cls]
-    if callable(model):
-        return model
-    raise InvalidArgumentError("model must be a classifier, ensemble, or callable")
+def ensemble_output(model: EnsembleModel, instance: np.ndarray):
+    """f: (n, D) -> (n,), the ensemble's mean probability of the class it
+    assigns to `instance`: the quantity SHAP explains."""
+    def mean_proba(x):
+        return np.mean([predict_proba(c, x) for c in model.classifiers], axis=0)
+    cls = int(np.argmax(mean_proba(instance[None])[0]))
+    return lambda x: mean_proba(x)[:, cls]
 
 
-def _coalition_matrix(masks: np.ndarray, instance, bg_mean) -> np.ndarray:
-    return np.where(masks, instance, bg_mean)
-
-
-def _background_mean(background) -> np.ndarray:
-    data = background.data if isinstance(background, FeatureMatrix) else np.asarray(background)
-    return np.atleast_2d(data).mean(axis=0)
-
-
-def select_background(features: FeatureMatrix) -> FeatureMatrix:
+def select_background(features: FeatureMatrix) -> np.ndarray:
     """The SHAP_BACKGROUND_ROWS rows closest to the feature-wise median (deterministic)."""
     median = np.median(features.data, axis=0)
     dist = np.linalg.norm(features.data - median, axis=1)
-    order = np.argsort(dist, kind="stable")[:SHAP_BACKGROUND_ROWS]
-    return FeatureMatrix(features.data[order],
-                         labels=None if features.labels is None else features.labels[order])
+    return features.data[np.argsort(dist, kind="stable")[:SHAP_BACKGROUND_ROWS]]
 
 
-def shap_exact(model, instance: np.ndarray, background) -> ShapExplanation:
-    """Exact Shapley values by enumerating all 2^D feature coalitions.
-
-    "Without" a feature means replacing it by the background mean.
-    """
-    instance = np.asarray(instance, dtype=np.float64).ravel()
-    d = len(instance)
-    if d > SHAP_EXACT_MAX_FEATURES:
-        raise InvalidArgumentError(
-            f"{d} features exceeds the exact limit of {SHAP_EXACT_MAX_FEATURES}; "
-            "use shap_sampled")
-    f = _scalar_model(model, instance)
-    bg_mean = _background_mean(background)
-    n_sets = 1 << d
-    masks = (np.arange(n_sets)[:, None] >> np.arange(d)) & 1
-    vals = np.asarray(f(_coalition_matrix(masks.astype(bool), instance, bg_mean)),
-                      dtype=np.float64)
-    sizes = masks.sum(axis=1)
-    fact = [math.factorial(i) for i in range(d + 1)]
-    phi = np.zeros(d)
-    for j in range(d):
-        without_j = np.flatnonzero(masks[:, j] == 0)
-        s = sizes[without_j]
-        weight = np.array([fact[k] * fact[d - k - 1] / fact[d] for k in s])
-        phi[j] = np.sum(weight * (vals[without_j | (1 << j)] - vals[without_j]))
-    return ShapExplanation(phi, float(vals[0]), float(vals[-1]))
-
-
-def shap_sampled(model, instance: np.ndarray, background, *, n_samples: int,
+def shap_sampled(f, instance: np.ndarray, background: np.ndarray, *, n_samples: int,
                  seed: int) -> ShapExplanation:
-    """Permutation-sampling Shapley estimate with exact local accuracy.
+    """Permutation-sampling Shapley estimate of f: (n, D) -> (n,) at `instance`,
+    with exact local accuracy.
 
-    The estimation residual is redistributed proportionally to |phi| so
-    base + sum(phi) always equals the model output.
+    "Without" a feature means replacing it by its mean over the background
+    rows. The estimation residual is redistributed proportionally to |phi|
+    so base + sum(phi) always equals the model output.
     """
     if n_samples <= 0:
         raise InvalidArgumentError("n_samples must be positive")
     instance = np.asarray(instance, dtype=np.float64).ravel()
     d = len(instance)
-    f = _scalar_model(model, instance)
-    bg_mean = _background_mean(background)
+    bg_mean = background.mean(axis=0)
     rng = np.random.default_rng(seed)
     n_perms = max(1, n_samples // max(d, 1))
     orders = np.array([rng.permutation(d) for _ in range(n_perms)])
@@ -171,7 +121,7 @@ def shap_sampled(model, instance: np.ndarray, background, *, n_samples: int,
         block = slice(start, start + per_call)
         # coalition s of a permutation holds the features it ranks below s
         masks = ranks[block, None, :] < np.arange(d + 1)[:, None]
-        vals = np.asarray(f(_coalition_matrix(masks.reshape(-1, d), instance, bg_mean)))
+        vals = np.asarray(f(np.where(masks.reshape(-1, d), instance, bg_mean)))
         np.put_along_axis(contribs[block], orders[block],
                           np.diff(vals.reshape(len(masks), d + 1), axis=1), axis=1)
     phi = contribs.mean(axis=0)
@@ -181,7 +131,7 @@ def shap_sampled(model, instance: np.ndarray, background, *, n_samples: int,
     residual = (out - base) - phi.sum()
     mass = np.abs(phi).sum()
     phi = phi + residual * (np.abs(phi) / mass if mass > 1e-12 else np.full(d, 1.0 / d))
-    return ShapExplanation(phi, base, out, stderr=stderr)
+    return ShapExplanation(phi, base, out, stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +274,16 @@ def render_embedding_svg(embedding: Embedding2D, class_names: list[str]) -> str:
     return _svg_document(size, size, body)
 
 
-def render_confusion_svg(cm: ConfusionMatrix, class_names: list[str]) -> str:
-    """Count grid shaded by cell magnitude."""
-    k = cm.n_classes
+def render_confusion_svg(counts: np.ndarray, class_names: list[str]) -> str:
+    """The (k, k) count grid, rows true and columns predicted, shaded by cell magnitude."""
+    k = len(counts)
     cell, margin = 48, 56
     size = margin + k * cell + 16
-    peak = max(int(cm.counts.max()), 1)
+    peak = max(int(counts.max()), 1)
     body = [f'<rect width="{size}" height="{size}" fill="white"/>']
     for i in range(k):
         for j in range(k):
-            count = int(cm.counts[i, j])
+            count = int(counts[i, j])
             shade = 255 - int(195 * count / peak)
             x0, y0 = margin + j * cell, margin + i * cell
             body.append(f'<rect x="{x0}" y="{y0}" width="{cell}" height="{cell}" '

@@ -37,10 +37,6 @@ class FusionTransform:
     def in_dim(self) -> int:
         return len(self.mean)
 
-    @property
-    def out_dim(self) -> int:
-        return self.components.shape[1]
-
 
 def concat_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
     """Append feature matrices column-wise, verifying row alignment."""
@@ -73,10 +69,10 @@ def fit_pca(x: FeatureMatrix, k: int) -> FusionTransform:
     if not 1 <= k <= min(n - 1, d):
         raise InvalidArgumentError(f"k={k} out of range for {n}x{d} input")
     cov = scaled.T @ scaled / (n - 1)
-    dec = eigh_symmetric(cov)
-    eigvals = np.maximum(dec.eigenvalues, 0.0)
+    eigvals, eigvecs = eigh_symmetric(cov)
+    eigvals = np.maximum(eigvals, 0.0)
     ratios = eigvals[:k] / eigvals.sum() if eigvals.sum() > 0 else np.zeros(k)
-    return FusionTransform("PCA", mean, std, dec.eigenvectors[:, :k].copy(),
+    return FusionTransform("PCA", mean, std, eigvecs[:, :k].copy(),
                            explained_variance_ratio=ratios)
 
 
@@ -154,11 +150,11 @@ def fit_lda(x: FeatureMatrix, k: int) -> FusionTransform:
     gamma = 1e-6 * np.trace(s_w) / d
     s_w += gamma * np.eye(d)
     # symmetric reformulation of the generalized eigenproblem
-    dec_w = eigh_symmetric(s_w)
-    inv_sqrt = dec_w.eigenvectors @ np.diag(1.0 / np.sqrt(np.maximum(dec_w.eigenvalues, 1e-300))) @ dec_w.eigenvectors.T
+    lam_w, vec_w = eigh_symmetric(s_w)
+    inv_sqrt = vec_w @ np.diag(1.0 / np.sqrt(np.maximum(lam_w, 1e-300))) @ vec_w.T
     m = inv_sqrt @ s_b @ inv_sqrt
-    dec = eigh_symmetric((m + m.T) / 2)
-    components = inv_sqrt @ dec.eigenvectors[:, :k]
+    _, vecs = eigh_symmetric((m + m.T) / 2)
+    components = inv_sqrt @ vecs[:, :k]
     return FusionTransform("LDA", mean, std, components)
 
 
@@ -213,14 +209,21 @@ def save_transform(t: FusionTransform, path) -> None:
 
 def load_transform(path) -> FusionTransform:
     """The saved transform; IntegrityError for a file without its kind or
-    one of its arrays."""
+    one of its arrays, or with `components` not (d, k), `mean` or `std` not
+    (d,), or `evr` not (k,)."""
     with open(path, "rb") as f:
         blob = f.read()
     header, values = unpack(blob, TRANSFORM_MAGIC, "transform")
     try:
         arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
-        return FusionTransform(header["kind"], arrays["mean"], arrays["std"],
-                               arrays["components"],
-                               explained_variance_ratio=arrays.get("evr"))
+        t = FusionTransform(header["kind"], arrays["mean"], arrays["std"],
+                            arrays["components"], explained_variance_ratio=arrays.get("evr"))
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"unreadable transform file: {exc!r}") from exc
+    evr = t.explained_variance_ratio
+    if (t.components.ndim != 2 or t.mean.shape != t.components.shape[:1]
+            or t.std.shape != t.mean.shape
+            or evr is not None and evr.shape != t.components.shape[1:]):
+        raise IntegrityError("transform arrays must be components (d, k), mean and std "
+                             "(d,), and evr (k,)")
+    return t

@@ -7,8 +7,6 @@ path is provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -17,20 +15,12 @@ CONST_COLUMN_EPS = 1e-12
 SYMMETRY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues sorted descending with matching orthonormal eigenvector columns."""
+def eigh_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a symmetric matrix, as np.linalg.eigh.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigh_symmetric(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix.
-
-    Eigenvalues come back sorted descending; each eigenvector column is
-    normalized so its largest-magnitude entry is positive (deterministic
-    sign convention).
+    Eigenvalues come back sorted descending, with matching orthonormal
+    eigenvector columns; each column is normalized so its largest-magnitude
+    entry is positive (deterministic sign convention).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -46,7 +36,7 @@ def eigh_symmetric(a: np.ndarray) -> EigenDecomposition:
         pivot = np.argmax(np.abs(v[:, j]))
         if v[pivot, j] < 0:
             v[:, j] = -v[:, j]
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return w, v
 
 
 def standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,9 +66,9 @@ def whiten(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k > min(n - 1, d) or k < 1:
         raise InvalidArgumentError(f"k={k} out of range for {n}x{d} input")
     cov = x.T @ x / (n - 1)
-    dec = eigh_symmetric(cov)
-    lam = dec.eigenvalues[:k]
+    eigenvalues, eigenvectors = eigh_symmetric(cov)
+    lam = eigenvalues[:k]
     if np.any(lam <= CONST_COLUMN_EPS):
         raise InvalidArgumentError(f"rank of input below k={k}")
-    w = (dec.eigenvectors[:, :k] / np.sqrt(lam)).T
+    w = (eigenvectors[:, :k] / np.sqrt(lam)).T
     return x @ w.T, w

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from test_nn import check_layer_grads, numeric_grad
+from test_oracles import classifier_output, shap_exact
 
 from enfuse.classifiers import fit_gnb, fit_knn, predict
 from enfuse.cli import _load_target_models, load_config, run, target_split
@@ -29,7 +30,7 @@ from enfuse.ensemble import (
     scores,
     train_ensemble,
 )
-from enfuse.explain import _conditional_p, shap_exact, shap_sampled, tsne_embed
+from enfuse.explain import _conditional_p, shap_sampled, tsne_embed
 from enfuse.features import FeatureMatrix
 from enfuse.fusion import apply_transform, fit_ica
 from enfuse.nn import (
@@ -172,8 +173,9 @@ def test_criterion_5_shap_axioms():
     data = np.concatenate([rng.normal(-1, 0.6, (20, 8)), rng.normal(1, 0.6, (20, 8))])
     labels = np.array([0] * 20 + [1] * 20)
     clf = fit_gnb(data, labels)
-    ex = shap_exact(clf, data[4], data)
-    sa = shap_sampled(clf, data[4], data, n_samples=2048, seed=0)
+    target = classifier_output(clf, data[4])
+    ex = shap_exact(target, data[4], data)
+    sa = shap_sampled(target, data[4], data, n_samples=2048, seed=0)
     sampled_err = float(np.max(np.abs(ex.values - sa.values)))
     ok = local_err < 1e-9 and sym_err < 1e-12 and null_phi == 0.0 and sampled_err < 0.05
     report(5, ok, f"local accuracy {local_err:.1e}, symmetry {sym_err:.1e}, "

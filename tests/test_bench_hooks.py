@@ -11,6 +11,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from enfuse import explain
+from enfuse.ensemble import fuse_parts, train_ensemble
+from enfuse.features import FeatureMatrix
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -41,3 +47,28 @@ def test_selfcheck_reports_no_problem(monkeypatch, capsys):
             else:
                 sys.modules[name] = module
     assert capsys.readouterr().out == "selfcheck: 0 problem(s)\n"
+
+
+
+def test_shap_calls_predict_proba_through_explain(monkeypatch):
+    """SHAP's `classifiers.predict_proba.*` spans come from the hook on
+    `enfuse.explain.predict_proba`; if the ensemble's output function left
+    `explain`, those spans would vanish without any error."""
+    rng = np.random.default_rng(0)
+    labels = np.repeat([0, 1], 6)
+    parts = {name: FeatureMatrix(rng.normal(size=(12, 3)) + labels[:, None], labels=labels)
+             for name in ("a", "b")}
+    model = train_ensemble(parts, 2, method="concat+pca", seed=0, k=2)
+    fused = fuse_parts(model, parts).data
+    predict_proba, calls = explain.predict_proba, []
+
+    def counted(clf, q):
+        calls.append(clf.kind)
+        return predict_proba(clf, q)
+
+    monkeypatch.setattr(explain, "predict_proba", counted)
+    f = explain.ensemble_output(model, fused[0])
+    assert len(calls) == len(model.classifiers)
+    explain.shap_sampled(f, fused[0], fused, n_samples=8, seed=0)
+    assert len(calls) > len(model.classifiers)
+    assert set(calls) == {clf.kind for clf in model.classifiers}

@@ -194,6 +194,20 @@ class TestGbt:
         assert np.mean(predict(clf, x) == y) == 1.0
 
 
+def columns(path):
+    """(header, name -> array) of a saved classifier."""
+    header, values = unpack(path.read_bytes(), CLASSIFIER_MAGIC, "classifier")
+    return header, {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
+
+
+def repacked(header, arrays, out):
+    """`out`, written as a classifier file of this header and these arrays."""
+    header = dict(header, arrays=[{"name": n, "shape": list(a.shape)}
+                                  for n, a in sorted(arrays.items())])
+    out.write_bytes(pack(CLASSIFIER_MAGIC, header, [a for _, a in sorted(arrays.items())]))
+    return out
+
+
 @pytest.fixture(scope="module")
 def fitted():
     x, y = blobs([(-2, 0), (2, 0), (0, 3)], n=8, spread=0.6, seed=11)
@@ -253,6 +267,52 @@ class TestSharedContracts:
         with pytest.raises(IntegrityError):
             load_classifier(path)
 
+    @pytest.mark.parametrize("kind", ["KNN", "GBT"])
+    def test_prediction_reads_no_meta(self, fitted, tmp_path, kind):
+        """`meta` is a record of the fit: prediction reads KNN_K and GBT_ETA,
+        so a file whose meta is empty predicts as the original does."""
+        _, _, models = fitted
+        save_classifier(models[kind], tmp_path / "clf.bin")
+        header, arrays = columns(tmp_path / "clf.bin")
+        back = load_classifier(repacked(dict(header, meta={}), arrays, tmp_path / "bare.bin"))
+        q = np.random.default_rng(13).normal(size=(6, 2))
+        assert np.array_equal(predict_proba(back, q), predict_proba(models[kind], q))
+
+    # one array of a saved classifier of the named kind (3 classes, 2
+    # features), edited so that its shape disagrees with another array or
+    # the class count, or its labels are not classes
+    SHAPE_FAULTS = {
+        "SVM-short-b": ("b", lambda a: a[:-1]),
+        "SVM-w-row-per-extra-class": ("w", lambda a: np.concatenate([a, a[:1]])),
+        "GNB-short-priors": ("priors", lambda a: a[:-1]),
+        "GNB-var-extra-feature": ("var", lambda a: np.concatenate([a, a[:, :1]], axis=1)),
+        "GNB-theta-vector": ("theta", lambda a: a[0]),
+        "KNN-short-y": ("y", lambda a: a[:-1]),
+        "KNN-label-7": ("y", lambda a: np.append(a[:-1], 7.0)),
+        "KNN-fractional-label": ("y", lambda a: np.append(a[:-1], 0.5)),
+        "KNN-negative-label": ("y", lambda a: np.append(a[:-1], -1.0)),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(SHAPE_FAULTS))
+    def test_shape_fault_rejected(self, fitted, tmp_path, fault):
+        """Shapes or labels prediction would fail on, or index wrongly by,
+        are an integrity error at load."""
+        save_classifier(fitted[2][fault.split("-")[0]], tmp_path / "clf.bin")
+        header, arrays = columns(tmp_path / "clf.bin")
+        load_classifier(repacked(header, arrays, tmp_path / "ok.bin"))
+        name, edit = self.SHAPE_FAULTS[fault]
+        arrays[name] = edit(arrays[name])
+        with pytest.raises(IntegrityError):
+            load_classifier(repacked(header, arrays, tmp_path / "bad.bin"))
+
+    @pytest.mark.parametrize("n_classes", [0, 2.5, "3"])
+    def test_class_count_not_whole_rejected(self, fitted, tmp_path, n_classes):
+        save_classifier(fitted[2]["KNN"], tmp_path / "clf.bin")
+        header, arrays = columns(tmp_path / "clf.bin")
+        with pytest.raises(IntegrityError):
+            load_classifier(repacked(dict(header, n_classes=n_classes), arrays,
+                                     tmp_path / "bad.bin"))
+
 
 class TestForestFiles:
     """A forest file loads only if every walk stays in its own tree and ends."""
@@ -265,18 +325,6 @@ class TestForestFiles:
         path = tmp_path_factory.mktemp("forest") / "clf.bin"
         save_classifier(clf, path)
         return clf, path
-
-    @staticmethod
-    def columns(path):
-        header, values = unpack(path.read_bytes(), CLASSIFIER_MAGIC, "classifier")
-        return header, {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
-
-    @staticmethod
-    def repacked(header, arrays, out):
-        header = dict(header, arrays=[{"name": n, "shape": list(a.shape)}
-                                      for n, a in sorted(arrays.items())])
-        out.write_bytes(pack(CLASSIFIER_MAGIC, header, [a for _, a in sorted(arrays.items())]))
-        return out
 
     def test_roundtrip_keeps_bytes_and_table(self, saved, tmp_path):
         clf, path = saved
@@ -319,24 +367,37 @@ class TestForestFiles:
         "fractional-child", "fractional-feature"])
     def test_fault_rejected(self, saved, tmp_path, fault):
         _, path = saved
-        header, arrays = self.columns(path)
-        load_classifier(self.repacked(header, arrays, tmp_path / "ok.bin"))
+        header, arrays = columns(path)
+        load_classifier(repacked(header, arrays, tmp_path / "ok.bin"))
         column, i, value = self.fault(arrays, fault)
         arrays[column][i] = value
         with pytest.raises(IntegrityError):
-            load_classifier(self.repacked(header, arrays, tmp_path / "bad.bin"))
+            load_classifier(repacked(header, arrays, tmp_path / "bad.bin"))
+
+    @pytest.mark.parametrize("column, edit", [
+        ("tree_threshold", lambda a: a[:-1]), ("tree_value", lambda a: a[:, :0]),
+        ("tree_left", lambda a: a[:, None]), ("tree_offsets", lambda a: a[None])],
+        ids=["threshold-short", "value-no-width", "left-matrix", "offsets-matrix"])
+    def test_column_shape_rejected(self, saved, tmp_path, column, edit):
+        """Columns of one row per node, values as wide as the kind's, and
+        vectors where the walk reads vectors."""
+        _, path = saved
+        header, arrays = columns(path)
+        arrays[column] = edit(arrays[column])
+        with pytest.raises(IntegrityError, match=column):
+            load_classifier(repacked(header, arrays, tmp_path / "bad.bin"))
 
     def test_missing_column_and_empty_forest_rejected(self, saved, tmp_path):
         clf, path = saved
-        header, arrays = self.columns(path)
+        header, arrays = columns(path)
         for drop in ("tree_offsets", "tree_value"):
             kept = {k: a for k, a in arrays.items() if k != drop}
             with pytest.raises(IntegrityError, match=drop):
-                load_classifier(self.repacked(header, kept, tmp_path / "bad.bin"))
+                load_classifier(repacked(header, kept, tmp_path / "bad.bin"))
         empty = {k: a[:0] for k, a in arrays.items()}
         empty["tree_offsets"] = np.zeros(1)
         with pytest.raises(IntegrityError):
-            load_classifier(self.repacked(header, empty, tmp_path / "bad.bin"))
+            load_classifier(repacked(header, empty, tmp_path / "bad.bin"))
         if clf.kind == "GBT":  # one class tree short of a round
             k = clf.n_classes
             cut = int(arrays["tree_offsets"][-2])
@@ -344,4 +405,4 @@ class TestForestFiles:
             short["tree_offsets"] = arrays["tree_offsets"][:-1]
             assert (len(short["tree_offsets"]) - 1) % k
             with pytest.raises(IntegrityError, match="round"):
-                load_classifier(self.repacked(header, short, tmp_path / "bad.bin"))
+                load_classifier(repacked(header, short, tmp_path / "bad.bin"))

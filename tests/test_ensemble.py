@@ -4,7 +4,6 @@ import pytest
 from enfuse.classifiers import KINDS
 from enfuse.data import make_synthetic_task, stratified_split
 from enfuse.ensemble import (
-    ConfusionMatrix,
     ablate,
     ablation_csv,
     confusion_from_labels,
@@ -79,7 +78,7 @@ class TestMajorityVote:
 class TestMetrics:
     def test_hand_counts(self):
         # class-0 view: TP=50, TN=30, FP=10, FN=10
-        cm = ConfusionMatrix(np.array([[50, 10], [10, 30]]))
+        cm = np.array([[50, 10], [10, 30]])
         report = report_from_confusion(cm)
         assert report.accuracy == pytest.approx(0.8)
         row = report.per_class[0]
@@ -91,7 +90,7 @@ class TestMetrics:
     def test_all_correct(self):
         true = np.array([0, 1, 2, 0, 1, 2])
         cm = confusion_from_labels(true, true, 3)
-        assert np.array_equal(cm.counts, np.diag([2, 2, 2]))
+        assert np.array_equal(cm, np.diag([2, 2, 2]))
         report = report_from_confusion(cm)
         assert report.accuracy == report.macro_f1 == 1.0
 
@@ -119,7 +118,7 @@ class TestMetrics:
             assert abs(row["f1"] - expected) < 1e-12
 
     def test_zero_denominator_convention(self):
-        cm = ConfusionMatrix(np.array([[0, 2], [0, 2]]))
+        cm = np.array([[0, 2], [0, 2]])
         row = report_from_confusion(cm).per_class[0]
         assert row["precision"] == row["recall"] == row["f1"] == 0.0
 

@@ -124,7 +124,7 @@ class TestIca:
         x = fm(np.concatenate([base, base @ rng.normal(size=(2, 3))], axis=1))
         with pytest.warns(UserWarning, match="rank"):
             t = fit_ica(x, 4, seed=0)
-        assert t.out_dim <= 2
+        assert t.components.shape[1] <= 2
 
 
 class TestLda:
@@ -151,7 +151,7 @@ class TestLda:
         with pytest.raises(InvalidArgumentError):
             fit_lda(x, 3)
         t = fit_lda(x, 2)
-        assert t.out_dim == 2
+        assert t.components.shape[1] == 2
 
     def test_label_dependence(self):
         x = self._two_classes()
@@ -231,5 +231,29 @@ class TestApplyAndPipeline:
         header = {n: x for n, x in header.items() if n != drop}
         header["arrays"] = [header["arrays"][i] for i in keep]
         path.write_bytes(pack(TRANSFORM_MAGIC, header, [values[i] for i in keep]))
+        with pytest.raises(IntegrityError):
+            load_transform(path)
+
+    # one array of a saved PCA transform of 4 columns to 3 components, edited
+    # so that its shape disagrees with the others
+    SHAPE_FAULTS = {"std-short": ("std", lambda a: a[:2]),
+                    "mean-long": ("mean", lambda a: np.append(a, 0.0)),
+                    "mean-matrix": ("mean", lambda a: a[None]),
+                    "components-vector": ("components", lambda a: a[:, 0]),
+                    "components-short": ("components", lambda a: a[:-1]),
+                    "evr-long": ("evr", lambda a: np.append(a, 0.0))}
+
+    @pytest.mark.parametrize("fault", sorted(SHAPE_FAULTS))
+    def test_shape_fault_rejected(self, tmp_path, fault):
+        """Shapes `apply_transform` would fail on are an integrity error at load."""
+        path = tmp_path / "t.bin"
+        save_transform(fit_pca(fm(np.random.default_rng(8).normal(size=(20, 4))), 3), path)
+        header, values = unpack(path.read_bytes(), TRANSFORM_MAGIC, "transform")
+        load_transform(path)
+        name, edit = self.SHAPE_FAULTS[fault]
+        i = [rec["name"] for rec in header["arrays"]].index(name)
+        values[i] = edit(values[i])
+        header["arrays"][i]["shape"] = list(values[i].shape)
+        path.write_bytes(pack(TRANSFORM_MAGIC, header, values))
         with pytest.raises(IntegrityError):
             load_transform(path)

@@ -14,12 +14,14 @@ forward for the last conv activation, and the ablation that kept one row
 object per arm, with its delta, before every arm went through `fit_arm`.
 They live only here; every comparison is exact (`np.array_equal`,
 or equal text), because the library code does the same float operations in
-the same order.
+the same order. `shap_exact` enumerates all 2^D coalitions; the explain and
+acceptance tests compare `shap_sampled` with it to a tolerance.
 """
 
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass
 from unittest import mock
 
@@ -35,6 +37,7 @@ from enfuse.classifiers import (
     GBT_ETA,
     GBT_MIN_SPLIT,
     KINDS,
+    KNN_K,
     RF_MAX_DEPTH,
     RF_MIN_SPLIT,
     TrainedClassifier,
@@ -63,10 +66,9 @@ from enfuse.ensemble import (
     predict_ensemble,
     train_ensemble,
 )
+from enfuse.errors import InvalidArgumentError
 from enfuse.explain import (
     ShapExplanation,
-    _background_mean,
-    _coalition_matrix,
     _svg_document,
     grad_cam,
     render_ablation_svg,
@@ -123,12 +125,12 @@ def trees_of(clf: TrainedClassifier) -> list[Tree]:
             for a, b in zip(offsets[:-1], offsets[1:])]
 
 
-def forest(kind: str, n_classes: int, trees: list[Tree], meta=None) -> TrainedClassifier:
+def forest(kind: str, n_classes: int, trees: list[Tree]) -> TrainedClassifier:
     """A classifier whose node table holds these trees in order."""
     arrays = {f"tree_{name}": np.concatenate([getattr(t, name) for t in trees])
               for name in TREE_FIELDS}
     arrays["tree_offsets"] = np.cumsum([0] + [len(t.feature) for t in trees])
-    return TrainedClassifier(kind, n_classes, arrays=arrays, meta=meta or {})
+    return TrainedClassifier(kind, n_classes, arrays=arrays)
 
 
 def predict_value_rows(tree: Tree, x: np.ndarray) -> np.ndarray:
@@ -161,10 +163,10 @@ def rf_proba_per_tree(clf, q: np.ndarray) -> np.ndarray:
 
 def gbt_proba_per_tree(clf, q: np.ndarray) -> np.ndarray:
     """Boosted scores as a sum over trees, one tree's walk at a time."""
-    k, eta = clf.n_classes, clf.meta["eta"]
+    k = clf.n_classes
     scores = np.zeros((len(q), k))
     for i, tree in enumerate(trees_of(clf)):
-        scores[:, i % k] += eta * tree.predict_value(q)[:, 0]
+        scores[:, i % k] += GBT_ETA * tree.predict_value(q)[:, 0]
     return _softmax(scores)
 
 
@@ -232,7 +234,7 @@ def knn_proba_rows(clf, q: np.ndarray) -> np.ndarray:
         if len(exact):
             out[i, train_y[exact[0]]] = 1.0
             continue
-        nearest = np.argsort(dist, kind="stable")[:clf.meta["k"]]
+        nearest = np.argsort(dist, kind="stable")[:KNN_K]
         weights = 1.0 / (dist[nearest] + 1e-12)
         for j, wgt in zip(nearest, weights):
             out[i, train_y[j]] += wgt
@@ -243,7 +245,7 @@ def knn_proba_rows(clf, q: np.ndarray) -> np.ndarray:
 def shap_sampled_per_permutation(f, instance, background, n_samples, seed):
     instance = np.asarray(instance, dtype=np.float64).ravel()
     d = len(instance)
-    bg_mean = _background_mean(background)
+    bg_mean = background.mean(axis=0)
     rng = np.random.default_rng(seed)
     n_perms = max(1, n_samples // max(d, 1))
     contribs = np.zeros((n_perms, d))
@@ -253,7 +255,7 @@ def shap_sampled_per_permutation(f, instance, background, n_samples, seed):
         for step, feat in enumerate(order):
             masks[step + 1] = masks[step]
             masks[step + 1, feat] = True
-        vals = np.asarray(f(_coalition_matrix(masks, instance, bg_mean)))
+        vals = np.asarray(f(np.where(masks, instance, bg_mean)))
         contribs[p, order] = np.diff(vals)
     phi = contribs.mean(axis=0)
     stderr = contribs.std(axis=0) / np.sqrt(n_perms)
@@ -262,7 +264,44 @@ def shap_sampled_per_permutation(f, instance, background, n_samples, seed):
     residual = (out - base) - phi.sum()
     mass = np.abs(phi).sum()
     phi = phi + residual * (np.abs(phi) / mass if mass > 1e-12 else np.full(d, 1.0 / d))
-    return ShapExplanation(phi, base, out, stderr=stderr)
+    return ShapExplanation(phi, base, out, stderr)
+
+
+SHAP_EXACT_MAX_FEATURES = 15
+
+
+def shap_exact(f, instance, background) -> ShapExplanation:
+    """Exact Shapley values of f: (n, D) -> (n,) by enumerating all 2^D
+    feature coalitions.
+
+    "Without" a feature means replacing it by the background mean.
+    """
+    instance = np.asarray(instance, dtype=np.float64).ravel()
+    d = len(instance)
+    if d > SHAP_EXACT_MAX_FEATURES:
+        raise InvalidArgumentError(
+            f"{d} features exceeds the exact limit of {SHAP_EXACT_MAX_FEATURES}; "
+            "use shap_sampled")
+    bg_mean = background.mean(axis=0)
+    n_sets = 1 << d
+    masks = (np.arange(n_sets)[:, None] >> np.arange(d)) & 1
+    vals = np.asarray(f(np.where(masks.astype(bool), instance, bg_mean)), dtype=np.float64)
+    sizes = masks.sum(axis=1)
+    fact = [math.factorial(i) for i in range(d + 1)]
+    phi = np.zeros(d)
+    for j in range(d):
+        without_j = np.flatnonzero(masks[:, j] == 0)
+        s = sizes[without_j]
+        weight = np.array([fact[k] * fact[d - k - 1] / fact[d] for k in s])
+        phi[j] = np.sum(weight * (vals[without_j | (1 << j)] - vals[without_j]))
+    return ShapExplanation(phi, float(vals[0]), float(vals[-1]), np.zeros(d))
+
+
+def classifier_output(clf: TrainedClassifier, instance: np.ndarray):
+    """f: (n, D) -> (n,), the classifier's probability of the class it
+    assigns to `instance`."""
+    cls = int(np.argmax(predict_proba(clf, instance[None])[0]))
+    return lambda x: predict_proba(clf, x)[:, cls]
 
 
 def build_tree_recursive(x, target, idx, rng, *, max_depth, min_split, n_feature_sub,
@@ -557,7 +596,7 @@ def test_gbt_proba_matches_per_tree_sum(seed, rounds, k, n_rows, signed_zero):
     if signed_zero:
         for tree in trees:
             tree.value[rng.random(tree.value.shape) < 0.5] = -0.0
-    clf = forest("GBT", k, trees, meta={"eta": GBT_ETA})
+    clf = forest("GBT", k, trees)
     q = rng.choice(np.array(VALUES + (np.nan,)), size=(n_rows, 3))
     assert same_bits(predict_proba(clf, q), gbt_proba_per_tree(clf, q))
 

@@ -21,12 +21,12 @@ added in tree order from 0.0, as a loop over the trees adds them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .artifact import pack, unpack, write_atomic
-from .errors import IntegrityError, InvalidArgumentError, InvalidDatasetError
+from .errors import EnfuseError, IntegrityError
 
 CLASSIFIER_MAGIC = b"ETSEFC1\x00"
 KINDS = ("SVM", "KNN", "GNB", "RF", "GBT")
@@ -37,8 +37,11 @@ SVM_C = 1.0             # hinge weight against the L2 term
 SVM_TOL = 1e-3          # stop when the objective changes by less
 KNN_K = 3
 GNB_VAR_SMOOTHING = 1e-9  # variance floor, as a fraction of the widest feature's
+RF_TREES = 100
 RF_MAX_DEPTH = 10
 RF_MIN_SPLIT = 3        # fewest rows a node needs to split
+GBT_ROUNDS = 50         # each round grows one tree per class
+GBT_MAX_DEPTH = 10
 GBT_ETA = 0.9           # learning rate on each round's leaf scores
 GBT_MIN_SPLIT = 2
 # A forest walk holds a few arrays of one entry per (tree, query row) pair; it
@@ -70,8 +73,8 @@ class TrainedClassifier:
 
     kind: str
     n_classes: int
-    arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    arrays: dict[str, np.ndarray]
+    meta: dict
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -84,9 +87,9 @@ def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or len(x) != len(y):
-        raise InvalidArgumentError("x must be 2-D with one label per row")
+        raise EnfuseError("x must be 2-D with one label per row")
     if len(x) == 0:
-        raise InvalidDatasetError("empty training set")
+        raise EnfuseError("empty training set")
     return x, y, int(y.max()) + 1
 
 
@@ -103,7 +106,7 @@ def fit_svm(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
     """
     x, y, k = _check_xy(x, y)
     if k < 2 or len(np.unique(y)) < 2:
-        raise InvalidDatasetError("SVM needs at least 2 classes")
+        raise EnfuseError("SVM needs at least 2 classes")
     n, d = x.shape
     w = np.zeros((k, d))
     b = np.zeros(k)
@@ -138,7 +141,7 @@ def fit_svm(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
 def fit_knn(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
     x, y, n_classes = _check_xy(x, y)
     if len(x) < KNN_K:
-        raise InvalidDatasetError(f"KNN needs at least k={KNN_K} training points")
+        raise EnfuseError(f"KNN needs at least k={KNN_K} training points")
     return TrainedClassifier("KNN", n_classes,
                              arrays={"x": x.copy(), "y": y.astype(np.float64)},
                              meta={"k": KNN_K})
@@ -174,7 +177,7 @@ def fit_gnb(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
     classes = np.unique(y)
     for cls in classes:
         if (y == cls).sum() < 2:
-            raise InvalidDatasetError("GNB needs >= 2 samples per class")
+            raise EnfuseError("GNB needs >= 2 samples per class")
     theta = np.zeros((k, x.shape[1]))
     var = np.full((k, x.shape[1]), np.inf)
     priors = np.zeros(k)
@@ -507,22 +510,20 @@ def _leaf_blocks(table: dict[str, np.ndarray], q: np.ndarray):
 # Random forest
 # ---------------------------------------------------------------------------
 
-def fit_rf(x: np.ndarray, y: np.ndarray, n_trees: int = 100, *, seed: int) -> TrainedClassifier:
+def fit_rf(x: np.ndarray, y: np.ndarray, *, seed: int) -> TrainedClassifier:
     """Bagged Gini trees with per-split feature subsampling of ceil(sqrt(D)),
     grown together in lockstep, each from its own generator."""
     x, y, k = _check_xy(x, y)
     if len(x) < 3:
-        raise InvalidDatasetError("RF needs at least 3 samples")
-    if n_trees < 1:
-        raise InvalidArgumentError("RF needs at least one tree")
+        raise EnfuseError("RF needs at least 3 samples")
     n, d = x.shape
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_trees)]
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(RF_TREES)]
     bootstraps = [rng.integers(0, n, size=n) for rng in rngs]
     table, _ = _grow_trees(x, bootstraps, _Gini(y, k), max_depth=RF_MAX_DEPTH,
                            min_split=RF_MIN_SPLIT, rngs=rngs,
                            n_feature_sub=int(np.ceil(np.sqrt(d))))
     return TrainedClassifier("RF", k, arrays=table,
-                             meta={"n_trees": n_trees, "max_depth": RF_MAX_DEPTH,
+                             meta={"n_trees": RF_TREES, "max_depth": RF_MAX_DEPTH,
                                    "min_split": RF_MIN_SPLIT, "seed": seed})
 
 
@@ -542,8 +543,7 @@ def _rf_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
 # Gradient-boosted trees (softmax cross-entropy, Newton leaf values)
 # ---------------------------------------------------------------------------
 
-def fit_gbt(x: np.ndarray, y: np.ndarray, max_depth: int = 10,
-            rounds: int = 50) -> TrainedClassifier:
+def fit_gbt(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
     """Boosting with one regression tree per class per round; a round's class
     trees grow together.
 
@@ -554,9 +554,7 @@ def fit_gbt(x: np.ndarray, y: np.ndarray, max_depth: int = 10,
     """
     x, y, k = _check_xy(x, y)
     if len(np.unique(y)) < 2:
-        raise InvalidDatasetError("GBT needs at least 2 classes")
-    if rounds < 1:
-        raise InvalidArgumentError("GBT needs at least one round")
+        raise EnfuseError("GBT needs at least 2 classes")
     n = len(x)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
@@ -568,21 +566,21 @@ def fit_gbt(x: np.ndarray, y: np.ndarray, max_depth: int = 10,
 
     tables = []
     loss_log = []
-    for _ in range(rounds):
+    for _ in range(GBT_ROUNDS):
         p = _softmax(scores)
         residual = onehot - p
         hess = p * (1.0 - p)
         table, leaf_value = _grow_trees(
             stacked, roots, _SquaredError(residual.T.ravel(), hess.T.ravel()),
-            max_depth=max_depth, min_split=GBT_MIN_SPLIT, rngs=None, n_feature_sub=None)
+            max_depth=GBT_MAX_DEPTH, min_split=GBT_MIN_SPLIT, rngs=None, n_feature_sub=None)
         tables.append(table)
         # row cls*n + i of the stack is row i in class tree cls
         scores += GBT_ETA * leaf_value[:, 0].reshape(k, n).T
         p = _softmax(scores)
         loss_log.append(float(-np.log(p[np.arange(n), y] + 1e-300).mean()))
     return TrainedClassifier("GBT", k, arrays=_join_tables(tables),
-                             meta={"eta": GBT_ETA, "max_depth": max_depth,
-                                   "rounds": rounds, "min_split": GBT_MIN_SPLIT,
+                             meta={"eta": GBT_ETA, "max_depth": GBT_MAX_DEPTH,
+                                   "rounds": GBT_ROUNDS, "min_split": GBT_MIN_SPLIT,
                                    "train_log_loss": loss_log})
 
 
@@ -614,7 +612,7 @@ def predict_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
         return _rf_proba(clf, q)
     if clf.kind == "GBT":
         return _gbt_proba(clf, q)
-    raise InvalidArgumentError(f"unknown classifier kind {clf.kind!r}")
+    raise EnfuseError(f"unknown classifier kind {clf.kind!r}")
 
 
 def predict(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
@@ -672,8 +670,8 @@ def save_classifier(clf: TrainedClassifier, path) -> None:
 
 
 def load_classifier(path) -> TrainedClassifier:
-    """The saved classifier; IntegrityError for a header without its kind,
-    class count or meta, an unknown kind, a class count below 1, a file
+    """The saved classifier; IntegrityError for a header without its kind or
+    class count, an unknown kind, a class count below 1, a file
     without an array its kind predicts with or with one shaped otherwise
     than `_SHAPES` says, KNN labels that are not classes, or a forest table
     `_forest_table` rejects."""
@@ -681,7 +679,7 @@ def load_classifier(path) -> TrainedClassifier:
         blob = f.read()
     header, values = unpack(blob, CLASSIFIER_MAGIC, "classifier")
     try:
-        kind, n_classes, meta = header["kind"], header["n_classes"], header["meta"]
+        kind, n_classes, meta = header["kind"], header["n_classes"], header.get("meta", {})
         arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"unreadable classifier header: {exc!r}") from exc

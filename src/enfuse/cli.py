@@ -53,7 +53,7 @@ from .ensemble import (
     summary_text,
     train_ensemble,
 )
-from .errors import ConfigError, EnfuseError, IntegrityError, InvalidArgumentError
+from .errors import ConfigError, EnfuseError, IntegrityError
 from .explain import (
     TSNE_MIN_ROWS,
     ensemble_output,
@@ -624,7 +624,7 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
     train, test = target_split(config, seed)
     exp = config["explain"]
     if what != "tsne" and not 0 <= instance < len(test):
-        raise InvalidArgumentError(f"instance {instance} out of range")
+        raise EnfuseError(f"instance {instance} out of range")
     outputs: dict[Path, bytes] = {}
     if what == "gradcam":
         image = test.images[instance]
@@ -804,11 +804,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     with _one_blas_thread():
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.seed < 0:  # NumPy seeds only from whole numbers >= 0
+            parser.error(f"argument --seed: {args.seed} is negative")
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         lock = out / ".lock"
-        if not _take_lock(lock):
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            locked = _take_lock(lock)
+        except OSError as exc:
+            print(f"error: --out {out} is not a usable directory: {exc}", file=sys.stderr)
+            return 2
+        if not locked:
             print(f"error: {lock} is held by another run; remove it only if no run uses {out}",
                   file=sys.stderr)
             return 3

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidDatasetError
+from .errors import EnfuseError
 
 
 @dataclass
@@ -30,13 +30,13 @@ class LabeledImageSet:
         self.images = np.asarray(self.images, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.images.ndim != 4:
-            raise InvalidArgumentError("images must be a (N,H,W,C) stack")
+            raise EnfuseError("images must be a (N,H,W,C) stack")
         if self.images.shape[3] not in (1, 3):
-            raise InvalidArgumentError("channel count must be 1 or 3")
+            raise EnfuseError("channel count must be 1 or 3")
         if len(self.labels) != len(self.images):
-            raise InvalidArgumentError("labels/images length mismatch")
+            raise EnfuseError("labels/images length mismatch")
         if len(self.labels) and self.labels.max() >= len(self.class_names):
-            raise InvalidArgumentError("label out of range for class_names")
+            raise EnfuseError("label out of range for class_names")
 
     def __len__(self):
         return len(self.images)
@@ -68,7 +68,7 @@ def pnm_bytes(image: np.ndarray) -> bytes:
         image = image[:, :, None]
     h, w, c = image.shape
     if c not in (1, 3):
-        raise InvalidArgumentError("image must have 1 or 3 channels")
+        raise EnfuseError("image must have 1 or 3 channels")
     magic = b"P5" if c == 1 else b"P6"
     data = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
     return magic + b"\n%d %d\n255\n" % (w, h) + data.tobytes()
@@ -149,7 +149,7 @@ def vflip(images: np.ndarray) -> np.ndarray:
 def box_blur(images: np.ndarray, kernel: int) -> np.ndarray:
     """Normalized box blur with edge-clamp padding; kernel must be odd."""
     if kernel < 1 or kernel % 2 == 0:
-        raise InvalidArgumentError("kernel must be odd and >= 1")
+        raise EnfuseError("kernel must be odd and >= 1")
     if kernel == 1:
         return images.copy()
     r = kernel // 2
@@ -195,7 +195,7 @@ def random_transform(images: np.ndarray, blur_kernel: int,
 def one_hot_matrix(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) and (labels.min() < 0 or labels.max() >= n_classes):
-        raise InvalidArgumentError("label out of range")
+        raise EnfuseError("label out of range")
     out = np.zeros((len(labels), n_classes))
     out[np.arange(len(labels)), labels] = 1.0
     return out
@@ -228,11 +228,11 @@ def stratified_split(dataset: LabeledImageSet, train_fraction: float,
     sample of round(train_fraction * class size).
     """
     if not 0.0 < train_fraction < 1.0:
-        raise InvalidArgumentError("train_fraction must be in (0, 1)")
+        raise EnfuseError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     counts = dataset.class_counts()
     if np.any(counts < 2):
-        raise InvalidDatasetError("stratified split needs at least 2 samples per class")
+        raise EnfuseError("stratified split needs at least 2 samples per class")
     takes = stratified_train_counts(counts, train_fraction)
     train_idx, test_idx = [], []
     for c in range(dataset.n_classes):
@@ -300,7 +300,7 @@ def _draw_motif(motif: str, n: int, size: tuple[int, int], rng: np.random.Genera
     elif motif == "ring":
         mask = (dist <= r_base) & (dist >= r_base - thick)
     else:
-        raise InvalidArgumentError(f"unknown motif {motif!r}")
+        raise EnfuseError(f"unknown motif {motif!r}")
     img = np.where(mask, 0.85 - param_shift * 0.2, 0.15 + param_shift * 0.3)
     images = img[..., None] * np.array(_TINTS[motif])
     if noise is not None:
@@ -317,9 +317,9 @@ def make_synthetic_task(kind: str, n_per_class: int, size: tuple[int, int],
     change of domain).
     """
     if kind not in TASK_MOTIFS:
-        raise InvalidArgumentError(f"unknown task kind {kind!r}")
+        raise EnfuseError(f"unknown task kind {kind!r}")
     if n_per_class < 1:
-        raise InvalidArgumentError("n_per_class must be >= 1")
+        raise EnfuseError("n_per_class must be >= 1")
     motifs = TASK_MOTIFS[kind]
     rng = np.random.default_rng(seed)
     # label-major, so each motif's images make their draws in turn

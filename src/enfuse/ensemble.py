@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classifiers import (KINDS, TrainedClassifier, fit_gbt, fit_gnb, fit_knn, fit_rf,
                           fit_svm, predict)
 from .data import LabeledImageSet
-from .errors import InvalidArgumentError
+from .errors import EnfuseError
 from .features import FeatureMatrix
 from .fusion import FusionTransform, apply_transform, concat_features, fuse_pipeline
 from .nn import EncoderModel
@@ -37,14 +37,14 @@ class MetricReport:
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    per_class: list[dict] = field(default_factory=list)
+    per_class: list[dict]
 
 
 def confusion_from_labels(true: np.ndarray, pred: np.ndarray,
                           n_classes: int) -> np.ndarray:
     """The (k, k) int64 counts: row = true class, column = predicted class."""
     if len(true) != len(pred):
-        raise InvalidArgumentError("label array length mismatch")
+        raise EnfuseError("label array length mismatch")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (true, pred), 1)
     return counts
@@ -95,14 +95,14 @@ def extract_parts(base_models: list[tuple[str, EncoderModel]],
 def fuse_parts(model: EnsembleModel, parts: dict[str, FeatureMatrix]) -> FeatureMatrix:
     """Concatenate parts and apply the ensemble's train-fitted transform."""
     if list(parts) != model.base_names:
-        raise InvalidArgumentError("base models differ from the trained ensemble")
+        raise EnfuseError("base models differ from the trained ensemble")
     return apply_transform(model.transform, concat_features(list(parts.values())))
 
 
 def majority_vote(predictions: list[np.ndarray], n_classes: int) -> np.ndarray:
     """Plurality vote per sample; ties go to the lowest class index."""
     if not predictions:
-        raise InvalidArgumentError("no predictions to vote over")
+        raise EnfuseError("no predictions to vote over")
     preds = np.stack([np.asarray(p, dtype=np.int64) for p in predictions])
     n = preds.shape[1]
     tally = np.zeros((n, n_classes))
@@ -156,7 +156,7 @@ def evaluate(model: EnsembleModel, parts: dict[str, FeatureMatrix]
     """Voted confusion counts and metrics, and the `scores`, from one prediction."""
     true = next(iter(parts.values())).labels
     if len(true) == 0:
-        raise InvalidArgumentError("empty evaluation set")
+        raise EnfuseError("empty evaluation set")
     per_clf, voted = predict_ensemble(model, parts)
     counts = confusion_from_labels(true, voted, model.n_classes)
     return counts, report_from_confusion(counts), scores(true, per_clf, voted)
@@ -175,7 +175,7 @@ def ablate(full: EnsembleModel, train_parts: dict[str, FeatureMatrix],
     fitted on all of `train_parts` with the same method, seed and k.
     """
     if len(train_parts) < 2:
-        raise InvalidArgumentError("ablation needs at least 2 base models")
+        raise EnfuseError("ablation needs at least 2 base models")
     true = next(iter(test_parts.values())).labels
     arms = {None: scores(true, *predict_ensemble(full, test_parts))}
     for excluded in train_parts:

@@ -1,33 +1,13 @@
-"""Exception hierarchy shared by all pipeline stages."""
+"""Exception hierarchy shared by all pipeline stages: one class per exit code."""
 
 
 class EnfuseError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class InvalidArgumentError(EnfuseError):
-    """An argument violates a documented precondition."""
-
-
-class DegenerateInputError(EnfuseError):
-    """Numerically degenerate input (zero-norm vector, empty batch, ...)."""
-
-
-class InvalidDatasetError(EnfuseError):
-    """A dataset violates a structural requirement (empty class, too few samples)."""
-
-
-class InvalidStateError(EnfuseError):
-    """Operation called on an object in the wrong lifecycle stage."""
-
-
-class UnsupportedModelError(EnfuseError):
-    """The model lacks a structural feature the operation needs."""
+    """Base class for all errors raised by this package (exit 3)."""
 
 
 class IntegrityError(EnfuseError):
-    """A persisted artifact failed its hash or format validation."""
+    """A persisted artifact failed its hash or format validation (exit 4)."""
 
 
 class ConfigError(EnfuseError):
-    """Run configuration is malformed or contains unknown keys."""
+    """Run configuration is malformed or contains unknown keys (exit 2)."""

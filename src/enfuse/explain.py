@@ -9,14 +9,14 @@ byte-deterministic; the caller writes them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classifiers import predict_proba
 from .data import pnm_bytes, resize_bilinear
 from .ensemble import EnsembleModel
-from .errors import InvalidArgumentError, UnsupportedModelError
+from .errors import EnfuseError
 from .features import FeatureMatrix
 from .nn.layers import Softmax
 from .nn.model import EncoderModel
@@ -52,9 +52,9 @@ def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int) -> np.nd
     for layer in above:
         logits = layer.forward(logits, keep_cache=True)
     if logits.ndim != 2:
-        raise UnsupportedModelError("grad_cam needs a classification head")
+        raise EnfuseError("grad_cam needs a classification head")
     if not 0 <= target_class < logits.shape[1]:
-        raise InvalidArgumentError(f"target class {target_class} out of range")
+        raise EnfuseError(f"target class {target_class} out of range")
     grad = np.zeros_like(logits)
     grad[0, target_class] = 1.0
     for layer in reversed(above):
@@ -107,7 +107,7 @@ def shap_sampled(f, instance: np.ndarray, background: np.ndarray, *, n_samples: 
     so base + sum(phi) always equals the model output.
     """
     if n_samples <= 0:
-        raise InvalidArgumentError("n_samples must be positive")
+        raise EnfuseError("n_samples must be positive")
     instance = np.asarray(instance, dtype=np.float64).ravel()
     d = len(instance)
     bg_mean = background.mean(axis=0)
@@ -144,7 +144,7 @@ class Embedding2D:
     labels: np.ndarray | None
     kl_divergence: float
     perplexity: float                  # the value used; tsne_embed may lower it
-    kl_log: list = field(default_factory=list)  # (iteration, KL) checkpoints
+    kl_log: list                       # (iteration, KL) checkpoints
 
 
 def _conditional_p(dist_sq: np.ndarray, perplexity: float) -> np.ndarray:
@@ -181,7 +181,7 @@ def tsne_embed(x: FeatureMatrix, *, perplexity: float, iters: int,
     data = x.data
     n = len(data)
     if n < TSNE_MIN_ROWS:
-        raise InvalidArgumentError(f"t-SNE needs at least {TSNE_MIN_ROWS} rows")
+        raise EnfuseError(f"t-SNE needs at least {TSNE_MIN_ROWS} rows")
     if n < 3 * perplexity:
         perplexity = max(1.0, (n - 1) / 3.0)
         warnings.warn(f"perplexity reduced to {perplexity:.1f} for {n} rows")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import EnfuseError
 
 
 @dataclass
@@ -14,16 +14,16 @@ class FeatureMatrix:
     """Dense M x D matrix with optional per-row labels."""
 
     data: np.ndarray
-    labels: np.ndarray | None = None
+    labels: np.ndarray | None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
-            raise InvalidArgumentError("feature matrix must be 2-D")
+            raise EnfuseError("feature matrix must be 2-D")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if len(self.labels) != len(self.data):
-                raise InvalidArgumentError("labels length mismatch")
+                raise EnfuseError("labels length mismatch")
 
     @property
     def n_rows(self) -> int:

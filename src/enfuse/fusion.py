@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifact import pack, unpack, write_atomic
-from .errors import IntegrityError, InvalidArgumentError
+from .errors import EnfuseError, IntegrityError
 from .features import FeatureMatrix
 from .linalg import eigh_symmetric, standardize, whiten
 
@@ -41,14 +41,14 @@ class FusionTransform:
 def concat_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
     """Append feature matrices column-wise, verifying row alignment."""
     if not parts:
-        raise InvalidArgumentError("no feature matrices to concatenate")
+        raise EnfuseError("no feature matrices to concatenate")
     first = parts[0]
     for part in parts[1:]:
         if part.n_rows != first.n_rows:
-            raise InvalidArgumentError("row-count mismatch between feature matrices")
+            raise EnfuseError("row-count mismatch between feature matrices")
         if first.labels is not None and part.labels is not None \
                 and not np.array_equal(part.labels, first.labels):
-            raise InvalidArgumentError("label mismatch between feature matrices")
+            raise EnfuseError("label mismatch between feature matrices")
     data = np.concatenate([p.data for p in parts], axis=1)
     return FeatureMatrix(data, labels=first.labels)
 
@@ -67,7 +67,7 @@ def fit_pca(x: FeatureMatrix, k: int) -> FusionTransform:
     scaled, mean, std = standardize(x.data)
     n, d = scaled.shape
     if not 1 <= k <= min(n - 1, d):
-        raise InvalidArgumentError(f"k={k} out of range for {n}x{d} input")
+        raise EnfuseError(f"k={k} out of range for {n}x{d} input")
     cov = scaled.T @ scaled / (n - 1)
     eigvals, eigvecs = eigh_symmetric(cov)
     eigvals = np.maximum(eigvals, 0.0)
@@ -85,7 +85,7 @@ def fit_ica(x: FeatureMatrix, k: int, *, seed: int) -> FusionTransform:
     scaled, mean, std = standardize(x.data)
     n, d = scaled.shape
     if not 1 <= k <= min(n - 1, d):
-        raise InvalidArgumentError(f"k={k} out of range for {n}x{d} input")
+        raise EnfuseError(f"k={k} out of range for {n}x{d} input")
     rank = np.linalg.matrix_rank(scaled, tol=1e-10)
     if k > rank:
         warnings.warn(f"input rank {rank} below requested k={k}; reducing")
@@ -127,15 +127,15 @@ def fit_ica(x: FeatureMatrix, k: int, *, seed: int) -> FusionTransform:
 def fit_lda(x: FeatureMatrix, k: int) -> FusionTransform:
     """Fisher directions from the between/within scatter; within gets a 1e-6 ridge."""
     if x.labels is None:
-        raise InvalidArgumentError("LDA needs labelled features")
+        raise EnfuseError("LDA needs labelled features")
     scaled, mean, std = standardize(x.data)
     labels = x.labels
     classes = np.unique(labels)
     if k > len(classes) - 1 or k < 1:
-        raise InvalidArgumentError(f"LDA k must be in [1, {len(classes) - 1}]")
+        raise EnfuseError(f"LDA k must be in [1, {len(classes) - 1}]")
     counts = np.array([(labels == c).sum() for c in classes])
     if np.any(counts < 2):
-        raise InvalidArgumentError("every class needs >= 2 samples for LDA")
+        raise EnfuseError("every class needs >= 2 samples for LDA")
     d = scaled.shape[1]
     overall = scaled.mean(axis=0)
     s_w = np.zeros((d, d))
@@ -160,7 +160,7 @@ def fit_lda(x: FeatureMatrix, k: int) -> FusionTransform:
 
 def apply_transform(t: FusionTransform, x: FeatureMatrix) -> FeatureMatrix:
     if x.n_cols != t.in_dim:
-        raise InvalidArgumentError(f"dim mismatch: transform takes {t.in_dim}, got {x.n_cols}")
+        raise EnfuseError(f"dim mismatch: transform takes {t.in_dim}, got {x.n_cols}")
     scaled = (x.data - t.mean) / t.std
     return FeatureMatrix(scaled @ t.components, labels=x.labels)
 
@@ -176,7 +176,7 @@ def fuse_pipeline(parts: list[FeatureMatrix], *, method: str, k: int,
     transform must be reused as-is on test features (no refitting).
     """
     if method not in METHODS:
-        raise InvalidArgumentError(f"unknown fusion method {method!r}")
+        raise EnfuseError(f"unknown fusion method {method!r}")
     x = concat_features(parts)
     if k == 0:
         k = min(x.n_rows - 1, DEFAULT_ICA_DIM, x.n_cols)

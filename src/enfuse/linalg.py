@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import EnfuseError
 
 CONST_COLUMN_EPS = 1e-12
 SYMMETRY_TOL = 1e-9
@@ -24,10 +24,10 @@ def eigh_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
+        raise EnfuseError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a))))
     if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * scale:
-        raise InvalidArgumentError("matrix is not symmetric within tolerance")
+        raise EnfuseError("matrix is not symmetric within tolerance")
     w, v = np.linalg.eigh(a)
     order = np.argsort(w)[::-1]
     w = w[order]
@@ -48,7 +48,7 @@ def standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
-        raise InvalidArgumentError("standardize needs a 2-D matrix with at least 2 rows")
+        raise EnfuseError("standardize needs a 2-D matrix with at least 2 rows")
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std = np.where(std > CONST_COLUMN_EPS, std, 1.0)
@@ -64,11 +64,11 @@ def whiten(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     if k > min(n - 1, d) or k < 1:
-        raise InvalidArgumentError(f"k={k} out of range for {n}x{d} input")
+        raise EnfuseError(f"k={k} out of range for {n}x{d} input")
     cov = x.T @ x / (n - 1)
     eigenvalues, eigenvectors = eigh_symmetric(cov)
     lam = eigenvalues[:k]
     if np.any(lam <= CONST_COLUMN_EPS):
-        raise InvalidArgumentError(f"rank of input below k={k}")
+        raise EnfuseError(f"rank of input below k={k}")
     w = (eigenvectors[:, :k] / np.sqrt(lam)).T
     return x @ w.T, w

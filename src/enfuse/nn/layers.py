@@ -4,7 +4,7 @@ A forward called with `keep_cache=True` caches what the backward pass needs;
 any other forward keeps nothing and drops the cache an earlier forward left,
 so inference, and a layer that no backward will reach, hold no buffers
 (`EncoderModel.forward` asks only its trainable slice to keep them). backward
-reads the cache, raising InvalidStateError when the last forward kept none,
+reads the cache, raising EnfuseError when the last forward kept none,
 and accumulates parameter gradients into `self.grads`. A layer with
 parameters skips its input gradient when called with `input_grad=False` and
 returns None.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidArgumentError, InvalidStateError
+from ..errors import EnfuseError
 
 
 class Layer:
@@ -43,7 +43,7 @@ class Layer:
 
     def _cached(self):
         if self._cache is None:
-            raise InvalidStateError(
+            raise EnfuseError(
                 f"{type(self).__name__}.backward needs a forward with keep_cache=True")
         return self._cache
 
@@ -72,7 +72,7 @@ class Conv2d(Layer):
                  rng: np.random.Generator | None = None, *, draw: bool = True):
         super().__init__()
         if kernel % 2 == 0:
-            raise InvalidArgumentError("same-padding conv needs an odd kernel")
+            raise EnfuseError("same-padding conv needs an odd kernel")
         self.in_ch, self.out_ch, self.kernel = in_ch, out_ch, kernel
         self.params = {
             "w": _he_weights((in_ch * kernel * kernel, out_ch), rng, draw),
@@ -96,8 +96,7 @@ class Conv2d(Layer):
 
     def forward(self, x, training=False, keep_cache=False):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
-            raise InvalidArgumentError(
-                f"Conv2d expected (N,{self.in_ch},H,W), got {x.shape}")
+            raise EnfuseError(f"Conv2d expected (N,{self.in_ch},H,W), got {x.shape}")
         n, _, h, w = x.shape
         p = self.kernel // 2
         x_pad = np.zeros((n, self.in_ch, h + 2 * p, w + 2 * p), dtype=x.dtype)
@@ -142,7 +141,7 @@ class Dense(Layer):
 
     def forward(self, x, training=False, keep_cache=False):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise InvalidArgumentError(f"Dense expected (N,{self.in_dim}), got {x.shape}")
+            raise EnfuseError(f"Dense expected (N,{self.in_dim}), got {x.shape}")
         self._cache = x if keep_cache else None
         return x @ self.params["w"] + self.params["b"]
 
@@ -184,7 +183,7 @@ class MaxPool2d(Layer):
     def forward(self, x, training=False, keep_cache=False):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
-            raise InvalidArgumentError(f"MaxPool2d needs even spatial dims, got {h}x{w}")
+            raise EnfuseError(f"MaxPool2d needs even spatial dims, got {h}x{w}")
         quads = [x[:, :, dy::2, dx::2] for dy, dx in self.QUADRANTS]
         # a C-ordered output whatever the input's layout: downstream reductions
         # sum in memory order
@@ -236,7 +235,7 @@ class Dropout(Layer):
     def __init__(self, rate: float):
         super().__init__()
         if not 0.0 <= rate < 1.0:
-            raise InvalidArgumentError("dropout rate must be in [0, 1)")
+            raise EnfuseError("dropout rate must be in [0, 1)")
         self.rate = rate
         self._rng = np.random.default_rng(0)  # train_supervised reseeds it
 
@@ -290,5 +289,5 @@ _LAYER_KINDS = {
 def layer_from_descriptor(desc: dict) -> Layer:
     kind = desc.get("kind")
     if kind not in _LAYER_KINDS:
-        raise InvalidArgumentError(f"unknown layer kind {kind!r}")
+        raise EnfuseError(f"unknown layer kind {kind!r}")
     return _LAYER_KINDS[kind](desc)

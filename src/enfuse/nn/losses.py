@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateInputError, InvalidArgumentError
+from ..errors import EnfuseError
 
 
 def cross_entropy_loss(logits: np.ndarray, onehot: np.ndarray) -> tuple[float, np.ndarray]:
@@ -16,7 +16,7 @@ def cross_entropy_loss(logits: np.ndarray, onehot: np.ndarray) -> tuple[float, n
     logits = np.asarray(logits, dtype=np.float64)
     onehot = np.asarray(onehot, dtype=np.float64)
     if logits.shape != onehot.shape:
-        raise InvalidArgumentError(f"shape mismatch {logits.shape} vs {onehot.shape}")
+        raise EnfuseError(f"shape mismatch {logits.shape} vs {onehot.shape}")
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -40,13 +40,13 @@ def nt_xent_loss(z: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] % 2 or z.shape[0] < 4:
-        raise InvalidArgumentError("z must be (2N, d) with N >= 2")
+        raise EnfuseError("z must be (2N, d) with N >= 2")
     if tau <= 0:
-        raise InvalidArgumentError("temperature must be positive")
+        raise EnfuseError("temperature must be positive")
     m = z.shape[0]
     norms = np.linalg.norm(z, axis=1)
     if np.any(norms == 0.0):
-        raise DegenerateInputError("zero-norm projection vector")
+        raise EnfuseError("zero-norm projection vector")
     u = z / norms[:, None]
     s = u @ u.T
     pair = np.arange(m) ^ 1  # partner index of each row

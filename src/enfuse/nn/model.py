@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..artifact import pack, unpack, write_atomic
-from ..errors import IntegrityError, InvalidArgumentError, InvalidStateError
+from ..errors import EnfuseError, IntegrityError
 from .layers import Conv2d, Dropout, Layer, layer_from_descriptor
 
 MODEL_MAGIC = b"ETSEFM1\x00"
@@ -21,7 +21,7 @@ class EncoderModel:
     def __init__(self, backbone: list[Layer], head: list[Layer] | None = None):
         conv_channels = [l.out_ch for l in backbone if isinstance(l, Conv2d)]
         if not conv_channels:
-            raise InvalidArgumentError("backbone has no conv layers")
+            raise EnfuseError("backbone has no conv layers")
         self.backbone = backbone
         self.head = head or []
         self.feature_dim = conv_channels[-1]  # the width of the feature vector
@@ -40,7 +40,7 @@ class EncoderModel:
     def last_conv_index(self) -> int:
         idx = [i for i, l in enumerate(self.backbone) if isinstance(l, Conv2d)]
         if not idx:
-            raise InvalidStateError("model has no conv layer")
+            raise EnfuseError("model has no conv layer")
         return idx[-1]
 
     def freeze_backbone(self, upto: int | None = None):
@@ -80,14 +80,13 @@ class EncoderModel:
         for i, layer in enumerate(stack):
             try:
                 out = layer.forward(out, training=training, keep_cache=keep_cache and i >= lowest)
-            except InvalidArgumentError as exc:
-                raise InvalidArgumentError(
-                    f"layer {start + i} ({type(layer).__name__}): {exc}") from exc
+            except EnfuseError as exc:
+                raise EnfuseError(f"layer {start + i} ({type(layer).__name__}): {exc}") from exc
         return out
 
     def backward(self, dout: np.ndarray) -> None:
         """Accumulate parameter gradients for the last forward, which must
-        have kept its caches (else InvalidStateError).
+        have kept its caches (else EnfuseError).
 
         Runs top down through the layers that forward kept, ending at the
         lowest trainable layer with parameters, which skips its input
@@ -95,7 +94,7 @@ class EncoderModel:
         """
         stack = self._backward_stack
         if stack is None:
-            raise InvalidStateError("EncoderModel.backward needs a forward with keep_cache=True")
+            raise EnfuseError("EncoderModel.backward needs a forward with keep_cache=True")
         for layer in reversed(stack[1:]):
             dout = layer.backward(dout)
         if stack:
@@ -131,7 +130,7 @@ class EncoderModel:
         maps = self.forward_layers(x, 0, len(self.backbone), training=False,
                                    keep_cache=False)
         if maps.ndim != 4:
-            raise InvalidStateError("backbone did not produce conv maps")
+            raise EnfuseError("backbone did not produce conv maps")
         return maps.mean(axis=(2, 3))
 
     # -- persistence -------------------------------------------------------
@@ -165,7 +164,7 @@ class EncoderModel:
                         [layer_from_descriptor(d) for d in header["head"]])
             feature_dim, trainable = header["feature_dim"], header["trainable"]
             records = [(rec["layer"], rec["name"]) for rec in header["arrays"]]
-        except (KeyError, TypeError, ValueError, AttributeError, InvalidArgumentError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, EnfuseError) as exc:
             raise IntegrityError(f"unreadable model header: {exc!r}") from exc
         if feature_dim != model.feature_dim:
             raise IntegrityError(f"feature_dim {feature_dim} does not match "

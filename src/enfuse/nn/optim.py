@@ -9,7 +9,7 @@ elementwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,13 +27,13 @@ MIN_IMPROVE = 1e-6
 @dataclass
 class OptimizerState:
     learning_rate: float
-    step: int = 0
+    step: int = field(init=False, default=0)
     # first and second moments, one per flat parameter; the first step makes them
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+    m: np.ndarray | None = field(init=False, default=None)
+    v: np.ndarray | None = field(init=False, default=None)
     # plateau tracking
-    best_loss: float = float("inf")
-    since_improve: int = 0
+    best_loss: float = field(init=False, default=float("inf"))
+    since_improve: int = field(init=False, default=0)
 
 
 def adam_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> None:

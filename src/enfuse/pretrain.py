@@ -16,7 +16,7 @@ import hashlib
 import numpy as np
 
 from .data import LabeledImageSet, random_transform
-from .errors import InvalidArgumentError, InvalidStateError
+from .errors import EnfuseError
 from .features import FeatureMatrix
 from .nn import (
     INFERENCE_BATCH,
@@ -53,7 +53,7 @@ def build_backbone(variant: str, rng: np.random.Generator) -> list:
                 Conv2d(6, 12, 3, rng=rng), ReLU(), MaxPool2d(),
                 Conv2d(12, 16, 3, rng=rng), ReLU(),
                 Conv2d(16, 24, 3, rng=rng), ReLU(), MaxPool2d()]
-    raise InvalidArgumentError(f"unknown backbone variant {variant!r}")
+    raise EnfuseError(f"unknown backbone variant {variant!r}")
 
 
 def make_classification_head(d_f: int, n_classes: int, rng: np.random.Generator) -> list:
@@ -96,7 +96,7 @@ def pretrain_generic(variant: str, generic_set: LabeledImageSet, *, epochs: int,
                      batch: int, seed: int, lr: float) -> EncoderModel:
     """Supervised pre-training on the generic source task; head is discarded."""
     if generic_set.n_classes < 2:
-        raise InvalidArgumentError("generic pre-training needs >= 2 classes")
+        raise EnfuseError("generic pre-training needs >= 2 classes")
     rng = np.random.default_rng(seed)
     model = EncoderModel(build_backbone(variant, rng))
     model.set_head(make_classification_head(model.feature_dim, generic_set.n_classes, rng))
@@ -111,7 +111,7 @@ def finetune_intermediate_tl(model: EncoderModel, d_in: LabeledImageSet, *,
                              epochs: int, batch: int, seed: int, lr: float) -> EncoderModel:
     """Retrain on the intermediate source task with the first conv block frozen."""
     if model.meta.get("stage") != "generic":
-        raise InvalidStateError("intermediate fine-tuning needs a generic-stage model")
+        raise EnfuseError("intermediate fine-tuning needs a generic-stage model")
     rng = np.random.default_rng(seed)
     model.freeze_backbone(upto=_first_block_end(model.backbone))
     model.set_head(make_classification_head(model.feature_dim, d_in.n_classes, rng))
@@ -125,7 +125,7 @@ def finetune_target_tl(model: EncoderModel, d_tar_train: LabeledImageSet, *,
                        epochs: int, batch: int, seed: int, lr: float) -> EncoderModel:
     """Target fine-tuning: only the final conv block and a fresh head train."""
     if model.meta.get("stage") != "intermediate":
-        raise InvalidStateError("target fine-tuning needs an intermediate-stage model")
+        raise EnfuseError("target fine-tuning needs an intermediate-stage model")
     rng = np.random.default_rng(seed)
     model.freeze_backbone(upto=model.last_conv_index())
     model.set_head(make_classification_head(model.feature_dim, d_tar_train.n_classes, rng))
@@ -149,9 +149,9 @@ def pretrain_ssl(variant: str, dataset: LabeledImageSet, *, temperature: float,
     """
     images = dataset.images
     if len(images) < 2:
-        raise InvalidArgumentError("contrastive pre-training needs >= 2 images")
+        raise EnfuseError("contrastive pre-training needs >= 2 images")
     if batch_pairs < 2:
-        raise InvalidArgumentError("batch_pairs must be >= 2")
+        raise EnfuseError("batch_pairs must be >= 2")
     rng = np.random.default_rng(seed)
     model = EncoderModel(build_backbone(variant, rng))
     model.set_head(make_projection_head(model.feature_dim, rng))
@@ -186,7 +186,7 @@ def finetune_target_ssl(model: EncoderModel, d_tar_train: LabeledImageSet, *,
                         epochs: int, batch: int, seed: int, lr: float) -> EncoderModel:
     """Swap the projection head for a classification head; backbone stays frozen."""
     if model.meta.get("stage") != "ssl-pretrain":
-        raise InvalidStateError("target fine-tuning needs a contrastively pre-trained model")
+        raise EnfuseError("target fine-tuning needs a contrastively pre-trained model")
     rng = np.random.default_rng(seed)
     model.freeze_backbone()
     model.set_head(make_ssl_classification_head(model.feature_dim, d_tar_train.n_classes, rng))
@@ -206,7 +206,7 @@ def extract_features(model: EncoderModel, dataset: LabeledImageSet) -> FeatureMa
     Dropout is off, so the result is a pure function of (weights, images).
     """
     if model.meta.get("stage") != "target":
-        raise InvalidStateError("extract_features needs a target-stage model")
+        raise EnfuseError("extract_features needs a target-stage model")
     x = images_to_batch(dataset.images)
     rows = [model.features(x[s:s + INFERENCE_BATCH])
             for s in range(0, len(x), INFERENCE_BATCH)]

@@ -188,7 +188,7 @@ def test_criterion_6_fastica_source_recovery():
     t_axis = np.linspace(0, 40, 2000)
     sources = np.stack([np.sin(t_axis), rng.uniform(-1, 1, 2000)], axis=1)
     mixed = sources @ np.array([[1.0, 0.5], [0.5, 1.0]]).T
-    fm = FeatureMatrix(mixed)
+    fm = FeatureMatrix(mixed, labels=None)
     transform = fit_ica(fm, 2, seed=1)
     recovered = apply_transform(transform, fm).data
     corr = np.abs(np.corrcoef(recovered.T, sources.T)[:2, 2:])

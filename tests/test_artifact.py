@@ -1,5 +1,6 @@
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from enfuse import artifact
+from enfuse import artifact, classifiers
 from enfuse.classifiers import fit_gbt, load_classifier, save_classifier
 from enfuse.cli import save_manifest
 from enfuse.errors import IntegrityError
@@ -24,13 +25,14 @@ def _model():
 
 def _transform():
     rng = np.random.default_rng(1)
-    return fit_pca(FeatureMatrix(rng.normal(size=(12, 5))), 3)
+    return fit_pca(FeatureMatrix(rng.normal(size=(12, 5)), labels=None), 3)
 
 
 def _classifier():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(20, 3))
-    return fit_gbt(x, (x[:, 0] > 0).astype(int), rounds=3, max_depth=2)
+    with mock.patch.multiple(classifiers, GBT_ROUNDS=3, GBT_MAX_DEPTH=2):
+        return fit_gbt(x, (x[:, 0] > 0).astype(int))
 
 
 # kind -> (build an object, save it to a path, load it from a path)

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from enfuse import classifiers
 from enfuse.artifact import pack, unpack
 from enfuse.classifiers import (
     CLASSIFIER_MAGIC,
@@ -14,7 +17,7 @@ from enfuse.classifiers import (
     predict_proba,
     save_classifier,
 )
-from enfuse.errors import IntegrityError, InvalidArgumentError, InvalidDatasetError
+from enfuse.errors import EnfuseError, IntegrityError
 from enfuse.linalg import standardize
 
 
@@ -51,7 +54,7 @@ class TestSvm:
         assert np.max(np.abs(clf.arrays["b"])) < 1e-3
 
     def test_single_class_rejected(self):
-        with pytest.raises(InvalidDatasetError):
+        with pytest.raises(EnfuseError, match="SVM needs at least 2 classes"):
             fit_svm(np.zeros((5, 2)), np.zeros(5, dtype=int))
 
 
@@ -86,7 +89,7 @@ class TestKnn:
             assert label == int(np.argmax(weights))
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(InvalidDatasetError):
+        with pytest.raises(EnfuseError, match="KNN needs at least k=3"):
             fit_knn(np.zeros((2, 2)), np.array([0, 1]))
 
 
@@ -122,15 +125,16 @@ class TestGnb:
         assert np.allclose(predict_proba(clf, [q])[0], expected, atol=1e-9)
 
     def test_single_sample_class_rejected(self):
-        with pytest.raises(InvalidDatasetError):
+        with pytest.raises(EnfuseError, match="GNB needs >= 2 samples per class"):
             fit_gnb(np.zeros((3, 1)), np.array([0, 0, 1]))
 
 
 class TestRf:
-    def test_pure_class_single_leaves(self):
+    def test_pure_class_single_leaves(self, monkeypatch):
+        monkeypatch.setattr(classifiers, "RF_TREES", 10)
         x = np.random.default_rng(0).normal(size=(10, 2))
         y = np.zeros(10, dtype=int)
-        clf = fit_rf(x, y, n_trees=10, seed=0)
+        clf = fit_rf(x, y, seed=0)
         assert np.array_equal(np.diff(clf.arrays["tree_offsets"]), np.ones(10))
         assert np.array_equal(predict_proba(clf, x[:3]), np.ones((3, 1)))
 
@@ -140,51 +144,44 @@ class TestRf:
         clf = fit_rf(x, y, seed=1)
         assert np.mean(predict(clf, x) == y) == 1.0
 
-    def test_seed_determinism(self):
+    def test_seed_determinism(self, monkeypatch):
+        monkeypatch.setattr(classifiers, "RF_TREES", 20)
         x, y = blobs([(-1, 0), (1, 0)], seed=6)
-        a = fit_rf(x, y, n_trees=20, seed=3)
-        b = fit_rf(x, y, n_trees=20, seed=3)
+        a = fit_rf(x, y, seed=3)
+        b = fit_rf(x, y, seed=3)
         assert np.array_equal(predict_proba(a, x), predict_proba(b, x))
 
-    def test_different_seed_differs(self):
+    def test_different_seed_differs(self, monkeypatch):
+        monkeypatch.setattr(classifiers, "RF_TREES", 5)
         x, y = blobs([(-1, 0), (1, 0)], spread=1.5, seed=6)
-        a = fit_rf(x, y, n_trees=5, seed=3)
-        b = fit_rf(x, y, n_trees=5, seed=4)
+        a = fit_rf(x, y, seed=3)
+        b = fit_rf(x, y, seed=4)
         assert not np.array_equal(predict_proba(a, x), predict_proba(b, x))
-
-    def test_no_trees_rejected(self):
-        """An empty forest has no vote to average."""
-        x, y = blobs([(-1, 0), (1, 0)], seed=6)
-        with pytest.raises(InvalidArgumentError):
-            fit_rf(x, y, n_trees=0, seed=0)
 
 
 class TestGbt:
-    def test_separable_blobs_fast(self):
+    def test_separable_blobs_fast(self, monkeypatch):
+        monkeypatch.setattr(classifiers, "GBT_ROUNDS", 10)
         x, y = blobs([(-3, 0), (3, 0), (0, 4)], n=15, spread=0.5, seed=8)
-        clf = fit_gbt(x, y, rounds=10)
+        clf = fit_gbt(x, y)
         assert np.mean(predict(clf, x) == y) == 1.0
 
-    def test_log_loss_non_increasing(self):
+    def test_log_loss_non_increasing(self, monkeypatch):
+        monkeypatch.setattr(classifiers, "GBT_ROUNDS", 15)
         x, y = blobs([(-1, 0), (1, 0)], spread=1.2, seed=9)
-        clf = fit_gbt(x, y, rounds=15)
+        clf = fit_gbt(x, y)
         log = clf.meta["train_log_loss"]
         assert all(b <= a + 1e-9 for a, b in zip(log, log[1:]))
 
-    def test_root_split_at_true_threshold(self):
+    def test_root_split_at_true_threshold(self, monkeypatch):
+        monkeypatch.setattr(classifiers, "GBT_ROUNDS", 1)
         x = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
         y = np.array([0, 0, 0, 1, 1, 1])
-        clf = fit_gbt(x, y, rounds=1)
+        clf = fit_gbt(x, y)
         root_feature = clf.arrays["tree_feature"][0]  # the first tree's root
         root_threshold = clf.arrays["tree_threshold"][0]
         assert root_feature == 0
         assert root_threshold == 2.5
-
-    def test_no_rounds_rejected(self):
-        """A model with no trees has no scores to boost."""
-        x, y = blobs([(-1, 0), (1, 0)], seed=9)
-        with pytest.raises(InvalidArgumentError):
-            fit_gbt(x, y, rounds=0)
 
     def test_consistent_dataset_memorized(self):
         rng = np.random.default_rng(10)
@@ -211,13 +208,14 @@ def repacked(header, arrays, out):
 @pytest.fixture(scope="module")
 def fitted():
     x, y = blobs([(-2, 0), (2, 0), (0, 3)], n=8, spread=0.6, seed=11)
-    return x, y, {
-        "SVM": fit_svm(x, y),
-        "KNN": fit_knn(x, y),
-        "GNB": fit_gnb(x, y),
-        "RF": fit_rf(x, y, n_trees=10, seed=0),
-        "GBT": fit_gbt(x, y, rounds=5),
-    }
+    with mock.patch.multiple(classifiers, RF_TREES=10, GBT_ROUNDS=5):
+        return x, y, {
+            "SVM": fit_svm(x, y),
+            "KNN": fit_knn(x, y),
+            "GNB": fit_gnb(x, y),
+            "RF": fit_rf(x, y, seed=0),
+            "GBT": fit_gbt(x, y),
+        }
 
 
 class TestSharedContracts:
@@ -248,8 +246,7 @@ class TestSharedContracts:
 
     # a saved classifier of the named kind, less these header fields or arrays
     FILE_FAULTS = {"SVM-no-kind": ("kind",), "GNB-no-n_classes": ("n_classes",),
-                   "KNN-no-meta": ("meta",), "SVM-no-arrays": ("w", "b"),
-                   "KNN-no-y": ("y",), "GNB-no-var": ("var",)}
+                   "SVM-no-arrays": ("w", "b"), "KNN-no-y": ("y",), "GNB-no-var": ("var",)}
 
     @pytest.mark.parametrize("fault", sorted(FILE_FAULTS))
     def test_malformed_file_rejected(self, fitted, tmp_path, fault):
@@ -277,6 +274,18 @@ class TestSharedContracts:
         back = load_classifier(repacked(dict(header, meta={}), arrays, tmp_path / "bare.bin"))
         q = np.random.default_rng(13).normal(size=(6, 2))
         assert np.array_equal(predict_proba(back, q), predict_proba(models[kind], q))
+
+    @pytest.mark.parametrize("fault", ["KNN-no-meta", "GBT-no-meta"])
+    def test_header_without_meta_loads(self, fitted, tmp_path, fault):
+        """Nothing reads `meta` back, so a header that has none loads, and
+        predicts as the original does."""
+        model = fitted[2][fault.split("-")[0]]
+        save_classifier(model, tmp_path / "clf.bin")
+        header, arrays = columns(tmp_path / "clf.bin")
+        no_meta = {n: x for n, x in header.items() if n != "meta"}
+        back = load_classifier(repacked(no_meta, arrays, tmp_path / "bare.bin"))
+        q = np.random.default_rng(13).normal(size=(6, 2))
+        assert np.array_equal(predict_proba(back, q), predict_proba(model, q))
 
     # one array of a saved classifier of the named kind (3 classes, 2
     # features), edited so that its shape disagrees with another array or
@@ -320,8 +329,8 @@ class TestForestFiles:
     @pytest.fixture(scope="class", params=["RF", "GBT"])
     def saved(self, request, tmp_path_factory):
         x, y = blobs([(-2, 0), (2, 0), (0, 3)], n=8, spread=1.5, seed=14)
-        clf = (fit_rf(x, y, n_trees=4, seed=1) if request.param == "RF"
-               else fit_gbt(x, y, rounds=2))
+        with mock.patch.multiple(classifiers, RF_TREES=4, GBT_ROUNDS=2):
+            clf = fit_rf(x, y, seed=1) if request.param == "RF" else fit_gbt(x, y)
         path = tmp_path_factory.mktemp("forest") / "clf.bin"
         save_classifier(clf, path)
         return clf, path

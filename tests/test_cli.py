@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import json
 import math
 import shutil
@@ -15,7 +17,7 @@ from enfuse import cli, explain
 from enfuse.cli import SETTINGS, load_config, run, target_split
 from enfuse.data import TASK_MOTIFS, make_synthetic_task, stratified_split
 from enfuse.ensemble import evaluate, train_ensemble
-from enfuse.errors import ConfigError, EnfuseError, InvalidArgumentError
+from enfuse.errors import ConfigError, EnfuseError, IntegrityError
 from enfuse.explain import TSNE_MIN_ROWS
 from enfuse.features import FeatureMatrix
 from enfuse.nn import EncoderModel
@@ -277,7 +279,8 @@ class TestConfig:
                          make_ssl_classification_head(d_f, 3, rng)):
                 try:
                     EncoderModel(backbone.backbone, head).forward(zeros)
-                except InvalidArgumentError:
+                except EnfuseError as exc:
+                    assert "needs even spatial dims" in str(exc)
                     runs = False
         assert runs == (size % 16 == 0)
         if runs:
@@ -488,6 +491,40 @@ class TestAuxCommands:
 class TestFailureModes:
     def test_missing_prerequisite_stage(self, tmp_path):
         assert run(["finetune", "--out", str(tmp_path / "fresh"), "--seed", "1"]) == 3
+
+    def test_one_error_class_per_exit_code(self):
+        """`run` gives each error class its own exit code (2, 4, and 3 for the
+        base class), so a new class must come with its own `except` clause."""
+        assert set(EnfuseError.__subclasses__()) == {ConfigError, IntegrityError}
+        assert ConfigError.__subclasses__() == IntegrityError.__subclasses__() == []
+        caught = {node.type.id for node in ast.walk(ast.parse(inspect.getsource(cli.run)))
+                  if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name)}
+        assert {"ConfigError", "IntegrityError", "EnfuseError"} <= caught
+
+    def test_negative_seed_exits_before_any_stage(self, tmp_path, capsys):
+        """NumPy seeds only from whole numbers >= 0; argparse rejects the rest
+        before anything is trained or written."""
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_:
+            run(["all", "--config", str(cfg), "--out", str(out), "--seed", "-1"])
+        assert exit_.value.code == 2
+        assert "argument --seed: -1 is negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_out_not_a_directory_exits_2(self, tmp_path, capsys, below):
+        """An `--out` that is a regular file, or lies under one, is one error
+        line and exit 2, not a traceback."""
+        file = tmp_path / "f"
+        file.write_text("keep")
+        out = file / "sub" if below else file
+        assert run(["all", "--out", str(out), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out} is not a usable directory")
+        assert err.count("\n") == 1
+        assert file.read_text() == "keep"
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

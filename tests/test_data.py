@@ -14,7 +14,7 @@ from enfuse.data import (
     vflip,
     zoom,
 )
-from enfuse.errors import InvalidArgumentError, InvalidDatasetError
+from enfuse.errors import EnfuseError
 
 
 class TestPnmIO:
@@ -80,12 +80,12 @@ class TestStratifiedSplit:
 
     def test_small_class_rejected(self):
         ds = self._make([5, 1])
-        with pytest.raises(InvalidDatasetError):
+        with pytest.raises(EnfuseError, match="stratified split needs at least 2 samples"):
             stratified_split(ds, 0.8, seed=0)
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5])
     def test_fraction_outside_unit_interval_rejected(self, fraction):
-        with pytest.raises(InvalidArgumentError, match="train_fraction"):
+        with pytest.raises(EnfuseError, match="train_fraction"):
             stratified_split(self._make([5, 5]), fraction, seed=0)
 
 

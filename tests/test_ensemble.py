@@ -16,7 +16,7 @@ from enfuse.ensemble import (
     summary_text,
     train_ensemble,
 )
-from enfuse.errors import InvalidArgumentError
+from enfuse.errors import EnfuseError
 from enfuse.features import FeatureMatrix
 
 SIZE = (16, 16)
@@ -155,7 +155,7 @@ class TestTrainEvaluate:
     def test_base_model_mismatch_rejected(self, trained, parts):
         renamed = {("other" if name == "p0" else name): part
                    for name, part in parts[1].items()}
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(EnfuseError, match="base models differ from the trained ensemble"):
             evaluate(trained, renamed)
 
 
@@ -188,7 +188,7 @@ class TestAblate:
 
     def test_too_few_models_rejected(self, trained, parts):
         train_parts, test_parts = ({"p0": split_parts["p0"]} for split_parts in parts)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(EnfuseError, match="ablation needs at least 2 base models"):
             ablate(trained, train_parts, test_parts, method="concat+pca", seed=0, k=0)
 
 

@@ -8,7 +8,7 @@ import pytest
 from test_oracles import classifier_output, shap_exact
 
 from enfuse.classifiers import fit_gnb
-from enfuse.errors import InvalidArgumentError
+from enfuse.errors import EnfuseError
 from enfuse.explain import (
     Embedding2D,
     grad_cam,
@@ -146,7 +146,7 @@ class TestShapExact:
         assert np.allclose(exp.values, oracle, atol=1e-12)
 
     def test_dimension_limit(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(EnfuseError, match="16 features exceeds the exact limit"):
             shap_exact(lambda x: x[:, 0], np.zeros(16), np.zeros((1, 16)))
 
     def test_classifier_target(self):
@@ -187,7 +187,7 @@ class TestShapSampled:
         assert np.array_equal(a.values, b.values)
 
     def test_zero_samples_rejected(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(EnfuseError, match="n_samples must be positive"):
             shap_sampled(lambda x: x[:, 0], np.zeros(2), np.zeros((1, 2)), n_samples=0, seed=0)
 
     def test_model_calls_do_not_grow_with_samples(self):
@@ -206,7 +206,7 @@ class TestShapSampled:
 class TestSelectBackground:
     def test_near_median_and_deterministic(self):
         rng = np.random.default_rng(10)
-        fm = FeatureMatrix(rng.normal(size=(50, 4)))
+        fm = FeatureMatrix(rng.normal(size=(50, 4)), labels=None)
         bg = select_background(fm)
         assert bg.shape == (10, 4)
         median = np.median(fm.data, axis=0)
@@ -264,13 +264,13 @@ class TestTsne:
 
     def test_perplexity_autoreduced(self):
         rng = np.random.default_rng(11)
-        fm = FeatureMatrix(rng.normal(size=(20, 5)))
+        fm = FeatureMatrix(rng.normal(size=(20, 5)), labels=None)
         with pytest.warns(UserWarning, match="perplexity"):
             tsne_embed(fm, perplexity=30, iters=20, seed=0)
 
     def test_reduced_perplexity_recorded(self):
         rng = np.random.default_rng(16)
-        fm = FeatureMatrix(rng.normal(size=(12, 5)))
+        fm = FeatureMatrix(rng.normal(size=(12, 5)), labels=None)
         with pytest.warns(UserWarning, match="perplexity"):
             emb = tsne_embed(fm, perplexity=10, iters=20, seed=0)
         assert emb.perplexity == pytest.approx(11 / 3)
@@ -279,7 +279,7 @@ class TestTsne:
     def test_duplicate_rows_survive(self):
         rng = np.random.default_rng(12)
         base = rng.normal(size=(10, 3))
-        fm = FeatureMatrix(np.concatenate([base, base[:2]]))
+        fm = FeatureMatrix(np.concatenate([base, base[:2]]), labels=None)
         emb = tsne_embed(fm, perplexity=3, iters=50, seed=0)
         assert np.all(np.isfinite(emb.coords))
 
@@ -298,7 +298,7 @@ class TestRender:
 
     def test_svg_scatter_parses(self):
         rng = np.random.default_rng(14)
-        emb = Embedding2D(rng.normal(size=(30, 2)), rng.integers(0, 3, 30), 0.5, 10.0)
+        emb = Embedding2D(rng.normal(size=(30, 2)), rng.integers(0, 3, 30), 0.5, 10.0, [])
         root = ET.fromstring(render_embedding_svg(emb, class_names=["a", "b", "c"]))
         assert root.tag.endswith("svg")
 
@@ -310,7 +310,7 @@ class TestRender:
 
     def test_byte_identical_rerender(self):
         rng = np.random.default_rng(15)
-        emb = Embedding2D(rng.normal(size=(10, 2)), np.zeros(10, dtype=int), 1.25, 3.0)
+        emb = Embedding2D(rng.normal(size=(10, 2)), np.zeros(10, dtype=int), 1.25, 3.0, [])
         assert render_embedding_svg(emb, ["a"]) == render_embedding_svg(emb, ["a"])
 
     def test_shap_csv_rows(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enfuse.artifact import pack, unpack
-from enfuse.errors import IntegrityError, InvalidArgumentError
+from enfuse.errors import EnfuseError, IntegrityError
 from enfuse.features import FeatureMatrix
 from enfuse.fusion import (
     TRANSFORM_MAGIC,
@@ -34,7 +34,7 @@ class TestConcat:
         assert np.array_equal(fused.data, x)
 
     def test_row_mismatch_rejected(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(EnfuseError, match="row-count mismatch"):
             concat_features([fm(np.zeros((4, 2))), fm(np.zeros((5, 2)))])
 
 
@@ -148,7 +148,7 @@ class TestLda:
     def test_k_capped_at_classes_minus_one(self):
         rng = np.random.default_rng(1)
         x = fm(rng.normal(size=(30, 5)), labels=rng.integers(0, 3, 30))
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(EnfuseError, match=r"LDA k must be in \[1, 2\]"):
             fit_lda(x, 3)
         t = fit_lda(x, 2)
         assert t.components.shape[1] == 2
@@ -180,7 +180,7 @@ class TestApplyAndPipeline:
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         t = fit_pca(fm(rng.normal(size=(10, 4))), 2)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(EnfuseError, match="dim mismatch"):
             apply_transform(t, fm(rng.normal(size=(10, 5))))
 
     def test_pipeline_shapes(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enfuse.errors import InvalidArgumentError
+from enfuse.errors import EnfuseError
 from enfuse.linalg import eigh_symmetric, standardize, whiten
 
 
@@ -42,11 +42,11 @@ class TestEighSymmetric:
             assert col[np.argmax(np.abs(col))] > 0
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(EnfuseError, match=r"expected a square matrix, got shape \(2, 3\)"):
             eigh_symmetric(np.zeros((2, 3)))
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(EnfuseError, match="matrix is not symmetric"):
             eigh_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
@@ -96,5 +96,5 @@ class TestWhiten:
         assert np.linalg.norm(wm @ wm.T - np.eye(2)) < 0.2
 
     def test_k_too_large(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(EnfuseError, match="k=3 out of range for 5x2 input"):
             whiten(np.zeros((5, 2)), 3)

@@ -6,7 +6,9 @@ A package `__init__` re-export does not count as a reference, since it only
 makes a name importable; `cmd_<stage>` functions are reached through
 `cli.STAGES`, which `run_stage` looks them up by.
 
-Every defaulted parameter of a function or method in `src/enfuse` must be
+Every defaulted parameter of a function or method in `src/enfuse`, and every
+defaulted field of a `@dataclass` there (a parameter of the `__init__` it
+generates; a `field(init=False)` is state, not a parameter), must be
 passed, by keyword or by position, by some call in `src/` or `perfbench/`
 (a value nothing else passes is a constant) and left out by another (a
 default every such call overrides is one only tests use). So a parameter
@@ -82,18 +84,43 @@ def test_every_library_name_is_reached_outside_tests():
 # with the reason it stays.
 UNPASSED_ALLOWED = {
     "EncoderModel.__init__ head": "EncoderModel.load_bytes calls it as `cls(backbone, head)`",
-    "fit_rf n_trees": "tests shrink the forest so the tree oracles stay fast",
-    "fit_gbt rounds": "tests shrink the boosting so the tree oracles stay fast",
-    "fit_gbt max_depth": "tests shrink the trees so the oracles reach the depth limit",
 }
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _dataclass_defaults(node: ast.ClassDef):
+    """(position, name) of each defaulted parameter of a dataclass's generated
+    `__init__`: a field with a value, unless the value is a `field(...)`
+    without a default or with `init=False`."""
+    position = 0
+    for stmt in node.body:
+        if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
+            continue
+        value = stmt.value
+        options = None
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            options = {k.arg: k.value for k in value.keywords}
+            if getattr(options.get("init"), "value", True) is False:
+                continue
+        has_default = options is None or {"default", "default_factory"} & options.keys()
+        if value is not None and has_default:
+            yield position, stmt.target.id
+        position += 1
 
 
 def _defaulted_parameters(node: ast.AST, owner: str | None = None):
     """(function label, call name, call position or None, parameter) of each
-    defaulted parameter; a method's position skips self, and `__init__` is
-    called by its class's name."""
+    defaulted parameter; a method's position skips self, and `__init__`,
+    a dataclass's generated one included, is called by its class's name."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
+            if _is_dataclass(child):
+                for position, name in _dataclass_defaults(child):
+                    yield f"{child.name}.__init__", child.name, position, name
             yield from _defaulted_parameters(child, child.name)
         elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             label = f"{owner}.{child.name}" if owner else child.name

@@ -35,6 +35,7 @@ from test_ensemble import SIZE, noise_features, projector
 from enfuse import classifiers
 from enfuse.classifiers import (
     GBT_ETA,
+    GBT_MAX_DEPTH,
     GBT_MIN_SPLIT,
     KINDS,
     KNN_K,
@@ -66,7 +67,7 @@ from enfuse.ensemble import (
     predict_ensemble,
     train_ensemble,
 )
-from enfuse.errors import InvalidArgumentError
+from enfuse.errors import EnfuseError
 from enfuse.explain import (
     ShapExplanation,
     _svg_document,
@@ -130,7 +131,7 @@ def forest(kind: str, n_classes: int, trees: list[Tree]) -> TrainedClassifier:
     arrays = {f"tree_{name}": np.concatenate([getattr(t, name) for t in trees])
               for name in TREE_FIELDS}
     arrays["tree_offsets"] = np.cumsum([0] + [len(t.feature) for t in trees])
-    return TrainedClassifier(kind, n_classes, arrays=arrays)
+    return TrainedClassifier(kind, n_classes, arrays=arrays, meta={})
 
 
 def predict_value_rows(tree: Tree, x: np.ndarray) -> np.ndarray:
@@ -279,7 +280,7 @@ def shap_exact(f, instance, background) -> ShapExplanation:
     instance = np.asarray(instance, dtype=np.float64).ravel()
     d = len(instance)
     if d > SHAP_EXACT_MAX_FEATURES:
-        raise InvalidArgumentError(
+        raise EnfuseError(
             f"{d} features exceeds the exact limit of {SHAP_EXACT_MAX_FEATURES}; "
             "use shap_sampled")
     bg_mean = background.mean(axis=0)
@@ -532,7 +533,8 @@ def test_split_search_matches_per_feature_loop(seed, d, n_nodes, discrete, const
 @given(data=labelled_data(min_rows=3), seed=st.integers(0, 1000))
 def test_fit_rf_trees_match_per_feature_search(data, seed):
     x, y = data
-    got = fit_rf(x, y, n_trees=4, seed=seed)
+    with mock.patch.object(classifiers, "RF_TREES", 4):
+        got = fit_rf(x, y, seed=seed)
     want = fit_rf_reference(x, y, n_trees=4, seed=seed)
     assert_same_trees(got, trees_of(want))
     assert np.array_equal(predict_proba(got, x), predict_proba(want, x))
@@ -542,25 +544,28 @@ def test_fit_rf_trees_match_per_feature_search(data, seed):
 @given(data=labelled_data(), max_depth=st.integers(1, 10))
 def test_fit_gbt_trees_match_per_feature_search(data, max_depth):
     x, y = data
-    got = fit_gbt(x, y, rounds=3, max_depth=max_depth)
+    with mock.patch.multiple(classifiers, GBT_ROUNDS=3, GBT_MAX_DEPTH=max_depth):
+        got = fit_gbt(x, y)
     want_trees, want_loss = fit_gbt_reference(x, y, rounds=3, max_depth=max_depth)
     assert_same_trees(got, want_trees)
     assert got.meta["train_log_loss"] == want_loss
 
 
-def test_trees_finishing_at_different_steps_match_reference():
+def test_trees_finishing_at_different_steps_match_reference(monkeypatch):
     """Trees that run out of nodes to split at different steps, on data of the
     default task's size: 48 rows, 16 features, 3 classes."""
+    monkeypatch.setattr(classifiers, "RF_TREES", 12)
+    monkeypatch.setattr(classifiers, "GBT_ROUNDS", 4)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(48, 16))
     y = np.repeat(np.arange(3), 16)
     x[:, 0] += y  # one informative feature, so some trees are shallow and some deep
-    rf = fit_rf(x, y, n_trees=12, seed=3)
+    rf = fit_rf(x, y, seed=3)
     assert len(set(np.diff(rf.arrays["tree_offsets"]).tolist())) > 3
     assert_same_trees(rf, trees_of(fit_rf_reference(x, y, n_trees=12, seed=3)))
-    gbt = fit_gbt(x, y, rounds=4, max_depth=10)
+    gbt = fit_gbt(x, y)
     assert len(set(np.diff(gbt.arrays["tree_offsets"][:4]).tolist())) > 1  # one round's class trees
-    want_trees, want_loss = fit_gbt_reference(x, y, rounds=4, max_depth=10)
+    want_trees, want_loss = fit_gbt_reference(x, y, rounds=4, max_depth=GBT_MAX_DEPTH)
     assert_same_trees(gbt, want_trees)
     assert gbt.meta["train_log_loss"] == want_loss
 

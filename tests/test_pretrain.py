@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enfuse.data import make_synthetic_task, stratified_split
-from enfuse.errors import InvalidArgumentError, InvalidStateError
+from enfuse.errors import EnfuseError
 from enfuse.nn import Dense, Dropout, Flatten, GlobalAvgPool, MaxPool2d, ReLU, Softmax, images_to_batch
 from enfuse.nn import EncoderModel
 from enfuse.pretrain import (
@@ -61,7 +61,7 @@ class TestBackbones:
         assert EncoderModel(build_backbone("C", rng)).feature_dim == 24
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="'D'"):
+        with pytest.raises(EnfuseError, match="'D'"):
             build_backbone("D", np.random.default_rng(0))
 
 
@@ -117,7 +117,7 @@ class TestTransferPath:
 
     def test_provenance_enforced(self, datasets):
         model = pretrain_generic("A", datasets["generic"], epochs=1, batch=32, seed=0, lr=0.001)
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(EnfuseError, match="needs an intermediate-stage model"):
             finetune_target_tl(model, datasets["target"], epochs=1, batch=32, seed=0, lr=0.001)
 
 
@@ -129,7 +129,7 @@ class TestContrastivePath:
         assert all(b < a for a, b in zip(log, log[1:]))
 
     def test_single_pair_batch_rejected(self, datasets):
-        with pytest.raises(InvalidArgumentError, match="batch_pairs"):
+        with pytest.raises(EnfuseError, match="batch_pairs"):
             pretrain_ssl("A", datasets["inter"], batch_pairs=1, **SSL, epochs=1, seed=0,
                          lr=0.001)
 
@@ -195,5 +195,5 @@ class TestExtractFeatures:
         assert inter > intra
 
     def test_untrained_model_rejected(self, generic_model, datasets):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(EnfuseError, match="extract_features needs a target-stage model"):
             extract_features(generic_model, datasets["target"])

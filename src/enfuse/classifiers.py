@@ -685,7 +685,7 @@ def load_classifier(path) -> TrainedClassifier:
         raise IntegrityError(f"unreadable classifier header: {exc!r}") from exc
     if kind not in KINDS:
         raise IntegrityError(f"unknown classifier kind {kind!r}")
-    if not isinstance(n_classes, int) or n_classes < 1:
+    if type(n_classes) is not int or n_classes < 1:  # a bool is an int to isinstance
         raise IntegrityError(f"class count {n_classes!r} is not a whole number above 0")
     sizes = {"k": n_classes, "1": 1}
     for name, shape in _SHAPES[kind].items():

@@ -557,11 +557,11 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     train_parts, test_parts = extract_parts(models, train), extract_parts(models, test)
 
     ensemble = train_ensemble(train_parts, n_classes, method=method, seed=seed, k=k)
-    counts, report, accuracies = evaluate(ensemble, test_parts)
+    counts, accuracies = evaluate(ensemble, test_parts)
 
     reports = {
-        f"metrics_seed{seed}.csv": metrics_csv(counts, report),
-        f"summary_seed{seed}.txt": summary_text(report, accuracies),
+        f"metrics_seed{seed}.csv": metrics_csv(counts, accuracies),
+        f"summary_seed{seed}.txt": summary_text(counts, accuracies),
         f"confusion_seed{seed}.svg": render_confusion_svg(
             counts, class_names=list(test.class_names)),
     }
@@ -584,13 +584,13 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     lines.append(f"fused,concat-only,{concat_only['voted']:.6f}")
     mean_clf = float(np.mean([accuracies[kind] for kind in KINDS]))
     lines.append(f"selected,{method},{mean_clf:.6f}")
-    lines.append(f"voted,majority,{report.accuracy:.6f}")
+    lines.append(f"voted,majority,{accuracies['voted']:.6f}")
     reports[f"comparison_seed{seed}.csv"] = "\n".join(lines) + "\n"
     for name, text in reports.items():
         write_atomic(stage_dir / name, text.encode())
         files.append(stage_dir / name)
 
-    print(f"ensemble: voted accuracy {report.accuracy:.4f} ({method})")
+    print(f"ensemble: voted accuracy {accuracies['voted']:.4f} ({method})")
     return files
 
 
@@ -639,18 +639,19 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
         fused_train = fuse_parts(ensemble, extract_parts(models, train))
         fused_test = fuse_parts(ensemble, extract_parts(models, test))
         row = fused_test.data[instance]
-        explanation = shap_sampled(ensemble_output(ensemble, row), row,
-                                   select_background(fused_train),
-                                   n_samples=exp["shap_samples"], seed=seed)
-        outputs[stage_dir / f"shap_i{instance}_seed{seed}.csv"] = shap_csv(explanation).encode()
+        phi, base, output = shap_sampled(ensemble_output(ensemble, row), row,
+                                         select_background(fused_train),
+                                         n_samples=exp["shap_samples"], seed=seed)
+        outputs[stage_dir / f"shap_i{instance}_seed{seed}.csv"] = shap_csv(
+            phi, base, output).encode()
     else:  # tsne
         models = _load_target_models(out, config)
         ensemble = _rebuild_ensemble(out, config, models)
         fused = fuse_parts(ensemble, extract_parts(models, test))
-        embedding = tsne_embed(fused, perplexity=exp["perplexity"],
-                               iters=exp["tsne_iters"], seed=seed)
+        coords, kl, perplexity = tsne_embed(fused, perplexity=exp["perplexity"],
+                                            iters=exp["tsne_iters"], seed=seed)
         outputs[stage_dir / f"tsne_seed{seed}.svg"] = render_embedding_svg(
-            embedding, class_names=list(test.class_names)).encode()
+            coords, test.labels, kl, perplexity, class_names=list(test.class_names)).encode()
     for path, data in outputs.items():
         write_atomic(path, data)
         print(f"explain: wrote {path.relative_to(out)}")

@@ -5,7 +5,7 @@ to that model's features for one dataset, extracted once by `extract_parts`.
 Fusion reuses the train-fitted transform at test time, and the headline
 number is the voted accuracy. An arm is one ensemble fitted on some of the
 parts: `fit_arm` fits and predicts it, and `scores` turns its predictions into
-accuracies. Also houses the confusion-matrix metrics and the
+accuracies. Also houses the confusion-count metrics and the
 leave-one-base-model-out ablation, whose refits are arms.
 """
 
@@ -31,15 +31,6 @@ from .pretrain import extract_features
 # Metrics
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MetricReport:
-    accuracy: float
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    per_class: list[dict]
-
-
 def confusion_from_labels(true: np.ndarray, pred: np.ndarray,
                           n_classes: int) -> np.ndarray:
     """The (k, k) int64 counts: row = true class, column = predicted class."""
@@ -50,28 +41,21 @@ def confusion_from_labels(true: np.ndarray, pred: np.ndarray,
     return counts
 
 
-def report_from_confusion(counts: np.ndarray) -> MetricReport:
-    total = int(counts.sum())
-    per_class = []
-    for cls in range(len(counts)):
-        tp = int(counts[cls, cls])
-        fn = int(counts[cls].sum()) - tp
-        fp = int(counts[:, cls].sum()) - tp
-        tn = total - tp - fn - fp
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = (2 * precision * recall / (precision + recall)
-              if precision + recall else 0.0)
-        per_class.append({"class": cls, "tp": tp, "tn": tn, "fp": fp, "fn": fn,
-                          "precision": precision, "recall": recall, "f1": f1})
-    accuracy = float(np.trace(counts)) / total if total else 0.0
-    return MetricReport(
-        accuracy=accuracy,
-        macro_precision=float(np.mean([c["precision"] for c in per_class])),
-        macro_recall=float(np.mean([c["recall"] for c in per_class])),
-        macro_f1=float(np.mean([c["f1"] for c in per_class])),
-        per_class=per_class,
-    )
+def class_metrics(counts: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-class tp, tn, fp, fn, precision, recall and f1 of (k, k) counts as
+    (k,) arrays, in the metrics CSV's column order. A ratio with a 0
+    denominator is 0.0."""
+    tp = np.diag(counts)
+    fn = counts.sum(axis=1) - tp
+    fp = counts.sum(axis=0) - tp
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(len(counts)), where=den != 0)
+
+    precision, recall = ratio(tp, tp + fp), ratio(tp, tp + fn)
+    return {"tp": tp, "tn": counts.sum() - tp - fn - fp, "fp": fp, "fn": fn,
+            "precision": precision, "recall": recall,
+            "f1": ratio(2 * precision * recall, precision + recall)}
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +136,14 @@ def scores(true: np.ndarray, per_clf: list[np.ndarray], voted: np.ndarray) -> di
 
 
 def evaluate(model: EnsembleModel, parts: dict[str, FeatureMatrix]
-             ) -> tuple[np.ndarray, MetricReport, dict[str, float]]:
-    """Voted confusion counts and metrics, and the `scores`, from one prediction."""
+             ) -> tuple[np.ndarray, dict[str, float]]:
+    """Voted confusion counts and the `scores`, from one prediction."""
     true = next(iter(parts.values())).labels
     if len(true) == 0:
         raise EnfuseError("empty evaluation set")
     per_clf, voted = predict_ensemble(model, parts)
     counts = confusion_from_labels(true, voted, model.n_classes)
-    return counts, report_from_confusion(counts), scores(true, per_clf, voted)
+    return counts, scores(true, per_clf, voted)
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +173,20 @@ def ablate(full: EnsembleModel, train_parts: dict[str, FeatureMatrix],
 # Report emission
 # ---------------------------------------------------------------------------
 
-def metrics_csv(counts: np.ndarray, report: MetricReport) -> str:
+def metrics_csv(counts: np.ndarray, accuracies: dict[str, float]) -> str:
+    """Per-class metrics, voted accuracy, macro averages and the confusion counts."""
+    metrics = class_metrics(counts)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["class", "tp", "tn", "fp", "fn", "precision", "recall", "f1"])
-    for row in report.per_class:
-        writer.writerow([row["class"], row["tp"], row["tn"], row["fp"], row["fn"],
-                         f"{row['precision']:.6f}", f"{row['recall']:.6f}",
-                         f"{row['f1']:.6f}"])
+    writer.writerow(["class", *metrics])
+    for cls, (tp, tn, fp, fn, precision, recall, f1) in enumerate(zip(*metrics.values())):
+        writer.writerow([cls, tp, tn, fp, fn, f"{precision:.6f}", f"{recall:.6f}",
+                         f"{f1:.6f}"])
     writer.writerow([])
-    writer.writerow(["accuracy", f"{report.accuracy:.6f}"])
-    writer.writerow(["macro_precision", f"{report.macro_precision:.6f}"])
-    writer.writerow(["macro_recall", f"{report.macro_recall:.6f}"])
-    writer.writerow(["macro_f1", f"{report.macro_f1:.6f}"])
+    writer.writerow(["accuracy", f"{accuracies['voted']:.6f}"])
+    writer.writerow(["macro_precision", f"{float(np.mean(metrics['precision'])):.6f}"])
+    writer.writerow(["macro_recall", f"{float(np.mean(metrics['recall'])):.6f}"])
+    writer.writerow(["macro_f1", f"{float(np.mean(metrics['f1'])):.6f}"])
     writer.writerow([])
     writer.writerow(["confusion"] + [f"pred_{c}" for c in range(len(counts))])
     for cls in range(len(counts)):
@@ -224,13 +209,14 @@ def ablation_csv(arms: dict[str | None, dict[str, float]]) -> str:
     return buf.getvalue()
 
 
-def summary_text(report: MetricReport, accuracies: dict[str, float]) -> str:
+def summary_text(counts: np.ndarray, accuracies: dict[str, float]) -> str:
+    metrics = class_metrics(counts)
     lines = [
         "ensemble evaluation",
-        f"  voted accuracy : {report.accuracy:.4f}",
-        f"  macro precision: {report.macro_precision:.4f}",
-        f"  macro recall   : {report.macro_recall:.4f}",
-        f"  macro F1       : {report.macro_f1:.4f}",
+        f"  voted accuracy : {accuracies['voted']:.4f}",
+        f"  macro precision: {float(np.mean(metrics['precision'])):.4f}",
+        f"  macro recall   : {float(np.mean(metrics['recall'])):.4f}",
+        f"  macro F1       : {float(np.mean(metrics['f1'])):.4f}",
         "  per-classifier accuracy:",
     ]
     for kind in KINDS:

@@ -9,7 +9,6 @@ byte-deterministic; the caller writes them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,14 +72,6 @@ def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int) -> np.nd
 # SHAP
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ShapExplanation:
-    values: np.ndarray      # (D,) per-feature attribution
-    base_value: float       # model output on the all-background instance
-    model_output: float     # model output on the full instance
-    stderr: np.ndarray      # (D,) standard error of each permutation mean
-
-
 def ensemble_output(model: EnsembleModel, instance: np.ndarray):
     """f: (n, D) -> (n,), the ensemble's mean probability of the class it
     assigns to `instance`: the quantity SHAP explains."""
@@ -98,9 +89,9 @@ def select_background(features: FeatureMatrix) -> np.ndarray:
 
 
 def shap_sampled(f, instance: np.ndarray, background: np.ndarray, *, n_samples: int,
-                 seed: int) -> ShapExplanation:
+                 seed: int) -> tuple[np.ndarray, float, float]:
     """Permutation-sampling Shapley estimate of f: (n, D) -> (n,) at `instance`,
-    with exact local accuracy.
+    with exact local accuracy: ((D,) phi, f at the background mean, f at `instance`).
 
     "Without" a feature means replacing it by its mean over the background
     rows. The estimation residual is redistributed proportionally to |phi|
@@ -125,27 +116,17 @@ def shap_sampled(f, instance: np.ndarray, background: np.ndarray, *, n_samples: 
         np.put_along_axis(contribs[block], orders[block],
                           np.diff(vals.reshape(len(masks), d + 1), axis=1), axis=1)
     phi = contribs.mean(axis=0)
-    stderr = contribs.std(axis=0) / np.sqrt(n_perms)
     base = float(f(bg_mean[None])[0])
     out = float(f(instance[None])[0])
     residual = (out - base) - phi.sum()
     mass = np.abs(phi).sum()
     phi = phi + residual * (np.abs(phi) / mass if mass > 1e-12 else np.full(d, 1.0 / d))
-    return ShapExplanation(phi, base, out, stderr)
+    return phi, base, out
 
 
 # ---------------------------------------------------------------------------
 # t-SNE
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Embedding2D:
-    coords: np.ndarray                 # (M, 2)
-    labels: np.ndarray | None
-    kl_divergence: float
-    perplexity: float                  # the value used; tsne_embed may lower it
-    kl_log: list                       # (iteration, KL) checkpoints
-
 
 def _conditional_p(dist_sq: np.ndarray, perplexity: float) -> np.ndarray:
     """Per-row binary search (50 steps, tolerance 1e-4) for the target perplexity."""
@@ -176,8 +157,9 @@ TSNE_MIN_ROWS = 4  # the fewest rows t-SNE embeds
 
 
 def tsne_embed(x: FeatureMatrix, *, perplexity: float, iters: int,
-               seed: int) -> Embedding2D:
-    """Exact-pairwise symmetric t-SNE, learning rate 200, early exaggeration, momentum."""
+               seed: int) -> tuple[np.ndarray, float, float]:
+    """Exact-pairwise symmetric t-SNE, learning rate 200, early exaggeration, momentum:
+    ((M, 2) coordinates, the final KL divergence, the perplexity used, maybe lowered)."""
     data = x.data
     n = len(data)
     if n < TSNE_MIN_ROWS:
@@ -198,7 +180,6 @@ def tsne_embed(x: FeatureMatrix, *, perplexity: float, iters: int,
     y = rng.normal(scale=1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
-    kl_log = []
     exaggeration_until, momentum_switch = 250, 250
     for it in range(iters):
         p_eff = p * 12.0 if it < exaggeration_until else p
@@ -215,10 +196,7 @@ def tsne_embed(x: FeatureMatrix, *, perplexity: float, iters: int,
         velocity = momentum * velocity - 200.0 * gains * grad
         y = y + velocity
         y = y - y.mean(axis=0)
-        if (it + 1) % 50 == 0 or it == iters - 1:
-            kl = float(np.sum(p * np.log(p / q)))
-            kl_log.append((it + 1, kl))
-    return Embedding2D(y, x.labels, kl_log[-1][1], perplexity, kl_log)
+    return y, float(np.sum(p * np.log(p / q))), perplexity
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +225,13 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head] + body + ["</svg>"]) + "\n"
 
 
-def render_embedding_svg(embedding: Embedding2D, class_names: list[str]) -> str:
-    """Scatter plot with per-class colors and a legend."""
+def render_embedding_svg(coords: np.ndarray, labels: np.ndarray, kl: float,
+                         perplexity: float, class_names: list[str]) -> str:
+    """Scatter plot of `tsne_embed`'s coordinates with per-class colors and a legend."""
     size, margin = 400, 40
-    coords = embedding.coords
     lo = coords.min(axis=0)
     span = np.maximum(coords.max(axis=0) - lo, 1e-12)
     scaled = margin + (coords - lo) / span * (size - 2 * margin)
-    labels = (embedding.labels if embedding.labels is not None
-              else np.zeros(len(coords), dtype=int))
     body = [f'<rect width="{size}" height="{size}" fill="white"/>']
     for (px, py), label in zip(scaled, labels):
         color = PALETTE[int(label) % len(PALETTE)]
@@ -269,8 +245,7 @@ def render_embedding_svg(embedding: Embedding2D, class_names: list[str]) -> str:
         body.append(f'<text x="{size - 100}" y="{yy + 4}" font-size="12" '
                     f'font-family="monospace">{name}</text>')
     body.append(f'<text x="8" y="{size - 8}" font-size="11" font-family="monospace">'
-                f'KL={embedding.kl_divergence:.4f} '
-                f'perplexity={embedding.perplexity:.4f}</text>')
+                f'KL={kl:.4f} perplexity={perplexity:.4f}</text>')
     return _svg_document(size, size, body)
 
 
@@ -332,11 +307,12 @@ def render_ablation_svg(arms: dict[str | None, dict[str, float]]) -> str:
     return _svg_document(width, height, body)
 
 
-def shap_csv(explanation: ShapExplanation) -> str:
+def shap_csv(phi: np.ndarray, base: float, output: float) -> str:
+    """`shap_sampled`'s attributions, one row a feature, then its two outputs."""
     lines = ["feature,phi"]
-    for j, phi in enumerate(explanation.values):
-        lines.append(f"f{j},{phi:.10f}")
-    lines.append(f"base_value,{explanation.base_value:.10f}")
-    lines.append(f"model_output,{explanation.model_output:.10f}")
+    for j, value in enumerate(phi):
+        lines.append(f"f{j},{value:.10f}")
+    lines.append(f"base_value,{base:.10f}")
+    lines.append(f"model_output,{output:.10f}")
     return "\n".join(lines) + "\n"
 

@@ -54,28 +54,26 @@ class Layer:
         return {"kind": type(self).__name__}
 
 
-def _he_weights(shape: tuple[int, int], rng: np.random.Generator | None,
-                draw: bool) -> np.ndarray:
-    """He-normal weights of this (fan_in, fan_out) shape from rng (a fresh
-    default_rng(0) when None); unset, with no draw, when not `draw`."""
-    if not draw:
-        return np.empty(shape)
-    rng = rng or np.random.default_rng(0)
+def _he_weights(shape: tuple[int, int], rng: np.random.Generator | None) -> np.ndarray:
+    """He-normal weights of this (fan_in, fan_out) shape from rng; unset (NaN)
+    with no rng."""
+    if rng is None:
+        return np.full(shape, np.nan)
     return rng.normal(0.0, np.sqrt(2.0 / shape[0]), shape)
 
 
 class Conv2d(Layer):
-    """k x k convolution, stride 1, same padding. With draw=False the
-    weights are left unset, for a loader to fill."""
+    """k x k convolution, stride 1, same padding. With no rng the weights are
+    left unset, for a loader to fill."""
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int,
-                 rng: np.random.Generator | None = None, *, draw: bool = True):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         if kernel % 2 == 0:
             raise EnfuseError("same-padding conv needs an odd kernel")
         self.in_ch, self.out_ch, self.kernel = in_ch, out_ch, kernel
         self.params = {
-            "w": _he_weights((in_ch * kernel * kernel, out_ch), rng, draw),
+            "w": _he_weights((in_ch * kernel * kernel, out_ch), rng),
             "b": np.zeros(out_ch),
         }
         self.zero_grads()
@@ -130,13 +128,12 @@ class Conv2d(Layer):
 
 
 class Dense(Layer):
-    """Fully connected layer; draw=False as for Conv2d."""
+    """Fully connected layer; no rng as for Conv2d."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None, *,
-                 draw: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
         super().__init__()
         self.in_dim, self.out_dim = in_dim, out_dim
-        self.params = {"w": _he_weights((in_dim, out_dim), rng, draw), "b": np.zeros(out_dim)}
+        self.params = {"w": _he_weights((in_dim, out_dim), rng), "b": np.zeros(out_dim)}
         self.zero_grads()
 
     def forward(self, x, training=False, keep_cache=False):
@@ -275,8 +272,8 @@ class Softmax(Layer):
 
 # layers as a loader builds them: weights unset, for the file's to replace
 _LAYER_KINDS = {
-    "Conv2d": lambda d: Conv2d(d["in_ch"], d["out_ch"], d["kernel"], draw=False),
-    "Dense": lambda d: Dense(d["in_dim"], d["out_dim"], draw=False),
+    "Conv2d": lambda d: Conv2d(d["in_ch"], d["out_ch"], d["kernel"]),
+    "Dense": lambda d: Dense(d["in_dim"], d["out_dim"]),
     "ReLU": lambda d: ReLU(),
     "MaxPool2d": lambda d: MaxPool2d(),
     "GlobalAvgPool": lambda d: GlobalAvgPool(),

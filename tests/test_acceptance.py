@@ -22,11 +22,11 @@ from enfuse.cli import _load_target_models, load_config, run, target_split
 from enfuse.data import make_synthetic_task, stratified_split
 from enfuse.ensemble import (
     ablate,
+    class_metrics,
     confusion_from_labels,
     evaluate,
     extract_parts,
     fit_arm,
-    report_from_confusion,
     scores,
     train_ensemble,
 )
@@ -112,8 +112,7 @@ def test_criterion_3_metric_formulas():
         n = int(rng.integers(10, 200))
         true = rng.integers(0, k, n)
         pred = rng.integers(0, k, n)
-        rep = report_from_confusion(confusion_from_labels(true, pred, k))
-        assert rep.accuracy == np.mean(true == pred)
+        metrics = class_metrics(confusion_from_labels(true, pred, k))
         for cls in range(k):
             tp = np.sum((true == cls) & (pred == cls))
             fp = np.sum((true != cls) & (pred == cls))
@@ -121,10 +120,9 @@ def test_criterion_3_metric_formulas():
             prec = tp / (tp + fp) if tp + fp else 0.0
             rec = tp / (tp + fn) if tp + fn else 0.0
             f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-            row = rep.per_class[cls]
-            assert row["precision"] == prec and row["recall"] == rec
-            worst = max(worst, abs(row["f1"] - f1))
-            assert abs(row["f1"] - f1) < 1e-12
+            assert metrics["precision"][cls] == prec and metrics["recall"][cls] == rec
+            worst = max(worst, abs(metrics["f1"][cls] - f1))
+            assert abs(metrics["f1"][cls] - f1) < 1e-12
     report(3, True, f"100 random confusion matrices matched the counting oracle "
                     f"(max F1 deviation {worst:.1e})")
 
@@ -162,21 +160,21 @@ def test_criterion_5_shap_axioms():
 
     instance = rng.normal(size=8)
     background = rng.normal(size=(16, 8))
-    exact = shap_exact(f, instance, background)
-    local_err = abs(exact.base_value + exact.values.sum() - exact.model_output)
-    null_phi = abs(exact.values[5])
+    phi, base, output = shap_exact(f, instance, background)
+    local_err = abs(base + phi.sum() - output)
+    null_phi = abs(phi[5])
     # symmetry on exchangeable features
-    sym = shap_exact(lambda x: x[:, 0] * x[:, 1], np.array([1.5, 1.5]),
-                     np.zeros((1, 2)))
-    sym_err = abs(sym.values[0] - sym.values[1])
+    sym, _, _ = shap_exact(lambda x: x[:, 0] * x[:, 1], np.array([1.5, 1.5]),
+                           np.zeros((1, 2)))
+    sym_err = abs(sym[0] - sym[1])
     # sampled-vs-exact agreement on a D=8 GNB model
     data = np.concatenate([rng.normal(-1, 0.6, (20, 8)), rng.normal(1, 0.6, (20, 8))])
     labels = np.array([0] * 20 + [1] * 20)
     clf = fit_gnb(data, labels)
     target = classifier_output(clf, data[4])
-    ex = shap_exact(target, data[4], data)
-    sa = shap_sampled(target, data[4], data, n_samples=2048, seed=0)
-    sampled_err = float(np.max(np.abs(ex.values - sa.values)))
+    ex, _, _ = shap_exact(target, data[4], data)
+    sa, _, _ = shap_sampled(target, data[4], data, n_samples=2048, seed=0)
+    sampled_err = float(np.max(np.abs(ex - sa)))
     ok = local_err < 1e-9 and sym_err < 1e-12 and null_phi == 0.0 and sampled_err < 0.05
     report(5, ok, f"local accuracy {local_err:.1e}, symmetry {sym_err:.1e}, "
                   f"null phi {null_phi}, sampled-vs-exact {sampled_err:.3f}")
@@ -210,9 +208,8 @@ def test_criterion_7_tsne_sanity():
     dist_sq = np.maximum(sq[:, None] + sq[None] - 2 * data @ data.T, 0.0)
     cond = _conditional_p(dist_sq, 30.0)
     joint_sum = ((cond + cond.T) / (2 * m)).sum()
-    emb = tsne_embed(FeatureMatrix(data, labels=labels), perplexity=30,
-                     iters=500, seed=0)
-    y = emb.coords
+    y, _, _ = tsne_embed(FeatureMatrix(data, labels=labels), perplexity=30,
+                         iters=500, seed=0)
     scores = []
     for i in range(m):
         a_d = np.mean(np.linalg.norm(y[labels == labels[i]] - y[i], axis=1))
@@ -349,8 +346,7 @@ def test_criterion_12_ablation_consistency(pipeline):
     n_classes = len(train.class_names)
     full_model = train_ensemble(train_parts, n_classes, method=method, seed=SEED, k=k)
     arms = ablate(full_model, train_parts, test_parts, method=method, seed=SEED, k=k)
-    _, full_report, _ = evaluate(full_model, test_parts)
-    full_matches = arms[None]["voted"] == full_report.accuracy
+    full_matches = arms[None]["voted"] == evaluate(full_model, test_parts)[1]["voted"]
     noise_delta = arms["noise"]["voted"] - arms[None]["voted"]
     report(12, full_matches and noise_delta >= 0.0,
            f"full row equals evaluate() ({arms[None]['voted']:.3f}); "

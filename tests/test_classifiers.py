@@ -314,7 +314,7 @@ class TestSharedContracts:
         with pytest.raises(IntegrityError):
             load_classifier(repacked(header, arrays, tmp_path / "bad.bin"))
 
-    @pytest.mark.parametrize("n_classes", [0, 2.5, "3"])
+    @pytest.mark.parametrize("n_classes", [0, 2.5, "3", True, False])
     def test_class_count_not_whole_rejected(self, fitted, tmp_path, n_classes):
         save_classifier(fitted[2]["KNN"], tmp_path / "clf.bin")
         header, arrays = columns(tmp_path / "clf.bin")

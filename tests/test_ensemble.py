@@ -7,12 +7,13 @@ from enfuse.ensemble import (
     ablate,
     ablation_csv,
     confusion_from_labels,
+    class_metrics,
     evaluate,
     extract_parts,
     majority_vote,
     metrics_csv,
     predict_ensemble,
-    report_from_confusion,
+    scores,
     summary_text,
     train_ensemble,
 )
@@ -79,9 +80,10 @@ class TestMetrics:
     def test_hand_counts(self):
         # class-0 view: TP=50, TN=30, FP=10, FN=10
         cm = np.array([[50, 10], [10, 30]])
-        report = report_from_confusion(cm)
-        assert report.accuracy == pytest.approx(0.8)
-        row = report.per_class[0]
+        metrics = class_metrics(cm)
+        assert list(metrics) == ["tp", "tn", "fp", "fn", "precision", "recall", "f1"]
+        assert all(column.shape == (2,) for column in metrics.values())
+        row = {name: column[0] for name, column in metrics.items()}
         assert (row["tp"], row["tn"], row["fp"], row["fn"]) == (50, 30, 10, 10)
         assert row["precision"] == pytest.approx(50 / 60)
         assert row["recall"] == pytest.approx(50 / 60)
@@ -91,36 +93,33 @@ class TestMetrics:
         true = np.array([0, 1, 2, 0, 1, 2])
         cm = confusion_from_labels(true, true, 3)
         assert np.array_equal(cm, np.diag([2, 2, 2]))
-        report = report_from_confusion(cm)
-        assert report.accuracy == report.macro_f1 == 1.0
+        assert np.all(class_metrics(cm)["f1"] == 1.0)
 
     def test_counting_oracle(self):
         rng = np.random.default_rng(1)
         true = rng.integers(0, 4, 100)
         pred = rng.integers(0, 4, 100)
         cm = confusion_from_labels(true, pred, 4)
-        report = report_from_confusion(cm)
-        assert report.accuracy == np.mean(true == pred)
+        metrics = class_metrics(cm)
         for cls in range(4):
             tp = np.sum((true == cls) & (pred == cls))
             fp = np.sum((true != cls) & (pred == cls))
             fn = np.sum((true == cls) & (pred != cls))
-            row = report.per_class[cls]
-            assert row["tp"] == tp and row["fp"] == fp and row["fn"] == fn
-            assert row["tp"] + row["fn"] == np.sum(true == cls)
+            assert (metrics["tp"][cls], metrics["fp"][cls], metrics["fn"][cls]) == (tp, fp, fn)
+            assert metrics["tp"][cls] + metrics["fn"][cls] == np.sum(true == cls)
 
     def test_f1_is_harmonic_mean(self):
         rng = np.random.default_rng(2)
         cm = confusion_from_labels(rng.integers(0, 3, 60), rng.integers(0, 3, 60), 3)
-        for row in report_from_confusion(cm).per_class:
-            p, r = row["precision"], row["recall"]
+        metrics = class_metrics(cm)
+        for p, r, f1 in zip(metrics["precision"], metrics["recall"], metrics["f1"]):
             expected = 2 * p * r / (p + r) if p + r else 0.0
-            assert abs(row["f1"] - expected) < 1e-12
+            assert abs(f1 - expected) < 1e-12
 
     def test_zero_denominator_convention(self):
         cm = np.array([[0, 2], [0, 2]])
-        row = report_from_confusion(cm).per_class[0]
-        assert row["precision"] == row["recall"] == row["f1"] == 0.0
+        metrics = class_metrics(cm)
+        assert metrics["precision"][0] == metrics["recall"][0] == metrics["f1"][0] == 0.0
 
 
 class TestTrainEvaluate:
@@ -136,8 +135,8 @@ class TestTrainEvaluate:
         assert np.array_equal(va, vb)
 
     def test_informative_features_learned(self, trained, parts):
-        _, report, _ = evaluate(trained, parts[1])
-        assert report.accuracy >= 0.75
+        _, accuracies = evaluate(trained, parts[1])
+        assert accuracies["voted"] >= 0.75
 
     def test_transform_not_refit_at_test_time(self, trained, parts):
         t = trained.transform
@@ -147,10 +146,10 @@ class TestTrainEvaluate:
             assert np.array_equal(before, after)
 
     def test_per_classifier_reports(self, trained, parts):
-        _, report, accuracies = evaluate(trained, parts[1])
+        counts, accuracies = evaluate(trained, parts[1])
         assert list(accuracies) == [*KINDS, "voted"]
         assert all(0.0 <= acc <= 1.0 for acc in accuracies.values())
-        assert accuracies["voted"] == report.accuracy
+        assert accuracies["voted"] == np.trace(counts) / counts.sum()
 
     def test_base_model_mismatch_rejected(self, trained, parts):
         renamed = {("other" if name == "p0" else name): part
@@ -164,8 +163,8 @@ class TestAblate:
         train_parts, test_parts = parts
         arms = ablate(trained, train_parts, test_parts, method="concat+pca", seed=0, k=0)
         assert list(arms) == [None, *train_parts]
-        _, report, _ = evaluate(trained, test_parts)
-        assert arms[None]["voted"] == report.accuracy
+        _, accuracies = evaluate(trained, test_parts)
+        assert arms[None]["voted"] == accuracies["voted"]
 
     def test_exclusion_rows_refit_without_the_excluded_model(self, trained, parts):
         train_parts, test_parts = parts
@@ -174,10 +173,10 @@ class TestAblate:
         for excluded in train_parts:
             kept = [{n: p for n, p in split.items() if n != excluded} for split in parts]
             model = train_ensemble(kept[0], 3, method="concat+pca", seed=0, k=0)
-            _, report, _ = evaluate(model, kept[1])
-            assert arms[excluded]["voted"] == report.accuracy
+            voted = evaluate(model, kept[1])[1]["voted"]
+            assert arms[excluded]["voted"] == voted
             delta = csv_rows[excluded].rsplit(",", 1)[1]
-            assert delta == f"{report.accuracy - arms[None]['voted']:+.6f}"
+            assert delta == f"{voted - arms[None]['voted']:+.6f}"
 
     def test_noise_model_exclusion_never_hurts(self, splits, parts):
         train_parts, test_parts = ({**split_parts, "noise": noise_features(ds, 12, 99)}
@@ -192,15 +191,58 @@ class TestAblate:
             ablate(trained, train_parts, test_parts, method="concat+pca", seed=0, k=0)
 
 
+# metrics_csv and summary_text of the hand counts in test_report_text_on_hand_counts
+METRICS_CSV = """\
+class,tp,tn,fp,fn,precision,recall,f1
+0,3,3,2,0,0.600000,1.000000,0.750000
+1,2,4,1,1,0.666667,0.666667,0.666667
+2,0,6,0,2,0.000000,0.000000,0.000000
+
+accuracy,0.625000
+macro_precision,0.422222
+macro_recall,0.555556
+macro_f1,0.472222
+
+confusion,pred_0,pred_1,pred_2
+true_0,3,0,0
+true_1,1,2,0
+true_2,1,1,0
+"""
+SUMMARY_TEXT = """\
+ensemble evaluation
+  voted accuracy : 0.6250
+  macro precision: 0.4222
+  macro recall   : 0.5556
+  macro F1       : 0.4722
+  per-classifier accuracy:
+    SVM : 0.6250
+    KNN : 1.0000
+    GNB : 0.6250
+    RF  : 0.3750
+    GBT : 0.6250
+"""
+
+
 class TestReports:
     def test_csv_and_text_emission(self, trained, parts):
-        cm, report, per_clf = evaluate(trained, parts[1])
-        assert f"accuracy,{report.accuracy:.6f}" in metrics_csv(cm, report)
-        assert "voted accuracy" in summary_text(report, per_clf)
+        cm, accuracies = evaluate(trained, parts[1])
+        assert f"accuracy,{accuracies['voted']:.6f}" in metrics_csv(cm, accuracies)
+        assert "voted accuracy" in summary_text(cm, accuracies)
 
     def test_byte_identical_reports(self, trained, parts):
-        first, second = (metrics_csv(*evaluate(trained, parts[1])[:2]) for _ in range(2))
+        first, second = (metrics_csv(*evaluate(trained, parts[1])) for _ in range(2))
         assert first == second
+
+    def test_report_text_on_hand_counts(self):
+        # class 2 is never predicted (precision 0/0); a class-1 row is predicted 0
+        counts = np.array([[3, 0, 0], [1, 2, 0], [1, 1, 0]])
+        true = np.repeat(np.arange(3), counts.sum(axis=1))
+        pred = np.concatenate([np.repeat(np.arange(3), row) for row in counts])
+        per_clf = [pred, true, pred, np.zeros_like(true), pred]
+        accuracies = scores(true, per_clf, pred)
+        assert np.array_equal(confusion_from_labels(true, pred, 3), counts)
+        assert metrics_csv(counts, accuracies) == METRICS_CSV
+        assert summary_text(counts, accuracies) == SUMMARY_TEXT
 
     def test_ablation_csv_shape(self, trained, parts):
         train_parts, test_parts = parts
@@ -230,6 +272,6 @@ class TestWithEncoders:
         models = [("tl_A", tl), ("ssl_B", ssl)]
         ensemble = train_ensemble(extract_parts(models, train), len(train.class_names),
                                   method="concat+ica", seed=0, k=0)
-        _, report, _ = evaluate(ensemble, extract_parts(models, test))
-        assert report.accuracy >= 0.5
+        _, accuracies = evaluate(ensemble, extract_parts(models, test))
+        assert accuracies["voted"] >= 0.5
         assert ensemble.transform.in_dim == tl.feature_dim + ssl.feature_dim

@@ -10,7 +10,6 @@ from test_oracles import classifier_output, shap_exact
 from enfuse.classifiers import fit_gnb
 from enfuse.errors import EnfuseError
 from enfuse.explain import (
-    Embedding2D,
     grad_cam,
     render_confusion_svg,
     render_embedding_svg,
@@ -93,21 +92,21 @@ class TestGradCam:
 
 class TestShapExact:
     def test_additive_model(self):
-        exp = shap_exact(lambda x: x[:, 0] + x[:, 1], np.array([2.0, 3.0]),
-                         np.zeros((1, 2)))
-        assert np.allclose(exp.values, [2.0, 3.0], atol=1e-12)
-        assert exp.base_value == 0.0
+        phi, base, _ = shap_exact(lambda x: x[:, 0] + x[:, 1], np.array([2.0, 3.0]),
+                                  np.zeros((1, 2)))
+        assert np.allclose(phi, [2.0, 3.0], atol=1e-12)
+        assert base == 0.0
 
     def test_symmetry(self):
-        exp = shap_exact(lambda x: x[:, 0] * x[:, 1], np.array([1.0, 1.0]),
-                         np.zeros((1, 2)))
-        assert abs(exp.values[0] - 0.5) < 1e-12
-        assert abs(exp.values[0] - exp.values[1]) < 1e-12
+        phi, _, _ = shap_exact(lambda x: x[:, 0] * x[:, 1], np.array([1.0, 1.0]),
+                               np.zeros((1, 2)))
+        assert abs(phi[0] - 0.5) < 1e-12
+        assert abs(phi[0] - phi[1]) < 1e-12
 
     def test_null_feature_zero(self):
-        exp = shap_exact(lambda x: x[:, 0] ** 2, np.array([2.0, 5.0]),
-                         np.zeros((1, 2)))
-        assert exp.values[1] == 0.0
+        phi, _, _ = shap_exact(lambda x: x[:, 0] ** 2, np.array([2.0, 5.0]),
+                               np.zeros((1, 2)))
+        assert phi[1] == 0.0
 
     def test_local_accuracy(self):
         rng = np.random.default_rng(4)
@@ -118,8 +117,8 @@ class TestShapExact:
 
         instance = rng.normal(size=6)
         background = rng.normal(size=(20, 6))
-        exp = shap_exact(f, instance, background)
-        assert abs(exp.base_value + exp.values.sum() - exp.model_output) < 1e-9
+        phi, base, output = shap_exact(f, instance, background)
+        assert abs(base + phi.sum() - output) < 1e-9
 
     def test_matches_permutation_oracle(self):
         rng = np.random.default_rng(5)
@@ -131,7 +130,7 @@ class TestShapExact:
         instance = rng.normal(size=4)
         bg = rng.normal(size=(8, 4))
         bg_mean = bg.mean(axis=0)
-        exp = shap_exact(f, instance, bg)
+        phi, _, _ = shap_exact(f, instance, bg)
         # independent enumeration over all 24 orderings
         oracle = np.zeros(4)
         for perm in itertools.permutations(range(4)):
@@ -143,7 +142,7 @@ class TestShapExact:
                 oracle[feat] += cur - prev
                 prev = cur
         oracle /= math.factorial(4)
-        assert np.allclose(exp.values, oracle, atol=1e-12)
+        assert np.allclose(phi, oracle, atol=1e-12)
 
     def test_dimension_limit(self):
         with pytest.raises(EnfuseError, match="16 features exceeds the exact limit"):
@@ -154,9 +153,9 @@ class TestShapExact:
         x = np.concatenate([rng.normal(-2, 0.5, (15, 3)), rng.normal(2, 0.5, (15, 3))])
         y = np.array([0] * 15 + [1] * 15)
         clf = fit_gnb(x, y)
-        exp = shap_exact(classifier_output(clf, x[0]), x[0], x)
-        assert abs(exp.base_value + exp.values.sum() - exp.model_output) < 1e-9
-        assert exp.model_output > 0.9  # confident on its own training point
+        phi, base, output = shap_exact(classifier_output(clf, x[0]), x[0], x)
+        assert abs(base + phi.sum() - output) < 1e-9
+        assert output > 0.9  # confident on its own training point
 
 
 class TestShapSampled:
@@ -167,24 +166,24 @@ class TestShapSampled:
         clf = fit_gnb(x, y)
         instance = x[3]
         f = classifier_output(clf, instance)
-        exact = shap_exact(f, instance, x)
-        sampled = shap_sampled(f, instance, x, n_samples=2048, seed=0)
-        assert np.max(np.abs(exact.values - sampled.values)) < 0.05
+        exact, _, _ = shap_exact(f, instance, x)
+        sampled, _, _ = shap_sampled(f, instance, x, n_samples=2048, seed=0)
+        assert np.max(np.abs(exact - sampled)) < 0.05
 
     def test_local_accuracy_exact_by_construction(self):
         rng = np.random.default_rng(8)
         f = lambda x: np.sin(x).sum(axis=1)
-        exp = shap_sampled(f, rng.normal(size=20), rng.normal(size=(10, 20)),
-                           n_samples=200, seed=1)
-        assert abs(exp.base_value + exp.values.sum() - exp.model_output) < 1e-12
+        phi, base, output = shap_sampled(f, rng.normal(size=20), rng.normal(size=(10, 20)),
+                                         n_samples=200, seed=1)
+        assert abs(base + phi.sum() - output) < 1e-12
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(9)
         f = lambda x: (x ** 2).sum(axis=1)
         inst, bg = rng.normal(size=5), rng.normal(size=(6, 5))
-        a = shap_sampled(f, inst, bg, n_samples=2048, seed=3)
-        b = shap_sampled(f, inst, bg, n_samples=2048, seed=3)
-        assert np.array_equal(a.values, b.values)
+        a, _, _ = shap_sampled(f, inst, bg, n_samples=2048, seed=3)
+        b, _, _ = shap_sampled(f, inst, bg, n_samples=2048, seed=3)
+        assert np.array_equal(a, b)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(EnfuseError, match="n_samples must be positive"):
@@ -240,8 +239,8 @@ class TestTsne:
 
     def test_separated_clusters_silhouette(self):
         fm = self.clusters()
-        emb = tsne_embed(fm, perplexity=10, iters=500, seed=0)
-        y, labels = emb.coords, emb.labels
+        y, _, _ = tsne_embed(fm, perplexity=10, iters=500, seed=0)
+        labels = fm.labels
 
         def silhouette():
             scores = []
@@ -256,11 +255,13 @@ class TestTsne:
         assert silhouette() > 0.5
 
     def test_kl_improves_after_exaggeration(self):
+        # exaggeration and the momentum switch end at iteration 250 whatever
+        # iters is, so both runs share their first 250 iterations
         fm = self.clusters(seed=1)
-        emb = tsne_embed(fm, perplexity=10, iters=1000, seed=0)
-        kl = dict(emb.kl_log)
-        assert emb.kl_divergence >= 0
-        assert kl[1000] < kl[250]
+        _, kl_250, _ = tsne_embed(fm, perplexity=10, iters=250, seed=0)
+        _, kl_1000, _ = tsne_embed(fm, perplexity=10, iters=1000, seed=0)
+        assert kl_1000 >= 0
+        assert kl_1000 < kl_250
 
     def test_perplexity_autoreduced(self):
         rng = np.random.default_rng(11)
@@ -272,16 +273,17 @@ class TestTsne:
         rng = np.random.default_rng(16)
         fm = FeatureMatrix(rng.normal(size=(12, 5)), labels=None)
         with pytest.warns(UserWarning, match="perplexity"):
-            emb = tsne_embed(fm, perplexity=10, iters=20, seed=0)
-        assert emb.perplexity == pytest.approx(11 / 3)
-        assert f"perplexity={11 / 3:.4f}" in render_embedding_svg(emb, ["class 0"])
+            coords, kl, perplexity = tsne_embed(fm, perplexity=10, iters=20, seed=0)
+        assert perplexity == pytest.approx(11 / 3)
+        svg = render_embedding_svg(coords, np.zeros(12, dtype=int), kl, perplexity, ["class 0"])
+        assert f"perplexity={11 / 3:.4f}" in svg
 
     def test_duplicate_rows_survive(self):
         rng = np.random.default_rng(12)
         base = rng.normal(size=(10, 3))
         fm = FeatureMatrix(np.concatenate([base, base[:2]]), labels=None)
-        emb = tsne_embed(fm, perplexity=3, iters=50, seed=0)
-        assert np.all(np.isfinite(emb.coords))
+        coords, _, _ = tsne_embed(fm, perplexity=3, iters=50, seed=0)
+        assert np.all(np.isfinite(coords))
 
 
 class TestRender:
@@ -298,8 +300,8 @@ class TestRender:
 
     def test_svg_scatter_parses(self):
         rng = np.random.default_rng(14)
-        emb = Embedding2D(rng.normal(size=(30, 2)), rng.integers(0, 3, 30), 0.5, 10.0, [])
-        root = ET.fromstring(render_embedding_svg(emb, class_names=["a", "b", "c"]))
+        root = ET.fromstring(render_embedding_svg(rng.normal(size=(30, 2)), rng.integers(0, 3, 30),
+                                                  0.5, 10.0, class_names=["a", "b", "c"]))
         assert root.tag.endswith("svg")
 
     def test_confusion_svg_parses_and_has_counts(self):
@@ -310,13 +312,12 @@ class TestRender:
 
     def test_byte_identical_rerender(self):
         rng = np.random.default_rng(15)
-        emb = Embedding2D(rng.normal(size=(10, 2)), np.zeros(10, dtype=int), 1.25, 3.0, [])
-        assert render_embedding_svg(emb, ["a"]) == render_embedding_svg(emb, ["a"])
+        embedding = (rng.normal(size=(10, 2)), np.zeros(10, dtype=int), 1.25, 3.0, ["a"])
+        assert render_embedding_svg(*embedding) == render_embedding_svg(*embedding)
 
     def test_shap_csv_rows(self):
-        exp = shap_exact(lambda x: x[:, 0] + x[:, 1], np.array([1.0, 2.0]),
-                         np.zeros((1, 2)))
-        text = shap_csv(exp)
+        text = shap_csv(*shap_exact(lambda x: x[:, 0] + x[:, 1], np.array([1.0, 2.0]),
+                                    np.zeros((1, 2))))
         lines = text.strip().split("\n")
         assert lines[0] == "feature,phi"
         assert len(lines) == 1 + 2 + 2  # header, D rows, base + output

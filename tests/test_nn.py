@@ -75,7 +75,7 @@ def check_layer_grads(layer, x, rtol=1e-4):
 
 class TestLayerForward:
     def test_dense_identity(self):
-        layer = Dense(2, 2)
+        layer = Dense(2, 2, np.random.default_rng(0))
         layer.params["w"] = np.eye(2)
         layer.params["b"] = np.zeros(2)
         x = np.array([[3.0, 4.0]])
@@ -90,7 +90,7 @@ class TestLayerForward:
         assert GlobalAvgPool().forward(x)[0, 0] == 2.5
 
     def test_shape_error_names_layer(self):
-        model = EncoderModel([Conv2d(3, 4, 3)])
+        model = EncoderModel([Conv2d(3, 4, 3, np.random.default_rng(0))])
         with pytest.raises(EnfuseError, match="layer 0"):
             model.forward(np.zeros((1, 2, 8, 8)))
 
@@ -235,7 +235,8 @@ class TestAdam:
         assert p[0] == pytest.approx(-0.001, rel=1e-6)
 
     def test_frozen_param_untouched(self):
-        model = EncoderModel([Conv2d(1, 2, 3), Conv2d(2, 2, 3)], [])
+        model = EncoderModel([Conv2d(1, 2, 3, np.random.default_rng(0)),
+                              Conv2d(2, 2, 3, np.random.default_rng(0))], [])
         frozen = model.backbone[0]
         frozen.trainable = False
         arrays = dict(frozen.params)
@@ -481,7 +482,8 @@ class TestForwardCaches:
             variant_c_model(0).backward(np.zeros((4, 3)))
 
     @pytest.mark.parametrize("layer,shape", [
-        (Conv2d(2, 3, 3), (2, 2, 4, 4)), (Dense(4, 3), (2, 4)), (ReLU(), (2, 4)),
+        (Conv2d(2, 3, 3, np.random.default_rng(0)), (2, 2, 4, 4)),
+        (Dense(4, 3, np.random.default_rng(0)), (2, 4)), (ReLU(), (2, 4)),
         (MaxPool2d(), (2, 2, 4, 4)), (GlobalAvgPool(), (2, 2, 4, 4)), (Flatten(), (2, 2, 4, 4)),
         (Dropout(0.5), (2, 4)), (Softmax(), (2, 4))])
     def test_layer_backward_needs_a_kept_cache(self, layer, shape):

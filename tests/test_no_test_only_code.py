@@ -13,6 +13,11 @@ passed, by keyword or by position, by some call in `src/` or `perfbench/`
 (a value nothing else passes is a constant) and left out by another (a
 default every such call overrides is one only tests use). So a parameter
 keeps a default only when two product callers need different values.
+
+Every field of a `@dataclass` in `src/enfuse` must be read in `src/` or
+`perfbench/` outside its own class: an attribute load of the field's name
+on anything but a name an `import` statement binds (`sys.path` is no
+read of a `path` field). A field no output reads is computed for nothing.
 """
 
 import ast
@@ -25,6 +30,12 @@ PACKAGE = ROOT / "src" / "enfuse"
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def _product_trees() -> dict[Path, ast.Module]:
+    """The parsed modules of src/enfuse and perfbench."""
+    sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    return {path: _parse(path) for path in sources}
 
 
 def _definitions(tree: ast.Module):
@@ -54,8 +65,7 @@ def _references(tree: ast.Module, is_init: bool) -> dict[str, list[ast.AST]]:
 
 
 def _unreached() -> list[str]:
-    sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: _parse(path) for path in sources}
+    trees = _product_trees()
     refs = {path: _references(tree, path.name == "__init__.py")
             for path, tree in trees.items()}
     unreached = []
@@ -155,8 +165,7 @@ def _calls(tree: ast.Module):
 def _default_uses() -> list[tuple[str, Path, list[bool]]]:
     """("function parameter", its file, whether each call of the function's
     name in src/ or perfbench/ passes it) of each defaulted parameter."""
-    sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: _parse(path) for path in sources}
+    trees = _product_trees()
     calls: dict[str, list[tuple[int, set[str]]]] = {}
     for tree in trees.values():
         for name, positional, keywords in _calls(tree):
@@ -185,3 +194,36 @@ def test_every_default_is_used_outside_tests():
     overridden = [f"{path}: {name}" for name, path, passed in _default_uses()
                   if passed and all(passed)]
     assert not overridden, "defaults every call overrides: " + ", ".join(overridden)
+
+
+def _field_reads(tree: ast.Module):
+    """Each attribute load in the module but those on a name an `import` binds."""
+    modules = {alias.asname or alias.name.partition(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and not (isinstance(node.value, ast.Name) and node.value.id in modules)):
+            yield node
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    """A field that no product code reads outside its class is never output."""
+    trees = _product_trees()
+    reads: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in _field_reads(tree):
+            reads.setdefault(node.attr, []).append(node)
+    unread = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(PACKAGE):
+            continue
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            inside = {id(node) for node in ast.walk(cls)}
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and all(id(node) in inside for node in reads.get(stmt.target.id, ()))):
+                    unread.append(f"{path.relative_to(ROOT)}: {cls.name}.{stmt.target.id}")
+    assert not unread, "dataclass fields no product code reads: " + ", ".join(unread)

@@ -69,7 +69,6 @@ from enfuse.ensemble import (
 )
 from enfuse.errors import EnfuseError
 from enfuse.explain import (
-    ShapExplanation,
     _svg_document,
     grad_cam,
     render_ablation_svg,
@@ -259,21 +258,20 @@ def shap_sampled_per_permutation(f, instance, background, n_samples, seed):
         vals = np.asarray(f(np.where(masks, instance, bg_mean)))
         contribs[p, order] = np.diff(vals)
     phi = contribs.mean(axis=0)
-    stderr = contribs.std(axis=0) / np.sqrt(n_perms)
     base = float(f(bg_mean[None])[0])
     out = float(f(instance[None])[0])
     residual = (out - base) - phi.sum()
     mass = np.abs(phi).sum()
     phi = phi + residual * (np.abs(phi) / mass if mass > 1e-12 else np.full(d, 1.0 / d))
-    return ShapExplanation(phi, base, out, stderr)
+    return phi, base, out
 
 
 SHAP_EXACT_MAX_FEATURES = 15
 
 
-def shap_exact(f, instance, background) -> ShapExplanation:
+def shap_exact(f, instance, background) -> tuple[np.ndarray, float, float]:
     """Exact Shapley values of f: (n, D) -> (n,) by enumerating all 2^D
-    feature coalitions.
+    feature coalitions, returned as `shap_sampled` returns its estimate.
 
     "Without" a feature means replacing it by the background mean.
     """
@@ -295,7 +293,7 @@ def shap_exact(f, instance, background) -> ShapExplanation:
         s = sizes[without_j]
         weight = np.array([fact[k] * fact[d - k - 1] / fact[d] for k in s])
         phi[j] = np.sum(weight * (vals[without_j | (1 << j)] - vals[without_j]))
-    return ShapExplanation(phi, float(vals[0]), float(vals[-1]), np.zeros(d))
+    return phi, float(vals[0]), float(vals[-1])
 
 
 def classifier_output(clf: TrainedClassifier, instance: np.ndarray):
@@ -631,9 +629,8 @@ def test_shap_sampled_matches_per_permutation_calls(seed, d, n_samples):
     instance, background = rng.normal(size=d), rng.normal(size=(5, d))
     got = shap_sampled(f, instance, background, n_samples=n_samples, seed=seed)
     want = shap_sampled_per_permutation(f, instance, background, n_samples, seed)
-    assert np.array_equal(got.values, want.values)
-    assert np.array_equal(got.stderr, want.stderr)
-    assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifact import pack, unpack, write_atomic
-from .errors import EnfuseError, IntegrityError
+from .errors import IntegrityError
 
 CLASSIFIER_MAGIC = b"ETSEFC1\x00"
 KINDS = ("SVM", "KNN", "GNB", "RF", "GBT")
@@ -83,13 +83,10 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _as_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(x as float64, y as int64, the class count max(y) + 1)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or len(x) != len(y):
-        raise EnfuseError("x must be 2-D with one label per row")
-    if len(x) == 0:
-        raise EnfuseError("empty training set")
     return x, y, int(y.max()) + 1
 
 
@@ -104,9 +101,7 @@ def fit_svm(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
     the objective change drops below SVM_TOL, or after 10,000. Probabilities
     are a softmax over the per-class margins (the simplest monotone calibration).
     """
-    x, y, k = _check_xy(x, y)
-    if k < 2 or len(np.unique(y)) < 2:
-        raise EnfuseError("SVM needs at least 2 classes")
+    x, y, k = _as_xy(x, y)
     n, d = x.shape
     w = np.zeros((k, d))
     b = np.zeros(k)
@@ -139,9 +134,7 @@ def fit_svm(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
 # ---------------------------------------------------------------------------
 
 def fit_knn(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
-    x, y, n_classes = _check_xy(x, y)
-    if len(x) < KNN_K:
-        raise EnfuseError(f"KNN needs at least k={KNN_K} training points")
+    x, y, n_classes = _as_xy(x, y)
     return TrainedClassifier("KNN", n_classes,
                              arrays={"x": x.copy(), "y": y.astype(np.float64)},
                              meta={"k": KNN_K})
@@ -173,11 +166,8 @@ def _knn_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def fit_gnb(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
-    x, y, k = _check_xy(x, y)
+    x, y, k = _as_xy(x, y)
     classes = np.unique(y)
-    for cls in classes:
-        if (y == cls).sum() < 2:
-            raise EnfuseError("GNB needs >= 2 samples per class")
     theta = np.zeros((k, x.shape[1]))
     var = np.full((k, x.shape[1]), np.inf)
     priors = np.zeros(k)
@@ -513,9 +503,7 @@ def _leaf_blocks(table: dict[str, np.ndarray], q: np.ndarray):
 def fit_rf(x: np.ndarray, y: np.ndarray, *, seed: int) -> TrainedClassifier:
     """Bagged Gini trees with per-split feature subsampling of ceil(sqrt(D)),
     grown together in lockstep, each from its own generator."""
-    x, y, k = _check_xy(x, y)
-    if len(x) < 3:
-        raise EnfuseError("RF needs at least 3 samples")
+    x, y, k = _as_xy(x, y)
     n, d = x.shape
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(RF_TREES)]
     bootstraps = [rng.integers(0, n, size=n) for rng in rngs]
@@ -552,9 +540,7 @@ def fit_gbt(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
     sum(residual) / sum(hessian). predict_proba is the softmax of the
     GBT_ETA-scaled summed leaf scores.
     """
-    x, y, k = _check_xy(x, y)
-    if len(np.unique(y)) < 2:
-        raise EnfuseError("GBT needs at least 2 classes")
+    x, y, k = _as_xy(x, y)
     n = len(x)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
@@ -610,9 +596,7 @@ def predict_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
         return _gnb_proba(clf, q)
     if clf.kind == "RF":
         return _rf_proba(clf, q)
-    if clf.kind == "GBT":
-        return _gbt_proba(clf, q)
-    raise EnfuseError(f"unknown classifier kind {clf.kind!r}")
+    return _gbt_proba(clf, q)  # GBT
 
 
 def predict(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:

@@ -249,7 +249,9 @@ def _check_split_sizes(config: dict) -> None:
     """Every class of the target and oodtest train splits keeps >= 2 rows,
     and the target test split keeps `TSNE_MIN_ROWS`.
 
-    GNB needs 2 rows a class; KNN and RF, 3 in all, which 2 classes of 2 give.
+    This is the only check of the classifiers' and t-SNE's row needs: the
+    library does not check them again. GNB needs 2 rows a class; KNN and RF,
+    3 in all, which 2 classes of 2 give; SVM and GBT, 2 classes.
     `explain --what tsne` embeds the target test split.
     """
     for section, key, kind in (("data", "target_per_class", TARGET_KIND),
@@ -296,15 +298,35 @@ def _check_fusion_k(config: dict, encoders: dict[str, EncoderModel]) -> None:
 MANIFEST = "manifest.json"  # in --out
 
 
+def _str_map(value) -> bool:
+    return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+
+
+def _record_ok(record) -> bool:
+    """A stage record maps `files` to their hashes; its `inputs`, where present
+    (a record without them just reruns), hold an int seed, a `config` map and
+    a `stages` map to digests."""
+    if not isinstance(record, dict) or not _str_map(record.get("files")):
+        return False
+    if "inputs" not in record:
+        return True
+    inputs = record["inputs"]
+    return (isinstance(inputs, dict) and type(inputs.get("seed")) is int
+            and isinstance(inputs.get("config"), dict) and _str_map(inputs.get("stages")))
+
+
 def load_manifest(out: Path) -> dict:
     """The manifest's stage records; any other entry an older version wrote is dropped."""
     path = out / MANIFEST
     try:
         stages = json.loads(path.read_text())["stages"] if path.exists() else {}
-        outside = [rel for record in stages.values() for rel in record["files"]
-                   if Path(rel).is_absolute() or ".." in Path(rel).parts]
+        malformed = [stage for stage, record in stages.items() if not _record_ok(record)]
     except (OSError, json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise IntegrityError(f"unreadable manifest {path}: {exc}") from exc
+    if malformed:
+        raise IntegrityError(f"manifest {path}: malformed record of stage {malformed[0]!r}")
+    outside = [rel for record in stages.values() for rel in record["files"]
+               if Path(rel).is_absolute() or ".." in Path(rel).parts]
     if outside:  # a rerun deletes the files its old record listed
         raise IntegrityError(f"manifest {path} lists {outside[0]}, outside {out}")
     return {"version": TOOL_VERSION, "stages": stages}
@@ -597,7 +619,7 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
 def cmd_ablate(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
     train, test = target_split(config, seed)
     models = _load_target_models(out, config)
-    arms = ablate(_rebuild_ensemble(out, config, models), extract_parts(models, train),
+    arms = ablate(_rebuild_ensemble(out, config), extract_parts(models, train),
                   extract_parts(models, test), method=config["fusion"]["method"],
                   seed=seed, k=config["fusion"]["k"])
     csv_file = stage_dir / f"ablation_seed{seed}.csv"
@@ -611,12 +633,12 @@ def cmd_ablate(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path
     return [csv_file, svg_file]
 
 
-def _rebuild_ensemble(out: Path, config: dict, models) -> EnsembleModel:
+def _rebuild_ensemble(out: Path, config: dict) -> EnsembleModel:
     stage_dir = _task_dir(out, config, "ensemble")
     transform = load_transform(stage_dir / "transform.bin")
     classifiers = [load_classifier(stage_dir / f"clf_{kind.lower()}.bin")
                    for kind in KINDS]
-    return EnsembleModel(classifiers, transform, [n for n, _ in models], classifiers[0].n_classes)
+    return EnsembleModel(classifiers, transform, classifiers[0].n_classes)
 
 
 def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
@@ -635,7 +657,7 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
                 render_saliency_ppm(sal, image))
     elif what == "shap":
         models = _load_target_models(out, config)
-        ensemble = _rebuild_ensemble(out, config, models)
+        ensemble = _rebuild_ensemble(out, config)
         fused_train = fuse_parts(ensemble, extract_parts(models, train))
         fused_test = fuse_parts(ensemble, extract_parts(models, test))
         row = fused_test.data[instance]
@@ -646,7 +668,7 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
             phi, base, output).encode()
     else:  # tsne
         models = _load_target_models(out, config)
-        ensemble = _rebuild_ensemble(out, config, models)
+        ensemble = _rebuild_ensemble(out, config)
         fused = fuse_parts(ensemble, extract_parts(models, test))
         coords, kl, perplexity = tsne_embed(fused, perplexity=exp["perplexity"],
                                             iters=exp["tsne_iters"], seed=seed)
@@ -676,9 +698,7 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
     for i, name in enumerate(BASE_MODEL_NAMES):
         variant = name.split("_")[1]
         rng = np.random.default_rng(seed + 900 + i)
-        model = EncoderModel(build_backbone(variant, rng))
-        model.meta["stage"] = "target"  # untrained baseline extractor
-        random_models.append((name, model))
+        random_models.append((name, EncoderModel(build_backbone(variant, rng))))
 
     results = {}
     for label, models in (("pretrained", pretrained), ("random", random_models)):

@@ -1,12 +1,12 @@
 """Synthetic task generation, splitting, augmentation, and image encoding.
 
-Images are float64 arrays of shape (H, W, C) with values in [0, 1] and
-C in {1, 3}. A synthetic task draws each motif's images as one stack: one
-loop over the images makes the random draws, in the order of drawing one
-image at a time, and the masks, tint, noise and clip run over the stack.
-Augmentation works on (N, H, W, C) stacks: each image gets its own angle,
-zoom factor and coin flips, and each step runs over the whole stack. Images
-are only encoded, as binary PGM (P5) or PPM (P6); no image file is ever read.
+Images are float64 arrays of shape (H, W, 3) with values in [0, 1]. A
+synthetic task draws each motif's images as one stack: one loop over the
+images makes the random draws, in the order of drawing one image at a time,
+and the masks, tint, noise and clip run over the stack. Augmentation works
+on (N, H, W, C) stacks: each image gets its own angle, zoom factor and coin
+flips, and each step runs over the whole stack. Images are only encoded, as
+binary PPM (P6); no image file is ever read.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import EnfuseError
 
 
 @dataclass
@@ -29,14 +27,6 @@ class LabeledImageSet:
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.images.ndim != 4:
-            raise EnfuseError("images must be a (N,H,W,C) stack")
-        if self.images.shape[3] not in (1, 3):
-            raise EnfuseError("channel count must be 1 or 3")
-        if len(self.labels) != len(self.images):
-            raise EnfuseError("labels/images length mismatch")
-        if len(self.labels) and self.labels.max() >= len(self.class_names):
-            raise EnfuseError("label out of range for class_names")
 
     def __len__(self):
         return len(self.images)
@@ -58,20 +48,14 @@ ZOOM_RANGE = (0.8, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# PGM / PPM encoding (binary P5 / P6, maxval 255)
+# PPM encoding (binary P6, maxval 255)
 # ---------------------------------------------------------------------------
 
 def pnm_bytes(image: np.ndarray) -> bytes:
-    """An (H, W, 1) or (H, W, 3) float image in [0, 1] as binary PGM/PPM bytes."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 2:
-        image = image[:, :, None]
-    h, w, c = image.shape
-    if c not in (1, 3):
-        raise EnfuseError("image must have 1 or 3 channels")
-    magic = b"P5" if c == 1 else b"P6"
+    """An (H, W, 3) float image in [0, 1] as binary PPM bytes."""
+    h, w, _ = image.shape
     data = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
-    return magic + b"\n%d %d\n255\n" % (w, h) + data.tobytes()
+    return b"P6\n%d %d\n255\n" % (w, h) + data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +132,6 @@ def vflip(images: np.ndarray) -> np.ndarray:
 
 def box_blur(images: np.ndarray, kernel: int) -> np.ndarray:
     """Normalized box blur with edge-clamp padding; kernel must be odd."""
-    if kernel < 1 or kernel % 2 == 0:
-        raise EnfuseError("kernel must be odd and >= 1")
     if kernel == 1:
         return images.copy()
     r = kernel // 2
@@ -194,8 +176,6 @@ def random_transform(images: np.ndarray, blur_kernel: int,
 
 def one_hot_matrix(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) and (labels.min() < 0 or labels.max() >= n_classes):
-        raise EnfuseError("label out of range")
     out = np.zeros((len(labels), n_classes))
     out[np.arange(len(labels)), labels] = 1.0
     return out
@@ -227,12 +207,8 @@ def stratified_split(dataset: LabeledImageSet, train_fraction: float,
     Takes `stratified_train_counts` samples of each class, each within one
     sample of round(train_fraction * class size).
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise EnfuseError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     counts = dataset.class_counts()
-    if np.any(counts < 2):
-        raise EnfuseError("stratified split needs at least 2 samples per class")
     takes = stratified_train_counts(counts, train_fraction)
     train_idx, test_idx = [], []
     for c in range(dataset.n_classes):
@@ -297,10 +273,8 @@ def _draw_motif(motif: str, n: int, size: tuple[int, int], rng: np.random.Genera
         mask = ((np.abs(yy - cy) <= thick * 0.8) & (np.abs(xx - cx) <= arm)) | (
             (np.abs(xx - cx) <= thick * 0.8) & (np.abs(yy - cy) <= arm)
         )
-    elif motif == "ring":
+    else:  # ring
         mask = (dist <= r_base) & (dist >= r_base - thick)
-    else:
-        raise EnfuseError(f"unknown motif {motif!r}")
     img = np.where(mask, 0.85 - param_shift * 0.2, 0.15 + param_shift * 0.3)
     images = img[..., None] * np.array(_TINTS[motif])
     if noise is not None:
@@ -316,10 +290,6 @@ def make_synthetic_task(kind: str, n_per_class: int, size: tuple[int, int],
     distribution-shifted variant of the same task (used to stand in for a
     change of domain).
     """
-    if kind not in TASK_MOTIFS:
-        raise EnfuseError(f"unknown task kind {kind!r}")
-    if n_per_class < 1:
-        raise EnfuseError("n_per_class must be >= 1")
     motifs = TASK_MOTIFS[kind]
     rng = np.random.default_rng(seed)
     # label-major, so each motif's images make their draws in turn

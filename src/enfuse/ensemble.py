@@ -20,7 +20,6 @@ import numpy as np
 from .classifiers import (KINDS, TrainedClassifier, fit_gbt, fit_gnb, fit_knn, fit_rf,
                           fit_svm, predict)
 from .data import LabeledImageSet
-from .errors import EnfuseError
 from .features import FeatureMatrix
 from .fusion import FusionTransform, apply_transform, concat_features, fuse_pipeline
 from .nn import EncoderModel
@@ -34,8 +33,6 @@ from .pretrain import extract_features
 def confusion_from_labels(true: np.ndarray, pred: np.ndarray,
                           n_classes: int) -> np.ndarray:
     """The (k, k) int64 counts: row = true class, column = predicted class."""
-    if len(true) != len(pred):
-        raise EnfuseError("label array length mismatch")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (true, pred), 1)
     return counts
@@ -66,7 +63,6 @@ def class_metrics(counts: np.ndarray) -> dict[str, np.ndarray]:
 class EnsembleModel:
     classifiers: list[TrainedClassifier]  # fixed order: SVM, KNN, GNB, RF, GBT
     transform: FusionTransform
-    base_names: list[str]
     n_classes: int
 
 
@@ -77,16 +73,13 @@ def extract_parts(base_models: list[tuple[str, EncoderModel]],
 
 
 def fuse_parts(model: EnsembleModel, parts: dict[str, FeatureMatrix]) -> FeatureMatrix:
-    """Concatenate parts and apply the ensemble's train-fitted transform."""
-    if list(parts) != model.base_names:
-        raise EnfuseError("base models differ from the trained ensemble")
+    """Concatenate parts, in the base-model order the ensemble was trained
+    on, and apply its train-fitted transform."""
     return apply_transform(model.transform, concat_features(list(parts.values())))
 
 
 def majority_vote(predictions: list[np.ndarray], n_classes: int) -> np.ndarray:
     """Plurality vote per sample; ties go to the lowest class index."""
-    if not predictions:
-        raise EnfuseError("no predictions to vote over")
     preds = np.stack([np.asarray(p, dtype=np.int64) for p in predictions])
     n = preds.shape[1]
     tally = np.zeros((n, n_classes))
@@ -108,7 +101,7 @@ def train_ensemble(parts: dict[str, FeatureMatrix], n_classes: int, *, method: s
         fit_rf(x, y, seed=seed),
         fit_gbt(x, y),
     ]
-    return EnsembleModel(classifiers, transform, list(parts), n_classes)
+    return EnsembleModel(classifiers, transform, n_classes)
 
 
 def predict_ensemble(model: EnsembleModel, parts: dict[str, FeatureMatrix]):
@@ -139,8 +132,6 @@ def evaluate(model: EnsembleModel, parts: dict[str, FeatureMatrix]
              ) -> tuple[np.ndarray, dict[str, float]]:
     """Voted confusion counts and the `scores`, from one prediction."""
     true = next(iter(parts.values())).labels
-    if len(true) == 0:
-        raise EnfuseError("empty evaluation set")
     per_clf, voted = predict_ensemble(model, parts)
     counts = confusion_from_labels(true, voted, model.n_classes)
     return counts, scores(true, per_clf, voted)
@@ -158,8 +149,6 @@ def ablate(full: EnsembleModel, train_parts: dict[str, FeatureMatrix],
     The full arm comes first, under None, from `full`: the ensemble already
     fitted on all of `train_parts` with the same method, seed and k.
     """
-    if len(train_parts) < 2:
-        raise EnfuseError("ablation needs at least 2 base models")
     true = next(iter(test_parts.values())).labels
     arms = {None: scores(true, *predict_ensemble(full, test_parts))}
     for excluded in train_parts:

@@ -15,7 +15,6 @@ import numpy as np
 from .classifiers import predict_proba
 from .data import pnm_bytes, resize_bilinear
 from .ensemble import EnsembleModel
-from .errors import EnfuseError
 from .features import FeatureMatrix
 from .nn.layers import Softmax
 from .nn.model import EncoderModel
@@ -40,7 +39,7 @@ def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int) -> np.nd
     weighted sum is ReLU'd, bilinearly upsampled to the image size, and
     max-normalized (an all-zero map stays all-zero).
     """
-    li = model.last_conv_index()  # raises on conv-free models
+    li = model.last_conv_index()
     image = np.asarray(image, dtype=np.float64)
     act = image.transpose(2, 0, 1)[None]  # HWC -> NCHW
     for layer in model.layers[:li + 1]:
@@ -50,10 +49,6 @@ def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int) -> np.nd
     logits = act
     for layer in above:
         logits = layer.forward(logits, keep_cache=True)
-    if logits.ndim != 2:
-        raise EnfuseError("grad_cam needs a classification head")
-    if not 0 <= target_class < logits.shape[1]:
-        raise EnfuseError(f"target class {target_class} out of range")
     grad = np.zeros_like(logits)
     grad[0, target_class] = 1.0
     for layer in reversed(above):
@@ -97,8 +92,6 @@ def shap_sampled(f, instance: np.ndarray, background: np.ndarray, *, n_samples: 
     rows. The estimation residual is redistributed proportionally to |phi|
     so base + sum(phi) always equals the model output.
     """
-    if n_samples <= 0:
-        raise EnfuseError("n_samples must be positive")
     instance = np.asarray(instance, dtype=np.float64).ravel()
     d = len(instance)
     bg_mean = background.mean(axis=0)
@@ -162,8 +155,6 @@ def tsne_embed(x: FeatureMatrix, *, perplexity: float, iters: int,
     ((M, 2) coordinates, the final KL divergence, the perplexity used, maybe lowered)."""
     data = x.data
     n = len(data)
-    if n < TSNE_MIN_ROWS:
-        raise EnfuseError(f"t-SNE needs at least {TSNE_MIN_ROWS} rows")
     if n < 3 * perplexity:
         perplexity = max(1.0, (n - 1) / 3.0)
         warnings.warn(f"perplexity reduced to {perplexity:.1f} for {n} rows")
@@ -208,10 +199,9 @@ PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd",
 
 
 def render_saliency_ppm(sal: np.ndarray, image: np.ndarray) -> bytes:
-    """P6 heatmap: red channel carries the (H, W) saliency over a grayed-out image."""
-    gray = np.asarray(image, dtype=np.float64)
-    if gray.ndim == 3:
-        gray = gray.mean(axis=2)
+    """P6 heatmap: red channel carries the (H, W) saliency over a grayed-out
+    (H, W, 3) image."""
+    gray = image.mean(axis=2)
     out = np.stack([np.maximum(gray * 0.5, sal),
                     gray * 0.5 * (1.0 - sal),
                     gray * 0.5 * (1.0 - sal)], axis=2)

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnfuseError
-
 
 @dataclass
 class FeatureMatrix:
@@ -18,12 +16,8 @@ class FeatureMatrix:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise EnfuseError("feature matrix must be 2-D")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
-            if len(self.labels) != len(self.data):
-                raise EnfuseError("labels length mismatch")
 
     @property
     def n_rows(self) -> int:

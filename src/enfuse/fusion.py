@@ -39,18 +39,10 @@ class FusionTransform:
 
 
 def concat_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
-    """Append feature matrices column-wise, verifying row alignment."""
-    if not parts:
-        raise EnfuseError("no feature matrices to concatenate")
-    first = parts[0]
-    for part in parts[1:]:
-        if part.n_rows != first.n_rows:
-            raise EnfuseError("row-count mismatch between feature matrices")
-        if first.labels is not None and part.labels is not None \
-                and not np.array_equal(part.labels, first.labels):
-            raise EnfuseError("label mismatch between feature matrices")
+    """Join one image set's feature matrices column-wise, with the first
+    part's labels."""
     data = np.concatenate([p.data for p in parts], axis=1)
-    return FeatureMatrix(data, labels=first.labels)
+    return FeatureMatrix(data, labels=parts[0].labels)
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +57,7 @@ def fit_identity(x: FeatureMatrix) -> FusionTransform:
 
 def fit_pca(x: FeatureMatrix, k: int) -> FusionTransform:
     scaled, mean, std = standardize(x.data)
-    n, d = scaled.shape
-    if not 1 <= k <= min(n - 1, d):
-        raise EnfuseError(f"k={k} out of range for {n}x{d} input")
+    n = len(scaled)
     cov = scaled.T @ scaled / (n - 1)
     eigvals, eigvecs = eigh_symmetric(cov)
     eigvals = np.maximum(eigvals, 0.0)
@@ -83,9 +73,7 @@ def fit_ica(x: FeatureMatrix, k: int, *, seed: int) -> FusionTransform:
     decorrelation until |w_new . w| is within 1e-6 of 1; not converging is a warning.
     """
     scaled, mean, std = standardize(x.data)
-    n, d = scaled.shape
-    if not 1 <= k <= min(n - 1, d):
-        raise EnfuseError(f"k={k} out of range for {n}x{d} input")
+    n = len(scaled)
     rank = np.linalg.matrix_rank(scaled, tol=1e-10)
     if k > rank:
         warnings.warn(f"input rank {rank} below requested k={k}; reducing")
@@ -126,16 +114,10 @@ def fit_ica(x: FeatureMatrix, k: int, *, seed: int) -> FusionTransform:
 
 def fit_lda(x: FeatureMatrix, k: int) -> FusionTransform:
     """Fisher directions from the between/within scatter; within gets a 1e-6 ridge."""
-    if x.labels is None:
-        raise EnfuseError("LDA needs labelled features")
     scaled, mean, std = standardize(x.data)
     labels = x.labels
     classes = np.unique(labels)
-    if k > len(classes) - 1 or k < 1:
-        raise EnfuseError(f"LDA k must be in [1, {len(classes) - 1}]")
     counts = np.array([(labels == c).sum() for c in classes])
-    if np.any(counts < 2):
-        raise EnfuseError("every class needs >= 2 samples for LDA")
     d = scaled.shape[1]
     overall = scaled.mean(axis=0)
     s_w = np.zeros((d, d))
@@ -175,8 +157,6 @@ def fuse_pipeline(parts: list[FeatureMatrix], *, method: str, k: int,
     k = 0 retains the automatic min(n_rows - 1, 128, n_cols). The returned
     transform must be reused as-is on test features (no refitting).
     """
-    if method not in METHODS:
-        raise EnfuseError(f"unknown fusion method {method!r}")
     x = concat_features(parts)
     if k == 0:
         k = min(x.n_rows - 1, DEFAULT_ICA_DIM, x.n_cols)

@@ -15,8 +15,6 @@ def cross_entropy_loss(logits: np.ndarray, onehot: np.ndarray) -> tuple[float, n
     """
     logits = np.asarray(logits, dtype=np.float64)
     onehot = np.asarray(onehot, dtype=np.float64)
-    if logits.shape != onehot.shape:
-        raise EnfuseError(f"shape mismatch {logits.shape} vs {onehot.shape}")
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -39,10 +37,6 @@ def nt_xent_loss(z: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     respect to the raw (un-normalized) z.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] % 2 or z.shape[0] < 4:
-        raise EnfuseError("z must be (2N, d) with N >= 2")
-    if tau <= 0:
-        raise EnfuseError("temperature must be positive")
     m = z.shape[0]
     norms = np.linalg.norm(z, axis=1)
     if np.any(norms == 0.0):

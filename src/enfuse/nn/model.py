@@ -39,8 +39,6 @@ class EncoderModel:
 
     def last_conv_index(self) -> int:
         idx = [i for i, l in enumerate(self.backbone) if isinstance(l, Conv2d)]
-        if not idx:
-            raise EnfuseError("model has no conv layer")
         return idx[-1]
 
     def freeze_backbone(self, upto: int | None = None):

@@ -16,7 +16,6 @@ import hashlib
 import numpy as np
 
 from .data import LabeledImageSet, random_transform
-from .errors import EnfuseError
 from .features import FeatureMatrix
 from .nn import (
     INFERENCE_BATCH,
@@ -48,12 +47,10 @@ def build_backbone(variant: str, rng: np.random.Generator) -> list:
         return [Conv2d(3, 8, 3, rng=rng), ReLU(),
                 Conv2d(8, 12, 3, rng=rng), ReLU(), MaxPool2d(),
                 Conv2d(12, 20, 3, rng=rng), ReLU(), MaxPool2d()]
-    if variant == "C":
-        return [Conv2d(3, 6, 5, rng=rng), ReLU(), MaxPool2d(),
-                Conv2d(6, 12, 3, rng=rng), ReLU(), MaxPool2d(),
-                Conv2d(12, 16, 3, rng=rng), ReLU(),
-                Conv2d(16, 24, 3, rng=rng), ReLU(), MaxPool2d()]
-    raise EnfuseError(f"unknown backbone variant {variant!r}")
+    return [Conv2d(3, 6, 5, rng=rng), ReLU(), MaxPool2d(),  # C
+            Conv2d(6, 12, 3, rng=rng), ReLU(), MaxPool2d(),
+            Conv2d(12, 16, 3, rng=rng), ReLU(),
+            Conv2d(16, 24, 3, rng=rng), ReLU(), MaxPool2d()]
 
 
 def make_classification_head(d_f: int, n_classes: int, rng: np.random.Generator) -> list:
@@ -95,8 +92,6 @@ def _first_block_end(backbone) -> int:
 def pretrain_generic(variant: str, generic_set: LabeledImageSet, *, epochs: int,
                      batch: int, seed: int, lr: float) -> EncoderModel:
     """Supervised pre-training on the generic source task; head is discarded."""
-    if generic_set.n_classes < 2:
-        raise EnfuseError("generic pre-training needs >= 2 classes")
     rng = np.random.default_rng(seed)
     model = EncoderModel(build_backbone(variant, rng))
     model.set_head(make_classification_head(model.feature_dim, generic_set.n_classes, rng))
@@ -110,8 +105,6 @@ def pretrain_generic(variant: str, generic_set: LabeledImageSet, *, epochs: int,
 def finetune_intermediate_tl(model: EncoderModel, d_in: LabeledImageSet, *,
                              epochs: int, batch: int, seed: int, lr: float) -> EncoderModel:
     """Retrain on the intermediate source task with the first conv block frozen."""
-    if model.meta.get("stage") != "generic":
-        raise EnfuseError("intermediate fine-tuning needs a generic-stage model")
     rng = np.random.default_rng(seed)
     model.freeze_backbone(upto=_first_block_end(model.backbone))
     model.set_head(make_classification_head(model.feature_dim, d_in.n_classes, rng))
@@ -124,8 +117,6 @@ def finetune_intermediate_tl(model: EncoderModel, d_in: LabeledImageSet, *,
 def finetune_target_tl(model: EncoderModel, d_tar_train: LabeledImageSet, *,
                        epochs: int, batch: int, seed: int, lr: float) -> EncoderModel:
     """Target fine-tuning: only the final conv block and a fresh head train."""
-    if model.meta.get("stage") != "intermediate":
-        raise EnfuseError("target fine-tuning needs an intermediate-stage model")
     rng = np.random.default_rng(seed)
     model.freeze_backbone(upto=model.last_conv_index())
     model.set_head(make_classification_head(model.feature_dim, d_tar_train.n_classes, rng))
@@ -148,10 +139,6 @@ def pretrain_ssl(variant: str, dataset: LabeledImageSet, *, temperature: float,
     the pair loss at `temperature`; `blur_kernel` is the augmentation's blur.
     """
     images = dataset.images
-    if len(images) < 2:
-        raise EnfuseError("contrastive pre-training needs >= 2 images")
-    if batch_pairs < 2:
-        raise EnfuseError("batch_pairs must be >= 2")
     rng = np.random.default_rng(seed)
     model = EncoderModel(build_backbone(variant, rng))
     model.set_head(make_projection_head(model.feature_dim, rng))
@@ -185,8 +172,6 @@ def pretrain_ssl(variant: str, dataset: LabeledImageSet, *, temperature: float,
 def finetune_target_ssl(model: EncoderModel, d_tar_train: LabeledImageSet, *,
                         epochs: int, batch: int, seed: int, lr: float) -> EncoderModel:
     """Swap the projection head for a classification head; backbone stays frozen."""
-    if model.meta.get("stage") != "ssl-pretrain":
-        raise EnfuseError("target fine-tuning needs a contrastively pre-trained model")
     rng = np.random.default_rng(seed)
     model.freeze_backbone()
     model.set_head(make_ssl_classification_head(model.feature_dim, d_tar_train.n_classes, rng))
@@ -205,8 +190,6 @@ def extract_features(model: EncoderModel, dataset: LabeledImageSet) -> FeatureMa
 
     Dropout is off, so the result is a pure function of (weights, images).
     """
-    if model.meta.get("stage") != "target":
-        raise EnfuseError("extract_features needs a target-stage model")
     x = images_to_batch(dataset.images)
     rows = [model.features(x[s:s + INFERENCE_BATCH])
             for s in range(0, len(x), INFERENCE_BATCH)]

@@ -279,9 +279,7 @@ def test_criterion_9_ood_direction(pipeline):
         for i, (name, _) in enumerate(models):
             variant = name.split("_")[1]
             rng = np.random.default_rng(9000 + 10 * s + i)
-            rnd = EncoderModel(build_backbone(variant, rng))
-            rnd.meta["stage"] = "target"  # untrained baseline extractor
-            random_models.append((name, rnd))
+            random_models.append((name, EncoderModel(build_backbone(variant, rng))))
         accs = {}
         for label, pool in (("pre", models), ("rnd", random_models)):
             arm = fit_arm(extract_parts(pool, train), extract_parts(pool, test),

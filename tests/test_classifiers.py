@@ -17,7 +17,7 @@ from enfuse.classifiers import (
     predict_proba,
     save_classifier,
 )
-from enfuse.errors import EnfuseError, IntegrityError
+from enfuse.errors import IntegrityError
 from enfuse.linalg import standardize
 
 
@@ -53,10 +53,6 @@ class TestSvm:
         clf = fit_svm(x, y)
         assert np.max(np.abs(clf.arrays["b"])) < 1e-3
 
-    def test_single_class_rejected(self):
-        with pytest.raises(EnfuseError, match="SVM needs at least 2 classes"):
-            fit_svm(np.zeros((5, 2)), np.zeros(5, dtype=int))
-
 
 class TestKnn:
     def test_hand_example(self):
@@ -87,10 +83,6 @@ class TestKnn:
             for j in nearest:
                 weights[y[j]] += 1.0 / (dist[j] + 1e-12)
             assert label == int(np.argmax(weights))
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(EnfuseError, match="KNN needs at least k=3"):
-            fit_knn(np.zeros((2, 2)), np.array([0, 1]))
 
 
 class TestGnb:
@@ -123,10 +115,6 @@ class TestGnb:
                 np.exp(-((q - mu) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var))
         expected = dens / dens.sum()
         assert np.allclose(predict_proba(clf, [q])[0], expected, atol=1e-9)
-
-    def test_single_sample_class_rejected(self):
-        with pytest.raises(EnfuseError, match="GNB needs >= 2 samples per class"):
-            fit_gnb(np.zeros((3, 1)), np.array([0, 0, 1]))
 
 
 class TestRf:

@@ -59,6 +59,44 @@ tsne_iters = 60
 shap_samples = 64
 """
 
+# the lowest value load_config accepts for each count, size and rate that a
+# stage's work scales with; the finetune batch is past the train split, which
+# train_supervised clamps
+LOWEST_CONFIG = """\
+[data]
+image_size = 16
+generic_per_class = 2
+intermediate_per_class = 2
+target_per_class = 6
+generic_noise = 0
+intermediate_noise = 0
+target_noise = 0
+target_param_shift = 0
+
+[pretrain]
+epochs = 1
+batch = 1
+ssl_epochs = 1
+ssl_batch_pairs = 2
+augment_blur_kernel = 1
+
+[finetune]
+epochs = 1
+batch = 100000
+
+[fusion]
+k = 0
+
+[explain]
+perplexity = 1
+tsne_iters = 1
+shap_samples = 1
+
+[oodtest]
+per_class = 3
+noise = 0
+"""
+
 
 @pytest.fixture(scope="module")
 def tiny_all(tmp_path_factory):
@@ -385,6 +423,17 @@ class TestAuxCommands:
         assert run(["all"] + argv) == 0
         assert run(["explain", "--what", "tsne"] + argv) == 0
 
+    def test_every_stage_runs_at_the_lowest_accepted_settings(self, tmp_path):
+        """The load-time rules are the only check of what the library needs:
+        each stage runs at the fewest images, epochs and samples they accept."""
+        cfg = tmp_path / "lowest.cfg"
+        cfg.write_text(LOWEST_CONFIG)
+        argv = ["--config", str(cfg), "--seed", "11", "--out", str(tmp_path / "out")]
+        for command in (["all"], ["oodtest"], ["explain", "--what", "shap"],
+                        ["explain", "--what", "tsne"],
+                        ["explain", "--what", "gradcam", "--instance", "3"]):
+            assert run(command + argv) == 0, command
+
     def test_explain_instance_out_of_range(self, workdir):
         _, argv = workdir
         assert run(["explain", "--what", "gradcam", "--instance", "999"] + argv) == 3
@@ -618,6 +667,23 @@ class TestFailureModes:
         (out / "manifest.json").write_text(json.dumps({"stages": {"synth": {"files": {rel: ""}}}}))
         assert run(["synth", "--out", str(out), "--seed", "1"]) == 4
         assert victim.read_text() == "keep"
+
+    @pytest.mark.parametrize("record", [
+        {"inputs": {"config": {}, "stages": {}}, "files": {}},
+        {"inputs": [], "files": {}},
+        {"inputs": {"seed": 1, "config": [], "stages": {}}, "files": {}},
+        {"inputs": {"seed": 1, "config": {}, "stages": []}, "files": {}},
+        {"inputs": {"seed": 1, "config": {}, "stages": {}}, "files": "tl_A.weights"},
+    ], ids=["no-seed", "inputs-list", "config-list", "stages-list", "files-string"])
+    @pytest.mark.parametrize("command", ["finetune", "synth"])
+    def test_malformed_manifest_record_exits_4_before_any_stage(self, tmp_path, record, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        manifest = json.dumps({"stages": {"pretrain": record}})
+        (out / "manifest.json").write_text(manifest)
+        assert run([command, "--out", str(out), "--seed", "1"]) == 4
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").read_text() == manifest
 
     def test_stale_lock_removed(self, workdir):
         out, argv = workdir

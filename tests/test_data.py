@@ -14,17 +14,9 @@ from enfuse.data import (
     vflip,
     zoom,
 )
-from enfuse.errors import EnfuseError
 
 
 class TestPnmIO:
-    def test_roundtrip_gray(self):
-        img = np.linspace(0, 1, 64).reshape(8, 8, 1)
-        header, pixels = pnm_bytes(img).split(b"\n255\n", 1)
-        assert header == b"P5\n8 8"
-        back = np.frombuffer(pixels, dtype=np.uint8).reshape(8, 8, 1) / 255
-        assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-12
-
     def test_pixel_scaling(self):
         header, pixels = pnm_bytes(np.full((1, 1, 3), 128 / 255)).split(b"\n255\n", 1)
         assert header == b"P6\n1 1"
@@ -77,16 +69,6 @@ class TestStratifiedSplit:
         train, test = stratified_split(ds, 0.1, seed=0)
         assert len(train) == 0 and train.images.shape == (0, 4, 4, 1)
         assert list(test.class_counts()) == [2, 2]
-
-    def test_small_class_rejected(self):
-        ds = self._make([5, 1])
-        with pytest.raises(EnfuseError, match="stratified split needs at least 2 samples"):
-            stratified_split(ds, 0.8, seed=0)
-
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5])
-    def test_fraction_outside_unit_interval_rejected(self, fraction):
-        with pytest.raises(EnfuseError, match="train_fraction"):
-            stratified_split(self._make([5, 5]), fraction, seed=0)
 
 
 class TestTransforms:

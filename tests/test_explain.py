@@ -185,10 +185,6 @@ class TestShapSampled:
         b, _, _ = shap_sampled(f, inst, bg, n_samples=2048, seed=3)
         assert np.array_equal(a, b)
 
-    def test_zero_samples_rejected(self):
-        with pytest.raises(EnfuseError, match="n_samples must be positive"):
-            shap_sampled(lambda x: x[:, 0], np.zeros(2), np.zeros((1, 2)), n_samples=0, seed=0)
-
     def test_model_calls_do_not_grow_with_samples(self):
         calls = {64: 0, 2048: 0}
         rng = np.random.default_rng(10)

@@ -41,14 +41,6 @@ class TestEighSymmetric:
             col = vecs[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
-    def test_rejects_nonsquare(self):
-        with pytest.raises(EnfuseError, match=r"expected a square matrix, got shape \(2, 3\)"):
-            eigh_symmetric(np.zeros((2, 3)))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(EnfuseError, match="matrix is not symmetric"):
-            eigh_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
 
 class TestStandardize:
     def test_two_point_column(self):

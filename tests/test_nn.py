@@ -464,7 +464,6 @@ class TestForwardCaches:
     @pytest.mark.parametrize("call", sorted(INFERENCE))
     def test_inference_keeps_no_cache(self, call):
         model = variant_c_model(0)
-        model.meta = {"stage": "target"}
         trained_forward(model)
         self.INFERENCE[call](model)
         assert cached_layers(model) == []
@@ -497,7 +496,6 @@ class TestForwardCaches:
 
     def test_grad_cam_after_extraction_matches_fresh_load(self):
         model = variant_c_model(0)
-        model.meta = {"stage": "target"}
         trained_forward(model)
         blob = model.save_bytes()
         used = EncoderModel.load_bytes(blob)
@@ -619,7 +617,6 @@ class TestFrozenPrefix:
     def test_frozen_convs_run_once_per_call(self, monkeypatch, chunk, epochs):
         monkeypatch.setattr(train_module, "INFERENCE_BATCH", chunk)
         model = EncoderModel(build_backbone("C", np.random.default_rng(5)))
-        model.meta = {"stage": "ssl-pretrain"}
         rows = {}
         for i, layer in enumerate(model.backbone):
             if isinstance(layer, Conv2d):

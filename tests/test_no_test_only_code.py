@@ -18,6 +18,10 @@ Every field of a `@dataclass` in `src/enfuse` must be read in `src/` or
 `perfbench/` outside its own class: an attribute load of the field's name
 on anything but a name an `import` statement binds (`sys.path` is no
 read of a `path` field). A field no output reads is computed for nothing.
+
+Every name that a module in `src/enfuse` or `perfbench/` imports must be
+loaded in that module, or listed in its `__all__`. An import marked
+`# noqa: F401`, a bench span hook's target, is exempt.
 """
 
 import ast
@@ -27,6 +31,7 @@ from enfuse.cli import STAGES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "enfuse"
+
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
@@ -227,3 +232,34 @@ def test_every_dataclass_field_is_read_outside_tests():
                         and all(id(node) in inside for node in reads.get(stmt.target.id, ()))):
                     unread.append(f"{path.relative_to(ROOT)}: {cls.name}.{stmt.target.id}")
     assert not unread, "dataclass fields no product code reads: " + ", ".join(unread)
+
+
+def _unused_imports(path: Path, tree: ast.Module) -> list[str]:
+    """The names the module imports and neither loads nor lists in `__all__`."""
+    lines = path.read_text().splitlines()
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                 for t in node.targets)):
+            loaded |= {elt.value for elt in node.value.elts}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "# noqa: F401" in lines[node.end_lineno - 1]:
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.partition(".")[0]
+            if bound not in loaded:
+                unused.append(f"{path.relative_to(ROOT)}: {bound}")
+    return unused
+
+
+def test_every_import_is_used():
+    """An import that its module never uses is dead code."""
+    unused = [name for path, tree in _product_trees().items()
+              for name in _unused_imports(path, tree)]
+    assert not unused, "imported but unused: " + ", ".join(unused)

@@ -5,8 +5,9 @@ to `<out>/<task>/<stage>/`. The root manifest, the only integrity record, holds
 each stage's inputs (the seed, each config value it read, a digest of the
 `files` map of each stage it requires) and each of its files' hash. The one
 rule, which `run_stage` applies: a stage is current when its recorded inputs
-still hold and its files hash-match. A current stage is skipped; any other
-reruns and replaces its record, and drops, in the same manifest write, every
+still hold, its record lists each file that later stages read from it
+(`SUCCESSOR_FILES`), and its files hash-match. A current stage is skipped; any
+other reruns and replaces its record, and drops, in the same manifest write, every
 record downstream of it (requiring it directly or through other records) whose
 inputs no longer hold; the files only the replaced or dropped records listed
 are then deleted. Explain runs on every call and adds to its record while its
@@ -42,13 +43,16 @@ from .data import (
 )
 from .ensemble import (
     EnsembleModel,
+    TargetSplit,
     ablate,
     ablation_csv,
     evaluate,
     extract_parts,
     fit_arm,
     fuse_parts,
+    load_target_split,
     metrics_csv,
+    save_target_split,
     scores,
     summary_text,
     train_ensemble,
@@ -67,11 +71,12 @@ from .explain import (
     shap_sampled,
     tsne_embed,
 )
-from .fusion import METHODS, load_transform, save_transform
+from .fusion import METHODS, FusionTransform, load_transform, save_transform
 from .fusion import apply_transform  # noqa: F401  (bench span hook target)
 from .nn import EncoderModel, MaxPool2d, accuracy
 from .pretrain import (
     build_backbone,
+    extract_features,
     file_sha256,
     finetune_intermediate_tl,
     finetune_target_ssl,
@@ -82,12 +87,12 @@ from .pretrain import (
     pretrain_generic,
     pretrain_ssl,
 )
-from .pretrain import extract_features  # noqa: F401  (bench span hook target)
 
 TOOL_VERSION = "0.1.0"
 VARIANTS = ("A", "B", "C")
 TARGET_KIND = "shapes3"  # the task kind of the target rung
 BASE_MODEL_NAMES = tuple(f"{m}_{v}" for m in ("tl", "ssl") for v in VARIANTS)
+TARGET_FILE = "target.bin"  # finetune's TargetSplit, which the later stages read
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -210,8 +215,8 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
     if config["pretrain"]["augment_blur_kernel"] % 2 == 0:
         raise ConfigError(f"[pretrain] augment_blur_kernel: "
                           f"{config['pretrain']['augment_blur_kernel']} is not odd")
-    rng = np.random.default_rng(0)
-    encoders = {variant: EncoderModel(build_backbone(variant, rng)) for variant in VARIANTS}
+    # the checks read only layer shapes, so the layers draw no weights
+    encoders = {variant: EncoderModel(build_backbone(variant, None)) for variant in VARIANTS}
     _check_image_size(config, encoders)
     _check_split_sizes(config)
     _check_fusion_k(config, encoders)
@@ -224,9 +229,8 @@ def _check_image_size(config: dict, encoders: dict[str, EncoderModel]) -> None:
 
     The SSL stacks put a head that opens with a pool on the backbone.
     """
-    rng = np.random.default_rng(0)
-    heads = [make_classification_head(4, 2, rng), make_projection_head(4, rng),
-             make_ssl_classification_head(4, 2, rng)]
+    heads = [make_classification_head(4, 2, None), make_projection_head(4, None),
+             make_ssl_classification_head(4, 2, None)]
 
     def pools(layers):
         return sum(isinstance(layer, MaxPool2d) for layer in layers)
@@ -346,10 +350,16 @@ def _files_digest(manifest: dict, stage: str) -> str:
 def _inputs_hold(manifest: dict, stage: str, config: dict, seed: int) -> bool:
     """True when the stage's record has inputs and each still holds: the seed,
     every config value the stage read, and the `files` map of every stage it
-    required, whose own inputs must hold in turn. No file is hashed."""
-    inputs = manifest["stages"].get(stage, {}).get("inputs")
+    required, whose own inputs must hold in turn; and when the record lists
+    each of the stage's `SUCCESSOR_FILES`. No file is hashed."""
+    record = manifest["stages"].get(stage, {})
+    inputs = record.get("inputs")
     if inputs is None:  # never run, or recorded by a version without inputs
         return False
+    stage_dir = Path(config["task"]["name"], stage)
+    if any(str(stage_dir / name) not in record["files"]
+           for name in SUCCESSOR_FILES.get(stage, ())):
+        return False  # recorded by a version that wrote fewer files
     flat = {f"{section}.{key}": value
             for section, values in config.items() for key, value in values.items()}
     return (inputs["seed"] == seed and inputs["config"].items() <= flat.items()
@@ -473,6 +483,13 @@ EXPLAIN_REQUIRES = {
     "shap": ("ensemble", "finetune"),
     "tsne": ("ensemble", "finetune"),
 }
+# stage -> the files in its directory that later stages read
+_WEIGHTS = tuple(f"{name}.weights" for name in BASE_MODEL_NAMES)
+SUCCESSOR_FILES: dict[str, tuple[str, ...]] = {
+    "pretrain": _WEIGHTS,
+    "finetune": (*_WEIGHTS, TARGET_FILE),
+    "ensemble": ("transform.bin", *(f"clf_{kind.lower()}.bin" for kind in KINDS)),
+}
 
 
 class _Reads(dict):
@@ -544,11 +561,15 @@ def cmd_pretrain(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
 
 
 def cmd_finetune(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
+    """Fine-tune each encoder on the target train split. Beside the weights,
+    save the `TargetSplit` the later stages read, so that none of them draws
+    the target task or extracts its features again."""
     train, test = target_split(config, seed)
     fin = config["finetune"]
     src_dir = _task_dir(out, config, "pretrain")
     files: list[Path] = []
     log_lines = []
+    split = TargetSplit(test, {}, {}, {})
     for i, name in enumerate(BASE_MODEL_NAMES):
         method = name.split("_")[0]
         model = EncoderModel.load(src_dir / f"{name}.weights")
@@ -556,12 +577,15 @@ def cmd_finetune(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
         model = tuner(model, train, epochs=fin["epochs"], batch=fin["batch"],
                       lr=fin["lr"], seed=seed + 40 + i)
         files.append(_save_weights(model, stage_dir, name))
-        acc = accuracy(model, test)
+        split.train_parts[name] = extract_features(model, train)
+        split.test_parts[name] = extract_features(model, test)
+        split.head_accuracy[name] = acc = accuracy(model, test)
         log_lines.append(f"{name} {method.upper()} {acc:.4f}")
         print(f"finetune: {name} test accuracy {acc:.4f}")
     log = stage_dir / "accuracy.log"
     write_atomic(log, ("\n".join(log_lines) + "\n").encode())
-    return files + [log]
+    save_target_split(split, stage_dir / TARGET_FILE)
+    return files + [log, stage_dir / TARGET_FILE]
 
 
 def _load_target_models(out: Path, config: dict) -> list[tuple[str, EncoderModel]]:
@@ -570,13 +594,17 @@ def _load_target_models(out: Path, config: dict) -> list[tuple[str, EncoderModel
             for name in BASE_MODEL_NAMES]
 
 
+def _load_split(out: Path, config: dict) -> TargetSplit:
+    return load_target_split(_task_dir(out, config, "finetune") / TARGET_FILE,
+                             BASE_MODEL_NAMES)
+
+
 def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
-    train, test = target_split(config, seed)
-    models = _load_target_models(out, config)
+    split = _load_split(out, config)
+    test, train_parts, test_parts = split.test, split.train_parts, split.test_parts
     method = config["fusion"]["method"]
     k = config["fusion"]["k"]
-    n_classes = len(train.class_names)
-    train_parts, test_parts = extract_parts(models, train), extract_parts(models, test)
+    n_classes = test.n_classes
 
     ensemble = train_ensemble(train_parts, n_classes, method=method, seed=seed, k=k)
     counts, accuracies = evaluate(ensemble, test_parts)
@@ -601,8 +629,8 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     concat_only = scores(test.labels, *fit_arm(train_parts, test_parts, list(train_parts),
                                                 n_classes, "concat-only", seed, 0))
     lines = ["stage,name,accuracy"]
-    for name, model in models:
-        lines.append(f"base,{name},{accuracy(model, test):.6f}")
+    for name, acc in split.head_accuracy.items():
+        lines.append(f"base,{name},{acc:.6f}")
     lines.append(f"fused,concat-only,{concat_only['voted']:.6f}")
     mean_clf = float(np.mean([accuracies[kind] for kind in KINDS]))
     lines.append(f"selected,{method},{mean_clf:.6f}")
@@ -617,11 +645,9 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
 
 
 def cmd_ablate(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path]:
-    train, test = target_split(config, seed)
-    models = _load_target_models(out, config)
-    arms = ablate(_rebuild_ensemble(out, config), extract_parts(models, train),
-                  extract_parts(models, test), method=config["fusion"]["method"],
-                  seed=seed, k=config["fusion"]["k"])
+    split = _load_split(out, config)
+    arms = ablate(_rebuild_ensemble(out, config), split.train_parts, split.test_parts,
+                  method=config["fusion"]["method"], seed=seed, k=config["fusion"]["k"])
     csv_file = stage_dir / f"ablation_seed{seed}.csv"
     write_atomic(csv_file, ablation_csv(arms).encode())
     svg_file = stage_dir / f"ablation_seed{seed}.svg"
@@ -633,17 +659,22 @@ def cmd_ablate(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Path
     return [csv_file, svg_file]
 
 
+def _load_ensemble_transform(out: Path, config: dict) -> FusionTransform:
+    return load_transform(_task_dir(out, config, "ensemble") / "transform.bin")
+
+
 def _rebuild_ensemble(out: Path, config: dict) -> EnsembleModel:
     stage_dir = _task_dir(out, config, "ensemble")
-    transform = load_transform(stage_dir / "transform.bin")
     classifiers = [load_classifier(stage_dir / f"clf_{kind.lower()}.bin")
                    for kind in KINDS]
-    return EnsembleModel(classifiers, transform, classifiers[0].n_classes)
+    return EnsembleModel(classifiers, _load_ensemble_transform(out, config),
+                         classifiers[0].n_classes)
 
 
 def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
                 what: str, instance: int) -> list[Path]:
-    train, test = target_split(config, seed)
+    split = _load_split(out, config)
+    test = split.test
     exp = config["explain"]
     if what != "tsne" and not 0 <= instance < len(test):
         raise EnfuseError(f"instance {instance} out of range")
@@ -656,20 +687,16 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
             outputs[stage_dir / f"gradcam_{name}_i{instance}_seed{seed}.ppm"] = (
                 render_saliency_ppm(sal, image))
     elif what == "shap":
-        models = _load_target_models(out, config)
         ensemble = _rebuild_ensemble(out, config)
-        fused_train = fuse_parts(ensemble, extract_parts(models, train))
-        fused_test = fuse_parts(ensemble, extract_parts(models, test))
-        row = fused_test.data[instance]
+        fused_train = fuse_parts(ensemble.transform, split.train_parts)
+        row = fuse_parts(ensemble.transform, split.test_parts).data[instance]
         phi, base, output = shap_sampled(ensemble_output(ensemble, row), row,
                                          select_background(fused_train),
                                          n_samples=exp["shap_samples"], seed=seed)
         outputs[stage_dir / f"shap_i{instance}_seed{seed}.csv"] = shap_csv(
             phi, base, output).encode()
     else:  # tsne
-        models = _load_target_models(out, config)
-        ensemble = _rebuild_ensemble(out, config)
-        fused = fuse_parts(ensemble, extract_parts(models, test))
+        fused = fuse_parts(_load_ensemble_transform(out, config), split.test_parts)
         coords, kl, perplexity = tsne_embed(fused, perplexity=exp["perplexity"],
                                             iters=exp["tsne_iters"], seed=seed)
         outputs[stage_dir / f"tsne_seed{seed}.svg"] = render_embedding_svg(

@@ -1,12 +1,15 @@
 """Stacking-style ensemble: five classifiers over fused features, majority vote.
 
 The ensemble works on feature parts: an ordered mapping from base-model name
-to that model's features for one dataset, extracted once by `extract_parts`.
+to that model's features for one dataset, extracted once: by `extract_parts`,
+or for the target split by the finetune stage, which saves them as a
+`TargetSplit`.
 Fusion reuses the train-fitted transform at test time, and the headline
 number is the voted accuracy. An arm is one ensemble fitted on some of the
 parts: `fit_arm` fits and predicts it, and `scores` turns its predictions into
-accuracies. Also houses the confusion-count metrics and the
-leave-one-base-model-out ablation, whose refits are arms.
+accuracies. Also houses the confusion-count metrics, the
+leave-one-base-model-out ablation, whose refits are arms, and the `TargetSplit`
+artifact.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import pack, unpack, write_atomic
 from .classifiers import (KINDS, TrainedClassifier, fit_gbt, fit_gnb, fit_knn, fit_rf,
                           fit_svm, predict)
 from .data import LabeledImageSet
+from .errors import IntegrityError
 from .features import FeatureMatrix
 from .fusion import FusionTransform, apply_transform, concat_features, fuse_pipeline
 from .nn import EncoderModel
@@ -72,10 +77,10 @@ def extract_parts(base_models: list[tuple[str, EncoderModel]],
     return {name: extract_features(model, dataset) for name, model in base_models}
 
 
-def fuse_parts(model: EnsembleModel, parts: dict[str, FeatureMatrix]) -> FeatureMatrix:
-    """Concatenate parts, in the base-model order the ensemble was trained
-    on, and apply its train-fitted transform."""
-    return apply_transform(model.transform, concat_features(list(parts.values())))
+def fuse_parts(transform: FusionTransform, parts: dict[str, FeatureMatrix]) -> FeatureMatrix:
+    """Concatenate parts, in the base-model order the transform was fitted
+    on, and apply the train-fitted transform."""
+    return apply_transform(transform, concat_features(list(parts.values())))
 
 
 def majority_vote(predictions: list[np.ndarray], n_classes: int) -> np.ndarray:
@@ -106,7 +111,7 @@ def train_ensemble(parts: dict[str, FeatureMatrix], n_classes: int, *, method: s
 
 def predict_ensemble(model: EnsembleModel, parts: dict[str, FeatureMatrix]):
     """Per-classifier predictions plus the voted labels for one dataset's parts."""
-    features = fuse_parts(model, parts)
+    features = fuse_parts(model.transform, parts)
     per_clf = [predict(clf, features.data) for clf in model.classifiers]
     return per_clf, majority_vote(per_clf, model.n_classes)
 
@@ -135,6 +140,85 @@ def evaluate(model: EnsembleModel, parts: dict[str, FeatureMatrix]
     per_clf, voted = predict_ensemble(model, parts)
     counts = confusion_from_labels(true, voted, model.n_classes)
     return counts, scores(true, per_clf, voted)
+
+
+# ---------------------------------------------------------------------------
+# Target split artifact
+# ---------------------------------------------------------------------------
+
+TARGET_MAGIC = b"ETSEFS1\x00"
+
+
+@dataclass
+class TargetSplit:
+    """The target split as the later stages read it: the test images, labels
+    and class names, each base model's train and test parts, and the test
+    accuracy of each base model's own head, all keyed in base-model order."""
+
+    test: LabeledImageSet
+    train_parts: dict[str, FeatureMatrix]
+    test_parts: dict[str, FeatureMatrix]
+    head_accuracy: dict[str, float]
+
+
+def save_target_split(split: TargetSplit, path) -> None:
+    names = list(split.train_parts)
+    arrays = {"labels:train": split.train_parts[names[0]].labels,
+              "labels:test": split.test.labels, "images:test": split.test.images,
+              "accuracy": np.array([split.head_accuracy[name] for name in names])}
+    for name in names:
+        arrays[f"{name}:train"] = split.train_parts[name].data
+        arrays[f"{name}:test"] = split.test_parts[name].data
+    header = {"class_names": list(split.test.class_names),
+              "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()]}
+    write_atomic(path, pack(TARGET_MAGIC, header, list(arrays.values())))
+
+
+def load_target_split(path, names: tuple[str, ...]) -> TargetSplit:
+    """The saved split of the named base models; IntegrityError for a header
+    without class names, a file without one of its arrays, labels that are
+    not (rows,) class indices, test images not (rows, h, w, c), an accuracy
+    per model not (models,), or a model's train and test parts not (rows, d)
+    with one d."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    header, values = unpack(blob, TARGET_MAGIC, "target split")
+    try:
+        class_names = header["class_names"]
+        arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
+    except (KeyError, TypeError) as exc:
+        raise IntegrityError(f"unreadable target split header: {exc!r}") from exc
+    if (not isinstance(class_names, list) or not class_names
+            or not all(isinstance(c, str) for c in class_names)):
+        raise IntegrityError("target split class names must be a list of strings")
+    wanted = ["labels:train", "labels:test", "images:test", "accuracy",
+              *(f"{name}:{side}" for name in names for side in ("train", "test"))]
+    missing = [name for name in wanted if name not in arrays]
+    if missing:
+        raise IntegrityError(f"target split file has no {missing[0]}")
+    rows = {side: arrays[f"labels:{side}"].shape for side in ("train", "test")}
+    images = arrays["images:test"]
+
+    def parts_ok(name):
+        train, test = arrays[f"{name}:train"], arrays[f"{name}:test"]
+        return (train.ndim == test.ndim == 2 and train.shape[1] == test.shape[1]
+                and train.shape[:1] == rows["train"] and test.shape[:1] == rows["test"])
+
+    if (any(len(shape) != 1 for shape in rows.values())
+            or images.ndim != 4 or images.shape[:1] != rows["test"]
+            or arrays["accuracy"].shape != (len(names),) or not all(map(parts_ok, names))):
+        raise IntegrityError("target split arrays must be labels (rows,), test images "
+                             "(rows, h, w, c), accuracy (models,), and each model's "
+                             "parts (rows, d)")
+    labels = {side: arrays[f"labels:{side}"] for side in rows}
+    if not all(np.isin(y, np.arange(len(class_names))).all() for y in labels.values()):
+        raise IntegrityError(f"target split labels must be whole numbers below "
+                             f"{len(class_names)}")
+    return TargetSplit(
+        LabeledImageSet(images, labels["test"], class_names),
+        {name: FeatureMatrix(arrays[f"{name}:train"], labels["train"]) for name in names},
+        {name: FeatureMatrix(arrays[f"{name}:test"], labels["test"]) for name in names},
+        {name: float(acc) for name, acc in zip(names, arrays["accuracy"])})
 
 
 # ---------------------------------------------------------------------------

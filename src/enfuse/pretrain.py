@@ -38,8 +38,11 @@ from .nn import (
 LATENT_DIM = 128
 
 
-def build_backbone(variant: str, rng: np.random.Generator) -> list:
-    """The conv stack of backbone variant A, B or C over 3-channel images."""
+def build_backbone(variant: str, rng: np.random.Generator | None) -> list:
+    """The conv stack of backbone variant A, B or C over 3-channel images.
+
+    With no rng, here and in the `make_*_head` functions below, the weights
+    are left unset (NaN): such a stack only describes layer shapes."""
     if variant == "A":
         return [Conv2d(3, 8, 3, rng=rng), ReLU(), MaxPool2d(),
                 Conv2d(8, 16, 3, rng=rng), ReLU(), MaxPool2d()]
@@ -53,7 +56,8 @@ def build_backbone(variant: str, rng: np.random.Generator) -> list:
             Conv2d(16, 24, 3, rng=rng), ReLU(), MaxPool2d()]
 
 
-def make_classification_head(d_f: int, n_classes: int, rng: np.random.Generator) -> list:
+def make_classification_head(d_f: int, n_classes: int,
+                             rng: np.random.Generator | None) -> list:
     """Transfer-path head: pooled features through three tapering dense layers."""
     h1, h2 = max(d_f // 2, 4), max(d_f // 4, 4)
     return [GlobalAvgPool(), Flatten(),
@@ -63,7 +67,7 @@ def make_classification_head(d_f: int, n_classes: int, rng: np.random.Generator)
             Dropout(0.3), Softmax()]
 
 
-def make_projection_head(d_f: int, rng: np.random.Generator) -> list:
+def make_projection_head(d_f: int, rng: np.random.Generator | None) -> list:
     """Contrastive projection head: pooled features through two dense layers."""
     h1 = max(d_f // 2, 4)
     out = Dense(h1, LATENT_DIM, rng=rng)
@@ -72,7 +76,8 @@ def make_projection_head(d_f: int, rng: np.random.Generator) -> list:
             Dense(d_f, h1, rng=rng), ReLU(), out]
 
 
-def make_ssl_classification_head(d_f: int, n_classes: int, rng: np.random.Generator) -> list:
+def make_ssl_classification_head(d_f: int, n_classes: int,
+                                 rng: np.random.Generator | None) -> list:
     """Same two-dense layout as the projection head, with a softmax output."""
     h1 = max(d_f // 2, 4)
     return [MaxPool2d(), GlobalAvgPool(), Flatten(),

@@ -5,7 +5,6 @@ end-to-end benchmark. Benchmark values are locked in a golden file on first
 computation and compared exactly afterwards (everything is deterministic).
 """
 
-import itertools
 import json
 import sys
 import time

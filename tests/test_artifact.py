@@ -11,6 +11,8 @@ from hypothesis.extra import numpy as hnp
 from enfuse import artifact, classifiers
 from enfuse.classifiers import fit_gbt, load_classifier, save_classifier
 from enfuse.cli import save_manifest
+from enfuse.data import LabeledImageSet
+from enfuse.ensemble import TARGET_MAGIC, TargetSplit, load_target_split, save_target_split
 from enfuse.errors import IntegrityError
 from enfuse.features import FeatureMatrix
 from enfuse.fusion import fit_pca, load_transform, save_transform
@@ -35,11 +37,28 @@ def _classifier():
         return fit_gbt(x, (x[:, 0] > 0).astype(int))
 
 
+NAMES = ("a", "b")
+
+
+def _target_split():
+    rng = np.random.default_rng(3)
+    train_labels, test_labels = np.array([0, 1, 2, 0, 1, 2]), np.array([2, 0, 1])
+    return TargetSplit(
+        LabeledImageSet(rng.random((3, 4, 4, 3)), test_labels, ["x", "y", "z"]),
+        {name: FeatureMatrix(rng.normal(size=(6, d)), train_labels)
+         for name, d in zip(NAMES, (2, 5))},
+        {name: FeatureMatrix(rng.normal(size=(3, d)), test_labels)
+         for name, d in zip(NAMES, (2, 5))},
+        {"a": 2 / 3, "b": 1.0})
+
+
 # kind -> (build an object, save it to a path, load it from a path)
 KINDS = {
     "model": (_model, lambda m, p: m.save(p), EncoderModel.load),
     "transform": (_transform, save_transform, load_transform),
     "classifier": (_classifier, save_classifier, load_classifier),
+    "target split": (_target_split, save_target_split,
+                     lambda p: load_target_split(p, NAMES)),
 }
 
 
@@ -64,6 +83,82 @@ def test_container_roundtrip_and_damage(kind, tmp_path):
         with pytest.raises(IntegrityError):
             load(damaged)
             pytest.fail(f"{kind}: {what} was accepted")
+
+
+def test_target_split_roundtrip_keeps_every_value(tmp_path):
+    split = _target_split()
+    save_target_split(split, tmp_path / "t.bin")
+    got = load_target_split(tmp_path / "t.bin", NAMES)
+    assert got.test.images.tobytes() == split.test.images.tobytes()
+    assert got.test.labels.dtype == np.int64
+    assert got.test.labels.tolist() == split.test.labels.tolist()
+    assert got.test.class_names == split.test.class_names
+    for parts, want in ((got.train_parts, split.train_parts), (got.test_parts, split.test_parts)):
+        assert list(parts) == list(NAMES)
+        for name in NAMES:
+            assert parts[name].data.tobytes() == want[name].data.tobytes()
+            assert parts[name].labels.tolist() == want[name].labels.tolist()
+    assert got.head_accuracy == split.head_accuracy
+
+
+def _target_arrays():
+    """`_target_split`'s arrays by name, as its saved file holds them."""
+    split = _target_split()
+    arrays = {"labels:train": split.train_parts["a"].labels.astype(float),
+              "labels:test": split.test.labels.astype(float),
+              "images:test": split.test.images, "accuracy": np.array([2 / 3, 1.0])}
+    for name in NAMES:
+        arrays[f"{name}:train"] = split.train_parts[name].data
+        arrays[f"{name}:test"] = split.test_parts[name].data
+    return arrays
+
+
+def _write_target(path, arrays, class_names):
+    header = {"class_names": class_names,
+              "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()]}
+    path.write_bytes(artifact.pack(TARGET_MAGIC, header, list(arrays.values())))
+
+
+def test_target_split_file_matches_its_writer(tmp_path):
+    save_target_split(_target_split(), tmp_path / "saved.bin")
+    _write_target(tmp_path / "built.bin", _target_arrays(), ["x", "y", "z"])
+    assert (tmp_path / "saved.bin").read_bytes() == (tmp_path / "built.bin").read_bytes()
+
+
+@pytest.mark.parametrize("change", [
+    {"drop": "labels:test"},
+    {"drop": "images:test"},
+    {"drop": "accuracy"},
+    {"drop": "b:train"},
+    {"set": ("labels:train", np.zeros((6, 1)))},
+    {"set": ("labels:test", np.zeros(4))},
+    {"set": ("images:test", np.zeros((3, 4, 4)))},
+    {"set": ("images:test", np.zeros((2, 4, 4, 3)))},
+    {"set": ("accuracy", np.zeros(3))},
+    {"set": ("a:train", np.zeros((5, 2)))},
+    {"set": ("a:test", np.zeros((3, 3)))},
+    {"set": ("b:test", np.zeros(15))},
+    {"set": ("labels:train", np.array([0, 1, 2, 0, 1, 3.0]))},
+    {"set": ("labels:test", np.array([0, 1, 0.5]))},
+    {"set": ("labels:test", np.array([0, -1, 1.0]))},
+    {"class_names": []},
+    {"class_names": "xyz"},
+    {"class_names": [0, 1, 2]},
+], ids=["no-test-labels", "no-test-images", "no-accuracy", "no-part", "train-labels-2d",
+        "test-labels-rows", "images-3d", "images-rows", "accuracy-count", "part-rows",
+        "part-width-differs", "part-1d", "train-label-not-a-class", "test-label-fraction",
+        "test-label-negative", "no-class-names", "class-names-string", "class-names-ints"])
+def test_malformed_target_split_rejected(tmp_path, change):
+    arrays = _target_arrays()
+    if "drop" in change:
+        del arrays[change["drop"]]
+    if "set" in change:
+        name, value = change["set"]
+        arrays[name] = value
+    path = tmp_path / "t.bin"
+    _write_target(path, arrays, change.get("class_names", ["x", "y", "z"]))
+    with pytest.raises(IntegrityError):
+        load_target_split(path, NAMES)
 
 
 def test_failed_manifest_write_keeps_previous(tmp_path, monkeypatch):

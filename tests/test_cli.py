@@ -13,10 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from enfuse import cli, explain
+from enfuse import artifact, cli, ensemble, explain
 from enfuse.cli import SETTINGS, load_config, run, target_split
 from enfuse.data import TASK_MOTIFS, make_synthetic_task, stratified_split
-from enfuse.ensemble import evaluate, train_ensemble
+from enfuse.ensemble import TARGET_MAGIC, evaluate, train_ensemble
 from enfuse.errors import ConfigError, EnfuseError, IntegrityError
 from enfuse.explain import TSNE_MIN_ROWS
 from enfuse.features import FeatureMatrix
@@ -476,6 +476,43 @@ class TestAuxCommands:
         assert sorted(p.name for p in explain_dir.iterdir()) == sorted(
             f"gradcam_{name}_i0_seed11.ppm" for name in cli.BASE_MODEL_NAMES)
 
+    def test_later_stages_read_the_target_split(self, tiny_all, tmp_path, monkeypatch,
+                                                capsys):
+        """Only finetune draws the target task and extracts its features:
+        ensemble, ablate, shap and tsne read finetune's target split, and
+        gradcam draws no task (it runs the encoders for their conv maps)."""
+        pristine, _ = tiny_all
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        calls = []
+
+        def counting(label, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(label)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "make_synthetic_task",
+                            counting("task", cli.make_synthetic_task))
+        for module in (cli, ensemble):
+            monkeypatch.setattr(module, "extract_features",
+                                counting("features", module.extract_features))
+        cfg = tmp_path / "edited.cfg"  # a new method, so ensemble and ablate rerun
+        cfg.write_text(TINY_CONFIG.replace("method = concat+pca", "method = concat-only"))
+        argv = ["--config", str(cfg), "--seed", "11", "--out", str(out)]
+        for command in (["ensemble"], ["ablate"], ["explain", "--what", "shap"],
+                        ["explain", "--what", "tsne"], ["explain", "--what", "gradcam"]):
+            capsys.readouterr()
+            assert run(command + argv) == 0
+            assert skipped_stages(capsys.readouterr().out) == set()
+            assert calls.count("task") == 0, command
+            if command[-1] != "gradcam":
+                assert calls.count("features") == 0, command
+        cfg.write_text(TINY_CONFIG.replace("epochs = 8", "epochs = 2"))  # [finetune]
+        assert run(["finetune"] + argv) == 0
+        assert calls.count("task") == 1
+        assert calls.count("features") == 2 * len(cli.BASE_MODEL_NAMES)
+
     def test_oodtest(self, workdir):
         out, argv = workdir
         assert run(["oodtest"] + argv) == 0
@@ -684,6 +721,57 @@ class TestFailureModes:
         assert run([command, "--out", str(out), "--seed", "1"]) == 4
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
         assert (out / "manifest.json").read_text() == manifest
+
+    def test_record_not_listing_the_files_later_stages_read_is_stale(self, tmp_path,
+                                                                     capsys):
+        """A well-formed pretrain record that lists no weights does not hold:
+        finetune exits 3 and names pretrain, where reading the missing
+        weights would end in a traceback."""
+        out = tmp_path / "out"
+        out.mkdir()
+        record = {"inputs": {"seed": 1, "config": {}, "stages": {}}, "files": {}}
+        (out / "manifest.json").write_text(json.dumps({"stages": {"pretrain": record}}))
+        capsys.readouterr()
+        assert run(["finetune", "--out", str(out), "--seed", "1"]) == 3
+        assert "stage 'pretrain' has not run" in capsys.readouterr().err
+
+    def test_finetune_record_without_target_split_is_stale(self, tiny_all, tmp_path, capsys):
+        """A finetune record written before finetune saved target.bin: ensemble
+        exits 3 and names finetune, and `all` reruns finetune."""
+        pristine, cfg = tiny_all
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["stages"]["finetune"]["files"]["tiny/finetune/target.bin"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        (out / "tiny" / "finetune" / "target.bin").unlink()
+        argv = ["--config", str(cfg), "--seed", "11", "--out", str(out)]
+        capsys.readouterr()
+        assert run(["ensemble"] + argv) == 3
+        err = capsys.readouterr().err
+        assert "stage 'finetune' has not run" in err and "'pretrain'" not in err
+        assert run(["all"] + argv) == 0
+        assert "finetune" not in skipped_stages(capsys.readouterr().out)
+        assert tree_bytes(out) == tree_bytes(pristine)
+
+    def test_malformed_target_split_exits_4(self, tiny_all, tmp_path):
+        """A target.bin whose hash its record holds, but whose labels are not
+        classes, fails the loader of every stage that reads it."""
+        pristine, cfg = tiny_all
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        path, rel = out / "tiny" / "finetune" / "target.bin", "tiny/finetune/target.bin"
+        header, arrays = artifact.unpack(path.read_bytes(), TARGET_MAGIC, "target split")
+        names = [rec["name"] for rec in header["arrays"]]
+        arrays[names.index("labels:test")][0] = 7
+        path.write_bytes(artifact.pack(TARGET_MAGIC, header, arrays))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["stages"]["finetune"]["files"][rel] = hashlib.sha256(
+            path.read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["--config", str(cfg), "--seed", "11", "--out", str(out)]
+        for command in (["ensemble"], ["explain", "--what", "gradcam"]):
+            assert run(command + argv) == 4, command
 
     def test_stale_lock_removed(self, workdir):
         out, argv = workdir

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from enfuse import data
 from enfuse.data import (
     LabeledImageSet,
     box_blur,

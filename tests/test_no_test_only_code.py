@@ -19,8 +19,8 @@ Every field of a `@dataclass` in `src/enfuse` must be read in `src/` or
 on anything but a name an `import` statement binds (`sys.path` is no
 read of a `path` field). A field no output reads is computed for nothing.
 
-Every name that a module in `src/enfuse` or `perfbench/` imports must be
-loaded in that module, or listed in its `__all__`. An import marked
+Every name that a module in `src/enfuse`, `perfbench/` or `tests/` imports
+must be loaded in that module, or listed in its `__all__`. An import marked
 `# noqa: F401`, a bench span hook's target, is exempt.
 """
 
@@ -260,6 +260,7 @@ def _unused_imports(path: Path, tree: ast.Module) -> list[str]:
 
 def test_every_import_is_used():
     """An import that its module never uses is dead code."""
-    unused = [name for path, tree in _product_trees().items()
+    tests = {path: _parse(path) for path in sorted((ROOT / "tests").glob("*.py"))}
+    unused = [name for path, tree in {**_product_trees(), **tests}.items()
               for name in _unused_imports(path, tree)]
     assert not unused, "imported but unused: " + ", ".join(unused)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from enfuse.data import make_synthetic_task, stratified_split
-from enfuse.nn import Dense, Dropout, Flatten, GlobalAvgPool, MaxPool2d, ReLU, Softmax, images_to_batch
-from enfuse.nn import EncoderModel
+from enfuse.nn import EncoderModel, images_to_batch
 from enfuse.pretrain import (
     build_backbone,
     extract_features,

@@ -9,8 +9,11 @@ The random forest and the boosted trees share one tree builder, which grows
 many trees together and runs one batched split search per step over a node
 from each of them: a forest's trees in lockstep, one node per tree in each
 tree's preorder, and a boosting round's class trees a whole level at a time.
-The trees equal, bit for bit, those of growing each tree alone, one node at a
-time.
+`fit_gbt` boosts several training sets of one shape in one loop, so a round
+grows the class trees of every set together. A forest draws each tree's
+feature subsets in chunks, one `Generator.integers` call per tree and chunk,
+that make the draws `Generator.choice` would make node by node. The trees
+equal, bit for bit, those of growing each tree alone, one node at a time.
 
 A forest is one flat node table (`TREE_COLUMNS`), the arrays its file
 stores, built once when it is fitted or checked once when it is loaded. It
@@ -44,6 +47,11 @@ GBT_ROUNDS = 50         # each round grows one tree per class
 GBT_MAX_DEPTH = 10
 GBT_ETA = 0.9           # learning rate on each round's leaf scores
 GBT_MIN_SPLIT = 2
+# a split search holds about a dozen arrays of one entry per (node, feature,
+# row); it searches at most this many at once (about 0.7 MiB in all)
+SPLIT_BLOCK_ELEMENTS = 1 << 13
+# a forest tree draws the feature subsets of this many nodes in one call
+RF_DRAW_NODES = 16
 # A forest walk holds a few arrays of one entry per (tree, query row) pair; it
 # walks at most this many pairs at once (256 KiB per int64 array)
 FOREST_BLOCK_PAIRS = 1 << 15
@@ -304,20 +312,68 @@ def _best_cuts(features: np.ndarray, sv: np.ndarray, score: np.ndarray):
 
 
 def _split_search(xt, rows, n_rows, features, criterion):
-    """(feature, threshold, score) of each node's best cut, one batched search.
+    """(feature, threshold, score) of each node's best cut, batched searches.
 
     xt is x transposed with a last column of +inf, the padding row: row list
     i is rows[i, :n_rows[i]], padded with that column's index, so padding
     sorts last; cuts past a node's own rows are masked. features[i] are node
-    i's candidate features, ascending.
+    i's candidate features, ascending. Nodes are searched in blocks of at
+    most SPLIT_BLOCK_ELEMENTS (node, feature, row) entries; as a node's search
+    reads no other node, blocking changes no value.
     """
-    order = xt[features[:, :, None], rows[:, None, :]].argsort(axis=2, kind="stable")
-    srows = rows[np.arange(len(rows))[:, None, None], order]
-    sv = xt[features[:, :, None], srows]
-    valid = ((sv[:, :, 1:] != sv[:, :, :-1])
-             & (np.arange(sv.shape[2] - 1) < n_rows[:, None, None] - 1))
-    return _best_cuts(features, sv, np.where(valid, criterion.scores(rows, n_rows, srows),
-                                             np.inf))
+    step = max(1, SPLIT_BLOCK_ELEMENTS // (features.shape[1] * rows.shape[1]))
+    found = []
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        rows_b, n_b, features_b = rows[block], n_rows[block], features[block]
+        order = xt[features_b[:, :, None], rows_b[:, None, :]].argsort(axis=2, kind="stable")
+        srows = rows_b[np.arange(len(rows_b))[:, None, None], order]
+        sv = xt[features_b[:, :, None], srows]
+        valid = ((sv[:, :, 1:] != sv[:, :, :-1])
+                 & (np.arange(sv.shape[2] - 1) < n_b[:, None, None] - 1))
+        found.append(_best_cuts(features_b, sv, np.where(
+            valid, criterion.scores(rows_b, n_b, srows), np.inf)))
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+class _FeatureDraws:
+    """Each forest tree's candidate features, node by node, as
+    `np.sort(rng.choice(d, m, replace=False))` on the tree's generator draws
+    them, for 1 < m < d.
+
+    For d up to 10,000, `choice` runs Floyd's algorithm: m bounded draws, of
+    bounds d - m .. d - 1, each taken unless already picked, else its bound
+    is. It then shuffles the m picks with m - 1 bounded draws, of bounds
+    m - 1 .. 1, which the sort undoes. `integers` over an array of bounds
+    makes the same bounded draws in order, so one call per tree draws
+    RF_DRAW_NODES nodes' worth, and again when the tree has used them; the
+    trees that draw in one step run Floyd's selection together. A tree draws
+    past its last node, which is harmless: its generator is not used after
+    its fit.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator], d: int, m: int):
+        self.rngs, self.d, self.m = rngs, d, m
+        self.bounds = np.tile(np.r_[np.arange(d - m, d), np.arange(m - 1, 0, -1)],
+                              RF_DRAW_NODES)
+        self.features = np.zeros((len(rngs), RF_DRAW_NODES, m), dtype=np.int64)
+        self.used = np.full(len(rngs), RF_DRAW_NODES)  # per tree, its nodes drawn for
+
+    def __call__(self, trees: np.ndarray) -> np.ndarray:
+        """The candidate features of the next node of each tree, ascending."""
+        empty = trees[self.used[trees] == RF_DRAW_NODES]
+        if len(empty):
+            drawn = np.stack([self.rngs[t].integers(0, self.bounds, endpoint=True)
+                              for t in empty.tolist()]).reshape(len(empty), RF_DRAW_NODES, -1)
+            picked = np.empty_like(drawn[:, :, :self.m])
+            for i, bound in enumerate(range(self.d - self.m, self.d)):
+                taken = (picked[:, :, :i] == drawn[:, :, i, None]).any(axis=2)
+                picked[:, :, i] = np.where(taken, bound, drawn[:, :, i])
+            self.features[empty] = np.sort(picked, axis=2)
+            self.used[empty] = 0
+        features = self.features[trees, self.used[trees]]
+        self.used[trees] += 1
+        return features
 
 
 def _padded(parts: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
@@ -328,8 +384,8 @@ def _padded(parts: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, n_rows
 
 
-def _grow_trees(x, roots, criterion, *, max_depth, min_split, rngs,
-                n_feature_sub) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def _grow_trees(x, roots, criterion, *, max_depth, min_split,
+                draws: _FeatureDraws | None) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Grow one tree from each root's row list, all together, and return
     their node table (`TREE_COLUMNS`). Also returns, for each row of x, the
     value of the last node made that holds it: the row's leaf in its tree,
@@ -340,13 +396,13 @@ def _grow_trees(x, roots, criterion, *, max_depth, min_split, rngs,
     splits at the cut the criterion scores lowest (ties go to the first
     feature and cut) unless it is at `max_depth`, has fewer than `min_split`
     rows or is pure. Each step takes splittable nodes from many trees into
-    one `_split_search`. With `rngs`, one generator per tree, each node
-    searched draws `n_feature_sub` candidate features from its tree's
-    generator when that is fewer than all, and a step takes one node per tree
-    in that tree's preorder, so each generator makes the draws of a recursive
-    one-node-at-a-time build in the same order. Without `rngs`, every feature
-    is a candidate and a step takes every splittable node of every tree: a
-    whole level. Either way the trees are the recursive build's, bit for bit.
+    one `_split_search`. With `draws`, each node searched takes its candidate
+    features from its tree's draws, and a step takes one node per tree in
+    that tree's preorder, so each tree draws as a recursive
+    one-node-at-a-time build does, in the same order. Without `draws`, every
+    feature is a candidate and a step takes every splittable node of every
+    tree: a whole level. Either way the trees are the recursive build's, bit
+    for bit.
     """
     n, d = x.shape
     xt = np.concatenate([x, np.full((1, d), np.inf)]).T.copy()  # column n is the padding row
@@ -375,18 +431,17 @@ def _grow_trees(x, roots, criterion, *, max_depth, min_split, rngs,
 
     make(list(roots), range(len(roots)), np.zeros(len(roots), dtype=np.int64))
     while any(pending):
-        if rngs is None:
+        if draws is None:
             batch = [(t, node) for t, stack in enumerate(pending) for node in stack]
             for stack in pending:
                 stack.clear()
         else:
             batch = [(t, stack.pop()) for t, stack in enumerate(pending) if stack]
         rows, n_rows = _padded([node[0] for _, node in batch], n)
-        if rngs is not None and n_feature_sub < d:
-            features = np.sort([rngs[t].choice(d, size=n_feature_sub, replace=False)
-                                for t, _ in batch], axis=1)
-        else:
+        if draws is None:
             features = np.broadcast_to(np.arange(d), (len(batch), d))
+        else:
+            features = draws(np.array([t for t, _ in batch]))
         feature, threshold, _ = _split_search(xt, rows, n_rows, features, criterion)
         cuts.append(([node[2] for _, node in batch], feature, threshold))
         inner = np.flatnonzero(feature >= 0)
@@ -435,6 +490,18 @@ def _preorder_table(values, cuts, left_child, n_trees) -> dict[str, np.ndarray]:
     return dict(zip(TREE_COLUMNS, (np.array(bounds), feature[order], threshold[order],
                                    np.where(inner, pre[left], -1),
                                    np.where(inner, pre[left + 1], -1), values[order])))
+
+
+def _split_table(table: dict[str, np.ndarray], n_parts: int) -> list[dict[str, np.ndarray]]:
+    """The node tables of the table's trees in n_parts runs of as many trees."""
+    offsets = table["tree_offsets"]
+    size = (len(offsets) - 1) // n_parts
+    parts = []
+    for first in range(0, len(offsets) - 1, size):
+        bounds = offsets[first:first + size + 1]
+        parts.append({"tree_offsets": bounds - bounds[0],
+                      **{name: table[name][bounds[0]:bounds[-1]] for name in TREE_COLUMNS[1:]}})
+    return parts
 
 
 def _join_tables(tables: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -507,9 +574,10 @@ def fit_rf(x: np.ndarray, y: np.ndarray, *, seed: int) -> TrainedClassifier:
     n, d = x.shape
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(RF_TREES)]
     bootstraps = [rng.integers(0, n, size=n) for rng in rngs]
+    m = int(np.ceil(np.sqrt(d)))
     table, _ = _grow_trees(x, bootstraps, _Gini(y, k), max_depth=RF_MAX_DEPTH,
-                           min_split=RF_MIN_SPLIT, rngs=rngs,
-                           n_feature_sub=int(np.ceil(np.sqrt(d))))
+                           min_split=RF_MIN_SPLIT,
+                           draws=_FeatureDraws(rngs, d, m) if m < d else None)
     return TrainedClassifier("RF", k, arrays=table,
                              meta={"n_trees": RF_TREES, "max_depth": RF_MAX_DEPTH,
                                    "min_split": RF_MIN_SPLIT, "seed": seed})
@@ -531,43 +599,55 @@ def _rf_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
 # Gradient-boosted trees (softmax cross-entropy, Newton leaf values)
 # ---------------------------------------------------------------------------
 
-def fit_gbt(x: np.ndarray, y: np.ndarray) -> TrainedClassifier:
-    """Boosting with one regression tree per class per round; a round's class
-    trees grow together.
+def fit_gbt(xs: list[np.ndarray], ys: list[np.ndarray]) -> list[TrainedClassifier]:
+    """Boosting with one regression tree per class per round, for each of
+    several training sets of one shape and class count; a round grows every
+    set's class trees together, and each set's classifier is the one it
+    gets fitted alone.
 
     Trees fit the negative softmax cross-entropy gradient (the residual
     one-hot minus probability); leaf scores use the Newton step
     sum(residual) / sum(hessian). predict_proba is the softmax of the
     GBT_ETA-scaled summed leaf scores.
     """
-    x, y, k = _as_xy(x, y)
-    n = len(x)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
-    scores = np.zeros((n, k))
-    # the round's k class trees grow together, tree c on rows c*n .. c*n + n - 1
-    # of k stacked copies of x, so each reads its own class's target
-    stacked = np.tile(x, (k, 1))
-    roots = [np.arange(cls * n, cls * n + n) for cls in range(k)]
+    x = np.stack([np.asarray(x, dtype=np.float64) for x in xs])
+    y = np.stack([np.asarray(y, dtype=np.int64) for y in ys]).ravel()
+    n_sets, n, d = x.shape
+    k = int(y.max()) + 1
+    rows = np.arange(n_sets * n)  # row s*n + i is set s's row i, here and in y
+    onehot = np.zeros((n_sets * n, k))
+    onehot[rows, y] = 1.0
+    scores = np.zeros((n_sets * n, k))
+    # a round's class trees grow together, the tree of set s and class c on
+    # rows (s*k + c)*n .. (s*k + c)*n + n - 1 of k stacked copies of each
+    # set's x, so each reads its own set's and class's target
+    stacked = np.repeat(x, k, axis=0).reshape(-1, d)
+    roots = [np.arange(t * n, t * n + n) for t in range(n_sets * k)]
 
-    tables = []
-    loss_log = []
+    def by_tree(a):
+        """(set, row, class) values in the stacked rows' order."""
+        return a.reshape(n_sets, n, k).transpose(0, 2, 1).ravel()
+
+    tables = [[] for _ in range(n_sets)]
+    losses = [[] for _ in range(n_sets)]
+    p = _softmax(scores)
     for _ in range(GBT_ROUNDS):
-        p = _softmax(scores)
-        residual = onehot - p
-        hess = p * (1.0 - p)
         table, leaf_value = _grow_trees(
-            stacked, roots, _SquaredError(residual.T.ravel(), hess.T.ravel()),
-            max_depth=GBT_MAX_DEPTH, min_split=GBT_MIN_SPLIT, rngs=None, n_feature_sub=None)
-        tables.append(table)
-        # row cls*n + i of the stack is row i in class tree cls
-        scores += GBT_ETA * leaf_value[:, 0].reshape(k, n).T
+            stacked, roots, _SquaredError(by_tree(onehot - p), by_tree(p * (1.0 - p))),
+            max_depth=GBT_MAX_DEPTH, min_split=GBT_MIN_SPLIT, draws=None)
+        for own, part in zip(tables, _split_table(table, n_sets)):
+            own.append(part)
+        step = leaf_value[:, 0].reshape(n_sets, k, n).transpose(0, 2, 1)  # (set, row, class)
+        scores += GBT_ETA * step.reshape(-1, k)
         p = _softmax(scores)
-        loss_log.append(float(-np.log(p[np.arange(n), y] + 1e-300).mean()))
-    return TrainedClassifier("GBT", k, arrays=_join_tables(tables),
-                             meta={"eta": GBT_ETA, "max_depth": GBT_MAX_DEPTH,
-                                   "rounds": GBT_ROUNDS, "min_split": GBT_MIN_SPLIT,
-                                   "train_log_loss": loss_log})
+        true_p = p[rows, y] + 1e-300
+        for s, loss in enumerate(losses):
+            loss.append(float(-np.log(true_p[s * n:s * n + n]).mean()))
+    return [TrainedClassifier("GBT", k, arrays=_join_tables(own),
+                              meta={"eta": GBT_ETA, "max_depth": GBT_MAX_DEPTH,
+                                    "rounds": GBT_ROUNDS, "min_split": GBT_MIN_SPLIT,
+                                    "train_log_loss": loss})
+            for own, loss in zip(tables, losses)]
 
 
 def _gbt_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:

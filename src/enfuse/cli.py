@@ -330,7 +330,7 @@ def load_manifest(out: Path) -> dict:
     if malformed:
         raise IntegrityError(f"manifest {path}: malformed record of stage {malformed[0]!r}")
     outside = [rel for record in stages.values() for rel in record["files"]
-               if Path(rel).is_absolute() or ".." in Path(rel).parts]
+               if rel.startswith("/") or ".." in rel.split("/")]
     if outside:  # a rerun deletes the files its old record listed
         raise IntegrityError(f"manifest {path} lists {outside[0]}, outside {out}")
     return {"version": TOOL_VERSION, "stages": stages}
@@ -606,7 +606,7 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     k = config["fusion"]["k"]
     n_classes = test.n_classes
 
-    ensemble = train_ensemble(train_parts, n_classes, method=method, seed=seed, k=k)
+    (ensemble,) = train_ensemble([train_parts], n_classes, method=method, seed=seed, k=k)
     counts, accuracies = evaluate(ensemble, test_parts)
 
     reports = {
@@ -626,8 +626,8 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
         files.append(path)
 
     # stage comparison: base-model heads vs fused vs transformed vs voted
-    concat_only = scores(test.labels, *fit_arm(train_parts, test_parts, list(train_parts),
-                                                n_classes, "concat-only", seed, 0))
+    (concat_fit,) = fit_arm([(train_parts, test_parts)], n_classes, "concat-only", seed, 0)
+    concat_only = scores(test.labels, *concat_fit)
     lines = ["stage,name,accuracy"]
     for name, acc in split.head_accuracy.items():
         lines.append(f"base,{name},{acc:.6f}")
@@ -711,9 +711,12 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
     """Frozen foreign extractors on a new task vs randomly initialized ones."""
     ood = config["oodtest"]
     size = config["data"]["image_size"]
-    dataset = make_synthetic_task(ood["kind"], ood["per_class"], (size, size),
-                                  ood["noise"], seed=seed + 777)
-    train, test = stratified_split(dataset, config["data"]["split_fraction"], seed + 6)
+    # the task is not kept: both arms' parts are held together, and its
+    # images, copied into the splits, would raise the stage's memory peak
+    train, test = stratified_split(
+        make_synthetic_task(ood["kind"], ood["per_class"], (size, size), ood["noise"],
+                            seed=seed + 777),
+        config["data"]["split_fraction"], seed + 6)
     method = config["fusion"]["method"]
     pretrained = _load_target_models(out, config)
     # run_stage has just hashed the finetune files against this record
@@ -727,11 +730,10 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
         rng = np.random.default_rng(seed + 900 + i)
         random_models.append((name, EncoderModel(build_backbone(variant, rng))))
 
-    results = {}
-    for label, models in (("pretrained", pretrained), ("random", random_models)):
-        arm = fit_arm(extract_parts(models, train), extract_parts(models, test),
-                      list(BASE_MODEL_NAMES), len(train.class_names), method, seed, 0)
-        results[label] = scores(test.labels, *arm)["voted"]
+    arms = {label: (extract_parts(models, train), extract_parts(models, test))
+            for label, models in (("pretrained", pretrained), ("random", random_models))}
+    fits = fit_arm(list(arms.values()), len(train.class_names), method, seed, 0)
+    results = {label: scores(test.labels, *fit)["voted"] for label, fit in zip(arms, fits)}
     for name, path in weights.items():
         if file_sha256(path) != recorded[str(path.relative_to(out))]:
             raise IntegrityError(f"oodtest modified frozen weights {name}.weights")

@@ -5,11 +5,13 @@ to that model's features for one dataset, extracted once: by `extract_parts`,
 or for the target split by the finetune stage, which saves them as a
 `TargetSplit`.
 Fusion reuses the train-fitted transform at test time, and the headline
-number is the voted accuracy. An arm is one ensemble fitted on some of the
-parts: `fit_arm` fits and predicts it, and `scores` turns its predictions into
-accuracies. Also houses the confusion-count metrics, the
-leave-one-base-model-out ablation, whose refits are arms, and the `TargetSplit`
-artifact.
+number is the voted accuracy. An arm is one ensemble fitted on some parts:
+`fit_arm` fits and predicts a list of arms, and `scores` turns an arm's
+predictions into accuracies. `train_ensemble` fits each arm's fusion, SVM,
+KNN, GNB and RF on their own, and the boosted trees of all arms whose fused
+data have one shape and class count in one `fit_gbt` call. Also houses the
+confusion-count metrics, the leave-one-base-model-out ablation, whose refits
+are arms, and the `TargetSplit` artifact.
 """
 
 from __future__ import annotations
@@ -93,20 +95,25 @@ def majority_vote(predictions: list[np.ndarray], n_classes: int) -> np.ndarray:
     return np.argmax(tally, axis=1)
 
 
-def train_ensemble(parts: dict[str, FeatureMatrix], n_classes: int, *, method: str,
-                   seed: int, k: int) -> EnsembleModel:
-    """Fuse the training parts (`fuse_pipeline`: k = 0 is automatic) and fit
-    the five classifiers on the result."""
-    fused, transform = fuse_pipeline(list(parts.values()), method=method, k=k, seed=seed)
-    x, y = fused.data, fused.labels
-    classifiers = [
-        fit_svm(x, y),
-        fit_knn(x, y),
-        fit_gnb(x, y),
-        fit_rf(x, y, seed=seed),
-        fit_gbt(x, y),
-    ]
-    return EnsembleModel(classifiers, transform, n_classes)
+def train_ensemble(arms: list[dict[str, FeatureMatrix]], n_classes: int, *, method: str,
+                   seed: int, k: int) -> list[EnsembleModel]:
+    """Fuse each arm's training parts (`fuse_pipeline`: k = 0 is automatic)
+    and fit the five classifiers on the result; one `fit_gbt` call boosts the
+    arms whose fused rows, width and class count match."""
+    fused = [fuse_pipeline(list(parts.values()), method=method, k=k, seed=seed)
+             for parts in arms]
+    classifiers = []
+    groups: dict[tuple[int, int, int], list[int]] = {}  # (rows, width, classes) -> arms
+    for i, (f, _) in enumerate(fused):
+        x, y = f.data, f.labels
+        classifiers.append([fit_svm(x, y), fit_knn(x, y), fit_gnb(x, y), fit_rf(x, y, seed=seed)])
+        groups.setdefault((*x.shape, int(y.max()) + 1), []).append(i)
+    for members in groups.values():
+        gbts = fit_gbt([fused[i][0].data for i in members], [fused[i][0].labels for i in members])
+        for i, gbt in zip(members, gbts):
+            classifiers[i].append(gbt)
+    return [EnsembleModel(clfs, transform, n_classes)
+            for clfs, (_, transform) in zip(classifiers, fused)]
 
 
 def predict_ensemble(model: EnsembleModel, parts: dict[str, FeatureMatrix]):
@@ -116,13 +123,14 @@ def predict_ensemble(model: EnsembleModel, parts: dict[str, FeatureMatrix]):
     return per_clf, majority_vote(per_clf, model.n_classes)
 
 
-def fit_arm(train_parts: dict[str, FeatureMatrix], test_parts: dict[str, FeatureMatrix],
-            names: list[str], n_classes: int, method: str, seed: int, k: int):
-    """Fit an ensemble on the named base models' train parts, in `names` order,
-    and predict their test parts: (per-classifier predictions, voted labels)."""
-    model = train_ensemble({name: train_parts[name] for name in names}, n_classes,
-                           method=method, seed=seed, k=k)
-    return predict_ensemble(model, {name: test_parts[name] for name in names})
+def fit_arm(arms: list[tuple[dict[str, FeatureMatrix], dict[str, FeatureMatrix]]],
+            n_classes: int, method: str, seed: int, k: int):
+    """Fit an ensemble on each arm's train parts and predict its test parts,
+    both keyed alike in the order fused: per arm, (per-classifier
+    predictions, voted labels)."""
+    models = train_ensemble([train for train, _ in arms], n_classes,
+                            method=method, seed=seed, k=k)
+    return [predict_ensemble(model, test) for model, (_, test) in zip(models, arms)]
 
 
 def scores(true: np.ndarray, per_clf: list[np.ndarray], voted: np.ndarray) -> dict[str, float]:
@@ -235,10 +243,11 @@ def ablate(full: EnsembleModel, train_parts: dict[str, FeatureMatrix],
     """
     true = next(iter(test_parts.values())).labels
     arms = {None: scores(true, *predict_ensemble(full, test_parts))}
-    for excluded in train_parts:
-        kept = [name for name in train_parts if name != excluded]
-        arms[excluded] = scores(true, *fit_arm(train_parts, test_parts, kept,
-                                               full.n_classes, method, seed, k))
+    left_out = [tuple({name: parts[name] for name in train_parts if name != excluded}
+                      for parts in (train_parts, test_parts))
+                for excluded in train_parts]
+    for excluded, fit in zip(train_parts, fit_arm(left_out, full.n_classes, method, seed, k)):
+        arms[excluded] = scores(true, *fit)
     return arms
 
 

@@ -238,8 +238,9 @@ def test_criterion_8_end_to_end_benchmark(pipeline):
 
     def voted(prefix):
         names = [n for n in train_parts if n.startswith(prefix)]
-        arm = fit_arm(train_parts, test_parts, names, len(train.class_names), method, SEED, k)
-        return scores(test.labels, *arm)["voted"]
+        arm = tuple({n: parts[n] for n in names} for parts in (train_parts, test_parts))
+        (fit,) = fit_arm([arm], len(train.class_names), method, SEED, k)
+        return scores(test.labels, *fit)["voted"]
 
     combined = voted(("tl", "ssl"))
     tl_only = voted("tl")
@@ -281,9 +282,9 @@ def test_criterion_9_ood_direction(pipeline):
             random_models.append((name, EncoderModel(build_backbone(variant, rng))))
         accs = {}
         for label, pool in (("pre", models), ("rnd", random_models)):
-            arm = fit_arm(extract_parts(pool, train), extract_parts(pool, test),
-                          [name for name, _ in pool], len(train.class_names), method, SEED, k)
-            accs[label] = scores(test.labels, *arm)["voted"]
+            (fit,) = fit_arm([(extract_parts(pool, train), extract_parts(pool, test))],
+                             len(train.class_names), method, SEED, k)
+            accs[label] = scores(test.labels, *fit)["voted"]
         margins.append(accs["pre"] - accs["rnd"])
     mean_margin = float(np.mean(margins))
     report(9, mean_margin >= 0.05,
@@ -341,7 +342,7 @@ def test_criterion_12_ablation_consistency(pipeline):
     train_parts, test_parts = ({**extract_parts(models, ds), "noise": noise_features(ds)}
                                for ds in (train, test))
     n_classes = len(train.class_names)
-    full_model = train_ensemble(train_parts, n_classes, method=method, seed=SEED, k=k)
+    full_model = train_ensemble([train_parts], n_classes, method=method, seed=SEED, k=k)[0]
     arms = ablate(full_model, train_parts, test_parts, method=method, seed=SEED, k=k)
     full_matches = arms[None]["voted"] == evaluate(full_model, test_parts)[1]["voted"]
     noise_delta = arms["noise"]["voted"] - arms[None]["voted"]

@@ -34,7 +34,7 @@ def _classifier():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(20, 3))
     with mock.patch.multiple(classifiers, GBT_ROUNDS=3, GBT_MAX_DEPTH=2):
-        return fit_gbt(x, (x[:, 0] > 0).astype(int))
+        return fit_gbt([x], [(x[:, 0] > 0).astype(int)])[0]
 
 
 NAMES = ("a", "b")

@@ -151,13 +151,13 @@ class TestGbt:
     def test_separable_blobs_fast(self, monkeypatch):
         monkeypatch.setattr(classifiers, "GBT_ROUNDS", 10)
         x, y = blobs([(-3, 0), (3, 0), (0, 4)], n=15, spread=0.5, seed=8)
-        clf = fit_gbt(x, y)
+        clf = fit_gbt([x], [y])[0]
         assert np.mean(predict(clf, x) == y) == 1.0
 
     def test_log_loss_non_increasing(self, monkeypatch):
         monkeypatch.setattr(classifiers, "GBT_ROUNDS", 15)
         x, y = blobs([(-1, 0), (1, 0)], spread=1.2, seed=9)
-        clf = fit_gbt(x, y)
+        clf = fit_gbt([x], [y])[0]
         log = clf.meta["train_log_loss"]
         assert all(b <= a + 1e-9 for a, b in zip(log, log[1:]))
 
@@ -165,7 +165,7 @@ class TestGbt:
         monkeypatch.setattr(classifiers, "GBT_ROUNDS", 1)
         x = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
         y = np.array([0, 0, 0, 1, 1, 1])
-        clf = fit_gbt(x, y)
+        clf = fit_gbt([x], [y])[0]
         root_feature = clf.arrays["tree_feature"][0]  # the first tree's root
         root_threshold = clf.arrays["tree_threshold"][0]
         assert root_feature == 0
@@ -175,8 +175,27 @@ class TestGbt:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(64, 4))
         y = rng.integers(0, 3, size=64)
-        clf = fit_gbt(x, y)
+        clf = fit_gbt([x], [y])[0]
         assert np.mean(predict(clf, x) == y) == 1.0
+
+    def test_sets_boosted_together_equal_each_fitted_alone(self):
+        """Three sets of one shape, one of them separable by a feature so its
+        trees stop early, boosted together in small search blocks, give the
+        classifiers each set gets alone, to the bit."""
+        rng = np.random.default_rng(13)
+        xs = [rng.normal(size=(30, 5)) for _ in range(3)]
+        ys = [np.r_[0, 1, 2, rng.integers(0, 3, size=27)] for _ in range(3)]
+        xs[1][:, 2] = ys[1]
+        with mock.patch.object(classifiers, "SPLIT_BLOCK_ELEMENTS", 64):
+            together = fit_gbt(xs, ys)
+        assert len(together) == 3
+        for x, y, got in zip(xs, ys, together):
+            (alone,) = fit_gbt([x], [y])
+            assert got.n_classes == alone.n_classes and got.meta == alone.meta
+            for name in classifiers.TREE_COLUMNS:
+                assert got.arrays[name].dtype == alone.arrays[name].dtype
+                assert np.array_equal(got.arrays[name], alone.arrays[name])
+        assert len(together[1].arrays["tree_feature"]) < len(together[0].arrays["tree_feature"])
 
 
 def columns(path):
@@ -202,7 +221,7 @@ def fitted():
             "KNN": fit_knn(x, y),
             "GNB": fit_gnb(x, y),
             "RF": fit_rf(x, y, seed=0),
-            "GBT": fit_gbt(x, y),
+            "GBT": fit_gbt([x], [y])[0],
         }
 
 
@@ -318,7 +337,7 @@ class TestForestFiles:
     def saved(self, request, tmp_path_factory):
         x, y = blobs([(-2, 0), (2, 0), (0, 3)], n=8, spread=1.5, seed=14)
         with mock.patch.multiple(classifiers, RF_TREES=4, GBT_ROUNDS=2):
-            clf = fit_rf(x, y, seed=1) if request.param == "RF" else fit_gbt(x, y)
+            clf = fit_rf(x, y, seed=1) if request.param == "RF" else fit_gbt([x], [y])[0]
         path = tmp_path_factory.mktemp("forest") / "clf.bin"
         save_classifier(clf, path)
         return clf, path

@@ -353,7 +353,7 @@ class TestConfig:
         for train, test in (target_split(config, seed=0), oodtest_split(config)):
             parts = [{name: FeatureMatrix(rng.normal(size=(len(split), width)), split.labels)
                       for name, width in (("a", 16), ("b", 24))} for split in (train, test)]
-            ensemble = train_ensemble(parts[0], train.n_classes, method=method, seed=0, k=0)
+            ensemble = train_ensemble([parts[0]], train.n_classes, method=method, seed=0, k=0)[0]
             evaluate(ensemble, parts[1])
 
 
@@ -526,6 +526,48 @@ class TestAuxCommands:
         assert run(["oodtest"] + argv) == 0
         assert skipped_stages(capsys.readouterr().out) == {"oodtest"}
 
+    def test_arms_boost_together_and_forests_draw_without_choice(self, tiny_all, tmp_path,
+                                                                monkeypatch):
+        """ablate boosts its six leave-one-out arms in one `fit_gbt` call and
+        oodtest its pretrained and random arms in one; no forest calls
+        `Generator.choice`."""
+        pristine, _ = tiny_all
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        boosted, in_rf, choices = [], [], []
+        real_gbt, real_rf = ensemble.fit_gbt, ensemble.fit_rf
+
+        def counting_gbt(xs, ys):
+            boosted.append(len(xs))
+            return real_gbt(xs, ys)
+
+        def marked_rf(*args, **kwargs):
+            in_rf.append(True)
+            try:
+                return real_rf(*args, **kwargs)
+            finally:
+                in_rf.pop()
+
+        class CountingGenerator(np.random.Generator):
+            def choice(self, *args, **kwargs):
+                choices.extend(in_rf)
+                return super().choice(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "fit_gbt", counting_gbt)
+        monkeypatch.setattr(ensemble, "fit_rf", marked_rf)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: CountingGenerator(np.random.PCG64(seed)))
+        cfg = tmp_path / "edited.cfg"  # a new k, so ensemble and ablate rerun; every arm
+        cfg.write_text(TINY_CONFIG.replace("k = 8", "k = 6"))  # fuses to 6 columns
+        argv = ["--config", str(cfg), "--seed", "11", "--out", str(out)]
+        assert run(["ensemble"] + argv) == 0
+        assert boosted == [1, 1]  # the configured method's ensemble, then concat-only's
+        for command, sets in (("ablate", len(cli.BASE_MODEL_NAMES)), ("oodtest", 2)):
+            boosted.clear()
+            assert run([command] + argv) == 0
+            assert boosted == [sets], command
+        assert choices == []
+
     def test_oodtest_hashes_each_frozen_weight_once(self, tiny_all, tmp_path, monkeypatch):
         """The digests before the fits come from the finetune record, which
         run_stage has just checked; only the check after the fits hashes."""
@@ -695,7 +737,8 @@ class TestFailureModes:
         finally:
             target.write_bytes(original)
 
-    @pytest.mark.parametrize("listed", ["../victim", "{root}/victim"])
+    @pytest.mark.parametrize("listed", ["../victim", "{root}/victim", "a/../../victim",
+                                        "./../victim"])
     def test_manifest_listing_a_file_outside_out_rejected(self, tmp_path, listed):
         victim, out = tmp_path / "victim", tmp_path / "out"
         victim.write_text("keep")

@@ -543,10 +543,29 @@ def test_fit_rf_trees_match_per_feature_search(data, seed):
 def test_fit_gbt_trees_match_per_feature_search(data, max_depth):
     x, y = data
     with mock.patch.multiple(classifiers, GBT_ROUNDS=3, GBT_MAX_DEPTH=max_depth):
-        got = fit_gbt(x, y)
+        got = fit_gbt([x], [y])[0]
     want_trees, want_loss = fit_gbt_reference(x, y, rounds=3, max_depth=max_depth)
     assert_same_trees(got, want_trees)
     assert got.meta["train_log_loss"] == want_loss
+
+
+def test_feature_draws_match_choice():
+    """Each tree's chunked draws are the sorted `choice` draws of its
+    generator, for every width 3 .. 120 at m = ceil(sqrt(d)), over more nodes
+    than one chunk holds, with trees that start at different steps."""
+    seeds = range(5)
+    n_nodes = classifiers.RF_DRAW_NODES + 7
+    for d in range(3, 121):
+        m = int(np.ceil(np.sqrt(d)))
+        draws = classifiers._FeatureDraws([np.random.default_rng(s) for s in seeds], d, m)
+        got = [[] for _ in seeds]
+        for step in range(n_nodes + len(seeds) - 1):  # tree t draws at steps t .. t + n_nodes - 1
+            trees = np.array([t for t in seeds if t <= step < t + n_nodes])
+            for t, features in zip(trees.tolist(), draws(trees)):
+                got[t].append(features)
+        want = [[np.sort(rng.choice(d, size=m, replace=False)) for _ in range(n_nodes)]
+                for rng in map(np.random.default_rng, seeds)]
+        assert np.array_equal(got, want), d
 
 
 def test_trees_finishing_at_different_steps_match_reference(monkeypatch):
@@ -561,7 +580,7 @@ def test_trees_finishing_at_different_steps_match_reference(monkeypatch):
     rf = fit_rf(x, y, seed=3)
     assert len(set(np.diff(rf.arrays["tree_offsets"]).tolist())) > 3
     assert_same_trees(rf, trees_of(fit_rf_reference(x, y, n_trees=12, seed=3)))
-    gbt = fit_gbt(x, y)
+    gbt = fit_gbt([x], [y])[0]
     assert len(set(np.diff(gbt.arrays["tree_offsets"][:4]).tolist())) > 1  # one round's class trees
     want_trees, want_loss = fit_gbt_reference(x, y, rounds=4, max_depth=GBT_MAX_DEPTH)
     assert_same_trees(gbt, want_trees)
@@ -1048,7 +1067,7 @@ def ablate_rows(full: EnsembleModel, train_parts, test_parts, method, seed, k):
     for excluded in train_parts:
         train_kept, test_kept = ({name: part for name, part in parts.items() if name != excluded}
                                  for parts in (train_parts, test_parts))
-        model = train_ensemble(train_kept, full.n_classes, method=method, seed=seed, k=k)
+        model = train_ensemble([train_kept], full.n_classes, method=method, seed=seed, k=k)[0]
         rows.append(row(model, test_kept, excluded, full_row.voted_accuracy))
     return full_row, rows
 
@@ -1108,15 +1127,16 @@ def test_ablation_reports_match_row_oracle(noisy_splits, method, k, n_parts):
     train_parts, test_parts = (
         {**{f"p{seed}": projector(ds, 12, seed) for seed in range(n_parts - 1)},
          "noise": noise_features(ds, 12, 99)} for ds in noisy_splits)
-    full = train_ensemble(train_parts, 3, method=method, seed=0, k=k)
+    full = train_ensemble([train_parts], 3, method=method, seed=0, k=k)[0]
     arms = ablate(full, train_parts, test_parts, method=method, seed=0, k=k)
     full_row, rows = ablate_rows(full, train_parts, test_parts, method, 0, k)
     assert ablation_csv(arms) == ablation_csv_rows(full_row, rows)
     assert render_ablation_svg(arms) == ablation_svg_rows(rows)
 
     kept = [name for name in train_parts if name != "p0"]
-    per_clf, voted = fit_arm(train_parts, test_parts, kept, 3, method, 0, k)
-    model = train_ensemble({n: train_parts[n] for n in kept}, 3, method=method, seed=0, k=k)
+    arm = tuple({n: parts[n] for n in kept} for parts in (train_parts, test_parts))
+    ((per_clf, voted),) = fit_arm([arm], 3, method, 0, k)
+    (model,) = train_ensemble([arm[0]], 3, method=method, seed=0, k=k)
     want_per_clf, want_voted = predict_ensemble(model, {n: test_parts[n] for n in kept})
     assert all(np.array_equal(got, want) for got, want in zip(per_clf, want_per_clf, strict=True))
     assert np.array_equal(voted, want_voted)

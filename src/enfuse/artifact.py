@@ -2,9 +2,14 @@
 
 Layout: an 8-byte magic tag, the JSON header length as a little-endian u32,
 the sorted-key JSON header, then each array as raw `<f8` values in the
-order the header's "arrays" records list them. Each artifact type (encoder
-weights, fusion transform, classifier) has its own magic and builds its own
-header; the records only need a "shape" entry for the framing.
+order the header's "arrays" records list them. Each artifact type has its
+own magic and header fields; the records only need a "shape" entry for the
+framing.
+
+Encoder weights name an array by (layer, name) and call `pack` / `unpack`
+themselves. Every other type (fusion transform, classifier, target split)
+names its arrays by one string each and goes through `save` / `load`, then
+checks them against its shape table with `check_shapes`.
 """
 
 from __future__ import annotations
@@ -56,6 +61,44 @@ def unpack(blob: bytes, magic: bytes, kind: str) -> tuple[dict, list[np.ndarray]
     if offset != len(blob):
         raise IntegrityError(f"trailing bytes in {kind} file")
     return header, arrays
+
+
+def save(path, magic: bytes, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write `header` and `arrays`, one {"name", "shape"} record per array
+    in the dict's order."""
+    records = [{"name": name, "shape": list(np.shape(a))} for name, a in arrays.items()]
+    write_atomic(path, pack(magic, {**header, "arrays": records}, list(arrays.values())))
+
+
+def load(path, magic: bytes, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header, arrays by name) of a `save`d file; IntegrityError for a
+    framing fault, a record without a name, or a name given twice."""
+    with open(path, "rb") as f:
+        header, values = unpack(f.read(), magic, kind)
+    try:
+        names = [rec["name"] for rec in header["arrays"]]
+        arrays = dict(zip(names, values))
+    except (KeyError, TypeError) as exc:
+        raise IntegrityError(f"unreadable {kind} header: {exc!r}") from exc
+    if len(arrays) != len(names):
+        raise IntegrityError(f"{kind} file names an array twice")
+    return header, arrays
+
+
+def check_shapes(kind: str, arrays: dict[str, np.ndarray], shapes: dict[str, tuple[str, ...]],
+                 sizes: dict[str, int]) -> None:
+    """IntegrityError unless `arrays` holds every array `shapes` names, each
+    with one size per symbol of its shape, and each symbol one size wherever
+    it appears. `sizes` gives the symbols known beforehand; the others take
+    the size they first meet, in table order."""
+    sizes = dict(sizes)
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise IntegrityError(f"{kind} file has no {name}")
+        got = arrays[name].shape
+        if len(got) != len(shape) or any(sizes.setdefault(s, n) != n for s, n in zip(shape, got)):
+            want = tuple(sizes.get(s, s) for s in shape)
+            raise IntegrityError(f"{kind} {name} has shape {got}, not {want}")
 
 
 def write_atomic(path, data: bytes) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import pack, unpack, write_atomic
+from . import artifact
 from .errors import IntegrityError
 
 CLASSIFIER_MAGIC = b"ETSEFC1\x00"
@@ -63,15 +63,15 @@ FOREST_BLOCK_PAIRS = 1 << 15
 TREE_COLUMNS = ("tree_offsets", "tree_feature", "tree_threshold", "tree_left",
                 "tree_right", "tree_value")
 _INDEX_COLUMNS = ("tree_offsets", "tree_feature", "tree_left", "tree_right")
-# the arrays each kind predicts with, which its file must hold, by shape: one
-# character per axis, each a size that every array naming it shares; "k" is
-# the class count and "1" is 1 (m nodes, t tree offsets, n training rows, d
-# features)
-_FOREST = {"tree_offsets": "t", "tree_feature": "m", "tree_threshold": "m",
-           "tree_left": "m", "tree_right": "m"}
-_SHAPES = {"SVM": {"w": "kd", "b": "k"}, "KNN": {"x": "nd", "y": "n"},
-           "GNB": {"theta": "kd", "var": "kd", "priors": "k"},
-           "RF": {**_FOREST, "tree_value": "mk"}, "GBT": {**_FOREST, "tree_value": "m1"}}
+# the arrays each kind predicts with, which its file must hold, by shape (see
+# `artifact.check_shapes`): "k" is the class count and "1" is 1 (m nodes,
+# t tree offsets, n training rows, d features)
+_FOREST = {"tree_offsets": ("t",), "tree_feature": ("m",), "tree_threshold": ("m",),
+           "tree_left": ("m",), "tree_right": ("m",)}
+_SHAPES = {"SVM": {"w": ("k", "d"), "b": ("k",)}, "KNN": {"x": ("n", "d"), "y": ("n",)},
+           "GNB": {"theta": ("k", "d"), "var": ("k", "d"), "priors": ("k",)},
+           "RF": {**_FOREST, "tree_value": ("m", "k")},
+           "GBT": {**_FOREST, "tree_value": ("m", "1")}}
 
 
 @dataclass
@@ -721,44 +721,27 @@ def _forest_table(arrays: dict[str, np.ndarray], kind: str,
 
 
 def save_classifier(clf: TrainedClassifier, path) -> None:
-    arrays = clf.arrays  # a forest's index columns are written as float64, as all arrays are
-    header = {
-        "kind": clf.kind,
-        "n_classes": clf.n_classes,
-        "meta": clf.meta,
-        "arrays": [{"name": n, "shape": list(np.asarray(a).shape)}
-                   for n, a in sorted(arrays.items())],
-    }
-    write_atomic(path, pack(CLASSIFIER_MAGIC, header,
-                            [a for _, a in sorted(arrays.items())]))
+    # a forest's index columns are written as float64, as all arrays are
+    artifact.save(path, CLASSIFIER_MAGIC,
+                  {"kind": clf.kind, "n_classes": clf.n_classes, "meta": clf.meta},
+                  dict(sorted(clf.arrays.items())))
 
 
 def load_classifier(path) -> TrainedClassifier:
     """The saved classifier; IntegrityError for a header without its kind or
-    class count, an unknown kind, a class count below 1, a file
-    without an array its kind predicts with or with one shaped otherwise
-    than `_SHAPES` says, KNN labels that are not classes, or a forest table
+    class count, an unknown kind, a class count below 1, arrays that
+    `_SHAPES` rejects, KNN labels that are not classes, or a forest table
     `_forest_table` rejects."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    header, values = unpack(blob, CLASSIFIER_MAGIC, "classifier")
+    header, arrays = artifact.load(path, CLASSIFIER_MAGIC, "classifier")
     try:
         kind, n_classes, meta = header["kind"], header["n_classes"], header.get("meta", {})
-        arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise IntegrityError(f"unreadable classifier header: {exc!r}") from exc
     if kind not in KINDS:
         raise IntegrityError(f"unknown classifier kind {kind!r}")
     if type(n_classes) is not int or n_classes < 1:  # a bool is an int to isinstance
         raise IntegrityError(f"class count {n_classes!r} is not a whole number above 0")
-    sizes = {"k": n_classes, "1": 1}
-    for name, shape in _SHAPES[kind].items():
-        if name not in arrays:
-            raise IntegrityError(f"{kind} classifier file has no {name}")
-        got = arrays[name].shape
-        if len(got) != len(shape) or any(sizes.setdefault(s, n) != n for s, n in zip(shape, got)):
-            want = tuple(sizes.get(s, s) for s in shape)
-            raise IntegrityError(f"{kind} {name} has shape {got}, not {want}")
+    artifact.check_shapes(f"{kind} classifier", arrays, _SHAPES[kind], {"k": n_classes, "1": 1})
     if kind == "KNN" and not np.isin(arrays["y"], np.arange(n_classes)).all():
         raise IntegrityError(f"KNN labels must be whole numbers below {n_classes}")
     if kind in ("RF", "GBT"):

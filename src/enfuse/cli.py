@@ -172,9 +172,9 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
     number outside its interval, a fusion method or OOD task kind not among
     its choices), a task name that is not one directory name, an even blur
     kernel, an image size that a stack cannot pool, a train split with a
-    class of fewer than 2 rows, and a `[fusion] k` that a fit of the
-    ensemble or of ablate could not keep are rejected here, before any
-    stage runs.
+    class of fewer than 2 rows, a target test split of fewer than
+    `TSNE_MIN_ROWS` rows, and a `[fusion] k` that a fit of the ensemble or
+    of ablate could not keep are rejected here, before any stage runs.
     """
     config = {section: {key: default for key, (default, _) in keys.items()}
               for section, keys in SETTINGS.items()}
@@ -839,13 +839,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="enfuse",
         description="ensemble-over-fused-encoders pipeline")
     parser.add_argument("command",
-                        choices=["pretrain", "finetune", "ensemble", "ablate",
-                                 "explain", "oodtest", "synth", "all"])
+                        choices=[*STAGES, "all"])
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument("--what", default="gradcam",
-                        choices=["gradcam", "shap", "tsne"],
+                        choices=list(EXPLAIN_REQUIRES),
                         help="explain subcommand target")
     parser.add_argument("--instance", type=int, default=0,
                         help="test-set index for explain (default 0)")

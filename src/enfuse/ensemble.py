@@ -1,4 +1,5 @@
-"""Stacking-style ensemble: five classifiers over fused features, majority vote.
+"""The ensemble: five classifiers over fused features and their plain
+majority vote, with no learner over their outputs.
 
 The ensemble works on feature parts: an ordered mapping from base-model name
 to that model's features for one dataset, extracted once: by `extract_parts`,
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import pack, unpack, write_atomic
+from . import artifact
 from .classifiers import (KINDS, TrainedClassifier, fit_gbt, fit_gnb, fit_knn, fit_rf,
                           fit_svm, predict)
 from .data import LabeledImageSet
@@ -177,53 +178,32 @@ def save_target_split(split: TargetSplit, path) -> None:
     for name in names:
         arrays[f"{name}:train"] = split.train_parts[name].data
         arrays[f"{name}:test"] = split.test_parts[name].data
-    header = {"class_names": list(split.test.class_names),
-              "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()]}
-    write_atomic(path, pack(TARGET_MAGIC, header, list(arrays.values())))
+    artifact.save(path, TARGET_MAGIC, {"class_names": list(split.test.class_names)}, arrays)
 
 
 def load_target_split(path, names: tuple[str, ...]) -> TargetSplit:
     """The saved split of the named base models; IntegrityError for a header
-    without class names, a file without one of its arrays, labels that are
-    not (rows,) class indices, test images not (rows, h, w, c), an accuracy
-    per model not (models,), or a model's train and test parts not (rows, d)
-    with one d."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    header, values = unpack(blob, TARGET_MAGIC, "target split")
-    try:
-        class_names = header["class_names"]
-        arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
-    except (KeyError, TypeError) as exc:
-        raise IntegrityError(f"unreadable target split header: {exc!r}") from exc
+    without class names, arrays that are not labels (rows,), test images
+    (rows, h, w, c), an accuracy per model (models,) and each model's train
+    and test parts (rows, d) with one d, or labels that are not class
+    indices."""
+    header, arrays = artifact.load(path, TARGET_MAGIC, "target split")
+    class_names = header.get("class_names")
     if (not isinstance(class_names, list) or not class_names
             or not all(isinstance(c, str) for c in class_names)):
         raise IntegrityError("target split class names must be a list of strings")
-    wanted = ["labels:train", "labels:test", "images:test", "accuracy",
-              *(f"{name}:{side}" for name in names for side in ("train", "test"))]
-    missing = [name for name in wanted if name not in arrays]
-    if missing:
-        raise IntegrityError(f"target split file has no {missing[0]}")
-    rows = {side: arrays[f"labels:{side}"].shape for side in ("train", "test")}
-    images = arrays["images:test"]
-
-    def parts_ok(name):
-        train, test = arrays[f"{name}:train"], arrays[f"{name}:test"]
-        return (train.ndim == test.ndim == 2 and train.shape[1] == test.shape[1]
-                and train.shape[:1] == rows["train"] and test.shape[:1] == rows["test"])
-
-    if (any(len(shape) != 1 for shape in rows.values())
-            or images.ndim != 4 or images.shape[:1] != rows["test"]
-            or arrays["accuracy"].shape != (len(names),) or not all(map(parts_ok, names))):
-        raise IntegrityError("target split arrays must be labels (rows,), test images "
-                             "(rows, h, w, c), accuracy (models,), and each model's "
-                             "parts (rows, d)")
-    labels = {side: arrays[f"labels:{side}"] for side in rows}
+    shapes = {"labels:train": ("train rows",), "labels:test": ("test rows",),
+              "images:test": ("test rows", "h", "w", "c"), "accuracy": ("models",)}
+    for name in names:
+        shapes[f"{name}:train"] = ("train rows", f"{name}:d")
+        shapes[f"{name}:test"] = ("test rows", f"{name}:d")
+    artifact.check_shapes("target split", arrays, shapes, {"models": len(names)})
+    labels = {side: arrays[f"labels:{side}"] for side in ("train", "test")}
     if not all(np.isin(y, np.arange(len(class_names))).all() for y in labels.values()):
         raise IntegrityError(f"target split labels must be whole numbers below "
                              f"{len(class_names)}")
     return TargetSplit(
-        LabeledImageSet(images, labels["test"], class_names),
+        LabeledImageSet(arrays["images:test"], labels["test"], class_names),
         {name: FeatureMatrix(arrays[f"{name}:train"], labels["train"]) for name in names},
         {name: FeatureMatrix(arrays[f"{name}:test"], labels["test"]) for name in names},
         {name: float(acc) for name, acc in zip(names, arrays["accuracy"])})

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import pack, unpack, write_atomic
+from . import artifact
 from .errors import EnfuseError, IntegrityError
 from .features import FeatureMatrix
 from .linalg import eigh_symmetric, standardize, whiten
@@ -179,31 +179,19 @@ def save_transform(t: FusionTransform, path) -> None:
     arrays = {"mean": t.mean, "std": t.std, "components": t.components}
     if t.explained_variance_ratio is not None:
         arrays["evr"] = np.asarray(t.explained_variance_ratio)
-    header = {
-        "kind": t.kind,
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in sorted(arrays.items())],
-    }
-    write_atomic(path, pack(TRANSFORM_MAGIC, header,
-                            [a for _, a in sorted(arrays.items())]))
+    artifact.save(path, TRANSFORM_MAGIC, {"kind": t.kind}, dict(sorted(arrays.items())))
 
 
 def load_transform(path) -> FusionTransform:
-    """The saved transform; IntegrityError for a file without its kind or
-    one of its arrays, or with `components` not (d, k), `mean` or `std` not
-    (d,), or `evr` not (k,)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    header, values = unpack(blob, TRANSFORM_MAGIC, "transform")
-    try:
-        arrays = {rec["name"]: arr for rec, arr in zip(header["arrays"], values)}
-        t = FusionTransform(header["kind"], arrays["mean"], arrays["std"],
-                            arrays["components"], explained_variance_ratio=arrays.get("evr"))
-    except (KeyError, TypeError) as exc:
-        raise IntegrityError(f"unreadable transform file: {exc!r}") from exc
-    evr = t.explained_variance_ratio
-    if (t.components.ndim != 2 or t.mean.shape != t.components.shape[:1]
-            or t.std.shape != t.mean.shape
-            or evr is not None and evr.shape != t.components.shape[1:]):
-        raise IntegrityError("transform arrays must be components (d, k), mean and std "
-                             "(d,), and evr (k,)")
-    return t
+    """The saved transform; IntegrityError for a header without its kind, or
+    arrays that are not `components` (d, k), `mean` and `std` (d,) and, where
+    present, `evr` (k,)."""
+    header, arrays = artifact.load(path, TRANSFORM_MAGIC, "transform")
+    if "kind" not in header:
+        raise IntegrityError("transform header has no kind")
+    shapes = {"components": ("d", "k"), "mean": ("d",), "std": ("d",)}
+    if "evr" in arrays:
+        shapes["evr"] = ("k",)
+    artifact.check_shapes("transform", arrays, shapes, {})
+    return FusionTransform(header["kind"], arrays["mean"], arrays["std"], arrays["components"],
+                           explained_variance_ratio=arrays.get("evr"))

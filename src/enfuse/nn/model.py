@@ -133,7 +133,7 @@ class EncoderModel:
 
     # -- persistence -------------------------------------------------------
 
-    def save_bytes(self) -> bytes:
+    def save(self, path):
         header = {
             "backbone": [l.descriptor() for l in self.backbone],
             "head": [l.descriptor() for l in self.head],
@@ -147,16 +147,14 @@ class EncoderModel:
             ],
         }
         arrays = [arr for layer in self.layers for _, arr in sorted(layer.params.items())]
-        return pack(MODEL_MAGIC, header, arrays)
-
-    def save(self, path):
-        write_atomic(path, self.save_bytes())
+        write_atomic(path, pack(MODEL_MAGIC, header, arrays))
 
     @classmethod
-    def load_bytes(cls, blob: bytes) -> "EncoderModel":
-        """The model a `save_bytes` blob holds; IntegrityError for any fault
-        in the file, framing or header."""
-        header, arrays = unpack(blob, MODEL_MAGIC, "model")
+    def load(cls, path) -> "EncoderModel":
+        """The model a `save`d file holds; IntegrityError for any fault in
+        its framing or header, such as two array records of one parameter."""
+        with open(path, "rb") as f:
+            header, arrays = unpack(f.read(), MODEL_MAGIC, "model")
         try:
             model = cls([layer_from_descriptor(d) for d in header["backbone"]],
                         [layer_from_descriptor(d) for d in header["head"]])
@@ -176,6 +174,8 @@ class EncoderModel:
                 raise IntegrityError(f"array record ({i!r}, {name!r}) names no layer parameter")
             if name not in layers[i].params or layers[i].params[name].shape != arr.shape:
                 raise IntegrityError(f"shape chain mismatch at layer {i}.{name}")
+            if (i, name) in loaded:
+                raise IntegrityError(f"model file gives layer {i}.{name} twice")
             layers[i].params[name] = arr
             loaded.add((i, name))
         # the layers were built with unset weights: every one must come from the file
@@ -187,8 +187,3 @@ class EncoderModel:
         for layer, flag in zip(layers, trainable):
             layer.trainable = flag
         return model
-
-    @classmethod
-    def load(cls, path) -> "EncoderModel":
-        with open(path, "rb") as f:
-            return cls.load_bytes(f.read())

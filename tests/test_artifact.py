@@ -1,5 +1,7 @@
+import ast
 import math
 import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -71,18 +73,38 @@ def test_container_roundtrip_and_damage(kind, tmp_path):
     blob = first.read_bytes()
     assert second.read_bytes() == blob
 
+    magic = blob[:8]
+    header, arrays = artifact.unpack(blob, magic, kind)
+    header["arrays"].append(header["arrays"][0])  # a later record would replace the first
     damage = {
         "bad magic": b"NOTMAGIC" + blob[8:],
         "no header length": blob[:10],
         "header cut short": blob[:20],
         "array data cut short": blob[:-8],
         "trailing bytes": blob + b"\x00" * 8,
+        "repeated array": artifact.pack(magic, header, arrays + arrays[:1]),
     }
     for what, bad in damage.items():
         damaged.write_bytes(bad)
         with pytest.raises(IntegrityError):
             load(damaged)
             pytest.fail(f"{kind}: {what} was accepted")
+
+
+def test_only_the_container_and_the_encoder_weights_frame_bytes():
+    """Under src/, only `artifact` and the encoder weights' loader, which
+    names arrays by (layer, name), reference `pack` or `unpack`: every other
+    artifact type goes through `save`, `load` and `check_shapes`."""
+    root = Path(artifact.__file__).parent
+    framing = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in ("pack", "unpack"):
+                framing.add(path.relative_to(root).as_posix())
+    assert framing == {"artifact.py", "nn/model.py"}
 
 
 def test_target_split_roundtrip_keeps_every_value(tmp_path):

@@ -494,15 +494,16 @@ class TestForwardCaches:
         with pytest.raises(EnfuseError, match=type(layer).__name__):
             layer.backward(dout)
 
-    def test_grad_cam_after_extraction_matches_fresh_load(self):
+    def test_grad_cam_after_extraction_matches_fresh_load(self, tmp_path):
         model = variant_c_model(0)
         trained_forward(model)
-        blob = model.save_bytes()
-        used = EncoderModel.load_bytes(blob)
+        path = tmp_path / "m.bin"
+        model.save(path)
+        used = EncoderModel.load(path)
         extract_features(used, target_set())
         image = target_set().images[2]
         for cls in range(3):
-            want = grad_cam(EncoderModel.load_bytes(blob), image, cls)
+            want = grad_cam(EncoderModel.load(path), image, cls)
             assert np.array_equal(grad_cam(used, image, cls), want)
 
 
@@ -666,31 +667,35 @@ class TestModelPersistence:
         assert np.array_equal(model.forward(x), loaded.forward(x))
         assert loaded.backbone[0].trainable is False
 
-    def test_feature_dim_must_match_last_conv(self):
+    def test_feature_dim_must_match_last_conv(self, tmp_path):
         from enfuse.artifact import pack, unpack
         from enfuse.errors import IntegrityError
         from enfuse.nn.model import MODEL_MAGIC
         rng = np.random.default_rng(31)
-        blob = EncoderModel([Conv2d(3, 4, 3, rng=rng), ReLU()]).save_bytes()
-        header, arrays = unpack(blob, MODEL_MAGIC, "model")
+        path = tmp_path / "m.bin"
+        EncoderModel([Conv2d(3, 4, 3, rng=rng), ReLU()]).save(path)
+        header, arrays = unpack(path.read_bytes(), MODEL_MAGIC, "model")
         assert header["feature_dim"] == 4
         header["feature_dim"] = 5
+        path.write_bytes(pack(MODEL_MAGIC, header, arrays))
         with pytest.raises(IntegrityError, match="feature_dim"):
-            EncoderModel.load_bytes(pack(MODEL_MAGIC, header, arrays))
+            EncoderModel.load(path)
 
-    def test_every_weight_must_be_in_the_file(self):
+    def test_every_weight_must_be_in_the_file(self, tmp_path):
         """Loaded layers start with unset weights, so a file that lacks one
         is rejected rather than loaded with whatever the array held."""
         from enfuse.artifact import pack, unpack
         from enfuse.errors import IntegrityError
         from enfuse.nn.model import MODEL_MAGIC
         rng = np.random.default_rng(31)
-        blob = EncoderModel([Conv2d(3, 4, 3, rng=rng), ReLU()], make_head(4, 3, rng)).save_bytes()
-        header, arrays = unpack(blob, MODEL_MAGIC, "model")
+        path = tmp_path / "m.bin"
+        EncoderModel([Conv2d(3, 4, 3, rng=rng), ReLU()], make_head(4, 3, rng)).save(path)
+        header, arrays = unpack(path.read_bytes(), MODEL_MAGIC, "model")
         for drop in range(len(arrays)):
             kept = dict(header, arrays=header["arrays"][:drop] + header["arrays"][drop + 1:])
+            path.write_bytes(pack(MODEL_MAGIC, kept, arrays[:drop] + arrays[drop + 1:]))
             with pytest.raises(IntegrityError, match="lacks"):
-                EncoderModel.load_bytes(pack(MODEL_MAGIC, kept, arrays[:drop] + arrays[drop + 1:]))
+                EncoderModel.load(path)
 
     # each edits a saved model's header so that the file no longer describes a model
     HEADER_FAULTS = {
@@ -704,18 +709,20 @@ class TestModelPersistence:
     }
 
     @pytest.mark.parametrize("fault", sorted(HEADER_FAULTS))
-    def test_malformed_header_rejected(self, fault):
+    def test_malformed_header_rejected(self, fault, tmp_path):
         """A malformed header is an integrity error, not a KeyError or an
         IndexError, and never loads."""
         from enfuse.artifact import pack, unpack
         from enfuse.errors import IntegrityError
         from enfuse.nn.model import MODEL_MAGIC
         rng = np.random.default_rng(31)
-        blob = EncoderModel([Conv2d(3, 4, 3, rng=rng), ReLU()], make_head(4, 3, rng)).save_bytes()
-        header, arrays = unpack(blob, MODEL_MAGIC, "model")
+        path = tmp_path / "m.bin"
+        EncoderModel([Conv2d(3, 4, 3, rng=rng), ReLU()], make_head(4, 3, rng)).save(path)
+        header, arrays = unpack(path.read_bytes(), MODEL_MAGIC, "model")
         self.HEADER_FAULTS[fault](header)
+        path.write_bytes(pack(MODEL_MAGIC, header, arrays))
         with pytest.raises(IntegrityError):
-            EncoderModel.load_bytes(pack(MODEL_MAGIC, header, arrays))
+            EncoderModel.load(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.bin"

@@ -98,7 +98,7 @@ def test_every_library_name_is_reached_outside_tests():
 # Defaulted parameters that no call in src/ or perfbench/ passes by name, each
 # with the reason it stays.
 UNPASSED_ALLOWED = {
-    "EncoderModel.__init__ head": "EncoderModel.load_bytes calls it as `cls(backbone, head)`",
+    "EncoderModel.__init__ head": "EncoderModel.load calls it as `cls(backbone, head)`",
 }
 
 

@@ -13,7 +13,8 @@ inputs no longer hold; the files only the replaced or dropped records listed
 are then deleted. Explain runs on every call and adds to its record while its
 inputs hold.
 
-Exit codes: 0 success, 2 config error, 3 stage failure or a required stage
+Exit codes: 0 success, 2 config error (at load, or in the `RULES` of a stage the
+command runs, `--instance` included), 3 stage failure or a required stage
 missing or stale ("run it first", from the most upstream stage of its chain
 that must rerun), 4 integrity failure (a damaged file of a stage whose inputs
 hold, or a manifest that is unreadable or lists a path outside `--out`).
@@ -29,6 +30,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -102,8 +104,7 @@ TARGET_FILE = "target.bin"  # finetune's TargetSplit, which the later stages rea
 # interval for a number, "[" and "]" including the end point, "(" and ")"
 # excluding it; a tuple of choices for a string; None for any string.
 # `load_config` checks every value against it. Every count and size has a
-# finite top, so the split checks after it count in NumPy integers without
-# overflow.
+# finite top, so the stages' `RULES` count in NumPy integers without overflow.
 SETTINGS: dict[str, dict[str, tuple[object, str | tuple[str, ...] | None]]] = {
     "task": {
         "name": ("synthetic-ladder", None),  # one directory name: load_config checks it
@@ -171,10 +172,8 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
     Unknown sections or keys, values that `SETTINGS` does not allow (a
     number outside its interval, a fusion method or OOD task kind not among
     its choices), a task name that is not one directory name, an even blur
-    kernel, an image size that a stack cannot pool, a train split with a
-    class of fewer than 2 rows, a target test split of fewer than
-    `TSNE_MIN_ROWS` rows, and a `[fusion] k` that a fit of the ensemble or
-    of ablate could not keep are rejected here, before any stage runs.
+    kernel and an image size that a stack cannot pool are rejected here. The
+    rules across values belong to the stages whose work needs them: `RULES`.
     """
     config = {section: {key: default for key, (default, _) in keys.items()}
               for section, keys in SETTINGS.items()}
@@ -215,15 +214,11 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
     if config["pretrain"]["augment_blur_kernel"] % 2 == 0:
         raise ConfigError(f"[pretrain] augment_blur_kernel: "
                           f"{config['pretrain']['augment_blur_kernel']} is not odd")
-    # the checks read only layer shapes, so the layers draw no weights
-    encoders = {variant: EncoderModel(build_backbone(variant, None)) for variant in VARIANTS}
-    _check_image_size(config, encoders)
-    _check_split_sizes(config)
-    _check_fusion_k(config, encoders)
+    _check_image_size(config)
     return config
 
 
-def _check_image_size(config: dict, encoders: dict[str, EncoderModel]) -> None:
+def _check_image_size(config: dict) -> None:
     """Every MaxPool2d halves the maps and needs even sides, so the image
     side must divide by 2 ** (the most pools on any stack pretrain builds).
 
@@ -235,7 +230,9 @@ def _check_image_size(config: dict, encoders: dict[str, EncoderModel]) -> None:
     def pools(layers):
         return sum(isinstance(layer, MaxPool2d) for layer in layers)
 
-    factor = 2 ** (max(pools(m.backbone) for m in encoders.values()) + max(map(pools, heads)))
+    # the stacks describe only layer shapes, so they draw no weights
+    backbones = [build_backbone(variant, None) for variant in VARIANTS]
+    factor = 2 ** (max(map(pools, backbones)) + max(map(pools, heads)))
     size = config["data"]["image_size"]
     if size % factor:
         raise ConfigError(f"[data] image_size: {size} is not a multiple of {factor}, "
@@ -249,50 +246,47 @@ def _train_counts(config: dict, per_class: int, kind: str) -> np.ndarray:
     return stratified_train_counts(counts, config["data"]["split_fraction"])
 
 
-def _check_split_sizes(config: dict) -> None:
-    """Every class of the target and oodtest train splits keeps >= 2 rows,
-    and the target test split keeps `TSNE_MIN_ROWS`.
+def _check_train_split(config: dict, section: str, key: str, kind: str) -> None:
+    """Every class of the train split keeps 2 rows. GNB needs 2 rows a class;
+    KNN and RF, 3 in all, which 2 classes of 2 give; SVM and GBT, 2 classes."""
+    per_class = config[section][key]
+    smallest = int(_train_counts(config, per_class, kind).min())
+    if smallest < 2:
+        raise ConfigError(f"[{section}] {key}: {per_class} per class at split_fraction "
+                          f"{config['data']['split_fraction']!r} leaves a class "
+                          f"{smallest} train row(s); the classifiers need 2")
 
-    This is the only check of the classifiers' and t-SNE's row needs: the
-    library does not check them again. GNB needs 2 rows a class; KNN and RF,
-    3 in all, which 2 classes of 2 give; SVM and GBT, 2 classes.
-    `explain --what tsne` embeds the target test split.
-    """
-    for section, key, kind in (("data", "target_per_class", TARGET_KIND),
-                               ("oodtest", "per_class", config["oodtest"]["kind"])):
-        per_class = config[section][key]
-        smallest = int(_train_counts(config, per_class, kind).min())
-        if smallest < 2:
-            raise ConfigError(f"[{section}] {key}: {per_class} per class at split_fraction "
-                              f"{config['data']['split_fraction']!r} leaves a class "
-                              f"{smallest} train row(s); the classifiers need 2")
+
+def _check_test_rows(config: dict, args: argparse.Namespace) -> None:
+    """The target test split holds what explain reads: `TSNE_MIN_ROWS` rows
+    for t-SNE, row `--instance` for Grad-CAM and SHAP."""
     per_class = config["data"]["target_per_class"]
     train = _train_counts(config, per_class, TARGET_KIND)
-    test_rows = per_class * len(train) - int(train.sum())
-    if test_rows < TSNE_MIN_ROWS:
+    rows = per_class * len(train) - int(train.sum())
+    if args.what == "tsne" and rows < TSNE_MIN_ROWS:
         raise ConfigError(f"[data] target_per_class: {per_class} per class at split_fraction "
-                          f"{config['data']['split_fraction']!r} leaves {test_rows} "
-                          f"target test row(s); explain --what tsne needs {TSNE_MIN_ROWS}")
+                          f"{config['data']['split_fraction']!r} leaves {rows} target "
+                          f"test row(s); explain --what tsne needs {TSNE_MIN_ROWS}")
+    if args.what != "tsne" and not 0 <= args.instance < rows:
+        raise ConfigError(f"--instance {args.instance}: the target test split has rows 0 "
+                          f"to {rows - 1}")
 
 
-def _check_fusion_k(config: dict, encoders: dict[str, EncoderModel]) -> None:
-    """PCA and ICA keep k components: k <= min(rows - 1, columns) on every fit.
-
-    The rows are the target train split's. The narrowest fit is ablate's
-    refit without the widest encoder. oodtest fits its ensembles with the
-    automatic k, so only its split size is checked, by `_check_split_sizes`.
-    """
+def _check_fusion_k(config: dict, without_widest: bool) -> None:
+    """PCA and ICA keep k <= min(rows - 1, columns) components: the target
+    train split's rows, and the six encoders' feature columns, less the
+    widest encoder's on ablate's narrowest refit."""
     k = config["fusion"]["k"]
     if k == 0 or config["fusion"]["method"] not in ("concat+pca", "concat+ica"):
         return
     rows = int(_train_counts(config, config["data"]["target_per_class"], TARGET_KIND).sum())
-    widths = [encoders[name.split("_")[1]].feature_dim for name in BASE_MODEL_NAMES]
-    columns = sum(widths) - max(widths)
+    widths = 2 * [EncoderModel(build_backbone(v, None)).feature_dim for v in VARIANTS]  # TL, SSL
+    columns = sum(widths) - (max(widths) if without_widest else 0)
+    fit = "ablate keeps without the widest encoder" if without_widest else "ensemble fuses"
     if k > min(rows - 1, columns):
-        raise ConfigError(f"[fusion] k: {k} is more than the {rows} target train rows "
-                          f"less one or the {columns} feature columns ablate keeps "
-                          f"without the widest encoder; lower k or set it to 0 "
-                          f"(automatic)")
+        raise ConfigError(f"[fusion] k: {k} is more than the {rows} target train rows less "
+                          f"one or the {columns} feature columns {fit}; lower k or set it "
+                          f"to 0 (automatic)")
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +477,16 @@ EXPLAIN_REQUIRES = {
     "shap": ("ensemble", "finetune"),
     "tsne": ("ensemble", "finetune"),
 }
+ALL = ("pretrain", "finetune", "ensemble", "ablate")  # the stages `enfuse all` runs
+# stage, or explain's --what -> the check of the config and command line its work
+# needs; `run` applies those of the stages a command runs, before the first starts
+RULES: dict[str, Callable[[dict, argparse.Namespace], None]] = {
+    "finetune": lambda c, _: _check_train_split(c, "data", "target_per_class", TARGET_KIND),
+    "ensemble": lambda c, _: _check_fusion_k(c, without_widest=False),
+    "ablate": lambda c, _: _check_fusion_k(c, without_widest=True),
+    "oodtest": lambda c, _: _check_train_split(c, "oodtest", "per_class", c["oodtest"]["kind"]),
+    **dict.fromkeys(EXPLAIN_REQUIRES, _check_test_rows),
+}
 # stage -> the files in its directory that later stages read
 _WEIGHTS = tuple(f"{name}.weights" for name in BASE_MODEL_NAMES)
 SUCCESSOR_FILES: dict[str, tuple[str, ...]] = {
@@ -504,12 +508,11 @@ class _Reads(dict):
         return value
 
 
-def run_stage(stage: str, config: dict, seed: int, out: Path, manifest: dict,
-              *args, **kwargs) -> None:
+def run_stage(stage: str, config: dict, seed: int, out: Path, manifest: dict, *args) -> None:
     """Require the stage's inputs, skip it if current, run cmd_<stage>, record it.
 
-    `args` and `kwargs` go to the command after (config, seed, out, stage_dir);
-    for explain, whose target they pick, the first of them is --what.
+    `args` go to the command after (config, seed, out, stage_dir): for
+    explain, --what, which picks its required stages, and --instance.
     """
     requires = EXPLAIN_REQUIRES[args[0]] if stage == "explain" else STAGES[stage]
     for needed in requires:
@@ -527,7 +530,7 @@ def run_stage(stage: str, config: dict, seed: int, out: Path, manifest: dict,
     reads: dict[str, object] = {}
     tracked = {section: _Reads(section, values, reads) for section, values in config.items()}
     command = globals()[f"cmd_{stage}"]  # looked up per call, so wrappers apply
-    files = command(tracked, seed, out, _task_dir(out, tracked, stage), *args, **kwargs)
+    files = command(tracked, seed, out, _task_dir(out, tracked, stage), *args)
     inputs = {"seed": seed, "config": reads,
               "stages": {needed: _files_digest(manifest, needed) for needed in requires}}
     record_stage(out, manifest, config, stage, inputs, files, extend)
@@ -676,8 +679,6 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
     split = _load_split(out, config)
     test = split.test
     exp = config["explain"]
-    if what != "tsne" and not 0 <= instance < len(test):
-        raise EnfuseError(f"instance {instance} out of range")
     outputs: dict[Path, bytes] = {}
     if what == "gradcam":
         image = test.images[instance]
@@ -871,15 +872,14 @@ def run(argv: list[str] | None = None) -> int:
             return 3
         try:
             config = load_config(args.config)
+            plan = ALL if args.command == "all" else (args.command,)
+            for stage in plan:
+                RULES.get(args.what if stage == "explain" else stage, lambda *_: None)(
+                    config, args)
             manifest = load_manifest(out)
-            if args.command == "all":
-                for stage in ("pretrain", "finetune", "ensemble", "ablate"):
-                    run_stage(stage, config, args.seed, out, manifest)
-            elif args.command == "explain":
-                run_stage("explain", config, args.seed, out, manifest,
-                          args.what, args.instance)
-            else:
-                run_stage(args.command, config, args.seed, out, manifest)
+            for stage in plan:
+                run_stage(stage, config, args.seed, out, manifest,
+                          *((args.what, args.instance) if stage == "explain" else ()))
             return 0
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)

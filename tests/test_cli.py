@@ -59,15 +59,15 @@ tsne_iters = 60
 shap_samples = 64
 """
 
-# the lowest value load_config accepts for each count, size and rate that a
-# stage's work scales with; the finetune batch is past the train split, which
-# train_supervised clamps
+# the lowest value load_config and the stages' RULES accept for each count,
+# size and rate that a stage's work scales with; the finetune batch is past the
+# train split, which train_supervised clamps
 LOWEST_CONFIG = """\
 [data]
 image_size = 16
 generic_per_class = 2
 intermediate_per_class = 2
-target_per_class = 6
+target_per_class = 3
 generic_noise = 0
 intermediate_noise = 0
 target_noise = 0
@@ -152,10 +152,6 @@ def numeric_setting(draw, inside):
                 value |= 1
             elif key == "image_size":  # must also be a multiple of 16
                 value -= value % 16
-            elif key == "target_per_class":  # 5 a class leave 3 test rows; t-SNE needs 4
-                value = max(value, 6)
-            elif key == "per_class":  # 2 a class leave 1 train row
-                value = max(value, 3)
         else:
             value = draw(st.integers(max_value=lo - 1)
                          | (st.nothing() if hi is None else st.integers(min_value=hi + 1)))
@@ -164,8 +160,6 @@ def numeric_setting(draw, inside):
         hi = math.nextafter(hi, -math.inf) if open_hi else hi
         if inside:
             value = draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
-            if key == "split_fraction":  # the default 20 a class keep 2 train rows
-                value = min(max(value, 0.1), 0.9)  # and 4 test rows
         else:
             value = draw(st.floats(max_value=math.nextafter(lo, -math.inf))
                          | st.floats(min_value=math.nextafter(hi, math.inf)))
@@ -191,17 +185,19 @@ def oodtest_split(config, seed=0):
     return stratified_split(dataset, config["data"]["split_fraction"], seed + 6)
 
 
-def smallest_train_class(config) -> int:
-    """The fewest rows of one class in the target or the oodtest train split."""
-    return min(int(split[0].class_counts().min())
-               for split in (target_split(config, seed=0), oodtest_split(config)))
+def explain_args(what: str, instance: int = 0):
+    """The parsed command line of `enfuse explain --what <what>`, as RULES reads it."""
+    return cli.build_parser().parse_args(["explain", "--what", what,
+                                          "--instance", str(instance)])
 
 
-def splits_fit(config) -> bool:
-    """Every train class keeps the classifiers' 2 rows and the target test
-    split keeps the rows `explain --what tsne` embeds."""
-    return (smallest_train_class(config) >= 2
-            and len(target_split(config, seed=0)[1]) >= TSNE_MIN_ROWS)
+def rule_holds(key: str, config, args=None) -> bool:
+    """True when `cli.RULES[key]` accepts the config; a rejection is a ConfigError."""
+    try:
+        cli.RULES[key](config, args)
+    except ConfigError:
+        return False
+    return True
 
 
 class TestConfig:
@@ -257,10 +253,7 @@ class TestConfig:
     @given(setting=numeric_setting(inside=True), comment=st.sampled_from(["", " # why", "#x"]))
     def test_value_inside_bounds_parses(self, cfg_file, setting, comment):
         section, key, value = setting
-        # one key at a time: the cross-key check of [fusion] k against the
-        # target split's rows is switched off (k = 0, or a method without k)
-        k_off = "method = concat-only" if (section, key) == ("fusion", "k") else "k = 0"
-        cfg_file.write_text(f"[fusion]\n{k_off}\n[{section}]\n{key} = {value!r}{comment}\n")
+        cfg_file.write_text(f"[{section}]\n{key} = {value!r}{comment}\n")
         assert load_config(str(cfg_file))[section][key] == value
 
     @settings(max_examples=60, deadline=None)
@@ -268,21 +261,32 @@ class TestConfig:
            offset=st.integers(-3, 3), method=st.sampled_from(["concat+ica", "concat+pca"]))
     def test_fusion_k_checked_against_the_actual_split(self, cfg_file, per_class,
                                                       fraction, offset, method):
-        config = with_data(target_per_class=per_class, split_fraction=fraction)
-        rows = len(target_split(config, seed=0)[0])
+        """ensemble's and ablate's rule; load_config takes any k in its interval."""
+        rows = len(target_split(with_data(target_per_class=per_class, split_fraction=fraction),
+                                seed=0)[0])
         k = rows - 1 + offset  # the largest k that fits, plus offset
         assume(k >= 1)
         cfg_file.write_text(f"[data]\ntarget_per_class = {per_class}\n"
                             f"split_fraction = {fraction!r}\n"
                             f"[fusion]\nmethod = {method}\nk = {k}\n")
-        if not splits_fit(config):  # checked before k
-            with pytest.raises(ConfigError, match="per_class"):
-                load_config(str(cfg_file))
-        elif offset <= 0:
-            assert load_config(str(cfg_file))["fusion"]["k"] == k
-        else:
-            with pytest.raises(ConfigError, match=r"\[fusion\] k"):
-                load_config(str(cfg_file))
+        config = load_config(str(cfg_file))
+        assert config["fusion"]["k"] == k
+        for stage in ("ensemble", "ablate"):  # rows < 96 here: both bound k by the rows
+            if offset <= 0:
+                cli.RULES[stage](config, None)
+            else:
+                with pytest.raises(ConfigError, match=r"\[fusion\] k"):
+                    cli.RULES[stage](config, None)
+
+    def test_ablate_bounds_k_by_the_columns_without_the_widest_encoder(self, tmp_path):
+        """144 train rows: ensemble fuses 120 columns, ablate's narrowest refit 96."""
+        cfg = tmp_path / "c.cfg"
+        for k, ensemble_fits, ablate_fits in ((96, True, True), (97, True, False),
+                                              (120, True, False), (121, False, False)):
+            cfg.write_text(f"[data]\ntarget_per_class = 60\n[fusion]\nk = {k}\n")
+            config = load_config(str(cfg))
+            assert rule_holds("ensemble", config) == ensemble_fits, k
+            assert rule_holds("ablate", config) == ablate_fits, k
 
     @pytest.mark.parametrize("text", [  # the smallest split sizes accepted
         "[data]\ntarget_per_class = 6\n[fusion]\nk = 0\n",
@@ -293,7 +297,9 @@ class TestConfig:
     def test_fusion_k_not_checked_where_unused(self, tmp_path, text):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
-        load_config(str(cfg))
+        config = load_config(str(cfg))
+        for stage in ("ensemble", "ablate", "oodtest"):
+            cli.RULES[stage](config, None)
 
     @settings(max_examples=150, deadline=None)
     @given(setting=numeric_setting(inside=False), comment=st.sampled_from(["", " # why", "#x"]))
@@ -332,23 +338,38 @@ class TestConfig:
            fraction=st.floats(0.05, 0.95), kind=st.sampled_from(sorted(TASK_MOTIFS)))
     def test_split_sizes_accepted_exactly_when_the_classifiers_and_tsne_fit(
             self, cfg_file, target, ood, fraction, kind):
-        config = with_data(target_per_class=target, split_fraction=fraction)
-        config["oodtest"].update(per_class=ood, kind=kind)
+        """finetune's and oodtest's rules hold exactly when each class of their
+        train split, as drawn, keeps the classifiers' 2 rows; explain --what
+        tsne's, when the target test split keeps the rows t-SNE embeds."""
         cfg_file.write_text(f"[data]\ntarget_per_class = {target}\n"
                             f"split_fraction = {fraction!r}\n[fusion]\nk = 0\n"
                             f"[oodtest]\nper_class = {ood}\nkind = {kind}\n")
-        if splits_fit(config):
-            load_config(str(cfg_file))
-        else:
-            with pytest.raises(ConfigError, match="per_class"):
-                load_config(str(cfg_file))
+        config = load_config(str(cfg_file))
+        (target_train, target_test), (ood_train, _) = (target_split(config, seed=0),
+                                                       oodtest_split(config))
+        assert rule_holds("finetune", config) == (target_train.class_counts().min() >= 2)
+        assert rule_holds("oodtest", config) == (ood_train.class_counts().min() >= 2)
+        assert rule_holds("tsne", config, explain_args("tsne")) == (
+            len(target_test) >= TSNE_MIN_ROWS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(target=st.integers(2, 12), fraction=st.floats(0.05, 0.95),
+           instance=st.integers(-2, 40), what=st.sampled_from(["gradcam", "shap"]))
+    def test_instance_accepted_exactly_when_it_is_a_target_test_row(
+            self, cfg_file, target, fraction, instance, what):
+        cfg_file.write_text(f"[data]\ntarget_per_class = {target}\n"
+                            f"split_fraction = {fraction!r}\n")
+        config = load_config(str(cfg_file))
+        rows = len(target_split(config, seed=0)[1])
+        assert rule_holds(what, config, explain_args(what, instance)) == (0 <= instance < rows)
 
     @pytest.mark.parametrize("method", ["concat+ica", "concat+pca", "concat+lda", "concat-only"])
     def test_smallest_accepted_splits_fit_an_ensemble(self, tmp_path, method):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"[data]\ntarget_per_class = 6\n[oodtest]\nper_class = 3\n"
+        cfg.write_text(f"[data]\ntarget_per_class = 3\n[oodtest]\nper_class = 3\n"
                        f"[fusion]\nmethod = {method}\nk = 0\n")
         config = load_config(str(cfg))
+        assert rule_holds("finetune", config) and rule_holds("oodtest", config)
         rng = np.random.default_rng(0)
         for train, test in (target_split(config, seed=0), oodtest_split(config)):
             parts = [{name: FeatureMatrix(rng.normal(size=(len(split), width)), split.labels)
@@ -424,26 +445,76 @@ class TestAuxCommands:
         assert run(["explain", "--what", "tsne"] + argv) == 0
 
     def test_every_stage_runs_at_the_lowest_accepted_settings(self, tmp_path):
-        """The load-time rules are the only check of what the library needs:
-        each stage runs at the fewest images, epochs and samples they accept."""
+        """The load-time checks and the stages' RULES are the only check of
+        what the library needs: each command runs at the fewest images,
+        epochs and samples they accept, 3 target images a class, and 6 for
+        t-SNE, which embeds 4 target test rows."""
         cfg = tmp_path / "lowest.cfg"
         cfg.write_text(LOWEST_CONFIG)
         argv = ["--config", str(cfg), "--seed", "11", "--out", str(tmp_path / "out")]
         for command in (["all"], ["oodtest"], ["explain", "--what", "shap"],
-                        ["explain", "--what", "tsne"],
-                        ["explain", "--what", "gradcam", "--instance", "3"]):
+                        ["explain", "--what", "gradcam", "--instance", "2"]):
             assert run(command + argv) == 0, command
+        cfg.write_text(LOWEST_CONFIG.replace("target_per_class = 3", "target_per_class = 6"))
+        for command in (["all"], ["explain", "--what", "tsne"]):
+            assert run(command + argv) == 0, command
+
+    @pytest.mark.parametrize("per_class", [3, 4, 5])
+    def test_scarce_target_runs_every_command_but_tsne(self, tmp_path, per_class):
+        """3 to 5 target images a class leave 3 test rows: every command runs
+        but explain --what tsne, which exits 2 and changes nothing."""
+        cfg = tmp_path / "scarce.cfg"
+        cfg.write_text(TINY_CONFIG.replace("target_per_class = 10",
+                                           f"target_per_class = {per_class}")
+                       .replace("k = 8", "k = 0"))
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg), "--seed", "11", "--out", str(out)]
+        for command in (["all"], ["oodtest"], ["explain", "--what", "shap"],
+                        ["explain", "--what", "gradcam", "--instance", "2"]):
+            assert run(command + argv) == 0, command
+        before = tree_bytes(out)
+        assert run(["explain", "--what", "tsne"] + argv) == 2
+        assert tree_bytes(out) == before
+
+    def test_stages_run_at_values_only_other_stages_rule_out(self, tmp_path):
+        """pretrain and synth read neither [fusion] k nor [oodtest] per_class:
+        a value ensemble or oodtest rejects leaves their files as they were."""
+        trees = []
+        for edit in ("", "[fusion]\nk = 500\n", "[oodtest]\nper_class = 2\n"):
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(TINY_CONFIG + edit)
+            out = tmp_path / f"out{len(trees)}"
+            for command in ("pretrain", "synth"):
+                assert run([command, "--config", str(cfg), "--seed", "11",
+                            "--out", str(out)]) == 0, (command, edit)
+            trees.append(tree_bytes(out))
+        assert trees[1] == trees[0] and trees[2] == trees[0]
+
+    def test_finetune_rejects_a_split_with_no_train_rows(self, tmp_path, capsys):
+        """At 2 a class and split_fraction 0.01 no class keeps a train row:
+        pretrain, which reads no target key, runs; finetune exits 2."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY_CONFIG.replace("target_per_class = 10", "target_per_class = 2")
+                       .replace("split_fraction = 0.8", "split_fraction = 0.01"))
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg), "--seed", "11", "--out", str(out)]
+        assert run(["pretrain"] + argv) == 0
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert run(["finetune"] + argv) == 2
+        assert "leaves a class 0 train row(s)" in capsys.readouterr().err
+        assert tree_bytes(out) == before
 
     def test_explain_instance_out_of_range(self, workdir):
         _, argv = workdir
-        assert run(["explain", "--what", "gradcam", "--instance", "999"] + argv) == 3
+        assert run(["explain", "--what", "gradcam", "--instance", "999"] + argv) == 2
 
     def test_failed_explain_creates_no_directory(self, workdir, tmp_path):
         out, argv = workdir
         copy = tmp_path / "copy"
         shutil.copytree(out, copy, ignore=shutil.ignore_patterns("explain"))
         argv = argv[:argv.index("--out")] + ["--out", str(copy)]
-        assert run(["explain", "--what", "gradcam", "--instance", "999"] + argv) == 3
+        assert run(["explain", "--what", "gradcam", "--instance", "999"] + argv) == 2
         assert not (copy / "tiny" / "explain").exists()
 
     def test_failed_rerun_keeps_recorded_file(self, workdir, monkeypatch):
@@ -660,45 +731,77 @@ class TestFailureModes:
         assert run(["pretrain", "--config", str(cfg),
                     "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
 
-    @pytest.mark.parametrize("text", [
-        "[fusion]\nmethod = concat+foo\n",
-        "[pretrain]\nepochs = -3\n",
-        "[pretrain]\ntemperature = 0\n",
-        "[pretrain]\naugment_blur_kernel = 4\n",
-        "[oodtest]\nkind = shapes9\n",
-        "[data]\ntarget_per_class = 6\n",  # 14 train rows for the default k = 16
+    @pytest.mark.parametrize("command, text", [
+        (["all"], "[fusion]\nmethod = concat+foo\n"),
+        (["all"], "[pretrain]\nepochs = -3\n"),
+        (["all"], "[pretrain]\ntemperature = 0\n"),
+        (["all"], "[pretrain]\naugment_blur_kernel = 4\n"),
+        (["all"], "[oodtest]\nkind = shapes9\n"),
+        (["all"], "[data]\ntarget_per_class = 6\n"),  # 14 train rows for the default k = 16
+        (["ensemble"], "[data]\ntarget_per_class = 6\n"),
         # 144 train rows, but ablate without a 24-wide encoder keeps 96 columns
-        "[data]\ntarget_per_class = 60\n[fusion]\nk = 100\n",
-        "[task]\nname =\n",
-        "[task]\nname = .\n",
-        "[task]\nname = ..\n",
-        "[task]\nname = ../escape\n",
-        "[task]\nname = /tmp/escape\n",
-        "[task]\nname = a/b\n",
-        "[data]\nimage_size = 20\n",  # variant C and an SSL head pool four times
-        "[data]\nimage_size = 24\n",
+        (["all"], "[data]\ntarget_per_class = 60\n[fusion]\nk = 100\n"),
+        (["ablate"], "[data]\ntarget_per_class = 60\n[fusion]\nk = 100\n"),
+        (["all"], "[task]\nname =\n"),
+        (["all"], "[task]\nname = .\n"),
+        (["all"], "[task]\nname = ..\n"),
+        (["all"], "[task]\nname = ../escape\n"),
+        (["all"], "[task]\nname = /tmp/escape\n"),
+        (["all"], "[task]\nname = a/b\n"),
+        (["all"], "[data]\nimage_size = 20\n"),  # variant C and an SSL head pool four times
+        (["all"], "[data]\nimage_size = 24\n"),
         # a class of the train split keeps 1 row; GNB needs 2
-        "[data]\ntarget_per_class = 2\n[fusion]\nk = 0\n",
-        "[data]\ntarget_per_class = 10\nsplit_fraction = 0.1\n[fusion]\nk = 0\n",
-        "[oodtest]\nper_class = 2\n",
+        (["all"], "[data]\ntarget_per_class = 2\n[fusion]\nk = 0\n"),
+        (["all"], "[data]\ntarget_per_class = 10\nsplit_fraction = 0.1\n[fusion]\nk = 0\n"),
+        (["oodtest"], "[oodtest]\nper_class = 2\n"),
         # 3 a class leave 3 target test rows; explain --what tsne needs 4
-        "[data]\ntarget_per_class = 3\n[fusion]\nk = 0\n",
-        # past the finite top of their intervals; the split checks would overflow on them
-        f"[data]\ntarget_per_class = {2**64}\n",
-        f"[oodtest]\nper_class = {2**68}\n",
+        (["explain", "--what", "tsne"], "[data]\ntarget_per_class = 3\n[fusion]\nk = 0\n"),
+        # the default 20 a class leave 12 target test rows
+        (["explain", "--what", "gradcam", "--instance", "12"], ""),
+        (["explain", "--what", "shap", "--instance", "-1"], ""),
+        # past the finite top of their intervals; the split rules would overflow on them
+        (["all"], f"[data]\ntarget_per_class = {2**64}\n"),
+        (["all"], f"[oodtest]\nper_class = {2**68}\n"),
     ], ids=["fusion-method", "epochs", "temperature", "blur-kernel-even", "oodtest-kind",
-            "fusion-k-above-train-rows", "fusion-k-above-ablate-columns", "task-empty",
-            "task-dot", "task-dotdot", "task-parent", "task-absolute", "task-nested",
-            "image-size-20", "image-size-24", "target-split-2-per-class",
+            "fusion-k-above-train-rows", "ensemble-fusion-k-above-train-rows",
+            "fusion-k-above-ablate-columns", "ablate-fusion-k-above-ablate-columns",
+            "task-empty", "task-dot", "task-dotdot", "task-parent", "task-absolute",
+            "task-nested", "image-size-20", "image-size-24", "target-split-2-per-class",
             "target-split-fraction-0.1", "oodtest-split-2-per-class",
-            "target-test-split-3-rows",
+            "target-test-split-3-rows", "gradcam-instance-12", "shap-instance-negative",
             "target-per-class-2**64", "oodtest-per-class-2**68"])
-    def test_bad_config_exits_before_any_stage(self, tmp_path, text):
+    def test_bad_config_exits_before_any_stage(self, tmp_path, command, text):
+        """Each command checks the values at load and its own stages' RULES
+        before any of them runs."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         out = tmp_path / "o"
-        assert run(["all", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 2
+        assert run(command + ["--config", str(cfg), "--out", str(out), "--seed", "1"]) == 2
         assert list(out.iterdir()) == []
+
+    def test_every_rule_names_a_stage_and_is_reached_by_its_commands(self, tmp_path,
+                                                                     monkeypatch):
+        """A misspelt key in cli.RULES would drop its rule without a word."""
+        assert set(cli.RULES) <= (set(cli.STAGES) - {"explain"}) | set(cli.EXPLAIN_REQUIRES)
+        reached: list[str] = []
+        monkeypatch.setattr(cli, "RULES", {key: lambda config, args, key=key: reached.append(key)
+                                           for key in cli.RULES})
+
+        def no_stage(out):  # the rules ran; stop before any stage does
+            raise IntegrityError("stop")
+
+        monkeypatch.setattr(cli, "load_manifest", no_stage)
+        by_command = {}
+        for command in [*cli.STAGES, "all"]:
+            for what in cli.EXPLAIN_REQUIRES if command == "explain" else ["gradcam"]:
+                reached.clear()
+                assert run([command, "--what", what, "--out", str(tmp_path / "o")]) == 4
+                by_command[command if command != "explain" else what] = list(reached)
+        assert by_command == {"pretrain": [], "finetune": ["finetune"], "ensemble": ["ensemble"],
+                              "ablate": ["ablate"], "gradcam": ["gradcam"], "shap": ["shap"],
+                              "tsne": ["tsne"], "oodtest": ["oodtest"], "synth": [],
+                              "all": ["finetune", "ensemble", "ablate"]}
+        assert {key for keys in by_command.values() for key in keys} == set(cli.RULES)
 
     def test_changed_seed_rejected(self, workdir, capsys):
         out, argv = workdir

@@ -6,10 +6,9 @@ order the header's "arrays" records list them. Each artifact type has its
 own magic and header fields; the records only need a "shape" entry for the
 framing.
 
-Encoder weights name an array by (layer, name) and call `pack` / `unpack`
-themselves. Every other type (fusion transform, classifier, target split)
+Every type (encoder weights, fusion transform, classifier, target split)
 names its arrays by one string each and goes through `save` / `load`, then
-checks them against its shape table with `check_shapes`.
+checks them against its own shapes.
 """
 
 from __future__ import annotations

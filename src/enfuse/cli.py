@@ -368,10 +368,12 @@ def stage_complete(out: Path, manifest: dict, stage: str, config: dict, seed: in
     if not _inputs_hold(manifest, stage, config, seed):
         return False
     for rel, digest in sorted(manifest["stages"][stage]["files"].items()):
-        path = out / rel
-        if not path.exists():
-            raise IntegrityError(f"stage {stage}: missing output file {rel}")
-        if file_sha256(path) != digest:
+        try:
+            actual = file_sha256(out / rel)
+        except OSError as exc:
+            raise IntegrityError(f"stage {stage}: cannot read output file {rel}: "
+                                 f"{exc.strerror}") from exc
+        if actual != digest:
             raise IntegrityError(f"stage {stage}: hash mismatch for {rel}")
     return True
 
@@ -452,7 +454,7 @@ def _task_dir(out: Path, config: dict, stage: str) -> Path:
 
 
 def _save_weights(model: EncoderModel, stage_dir: Path, name: str) -> Path:
-    path = stage_dir / f"{name}.weights"
+    path = stage_dir / f"{name}.bin"
     model.save(path)
     return path
 
@@ -488,7 +490,7 @@ RULES: dict[str, Callable[[dict, argparse.Namespace], None]] = {
     **dict.fromkeys(EXPLAIN_REQUIRES, _check_test_rows),
 }
 # stage -> the files in its directory that later stages read
-_WEIGHTS = tuple(f"{name}.weights" for name in BASE_MODEL_NAMES)
+_WEIGHTS = tuple(f"{name}.bin" for name in BASE_MODEL_NAMES)
 SUCCESSOR_FILES: dict[str, tuple[str, ...]] = {
     "pretrain": _WEIGHTS,
     "finetune": (*_WEIGHTS, TARGET_FILE),
@@ -575,7 +577,7 @@ def cmd_finetune(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     split = TargetSplit(test, {}, {}, {})
     for i, name in enumerate(BASE_MODEL_NAMES):
         method = name.split("_")[0]
-        model = EncoderModel.load(src_dir / f"{name}.weights")
+        model = EncoderModel.load(src_dir / f"{name}.bin")
         tuner = finetune_target_tl if method == "tl" else finetune_target_ssl
         model = tuner(model, train, epochs=fin["epochs"], batch=fin["batch"],
                       lr=fin["lr"], seed=seed + 40 + i)
@@ -593,7 +595,7 @@ def cmd_finetune(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
 
 def _load_target_models(out: Path, config: dict) -> list[tuple[str, EncoderModel]]:
     stage_dir = _task_dir(out, config, "finetune")
-    return [(name, EncoderModel.load(stage_dir / f"{name}.weights"))
+    return [(name, EncoderModel.load(stage_dir / f"{name}.bin"))
             for name in BASE_MODEL_NAMES]
 
 
@@ -721,7 +723,7 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
     method = config["fusion"]["method"]
     pretrained = _load_target_models(out, config)
     # run_stage has just hashed the finetune files against this record
-    weights = {name: _task_dir(out, config, "finetune") / f"{name}.weights"
+    weights = {name: _task_dir(out, config, "finetune") / f"{name}.bin"
                for name in BASE_MODEL_NAMES}
     recorded = load_manifest(out)["stages"]["finetune"]["files"]
 
@@ -737,7 +739,7 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
     results = {label: scores(test.labels, *fit)["voted"] for label, fit in zip(arms, fits)}
     for name, path in weights.items():
         if file_sha256(path) != recorded[str(path.relative_to(out))]:
-            raise IntegrityError(f"oodtest modified frozen weights {name}.weights")
+            raise IntegrityError(f"oodtest modified frozen weights {name}.bin")
 
     margin = results["pretrained"] - results["random"]
     path = stage_dir / f"oodtest_seed{seed}.csv"

@@ -74,11 +74,10 @@ def fit_ica(x: FeatureMatrix, k: int, *, seed: int) -> FusionTransform:
     """
     scaled, mean, std = standardize(x.data)
     n = len(scaled)
-    rank = np.linalg.matrix_rank(scaled, tol=1e-10)
-    if k > rank:
-        warnings.warn(f"input rank {rank} below requested k={k}; reducing")
-        k = int(rank)
-    xw, wh = whiten(scaled, k)  # (n, k), (k, d)
+    xw, wh = whiten(scaled, k)  # (n, rank), (rank, d): rank <= k
+    if len(wh) < k:
+        warnings.warn(f"input rank {len(wh)} below requested k={k}; reducing")
+        k = len(wh)
     rng = np.random.default_rng(seed)
     unmix = np.zeros((k, k))
     for comp in range(k):

@@ -48,10 +48,11 @@ def standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def whiten(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """PCA-whiten a centered matrix down to k components.
+    """PCA-whiten a centered matrix down to at most k components: those of
+    the top k whose covariance eigenvalue exceeds CONST_COLUMN_EPS.
 
     Returns (whitened, W) with whitened = x @ W.T and the sample covariance
-    of the output equal to I_k.
+    of the output the identity.
     """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
@@ -59,8 +60,8 @@ def whiten(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise EnfuseError(f"k={k} out of range for {n}x{d} input")
     cov = x.T @ x / (n - 1)
     eigenvalues, eigenvectors = eigh_symmetric(cov)
-    lam = eigenvalues[:k]
-    if np.any(lam <= CONST_COLUMN_EPS):
-        raise EnfuseError(f"rank of input below k={k}")
-    w = (eigenvectors[:, :k] / np.sqrt(lam)).T
+    rank = int(np.sum(eigenvalues[:k] > CONST_COLUMN_EPS))  # a prefix: sorted descending
+    if rank == 0:
+        raise EnfuseError("input has rank 0")
+    w = (eigenvectors[:, :rank] / np.sqrt(eigenvalues[:rank])).T
     return x @ w.T, w

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..artifact import pack, unpack, write_atomic
+from .. import artifact
 from ..errors import EnfuseError, IntegrityError
 from .layers import Conv2d, Dropout, Layer, layer_from_descriptor
 
@@ -134,56 +134,46 @@ class EncoderModel:
     # -- persistence -------------------------------------------------------
 
     def save(self, path):
-        header = {
-            "backbone": [l.descriptor() for l in self.backbone],
-            "head": [l.descriptor() for l in self.head],
-            "feature_dim": self.feature_dim,
-            "trainable": [bool(l.trainable) for l in self.layers],
-            "meta": self.meta,
-            "arrays": [
-                {"layer": i, "name": name, "shape": list(arr.shape)}
-                for i, layer in enumerate(self.layers)
-                for name, arr in sorted(layer.params.items())
-            ],
-        }
-        arrays = [arr for layer in self.layers for _, arr in sorted(layer.params.items())]
-        write_atomic(path, pack(MODEL_MAGIC, header, arrays))
+        """Write the layer descriptors and each parameter, named as in
+        `named_parameters`, through the shared artifact container."""
+        header = {"backbone": [l.descriptor() for l in self.backbone],
+                  "head": [l.descriptor() for l in self.head],
+                  "feature_dim": self.feature_dim,
+                  "trainable": [bool(l.trainable) for l in self.layers],
+                  "meta": self.meta}
+        artifact.save(path, MODEL_MAGIC, header, self.named_parameters())
 
     @classmethod
     def load(cls, path) -> "EncoderModel":
-        """The model a `save`d file holds; IntegrityError for any fault in
-        its framing or header, such as two array records of one parameter."""
-        with open(path, "rb") as f:
-            header, arrays = unpack(f.read(), MODEL_MAGIC, "model")
+        """The model a `save`d file holds; IntegrityError for any fault in its
+        framing or header, or arrays that are not exactly the layers'
+        parameters, each of its shape."""
+        header, arrays = artifact.load(path, MODEL_MAGIC, "model")
         try:
             model = cls([layer_from_descriptor(d) for d in header["backbone"]],
                         [layer_from_descriptor(d) for d in header["head"]])
             feature_dim, trainable = header["feature_dim"], header["trainable"]
-            records = [(rec["layer"], rec["name"]) for rec in header["arrays"]]
         except (KeyError, TypeError, ValueError, AttributeError, EnfuseError) as exc:
             raise IntegrityError(f"unreadable model header: {exc!r}") from exc
         if feature_dim != model.feature_dim:
             raise IntegrityError(f"feature_dim {feature_dim} does not match "
                                  f"the last conv's {model.feature_dim} channels")
         model.meta = header.get("meta", {})
-        layers = model.layers
-        n_layers = len(layers)
-        loaded = set()
-        for (i, name), arr in zip(records, arrays):
-            if type(i) is not int or not 0 <= i < n_layers or type(name) is not str:
-                raise IntegrityError(f"array record ({i!r}, {name!r}) names no layer parameter")
-            if name not in layers[i].params or layers[i].params[name].shape != arr.shape:
-                raise IntegrityError(f"shape chain mismatch at layer {i}.{name}")
-            if (i, name) in loaded:
-                raise IntegrityError(f"model file gives layer {i}.{name} twice")
-            layers[i].params[name] = arr
-            loaded.add((i, name))
         # the layers were built with unset weights: every one must come from the file
-        if len(loaded) != sum(len(layer.params) for layer in layers):
-            raise IntegrityError("model file lacks a layer's weights")
-        if (not isinstance(trainable, list) or len(trainable) != n_layers
+        params = model.named_parameters()
+        if params.keys() - arrays.keys():
+            raise IntegrityError(f"model file lacks {sorted(params.keys() - arrays.keys())}")
+        if arrays.keys() - params.keys():
+            raise IntegrityError(f"model file has {sorted(arrays.keys() - params.keys())}, "
+                                 "which no layer has")
+        for name, arr in params.items():
+            if arrays[name].shape != arr.shape:
+                raise IntegrityError(f"shape chain mismatch at layer {name}")
+            arr[...] = arrays[name]
+        layers = model.layers
+        if (not isinstance(trainable, list) or len(trainable) != len(layers)
                 or not set(map(type, trainable)) <= {bool}):
-            raise IntegrityError(f"trainable must hold one bool per layer ({n_layers})")
+            raise IntegrityError(f"trainable must hold one bool per layer ({len(layers)})")
         for layer, flag in zip(layers, trainable):
             layer.trainable = flag
         return model

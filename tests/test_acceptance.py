@@ -311,15 +311,15 @@ def test_criterion_11_freeze_contracts(pipeline):
     task = out / config["task"]["name"]
     violations = []
     for variant in "ABC":
-        pre = EncoderModel.load(task / "pretrain" / f"tl_{variant}.weights")
-        fin = EncoderModel.load(task / "finetune" / f"tl_{variant}.weights")
+        pre = EncoderModel.load(task / "pretrain" / f"tl_{variant}.bin")
+        fin = EncoderModel.load(task / "finetune" / f"tl_{variant}.bin")
         frozen_until = fin.last_conv_index()
         for i in range(frozen_until):
             for pname, arr in pre.backbone[i].params.items():
                 if not np.array_equal(arr, fin.backbone[i].params[pname]):
                     violations.append(f"tl_{variant} layer {i}.{pname}")
-        pre = EncoderModel.load(task / "pretrain" / f"ssl_{variant}.weights")
-        fin = EncoderModel.load(task / "finetune" / f"ssl_{variant}.weights")
+        pre = EncoderModel.load(task / "pretrain" / f"ssl_{variant}.bin")
+        fin = EncoderModel.load(task / "finetune" / f"ssl_{variant}.bin")
         for i in range(len(fin.backbone)):
             for pname, arr in pre.backbone[i].params.items():
                 if not np.array_equal(arr, fin.backbone[i].params[pname]):

@@ -91,20 +91,39 @@ def test_container_roundtrip_and_damage(kind, tmp_path):
             pytest.fail(f"{kind}: {what} was accepted")
 
 
-def test_only_the_container_and_the_encoder_weights_frame_bytes():
-    """Under src/, only `artifact` and the encoder weights' loader, which
-    names arrays by (layer, name), reference `pack` or `unpack`: every other
-    artifact type goes through `save`, `load` and `check_shapes`."""
+def _src_nodes():
+    """(path relative to src/enfuse, AST node) of every node under src/enfuse."""
     root = Path(artifact.__file__).parent
-    framing = set()
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, ast.alias) else None)
-            if name in ("pack", "unpack"):
-                framing.add(path.relative_to(root).as_posix())
-    assert framing == {"artifact.py", "nn/model.py"}
+            yield path.relative_to(root).as_posix(), node
+
+
+def test_only_the_container_frames_bytes():
+    """Under src/, only `artifact` references `pack` or `unpack`: every
+    artifact type goes through `save` and `load`."""
+    framing = set()
+    for path, node in _src_nodes():
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in ("pack", "unpack"):
+            framing.add(path)
+    assert framing == {"artifact.py"}
+
+
+def test_every_artifact_type_is_in_the_damage_table(tmp_path):
+    """Each `*_MAGIC` constant under src/ tags the files of a kind that
+    `test_container_roundtrip_and_damage` saves and damages, so no artifact
+    type skips the container's checks."""
+    magics = {ast.literal_eval(node.value) for _, node in _src_nodes()
+              if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id.endswith("_MAGIC") for t in node.targets)}
+    saved = set()
+    for build, save, _ in KINDS.values():
+        save(build(), tmp_path / "a.bin")
+        saved.add((tmp_path / "a.bin").read_bytes()[:8])
+    assert magics == saved
 
 
 def test_target_split_roundtrip_keeps_every_value(tmp_path):

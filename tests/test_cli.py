@@ -383,7 +383,7 @@ class TestPipelineOutputs:
         out, _ = workdir
         stage = out / "tiny" / "pretrain"
         names = sorted(p.name for p in stage.iterdir())
-        assert names == sorted(f"{m}_{v}.weights" for m in ("tl", "ssl") for v in "ABC")
+        assert names == sorted(f"{m}_{v}.bin" for m in ("tl", "ssl") for v in "ABC")
 
     def test_accuracy_log_rows(self, workdir):
         out, _ = workdir
@@ -663,7 +663,7 @@ class TestAuxCommands:
         monkeypatch.setattr(cli, "file_sha256", counting_hash)
         monkeypatch.setattr(cli, "cmd_oodtest", oodtest)
         assert run(["oodtest", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
-        assert sorted(hashed) == sorted(f"{name}.weights" for name in cli.BASE_MODEL_NAMES)
+        assert sorted(hashed) == sorted(f"{name}.bin" for name in cli.BASE_MODEL_NAMES)
 
     def test_oodtest_weights_changed_during_the_fits_exit_4(self, tiny_all, tmp_path,
                                                              monkeypatch):
@@ -673,7 +673,7 @@ class TestAuxCommands:
         real_fit = cli.fit_arm
 
         def tampering_fit(*args, **kwargs):
-            weights = out / "tiny" / "finetune" / f"{cli.BASE_MODEL_NAMES[-1]}.weights"
+            weights = out / "tiny" / "finetune" / f"{cli.BASE_MODEL_NAMES[-1]}.bin"
             weights.write_bytes(weights.read_bytes() + b"\0")
             return real_fit(*args, **kwargs)
 
@@ -856,7 +856,7 @@ class TestFailureModes:
         {"inputs": [], "files": {}},
         {"inputs": {"seed": 1, "config": [], "stages": {}}, "files": {}},
         {"inputs": {"seed": 1, "config": {}, "stages": []}, "files": {}},
-        {"inputs": {"seed": 1, "config": {}, "stages": {}}, "files": "tl_A.weights"},
+        {"inputs": {"seed": 1, "config": {}, "stages": {}}, "files": "tl_A.bin"},
     ], ids=["no-seed", "inputs-list", "config-list", "stages-list", "files-string"])
     @pytest.mark.parametrize("command", ["finetune", "synth"])
     def test_malformed_manifest_record_exits_4_before_any_stage(self, tmp_path, record, command):
@@ -899,6 +899,48 @@ class TestFailureModes:
         assert run(["all"] + argv) == 0
         assert "finetune" not in skipped_stages(capsys.readouterr().out)
         assert tree_bytes(out) == tree_bytes(pristine)
+
+    def test_tree_with_old_weights_names_reruns_from_pretrain(self, tiny_all, tmp_path,
+                                                               capsys):
+        """A tree written by a version that named the weights `<name>.weights`:
+        its pretrain and finetune records lack the `.bin` files later stages
+        read, so they are stale. Finetune exits 3 naming pretrain, and `all`
+        reruns pretrain, deletes the old files and writes the fresh tree."""
+        pristine, cfg = tiny_all
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        for stage in ("pretrain", "finetune"):
+            files = manifest["stages"][stage]["files"]
+            for name in cli.BASE_MODEL_NAMES:
+                rel = f"tiny/{stage}/{name}.bin"
+                (out / rel).rename(out / rel.replace(".bin", ".weights"))
+                files[rel.replace(".bin", ".weights")] = files.pop(rel)
+        for record in manifest["stages"].values():  # as that version recorded them
+            record["inputs"]["stages"] = {needed: cli._files_digest(manifest, needed)
+                                          for needed in record["inputs"]["stages"]}
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["--config", str(cfg), "--seed", "11", "--out", str(out)]
+        capsys.readouterr()
+        assert run(["finetune"] + argv) == 3
+        assert "stage 'pretrain' has not run" in capsys.readouterr().err
+        assert run(["all"] + argv) == 0
+        assert skipped_stages(capsys.readouterr().out) == set()
+        assert not list(out.rglob("*.weights"))
+        assert tree_bytes(out) == tree_bytes(pristine)
+
+    def test_listed_file_that_cannot_be_read_exits_4(self, tiny_all, tmp_path, capsys):
+        """A record whose inputs hold but which lists a directory: reading it
+        is an integrity error naming the path, not a traceback."""
+        pristine, cfg = tiny_all
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["stages"]["pretrain"]["files"]["tiny/pretrain"] = "0" * 64
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["finetune", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 4
+        assert "cannot read output file tiny/pretrain:" in capsys.readouterr().err
 
     def test_malformed_target_split_exits_4(self, tiny_all, tmp_path):
         """A target.bin whose hash its record holds, but whose labels are not
@@ -985,8 +1027,8 @@ class TestIncremental:
         out = tmp_path / "out"
         shutil.copytree(pristine, out)
         before = set(json.loads((out / "manifest.json").read_text())["stages"])
-        weights = sorted(out.rglob("*.weights"))
-        assert len(weights) == 12
+        weights = [out / "tiny" / stage / f"{name}.bin" for stage in ("pretrain", "finetune")
+                   for name in cli.BASE_MODEL_NAMES]
         assert run(["synth", "--config", str(cfg), "--seed", "12", "--out", str(out)]) == 0
         assert set(json.loads((out / "manifest.json").read_text())["stages"]) == before | {
             "synth"}

@@ -122,6 +122,17 @@ class TestIca:
             t = fit_ica(x, 4, seed=0)
         assert t.components.shape[1] <= 2
 
+    def test_near_duplicate_column_reduces_k(self):
+        """Rank is whitening's: a column that is another plus 1e-8 noise adds
+        no component, so the fit warns and keeps 4, as concat+pca runs."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(20, 4))
+        x = fm(np.concatenate([x, x[:, :1] + 1e-8 * rng.normal(size=(20, 1))], axis=1))
+        with pytest.warns(UserWarning, match="rank 4 below requested k=5"):
+            fused, _ = fuse_pipeline([x], method="concat+ica", k=5, seed=0)
+        assert fused.data.shape == (20, 4)
+        assert fuse_pipeline([x], method="concat+pca", k=5, seed=0)[0].data.shape == (20, 5)
+
 
 class TestLda:
     def _two_classes(self, seed=0):

@@ -87,6 +87,17 @@ class TestWhiten:
         # whitening matrix of near-white data is near-orthogonal
         assert np.linalg.norm(wm @ wm.T - np.eye(2)) < 0.2
 
+    def test_rank_deficient_keeps_fewer_components(self):
+        rng = np.random.default_rng(4)
+        base = rng.normal(size=(30, 2))
+        x = np.concatenate([base, base.sum(axis=1, keepdims=True)], axis=1)
+        x -= x.mean(axis=0)
+        w, wm = whiten(x, 3)
+        assert w.shape == (30, 2) and wm.shape == (2, 3)
+        assert np.linalg.norm(w.T @ w / (len(w) - 1) - np.eye(2)) < 1e-6
+        with pytest.raises(EnfuseError, match="rank 0"):
+            whiten(np.zeros((5, 2)), 1)
+
     def test_k_too_large(self):
         with pytest.raises(EnfuseError, match="k=3 out of range for 5x2 input"):
             whiten(np.zeros((5, 2)), 3)

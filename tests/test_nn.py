@@ -684,16 +684,17 @@ class TestModelPersistence:
     def test_every_weight_must_be_in_the_file(self, tmp_path):
         """Loaded layers start with unset weights, so a file that lacks one
         is rejected rather than loaded with whatever the array held."""
-        from enfuse.artifact import pack, unpack
+        from enfuse import artifact
         from enfuse.errors import IntegrityError
         from enfuse.nn.model import MODEL_MAGIC
         rng = np.random.default_rng(31)
         path = tmp_path / "m.bin"
         EncoderModel([Conv2d(3, 4, 3, rng=rng), ReLU()], make_head(4, 3, rng)).save(path)
-        header, arrays = unpack(path.read_bytes(), MODEL_MAGIC, "model")
-        for drop in range(len(arrays)):
-            kept = dict(header, arrays=header["arrays"][:drop] + header["arrays"][drop + 1:])
-            path.write_bytes(pack(MODEL_MAGIC, kept, arrays[:drop] + arrays[drop + 1:]))
+        header, arrays = artifact.load(path, MODEL_MAGIC, "model")
+        assert list(arrays) == ["0.w", "0.b", "4.w", "4.b", "6.w", "6.b"]
+        for drop in arrays:
+            kept = {name: a for name, a in arrays.items() if name != drop}
+            artifact.save(path, MODEL_MAGIC, header, kept)
             with pytest.raises(IntegrityError, match="lacks"):
                 EncoderModel.load(path)
 
@@ -701,10 +702,10 @@ class TestModelPersistence:
     HEADER_FAULTS = {
         "no-backbone": lambda h: h.pop("backbone"),
         "conv-without-in_ch": lambda h: h["backbone"][0].pop("in_ch"),
-        "layer-99": lambda h: h["arrays"][0].update(layer=99),
+        "layer-99": lambda h: h["arrays"][0].update(name="99.w"),
         # layer 0 counted from the end, which a Python index would wrap round to
         "layer-negative": lambda h: h["arrays"][0].update(
-            layer=-len(h["backbone"]) - len(h["head"])),
+            name=f"{-len(h['backbone']) - len(h['head'])}.w"),
         "trainable-empty": lambda h: h.update(trainable=[]),
     }
 

@@ -413,7 +413,11 @@ def record_stage(out: Path, manifest: dict, config: dict, stage: str, inputs: di
                           or _inputs_hold(manifest, name, config, inputs["seed"])}
     save_manifest(out, manifest)
     for rel in sorted(listed.difference(*(r["files"] for r in manifest["stages"].values()))):
-        (out / rel).unlink(missing_ok=True)
+        try:
+            (out / rel).unlink(missing_ok=True)
+        except OSError as exc:
+            raise IntegrityError(f"stage {stage}: cannot delete output file {rel}: "
+                                 f"{exc.strerror}") from exc
         with contextlib.suppress(OSError):  # stops at a non-empty one; out holds the manifest
             os.removedirs((out / rel).parent)
 

@@ -1,9 +1,8 @@
-"""Feature fusion: concatenation plus PCA / FastICA / LDA transforms.
+"""Feature fusion: concatenation, alone or followed by PCA or FastICA.
 
-The production path concatenates per-encoder feature matrices and then
-applies FastICA; the other transforms are kept for comparison experiments.
-Fitted transforms freeze the training-set standardization statistics so
-test-time application never re-estimates anything.
+The default path concatenates per-encoder feature matrices and then
+applies FastICA. Fitted transforms freeze the training-set standardization
+statistics so test-time application never re-estimates anything.
 """
 
 from __future__ import annotations
@@ -27,11 +26,10 @@ ICA_MAX_ITER = 500  # fixed-point iterations per component
 class FusionTransform:
     """A fitted linear transform: standardize with stored stats, then project."""
 
-    kind: str  # "PCA" | "ICA" | "LDA" | "Identity"
+    kind: str  # "PCA" | "ICA" | "Identity"
     mean: np.ndarray
     std: np.ndarray
     components: np.ndarray  # (D_in, k)
-    explained_variance_ratio: np.ndarray | None = None
 
     @property
     def in_dim(self) -> int:
@@ -59,11 +57,8 @@ def fit_pca(x: FeatureMatrix, k: int) -> FusionTransform:
     scaled, mean, std = standardize(x.data)
     n = len(scaled)
     cov = scaled.T @ scaled / (n - 1)
-    eigvals, eigvecs = eigh_symmetric(cov)
-    eigvals = np.maximum(eigvals, 0.0)
-    ratios = eigvals[:k] / eigvals.sum() if eigvals.sum() > 0 else np.zeros(k)
-    return FusionTransform("PCA", mean, std, eigvecs[:, :k].copy(),
-                           explained_variance_ratio=ratios)
+    _, eigvecs = eigh_symmetric(cov)
+    return FusionTransform("PCA", mean, std, eigvecs[:, :k].copy())
 
 
 def fit_ica(x: FeatureMatrix, k: int, *, seed: int) -> FusionTransform:
@@ -111,34 +106,6 @@ def fit_ica(x: FeatureMatrix, k: int, *, seed: int) -> FusionTransform:
     return t
 
 
-def fit_lda(x: FeatureMatrix, k: int) -> FusionTransform:
-    """Fisher directions from the between/within scatter; within gets a 1e-6 ridge."""
-    scaled, mean, std = standardize(x.data)
-    labels = x.labels
-    classes = np.unique(labels)
-    counts = np.array([(labels == c).sum() for c in classes])
-    d = scaled.shape[1]
-    overall = scaled.mean(axis=0)
-    s_w = np.zeros((d, d))
-    s_b = np.zeros((d, d))
-    for c, n_c in zip(classes, counts):
-        rows = scaled[labels == c]
-        mu = rows.mean(axis=0)
-        centered = rows - mu
-        s_w += centered.T @ centered
-        diff = (mu - overall)[:, None]
-        s_b += n_c * (diff @ diff.T)
-    gamma = 1e-6 * np.trace(s_w) / d
-    s_w += gamma * np.eye(d)
-    # symmetric reformulation of the generalized eigenproblem
-    lam_w, vec_w = eigh_symmetric(s_w)
-    inv_sqrt = vec_w @ np.diag(1.0 / np.sqrt(np.maximum(lam_w, 1e-300))) @ vec_w.T
-    m = inv_sqrt @ s_b @ inv_sqrt
-    _, vecs = eigh_symmetric((m + m.T) / 2)
-    components = inv_sqrt @ vecs[:, :k]
-    return FusionTransform("LDA", mean, std, components)
-
-
 def apply_transform(t: FusionTransform, x: FeatureMatrix) -> FeatureMatrix:
     if x.n_cols != t.in_dim:
         raise EnfuseError(f"dim mismatch: transform takes {t.in_dim}, got {x.n_cols}")
@@ -146,7 +113,7 @@ def apply_transform(t: FusionTransform, x: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(scaled @ t.components, labels=x.labels)
 
 
-METHODS = ("concat-only", "concat+pca", "concat+ica", "concat+lda")
+METHODS = ("concat-only", "concat+pca", "concat+ica")
 
 
 def fuse_pipeline(parts: list[FeatureMatrix], *, method: str, k: int,
@@ -163,10 +130,8 @@ def fuse_pipeline(parts: list[FeatureMatrix], *, method: str, k: int,
         t = fit_identity(x)
     elif method == "concat+pca":
         t = fit_pca(x, k)
-    elif method == "concat+ica":
-        t = fit_ica(x, k, seed=seed)
     else:
-        t = fit_lda(x, min(k, len(np.unique(x.labels)) - 1))
+        t = fit_ica(x, k, seed=seed)
     return apply_transform(t, x), t
 
 
@@ -175,22 +140,16 @@ def fuse_pipeline(parts: list[FeatureMatrix], *, method: str, k: int,
 # ---------------------------------------------------------------------------
 
 def save_transform(t: FusionTransform, path) -> None:
-    arrays = {"mean": t.mean, "std": t.std, "components": t.components}
-    if t.explained_variance_ratio is not None:
-        arrays["evr"] = np.asarray(t.explained_variance_ratio)
-    artifact.save(path, TRANSFORM_MAGIC, {"kind": t.kind}, dict(sorted(arrays.items())))
+    artifact.save(path, TRANSFORM_MAGIC, {"kind": t.kind},
+                  {"components": t.components, "mean": t.mean, "std": t.std})
 
 
 def load_transform(path) -> FusionTransform:
     """The saved transform; IntegrityError for a header without its kind, or
-    arrays that are not `components` (d, k), `mean` and `std` (d,) and, where
-    present, `evr` (k,)."""
+    arrays that are not `components` (d, k), `mean` and `std` (d,)."""
     header, arrays = artifact.load(path, TRANSFORM_MAGIC, "transform")
     if "kind" not in header:
         raise IntegrityError("transform header has no kind")
-    shapes = {"components": ("d", "k"), "mean": ("d",), "std": ("d",)}
-    if "evr" in arrays:
-        shapes["evr"] = ("k",)
-    artifact.check_shapes("transform", arrays, shapes, {})
-    return FusionTransform(header["kind"], arrays["mean"], arrays["std"], arrays["components"],
-                           explained_variance_ratio=arrays.get("evr"))
+    artifact.check_shapes("transform", arrays,
+                          {"components": ("d", "k"), "mean": ("d",), "std": ("d",)}, {})
+    return FusionTransform(header["kind"], arrays["mean"], arrays["std"], arrays["components"])

@@ -1,8 +1,8 @@
-"""Dense linear-algebra helpers used by fusion, embedding, and classifier math.
+"""Dense linear-algebra helpers for fusion.
 
 All routines work on float64 numpy arrays. Eigendecompositions here are
-always of symmetric covariance/scatter matrices, so only the symmetric
-path is provided.
+always of symmetric covariance matrices, so only the symmetric path is
+provided.
 """
 
 from __future__ import annotations

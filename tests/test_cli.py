@@ -20,6 +20,7 @@ from enfuse.ensemble import TARGET_MAGIC, evaluate, train_ensemble
 from enfuse.errors import ConfigError, EnfuseError, IntegrityError
 from enfuse.explain import TSNE_MIN_ROWS
 from enfuse.features import FeatureMatrix
+from enfuse.fusion import METHODS
 from enfuse.nn import EncoderModel
 from enfuse.pretrain import (
     build_backbone,
@@ -291,9 +292,8 @@ class TestConfig:
     @pytest.mark.parametrize("text", [  # the smallest split sizes accepted
         "[data]\ntarget_per_class = 6\n[fusion]\nk = 0\n",
         "[data]\ntarget_per_class = 6\n[fusion]\nmethod = concat-only\n",
-        "[data]\ntarget_per_class = 6\n[fusion]\nmethod = concat+lda\n",
         "[oodtest]\nper_class = 3\n",  # oodtest always fits with the automatic k
-    ], ids=["k-automatic", "concat-only", "lda", "small-oodtest-split"])
+    ], ids=["k-automatic", "concat-only", "small-oodtest-split"])
     def test_fusion_k_not_checked_where_unused(self, tmp_path, text):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
@@ -363,7 +363,7 @@ class TestConfig:
         rows = len(target_split(config, seed=0)[1])
         assert rule_holds(what, config, explain_args(what, instance)) == (0 <= instance < rows)
 
-    @pytest.mark.parametrize("method", ["concat+ica", "concat+pca", "concat+lda", "concat-only"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_smallest_accepted_splits_fit_an_ensemble(self, tmp_path, method):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"[data]\ntarget_per_class = 3\n[oodtest]\nper_class = 3\n"
@@ -733,6 +733,7 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("command, text", [
         (["all"], "[fusion]\nmethod = concat+foo\n"),
+        (["all"], "[fusion]\nmethod = concat+lda\n"),  # a removed method
         (["all"], "[pretrain]\nepochs = -3\n"),
         (["all"], "[pretrain]\ntemperature = 0\n"),
         (["all"], "[pretrain]\naugment_blur_kernel = 4\n"),
@@ -762,7 +763,8 @@ class TestFailureModes:
         # past the finite top of their intervals; the split rules would overflow on them
         (["all"], f"[data]\ntarget_per_class = {2**64}\n"),
         (["all"], f"[oodtest]\nper_class = {2**68}\n"),
-    ], ids=["fusion-method", "epochs", "temperature", "blur-kernel-even", "oodtest-kind",
+    ], ids=["fusion-method", "fusion-method-removed", "epochs", "temperature",
+            "blur-kernel-even", "oodtest-kind",
             "fusion-k-above-train-rows", "ensemble-fusion-k-above-train-rows",
             "fusion-k-above-ablate-columns", "ablate-fusion-k-above-ablate-columns",
             "task-empty", "task-dot", "task-dotdot", "task-parent", "task-absolute",
@@ -941,6 +943,16 @@ class TestFailureModes:
         capsys.readouterr()
         assert run(["finetune", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 4
         assert "cannot read output file tiny/pretrain:" in capsys.readouterr().err
+
+    def test_listed_file_that_cannot_be_deleted_exits_4(self, tmp_path, capsys):
+        """A replaced record that lists a directory: deleting it is an
+        integrity error naming the path, not a traceback."""
+        out = tmp_path / "out"
+        (out / "d").mkdir(parents=True)
+        (out / "manifest.json").write_text(json.dumps({"stages": {"synth": {"files": {"d": ""}}}}))
+        capsys.readouterr()
+        assert run(["synth", "--seed", "1", "--out", str(out)]) == 4
+        assert "cannot delete output file d:" in capsys.readouterr().err
 
     def test_malformed_target_split_exits_4(self, tiny_all, tmp_path):
         """A target.bin whose hash its record holds, but whose labels are not

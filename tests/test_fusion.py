@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from enfuse import artifact
 from enfuse.artifact import pack, unpack
 from enfuse.errors import EnfuseError, IntegrityError
 from enfuse.features import FeatureMatrix
@@ -9,7 +10,6 @@ from enfuse.fusion import (
     apply_transform,
     concat_features,
     fit_ica,
-    fit_lda,
     fit_pca,
     fuse_pipeline,
     load_transform,
@@ -42,12 +42,6 @@ class TestPca:
         direction = t.components[:, 0]
         assert abs(abs(direction @ np.array([1, 1]) / np.sqrt(2)) - 1) < 1e-2
 
-    def test_isotropic_ratios(self):
-        rng = np.random.default_rng(3)
-        x = fm(rng.normal(size=(2000, 4)))
-        t = fit_pca(x, 4)
-        assert np.all(np.abs(t.explained_variance_ratio - 0.25) < 0.025)
-
     def test_uncorrelated_output(self):
         rng = np.random.default_rng(4)
         raw = rng.normal(size=(50, 5)) @ rng.normal(size=(5, 5))
@@ -56,15 +50,6 @@ class TestPca:
         corr = np.corrcoef(out.T)
         off = corr - np.diag(np.diag(corr))
         assert np.max(np.abs(off)) < 1e-8
-
-    def test_ratios_nonincreasing_and_sum(self):
-        rng = np.random.default_rng(5)
-        x = fm(rng.normal(size=(30, 6)) * np.array([5, 4, 3, 2, 1, 0.5]))
-        t = fit_pca(x, 6)
-        r = t.explained_variance_ratio
-        assert np.all(np.diff(r) <= 1e-12)
-        assert r.sum() <= 1 + 1e-9
-        assert r.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_full_rank_pca_is_isometry(self):
         rng = np.random.default_rng(6)
@@ -134,45 +119,6 @@ class TestIca:
         assert fuse_pipeline([x], method="concat+pca", k=5, seed=0)[0].data.shape == (20, 5)
 
 
-class TestLda:
-    def _two_classes(self, seed=0):
-        rng = np.random.default_rng(seed)
-        a = rng.normal([0, 0], 0.3, size=(30, 2))
-        b = rng.normal([4, 4], 0.3, size=(30, 2))
-        x = np.concatenate([a, b])
-        y = np.array([0] * 30 + [1] * 30)
-        return fm(x, labels=y)
-
-    def test_separation(self):
-        x = self._two_classes()
-        t = fit_lda(x, 1)
-        out = apply_transform(t, x).data.ravel()
-        a, b = out[:30], out[30:]
-        assert max(a.min(), b.min()) > min(a.max(), b.max()) or \
-            max(b.min(), a.min()) > min(b.max(), a.max())
-        assert (a.max() < b.min()) or (b.max() < a.min())
-
-    def test_k_capped_at_classes_minus_one(self):
-        rng = np.random.default_rng(1)
-        x = fm(rng.normal(size=(30, 5)), labels=rng.integers(0, 3, 30))
-        t = fit_lda(x, 2)
-        assert t.components.shape[1] == 2
-
-    def test_label_dependence(self):
-        x = self._two_classes()
-        t1 = fit_lda(x, 1)
-        permuted = FeatureMatrix(x.data, labels=np.roll(x.labels, 17))
-        t2 = fit_lda(permuted, 1)
-        assert not np.allclose(t1.components, t2.components)
-
-    def test_three_class_shape(self):
-        rng = np.random.default_rng(2)
-        x = fm(rng.normal(size=(45, 6)), labels=np.repeat([0, 1, 2], 15))
-        t = fit_lda(x, 2)
-        out = apply_transform(t, x)
-        assert out.data.shape == (45, 2)
-
-
 class TestApplyAndPipeline:
     def test_apply_deterministic(self):
         rng = np.random.default_rng(3)
@@ -225,6 +171,20 @@ class TestApplyAndPipeline:
         assert np.array_equal(back.components, t.components)
         assert np.array_equal(apply_transform(back, x).data, apply_transform(t, x).data)
 
+    def test_transform_with_explained_variance_ratio_loads(self, tmp_path):
+        """A PCA transform saved with the explained-variance ratio `evr` (k,),
+        as earlier versions wrote it, loads and applies as one saved without."""
+        rng = np.random.default_rng(8)
+        x = fm(rng.normal(size=(20, 5)))
+        t = fit_pca(x, 3)
+        save_transform(t, tmp_path / "new.bin")
+        artifact.save(tmp_path / "old.bin", TRANSFORM_MAGIC, {"kind": "PCA"},
+                      {"components": t.components, "evr": np.full(3, 0.2),
+                       "mean": t.mean, "std": t.std})
+        old, new = load_transform(tmp_path / "old.bin"), load_transform(tmp_path / "new.bin")
+        assert old.kind == new.kind == "PCA"
+        assert apply_transform(old, x).data.tobytes() == apply_transform(new, x).data.tobytes()
+
     @pytest.mark.parametrize("drop", ["kind", "mean"])
     def test_malformed_file_rejected(self, tmp_path, drop):
         """A header without the kind, or a file without an array the
@@ -245,8 +205,7 @@ class TestApplyAndPipeline:
                     "mean-long": ("mean", lambda a: np.append(a, 0.0)),
                     "mean-matrix": ("mean", lambda a: a[None]),
                     "components-vector": ("components", lambda a: a[:, 0]),
-                    "components-short": ("components", lambda a: a[:-1]),
-                    "evr-long": ("evr", lambda a: np.append(a, 0.0))}
+                    "components-short": ("components", lambda a: a[:-1])}
 
     @pytest.mark.parametrize("fault", sorted(SHAPE_FAULTS))
     def test_shape_fault_rejected(self, tmp_path, fault):

@@ -613,9 +613,8 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
     test, train_parts, test_parts = split.test, split.train_parts, split.test_parts
     method = config["fusion"]["method"]
     k = config["fusion"]["k"]
-    n_classes = test.n_classes
 
-    (ensemble,) = train_ensemble([train_parts], n_classes, method=method, seed=seed, k=k)
+    (ensemble,) = train_ensemble([train_parts], method=method, seed=seed, k=k)
     counts, accuracies = evaluate(ensemble, test_parts)
 
     reports = {
@@ -635,7 +634,7 @@ def cmd_ensemble(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pa
         files.append(path)
 
     # stage comparison: base-model heads vs fused vs transformed vs voted
-    (concat_fit,) = fit_arm([(train_parts, test_parts)], n_classes, "concat-only", seed, 0)
+    (concat_fit,) = fit_arm([(train_parts, test_parts)], "concat-only", seed, 0)
     concat_only = scores(test.labels, *concat_fit)
     lines = ["stage,name,accuracy"]
     for name, acc in split.head_accuracy.items():
@@ -676,8 +675,7 @@ def _rebuild_ensemble(out: Path, config: dict) -> EnsembleModel:
     stage_dir = _task_dir(out, config, "ensemble")
     classifiers = [load_classifier(stage_dir / f"clf_{kind.lower()}.bin")
                    for kind in KINDS]
-    return EnsembleModel(classifiers, _load_ensemble_transform(out, config),
-                         classifiers[0].n_classes)
+    return EnsembleModel(classifiers, _load_ensemble_transform(out, config))
 
 
 def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
@@ -739,7 +737,7 @@ def cmd_oodtest(config: dict, seed: int, out: Path, stage_dir: Path) -> list[Pat
 
     arms = {label: (extract_parts(models, train), extract_parts(models, test))
             for label, models in (("pretrained", pretrained), ("random", random_models))}
-    fits = fit_arm(list(arms.values()), len(train.class_names), method, seed, 0)
+    fits = fit_arm(list(arms.values()), method, seed, 0)
     results = {label: scores(test.labels, *fit)["voted"] for label, fit in zip(arms, fits)}
     for name, path in weights.items():
         if file_sha256(path) != recorded[str(path.relative_to(out))]:

@@ -84,8 +84,6 @@ def resize_bilinear(image: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     """Resize an (H, W, C) image to (new_h, new_w) with bilinear interpolation."""
     new_h, new_w = size
     h, w, _ = image.shape
-    if (h, w) == (new_h, new_w):
-        return image.copy()
     ys = (np.arange(new_h) + 0.5) * h / new_h - 0.5
     xs = (np.arange(new_w) + 0.5) * w / new_w - 0.5
     grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")

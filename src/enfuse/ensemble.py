@@ -71,7 +71,10 @@ def class_metrics(counts: np.ndarray) -> dict[str, np.ndarray]:
 class EnsembleModel:
     classifiers: list[TrainedClassifier]  # fixed order: SVM, KNN, GNB, RF, GBT
     transform: FusionTransform
-    n_classes: int
+
+    @property
+    def n_classes(self) -> int:
+        return self.classifiers[0].n_classes
 
 
 def extract_parts(base_models: list[tuple[str, EncoderModel]],
@@ -96,8 +99,8 @@ def majority_vote(predictions: list[np.ndarray], n_classes: int) -> np.ndarray:
     return np.argmax(tally, axis=1)
 
 
-def train_ensemble(arms: list[dict[str, FeatureMatrix]], n_classes: int, *, method: str,
-                   seed: int, k: int) -> list[EnsembleModel]:
+def train_ensemble(arms: list[dict[str, FeatureMatrix]], *, method: str, seed: int,
+                   k: int) -> list[EnsembleModel]:
     """Fuse each arm's training parts (`fuse_pipeline`: k = 0 is automatic)
     and fit the five classifiers on the result; one `fit_gbt` call boosts the
     arms whose fused rows, width and class count match."""
@@ -113,7 +116,7 @@ def train_ensemble(arms: list[dict[str, FeatureMatrix]], n_classes: int, *, meth
         gbts = fit_gbt([fused[i][0].data for i in members], [fused[i][0].labels for i in members])
         for i, gbt in zip(members, gbts):
             classifiers[i].append(gbt)
-    return [EnsembleModel(clfs, transform, n_classes)
+    return [EnsembleModel(clfs, transform)
             for clfs, (_, transform) in zip(classifiers, fused)]
 
 
@@ -125,12 +128,11 @@ def predict_ensemble(model: EnsembleModel, parts: dict[str, FeatureMatrix]):
 
 
 def fit_arm(arms: list[tuple[dict[str, FeatureMatrix], dict[str, FeatureMatrix]]],
-            n_classes: int, method: str, seed: int, k: int):
+            method: str, seed: int, k: int):
     """Fit an ensemble on each arm's train parts and predict its test parts,
     both keyed alike in the order fused: per arm, (per-classifier
     predictions, voted labels)."""
-    models = train_ensemble([train for train, _ in arms], n_classes,
-                            method=method, seed=seed, k=k)
+    models = train_ensemble([train for train, _ in arms], method=method, seed=seed, k=k)
     return [predict_ensemble(model, test) for model, (_, test) in zip(models, arms)]
 
 
@@ -226,7 +228,7 @@ def ablate(full: EnsembleModel, train_parts: dict[str, FeatureMatrix],
     left_out = [tuple({name: parts[name] for name in train_parts if name != excluded}
                       for parts in (train_parts, test_parts))
                 for excluded in train_parts]
-    for excluded, fit in zip(train_parts, fit_arm(left_out, full.n_classes, method, seed, k)):
+    for excluded, fit in zip(train_parts, fit_arm(left_out, method, seed, k)):
         arms[excluded] = scores(true, *fit)
     return arms
 

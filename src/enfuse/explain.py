@@ -41,9 +41,7 @@ def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int) -> np.nd
     """
     li = model.last_conv_index()
     image = np.asarray(image, dtype=np.float64)
-    act = image.transpose(2, 0, 1)[None]  # HWC -> NCHW
-    for layer in model.layers[:li + 1]:
-        act = layer.forward(act)
+    act = model.forward(image.transpose(2, 0, 1)[None], stop=li + 1)  # HWC -> NCHW
     above = model.layers[li + 1:]
     above = above[:-1] if above and isinstance(above[-1], Softmax) else above
     logits = act

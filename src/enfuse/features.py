@@ -9,15 +9,14 @@ import numpy as np
 
 @dataclass
 class FeatureMatrix:
-    """Dense M x D matrix with optional per-row labels."""
+    """Dense M x D matrix with one label per row."""
 
     data: np.ndarray
-    labels: np.ndarray | None
+    labels: np.ndarray
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
 
     @property
     def n_rows(self) -> int:

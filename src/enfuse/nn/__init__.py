@@ -13,7 +13,7 @@ from .layers import (
 from .losses import cross_entropy_loss, nt_xent_loss
 from .model import MODEL_MAGIC, EncoderModel
 from .optim import OptimizerState, adam_step, plateau_schedule
-from .train import INFERENCE_BATCH, accuracy, images_to_batch, train_supervised
+from .train import accuracy, images_to_batch, train_supervised
 
 __all__ = [
     "Conv2d", "Dense", "Dropout", "Flatten", "GlobalAvgPool", "Layer",
@@ -21,5 +21,5 @@ __all__ = [
     "cross_entropy_loss", "nt_xent_loss",
     "MODEL_MAGIC", "EncoderModel",
     "OptimizerState", "adam_step", "plateau_schedule",
-    "INFERENCE_BATCH", "accuracy", "images_to_batch", "train_supervised",
+    "accuracy", "images_to_batch", "train_supervised",
 ]

@@ -15,6 +15,7 @@ from ..errors import EnfuseError, IntegrityError
 from .layers import Conv2d, Dropout, Layer, layer_from_descriptor
 
 MODEL_MAGIC = b"ETSEFM1\x00"
+INFERENCE_BATCH = 256  # images per chunk of a forward that keeps no caches
 
 
 class EncoderModel:
@@ -26,7 +27,7 @@ class EncoderModel:
         self.head = head or []
         self.feature_dim = conv_channels[-1]  # the width of the feature vector
         self.meta: dict = {}  # provenance: stage, method tag, training logs
-        self._backward_stack: list[Layer] | None = None  # set by forward_layers(keep_cache=True)
+        self._backward_stack: list[Layer] | None = None  # set by forward(keep_cache=True)
 
     # -- structure ---------------------------------------------------------
 
@@ -56,31 +57,36 @@ class EncoderModel:
 
     # -- forward / backward ------------------------------------------------
 
-    def forward(self, x: np.ndarray, training: bool = False, *,
-                keep_cache: bool = False) -> np.ndarray:
-        """Run every layer, backbone then head, on x (see `forward_layers`)."""
-        return self.forward_layers(x, 0, len(self.layers), training=training,
-                                   keep_cache=keep_cache)
-
-    def forward_layers(self, x: np.ndarray, start: int, stop: int, *, training: bool,
-                       keep_cache: bool) -> np.ndarray:
-        """Run layers [start, stop) of `layers` on x, the input of layer `start`.
-
-        With `keep_cache`, the lowest trainable layer with parameters in that
-        range and all above it keep what `backward` needs; no other layer
-        keeps anything, and what an earlier forward kept is dropped first."""
+    def forward(self, x: np.ndarray, start: int = 0, stop: int | None = None, *,
+                training: bool = False, keep_cache: bool = False) -> np.ndarray:
+        """Run layers [start, stop) of `layers` on x, the input of layer
+        `start`; to the top when `stop` is None. With `keep_cache`, x runs as
+        one batch, and the lowest trainable layer with parameters in the range
+        and all above it keep what `backward` needs. Without it, no layer keeps
+        anything and x runs in chunks of `INFERENCE_BATCH` images, which over
+        the backbone gives the bits of one batch (see `nn.train`). What an
+        earlier forward kept is dropped first."""
         out = np.asarray(x, dtype=np.float64)
         stack = self.layers[start:stop]
         lowest = next((i for i, l in enumerate(stack) if l.trainable and l.params), len(stack))
         self._backward_stack = stack[lowest:] if keep_cache else None
         for layer in self.layers:
             layer._cache = None
-        for i, layer in enumerate(stack):
-            try:
-                out = layer.forward(out, training=training, keep_cache=keep_cache and i >= lowest)
-            except EnfuseError as exc:
-                raise EnfuseError(f"layer {start + i} ({type(layer).__name__}): {exc}") from exc
-        return out
+
+        def run(out):
+            for i, layer in enumerate(stack):
+                try:
+                    out = layer.forward(out, training=training,
+                                        keep_cache=keep_cache and i >= lowest)
+                except EnfuseError as exc:
+                    raise EnfuseError(f"layer {start + i} ({type(layer).__name__}): {exc}") from exc
+            return out
+
+        if keep_cache:
+            return run(out)
+        # an empty x still runs once, so its output has the stack's shape
+        return np.concatenate([run(out[s:s + INFERENCE_BATCH])
+                               for s in range(0, max(len(out), 1), INFERENCE_BATCH)])
 
     def backward(self, dout: np.ndarray) -> None:
         """Accumulate parameter gradients for the last forward, which must
@@ -122,14 +128,6 @@ class EncoderModel:
             grads[name] = flat_grads[start:stop].reshape(shape)
             start = stop
         return flat_params, flat_grads
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        """Backbone feature vectors: spatial mean of the final conv maps."""
-        maps = self.forward_layers(x, 0, len(self.backbone), training=False,
-                                   keep_cache=False)
-        if maps.ndim != 4:
-            raise EnfuseError("backbone did not produce conv maps")
-        return maps.mean(axis=(2, 3))
 
     # -- persistence -------------------------------------------------------
 

@@ -26,8 +26,6 @@ from .losses import cross_entropy_loss
 from .model import EncoderModel
 from .optim import OptimizerState, adam_step, plateau_schedule
 
-INFERENCE_BATCH = 256  # images per forward pass when nothing is trained
-
 
 def images_to_batch(images: np.ndarray) -> np.ndarray:
     """(N, H, W, C) dataset layout -> (N, C, H, W) network layout."""
@@ -47,12 +45,12 @@ def train_supervised(model: EncoderModel, train_set: LabeledImageSet, lr: float,
                      epochs: int, batch: int, seed: int) -> list[float]:
     """Train backbone+head with cross-entropy at rate `lr`; returns per-epoch mean losses.
 
-    The frozen prefix (see the module docstring) runs once, in batches of
-    `INFERENCE_BATCH` images and keeping no caches; every step then runs the
-    layers above it, up to the logits below a final Softmax, keeping caches
-    for the backward, and updates the trainable parameters in one flat Adam
-    step (`EncoderModel.flat_trainable`). Shuffling and dropout are driven by
-    `seed`, so identical inputs give bit-identical final parameters.
+    The frozen prefix (see the module docstring) runs once, keeping no
+    caches; every step then runs the layers above it, up to the logits below
+    a final Softmax, keeping caches for the backward, and updates the
+    trainable parameters in one flat Adam step (`EncoderModel.flat_trainable`).
+    Shuffling and dropout are driven by `seed`, so identical inputs give
+    bit-identical final parameters.
     """
     opt = OptimizerState(learning_rate=lr)
     rng = np.random.default_rng(seed)
@@ -66,10 +64,7 @@ def train_supervised(model: EncoderModel, train_set: LabeledImageSet, lr: float,
     first = frozen_prefix_end(layers[:stop])
     x_all = images_to_batch(train_set.images)
     if first:  # from here on, x_all holds the frozen prefix's outputs
-        x_all = np.concatenate([
-            model.forward_layers(x_all[s:s + INFERENCE_BATCH], 0, first, training=False,
-                                 keep_cache=False)
-            for s in range(0, n, INFERENCE_BATCH)])
+        x_all = model.forward(x_all, stop=first)
     y_all = one_hot_matrix(train_set.labels, train_set.n_classes)
     params, grads = model.flat_trainable()
     log: list[float] = []
@@ -79,8 +74,7 @@ def train_supervised(model: EncoderModel, train_set: LabeledImageSet, lr: float,
         for start in range(0, n, batch):
             idx = perm[start:start + batch]
             grads.fill(0.0)
-            logits = model.forward_layers(x_all[idx], first, stop, training=True,
-                                          keep_cache=True)
+            logits = model.forward(x_all[idx], first, stop, training=True, keep_cache=True)
             loss, dlogits = cross_entropy_loss(logits, y_all[idx])
             model.backward(dlogits)
             adam_step(opt, params, grads)
@@ -94,10 +88,5 @@ def train_supervised(model: EncoderModel, train_set: LabeledImageSet, lr: float,
 
 def accuracy(model: EncoderModel, dataset: LabeledImageSet) -> float:
     """Fraction of samples whose head prediction matches the label."""
-    x_all = images_to_batch(dataset.images)
-    correct = 0
-    for start in range(0, len(dataset), INFERENCE_BATCH):
-        probs = model.forward(x_all[start:start + INFERENCE_BATCH], training=False)
-        correct += int((probs.argmax(axis=1)
-                        == dataset.labels[start:start + INFERENCE_BATCH]).sum())
-    return correct / len(dataset)
+    probs = model.forward(images_to_batch(dataset.images))
+    return int((probs.argmax(axis=1) == dataset.labels).sum()) / len(dataset)

@@ -16,9 +16,9 @@ import hashlib
 import numpy as np
 
 from .data import LabeledImageSet, random_transform
+from .errors import EnfuseError
 from .features import FeatureMatrix
 from .nn import (
-    INFERENCE_BATCH,
     Conv2d,
     Dense,
     Dropout,
@@ -195,10 +195,10 @@ def extract_features(model: EncoderModel, dataset: LabeledImageSet) -> FeatureMa
 
     Dropout is off, so the result is a pure function of (weights, images).
     """
-    x = images_to_batch(dataset.images)
-    rows = [model.features(x[s:s + INFERENCE_BATCH])
-            for s in range(0, len(x), INFERENCE_BATCH)]
-    return FeatureMatrix(np.concatenate(rows), labels=dataset.labels.copy())
+    maps = model.forward(images_to_batch(dataset.images), stop=len(model.backbone))
+    if maps.ndim != 4:
+        raise EnfuseError("backbone did not produce conv maps")
+    return FeatureMatrix(maps.mean(axis=(2, 3)), labels=dataset.labels.copy())
 
 
 # ---------------------------------------------------------------------------

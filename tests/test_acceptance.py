@@ -185,7 +185,7 @@ def test_criterion_6_fastica_source_recovery():
     t_axis = np.linspace(0, 40, 2000)
     sources = np.stack([np.sin(t_axis), rng.uniform(-1, 1, 2000)], axis=1)
     mixed = sources @ np.array([[1.0, 0.5], [0.5, 1.0]]).T
-    fm = FeatureMatrix(mixed, labels=None)
+    fm = FeatureMatrix(mixed, labels=np.zeros(len(mixed), dtype=int))
     transform = fit_ica(fm, 2, seed=1)
     recovered = apply_transform(transform, fm).data
     corr = np.abs(np.corrcoef(recovered.T, sources.T)[:2, 2:])
@@ -239,7 +239,7 @@ def test_criterion_8_end_to_end_benchmark(pipeline):
     def voted(prefix):
         names = [n for n in train_parts if n.startswith(prefix)]
         arm = tuple({n: parts[n] for n in names} for parts in (train_parts, test_parts))
-        (fit,) = fit_arm([arm], len(train.class_names), method, SEED, k)
+        (fit,) = fit_arm([arm], method, SEED, k)
         return scores(test.labels, *fit)["voted"]
 
     combined = voted(("tl", "ssl"))
@@ -283,7 +283,7 @@ def test_criterion_9_ood_direction(pipeline):
         accs = {}
         for label, pool in (("pre", models), ("rnd", random_models)):
             (fit,) = fit_arm([(extract_parts(pool, train), extract_parts(pool, test))],
-                             len(train.class_names), method, SEED, k)
+                             method, SEED, k)
             accs[label] = scores(test.labels, *fit)["voted"]
         margins.append(accs["pre"] - accs["rnd"])
     mean_margin = float(np.mean(margins))
@@ -341,8 +341,7 @@ def test_criterion_12_ablation_consistency(pipeline):
 
     train_parts, test_parts = ({**extract_parts(models, ds), "noise": noise_features(ds)}
                                for ds in (train, test))
-    n_classes = len(train.class_names)
-    full_model = train_ensemble([train_parts], n_classes, method=method, seed=SEED, k=k)[0]
+    full_model = train_ensemble([train_parts], method=method, seed=SEED, k=k)[0]
     arms = ablate(full_model, train_parts, test_parts, method=method, seed=SEED, k=k)
     full_matches = arms[None]["voted"] == evaluate(full_model, test_parts)[1]["voted"]
     noise_delta = arms["noise"]["voted"] - arms[None]["voted"]

@@ -29,7 +29,7 @@ def _model():
 
 def _transform():
     rng = np.random.default_rng(1)
-    return fit_pca(FeatureMatrix(rng.normal(size=(12, 5)), labels=None), 3)
+    return fit_pca(FeatureMatrix(rng.normal(size=(12, 5)), labels=np.zeros(12, dtype=int)), 3)
 
 
 def _classifier():
@@ -99,17 +99,29 @@ def _src_nodes():
             yield path.relative_to(root).as_posix(), node
 
 
-def test_only_the_container_frames_bytes():
-    """Under src/, only `artifact` references `pack` or `unpack`: every
-    artifact type goes through `save` and `load`."""
-    framing = set()
+def _modules_naming(*names):
+    """The modules under src/enfuse whose code names, reads an attribute
+    called, or imports any of `names`."""
+    found = set()
     for path, node in _src_nodes():
         name = (node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute)
                 else node.name if isinstance(node, ast.alias) else None)
-        if name in ("pack", "unpack"):
-            framing.add(path)
-    assert framing == {"artifact.py"}
+        if name in names:
+            found.add(path)
+    return found
+
+
+def test_only_the_container_frames_bytes():
+    """Under src/, only `artifact` references `pack` or `unpack`: every
+    artifact type goes through `save` and `load`."""
+    assert _modules_naming("pack", "unpack") == {"artifact.py"}
+
+
+def test_only_the_model_batches_inference():
+    """Under src/, only `nn/model.py` names `INFERENCE_BATCH`: every
+    inference pass is chunked by `EncoderModel.forward`, not by its callers."""
+    assert _modules_naming("INFERENCE_BATCH") == {"nn/model.py"}
 
 
 def test_every_artifact_type_is_in_the_damage_table(tmp_path):

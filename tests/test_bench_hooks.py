@@ -58,7 +58,7 @@ def test_shap_calls_predict_proba_through_explain(monkeypatch):
     labels = np.repeat([0, 1], 6)
     parts = {name: FeatureMatrix(rng.normal(size=(12, 3)) + labels[:, None], labels=labels)
              for name in ("a", "b")}
-    model = train_ensemble([parts], 2, method="concat+pca", seed=0, k=2)[0]
+    model = train_ensemble([parts], method="concat+pca", seed=0, k=2)[0]
     fused = fuse_parts(model.transform, parts).data
     predict_proba, calls = explain.predict_proba, []
 

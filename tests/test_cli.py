@@ -374,7 +374,7 @@ class TestConfig:
         for train, test in (target_split(config, seed=0), oodtest_split(config)):
             parts = [{name: FeatureMatrix(rng.normal(size=(len(split), width)), split.labels)
                       for name, width in (("a", 16), ("b", 24))} for split in (train, test)]
-            ensemble = train_ensemble([parts[0]], train.n_classes, method=method, seed=0, k=0)[0]
+            ensemble = train_ensemble([parts[0]], method=method, seed=0, k=0)[0]
             evaluate(ensemble, parts[1])
 
 

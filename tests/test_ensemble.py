@@ -50,7 +50,7 @@ def parts(splits):
 
 @pytest.fixture(scope="module")
 def trained(parts):
-    return train_ensemble([parts[0]], 3, method="concat+pca", seed=0, k=0)[0]
+    return train_ensemble([parts[0]], method="concat+pca", seed=0, k=0)[0]
 
 
 class TestMajorityVote:
@@ -127,8 +127,8 @@ class TestTrainEvaluate:
 
     def test_determinism(self, parts):
         train_parts, test_parts = parts
-        a = train_ensemble([train_parts], 3, method="concat+pca", seed=3, k=0)[0]
-        b = train_ensemble([train_parts], 3, method="concat+pca", seed=3, k=0)[0]
+        a = train_ensemble([train_parts], method="concat+pca", seed=3, k=0)[0]
+        b = train_ensemble([train_parts], method="concat+pca", seed=3, k=0)[0]
         _, va = predict_ensemble(a, test_parts)
         _, vb = predict_ensemble(b, test_parts)
         assert np.array_equal(va, vb)
@@ -165,7 +165,7 @@ class TestAblate:
         csv_rows = dict(line.split(",", 1) for line in ablation_csv(arms).split("\n")[2:-1])
         for excluded in train_parts:
             kept = [{n: p for n, p in split.items() if n != excluded} for split in parts]
-            model = train_ensemble([kept[0]], 3, method="concat+pca", seed=0, k=0)[0]
+            model = train_ensemble([kept[0]], method="concat+pca", seed=0, k=0)[0]
             voted = evaluate(model, kept[1])[1]["voted"]
             assert arms[excluded]["voted"] == voted
             delta = csv_rows[excluded].rsplit(",", 1)[1]
@@ -174,7 +174,7 @@ class TestAblate:
     def test_noise_model_exclusion_never_hurts(self, splits, parts):
         train_parts, test_parts = ({**split_parts, "noise": noise_features(ds, 12, 99)}
                                    for split_parts, ds in zip(parts, splits))
-        full = train_ensemble([train_parts], 3, method="concat+pca", seed=0, k=0)[0]
+        full = train_ensemble([train_parts], method="concat+pca", seed=0, k=0)[0]
         arms = ablate(full, train_parts, test_parts, method="concat+pca", seed=0, k=0)
         assert arms["noise"]["voted"] - arms[None]["voted"] >= 0.0
 
@@ -258,8 +258,8 @@ class TestWithEncoders:
         ssl = finetune_target_ssl(ssl, train, seed=5, **fast)
 
         models = [("tl_A", tl), ("ssl_B", ssl)]
-        (ensemble,) = train_ensemble([extract_parts(models, train)], len(train.class_names),
-                                     method="concat+ica", seed=0, k=0)
+        (ensemble,) = train_ensemble([extract_parts(models, train)], method="concat+ica",
+                                     seed=0, k=0)
         _, accuracies = evaluate(ensemble, extract_parts(models, test))
         assert accuracies["voted"] >= 0.5
         assert ensemble.transform.in_dim == tl.feature_dim + ssl.feature_dim

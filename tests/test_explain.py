@@ -201,7 +201,7 @@ class TestShapSampled:
 class TestSelectBackground:
     def test_near_median_and_deterministic(self):
         rng = np.random.default_rng(10)
-        fm = FeatureMatrix(rng.normal(size=(50, 4)), labels=None)
+        fm = FeatureMatrix(rng.normal(size=(50, 4)), labels=np.zeros(50, dtype=int))
         bg = select_background(fm)
         assert bg.shape == (10, 4)
         median = np.median(fm.data, axis=0)
@@ -261,13 +261,13 @@ class TestTsne:
 
     def test_perplexity_autoreduced(self):
         rng = np.random.default_rng(11)
-        fm = FeatureMatrix(rng.normal(size=(20, 5)), labels=None)
+        fm = FeatureMatrix(rng.normal(size=(20, 5)), labels=np.zeros(20, dtype=int))
         with pytest.warns(UserWarning, match="perplexity"):
             tsne_embed(fm, perplexity=30, iters=20, seed=0)
 
     def test_reduced_perplexity_recorded(self):
         rng = np.random.default_rng(16)
-        fm = FeatureMatrix(rng.normal(size=(12, 5)), labels=None)
+        fm = FeatureMatrix(rng.normal(size=(12, 5)), labels=np.zeros(12, dtype=int))
         with pytest.warns(UserWarning, match="perplexity"):
             coords, kl, perplexity = tsne_embed(fm, perplexity=10, iters=20, seed=0)
         assert perplexity == pytest.approx(11 / 3)
@@ -277,7 +277,7 @@ class TestTsne:
     def test_duplicate_rows_survive(self):
         rng = np.random.default_rng(12)
         base = rng.normal(size=(10, 3))
-        fm = FeatureMatrix(np.concatenate([base, base[:2]]), labels=None)
+        fm = FeatureMatrix(np.concatenate([base, base[:2]]), labels=np.zeros(12, dtype=int))
         coords, _, _ = tsne_embed(fm, perplexity=3, iters=50, seed=0)
         assert np.all(np.isfinite(coords))
 

@@ -18,7 +18,9 @@ from enfuse.fusion import (
 
 
 def fm(data, labels=None):
-    return FeatureMatrix(np.asarray(data, dtype=float), labels=labels)
+    """A feature matrix whose rows are all in class 0 unless `labels` are given."""
+    data = np.asarray(data, dtype=float)
+    return FeatureMatrix(data, labels=np.zeros(len(data), dtype=int) if labels is None else labels)
 
 
 class TestConcat:

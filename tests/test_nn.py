@@ -6,7 +6,6 @@ from enfuse.data import LabeledImageSet, make_synthetic_task, one_hot_matrix
 from enfuse.errors import EnfuseError
 from enfuse.explain import grad_cam
 from enfuse.nn import (
-    INFERENCE_BATCH,
     Conv2d,
     Dense,
     Dropout,
@@ -26,7 +25,9 @@ from enfuse.nn import (
     plateau_schedule,
     train_supervised,
 )
+from enfuse.nn import model as model_module
 from enfuse.nn import train as train_module
+from enfuse.nn.model import INFERENCE_BATCH
 from enfuse.pretrain import (
     build_backbone,
     extract_features,
@@ -355,7 +356,7 @@ def training_forward(model, x):
     """A training forward over every layer but the final Softmax (the loss
     takes the logits), with the dropout masks fixed."""
     model.reseed_dropout(0)
-    model.forward_layers(x, 0, len(model.layers) - 1, training=True, keep_cache=True)
+    model.forward(x, 0, len(model.layers) - 1, training=True, keep_cache=True)
 
 
 def trainable_grads(model):
@@ -456,7 +457,8 @@ def target_set(n=5):
 
 class TestForwardCaches:
     INFERENCE = {
-        "features": lambda model: model.features(images_to_batch(target_set().images)),
+        "features": lambda model: model.forward(images_to_batch(target_set().images),
+                                                stop=len(model.backbone)),
         "extract_features": lambda model: extract_features(model, target_set()),
         "accuracy": lambda model: accuracy(model, target_set()),
     }
@@ -526,7 +528,7 @@ def reference_train(model, train_set, lr, epochs, batch, seed):
         for start in range(0, n, batch):
             idx = perm[start:start + batch]
             grads.fill(0.0)
-            logits = model.forward_layers(x_all[idx], 0, stop, training=True, keep_cache=True)
+            logits = model.forward(x_all[idx], 0, stop, training=True, keep_cache=True)
             loss, dlogits = cross_entropy_loss(logits, y_all[idx])
             model.backward(dlogits)
             adam_step(opt, params, grads)
@@ -616,7 +618,7 @@ class TestFrozenPrefix:
     @pytest.mark.parametrize("chunk", [INFERENCE_BATCH, 4])
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_frozen_convs_run_once_per_call(self, monkeypatch, chunk, epochs):
-        monkeypatch.setattr(train_module, "INFERENCE_BATCH", chunk)
+        monkeypatch.setattr(model_module, "INFERENCE_BATCH", chunk)
         model = EncoderModel(build_backbone("C", np.random.default_rng(5)))
         rows = {}
         for i, layer in enumerate(model.backbone):
@@ -644,13 +646,51 @@ def test_backbone_forward_is_row_independent(variant):
     rng = np.random.default_rng(12)
     stop = len(model.backbone)
     with _one_blas_thread():
-        whole = model.forward_layers(x, 0, stop, training=False, keep_cache=False)
+        whole = model.forward(x, stop=stop)
         splits = [np.arange(1, 37), [8, 16, 24, 32], [5, 6, 30]] + [
             np.sort(rng.choice(np.arange(1, 37), size=k, replace=False)) for k in (2, 7, 13)]
         for cuts in splits:
-            parts = [model.forward_layers(part, 0, stop, training=False, keep_cache=False)
-                     for part in np.split(x, cuts)]
+            parts = [model.forward(part, stop=stop) for part in np.split(x, cuts)]
             assert np.array_equal(np.concatenate(parts), whole), list(cuts)
+
+
+@pytest.mark.parametrize("variant", ["A", "B", "C"])
+def test_forward_in_chunks_gives_the_bytes_of_one_chunk(monkeypatch, variant):
+    """A forward that keeps no caches over more images than one chunk runs in
+    chunks of `INFERENCE_BATCH`, each with the bytes of a forward over that
+    chunk alone, and leaves no layer a cache, even after a forward that
+    filled every one. Over the backbone, whose layers compute each image on
+    its own, that is the bytes of one batch."""
+    model = variant_model(variant, 0)
+    x = images_to_batch(target_set(13).images)
+    rows = []
+    conv = model.backbone[0]
+    forward = conv.forward
+
+    def counted(x, **kwargs):
+        rows.append(len(x))
+        return forward(x, **kwargs)
+
+    with _one_blas_thread():
+        backbone = model.forward(x, stop=len(model.backbone))
+        chunks = np.concatenate([model.forward(x[s:s + 4]) for s in range(0, len(x), 4)])
+        monkeypatch.setattr(model_module, "INFERENCE_BATCH", 4)
+        for stop, want in ((len(model.backbone), backbone), (None, chunks)):
+            trained_forward(model)
+            conv.forward, rows[:] = counted, []
+            got = model.forward(x, stop=stop)
+            conv.forward = forward
+            assert rows == [4, 4, 4, 1]
+            assert got.tobytes() == want.tobytes()
+            assert cached_layers(model) == []
+
+
+@pytest.mark.parametrize("variant", ["A", "B", "C"])
+def test_backbone_forward_over_no_images_keeps_the_map_shape(variant):
+    model = variant_model(variant, 0)
+    x = images_to_batch(target_set().images)
+    stop = len(model.backbone)
+    assert model.forward(x[:0], stop=stop).shape == (0,) + model.forward(x, stop=stop).shape[1:]
 
 
 class TestModelPersistence:

@@ -1067,7 +1067,7 @@ def ablate_rows(full: EnsembleModel, train_parts, test_parts, method, seed, k):
     for excluded in train_parts:
         train_kept, test_kept = ({name: part for name, part in parts.items() if name != excluded}
                                  for parts in (train_parts, test_parts))
-        model = train_ensemble([train_kept], full.n_classes, method=method, seed=seed, k=k)[0]
+        model = train_ensemble([train_kept], method=method, seed=seed, k=k)[0]
         rows.append(row(model, test_kept, excluded, full_row.voted_accuracy))
     return full_row, rows
 
@@ -1127,7 +1127,7 @@ def test_ablation_reports_match_row_oracle(noisy_splits, method, k, n_parts):
     train_parts, test_parts = (
         {**{f"p{seed}": projector(ds, 12, seed) for seed in range(n_parts - 1)},
          "noise": noise_features(ds, 12, 99)} for ds in noisy_splits)
-    full = train_ensemble([train_parts], 3, method=method, seed=0, k=k)[0]
+    full = train_ensemble([train_parts], method=method, seed=0, k=k)[0]
     arms = ablate(full, train_parts, test_parts, method=method, seed=0, k=k)
     full_row, rows = ablate_rows(full, train_parts, test_parts, method, 0, k)
     assert ablation_csv(arms) == ablation_csv_rows(full_row, rows)
@@ -1135,8 +1135,8 @@ def test_ablation_reports_match_row_oracle(noisy_splits, method, k, n_parts):
 
     kept = [name for name in train_parts if name != "p0"]
     arm = tuple({n: parts[n] for n in kept} for parts in (train_parts, test_parts))
-    ((per_clf, voted),) = fit_arm([arm], 3, method, 0, k)
-    (model,) = train_ensemble([arm[0]], 3, method=method, seed=0, k=k)
+    ((per_clf, voted),) = fit_arm([arm], method, 0, k)
+    (model,) = train_ensemble([arm[0]], method=method, seed=0, k=k)
     want_per_clf, want_voted = predict_ensemble(model, {n: test_parts[n] for n in kept})
     assert all(np.array_equal(got, want) for got, want in zip(per_clf, want_per_clf, strict=True))
     assert np.array_equal(voted, want_voted)

@@ -18,8 +18,13 @@ equal, bit for bit, those of growing each tree alone, one node at a time.
 A forest is one flat node table (`TREE_COLUMNS`), the arrays its file
 stores, built once when it is fitted or checked once when it is loaded. It
 predicts in one walk: every (tree, query row) pair goes down together, one
-level per step, in blocks of bounded size, and each block's leaf values are
-added in tree order from 0.0, as a loop over the trees adds them.
+level per step, in blocks of bounded size, reading the block's values and
+each node's children through flat indices. A block's leaf values are summed
+in one reduce along the tree axis, which adds them in tree order; adding
+0.0 to the sum gives what a loop over the trees adds from 0.0.
+
+Every classifier is row-independent: a row's probabilities have the same
+bits whatever rows share its call, which SHAP's deduplicated calls rely on.
 """
 
 from __future__ import annotations
@@ -157,7 +162,8 @@ def _knn_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
     step = max(1, KNN_BLOCK_ELEMENTS // train_x.size)
     for start in range(0, len(q), step):
         part = out[start:start + step]  # a view: writes land in out
-        dist = np.linalg.norm(train_x[None] - q[start:start + step, None], axis=2)
+        diff = train_x[None] - q[start:start + step, None]
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=2))  # np.linalg.norm's sum
         nearest = np.argsort(dist, axis=1, kind="stable")[:, :KNN_K]
         weights = 1.0 / (np.take_along_axis(dist, nearest, axis=1) + 1e-12)
         np.add.at(part, (np.arange(len(part))[:, None], train_y[nearest]), weights)
@@ -520,6 +526,7 @@ def _leaf_blocks(table: dict[str, np.ndarray], q: np.ndarray):
     Every (tree, row) pair of a block walks down together, one level per
     step: a pair at an inner node goes left iff its row's value is
     `<= threshold` (so NaN goes right), and a pair at a leaf stays there.
+    The block's values and the children are read through flat indices.
     Pairs at their leaves leave the walk once they are a quarter of those
     still in it. A block has at most FOREST_BLOCK_PAIRS pairs; as a tree's
     leaf for one row reads no other row, blocking changes no value.
@@ -528,18 +535,21 @@ def _leaf_blocks(table: dict[str, np.ndarray], q: np.ndarray):
     threshold, value = table["tree_threshold"], table["tree_value"]
     n_trees = len(offsets) - 1
     leaf = feature < 0
-    # per node, its (right, left) child by node number, and a leaf is its own
-    # child, so a `<=` test's outcome picks the column
+    # node i's (right, left) children by node number are children[2i] and
+    # children[2i + 1], and a leaf is its own child, so a `<=` test's
+    # outcome picks the entry
     first = np.repeat(offsets[:-1], np.diff(offsets))  # each node's tree's root
     own = np.arange(len(feature))
     children = np.stack([np.where(leaf, own, first + right),
-                         np.where(leaf, own, first + left)], axis=1)
+                         np.where(leaf, own, first + left)], axis=1).ravel()
     split = np.where(leaf, 0, feature)
+    d = q.shape[1]
     step = max(1, FOREST_BLOCK_PAIRS // n_trees)
     for start in range(0, len(q), step):
         block = q[start:start + step]
+        flat = block.ravel()
         node = np.repeat(offsets[:-1], len(block))  # pairs at their roots, trees major
-        row = np.tile(np.arange(len(block)), n_trees)
+        row = np.tile(np.arange(len(block)) * d, n_trees)  # each pair's row's offset in flat
         walking = None  # once pairs leave the walk, node is reached[walking]
         while True:
             done = leaf[node]
@@ -554,8 +564,8 @@ def _leaf_blocks(table: dict[str, np.ndarray], q: np.ndarray):
                     reached[walking] = node
                     walking = walking[keep]
                 node, row = node[keep], row[keep]
-            go_left = block[row, split[node]] <= threshold[node]
-            node = children[node, go_left.view(np.uint8)]
+            go_left = flat[row + split[node]] <= threshold[node]
+            node = children[2 * node + go_left]
         if walking is None:
             reached = node
         else:
@@ -583,14 +593,23 @@ def fit_rf(x: np.ndarray, y: np.ndarray, *, seed: int) -> TrainedClassifier:
                                    "min_split": RF_MIN_SPLIT, "seed": seed})
 
 
+def _tree_sum(values: np.ndarray) -> np.ndarray:
+    """values summed along axis 0 in order, from 0.0.
+
+    NumPy adds along the outer axis one slice at a time, in order, when a
+    slice has more than one element; with one (one row of a one-class
+    forest), it may add in pairs, but every probability is then 1.0. A
+    NumPy whose reduce starts from the first slice, not from 0.0, gives
+    -0.0 for a sum of -0.0s; adding 0.0 makes it +0.0, as a loop gives."""
+    return np.add.reduce(values, axis=0) + 0.0
+
+
 def _rf_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
     # summed in tree order from 0.0, then divided: the float operations of
     # np.mean over the stacked outputs, without holding every tree's at once
     p = np.zeros((len(q), clf.n_classes))
     for start, values in _leaf_blocks(clf.arrays, q):
-        part = p[start:start + values.shape[1]]  # a view: adds land in p
-        for value in values:
-            part += value
+        p[start:start + values.shape[1]] = _tree_sum(values)
     p /= len(clf.arrays["tree_offsets"]) - 1
     return p / p.sum(axis=1, keepdims=True)
 
@@ -656,9 +675,8 @@ def _gbt_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
     k = clf.n_classes
     scores = np.zeros((len(q), k))
     for start, values in _leaf_blocks(clf.arrays, q):
-        part = scores[start:start + values.shape[1]]
-        for round_scores in (GBT_ETA * values[:, :, 0]).reshape(-1, k, values.shape[1]):
-            part += round_scores.T
+        rounds = (GBT_ETA * values[:, :, 0]).reshape(-1, k, values.shape[1])
+        scores[start:start + values.shape[1]] = _tree_sum(rounds).T
     return _softmax(scores)
 
 
@@ -669,7 +687,10 @@ def _gbt_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
 def predict_proba(clf: TrainedClassifier, q: np.ndarray) -> np.ndarray:
     q = np.atleast_2d(np.asarray(q, dtype=np.float64))
     if clf.kind == "SVM":
-        return _softmax(q @ clf.arrays["w"].T + clf.arrays["b"])
+        # each margin is its own row's sum, where a matrix product's rounding
+        # can change with the rows beside it
+        margins = (q[:, None, :] * clf.arrays["w"]).sum(axis=2)
+        return _softmax(margins + clf.arrays["b"])
     if clf.kind == "KNN":
         return _knn_proba(clf, q)
     if clf.kind == "GNB":

@@ -20,6 +20,8 @@ sums its patches from 0.0 in (ky, kx) order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import EnfuseError
@@ -220,7 +222,7 @@ class GlobalAvgPool(Layer):
 class Flatten(Layer):
     def forward(self, x, training=False, keep_cache=False):
         self._cache = x.shape if keep_cache else None
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))  # -1 fails on 0 images
 
     def backward(self, dout):
         return dout.reshape(self._cached())

@@ -197,6 +197,22 @@ class TestShapSampled:
             shap_sampled(f, inst, bg, n_samples=n_samples, seed=0)
         assert calls[64] == calls[2048]
 
+    def test_explain_workload_evaluates_1568_distinct_coalitions(self):
+        """The default `[explain] shap_samples = 2048` over 16 fused features
+        at seed 42 is one block of 128 permutations, 2,176 prefixes, of
+        which 1,568 are distinct; then f at the background mean and at the
+        instance."""
+        rng = np.random.default_rng(11)
+        rows = []
+
+        def f(x):
+            rows.append(len(x))
+            return x.sum(axis=1)
+
+        shap_sampled(f, rng.normal(size=16), rng.normal(size=(10, 16)),
+                     n_samples=2048, seed=42)
+        assert rows == [1568, 1, 1]
+
 
 class TestSelectBackground:
     def test_near_median_and_deterministic(self):

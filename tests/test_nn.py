@@ -687,10 +687,13 @@ def test_forward_in_chunks_gives_the_bytes_of_one_chunk(monkeypatch, variant):
 
 @pytest.mark.parametrize("variant", ["A", "B", "C"])
 def test_backbone_forward_over_no_images_keeps_the_map_shape(variant):
+    """A backbone forward over 0 images keeps the map shape, and one over
+    the whole model, through `Flatten`, gives (0, class count)."""
     model = variant_model(variant, 0)
     x = images_to_batch(target_set().images)
     stop = len(model.backbone)
     assert model.forward(x[:0], stop=stop).shape == (0,) + model.forward(x, stop=stop).shape[1:]
+    assert model.forward(x[:0]).shape == (0, target_set().n_classes)
 
 
 class TestModelPersistence:

@@ -69,6 +69,7 @@ from enfuse.ensemble import (
 )
 from enfuse.errors import EnfuseError
 from enfuse.explain import (
+    SHAP_BLOCK_ROWS,
     _svg_document,
     grad_cam,
     render_ablation_svg,
@@ -650,6 +651,43 @@ def test_shap_sampled_matches_per_permutation_calls(seed, d, n_samples):
     want = shap_sampled_per_permutation(f, instance, background, n_samples, seed)
     assert np.array_equal(got[0], want[0])
     assert got[1:] == want[1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.one_of(st.integers(1, 3), st.integers(12, 24)),
+       n_samples=st.integers(1, 8000))
+@example(seed=0, d=1, n_samples=8000)  # 8,000 permutations: 4 blocks of two coalitions
+def test_shap_sampled_calls_f_once_per_distinct_coalition(seed, d, n_samples):
+    """Few features repeat nearly every coalition and many repeat few: either
+    way each block's call holds each distinct coalition of its permutations'
+    prefixes once, and the estimate keeps the per-permutation bits."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=d)
+    calls = []
+
+    def f(z):  # row-independent: each output reads only its own row
+        calls.append(z.copy())
+        return np.tanh((z * w).sum(axis=1)) + z[:, 0] * z[:, -1]
+
+    instance, background = rng.normal(size=d), rng.normal(size=(5, d))
+    got = shap_sampled(f, instance, background, n_samples=n_samples, seed=seed)
+    *blocks, base_call, output_call = calls
+    want = shap_sampled_per_permutation(f, instance, background, n_samples, seed)
+    assert same_bits(got[0], want[0])
+    assert got[1:] == want[1:]
+
+    perm_rng = np.random.default_rng(seed)  # the permutations, drawn as the oracle draws them
+    orders = [perm_rng.permutation(d) for _ in range(max(1, n_samples // d))]
+    per_call = SHAP_BLOCK_ROWS // (d + 1)
+    assert len(blocks) == -(-len(orders) // per_call)
+    for b, rows in enumerate(blocks):
+        coalitions = [frozenset(np.flatnonzero(row == instance).tolist()) for row in rows]
+        assert len(set(coalitions)) == len(coalitions)  # no coalition twice in a call
+        assert set(coalitions) == {frozenset(order[:s].tolist())
+                                   for order in orders[b * per_call:(b + 1) * per_call]
+                                   for s in range(d + 1)}
+    assert np.array_equal(base_call, background.mean(axis=0)[None])
+    assert np.array_equal(output_call, instance[None])
 
 
 # ---------------------------------------------------------------------------

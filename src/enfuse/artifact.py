@@ -14,6 +14,7 @@ checks them against its own shapes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -51,11 +52,14 @@ def unpack(blob: bytes, magic: bytes, kind: str) -> tuple[dict, list[np.ndarray]
         raise IntegrityError(f"negative array dimension in {kind} header")
     arrays = []
     for shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # exact: np.prod wraps a large shape round to a small count
         if len(blob) < offset + 8 * count:
             raise IntegrityError(f"truncated {kind} file: array data cut short")
-        arrays.append(np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-                      .reshape(shape).copy())
+        try:
+            arrays.append(np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+                          .reshape(shape).copy())
+        except ValueError as exc:  # an empty array can still have a dimension numpy cannot hold
+            raise IntegrityError(f"unreadable {kind} header: shape {shape}: {exc}") from exc
         offset += 8 * count
     if offset != len(blob):
         raise IntegrityError(f"trailing bytes in {kind} file")

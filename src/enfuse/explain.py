@@ -96,7 +96,9 @@ def shap_sampled(f, instance: np.ndarray, background: np.ndarray, *, n_samples: 
     input row, not on the rows beside it or their count. The prefixes of
     different permutations repeat coalitions, and f sees each distinct
     coalition of a block once, in an order of its own; the estimate is then
-    the one that evaluating every prefix would give, bit for bit.
+    the one that evaluating every prefix would give, bit for bit. f runs
+    once per block, and base and output are a block's empty and full
+    coalitions.
     """
     instance = np.asarray(instance, dtype=np.float64).ravel()
     d = len(instance)
@@ -119,9 +121,10 @@ def shap_sampled(f, instance: np.ndarray, background: np.ndarray, *, n_samples: 
         vals = np.asarray(f(np.where(masks[first], instance, bg_mean)))[inverse]
         np.put_along_axis(contribs[block], orders[block],
                           np.diff(vals.reshape(-1, d + 1), axis=1), axis=1)
+    # f at the background mean and at the instance: every block holds the
+    # empty and the full coalition
+    base, out = float(vals[0]), float(vals[d])
     phi = contribs.mean(axis=0)
-    base = float(f(bg_mean[None])[0])
-    out = float(f(instance[None])[0])
     residual = (out - base) - phi.sum()
     mass = np.abs(phi).sum()
     phi = phi + residual * (np.abs(phi) / mass if mass > 1e-12 else np.full(d, 1.0 / d))

@@ -5,15 +5,18 @@ any other forward keeps nothing and drops the cache an earlier forward left,
 so inference, and a layer that no backward will reach, hold no buffers
 (`EncoderModel.forward` asks only its trainable slice to keep them). backward
 reads the cache, raising EnfuseError when the last forward kept none,
-and accumulates parameter gradients into `self.grads`. A layer with
-parameters skips its input gradient when called with `input_grad=False` and
-returns None.
+and accumulates parameter gradients into `self.grads`. A layer's backward
+leaves its cache in place; `EncoderModel.backward` drops each layer's cache
+once that layer's backward returns. A layer with parameters skips its input
+gradient when called with `input_grad=False` and returns None.
 
 `Conv2d` unrolls its input into patch rows (im2col) with one gather: a flat
 index into one padded image, in (channel, ky, kx) column order, built once
 per input size and kept on the layer. Its input gradient folds the patch
-gradients back (col2im) with one `np.bincount` per image over that index
-reversed, weighted by the image's patch gradients reversed: read backwards,
+gradients back (col2im) one image at a time, so only one image's patch
+gradients exist at once: the image's output gradient times the weights (one
+gemm per output row, as over the whole batch) feeds one `np.bincount` over
+that index reversed, weighted by those gradients reversed. Read backwards,
 the patches that cover a pixel come in (ky, kx) order, so each input pixel
 sums its patches from 0.0 in (ky, kx) order.
 """
@@ -115,13 +118,13 @@ class Conv2d(Layer):
         self.grads["b"] += dflat.sum(axis=(0, 1, 2))
         if not input_grad:
             return None
-        dcols = (dflat @ self.params["w"].T).reshape(n, -1)  # each image's patch rows, flat
         # copied per call, not kept: a second index per layer raises peak memory
         bins = self._patch_index[(h, w)].ravel()[::-1].copy()
         hp, wp = h + 2 * p, w + 2 * p
         dx_pad = np.empty((n, c, hp, wp))
         for i in range(n):
-            dx_pad[i] = np.bincount(bins, dcols[i, ::-1], c * hp * wp).reshape(c, hp, wp)
+            dcols = (dflat[i] @ self.params["w"].T).ravel()  # this image's patch rows, flat
+            dx_pad[i] = np.bincount(bins, dcols[::-1], c * hp * wp).reshape(c, hp, wp)
         return dx_pad[:, :, p:p + h, p:p + w]
 
     def descriptor(self):

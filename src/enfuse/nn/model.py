@@ -4,6 +4,11 @@ The backbone ends in conv feature maps; its feature vector is the spatial
 mean of the final conv activation (dimension = channel count). Heads are
 layer stacks consuming those maps (a classification head or a contrastive
 projection head). Persistence uses the shared artifact container (`enfuse.artifact`).
+
+Buffers live only while a later step reads them. A training forward's
+caches last until `backward` has run each layer, and no longer; an
+inference forward keeps none, and runs the layers below its first `Dense`
+(the conv maps) in chunks of `INFERENCE_BATCH` images.
 """
 
 from __future__ import annotations
@@ -12,10 +17,13 @@ import numpy as np
 
 from .. import artifact
 from ..errors import EnfuseError, IntegrityError
-from .layers import Conv2d, Dropout, Layer, layer_from_descriptor
+from .layers import Conv2d, Dense, Dropout, Layer, layer_from_descriptor
 
 MODEL_MAGIC = b"ETSEFM1\x00"
-INFERENCE_BATCH = 256  # images per chunk of a forward that keeps no caches
+# images per chunk of the layers below the first Dense in a forward that
+# keeps no caches: those layers compute each image on its own, so a chunk
+# gives the bits of one batch, and only one chunk's maps exist at a time
+INFERENCE_BATCH = 16
 
 
 class EncoderModel:
@@ -62,9 +70,11 @@ class EncoderModel:
         """Run layers [start, stop) of `layers` on x, the input of layer
         `start`; to the top when `stop` is None. With `keep_cache`, x runs as
         one batch, and the lowest trainable layer with parameters in the range
-        and all above it keep what `backward` needs. Without it, no layer keeps
-        anything and x runs in chunks of `INFERENCE_BATCH` images, which over
-        the backbone gives the bits of one batch (see `nn.train`). What an
+        and all above it keep what `backward` needs. Without it, no layer
+        keeps anything: the layers below the first `Dense` run in chunks of
+        `INFERENCE_BATCH` images, which gives the bits of one batch (see
+        `nn.train`), and that `Dense` and all above it run once over every
+        row, since a `Dense`'s rounding can depend on its row count. What an
         earlier forward kept is dropped first."""
         out = np.asarray(x, dtype=np.float64)
         stack = self.layers[start:stop]
@@ -73,20 +83,24 @@ class EncoderModel:
         for layer in self.layers:
             layer._cache = None
 
-        def run(out):
-            for i, layer in enumerate(stack):
+        def run(out, first, last):
+            for i in range(first, last):
                 try:
-                    out = layer.forward(out, training=training,
-                                        keep_cache=keep_cache and i >= lowest)
+                    out = stack[i].forward(out, training=training,
+                                           keep_cache=keep_cache and i >= lowest)
                 except EnfuseError as exc:
-                    raise EnfuseError(f"layer {start + i} ({type(layer).__name__}): {exc}") from exc
+                    raise EnfuseError(
+                        f"layer {start + i} ({type(stack[i]).__name__}): {exc}") from exc
             return out
 
         if keep_cache:
-            return run(out)
-        # an empty x still runs once, so its output has the stack's shape
-        return np.concatenate([run(out[s:s + INFERENCE_BATCH])
-                               for s in range(0, max(len(out), 1), INFERENCE_BATCH)])
+            return run(out, 0, len(stack))
+        first_dense = next((i for i, l in enumerate(stack) if isinstance(l, Dense)), len(stack))
+        if first_dense:
+            # an empty x still runs once, so its output has the stack's shape
+            out = np.concatenate([run(out[s:s + INFERENCE_BATCH], 0, first_dense)
+                                  for s in range(0, max(len(out), 1), INFERENCE_BATCH)])
+        return run(out, first_dense, len(stack))
 
     def backward(self, dout: np.ndarray) -> None:
         """Accumulate parameter gradients for the last forward, which must
@@ -94,15 +108,21 @@ class EncoderModel:
 
         Runs top down through the layers that forward kept, ending at the
         lowest trainable layer with parameters, which skips its input
-        gradient; nothing runs when no layer is trainable.
+        gradient; nothing runs when no layer is trainable. Each layer's cache
+        is dropped as soon as its backward returns, so the buffers of one
+        step are gone before the next step's batch is built, and a second
+        backward needs a new forward.
         """
         stack = self._backward_stack
         if stack is None:
             raise EnfuseError("EncoderModel.backward needs a forward with keep_cache=True")
         for layer in reversed(stack[1:]):
             dout = layer.backward(dout)
+            layer._cache = None
         if stack:
             stack[0].backward(dout, input_grad=False)
+            stack[0]._cache = None
+        self._backward_stack = None
 
     def named_parameters(self):
         return {f"{i}.{name}": arr for i, layer in enumerate(self.layers)

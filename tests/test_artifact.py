@@ -18,7 +18,16 @@ from enfuse.ensemble import TARGET_MAGIC, TargetSplit, load_target_split, save_t
 from enfuse.errors import IntegrityError
 from enfuse.features import FeatureMatrix
 from enfuse.fusion import fit_pca, load_transform, save_transform
-from enfuse.nn import Conv2d, Dense, EncoderModel, Flatten, GlobalAvgPool, MaxPool2d, ReLU
+from enfuse.nn import (
+    MODEL_MAGIC,
+    Conv2d,
+    Dense,
+    EncoderModel,
+    Flatten,
+    GlobalAvgPool,
+    MaxPool2d,
+    ReLU,
+)
 
 
 def _model():
@@ -89,6 +98,22 @@ def test_container_roundtrip_and_damage(kind, tmp_path):
         with pytest.raises(IntegrityError):
             load(damaged)
             pytest.fail(f"{kind}: {what} was accepted")
+
+
+@pytest.mark.parametrize("shape", [[2**33, 2**33], [2**62, 4], [0, 2**70]],
+                         ids=["2^33x2^33", "2^62x4", "0x2^70"])
+def test_shape_too_large_for_numpy_rejected(shape, tmp_path):
+    """A header shape whose element count or a dimension numpy cannot hold
+    is an IntegrityError (exit 4), not a traceback: the first two counts
+    wrap to 0 modulo 2**64 in int64 arithmetic, and the third is 0 with a
+    dimension past the largest numpy allows."""
+    path = tmp_path / "m.bin"
+    _model().save(path)
+    header, arrays = artifact.unpack(path.read_bytes(), MODEL_MAGIC, "model")
+    header["arrays"][0]["shape"] = shape
+    path.write_bytes(artifact.pack(MODEL_MAGIC, header, arrays))
+    with pytest.raises(IntegrityError):
+        EncoderModel.load(path)
 
 
 def _src_nodes():

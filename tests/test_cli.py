@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_oracles import shap_sampled_per_permutation
 
 from enfuse import artifact, cli, ensemble, explain
 from enfuse.cli import SETTINGS, load_config, run, target_split
@@ -436,6 +437,34 @@ class TestAuxCommands:
         assert shap_lines.count("\n") == 1 + 8 + 2  # header, k rows, base+output
         assert run(["explain", "--what", "tsne"] + argv) == 0
         assert (out / "tiny" / "explain" / "tsne_seed11.svg").exists()
+
+    def test_shap_csv_has_the_bytes_of_the_per_permutation_oracle(self, tiny_all, tmp_path,
+                                                                   monkeypatch):
+        """`explain --what shap` calls its f once per block, the one block of
+        the tiny config's 8 permutations, and writes the bytes that f over
+        every permutation's prefixes, then at the background mean and at the
+        instance, gives."""
+        pristine, cfg = tiny_all
+        calls, csv = [], {}
+
+        def counted(f, *args, **kwargs):
+            def f_counted(x):
+                calls.append(len(x))
+                return f(x)
+            return explain.shap_sampled(f_counted, *args, **kwargs)
+
+        def oracle(f, instance, background, *, n_samples, seed):
+            return shap_sampled_per_permutation(f, instance, background, n_samples, seed)
+
+        for side, shap in (("block", counted), ("oracle", oracle)):
+            out = tmp_path / side
+            shutil.copytree(pristine, out)
+            monkeypatch.setattr(cli, "shap_sampled", shap)
+            argv = ["--config", str(cfg), "--seed", "11", "--out", str(out)]
+            assert run(["explain", "--what", "shap"] + argv) == 0
+            csv[side] = (out / "tiny" / "explain" / "shap_i0_seed11.csv").read_bytes()
+        assert len(calls) == 1
+        assert csv["block"] == csv["oracle"]
 
     def test_tsne_runs_on_the_smallest_accepted_target_split(self, tmp_path):
         cfg = tmp_path / "small.cfg"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -478,6 +480,19 @@ class TestForwardCaches:
         with pytest.raises(EnfuseError, match="keep_cache"):
             model.backward(dout)
 
+    @pytest.mark.parametrize("variant,upto,lowest", VARIANT_FREEZE_PATTERNS)
+    def test_backward_drops_every_cache(self, variant, upto, lowest):
+        """No layer holds a cache once `EncoderModel.backward` returns, so a
+        second backward over the same forward raises."""
+        model = variant_model(variant, upto)
+        rng = np.random.default_rng(6)
+        training_forward(model, rng.random((4, 3, 16, 16)))
+        dout = rng.normal(size=(4, 3))
+        model.backward(dout)
+        assert cached_layers(model) == []
+        with pytest.raises(EnfuseError, match="keep_cache"):
+            model.backward(dout)
+
     def test_backward_before_any_forward_raises(self):
         with pytest.raises(EnfuseError, match="keep_cache"):
             variant_c_model(0).backward(np.zeros((4, 3)))
@@ -656,33 +671,80 @@ def test_backbone_forward_is_row_independent(variant):
 
 @pytest.mark.parametrize("variant", ["A", "B", "C"])
 def test_forward_in_chunks_gives_the_bytes_of_one_chunk(monkeypatch, variant):
-    """A forward that keeps no caches over more images than one chunk runs in
-    chunks of `INFERENCE_BATCH`, each with the bytes of a forward over that
-    chunk alone, and leaves no layer a cache, even after a forward that
-    filled every one. Over the backbone, whose layers compute each image on
-    its own, that is the bytes of one batch."""
+    """A forward that keeps no caches over more images than one chunk runs
+    the layers below the first `Dense` in chunks of `INFERENCE_BATCH`, and
+    that `Dense` and all above it once over every row; over the backbone and
+    over the whole model it has the bytes of one batch, and it leaves no
+    layer a cache, even after a forward that filled every one."""
     model = variant_model(variant, 0)
     x = images_to_batch(target_set(13).images)
-    rows = []
+    rows = {"conv": [], "dense": []}
     conv = model.backbone[0]
-    forward = conv.forward
+    dense = next(layer for layer in model.head if isinstance(layer, Dense))
 
-    def counted(x, **kwargs):
-        rows.append(len(x))
-        return forward(x, **kwargs)
+    def counted(layer, key):
+        forward = layer.forward
+
+        def run(x, **kwargs):
+            rows[key].append(len(x))
+            return forward(x, **kwargs)
+        return run
 
     with _one_blas_thread():
-        backbone = model.forward(x, stop=len(model.backbone))
-        chunks = np.concatenate([model.forward(x[s:s + 4]) for s in range(0, len(x), 4)])
+        want = {stop: model.forward(x, stop=stop) for stop in (len(model.backbone), None)}
         monkeypatch.setattr(model_module, "INFERENCE_BATCH", 4)
-        for stop, want in ((len(model.backbone), backbone), (None, chunks)):
+        conv.forward, dense.forward = counted(conv, "conv"), counted(dense, "dense")
+        for stop in want:
             trained_forward(model)
-            conv.forward, rows[:] = counted, []
+            rows["conv"][:], rows["dense"][:] = [], []
             got = model.forward(x, stop=stop)
-            conv.forward = forward
-            assert rows == [4, 4, 4, 1]
-            assert got.tobytes() == want.tobytes()
+            assert rows == {"conv": [4, 4, 4, 1], "dense": [] if stop else [13]}
+            assert got.tobytes() == want[stop].tobytes()
             assert cached_layers(model) == []
+
+
+@pytest.mark.parametrize("head", ["TL", "SSL"])
+@pytest.mark.parametrize("variant", ["A", "B", "C"])
+def test_inference_chunks_give_the_bytes_of_one_batch(monkeypatch, variant, head):
+    """Over 41 images in chunks of 4, the backbone and the whole model give
+    the bytes of every layer run once over all 41, with either head: a
+    `Dense`, whose rounding can depend on its row count, never runs per
+    chunk. The last chunk holds one image, and a one-row `Dense` can take
+    another BLAS path, with other bits."""
+    rng = np.random.default_rng(14)
+    model = EncoderModel(build_backbone(variant, rng))
+    make_head = make_classification_head if head == "TL" else make_ssl_classification_head
+    model.set_head(make_head(model.feature_dim, 3, rng))
+    x = images_to_batch(target_set(41).images)
+    monkeypatch.setattr(model_module, "INFERENCE_BATCH", 4)
+    with _one_blas_thread():
+        want = x
+        for i, layer in enumerate(model.layers):
+            want = layer.forward(want)
+            if i == len(model.backbone) - 1:
+                want_backbone = want
+        assert (model.forward(x, stop=len(model.backbone)).tobytes()
+                == want_backbone.tobytes())
+        assert model.forward(x).tobytes() == want.tobytes()
+
+
+def test_conv_backward_folds_one_image_at_a_time():
+    """`Conv2d.backward` never holds the whole batch's patch gradients:
+    over 32 images of 8 channels at 16x16 with k3 (variant B's second conv
+    on a contrastive batch), it peaks below half of their 4.7 MB."""
+    rng = np.random.default_rng(13)
+    conv = Conv2d(8, 12, 3, rng=rng)
+    x = rng.random((32, 8, 16, 16))
+    dout = rng.normal(size=conv.forward(x, keep_cache=True).shape)
+    patch_grads = x.size * 9 * 8  # bytes: one float64 per (image, pixel, channel, ky, kx)
+    assert patch_grads == 4_718_592
+    tracemalloc.start()
+    try:
+        conv.backward(dout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < patch_grads / 2
 
 
 @pytest.mark.parametrize("variant", ["A", "B", "C"])

@@ -73,7 +73,8 @@ from .explain import (
     shap_sampled,
     tsne_embed,
 )
-from .fusion import METHODS, FusionTransform, load_transform, save_transform
+from .fusion import (K_METHODS, METHODS, FusionTransform, load_transform, max_components,
+                     save_transform)
 from .fusion import apply_transform  # noqa: F401  (bench span hook target)
 from .nn import EncoderModel, MaxPool2d, accuracy
 from .pretrain import (
@@ -137,7 +138,7 @@ SETTINGS: dict[str, dict[str, tuple[object, str | tuple[str, ...] | None]]] = {
     },
     "fusion": {
         "method": ("concat+ica", METHODS),
-        "k": (16, "[0, 100000]"),  # retained components; 0 = automatic (min(rows - 1, 128, cols))
+        "k": (16, "[0, 100000]"),  # retained components; 0 = automatic (fusion.fuse_pipeline)
     },
     "explain": {
         "perplexity": (10.0, "[1, inf)"),
@@ -273,17 +274,17 @@ def _check_test_rows(config: dict, args: argparse.Namespace) -> None:
 
 
 def _check_fusion_k(config: dict, without_widest: bool) -> None:
-    """PCA and ICA keep k <= min(rows - 1, columns) components: the target
-    train split's rows, and the six encoders' feature columns, less the
-    widest encoder's on ablate's narrowest refit."""
+    """PCA and ICA keep k <= `max_components` of the target train split's
+    rows and the six encoders' feature columns, less the widest encoder's on
+    ablate's narrowest refit."""
     k = config["fusion"]["k"]
-    if k == 0 or config["fusion"]["method"] not in ("concat+pca", "concat+ica"):
+    if k == 0 or config["fusion"]["method"] not in K_METHODS:
         return
     rows = int(_train_counts(config, config["data"]["target_per_class"], TARGET_KIND).sum())
     widths = 2 * [EncoderModel(build_backbone(v, None)).feature_dim for v in VARIANTS]  # TL, SSL
     columns = sum(widths) - (max(widths) if without_widest else 0)
     fit = "ablate keeps without the widest encoder" if without_widest else "ensemble fuses"
-    if k > min(rows - 1, columns):
+    if k > max_components(rows, columns):
         raise ConfigError(f"[fusion] k: {k} is more than the {rows} target train rows less "
                           f"one or the {columns} feature columns {fit}; lower k or set it "
                           f"to 0 (automatic)")
@@ -695,7 +696,7 @@ def cmd_explain(config: dict, seed: int, out: Path, stage_dir: Path,
         ensemble = _rebuild_ensemble(out, config)
         fused_train = fuse_parts(ensemble.transform, split.train_parts)
         row = fuse_parts(ensemble.transform, split.test_parts).data[instance]
-        phi, base, output = shap_sampled(ensemble_output(ensemble, row), row,
+        phi, base, output = shap_sampled(ensemble_output(ensemble), row,
                                          select_background(fused_train),
                                          n_samples=exp["shap_samples"], seed=seed)
         outputs[stage_dir / f"shap_i{instance}_seed{seed}.csv"] = shap_csv(

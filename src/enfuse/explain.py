@@ -67,13 +67,10 @@ def grad_cam(model: EncoderModel, image: np.ndarray, target_class: int) -> np.nd
 # SHAP
 # ---------------------------------------------------------------------------
 
-def ensemble_output(model: EnsembleModel, instance: np.ndarray):
-    """f: (n, D) -> (n,), the ensemble's mean probability of the class it
-    assigns to `instance`: the quantity SHAP explains."""
-    def mean_proba(x):
-        return np.mean([predict_proba(c, x) for c in model.classifiers], axis=0)
-    cls = int(np.argmax(mean_proba(instance[None])[0]))
-    return lambda x: mean_proba(x)[:, cls]
+def ensemble_output(model: EnsembleModel):
+    """f: (n, D) -> (n, classes), the voters' mean probability of each class:
+    one score per class, as `shap_sampled` takes."""
+    return lambda x: np.mean([predict_proba(c, x) for c in model.classifiers], axis=0)
 
 
 def select_background(features: FeatureMatrix) -> np.ndarray:
@@ -85,8 +82,9 @@ def select_background(features: FeatureMatrix) -> np.ndarray:
 
 def shap_sampled(f, instance: np.ndarray, background: np.ndarray, *, n_samples: int,
                  seed: int) -> tuple[np.ndarray, float, float]:
-    """Permutation-sampling Shapley estimate of f: (n, D) -> (n,) at `instance`,
-    with exact local accuracy: ((D,) phi, f at the background mean, f at `instance`).
+    """Permutation-sampling Shapley estimate at `instance` of the score of the
+    class that f: (n, D) -> (n, classes) scores highest there, with exact local
+    accuracy: ((D,) phi, that score at the background mean, at `instance`).
 
     "Without" a feature means replacing it by its mean over the background
     rows. The estimation residual is redistributed proportionally to |phi|
@@ -97,8 +95,8 @@ def shap_sampled(f, instance: np.ndarray, background: np.ndarray, *, n_samples: 
     different permutations repeat coalitions, and f sees each distinct
     coalition of a block once, in an order of its own; the estimate is then
     the one that evaluating every prefix would give, bit for bit. f runs
-    once per block, and base and output are a block's empty and full
-    coalitions.
+    once per block; the class is read from the first block's full
+    coalition, and base and output are a block's empty and full coalitions.
     """
     instance = np.asarray(instance, dtype=np.float64).ravel()
     d = len(instance)
@@ -118,7 +116,10 @@ def shap_sampled(f, instance: np.ndarray, background: np.ndarray, *, n_samples: 
         packed = np.packbits(masks, axis=1)
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        vals = np.asarray(f(np.where(masks[first], instance, bg_mean)))[inverse]
+        scores = np.asarray(f(np.where(masks[first], instance, bg_mean)))
+        if start == 0:  # row d, the first permutation's full coalition, is the instance
+            cls = int(np.argmax(scores[inverse[d]]))
+        vals = scores[inverse, cls]
         np.put_along_axis(contribs[block], orders[block],
                           np.diff(vals.reshape(-1, d + 1), axis=1), axis=1)
     # f at the background mean and at the instance: every block holds the

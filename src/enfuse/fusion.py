@@ -2,7 +2,9 @@
 
 The default path concatenates per-encoder feature matrices and then
 applies FastICA. Fitted transforms freeze the training-set standardization
-statistics so test-time application never re-estimates anything.
+statistics so test-time application never re-estimates anything. The
+linear algebra (standardization, eigendecomposition, whitening) lives here
+too, as does `max_components`, the one bound on the components kept.
 """
 
 from __future__ import annotations
@@ -15,11 +17,19 @@ import numpy as np
 from . import artifact
 from .errors import EnfuseError, IntegrityError
 from .features import FeatureMatrix
-from .linalg import eigh_symmetric, standardize, whiten
 
 TRANSFORM_MAGIC = b"ETSEFT1\x00"
 DEFAULT_ICA_DIM = 128
 ICA_MAX_ITER = 500  # fixed-point iterations per component
+CONST_COLUMN_EPS = 1e-12
+
+K_METHODS = ("concat+pca", "concat+ica")  # the methods that keep k components
+METHODS = ("concat-only",) + K_METHODS
+
+
+def max_components(n_rows: int, n_cols: int) -> int:
+    """The most components PCA and ICA keep of n_rows x n_cols features."""
+    return min(n_rows - 1, n_cols)
 
 
 @dataclass
@@ -41,6 +51,60 @@ def concat_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
     part's labels."""
     data = np.concatenate([p.data for p in parts], axis=1)
     return FeatureMatrix(data, labels=parts[0].labels)
+
+
+# ---------------------------------------------------------------------------
+# Linear algebra
+# ---------------------------------------------------------------------------
+
+def eigh_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a symmetric matrix, as np.linalg.eigh.
+
+    Eigenvalues come back sorted descending, with matching orthonormal
+    eigenvector columns; each column is normalized so its largest-magnitude
+    entry is positive (deterministic sign convention).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    w, v = np.linalg.eigh(a)
+    order = np.argsort(w)[::-1]
+    w = w[order]
+    v = v[:, order]
+    for j in range(v.shape[1]):
+        pivot = np.argmax(np.abs(v[:, j]))
+        if v[pivot, j] < 0:
+            v[:, j] = -v[:, j]
+    return w, v
+
+
+def standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-wise zero-mean unit-variance scaling.
+
+    Constant columns (std below CONST_COLUMN_EPS) are mapped to zero and
+    their std recorded as 1 so the transform stays invertible elsewhere.
+    Returns (scaled, mean, std).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std = np.where(std > CONST_COLUMN_EPS, std, 1.0)
+    return (x - mean) / std, mean, std
+
+
+def whiten(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """PCA-whiten a centered matrix down to at most k components: those of
+    the top k whose covariance eigenvalue exceeds CONST_COLUMN_EPS.
+
+    Returns (whitened, W) with whitened = x @ W.T and the sample covariance
+    of the output the identity.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    cov = x.T @ x / (len(x) - 1)
+    eigenvalues, eigenvectors = eigh_symmetric(cov)
+    rank = int(np.sum(eigenvalues[:k] > CONST_COLUMN_EPS))  # a prefix: sorted descending
+    if rank == 0:
+        raise EnfuseError("input has rank 0")
+    w = (eigenvectors[:, :rank] / np.sqrt(eigenvalues[:rank])).T
+    return x @ w.T, w
 
 
 # ---------------------------------------------------------------------------
@@ -113,19 +177,16 @@ def apply_transform(t: FusionTransform, x: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(scaled @ t.components, labels=x.labels)
 
 
-METHODS = ("concat-only", "concat+pca", "concat+ica")
-
-
 def fuse_pipeline(parts: list[FeatureMatrix], *, method: str, k: int,
                   seed: int) -> tuple[FeatureMatrix, FusionTransform]:
     """Concatenate parts and fit the chosen transform on the result.
 
-    k = 0 retains the automatic min(n_rows - 1, 128, n_cols). The returned
-    transform must be reused as-is on test features (no refitting).
+    k = 0 retains the automatic min(`max_components`, DEFAULT_ICA_DIM). The
+    returned transform must be reused as-is on test features (no refitting).
     """
     x = concat_features(parts)
     if k == 0:
-        k = min(x.n_rows - 1, DEFAULT_ICA_DIM, x.n_cols)
+        k = min(max_components(x.n_rows, x.n_cols), DEFAULT_ICA_DIM)
     if method == "concat-only":
         t = fit_identity(x)
     elif method == "concat+pca":

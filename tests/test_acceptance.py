@@ -155,7 +155,7 @@ def test_criterion_5_shap_axioms():
     def f(x):
         masked = x.copy()
         masked[:, 5] = 0.0  # feature 5 is ignored entirely
-        return np.tanh(masked @ w) + 0.1 * masked[:, 0] * masked[:, 1]
+        return (np.tanh(masked @ w) + 0.1 * masked[:, 0] * masked[:, 1])[:, None]
 
     instance = rng.normal(size=8)
     background = rng.normal(size=(16, 8))
@@ -163,14 +163,14 @@ def test_criterion_5_shap_axioms():
     local_err = abs(base + phi.sum() - output)
     null_phi = abs(phi[5])
     # symmetry on exchangeable features
-    sym, _, _ = shap_exact(lambda x: x[:, 0] * x[:, 1], np.array([1.5, 1.5]),
+    sym, _, _ = shap_exact(lambda x: x[:, :1] * x[:, 1:2], np.array([1.5, 1.5]),
                            np.zeros((1, 2)))
     sym_err = abs(sym[0] - sym[1])
     # sampled-vs-exact agreement on a D=8 GNB model
     data = np.concatenate([rng.normal(-1, 0.6, (20, 8)), rng.normal(1, 0.6, (20, 8))])
     labels = np.array([0] * 20 + [1] * 20)
     clf = fit_gnb(data, labels)
-    target = classifier_output(clf, data[4])
+    target = classifier_output(clf)
     ex, _, _ = shap_exact(target, data[4], data)
     sa, _, _ = shap_sampled(target, data[4], data, n_samples=2048, seed=0)
     sampled_err = float(np.max(np.abs(ex - sa)))

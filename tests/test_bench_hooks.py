@@ -67,8 +67,8 @@ def test_shap_calls_predict_proba_through_explain(monkeypatch):
         return predict_proba(clf, q)
 
     monkeypatch.setattr(explain, "predict_proba", counted)
-    f = explain.ensemble_output(model, fused[0])
-    assert len(calls) == len(model.classifiers)
+    f = explain.ensemble_output(model)
+    assert len(calls) == 0
     explain.shap_sampled(f, fused[0], fused, n_samples=8, seed=0)
-    assert len(calls) > len(model.classifiers)
+    assert len(calls) == len(model.classifiers)  # the one block
     assert set(calls) == {clf.kind for clf in model.classifiers}

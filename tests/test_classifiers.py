@@ -18,7 +18,7 @@ from enfuse.classifiers import (
     save_classifier,
 )
 from enfuse.errors import IntegrityError
-from enfuse.linalg import standardize
+from enfuse.fusion import standardize
 
 
 def blobs(centers, n=20, spread=0.5, seed=0):

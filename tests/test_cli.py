@@ -21,7 +21,7 @@ from enfuse.ensemble import TARGET_MAGIC, evaluate, train_ensemble
 from enfuse.errors import ConfigError, EnfuseError, IntegrityError
 from enfuse.explain import TSNE_MIN_ROWS
 from enfuse.features import FeatureMatrix
-from enfuse.fusion import METHODS
+from enfuse.fusion import METHODS, max_components
 from enfuse.nn import EncoderModel
 from enfuse.pretrain import (
     build_backbone,
@@ -266,7 +266,7 @@ class TestConfig:
         """ensemble's and ablate's rule; load_config takes any k in its interval."""
         rows = len(target_split(with_data(target_per_class=per_class, split_fraction=fraction),
                                 seed=0)[0])
-        k = rows - 1 + offset  # the largest k that fits, plus offset
+        k = max_components(rows, 96) + offset  # the largest k that fits, plus offset
         assume(k >= 1)
         cfg_file.write_text(f"[data]\ntarget_per_class = {per_class}\n"
                             f"split_fraction = {fraction!r}\n"

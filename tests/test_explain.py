@@ -92,19 +92,19 @@ class TestGradCam:
 
 class TestShapExact:
     def test_additive_model(self):
-        phi, base, _ = shap_exact(lambda x: x[:, 0] + x[:, 1], np.array([2.0, 3.0]),
+        phi, base, _ = shap_exact(lambda x: x[:, :1] + x[:, 1:2], np.array([2.0, 3.0]),
                                   np.zeros((1, 2)))
         assert np.allclose(phi, [2.0, 3.0], atol=1e-12)
         assert base == 0.0
 
     def test_symmetry(self):
-        phi, _, _ = shap_exact(lambda x: x[:, 0] * x[:, 1], np.array([1.0, 1.0]),
+        phi, _, _ = shap_exact(lambda x: x[:, :1] * x[:, 1:2], np.array([1.0, 1.0]),
                                np.zeros((1, 2)))
         assert abs(phi[0] - 0.5) < 1e-12
         assert abs(phi[0] - phi[1]) < 1e-12
 
     def test_null_feature_zero(self):
-        phi, _, _ = shap_exact(lambda x: x[:, 0] ** 2, np.array([2.0, 5.0]),
+        phi, _, _ = shap_exact(lambda x: x[:, :1] ** 2, np.array([2.0, 5.0]),
                                np.zeros((1, 2)))
         assert phi[1] == 0.0
 
@@ -113,7 +113,7 @@ class TestShapExact:
         w = rng.normal(size=6)
 
         def f(x):
-            return np.tanh(x @ w) + 0.2 * x[:, 0] * x[:, 2]
+            return (np.tanh(x @ w) + 0.2 * x[:, 0] * x[:, 2])[:, None]
 
         instance = rng.normal(size=6)
         background = rng.normal(size=(20, 6))
@@ -125,7 +125,7 @@ class TestShapExact:
         w = rng.normal(size=(4, 4))
 
         def f(x):
-            return np.sum((x @ w) ** 2, axis=1)
+            return np.sum((x @ w) ** 2, axis=1, keepdims=True)
 
         instance = rng.normal(size=4)
         bg = rng.normal(size=(8, 4))
@@ -135,10 +135,10 @@ class TestShapExact:
         oracle = np.zeros(4)
         for perm in itertools.permutations(range(4)):
             x = bg_mean.copy()
-            prev = f(x[None])[0]
+            prev = f(x[None])[0, 0]
             for feat in perm:
                 x[feat] = instance[feat]
-                cur = f(x[None])[0]
+                cur = f(x[None])[0, 0]
                 oracle[feat] += cur - prev
                 prev = cur
         oracle /= math.factorial(4)
@@ -146,14 +146,14 @@ class TestShapExact:
 
     def test_dimension_limit(self):
         with pytest.raises(EnfuseError, match="16 features exceeds the exact limit"):
-            shap_exact(lambda x: x[:, 0], np.zeros(16), np.zeros((1, 16)))
+            shap_exact(lambda x: x[:, :1], np.zeros(16), np.zeros((1, 16)))
 
     def test_classifier_target(self):
         rng = np.random.default_rng(6)
         x = np.concatenate([rng.normal(-2, 0.5, (15, 3)), rng.normal(2, 0.5, (15, 3))])
         y = np.array([0] * 15 + [1] * 15)
         clf = fit_gnb(x, y)
-        phi, base, output = shap_exact(classifier_output(clf, x[0]), x[0], x)
+        phi, base, output = shap_exact(classifier_output(clf), x[0], x)
         assert abs(base + phi.sum() - output) < 1e-9
         assert output > 0.9  # confident on its own training point
 
@@ -165,21 +165,21 @@ class TestShapSampled:
         y = np.array([0] * 20 + [1] * 20)
         clf = fit_gnb(x, y)
         instance = x[3]
-        f = classifier_output(clf, instance)
+        f = classifier_output(clf)
         exact, _, _ = shap_exact(f, instance, x)
         sampled, _, _ = shap_sampled(f, instance, x, n_samples=2048, seed=0)
         assert np.max(np.abs(exact - sampled)) < 0.05
 
     def test_local_accuracy_exact_by_construction(self):
         rng = np.random.default_rng(8)
-        f = lambda x: np.sin(x).sum(axis=1)
+        f = lambda x: np.sin(x).sum(axis=1, keepdims=True)
         phi, base, output = shap_sampled(f, rng.normal(size=20), rng.normal(size=(10, 20)),
                                          n_samples=200, seed=1)
         assert abs(base + phi.sum() - output) < 1e-12
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(9)
-        f = lambda x: (x ** 2).sum(axis=1)
+        f = lambda x: (x ** 2).sum(axis=1, keepdims=True)
         inst, bg = rng.normal(size=5), rng.normal(size=(6, 5))
         a, _, _ = shap_sampled(f, inst, bg, n_samples=2048, seed=3)
         b, _, _ = shap_sampled(f, inst, bg, n_samples=2048, seed=3)
@@ -192,7 +192,7 @@ class TestShapSampled:
         for n_samples in calls:
             def f(x):
                 calls[n_samples] += 1
-                return x.sum(axis=1)
+                return x.sum(axis=1, keepdims=True)
 
             shap_sampled(f, inst, bg, n_samples=n_samples, seed=0)
         assert calls[64] == calls[2048]
@@ -207,7 +207,7 @@ class TestShapSampled:
 
         def f(x):
             rows.append(len(x))
-            return x.sum(axis=1)
+            return x.sum(axis=1, keepdims=True)
 
         shap_sampled(f, rng.normal(size=16), rng.normal(size=(10, 16)),
                      n_samples=2048, seed=42)
@@ -328,7 +328,7 @@ class TestRender:
         assert render_embedding_svg(*embedding) == render_embedding_svg(*embedding)
 
     def test_shap_csv_rows(self):
-        text = shap_csv(*shap_exact(lambda x: x[:, 0] + x[:, 1], np.array([1.0, 2.0]),
+        text = shap_csv(*shap_exact(lambda x: x[:, :1] + x[:, 1:2], np.array([1.0, 2.0]),
                                     np.zeros((1, 2))))
         lines = text.strip().split("\n")
         assert lines[0] == "feature,phi"

@@ -6,6 +6,7 @@ from enfuse.artifact import pack, unpack
 from enfuse.errors import EnfuseError, IntegrityError
 from enfuse.features import FeatureMatrix
 from enfuse.fusion import (
+    DEFAULT_ICA_DIM,
     TRANSFORM_MAGIC,
     apply_transform,
     concat_features,
@@ -13,6 +14,7 @@ from enfuse.fusion import (
     fit_pca,
     fuse_pipeline,
     load_transform,
+    max_components,
     save_transform,
 )
 
@@ -143,6 +145,15 @@ class TestApplyAndPipeline:
         fused, t = fuse_pipeline(parts, method="concat+ica", k=0, seed=0)
         assert fused.data.shape == (30, min(29, 128, 96))
         assert t.kind == "ICA"
+
+    @pytest.mark.parametrize("shape, kept", [((10, 40), 9), ((20, 5), 5)])
+    def test_automatic_k_is_the_bound(self, shape, kept):
+        """k = 0 keeps min(max_components, DEFAULT_ICA_DIM): the rows less one
+        of a wide matrix, the columns of a tall one."""
+        x = fm(np.random.default_rng(8).normal(size=shape))
+        fused, _ = fuse_pipeline([x], method="concat+pca", k=0, seed=0)
+        assert max_components(*shape) == kept < DEFAULT_ICA_DIM
+        assert fused.data.shape == (shape[0], kept)
 
     def test_concat_only(self):
         rng = np.random.default_rng(6)

@@ -1,8 +1,12 @@
+"""The linear algebra of fusion: standardization, the symmetric
+eigendecomposition and PCA whitening."""
+
 import numpy as np
 import pytest
 
 from enfuse.errors import EnfuseError
-from enfuse.linalg import eigh_symmetric, standardize, whiten
+from enfuse.features import FeatureMatrix
+from enfuse.fusion import eigh_symmetric, fit_ica, standardize, whiten
 
 
 class TestEighSymmetric:
@@ -99,5 +103,14 @@ class TestWhiten:
             whiten(np.zeros((5, 2)), 1)
 
     def test_k_too_large(self):
-        with pytest.raises(EnfuseError, match="k=3 out of range for 5x2 input"):
+        """A k above the rank keeps the rank's components: whiten has no
+        range check of its own, and fit_ica warns as it reduces k."""
+        x = np.random.default_rng(6).normal(size=(5, 2))
+        x -= x.mean(axis=0)
+        w, wm = whiten(x, 3)
+        assert w.shape == (5, 2) and wm.shape == (2, 2)
+        with pytest.raises(EnfuseError, match="rank 0"):
             whiten(np.zeros((5, 2)), 3)
+        with pytest.warns(UserWarning, match="rank 2 below requested k=3"):
+            t = fit_ica(FeatureMatrix(x, labels=np.zeros(5, dtype=int)), 3, seed=0)
+        assert t.components.shape == (2, 2)

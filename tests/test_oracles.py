@@ -246,6 +246,7 @@ def knn_proba_rows(clf, q: np.ndarray) -> np.ndarray:
 def shap_sampled_per_permutation(f, instance, background, n_samples, seed):
     instance = np.asarray(instance, dtype=np.float64).ravel()
     d = len(instance)
+    cls = int(np.argmax(f(instance[None])[0]))  # the class f scores highest at the instance
     bg_mean = background.mean(axis=0)
     rng = np.random.default_rng(seed)
     n_perms = max(1, n_samples // max(d, 1))
@@ -256,11 +257,11 @@ def shap_sampled_per_permutation(f, instance, background, n_samples, seed):
         for step, feat in enumerate(order):
             masks[step + 1] = masks[step]
             masks[step + 1, feat] = True
-        vals = np.asarray(f(np.where(masks, instance, bg_mean)))
+        vals = np.asarray(f(np.where(masks, instance, bg_mean)))[:, cls]
         contribs[p, order] = np.diff(vals)
     phi = contribs.mean(axis=0)
-    base = float(f(bg_mean[None])[0])
-    out = float(f(instance[None])[0])
+    base = float(f(bg_mean[None])[0, cls])
+    out = float(f(instance[None])[0, cls])
     residual = (out - base) - phi.sum()
     mass = np.abs(phi).sum()
     phi = phi + residual * (np.abs(phi) / mass if mass > 1e-12 else np.full(d, 1.0 / d))
@@ -271,8 +272,9 @@ SHAP_EXACT_MAX_FEATURES = 15
 
 
 def shap_exact(f, instance, background) -> tuple[np.ndarray, float, float]:
-    """Exact Shapley values of f: (n, D) -> (n,) by enumerating all 2^D
-    feature coalitions, returned as `shap_sampled` returns its estimate.
+    """Exact Shapley values of the score that f: (n, D) -> (n, classes) gives
+    the class it scores highest at `instance`, by enumerating all 2^D feature
+    coalitions, returned as `shap_sampled` returns its estimate.
 
     "Without" a feature means replacing it by the background mean.
     """
@@ -285,7 +287,8 @@ def shap_exact(f, instance, background) -> tuple[np.ndarray, float, float]:
     bg_mean = background.mean(axis=0)
     n_sets = 1 << d
     masks = (np.arange(n_sets)[:, None] >> np.arange(d)) & 1
-    vals = np.asarray(f(np.where(masks.astype(bool), instance, bg_mean)), dtype=np.float64)
+    scores = np.asarray(f(np.where(masks.astype(bool), instance, bg_mean)), dtype=np.float64)
+    vals = scores[:, np.argmax(scores[-1])]  # the last coalition is the instance
     sizes = masks.sum(axis=1)
     fact = [math.factorial(i) for i in range(d + 1)]
     phi = np.zeros(d)
@@ -297,11 +300,9 @@ def shap_exact(f, instance, background) -> tuple[np.ndarray, float, float]:
     return phi, float(vals[0]), float(vals[-1])
 
 
-def classifier_output(clf: TrainedClassifier, instance: np.ndarray):
-    """f: (n, D) -> (n,), the classifier's probability of the class it
-    assigns to `instance`."""
-    cls = int(np.argmax(predict_proba(clf, instance[None])[0]))
-    return lambda x: predict_proba(clf, x)[:, cls]
+def classifier_output(clf: TrainedClassifier):
+    """f: (n, D) -> (n, classes), the classifier's class probabilities."""
+    return lambda x: predict_proba(clf, x)
 
 
 def build_tree_recursive(x, target, idx, rng, *, max_depth, min_split, n_feature_sub,
@@ -643,8 +644,9 @@ def test_shap_sampled_matches_per_permutation_calls(seed, d, n_samples):
     rng = np.random.default_rng(seed)
     w = rng.normal(size=d)
 
-    def f(z):  # row-independent: each output reads only its own row
-        return np.tanh((z * w).sum(axis=1)) + z[:, 0] * z[:, -1]
+    def f(z):  # row-independent, and either class can score highest at the instance
+        score = np.tanh((z * w).sum(axis=1)) + z[:, 0] * z[:, -1]
+        return np.stack([score, -score], axis=1)
 
     instance, background = rng.normal(size=d), rng.normal(size=(5, d))
     got = shap_sampled(f, instance, background, n_samples=n_samples, seed=seed)
@@ -668,7 +670,7 @@ def test_shap_sampled_calls_f_once_per_distinct_coalition(seed, d, n_samples):
 
     def f(z):  # row-independent: each output reads only its own row
         calls.append(z.copy())
-        return np.tanh((z * w).sum(axis=1)) + z[:, 0] * z[:, -1]
+        return (np.tanh((z * w).sum(axis=1)) + z[:, 0] * z[:, -1])[:, None]
 
     instance, background = rng.normal(size=d), rng.normal(size=(5, d))
     got = shap_sampled(f, instance, background, n_samples=n_samples, seed=seed)

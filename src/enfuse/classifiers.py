@@ -6,14 +6,13 @@ shares predict / predict_proba dispatch. All of them are deterministic given
 argmax ties break toward the lowest class index.
 
 The random forest and the boosted trees share one tree builder, which grows
-many trees together and runs one batched split search per step over a node
-from each of them: a forest's trees in lockstep, one node per tree in each
-tree's preorder, and a boosting round's class trees a whole level at a time.
-`fit_gbt` boosts several training sets of one shape in one loop, so a round
-grows the class trees of every set together. A forest draws each tree's
-feature subsets in chunks, one `Generator.integers` call per tree and chunk,
-that make the draws `Generator.choice` would make node by node. The trees
-equal, bit for bit, those of growing each tree alone, one node at a time.
+many trees together, a level at a time: each step runs one batched split
+search over every splittable node of every tree. `fit_gbt` boosts several
+training sets of one shape in one loop, so a round grows the class trees of
+every set together; its trees equal, bit for bit, those of growing each tree
+alone, one node at a time. A forest takes everything random from one
+generator: its bootstraps in one call, then one call per level that ranks
+each node's features, of which the node searches the lowest-ranked.
 
 A forest is one flat node table (`TREE_COLUMNS`), the arrays its file
 stores, built once when it is fitted or checked once when it is loaded. It
@@ -55,8 +54,6 @@ GBT_MIN_SPLIT = 2
 # a split search holds about a dozen arrays of one entry per (node, feature,
 # row); it searches at most this many at once (about 0.7 MiB in all)
 SPLIT_BLOCK_ELEMENTS = 1 << 13
-# a forest tree draws the feature subsets of this many nodes in one call
-RF_DRAW_NODES = 16
 # A forest walk holds a few arrays of one entry per (tree, query row) pair; it
 # walks at most this many pairs at once (256 KiB per int64 array)
 FOREST_BLOCK_PAIRS = 1 << 15
@@ -342,46 +339,6 @@ def _split_search(xt, rows, n_rows, features, criterion):
     return tuple(np.concatenate(column) for column in zip(*found))
 
 
-class _FeatureDraws:
-    """Each forest tree's candidate features, node by node, as
-    `np.sort(rng.choice(d, m, replace=False))` on the tree's generator draws
-    them, for 1 < m < d.
-
-    For d up to 10,000, `choice` runs Floyd's algorithm: m bounded draws, of
-    bounds d - m .. d - 1, each taken unless already picked, else its bound
-    is. It then shuffles the m picks with m - 1 bounded draws, of bounds
-    m - 1 .. 1, which the sort undoes. `integers` over an array of bounds
-    makes the same bounded draws in order, so one call per tree draws
-    RF_DRAW_NODES nodes' worth, and again when the tree has used them; the
-    trees that draw in one step run Floyd's selection together. A tree draws
-    past its last node, which is harmless: its generator is not used after
-    its fit.
-    """
-
-    def __init__(self, rngs: list[np.random.Generator], d: int, m: int):
-        self.rngs, self.d, self.m = rngs, d, m
-        self.bounds = np.tile(np.r_[np.arange(d - m, d), np.arange(m - 1, 0, -1)],
-                              RF_DRAW_NODES)
-        self.features = np.zeros((len(rngs), RF_DRAW_NODES, m), dtype=np.int64)
-        self.used = np.full(len(rngs), RF_DRAW_NODES)  # per tree, its nodes drawn for
-
-    def __call__(self, trees: np.ndarray) -> np.ndarray:
-        """The candidate features of the next node of each tree, ascending."""
-        empty = trees[self.used[trees] == RF_DRAW_NODES]
-        if len(empty):
-            drawn = np.stack([self.rngs[t].integers(0, self.bounds, endpoint=True)
-                              for t in empty.tolist()]).reshape(len(empty), RF_DRAW_NODES, -1)
-            picked = np.empty_like(drawn[:, :, :self.m])
-            for i, bound in enumerate(range(self.d - self.m, self.d)):
-                taken = (picked[:, :, :i] == drawn[:, :, i, None]).any(axis=2)
-                picked[:, :, i] = np.where(taken, bound, drawn[:, :, i])
-            self.features[empty] = np.sort(picked, axis=2)
-            self.used[empty] = 0
-        features = self.features[trees, self.used[trees]]
-        self.used[trees] += 1
-        return features
-
-
 def _padded(parts: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, n_rows): the row lists as one matrix padded with `pad`, and their lengths."""
     n_rows = np.array([len(part) for part in parts])
@@ -391,7 +348,8 @@ def _padded(parts: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grow_trees(x, roots, criterion, *, max_depth, min_split,
-                draws: _FeatureDraws | None) -> tuple[dict[str, np.ndarray], np.ndarray]:
+                feature_sample: tuple[np.random.Generator, int] | None = None
+                ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Grow one tree from each root's row list, all together, and return
     their node table (`TREE_COLUMNS`). Also returns, for each row of x, the
     value of the last node made that holds it: the row's leaf in its tree,
@@ -401,70 +359,58 @@ def _grow_trees(x, roots, criterion, *, max_depth, min_split,
     A node gets its value, and is tested for purity, when it is made. It
     splits at the cut the criterion scores lowest (ties go to the first
     feature and cut) unless it is at `max_depth`, has fewer than `min_split`
-    rows or is pure. Each step takes splittable nodes from many trees into
-    one `_split_search`. With `draws`, each node searched takes its candidate
-    features from its tree's draws, and a step takes one node per tree in
-    that tree's preorder, so each tree draws as a recursive
-    one-node-at-a-time build does, in the same order. Without `draws`, every
-    feature is a candidate and a step takes every splittable node of every
-    tree: a whole level. Either way the trees are the recursive build's, bit
-    for bit.
+    rows or is pure. Each step searches every splittable node of every tree,
+    a whole level, in one `_split_search`, in the order the nodes were made:
+    roots in tree order, then each searched node's children, left before
+    right. Every feature is a candidate, unless `feature_sample` is a
+    generator and a subset size m below x's width: then each step ranks
+    every node's features with one `random((nodes, d))` call, and a node's
+    candidates are its m lowest-ranked features, ascending.
     """
     n, d = x.shape
     xt = np.concatenate([x, np.full((1, d), np.inf)]).T.copy()  # column n is the padding row
     # nodes are numbered by slot, in the order they are made, roots first
-    pending = [[] for _ in roots]  # per tree, the splittable nodes: (rows, depth, slot)
     values = []      # per batch of new nodes, their values
     cuts = []        # per step, (slots, feature, threshold) of the nodes searched
     left_child = []  # (slot, its left child's slot); the right child's slot follows
     reached = np.zeros(n, dtype=np.int64)  # per row of x, the last slot made that holds it
     n_made = 0
 
-    def make(parts, trees, depth):
-        """Record new nodes and queue the splittable ones, each tree's last
-        made on top; returns the first new slot."""
+    def make(parts, depth):
+        """Record new nodes; returns the splittable ones, (rows, depth, slot)
+        in the order made."""
         nonlocal n_made
         rows, n_rows = _padded(parts, n)
         value, pure = criterion.leaves(rows, n_rows)
         values.append(value)
         first, n_made = n_made, n_made + len(parts)
         reached[np.concatenate(parts)] = np.repeat(np.arange(first, n_made), n_rows)
-        splittable = ((depth < max_depth) & (n_rows >= min_split) & ~pure).tolist()
-        for i in reversed(range(len(parts))):
-            if splittable[i]:
-                pending[trees[i]].append((parts[i], depth[i], first + i))
-        return first
+        splittable = (depth < max_depth) & (n_rows >= min_split) & ~pure
+        return [(parts[i], depth[i], first + i) for i in np.flatnonzero(splittable).tolist()]
 
-    make(list(roots), range(len(roots)), np.zeros(len(roots), dtype=np.int64))
-    while any(pending):
-        if draws is None:
-            batch = [(t, node) for t, stack in enumerate(pending) for node in stack]
-            for stack in pending:
-                stack.clear()
+    level = make(list(roots), np.zeros(len(roots), dtype=np.int64))
+    while level:
+        rows, n_rows = _padded([part for part, _, _ in level], n)
+        if feature_sample is None:
+            features = np.broadcast_to(np.arange(d), (len(level), d))
         else:
-            batch = [(t, stack.pop()) for t, stack in enumerate(pending) if stack]
-        rows, n_rows = _padded([node[0] for _, node in batch], n)
-        if draws is None:
-            features = np.broadcast_to(np.arange(d), (len(batch), d))
-        else:
-            features = draws(np.array([t for t, _ in batch]))
+            rng, m = feature_sample
+            rank = rng.random((len(level), d)).argsort(axis=1, kind="stable")
+            features = np.sort(rank[:, :m], axis=1)
         feature, threshold, _ = _split_search(xt, rows, n_rows, features, criterion)
-        cuts.append(([node[2] for _, node in batch], feature, threshold))
+        cuts.append(([slot for _, _, slot in level], feature, threshold))
         inner = np.flatnonzero(feature >= 0)
         if not len(inner):
-            continue
+            break
         go_left = xt[feature[inner, None], rows[inner]] <= threshold[inner, None]
         parted = rows[inner[:, None], (~go_left).argsort(axis=1, kind="stable")]
-        parts, trees, depth, parents = [], [], [], []
+        parts, depth = [], []
         for i, part, cut, end in zip(inner.tolist(), parted, go_left.sum(axis=1).tolist(),
                                      n_rows[inner].tolist()):
-            t, (_, level, slot) = batch[i]
             parts += (part[:cut], part[cut:end])  # the padding (+inf) went right
-            trees += (t, t)
-            depth += (level + 1, level + 1)
-            parents.append(slot)
-        first = make(parts, trees, np.array(depth))
-        left_child += [(slot, first + 2 * k) for k, slot in enumerate(parents)]
+            depth += (level[i][1] + 1,) * 2
+            left_child.append((level[i][2], n_made + len(parts) - 2))
+        level = make(parts, np.array(depth))
     values = np.concatenate(values)
     return _preorder_table(values, cuts, left_child, len(roots)), values[reached]
 
@@ -579,15 +525,15 @@ def _leaf_blocks(table: dict[str, np.ndarray], q: np.ndarray):
 
 def fit_rf(x: np.ndarray, y: np.ndarray, *, seed: int) -> TrainedClassifier:
     """Bagged Gini trees with per-split feature subsampling of ceil(sqrt(D)),
-    grown together in lockstep, each from its own generator."""
+    grown together a level at a time from one generator: the bootstraps
+    first, then each level's feature subsets."""
     x, y, k = _as_xy(x, y)
     n, d = x.shape
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(RF_TREES)]
-    bootstraps = [rng.integers(0, n, size=n) for rng in rngs]
+    rng = np.random.default_rng(seed)
+    bootstraps = rng.integers(0, n, size=(RF_TREES, n))
     m = int(np.ceil(np.sqrt(d)))
     table, _ = _grow_trees(x, bootstraps, _Gini(y, k), max_depth=RF_MAX_DEPTH,
-                           min_split=RF_MIN_SPLIT,
-                           draws=_FeatureDraws(rngs, d, m) if m < d else None)
+                           min_split=RF_MIN_SPLIT, feature_sample=(rng, m) if m < d else None)
     return TrainedClassifier("RF", k, arrays=table,
                              meta={"n_trees": RF_TREES, "max_depth": RF_MAX_DEPTH,
                                    "min_split": RF_MIN_SPLIT, "seed": seed})
@@ -653,7 +599,7 @@ def fit_gbt(xs: list[np.ndarray], ys: list[np.ndarray]) -> list[TrainedClassifie
     for _ in range(GBT_ROUNDS):
         table, leaf_value = _grow_trees(
             stacked, roots, _SquaredError(by_tree(onehot - p), by_tree(p * (1.0 - p))),
-            max_depth=GBT_MAX_DEPTH, min_split=GBT_MIN_SPLIT, draws=None)
+            max_depth=GBT_MAX_DEPTH, min_split=GBT_MIN_SPLIT)
         for own, part in zip(tables, _split_table(table, n_sets)):
             own.append(part)
         step = leaf_value[:, 0].reshape(n_sets, k, n).transpose(0, 2, 1)  # (set, row, class)

@@ -1,4 +1,5 @@
 import ast
+import collections
 import hashlib
 import inspect
 import json
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_oracles import shap_sampled_per_permutation
 
-from enfuse import artifact, cli, ensemble, explain
+from enfuse import artifact, classifiers, cli, ensemble, explain
 from enfuse.cli import SETTINGS, load_config, run, target_split
 from enfuse.data import TASK_MOTIFS, make_synthetic_task, stratified_split
 from enfuse.ensemble import TARGET_MAGIC, evaluate, train_ensemble
@@ -629,12 +630,13 @@ class TestAuxCommands:
     def test_arms_boost_together_and_forests_draw_without_choice(self, tiny_all, tmp_path,
                                                                 monkeypatch):
         """ablate boosts its six leave-one-out arms in one `fit_gbt` call and
-        oodtest its pretrained and random arms in one; no forest calls
-        `Generator.choice`."""
+        oodtest its pretrained and random arms in one. Each forest draws its
+        bootstraps in one `Generator.integers` call and its feature ranks in
+        one `Generator.random` call per level, and never calls `choice`."""
         pristine, _ = tiny_all
         out = tmp_path / "out"
         shutil.copytree(pristine, out)
-        boosted, in_rf, choices = [], [], []
+        boosted, in_rf, fits = [], [], []
         real_gbt, real_rf = ensemble.fit_gbt, ensemble.fit_rf
 
         def counting_gbt(xs, ys):
@@ -643,15 +645,28 @@ class TestAuxCommands:
 
         def marked_rf(*args, **kwargs):
             in_rf.append(True)
+            fits.append(collections.Counter())
             try:
                 return real_rf(*args, **kwargs)
             finally:
                 in_rf.pop()
 
         class CountingGenerator(np.random.Generator):
+            def _count(self, name):
+                if in_rf:
+                    fits[-1][name] += 1
+
             def choice(self, *args, **kwargs):
-                choices.extend(in_rf)
+                self._count("choice")
                 return super().choice(*args, **kwargs)
+
+            def integers(self, *args, **kwargs):
+                self._count("integers")
+                return super().integers(*args, **kwargs)
+
+            def random(self, *args, **kwargs):
+                self._count("random")
+                return super().random(*args, **kwargs)
 
         monkeypatch.setattr(ensemble, "fit_gbt", counting_gbt)
         monkeypatch.setattr(ensemble, "fit_rf", marked_rf)
@@ -666,7 +681,11 @@ class TestAuxCommands:
             boosted.clear()
             assert run([command] + argv) == 0
             assert boosted == [sets], command
-        assert choices == []
+        assert fits
+        for calls in fits:
+            assert calls["integers"] == 1, calls
+            assert 1 <= calls["random"] <= classifiers.RF_MAX_DEPTH, calls
+            assert calls["choice"] == 0, calls
 
     def test_oodtest_hashes_each_frozen_weight_once(self, tiny_all, tmp_path, monkeypatch):
         """The digests before the fits come from the finetune record, which

@@ -2,7 +2,8 @@
 
 The oracles are the per-row, per-feature and per-permutation loops the library
 used before it worked on whole arrays, the recursive tree builder that grew
-one node at a time before the forest grew its trees together, the per-tree
+one node at a time before the boosted trees grew together, the forest grown
+one node at a time, breadth-first, drawing as the library draws, the per-tree
 walk and sum a forest predicted with before all its trees walked together,
 the forest average over one stacked array of every tree's output, the
 synthetic task drawn one image at a time, the reshape/argmax
@@ -18,6 +19,7 @@ the same order. `shap_exact` enumerates all 2^D coalitions; the explain and
 acceptance tests compare `shap_sampled` with it to a tolerance.
 """
 
+import collections
 import csv
 import io
 import itertools
@@ -305,10 +307,12 @@ def classifier_output(clf: TrainedClassifier):
     return lambda x: predict_proba(clf, x)
 
 
-def build_tree_recursive(x, target, idx, rng, *, max_depth, min_split, n_feature_sub,
-                         leaf_value, splitter) -> Tree:
-    """One tree grown from the rows idx one node at a time, in preorder."""
+def build_tree_recursive(x, target, idx, *, max_depth, min_split, leaf_value,
+                         splitter) -> Tree:
+    """One tree grown from the rows idx one node at a time, in preorder,
+    every feature a candidate."""
     nodes = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+    features = np.arange(x.shape[1])
 
     def is_pure(subset):
         col = subset[:, 0] if subset.ndim == 2 else subset
@@ -321,11 +325,6 @@ def build_tree_recursive(x, target, idx, rng, *, max_depth, min_split, n_feature
         nodes["value"][node_id] = leaf_value(target[idx])
         chosen = (None, 0.0, np.inf)
         if depth < max_depth and len(idx) >= min_split and not is_pure(target[idx]):
-            d = x.shape[1]
-            if n_feature_sub is not None and n_feature_sub < d:
-                features = np.sort(rng.choice(d, size=n_feature_sub, replace=False))
-            else:
-                features = np.arange(d)
             chosen = splitter(x, target, idx, features)
         if chosen[0] is None:
             nodes["feature"][node_id], nodes["threshold"][node_id] = -1, 0.0
@@ -347,22 +346,58 @@ def build_tree_recursive(x, target, idx, rng, *, max_depth, min_split, n_feature
 
 
 def fit_rf_reference(x, y, n_trees, seed) -> TrainedClassifier:
-    """`fit_rf` as a loop over trees, each grown recursively with the per-feature search."""
+    """`fit_rf` one node at a time with the per-feature search.
+
+    One generator draws each tree's bootstrap, tree by tree, and then one
+    `random(d)` per node searched when ceil(sqrt(d)) < d: the node's
+    candidates are the features of lowest rank, ascending. Nodes are searched
+    breadth-first across all trees: roots in tree order, then each searched
+    node's children, left before right, after every node made before them.
+    Each tree's nodes are then numbered in preorder.
+    """
     n, d = x.shape
     k = int(y.max()) + 1
+    m = int(np.ceil(np.sqrt(d)))
+    split = gini_splitter_per_feature(k)
+    rng = np.random.default_rng(seed)
+    bootstraps = [rng.integers(0, n, size=n) for _ in range(n_trees)]
+    made = []  # per node, in the order made: [rows, depth, value, feature, threshold, children]
 
-    def leaf_value(labels):
-        counts = np.bincount(labels, minlength=k).astype(np.float64)
-        return counts / counts.sum()
+    def make(idx, depth):
+        counts = np.bincount(y[idx], minlength=k).astype(np.float64)
+        made.append([idx, depth, counts / counts.sum(), -1, 0.0, ()])
+        return len(made) - 1
+
+    queue = collections.deque(make(idx, 0) for idx in bootstraps)
+    while queue:
+        node = made[queue.popleft()]
+        idx, depth = node[:2]
+        if depth >= RF_MAX_DEPTH or len(idx) < RF_MIN_SPLIT or len(np.unique(y[idx])) == 1:
+            continue
+        if m < d:
+            features = np.sort(np.argsort(rng.random(d), kind="stable")[:m])
+        else:
+            features = np.arange(d)
+        f, thr, _ = split(x, y, idx, features)
+        if f is None:
+            continue
+        mask = x[idx, f] <= thr
+        node[3:] = f, thr, (make(idx[mask], depth + 1), make(idx[~mask], depth + 1))
+        queue.extend(node[5])
+
+    def preorder(i):
+        return [i] + [j for child in made[i][5] for j in preorder(child)]
 
     trees = []
-    for child in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, n, size=n)
-        trees.append(build_tree_recursive(
-            x, y, idx, rng, max_depth=RF_MAX_DEPTH, min_split=RF_MIN_SPLIT,
-            n_feature_sub=int(np.ceil(np.sqrt(d))), leaf_value=leaf_value,
-            splitter=gini_splitter_per_feature(k)))
+    for root in range(n_trees):
+        order = preorder(root)
+        number = {i: p for p, i in enumerate(order)}
+        children = [made[i][5] or (-1, -1) for i in order]
+        trees.append(Tree(np.array([made[i][3] for i in order], dtype=np.int64),
+                          np.array([made[i][4] for i in order], dtype=np.float64),
+                          np.array([number.get(c[0], -1) for c in children], dtype=np.int64),
+                          np.array([number.get(c[1], -1) for c in children], dtype=np.int64),
+                          np.stack([made[i][2] for i in order])))
     return forest("RF", k, trees)
 
 
@@ -384,9 +419,9 @@ def fit_gbt_reference(x, y, max_depth, rounds) -> tuple[list[Tree], list[float]]
         for cls in range(k):
             target = np.stack([onehot[:, cls] - p[:, cls], p[:, cls] * (1.0 - p[:, cls])],
                               axis=1)
-            tree = build_tree_recursive(x, target, np.arange(n), None, max_depth=max_depth,
-                                        min_split=GBT_MIN_SPLIT, n_feature_sub=None,
-                                        leaf_value=leaf_value, splitter=sse_splitter_per_feature)
+            tree = build_tree_recursive(x, target, np.arange(n), max_depth=max_depth,
+                                        min_split=GBT_MIN_SPLIT, leaf_value=leaf_value,
+                                        splitter=sse_splitter_per_feature)
             trees.append(tree)
             scores[:, cls] += GBT_ETA * predict_value_rows(tree, x)[:, 0]
         p = _softmax(scores)
@@ -551,25 +586,6 @@ def test_fit_gbt_trees_match_per_feature_search(data, max_depth):
     assert got.meta["train_log_loss"] == want_loss
 
 
-def test_feature_draws_match_choice():
-    """Each tree's chunked draws are the sorted `choice` draws of its
-    generator, for every width 3 .. 120 at m = ceil(sqrt(d)), over more nodes
-    than one chunk holds, with trees that start at different steps."""
-    seeds = range(5)
-    n_nodes = classifiers.RF_DRAW_NODES + 7
-    for d in range(3, 121):
-        m = int(np.ceil(np.sqrt(d)))
-        draws = classifiers._FeatureDraws([np.random.default_rng(s) for s in seeds], d, m)
-        got = [[] for _ in seeds]
-        for step in range(n_nodes + len(seeds) - 1):  # tree t draws at steps t .. t + n_nodes - 1
-            trees = np.array([t for t in seeds if t <= step < t + n_nodes])
-            for t, features in zip(trees.tolist(), draws(trees)):
-                got[t].append(features)
-        want = [[np.sort(rng.choice(d, size=m, replace=False)) for _ in range(n_nodes)]
-                for rng in map(np.random.default_rng, seeds)]
-        assert np.array_equal(got, want), d
-
-
 def test_trees_finishing_at_different_steps_match_reference(monkeypatch):
     """Trees that run out of nodes to split at different steps, on data of the
     default task's size: 48 rows, 16 features, 3 classes."""
@@ -607,6 +623,16 @@ def test_rf_proba_matches_stacked_mean(seed, n_trees, k, n_rows, signed_zero):
     got = predict_proba(clf, q)
     assert same_bits(got, rf_proba_stacked(clf, q))
     assert same_bits(got, rf_proba_per_tree(clf, q))
+
+
+def test_tree_sum_of_negative_zeros_is_positive_zero():
+    """An object-dtype reduce starts from the first slice, as the NumPy the
+    `+ 0.0` in `_tree_sum` guards against does, so a sum of -0.0 leaves is
+    -0.0 until 0.0 is added; a sum from 0.0, as a loop over trees makes, is
+    +0.0."""
+    leaves = np.full((3, 2), -0.0).astype(object)
+    assert [math.copysign(1.0, v) for v in np.add.reduce(leaves, axis=0)] == [-1.0, -1.0]
+    assert [math.copysign(1.0, v) for v in classifiers._tree_sum(leaves)] == [1.0, 1.0]
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,12 +7,18 @@ argmax ties break toward the lowest class index.
 
 The random forest and the boosted trees share one tree builder, which grows
 many trees together, a level at a time: each step runs one batched split
-search over every splittable node of every tree. `fit_gbt` boosts several
-training sets of one shape in one loop, so a round grows the class trees of
-every set together; its trees equal, bit for bit, those of growing each tree
-alone, one node at a time. A forest takes everything random from one
-generator: its bootstraps in one call, then one call per level that ranks
-each node's features, of which the node searches the lowest-ranked.
+search over every splittable node of every tree. Two cut scores within
+`SPLIT_TIE` tie, and the first feature's wins; so a boosted node whose
+squared error, plus a rounding margin, is below `SPLIT_TIE` is settled and
+searches only its first feature that has a cut, which the full search
+would pick. `fit_rf` and `fit_gbt` each fit several training sets of one
+shape in one loop: the forests' trees grow together, and a boosting round
+grows the class trees of every set together. Each set's classifier equals,
+bit for bit, the one it gets fitted alone, and the boosted trees those of
+growing each tree alone, one node at a time. A forest takes everything
+random from its own generator: its bootstraps in one call, then one call
+per level that ranks each of its nodes' features, of which a node searches
+the lowest-ranked.
 
 A forest is one flat node table (`TREE_COLUMNS`), the arrays its file
 stores, built once when it is fitted or checked once when it is loaded. It
@@ -51,6 +57,8 @@ GBT_ROUNDS = 50         # each round grows one tree per class
 GBT_MAX_DEPTH = 10
 GBT_ETA = 0.9           # learning rate on each round's leaf scores
 GBT_MIN_SPLIT = 2
+# two cut scores closer than this tie, and the first feature's cut wins
+SPLIT_TIE = 1e-15
 # a split search holds about a dozen arrays of one entry per (node, feature,
 # row); it searches at most this many at once (about 0.7 MiB in all)
 SPLIT_BLOCK_ELEMENTS = 1 << 13
@@ -238,9 +246,12 @@ class _Gini:
                          for c in range(self.n_classes)], axis=1).astype(np.float64)
 
     def leaves(self, rows, n_rows):
-        """(value, is pure) of each node; row list i is rows[i, :n_rows[i]]."""
+        """(value, is pure, is settled) of each node; row list i is
+        rows[i, :n_rows[i]]. No node is settled: an impure node's Gini is
+        about 1/n or more, far above `SPLIT_TIE`."""
         counts = self._counts(rows)
-        return counts / counts.sum(axis=1, keepdims=True), np.count_nonzero(counts, axis=1) == 1
+        return (counts / counts.sum(axis=1, keepdims=True),
+                np.count_nonzero(counts, axis=1) == 1, np.zeros(len(rows), dtype=bool))
 
     def scores(self, rows, n_rows, srows):
         """Score of each (node, feature, cut) over the feature's sorted rows."""
@@ -270,12 +281,20 @@ class _SquaredError:
         self.hessian = np.append(hessian, 0.0)
 
     def leaves(self, rows, n_rows):
+        """A node is settled when its squared error, sum(r^2) - sum(r)^2 / n,
+        plus 1e-9 * n * sum(r^2) is below `SPLIT_TIE`. Every cut scores
+        between 0 and that error, and a computed score is off by at most a
+        few n^1.5 * 2^-53 * sum(r^2), far below the margin for any n up to
+        10^9; so no two of its cuts' scores differ by `SPLIT_TIE`."""
         resid = self.residual[rows]
         grad, hess = _row_sums(np.stack([resid, self.hessian[rows]], axis=1), n_rows).T
         real = np.arange(rows.shape[1]) < n_rows[:, None]
         spread = (np.where(real, resid, -np.inf).max(axis=1)
                   - np.where(real, resid, np.inf).min(axis=1))
-        return (grad / (hess + 1e-16))[:, None], spread <= 1e-12
+        square = np.add.reduce(self.square[rows], axis=1)  # the padding adds 0
+        error = square - grad * grad / n_rows
+        return ((grad / (hess + 1e-16))[:, None], spread <= 1e-12,
+                error + 1e-9 * n_rows * square < SPLIT_TIE)
 
     def scores(self, rows, n_rows, srows):
         r = np.stack([self.residual[srows], self.square[srows]], axis=1)
@@ -290,21 +309,21 @@ class _SquaredError:
 
 def _best_cuts(features: np.ndarray, sv: np.ndarray, score: np.ndarray):
     """(feature, threshold, score) per node of the first candidate feature
-    whose lowest score beats the best so far by 1e-15; feature -1 and
+    whose lowest score beats the best so far by `SPLIT_TIE`; feature -1 and
     threshold 0 where no cut is valid.
 
     The argmin over features is that feature unless an earlier one lies
-    within 1e-15 of the minimum; only such nodes rerun the scan feature by
-    feature.
+    within `SPLIT_TIE` of the minimum; only such nodes rerun the scan
+    feature by feature.
     """
     lowest = score.min(axis=2)
     j = lowest.argmin(axis=1)
-    close = (~(lowest.min(axis=1, keepdims=True) < lowest - 1e-15)
+    close = (~(lowest.min(axis=1, keepdims=True) < lowest - SPLIT_TIE)
              & (np.arange(lowest.shape[1]) < j[:, None]))
     for b in np.flatnonzero(close.any(axis=1)):
         best = np.inf
         for f, value in enumerate(lowest[b]):
-            if value < best - 1e-15:
+            if value < best - SPLIT_TIE:
                 best, j[b] = value, f
     nodes = np.arange(len(score))
     p = score[nodes, j].argmin(axis=1)
@@ -314,132 +333,168 @@ def _best_cuts(features: np.ndarray, sv: np.ndarray, score: np.ndarray):
             np.where(found, 0.5 * (sv[nodes, j, p] + sv[nodes, j, p + 1]), 0.0), low)
 
 
-def _split_search(xt, rows, n_rows, features, criterion):
+def _first_varying(xt, rows, n_rows, features) -> np.ndarray:
+    """Per node, the place in features[i] of its first candidate feature
+    whose values in the node are not all equal (by `!=`), or -1."""
+    first = np.full(len(rows), -1)
+    real = np.arange(rows.shape[1]) < n_rows[:, None]
+    todo = np.arange(len(rows))
+    for j in range(features.shape[1]):
+        values = xt[features[todo, j, None], rows[todo]]
+        varies = ((values != values[:, :1]) & real[todo]).any(axis=1)
+        first[todo[varies]] = j
+        todo = todo[~varies]
+        if not len(todo):
+            break
+    return first
+
+
+def _split_search(xt, rows, n_rows, features, criterion, settled):
     """(feature, threshold, score) of each node's best cut, batched searches.
 
     xt is x transposed with a last column of +inf, the padding row: row list
     i is rows[i, :n_rows[i]], padded with that column's index, so padding
     sorts last; cuts past a node's own rows are masked. features[i] are node
-    i's candidate features, ascending. Nodes are searched in blocks of at
-    most SPLIT_BLOCK_ELEMENTS (node, feature, row) entries; as a node's search
-    reads no other node, blocking changes no value.
+    i's candidate features, ascending. A settled node (see
+    `_SquaredError.leaves`) searches only its first candidate feature whose
+    values in it are not all equal: the full search's tie rule picks it,
+    as no other feature's cut can score `SPLIT_TIE` below its best. Nodes
+    are searched in blocks of at most SPLIT_BLOCK_ELEMENTS (node, feature,
+    row) entries; as a node's search reads no other node, blocking changes
+    no value.
     """
-    step = max(1, SPLIT_BLOCK_ELEMENTS // (features.shape[1] * rows.shape[1]))
-    found = []
-    for start in range(0, len(rows), step):
-        block = slice(start, start + step)
-        rows_b, n_b, features_b = rows[block], n_rows[block], features[block]
-        order = xt[features_b[:, :, None], rows_b[:, None, :]].argsort(axis=2, kind="stable")
-        srows = rows_b[np.arange(len(rows_b))[:, None, None], order]
-        sv = xt[features_b[:, :, None], srows]
-        valid = ((sv[:, :, 1:] != sv[:, :, :-1])
-                 & (np.arange(sv.shape[2] - 1) < n_b[:, None, None] - 1))
-        found.append(_best_cuts(features_b, sv, np.where(
-            valid, criterion.scores(rows_b, n_b, srows), np.inf)))
-    return tuple(np.concatenate(column) for column in zip(*found))
-
-
-def _padded(parts: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, n_rows): the row lists as one matrix padded with `pad`, and their lengths."""
-    n_rows = np.array([len(part) for part in parts])
-    rows = np.full((len(parts), n_rows.max()), pad)
-    rows[np.arange(rows.shape[1]) < n_rows[:, None]] = np.concatenate(parts)
-    return rows, n_rows
+    out = (np.full(len(rows), -1), np.zeros(len(rows)), np.full(len(rows), np.inf))
+    unsettled = np.flatnonzero(~settled)
+    groups = [(unsettled, features[unsettled])]
+    calm = np.flatnonzero(settled)
+    if len(calm):
+        j = _first_varying(xt, rows[calm], n_rows[calm], features[calm])
+        calm, j = calm[j >= 0], j[j >= 0]
+        groups.append((calm, features[calm, j, None]))
+    for nodes, candidates in groups:
+        step = max(1, SPLIT_BLOCK_ELEMENTS // (candidates.shape[1] * rows.shape[1]))
+        for start in range(0, len(nodes), step):
+            block = nodes[start:start + step]
+            rows_b, n_b, features_b = rows[block], n_rows[block], candidates[start:start + step]
+            order = xt[features_b[:, :, None], rows_b[:, None, :]].argsort(axis=2, kind="stable")
+            srows = rows_b[np.arange(len(rows_b))[:, None, None], order]
+            sv = xt[features_b[:, :, None], srows]
+            valid = ((sv[:, :, 1:] != sv[:, :, :-1])
+                     & (np.arange(sv.shape[2] - 1) < n_b[:, None, None] - 1))
+            found = _best_cuts(features_b, sv, np.where(
+                valid, criterion.scores(rows_b, n_b, srows), np.inf))
+            for column, value in zip(out, found):
+                column[block] = value
+    return out
 
 
 def _grow_trees(x, roots, criterion, *, max_depth, min_split,
-                feature_sample: tuple[np.random.Generator, int] | None = None
+                feature_sample: tuple[list[np.random.Generator], int] | None = None
                 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Grow one tree from each root's row list, all together, and return
-    their node table (`TREE_COLUMNS`). Also returns, for each row of x, the
-    value of the last node made that holds it: the row's leaf in its tree,
-    where no two roots list the row (GBT's stacked copies), so the row is
-    routed there by its tree as `_leaf_blocks` routes it.
+    """Grow one tree from each row of `roots`, a (trees, rows) matrix of row
+    lists, all together, and return their node table (`TREE_COLUMNS`). Also
+    returns, for each row of x, the value of the last node made that holds
+    it: the row's leaf in its tree, where no two roots list the row (GBT's
+    stacked copies), so the row is routed there by its tree as
+    `_leaf_blocks` routes it.
 
-    A node gets its value, and is tested for purity, when it is made. It
-    splits at the cut the criterion scores lowest (ties go to the first
-    feature and cut) unless it is at `max_depth`, has fewer than `min_split`
-    rows or is pure. Each step searches every splittable node of every tree,
-    a whole level, in one `_split_search`, in the order the nodes were made:
-    roots in tree order, then each searched node's children, left before
-    right. Every feature is a candidate, unless `feature_sample` is a
-    generator and a subset size m below x's width: then each step ranks
-    every node's features with one `random((nodes, d))` call, and a node's
-    candidates are its m lowest-ranked features, ascending.
+    A node gets its value, and is tested for purity and settling, when it is
+    made. It splits at the cut the criterion scores lowest (ties go to the
+    first feature and cut) unless it is at `max_depth`, has fewer than
+    `min_split` rows or is pure; while x holds no NaN, a settled node
+    searches one feature (see `_split_search`). Each step searches every
+    splittable node of every tree, a whole level, in one `_split_search`, in
+    the order the nodes were made: roots in tree order, then each searched
+    node's children, left before right. A level is one matrix of row lists,
+    padded to its longest. Every feature is a candidate, unless
+    `feature_sample` is generators and a subset size m below x's width: the
+    trees split evenly among the generators, in order, and each step ranks
+    the features of each generator's nodes with one `random((nodes, d))`
+    call; a node's candidates are its m lowest-ranked features, ascending.
     """
     n, d = x.shape
     xt = np.concatenate([x, np.full((1, d), np.inf)]).T.copy()  # column n is the padding row
+    may_settle = not np.isnan(x).any()  # so padding sorts after every row
     # nodes are numbered by slot, in the order they are made, roots first
-    values = []      # per batch of new nodes, their values
-    cuts = []        # per step, (slots, feature, threshold) of the nodes searched
-    left_child = []  # (slot, its left child's slot); the right child's slot follows
+    values = []      # per level, its nodes' values
+    cuts = []        # per level, (slots, feature, threshold) of the nodes searched
+    left_child = []  # per level, (slots, their left children's slots); right ones follow
     reached = np.zeros(n, dtype=np.int64)  # per row of x, the last slot made that holds it
+    rows, n_rows = roots, np.full(len(roots), roots.shape[1])
+    tree = np.arange(len(roots))  # each node's tree
     n_made = 0
-
-    def make(parts, depth):
-        """Record new nodes; returns the splittable ones, (rows, depth, slot)
-        in the order made."""
-        nonlocal n_made
-        rows, n_rows = _padded(parts, n)
-        value, pure = criterion.leaves(rows, n_rows)
+    for depth in range(max_depth + 1):
+        value, pure, settled = criterion.leaves(rows, n_rows)
         values.append(value)
-        first, n_made = n_made, n_made + len(parts)
-        reached[np.concatenate(parts)] = np.repeat(np.arange(first, n_made), n_rows)
-        splittable = (depth < max_depth) & (n_rows >= min_split) & ~pure
-        return [(parts[i], depth[i], first + i) for i in np.flatnonzero(splittable).tolist()]
-
-    level = make(list(roots), np.zeros(len(roots), dtype=np.int64))
-    while level:
-        rows, n_rows = _padded([part for part, _, _ in level], n)
+        slots = np.arange(n_made, n_made + len(rows))
+        n_made += len(rows)
+        reached[rows[np.arange(rows.shape[1]) < n_rows[:, None]]] = np.repeat(slots, n_rows)
+        split = np.flatnonzero((depth < max_depth) & (n_rows >= min_split) & ~pure)
+        if not len(split):
+            break
+        n_rows, slots, tree = n_rows[split], slots[split], tree[split]
+        rows = rows[split, :n_rows.max()]
         if feature_sample is None:
-            features = np.broadcast_to(np.arange(d), (len(level), d))
+            features = np.broadcast_to(np.arange(d), (len(rows), d))
         else:
-            rng, m = feature_sample
-            rank = rng.random((len(level), d)).argsort(axis=1, kind="stable")
-            features = np.sort(rank[:, :m], axis=1)
-        feature, threshold, _ = _split_search(xt, rows, n_rows, features, criterion)
-        cuts.append(([slot for _, _, slot in level], feature, threshold))
+            rngs, m = feature_sample
+            per_rng = np.bincount(tree * len(rngs) // len(roots), minlength=len(rngs))
+            rank = np.concatenate([rng.random((count, d)) for rng, count
+                                   in zip(rngs, per_rng.tolist()) if count])
+            features = np.sort(rank.argsort(axis=1, kind="stable")[:, :m], axis=1)
+        feature, threshold, _ = _split_search(xt, rows, n_rows, features, criterion,
+                                              settled[split] & may_settle)
+        cuts.append((slots, feature, threshold))
         inner = np.flatnonzero(feature >= 0)
         if not len(inner):
             break
-        go_left = xt[feature[inner, None], rows[inner]] <= threshold[inner, None]
-        parted = rows[inner[:, None], (~go_left).argsort(axis=1, kind="stable")]
-        parts, depth = [], []
-        for i, part, cut, end in zip(inner.tolist(), parted, go_left.sum(axis=1).tolist(),
-                                     n_rows[inner].tolist()):
-            parts += (part[:cut], part[cut:end])  # the padding (+inf) went right
-            depth += (level[i][1] + 1,) * 2
-            left_child.append((level[i][2], n_made + len(parts) - 2))
-        level = make(parts, np.array(depth))
+        rows, n_rows, tree = rows[inner], n_rows[inner], np.repeat(tree[inner], 2)
+        go_left = xt[feature[inner, None], rows] <= threshold[inner, None]
+        # left rows first, in order, then right ones; the padding (+inf) went right
+        parted = np.take_along_axis(rows, (~go_left).argsort(axis=1, kind="stable"), axis=1)
+        n_left = np.count_nonzero(go_left, axis=1)
+        place = np.arange(rows.shape[1])
+        right = np.take_along_axis(parted, np.minimum(place + n_left[:, None], len(place) - 1),
+                                   axis=1)
+        n_rows = np.stack([n_left, n_rows - n_left], axis=1).ravel()
+        rows = np.stack([np.where(place < n_left[:, None], parted, n),
+                         np.where(place < n_rows[1::2, None], right, n)], axis=1)
+        rows = rows.reshape(len(n_rows), -1)[:, :n_rows.max()]
+        left_child.append((slots[inner], n_made + 2 * np.arange(len(inner))))
     values = np.concatenate(values)
     return _preorder_table(values, cuts, left_child, len(roots)), values[reached]
 
 
 def _preorder_table(values, cuts, left_child, n_trees) -> dict[str, np.ndarray]:
     """Gather the nodes, by slot, into the node table of trees numbered in
-    preorder; roots are slots 0 .. n_trees - 1."""
+    preorder; roots are slots 0 .. n_trees - 1, and `left_child` holds, level
+    by level, the split nodes' slots and their left children's. A node's
+    subtree sizes are summed up the levels, and its number in its tree set
+    down them: a left child follows its parent, and a right child follows
+    its left sibling's subtree."""
     n_slots = len(values)
     feature = np.full(n_slots, -1)
     threshold = np.zeros(n_slots)
     for slots, f, thr in cuts:
         feature[slots], threshold[slots] = f, thr
-    left = [-1] * n_slots
-    for slot, child in left_child:
-        left[slot] = child
-    order, pre, bounds = [], [0] * n_slots, [0]
-    for root in range(n_trees):
-        stack = [root]
-        while stack:
-            slot = stack.pop()
-            pre[slot] = len(order) - bounds[-1]
-            order.append(slot)
-            if left[slot] >= 0:
-                stack += (left[slot] + 1, left[slot])
-        bounds.append(len(order))
-    pre = np.array(pre)
-    left = np.array(left)[order]
+    left = np.full(n_slots, -1)
+    size = np.ones(n_slots, dtype=np.int64)  # of each node's subtree
+    for parents, children in reversed(left_child):
+        left[parents] = children
+        size[parents] += size[children] + size[children + 1]
+    tree = np.zeros(n_slots, dtype=np.int64)
+    tree[:n_trees] = np.arange(n_trees)
+    pre = np.zeros(n_slots, dtype=np.int64)  # each node's number in its tree
+    for parents, children in left_child:
+        tree[children] = tree[children + 1] = tree[parents]
+        pre[children] = pre[parents] + 1
+        pre[children + 1] = pre[children] + size[children]
+    bounds = np.concatenate([[0], np.cumsum(size[:n_trees])])
+    order = np.empty(n_slots, dtype=np.int64)
+    order[bounds[tree] + pre] = np.arange(n_slots)
+    left = left[order]
     inner = left >= 0
-    return dict(zip(TREE_COLUMNS, (np.array(bounds), feature[order], threshold[order],
+    return dict(zip(TREE_COLUMNS, (bounds, feature[order], threshold[order],
                                    np.where(inner, pre[left], -1),
                                    np.where(inner, pre[left + 1], -1), values[order])))
 
@@ -523,20 +578,28 @@ def _leaf_blocks(table: dict[str, np.ndarray], q: np.ndarray):
 # Random forest
 # ---------------------------------------------------------------------------
 
-def fit_rf(x: np.ndarray, y: np.ndarray, *, seed: int) -> TrainedClassifier:
+def fit_rf(xs: list[np.ndarray], ys: list[np.ndarray], *, seed: int) -> list[TrainedClassifier]:
     """Bagged Gini trees with per-split feature subsampling of ceil(sqrt(D)),
-    grown together a level at a time from one generator: the bootstraps
-    first, then each level's feature subsets."""
-    x, y, k = _as_xy(x, y)
-    n, d = x.shape
-    rng = np.random.default_rng(seed)
-    bootstraps = rng.integers(0, n, size=(RF_TREES, n))
+    for each of several training sets of one shape and class count. Every
+    set's trees grow together, a level at a time, and each set's forest is
+    the one it gets fitted alone: it takes everything random from its own
+    `default_rng(seed)`, the bootstraps first, then each level's feature
+    subsets."""
+    x = np.stack([np.asarray(x, dtype=np.float64) for x in xs])
+    y = np.stack([np.asarray(y, dtype=np.int64) for y in ys]).ravel()
+    n_sets, n, d = x.shape
+    k = int(y.max()) + 1
+    rngs = [np.random.default_rng(seed) for _ in range(n_sets)]
+    # set s's rows are s*n .. s*n + n - 1 of the stacked x and of y
+    bootstraps = np.concatenate([rng.integers(0, n, size=(RF_TREES, n)) + s * n
+                                 for s, rng in enumerate(rngs)])
     m = int(np.ceil(np.sqrt(d)))
-    table, _ = _grow_trees(x, bootstraps, _Gini(y, k), max_depth=RF_MAX_DEPTH,
-                           min_split=RF_MIN_SPLIT, feature_sample=(rng, m) if m < d else None)
-    return TrainedClassifier("RF", k, arrays=table,
-                             meta={"n_trees": RF_TREES, "max_depth": RF_MAX_DEPTH,
-                                   "min_split": RF_MIN_SPLIT, "seed": seed})
+    table, _ = _grow_trees(x.reshape(-1, d), bootstraps, _Gini(y, k), max_depth=RF_MAX_DEPTH,
+                           min_split=RF_MIN_SPLIT, feature_sample=(rngs, m) if m < d else None)
+    return [TrainedClassifier("RF", k, arrays=own,
+                              meta={"n_trees": RF_TREES, "max_depth": RF_MAX_DEPTH,
+                                    "min_split": RF_MIN_SPLIT, "seed": seed})
+            for own in _split_table(table, n_sets)]
 
 
 def _tree_sum(values: np.ndarray) -> np.ndarray:
@@ -587,7 +650,7 @@ def fit_gbt(xs: list[np.ndarray], ys: list[np.ndarray]) -> list[TrainedClassifie
     # rows (s*k + c)*n .. (s*k + c)*n + n - 1 of k stacked copies of each
     # set's x, so each reads its own set's and class's target
     stacked = np.repeat(x, k, axis=0).reshape(-1, d)
-    roots = [np.arange(t * n, t * n + n) for t in range(n_sets * k)]
+    roots = np.arange(n_sets * k * n).reshape(-1, n)
 
     def by_tree(a):
         """(set, row, class) values in the stacked rows' order."""

@@ -91,7 +91,7 @@ from .pretrain import (
     pretrain_ssl,
 )
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"  # bump whenever a stage writes other bytes for the same inputs
 VARIANTS = ("A", "B", "C")
 TARGET_KIND = "shapes3"  # the task kind of the target rung
 BASE_MODEL_NAMES = tuple(f"{m}_{v}" for m in ("tl", "ssl") for v in VARIANTS)
@@ -315,10 +315,13 @@ def _record_ok(record) -> bool:
 
 
 def load_manifest(out: Path) -> dict:
-    """The manifest's stage records; any other entry an older version wrote is dropped."""
+    """The manifest's stage records; any other entry an older version wrote is
+    dropped. Records another `TOOL_VERSION` wrote keep their files but lose
+    their inputs, so each stage reruns and replaces them."""
     path = out / MANIFEST
     try:
-        stages = json.loads(path.read_text())["stages"] if path.exists() else {}
+        saved = json.loads(path.read_text()) if path.exists() else {"stages": {}}
+        stages = saved["stages"]
         malformed = [stage for stage, record in stages.items() if not _record_ok(record)]
     except (OSError, json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise IntegrityError(f"unreadable manifest {path}: {exc}") from exc
@@ -328,6 +331,8 @@ def load_manifest(out: Path) -> dict:
                if rel.startswith("/") or ".." in rel.split("/")]
     if outside:  # a rerun deletes the files its old record listed
         raise IntegrityError(f"manifest {path} lists {outside[0]}, outside {out}")
+    if saved.get("version") != TOOL_VERSION:
+        stages = {stage: {"files": record["files"]} for stage, record in stages.items()}
     return {"version": TOOL_VERSION, "stages": stages}
 
 

@@ -9,8 +9,9 @@ Fusion reuses the train-fitted transform at test time, and the headline
 number is the voted accuracy. An arm is one ensemble fitted on some parts:
 `fit_arm` fits and predicts a list of arms, and `scores` turns an arm's
 predictions into accuracies. `train_ensemble` fits each arm's fusion, SVM,
-KNN, GNB and RF on their own, and the boosted trees of all arms whose fused
-data have one shape and class count in one `fit_gbt` call. Also houses the
+KNN and GNB on their own, and the forests and boosted trees of all arms
+whose fused data have one shape and class count in one `fit_rf` and one
+`fit_gbt` call. Also houses the
 confusion-count metrics, the leave-one-base-model-out ablation, whose refits
 are arms, and the `TargetSplit` artifact.
 """
@@ -102,20 +103,20 @@ def majority_vote(predictions: list[np.ndarray], n_classes: int) -> np.ndarray:
 def train_ensemble(arms: list[dict[str, FeatureMatrix]], *, method: str, seed: int,
                    k: int) -> list[EnsembleModel]:
     """Fuse each arm's training parts (`fuse_pipeline`: k = 0 is automatic)
-    and fit the five classifiers on the result; one `fit_gbt` call boosts the
-    arms whose fused rows, width and class count match."""
+    and fit the five classifiers on the result; one `fit_rf` and one
+    `fit_gbt` call fit the arms whose fused rows, width and class count match."""
     fused = [fuse_pipeline(list(parts.values()), method=method, k=k, seed=seed)
              for parts in arms]
     classifiers = []
     groups: dict[tuple[int, int, int], list[int]] = {}  # (rows, width, classes) -> arms
     for i, (f, _) in enumerate(fused):
         x, y = f.data, f.labels
-        classifiers.append([fit_svm(x, y), fit_knn(x, y), fit_gnb(x, y), fit_rf(x, y, seed=seed)])
+        classifiers.append([fit_svm(x, y), fit_knn(x, y), fit_gnb(x, y)])
         groups.setdefault((*x.shape, int(y.max()) + 1), []).append(i)
     for members in groups.values():
-        gbts = fit_gbt([fused[i][0].data for i in members], [fused[i][0].labels for i in members])
-        for i, gbt in zip(members, gbts):
-            classifiers[i].append(gbt)
+        xs, ys = [fused[i][0].data for i in members], [fused[i][0].labels for i in members]
+        for i, rf, gbt in zip(members, fit_rf(xs, ys, seed=seed), fit_gbt(xs, ys)):
+            classifiers[i] += (rf, gbt)
     return [EnsembleModel(clfs, transform)
             for clfs, (_, transform) in zip(classifiers, fused)]
 

@@ -139,22 +139,26 @@ def fit_ica(x: FeatureMatrix, k: int, *, seed: int) -> FusionTransform:
         k = len(wh)
     rng = np.random.default_rng(seed)
     unmix = np.zeros((k, k))
+    xw_t = xw.T
+    # np.linalg.norm of a vector is sqrt(w.dot(w)) and .mean() is the sum
+    # over n: the same float operations, without the wrappers' overhead
     for comp in range(k):
+        found = unmix[:comp]
         w = rng.normal(size=k)
-        w /= np.linalg.norm(w)
+        w /= np.sqrt(w.dot(w))
         converged = False
         for _ in range(ICA_MAX_ITER):
-            wx = xw @ w
-            g = np.tanh(wx)
+            g = np.tanh(xw @ w)
             g_prime = 1.0 - g * g
-            w_new = xw.T @ g / n - g_prime.mean() * w
-            # decorrelate against already-found components
-            w_new -= unmix[:comp].T @ (unmix[:comp] @ w_new)
-            norm = np.linalg.norm(w_new)
+            w_new = xw_t @ g / n - np.add.reduce(g_prime) / n * w
+            if comp:  # decorrelate against already-found components
+                w_new -= found.T @ (found @ w_new)
+            norm = np.sqrt(w_new.dot(w_new))
             if norm < 1e-12:
                 w_new = rng.normal(size=k)
-                w_new -= unmix[:comp].T @ (unmix[:comp] @ w_new)
-                norm = np.linalg.norm(w_new)
+                if comp:
+                    w_new -= found.T @ (found @ w_new)
+                norm = np.sqrt(w_new.dot(w_new))
             w_new /= norm
             if abs(abs(np.dot(w_new, w)) - 1.0) < 1e-6:
                 w = w_new

@@ -122,28 +122,28 @@ class TestRf:
         monkeypatch.setattr(classifiers, "RF_TREES", 10)
         x = np.random.default_rng(0).normal(size=(10, 2))
         y = np.zeros(10, dtype=int)
-        clf = fit_rf(x, y, seed=0)
+        (clf,) = fit_rf([x], [y], seed=0)
         assert np.array_equal(np.diff(clf.arrays["tree_offsets"]), np.ones(10))
         assert np.array_equal(predict_proba(clf, x[:3]), np.ones((3, 1)))
 
     def test_xor_pattern(self):
         x, y = blobs([(-2, -2), (2, 2), (-2, 2), (2, -2)], n=10, spread=0.3, seed=5)
         y = np.where(y < 2, 0, 1)  # diagonal clusters share a label
-        clf = fit_rf(x, y, seed=1)
+        (clf,) = fit_rf([x], [y], seed=1)
         assert np.mean(predict(clf, x) == y) == 1.0
 
     def test_seed_determinism(self, monkeypatch):
         monkeypatch.setattr(classifiers, "RF_TREES", 20)
         x, y = blobs([(-1, 0), (1, 0)], seed=6)
-        a = fit_rf(x, y, seed=3)
-        b = fit_rf(x, y, seed=3)
+        (a,) = fit_rf([x], [y], seed=3)
+        (b,) = fit_rf([x], [y], seed=3)
         assert np.array_equal(predict_proba(a, x), predict_proba(b, x))
 
     def test_different_seed_differs(self, monkeypatch):
         monkeypatch.setattr(classifiers, "RF_TREES", 5)
         x, y = blobs([(-1, 0), (1, 0)], spread=1.5, seed=6)
-        a = fit_rf(x, y, seed=3)
-        b = fit_rf(x, y, seed=4)
+        (a,) = fit_rf([x], [y], seed=3)
+        (b,) = fit_rf([x], [y], seed=4)
         assert not np.array_equal(predict_proba(a, x), predict_proba(b, x))
 
 
@@ -220,7 +220,7 @@ def fitted():
             "SVM": fit_svm(x, y),
             "KNN": fit_knn(x, y),
             "GNB": fit_gnb(x, y),
-            "RF": fit_rf(x, y, seed=0),
+            "RF": fit_rf([x], [y], seed=0)[0],
             "GBT": fit_gbt([x], [y])[0],
         }
 
@@ -250,7 +250,7 @@ class TestSharedContracts:
         rng = np.random.default_rng(14)
         x, y = blobs(rng.normal(size=(3, 16)), n=16, spread=0.8, seed=15)
         fits = {"SVM": fit_svm, "KNN": fit_knn, "GNB": fit_gnb,
-                "RF": lambda x, y: fit_rf(x, y, seed=0),
+                "RF": lambda x, y: fit_rf([x], [y], seed=0)[0],
                 "GBT": lambda x, y: fit_gbt([x], [y])[0]}
         clf = fits[kind](x, y)
         q = np.concatenate([x, rng.normal(size=(2000 - len(x), 16))])
@@ -353,7 +353,7 @@ class TestForestFiles:
     def saved(self, request, tmp_path_factory):
         x, y = blobs([(-2, 0), (2, 0), (0, 3)], n=8, spread=1.5, seed=14)
         with mock.patch.multiple(classifiers, RF_TREES=4, GBT_ROUNDS=2):
-            clf = fit_rf(x, y, seed=1) if request.param == "RF" else fit_gbt([x], [y])[0]
+            clf = fit_rf([x], [y], seed=1)[0] if request.param == "RF" else fit_gbt([x], [y])[0]
         path = tmp_path_factory.mktemp("forest") / "clf.bin"
         save_classifier(clf, path)
         return clf, path

@@ -630,42 +630,46 @@ class TestAuxCommands:
     def test_arms_boost_together_and_forests_draw_without_choice(self, tiny_all, tmp_path,
                                                                 monkeypatch):
         """ablate boosts its six leave-one-out arms in one `fit_gbt` call and
-        oodtest its pretrained and random arms in one. Each forest draws its
-        bootstraps in one `Generator.integers` call and its feature ranks in
-        one `Generator.random` call per level, and never calls `choice`."""
+        grows their forests in one `fit_rf` call, and oodtest its pretrained
+        and random arms in one of each. Each forest has its own generator,
+        which draws its bootstraps in one `Generator.integers` call and its
+        feature ranks in one `Generator.random` call per level, and never
+        calls `choice`."""
         pristine, _ = tiny_all
         out = tmp_path / "out"
         shutil.copytree(pristine, out)
-        boosted, in_rf, fits = [], [], []
+        boosted, in_rf, forests = [], [], []  # forests: per fit_rf, (sets, generators' calls)
         real_gbt, real_rf = ensemble.fit_gbt, ensemble.fit_rf
 
         def counting_gbt(xs, ys):
             boosted.append(len(xs))
             return real_gbt(xs, ys)
 
-        def marked_rf(*args, **kwargs):
+        def marked_rf(xs, ys, **kwargs):
+            forests.append((len(xs), []))
             in_rf.append(True)
-            fits.append(collections.Counter())
             try:
-                return real_rf(*args, **kwargs)
+                return real_rf(xs, ys, **kwargs)
             finally:
                 in_rf.pop()
 
         class CountingGenerator(np.random.Generator):
-            def _count(self, name):
+            def __init__(self, bit_generator):
+                super().__init__(bit_generator)
+                self.calls = collections.Counter()
                 if in_rf:
-                    fits[-1][name] += 1
+                    forests[-1][1].append(self.calls)
 
             def choice(self, *args, **kwargs):
-                self._count("choice")
+                self.calls["choice"] += 1
                 return super().choice(*args, **kwargs)
 
             def integers(self, *args, **kwargs):
-                self._count("integers")
+                self.calls["integers"] += 1
                 return super().integers(*args, **kwargs)
 
             def random(self, *args, **kwargs):
-                self._count("random")
+                self.calls["random"] += 1
                 return super().random(*args, **kwargs)
 
         monkeypatch.setattr(ensemble, "fit_gbt", counting_gbt)
@@ -675,17 +679,20 @@ class TestAuxCommands:
         cfg = tmp_path / "edited.cfg"  # a new k, so ensemble and ablate rerun; every arm
         cfg.write_text(TINY_CONFIG.replace("k = 8", "k = 6"))  # fuses to 6 columns
         argv = ["--config", str(cfg), "--seed", "11", "--out", str(out)]
-        assert run(["ensemble"] + argv) == 0
-        assert boosted == [1, 1]  # the configured method's ensemble, then concat-only's
-        for command, sets in (("ablate", len(cli.BASE_MODEL_NAMES)), ("oodtest", 2)):
+        # ensemble fits the configured method's ensemble, then concat-only's
+        for command, sets in (("ensemble", [1, 1]), ("ablate", [len(cli.BASE_MODEL_NAMES)]),
+                              ("oodtest", [2])):
             boosted.clear()
+            first = len(forests)
             assert run([command] + argv) == 0
-            assert boosted == [sets], command
-        assert fits
-        for calls in fits:
-            assert calls["integers"] == 1, calls
-            assert 1 <= calls["random"] <= classifiers.RF_MAX_DEPTH, calls
-            assert calls["choice"] == 0, calls
+            assert boosted == sets, command
+            assert [n_sets for n_sets, _ in forests[first:]] == sets, command
+        for n_sets, generators in forests:
+            assert len(generators) == n_sets
+            for calls in generators:
+                assert calls["integers"] == 1, calls
+                assert 1 <= calls["random"] <= classifiers.RF_MAX_DEPTH, calls
+                assert calls["choice"] == 0, calls
 
     def test_oodtest_hashes_each_frozen_weight_once(self, tiny_all, tmp_path, monkeypatch):
         """The digests before the fits come from the finetune record, which
@@ -1123,6 +1130,24 @@ class TestIncremental:
         assert run(["all", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
         assert skipped_stages(capsys.readouterr().out) == set()
         assert tree_bytes(out) == tree_bytes(pristine)
+
+    def test_manifest_of_another_version_reruns_every_stage(self, tiny_all, tmp_path, capsys):
+        """A tree an older version wrote is not up to date: each stage of `all`
+        reruns and replaces its files, and the tree ends as a fresh one, which
+        a second `all` then skips."""
+        pristine, cfg = tiny_all
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["version"] == cli.TOOL_VERSION != "0.1.0"
+        (out / "manifest.json").write_text(json.dumps({**manifest, "version": "0.1.0"}))
+        argv = ["all", "--config", str(cfg), "--seed", "11", "--out", str(out)]
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert skipped_stages(capsys.readouterr().out) == set()
+        assert tree_bytes(out) == tree_bytes(pristine)
+        assert run(argv) == 0
+        assert skipped_stages(capsys.readouterr().out) == set(cli.ALL)
 
 
 @pytest.fixture

@@ -433,6 +433,16 @@ def fit_gbt_reference(x, y, max_depth, rounds) -> tuple[list[Tree], list[float]]
 # Strategies
 # ---------------------------------------------------------------------------
 
+def padded(parts: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, n_rows): the row lists as one matrix padded with `pad`, as the
+    tree builder holds a level, and their lengths."""
+    n_rows = np.array([len(part) for part in parts])
+    rows = np.full((len(parts), n_rows.max()), pad)
+    for i, part in enumerate(parts):
+        rows[i, :len(part)] = part
+    return rows, n_rows
+
+
 @st.composite
 def labelled_data(draw, min_rows=2, max_rows=24):
     """Rows from VALUES (many duplicates), an optional constant column, >= 2 classes."""
@@ -546,12 +556,13 @@ def test_split_search_matches_per_feature_loop(seed, d, n_nodes, discrete, const
     labels = rng.integers(0, 3, size=len(x))
     target = np.stack([rng.normal(size=len(x)), rng.random(len(x))], axis=1)
     xt = np.concatenate([x, np.full((1, d), np.inf)]).T.copy()
-    rows, n_rows = classifiers._padded(parts, len(x))
+    rows, n_rows = padded(parts, len(x))
     for criterion, oracle, oracle_target in (
             (classifiers._Gini(labels, 3), gini_splitter_per_feature(3), labels),
             (classifiers._SquaredError(target[:, 0], target[:, 1]), sse_splitter_per_feature,
              target)):
-        got = classifiers._split_search(xt, rows, n_rows, features, criterion)
+        settled = criterion.leaves(rows, n_rows)[2]
+        got = classifiers._split_search(xt, rows, n_rows, features, criterion, settled)
         for i, idx in enumerate(parts):
             want = oracle(x, oracle_target, idx, features[i])
             if want[0] is None:
@@ -564,12 +575,84 @@ def test_split_search_matches_per_feature_loop(seed, d, n_nodes, discrete, const
         assert got[1][1] == 0.5
 
 
+def assert_cuts_match_per_feature_loop(x, residual, parts, features):
+    """`_split_search` with the nodes' own settled flags gives each node the
+    cut the per-feature loop gives it, and the full search gives, to the bit.
+    Returns the settled flags."""
+    xt = np.concatenate([x, np.full((1, x.shape[1]), np.inf)]).T.copy()
+    rows, n_rows = padded(parts, len(x))
+    criterion = classifiers._SquaredError(residual, np.full(len(x), 0.25))
+    settled = criterion.leaves(rows, n_rows)[2]
+    got = classifiers._split_search(xt, rows, n_rows, features, criterion, settled)
+    full = classifiers._split_search(xt, rows, n_rows, features, criterion,
+                                     np.zeros(len(parts), dtype=bool))
+    for column, full_column in zip(got, full):
+        assert np.array_equal(column, full_column)
+    target = np.stack([residual, np.full(len(x), 0.25)], axis=1)
+    for i, idx in enumerate(parts):
+        want = sse_splitter_per_feature(x, target, idx, features[i])
+        if want[0] is None:
+            assert got[0][i] == -1
+        else:
+            assert got[0][i] == want[0]
+            assert np.array_equal([got[1][i], got[2][i]], want[1:])
+    return settled
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), discrete=st.booleans(),
+       constant=st.booleans(), spread=st.floats(-12, -8), subset=st.booleans())
+def test_settled_nodes_cut_as_the_per_feature_loop(seed, d, discrete, constant, spread,
+                                                  subset):
+    """Near-saturated residuals, about 1e-9 with a spread of 1e-12 to 1e-8, as
+    late boosting rounds leave them: many nodes settle and search one
+    feature, skipping leading features that are constant in the node, and
+    every node still gets the per-feature loop's cut. The last node, of
+    residuals 1e-12 apart, always settles."""
+    rng = np.random.default_rng(seed)
+    n = 60
+    x = rng.choice(np.array(VALUES), size=(n + 4, d)) if discrete else rng.normal(size=(n + 4, d))
+    if constant:
+        x[:, :rng.integers(1, d + 1)] = 0.5  # the first features tie in every node
+    residual = (rng.choice([-1e-9, 1e-9], size=n + 4)
+                + 10.0 ** spread * rng.normal(size=n + 4))
+    residual[n:] = 1e-9 + 1e-12 * np.arange(4)
+    parts = [rng.integers(0, n, size=int(rng.integers(2, n + 1)))
+             for _ in range(int(rng.integers(1, 12)))] + [np.arange(n, n + 4)]
+    if subset:
+        n_sub = int(rng.integers(1, d + 1))
+        features = np.sort([rng.choice(d, size=n_sub, replace=False) for _ in parts], axis=1)
+    else:
+        features = np.broadcast_to(np.arange(d), (len(parts), d))
+    settled = assert_cuts_match_per_feature_loop(x, residual, parts, features)
+    assert settled[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), mean=st.floats(-2, 6),
+       spread=st.floats(-16, -9))
+def test_nodes_of_large_mean_and_tiny_spread_do_not_settle(seed, d, mean, spread):
+    """Residuals of 1e-2 to 1e6 that differ by a relative 1e-16 to 1e-9: the
+    squared error, computed as sum(r^2) - sum(r)^2 / n, is lost in rounding
+    and may read 0 or below, and cut scores differ by rounding noise far
+    above `SPLIT_TIE`; the margin keeps every such node unsettled, and every
+    cut is the per-feature loop's."""
+    rng = np.random.default_rng(seed)
+    n = 60
+    x = rng.normal(size=(n, d))
+    residual = 10.0 ** mean * (1.0 + 10.0 ** spread * rng.normal(size=n))
+    parts = [rng.integers(0, n, size=int(rng.integers(2, n + 1)))
+             for _ in range(int(rng.integers(1, 12)))]
+    features = np.broadcast_to(np.arange(d), (len(parts), d))
+    assert not assert_cuts_match_per_feature_loop(x, residual, parts, features).any()
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=labelled_data(min_rows=3), seed=st.integers(0, 1000))
 def test_fit_rf_trees_match_per_feature_search(data, seed):
     x, y = data
     with mock.patch.object(classifiers, "RF_TREES", 4):
-        got = fit_rf(x, y, seed=seed)
+        (got,) = fit_rf([x], [y], seed=seed)
     want = fit_rf_reference(x, y, n_trees=4, seed=seed)
     assert_same_trees(got, trees_of(want))
     assert np.array_equal(predict_proba(got, x), predict_proba(want, x))
@@ -595,7 +678,7 @@ def test_trees_finishing_at_different_steps_match_reference(monkeypatch):
     x = rng.normal(size=(48, 16))
     y = np.repeat(np.arange(3), 16)
     x[:, 0] += y  # one informative feature, so some trees are shallow and some deep
-    rf = fit_rf(x, y, seed=3)
+    (rf,) = fit_rf([x], [y], seed=3)
     assert len(set(np.diff(rf.arrays["tree_offsets"]).tolist())) > 3
     assert_same_trees(rf, trees_of(fit_rf_reference(x, y, n_trees=12, seed=3)))
     gbt = fit_gbt([x], [y])[0]
@@ -603,6 +686,67 @@ def test_trees_finishing_at_different_steps_match_reference(monkeypatch):
     want_trees, want_loss = fit_gbt_reference(x, y, rounds=4, max_depth=GBT_MAX_DEPTH)
     assert_same_trees(gbt, want_trees)
     assert gbt.meta["train_log_loss"] == want_loss
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_sets=st.integers(1, 4), n=st.integers(4, 24),
+       d=st.integers(1, 6), k=st.integers(2, 4), block=st.sampled_from([64, 1 << 13]))
+def test_fit_rf_sets_grown_together_equal_each_fitted_alone(seed, n_sets, n, d, k, block):
+    """Forests of several sets of one shape, grown together (one set separable
+    by its first feature, so its trees stop early), give each set, to the
+    bit, the forest and meta it gets fitted alone and the per-feature
+    reference's trees."""
+    rng = np.random.default_rng(seed)
+    xs = [rng.choice(np.array(VALUES), size=(n, d)) for _ in range(n_sets)]
+    ys = [np.r_[np.arange(k), rng.integers(0, k, size=n - k)] for _ in range(n_sets)]
+    xs[0][:, 0] = ys[0]
+    with mock.patch.multiple(classifiers, RF_TREES=4, SPLIT_BLOCK_ELEMENTS=block):
+        together = fit_rf(xs, ys, seed=seed)
+        alone = [fit_rf([x], [y], seed=seed)[0] for x, y in zip(xs, ys)]
+    assert len(together) == n_sets
+    for x, y, got, one in zip(xs, ys, together, alone):
+        assert (got.kind, got.n_classes, got.meta) == (one.kind, one.n_classes, one.meta)
+        assert sorted(got.arrays) == sorted(one.arrays)
+        for name, column in one.arrays.items():
+            assert got.arrays[name].dtype == column.dtype
+            assert np.array_equal(got.arrays[name], column)
+        assert_same_trees(got, trees_of(fit_rf_reference(x, y, n_trees=4, seed=seed)))
+
+
+def test_saturated_boosting_rounds_match_reference(monkeypatch):
+    """Twenty rounds on data of the default task's size: the training loss
+    falls below 1e-8, the later rounds' nodes settle and each searches one
+    feature, and the trees and losses still equal the per-feature
+    recursion's."""
+    monkeypatch.setattr(classifiers, "GBT_ROUNDS", 20)
+    settled = []
+    first_varying = classifiers._first_varying
+
+    def counting(xt, rows, n_rows, features):
+        settled.append(len(rows))
+        return first_varying(xt, rows, n_rows, features)
+
+    monkeypatch.setattr(classifiers, "_first_varying", counting)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(48, 16))
+    y = np.repeat(np.arange(3), 16)
+    gbt = fit_gbt([x], [y])[0]
+    assert gbt.meta["train_log_loss"][-1] < 1e-8
+    assert sum(settled) >= 100
+    want_trees, want_loss = fit_gbt_reference(x, y, rounds=20, max_depth=GBT_MAX_DEPTH)
+    assert_same_trees(gbt, want_trees)
+    assert gbt.meta["train_log_loss"] == want_loss
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=labelled_data(min_rows=4))
+def test_fit_gbt_matches_per_feature_search_through_twenty_rounds(data):
+    x, y = data
+    with mock.patch.object(classifiers, "GBT_ROUNDS", 20):
+        got = fit_gbt([x], [y])[0]
+    want_trees, want_loss = fit_gbt_reference(x, y, rounds=20, max_depth=GBT_MAX_DEPTH)
+    assert_same_trees(got, want_trees)
+    assert got.meta["train_log_loss"] == want_loss
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,3 @@
 """Small-data image classification: dual pre-training, feature fusion, voting ensemble."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

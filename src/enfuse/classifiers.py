@@ -21,12 +21,14 @@ per level that ranks each of its nodes' features, of which a node searches
 the lowest-ranked.
 
 A forest is one flat node table (`TREE_COLUMNS`), the arrays its file
-stores, built once when it is fitted or checked once when it is loaded. It
-predicts in one walk: every (tree, query row) pair goes down together, one
-level per step, in blocks of bounded size, reading the block's values and
-each node's children through flat indices. A block's leaf values are summed
-in one reduce along the tree axis, which adds them in tree order; adding
-0.0 to the sum gives what a loop over the trees adds from 0.0.
+stores, built once when it is fitted or checked once when it is loaded.
+Each tree's nodes keep the order the builder made them in, so a split
+node's right child directly follows its left. The forest predicts in one
+walk: every (tree, query row) pair goes down together, one level per step,
+in blocks of bounded size, reading the block's values and each node's
+children through flat indices. A block's leaf values are summed in one
+reduce along the tree axis, which adds them in tree order; adding 0.0 to
+the sum gives what a loop over the trees adds from 0.0.
 
 Every classifier is row-independent: a row's probabilities have the same
 bits whatever rows share its call, which SHAP's deduplicated calls rely on.
@@ -65,19 +67,19 @@ SPLIT_BLOCK_ELEMENTS = 1 << 13
 # A forest walk holds a few arrays of one entry per (tree, query row) pair; it
 # walks at most this many pairs at once (256 KiB per int64 array)
 FOREST_BLOCK_PAIRS = 1 << 15
-# A forest's flat node table, trees in order, each tree's nodes in preorder:
-# tree t is nodes tree_offsets[t] .. tree_offsets[t + 1] - 1, a node is a leaf
-# iff its feature is negative, and a child is numbered from its tree's first
-# node (-1 at leaves). tree_value holds one row per node: the class shares (RF)
-# or the one leaf score (GBT).
-TREE_COLUMNS = ("tree_offsets", "tree_feature", "tree_threshold", "tree_left",
-                "tree_right", "tree_value")
-_INDEX_COLUMNS = ("tree_offsets", "tree_feature", "tree_left", "tree_right")
+# A forest's flat node table, trees in order, each tree's nodes in the order
+# made, level by level: tree t is nodes tree_offsets[t] .. tree_offsets[t + 1]
+# - 1, a node is a leaf iff its feature is negative, and tree_left is a node's
+# left child, numbered from its tree's first node (-1 at leaves); its right
+# child is the next node. tree_value holds one row per node: the class shares
+# (RF) or the one leaf score (GBT).
+TREE_COLUMNS = ("tree_offsets", "tree_feature", "tree_threshold", "tree_left", "tree_value")
+_INDEX_COLUMNS = ("tree_offsets", "tree_feature", "tree_left")
 # the arrays each kind predicts with, which its file must hold, by shape (see
 # `artifact.check_shapes`): "k" is the class count and "1" is 1 (m nodes,
 # t tree offsets, n training rows, d features)
 _FOREST = {"tree_offsets": ("t",), "tree_feature": ("m",), "tree_threshold": ("m",),
-           "tree_left": ("m",), "tree_right": ("m",)}
+           "tree_left": ("m",)}
 _SHAPES = {"SVM": {"w": ("k", "d"), "b": ("k",)}, "KNN": {"x": ("n", "d"), "y": ("n",)},
            "GNB": {"theta": ("k", "d"), "var": ("k", "d"), "priors": ("k",)},
            "RF": {**_FOREST, "tree_value": ("m", "k")},
@@ -417,8 +419,8 @@ def _grow_trees(x, roots, criterion, *, max_depth, min_split,
     may_settle = not np.isnan(x).any()  # so padding sorts after every row
     # nodes are numbered by slot, in the order they are made, roots first
     values = []      # per level, its nodes' values
+    trees = []       # per level, its nodes' trees
     cuts = []        # per level, (slots, feature, threshold) of the nodes searched
-    left_child = []  # per level, (slots, their left children's slots); right ones follow
     reached = np.zeros(n, dtype=np.int64)  # per row of x, the last slot made that holds it
     rows, n_rows = roots, np.full(len(roots), roots.shape[1])
     tree = np.arange(len(roots))  # each node's tree
@@ -426,6 +428,7 @@ def _grow_trees(x, roots, criterion, *, max_depth, min_split,
     for depth in range(max_depth + 1):
         value, pure, settled = criterion.leaves(rows, n_rows)
         values.append(value)
+        trees.append(tree)
         slots = np.arange(n_made, n_made + len(rows))
         n_made += len(rows)
         reached[rows[np.arange(rows.shape[1]) < n_rows[:, None]]] = np.repeat(slots, n_rows)
@@ -460,43 +463,28 @@ def _grow_trees(x, roots, criterion, *, max_depth, min_split,
         rows = np.stack([np.where(place < n_left[:, None], parted, n),
                          np.where(place < n_rows[1::2, None], right, n)], axis=1)
         rows = rows.reshape(len(n_rows), -1)[:, :n_rows.max()]
-        left_child.append((slots[inner], n_made + 2 * np.arange(len(inner))))
     values = np.concatenate(values)
-    return _preorder_table(values, cuts, left_child, len(roots)), values[reached]
+    return _node_table(values, trees, cuts), values[reached]
 
 
-def _preorder_table(values, cuts, left_child, n_trees) -> dict[str, np.ndarray]:
-    """Gather the nodes, by slot, into the node table of trees numbered in
-    preorder; roots are slots 0 .. n_trees - 1, and `left_child` holds, level
-    by level, the split nodes' slots and their left children's. A node's
-    subtree sizes are summed up the levels, and its number in its tree set
-    down them: a left child follows its parent, and a right child follows
-    its left sibling's subtree."""
-    n_slots = len(values)
-    feature = np.full(n_slots, -1)
-    threshold = np.zeros(n_slots)
+def _node_table(values, trees, cuts) -> dict[str, np.ndarray]:
+    """Gather the nodes, by slot, into the node table; `trees` holds each
+    level's nodes' trees. A stable sort by tree keeps each tree's nodes in
+    the order made: breadth-first, each split node's two children made side
+    by side, after those of the split nodes made before it. So a tree's j-th
+    split node has the tree's nodes 2j + 1 and 2j + 2 as its children."""
+    tree = np.concatenate(trees)
+    order = np.argsort(tree, kind="stable")
+    feature = np.full(len(values), -1)
+    threshold = np.zeros(len(values))
     for slots, f, thr in cuts:
         feature[slots], threshold[slots] = f, thr
-    left = np.full(n_slots, -1)
-    size = np.ones(n_slots, dtype=np.int64)  # of each node's subtree
-    for parents, children in reversed(left_child):
-        left[parents] = children
-        size[parents] += size[children] + size[children + 1]
-    tree = np.zeros(n_slots, dtype=np.int64)
-    tree[:n_trees] = np.arange(n_trees)
-    pre = np.zeros(n_slots, dtype=np.int64)  # each node's number in its tree
-    for parents, children in left_child:
-        tree[children] = tree[children + 1] = tree[parents]
-        pre[children] = pre[parents] + 1
-        pre[children + 1] = pre[children] + size[children]
-    bounds = np.concatenate([[0], np.cumsum(size[:n_trees])])
-    order = np.empty(n_slots, dtype=np.int64)
-    order[bounds[tree] + pre] = np.arange(n_slots)
-    left = left[order]
-    inner = left >= 0
-    return dict(zip(TREE_COLUMNS, (bounds, feature[order], threshold[order],
-                                   np.where(inner, pre[left], -1),
-                                   np.where(inner, pre[left + 1], -1), values[order])))
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(tree))])  # every tree has a root
+    inner = feature[order] >= 0
+    before = np.cumsum(inner) - inner  # split nodes before each node, over all trees
+    left = np.where(inner, 1 + 2 * (before - before[bounds[tree[order]]]), -1)
+    return dict(zip(TREE_COLUMNS, (bounds, feature[order], threshold[order], left,
+                                   values[order])))
 
 
 def _split_table(table: dict[str, np.ndarray], n_parts: int) -> list[dict[str, np.ndarray]]:
@@ -532,7 +520,7 @@ def _leaf_blocks(table: dict[str, np.ndarray], q: np.ndarray):
     still in it. A block has at most FOREST_BLOCK_PAIRS pairs; as a tree's
     leaf for one row reads no other row, blocking changes no value.
     """
-    offsets, feature, left, right = (table[name] for name in _INDEX_COLUMNS)
+    offsets, feature, left = (table[name] for name in _INDEX_COLUMNS)
     threshold, value = table["tree_threshold"], table["tree_value"]
     n_trees = len(offsets) - 1
     leaf = feature < 0
@@ -541,7 +529,7 @@ def _leaf_blocks(table: dict[str, np.ndarray], q: np.ndarray):
     # outcome picks the entry
     first = np.repeat(offsets[:-1], np.diff(offsets))  # each node's tree's root
     own = np.arange(len(feature))
-    children = np.stack([np.where(leaf, own, first + right),
+    children = np.stack([np.where(leaf, own, first + left + 1),
                          np.where(leaf, own, first + left)], axis=1).ravel()
     split = np.where(leaf, 0, feature)
     d = q.shape[1]
@@ -733,7 +721,7 @@ def _forest_table(arrays: dict[str, np.ndarray], kind: str,
             table[name] = arrays[name].astype(np.int64)
         if not np.array_equal(table[name], arrays[name]):
             raise IntegrityError(f"{name} must hold whole numbers")
-    offsets, feature, left, right = (table[name] for name in _INDEX_COLUMNS)
+    offsets, feature, left = (table[name] for name in _INDEX_COLUMNS)
     n_nodes, n_trees = len(feature), len(offsets) - 1
     sizes = np.diff(offsets)
     if n_trees < 1 or offsets[0] != 0 or offsets[-1] != n_nodes or np.any(sizes < 1):
@@ -743,9 +731,9 @@ def _forest_table(arrays: dict[str, np.ndarray], kind: str,
     local = np.arange(n_nodes) - np.repeat(offsets[:-1], sizes)  # each node's place in its tree
     size = np.repeat(sizes, sizes)
     inner = feature >= 0
-    if np.any(inner & ((left <= local) | (left >= size) | (right <= local) | (right >= size))):
+    if np.any(inner & ((left <= local) | (left + 1 >= size))):
         raise IntegrityError("a tree node's child lies outside its tree or not after it")
-    if np.any(~inner & ((left != -1) | (right != -1))):
+    if np.any(~inner & (left != -1)):
         raise IntegrityError("a tree leaf has a child")
     return table
 
@@ -760,8 +748,9 @@ def save_classifier(clf: TrainedClassifier, path) -> None:
 def load_classifier(path) -> TrainedClassifier:
     """The saved classifier; IntegrityError for a header without its kind or
     class count, an unknown kind, a class count below 1, arrays that
-    `_SHAPES` rejects, KNN labels that are not classes, or a forest table
-    `_forest_table` rejects."""
+    `_SHAPES` rejects or does not name for the kind (a forest another
+    layout wrote holds other columns), KNN labels that are not classes, or
+    a forest table `_forest_table` rejects."""
     header, arrays = artifact.load(path, CLASSIFIER_MAGIC, "classifier")
     try:
         kind, n_classes, meta = header["kind"], header["n_classes"], header.get("meta", {})
@@ -772,6 +761,9 @@ def load_classifier(path) -> TrainedClassifier:
     if type(n_classes) is not int or n_classes < 1:  # a bool is an int to isinstance
         raise IntegrityError(f"class count {n_classes!r} is not a whole number above 0")
     artifact.check_shapes(f"{kind} classifier", arrays, _SHAPES[kind], {"k": n_classes, "1": 1})
+    extra = sorted(set(arrays) - set(_SHAPES[kind]))
+    if extra:
+        raise IntegrityError(f"{kind} classifier file holds arrays it does not use: {extra}")
     if kind == "KNN" and not np.isin(arrays["y"], np.arange(n_classes)).all():
         raise IntegrityError(f"KNN labels must be whole numbers below {n_classes}")
     if kind in ("RF", "GBT"):

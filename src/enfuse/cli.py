@@ -91,7 +91,7 @@ from .pretrain import (
     pretrain_ssl,
 )
 
-TOOL_VERSION = "0.2.0"  # bump whenever a stage writes other bytes for the same inputs
+TOOL_VERSION = "0.3.0"  # bump whenever a stage writes other bytes for the same inputs
 VARIANTS = ("A", "B", "C")
 TARGET_KIND = "shapes3"  # the task kind of the target rung
 BASE_MODEL_NAMES = tuple(f"{m}_{v}" for m in ("tl", "ssl") for v in VARIANTS)
@@ -170,9 +170,10 @@ def _coerce(section: str, key: str, raw: str):
 def load_config(path: str | None) -> dict[str, dict[str, object]]:
     """Flat key=value config with [section] headers and `#` comments.
 
-    Unknown sections or keys, values that `SETTINGS` does not allow (a
-    number outside its interval, a fusion method or OOD task kind not among
-    its choices), a task name that is not one directory name, an even blur
+    A file that is not UTF-8, unknown sections or keys, values that
+    `SETTINGS` does not allow (a number outside its interval, a fusion
+    method or OOD task kind not among its choices), a task name that is not
+    one directory name or names a file --out itself holds, an even blur
     kernel and an image size that a stack cannot pool are rejected here. The
     rules across values belong to the stages whose work needs them: `RULES`.
     """
@@ -180,8 +181,8 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
               for section, keys in SETTINGS.items()}
     section = None
     try:
-        lines = [] if path is None else Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = [] if path is None else Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
         line = line.partition("#")[0].strip()
@@ -212,6 +213,8 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
     name = config["task"]["name"]
     if name in ("", ".", "..") or "/" in name:  # joined to --out as one directory
         raise ConfigError(f"[task] name: {name!r} is not a single directory name")
+    if name in (MANIFEST, LOCK):
+        raise ConfigError(f"[task] name: {name!r} is a file --out holds")
     if config["pretrain"]["augment_blur_kernel"] % 2 == 0:
         raise ConfigError(f"[pretrain] augment_blur_kernel: "
                           f"{config['pretrain']['augment_blur_kernel']} is not odd")
@@ -295,6 +298,7 @@ def _check_fusion_k(config: dict, without_widest: bool) -> None:
 # ---------------------------------------------------------------------------
 
 MANIFEST = "manifest.json"  # in --out
+LOCK = ".lock"  # in --out, while a run holds it
 
 
 def _str_map(value) -> bool:
@@ -869,7 +873,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.seed < 0:  # NumPy seeds only from whole numbers >= 0
             parser.error(f"argument --seed: {args.seed} is negative")
         out = Path(args.out)
-        lock = out / ".lock"
+        lock = out / LOCK
         try:
             out.mkdir(parents=True, exist_ok=True)
             locked = _take_lock(lock)

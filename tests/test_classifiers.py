@@ -361,7 +361,7 @@ class TestForestFiles:
     def test_roundtrip_keeps_bytes_and_table(self, saved, tmp_path):
         clf, path = saved
         back = load_classifier(path)
-        for name in ("tree_offsets", "tree_feature", "tree_left", "tree_right"):
+        for name in ("tree_offsets", "tree_feature", "tree_left"):
             assert back.arrays[name].dtype == np.int64
         for name, arr in clf.arrays.items():
             assert np.array_equal(back.arrays[name], arr), name
@@ -370,7 +370,8 @@ class TestForestFiles:
 
     @staticmethod
     def fault(arrays, name):
-        """(column, index, value) of an edit that breaks one rule."""
+        """(column, index, value) of an edit that breaks one rule; an inner
+        node's right child is its tree_left + 1."""
         offsets, feature = arrays["tree_offsets"], arrays["tree_feature"]
         size0 = int(offsets[1])
         assert size0 >= 3 and feature[0] >= 0  # the first tree's root splits
@@ -382,12 +383,11 @@ class TestForestFiles:
             "offsets-fall": ("tree_offsets", 1, offsets[2] + 1),
             "offsets-end-early": ("tree_offsets", -1, offsets[-1] - 1),
             "offsets-end-late": ("tree_offsets", -1, offsets[-1] + 1),
-            "child-in-next-tree": ("tree_right", 0, size0),
+            "child-in-next-tree": ("tree_left", 0, size0 - 1),  # the right child is size0
             "child-before-tree": ("tree_left", 0, -1),
             "child-is-the-node": ("tree_left", 0, 0),
-            "child-above-the-node": ("tree_right", below, 0),
+            "child-above-the-node": ("tree_left", below, below - 1),  # the right is the node
             "leaf-with-left-child": ("tree_left", leaf, leaf + 1),
-            "leaf-with-right-child": ("tree_right", leaf, 0),
             "fractional-child": ("tree_left", 0, 1.5),
             "fractional-feature": ("tree_feature", 0, 0.5),
         }[name]
@@ -395,8 +395,8 @@ class TestForestFiles:
     @pytest.mark.parametrize("fault", [
         "offsets-start-past-0", "offsets-repeat", "offsets-fall", "offsets-end-early",
         "offsets-end-late", "child-in-next-tree", "child-before-tree", "child-is-the-node",
-        "child-above-the-node", "leaf-with-left-child", "leaf-with-right-child",
-        "fractional-child", "fractional-feature"])
+        "child-above-the-node", "leaf-with-left-child", "fractional-child",
+        "fractional-feature"])
     def test_fault_rejected(self, saved, tmp_path, fault):
         _, path = saved
         header, arrays = columns(path)
@@ -404,6 +404,17 @@ class TestForestFiles:
         column, i, value = self.fault(arrays, fault)
         arrays[column][i] = value
         with pytest.raises(IntegrityError):
+            load_classifier(repacked(header, arrays, tmp_path / "bad.bin"))
+
+    def test_unused_column_rejected(self, saved, tmp_path):
+        """A forest file in the layout with a `tree_right` column passes every
+        table check on its `tree_left`, so only the column it does not use
+        tells it from one this layout wrote."""
+        _, path = saved
+        header, arrays = columns(path)
+        left = arrays["tree_left"]
+        arrays["tree_right"] = np.where(left >= 0, left + 1, -1)
+        with pytest.raises(IntegrityError, match="tree_right"):
             load_classifier(repacked(header, arrays, tmp_path / "bad.bin"))
 
     @pytest.mark.parametrize("column, edit", [

@@ -786,6 +786,18 @@ class TestFailureModes:
         assert run(["pretrain", "--config", str(cfg),
                     "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        """A config file that is not UTF-8 is one error line and exit 2, not
+        a traceback, before any stage runs."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"[task]\nname = run\xff\n")
+        out = tmp_path / "o"
+        assert run(["all", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {cfg}")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command, text", [
         (["all"], "[fusion]\nmethod = concat+foo\n"),
         (["all"], "[fusion]\nmethod = concat+lda\n"),  # a removed method
@@ -804,6 +816,9 @@ class TestFailureModes:
         (["all"], "[task]\nname = ../escape\n"),
         (["all"], "[task]\nname = /tmp/escape\n"),
         (["all"], "[task]\nname = a/b\n"),
+        # files --out itself holds: a stage directory there breaks the run
+        (["all"], "[task]\nname = manifest.json\n"),
+        (["all"], "[task]\nname = .lock\n"),
         (["all"], "[data]\nimage_size = 20\n"),  # variant C and an SSL head pool four times
         (["all"], "[data]\nimage_size = 24\n"),
         # a class of the train split keeps 1 row; GNB needs 2
@@ -823,7 +838,7 @@ class TestFailureModes:
             "fusion-k-above-train-rows", "ensemble-fusion-k-above-train-rows",
             "fusion-k-above-ablate-columns", "ablate-fusion-k-above-ablate-columns",
             "task-empty", "task-dot", "task-dotdot", "task-parent", "task-absolute",
-            "task-nested", "image-size-20", "image-size-24", "target-split-2-per-class",
+            "task-nested", "task-manifest", "task-lock", "image-size-20", "image-size-24", "target-split-2-per-class",
             "target-split-fraction-0.1", "oodtest-split-2-per-class",
             "target-test-split-3-rows", "gradcam-instance-12", "shap-instance-negative",
             "target-per-class-2**64", "oodtest-per-class-2**68"])

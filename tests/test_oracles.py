@@ -96,12 +96,12 @@ VALUES = (-2.0, -0.5, 0.0, 0.25, 1.0, 3.0)
 @dataclass
 class Tree:
     """One tree of a forest's node table: node i is a leaf iff feature[i] < 0,
-    children numbered from the tree's root."""
+    children numbered from the tree's root, the right child of node i
+    left[i] + 1."""
 
     feature: np.ndarray    # (n_nodes,) int64, -1 for leaves
     threshold: np.ndarray  # (n_nodes,) float64
-    left: np.ndarray       # (n_nodes,) int64 child index, -1 for leaves
-    right: np.ndarray
+    left: np.ndarray       # (n_nodes,) int64 left child index, -1 for leaves
     value: np.ndarray      # (n_nodes, width): class dist or 1-wide score
 
     def predict_value(self, x: np.ndarray) -> np.ndarray:
@@ -114,11 +114,11 @@ class Tree:
             rows, feature = rows[inner], feature[inner]
             at = node[rows]
             node[rows] = np.where(x[rows, feature] <= self.threshold[at],
-                                  self.left[at], self.right[at])
+                                  self.left[at], self.left[at] + 1)
         return self.value[node]
 
 
-TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+TREE_FIELDS = ("feature", "threshold", "left", "value")
 
 
 def trees_of(clf: TrainedClassifier) -> list[Tree]:
@@ -144,7 +144,7 @@ def predict_value_rows(tree: Tree, x: np.ndarray) -> np.ndarray:
             if row[tree.feature[node]] <= tree.threshold[node]:
                 node = tree.left[node]
             else:
-                node = tree.right[node]
+                node = tree.left[node] + 1
         out[i] = tree.value[node]
     return out
 
@@ -307,11 +307,36 @@ def classifier_output(clf: TrainedClassifier):
     return lambda x: predict_proba(clf, x)
 
 
+def numbered(order: list[int], nodes: list) -> Tree:
+    """The Tree of the nodes `order` lists, node order[i] numbered i.
+    nodes[j] is [feature, threshold, value, children, ...], children () at a
+    leaf or (left, right); each right child must be numbered just after its
+    left sibling."""
+    number = {j: i for i, j in enumerate(order)}
+    left = [number[nodes[j][3][0]] if nodes[j][3] else -1 for j in order]
+    for j, first in zip(order, left):
+        assert not nodes[j][3] or number[nodes[j][3][1]] == first + 1
+    return Tree(np.array([nodes[j][0] for j in order], dtype=np.int64),
+                np.array([nodes[j][1] for j in order], dtype=np.float64),
+                np.array(left, dtype=np.int64),
+                np.stack([nodes[j][2] for j in order]))
+
+
+def breadth_first(nodes: list, root: int = 0) -> list[int]:
+    """The nodes of root's subtree, breadth-first, each left child before its
+    right sibling; nodes[j][3] are node j's children, as `numbered` reads them."""
+    order, queue = [], collections.deque([root])
+    while queue:
+        order.append(queue.popleft())
+        queue.extend(nodes[order[-1]][3])
+    return order
+
+
 def build_tree_recursive(x, target, idx, *, max_depth, min_split, leaf_value,
                          splitter) -> Tree:
-    """One tree grown from the rows idx one node at a time, in preorder,
-    every feature a candidate."""
-    nodes = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+    """One tree grown from the rows idx one node at a time, depth first,
+    every feature a candidate, then numbered breadth-first."""
+    nodes = []  # per node, in the order made: [feature, threshold, value, children]
     features = np.arange(x.shape[1])
 
     def is_pure(subset):
@@ -319,30 +344,21 @@ def build_tree_recursive(x, target, idx, *, max_depth, min_split, leaf_value,
         return bool(col.max() - col.min() <= 1e-12)
 
     def grow(idx, depth):
-        node_id = len(nodes["feature"])
-        for key in nodes:
-            nodes[key].append(None)
-        nodes["value"][node_id] = leaf_value(target[idx])
+        node_id = len(nodes)
+        node = [-1, 0.0, np.atleast_1d(leaf_value(target[idx])), ()]
+        nodes.append(node)
         chosen = (None, 0.0, np.inf)
         if depth < max_depth and len(idx) >= min_split and not is_pure(target[idx]):
             chosen = splitter(x, target, idx, features)
-        if chosen[0] is None:
-            nodes["feature"][node_id], nodes["threshold"][node_id] = -1, 0.0
-            nodes["left"][node_id] = nodes["right"][node_id] = -1
-            return node_id
-        f, thr, _ = chosen
-        mask = x[idx, f] <= thr
-        nodes["feature"][node_id], nodes["threshold"][node_id] = f, thr
-        nodes["left"][node_id] = grow(idx[mask], depth + 1)
-        nodes["right"][node_id] = grow(idx[~mask], depth + 1)
+        if chosen[0] is not None:
+            f, thr, _ = chosen
+            mask = x[idx, f] <= thr
+            node[0], node[1] = f, thr
+            node[3] = (grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1))
         return node_id
 
     grow(idx, 0)
-    return Tree(np.asarray(nodes["feature"], dtype=np.int64),
-                np.asarray(nodes["threshold"], dtype=np.float64),
-                np.asarray(nodes["left"], dtype=np.int64),
-                np.asarray(nodes["right"], dtype=np.int64),
-                np.stack([np.atleast_1d(v) for v in nodes["value"]]))
+    return numbered(breadth_first(nodes), nodes)
 
 
 def fit_rf_reference(x, y, n_trees, seed) -> TrainedClassifier:
@@ -353,7 +369,8 @@ def fit_rf_reference(x, y, n_trees, seed) -> TrainedClassifier:
     candidates are the features of lowest rank, ascending. Nodes are searched
     breadth-first across all trees: roots in tree order, then each searched
     node's children, left before right, after every node made before them.
-    Each tree's nodes are then numbered in preorder.
+    Each tree's nodes are then numbered in the order made: the made list,
+    sorted stably by tree.
     """
     n, d = x.shape
     k = int(y.max()) + 1
@@ -361,17 +378,18 @@ def fit_rf_reference(x, y, n_trees, seed) -> TrainedClassifier:
     split = gini_splitter_per_feature(k)
     rng = np.random.default_rng(seed)
     bootstraps = [rng.integers(0, n, size=n) for _ in range(n_trees)]
-    made = []  # per node, in the order made: [rows, depth, value, feature, threshold, children]
+    # per node, in the order made: [feature, threshold, value, children, rows, depth, tree]
+    made = []
 
-    def make(idx, depth):
+    def make(idx, depth, tree):
         counts = np.bincount(y[idx], minlength=k).astype(np.float64)
-        made.append([idx, depth, counts / counts.sum(), -1, 0.0, ()])
+        made.append([-1, 0.0, counts / counts.sum(), (), idx, depth, tree])
         return len(made) - 1
 
-    queue = collections.deque(make(idx, 0) for idx in bootstraps)
+    queue = collections.deque(make(idx, 0, tree) for tree, idx in enumerate(bootstraps))
     while queue:
         node = made[queue.popleft()]
-        idx, depth = node[:2]
+        idx, depth, tree = node[4:]
         if depth >= RF_MAX_DEPTH or len(idx) < RF_MIN_SPLIT or len(np.unique(y[idx])) == 1:
             continue
         if m < d:
@@ -382,23 +400,12 @@ def fit_rf_reference(x, y, n_trees, seed) -> TrainedClassifier:
         if f is None:
             continue
         mask = x[idx, f] <= thr
-        node[3:] = f, thr, (make(idx[mask], depth + 1), make(idx[~mask], depth + 1))
-        queue.extend(node[5])
+        node[0], node[1] = f, thr
+        node[3] = (make(idx[mask], depth + 1, tree), make(idx[~mask], depth + 1, tree))
+        queue.extend(node[3])
 
-    def preorder(i):
-        return [i] + [j for child in made[i][5] for j in preorder(child)]
-
-    trees = []
-    for root in range(n_trees):
-        order = preorder(root)
-        number = {i: p for p, i in enumerate(order)}
-        children = [made[i][5] or (-1, -1) for i in order]
-        trees.append(Tree(np.array([made[i][3] for i in order], dtype=np.int64),
-                          np.array([made[i][4] for i in order], dtype=np.float64),
-                          np.array([number.get(c[0], -1) for c in children], dtype=np.int64),
-                          np.array([number.get(c[1], -1) for c in children], dtype=np.int64),
-                          np.stack([made[i][2] for i in order])))
-    return forest("RF", k, trees)
+    return forest("RF", k, [numbered([i for i, node in enumerate(made) if node[6] == tree], made)
+                            for tree in range(n_trees)])
 
 
 def fit_gbt_reference(x, y, max_depth, rounds) -> tuple[list[Tree], list[float]]:
@@ -460,32 +467,27 @@ def labelled_data(draw, min_rows=2, max_rows=24):
 
 
 def random_tree(rng: np.random.Generator, d: int, width: int, max_depth: int) -> Tree:
-    nodes = {"feature": [], "threshold": [], "left": [], "right": []}
+    """A random tree grown depth first, then numbered breadth-first."""
+    nodes = []  # per node, in the order made: [feature, threshold, value, children]
 
     def grow(depth):
-        node = len(nodes["feature"])
-        for column in nodes.values():
-            column.append(-1)
-        nodes["threshold"][node] = 0.0
+        node_id = len(nodes)
+        node = [-1, 0.0, None, ()]
+        nodes.append(node)
         if depth < max_depth and rng.random() < 0.7:
-            nodes["feature"][node] = int(rng.integers(d))
-            nodes["threshold"][node] = float(rng.choice(VALUES))
-            nodes["left"][node] = grow(depth + 1)
-            nodes["right"][node] = grow(depth + 1)
-        return node
+            node[0], node[1] = int(rng.integers(d)), float(rng.choice(VALUES))
+            node[3] = (grow(depth + 1), grow(depth + 1))
+        return node_id
 
     grow(0)
-    n_nodes = len(nodes["feature"])
-    return Tree(np.array(nodes["feature"], dtype=np.int64),
-                np.array(nodes["threshold"], dtype=np.float64),
-                np.array(nodes["left"], dtype=np.int64),
-                np.array(nodes["right"], dtype=np.int64),
-                rng.normal(size=(n_nodes, width)))
+    for node, value in zip(nodes, rng.normal(size=(len(nodes), width))):
+        node[2] = value
+    return numbered(breadth_first(nodes), nodes)
 
 
 def assert_same_trees(got: TrainedClassifier, want: list[Tree]):
     """The forest's node table holds exactly these trees, in order."""
-    for name in ("tree_offsets", "tree_feature", "tree_left", "tree_right"):
+    for name in ("tree_offsets", "tree_feature", "tree_left"):
         assert got.arrays[name].dtype == np.int64, name
     got_trees = trees_of(got)
     assert len(got_trees) == len(want)
@@ -667,6 +669,28 @@ def test_fit_gbt_trees_match_per_feature_search(data, max_depth):
     want_trees, want_loss = fit_gbt_reference(x, y, rounds=3, max_depth=max_depth)
     assert_same_trees(got, want_trees)
     assert got.meta["train_log_loss"] == want_loss
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=labelled_data(min_rows=3), seed=st.integers(0, 1000))
+def test_fitted_trees_are_numbered_breadth_first(data, seed):
+    """In every table `fit_rf` and `fit_gbt` return, a tree's nodes are
+    numbered as they were made: the j-th inner node's children are nodes
+    2j + 1 (tree_left) and 2j + 2 (tree_left + 1), both after it in its
+    tree, every other node is a leaf with tree_left -1, and every node but
+    the root is one inner node's child."""
+    x, y = data
+    sets = ([x, x[::-1]], [y, y[::-1]])
+    with mock.patch.multiple(classifiers, RF_TREES=4, GBT_ROUNDS=3):
+        fits = fit_rf(*sets, seed=seed) + fit_gbt(*sets)
+    for clf in fits:
+        for tree in trees_of(clf):
+            inner = np.flatnonzero(tree.feature >= 0)
+            left = tree.left[inner]
+            assert np.array_equal(left, 1 + 2 * np.arange(len(inner)))
+            assert np.all(left > inner) and np.all(left + 1 < len(tree.left))
+            assert len(tree.left) == 1 + 2 * len(inner)
+            assert np.all(np.delete(tree.left, inner) == -1)
 
 
 def test_trees_finishing_at_different_steps_match_reference(monkeypatch):
